@@ -8,7 +8,6 @@ from .errors import (
     FixedPointInput,
     InputError,
     InternalError,
-    InterpolationMismatch,
     LabeledFaceUnsupported,
     MomentcutError,
     NotRegularLevel,

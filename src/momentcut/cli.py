@@ -308,6 +308,9 @@ def _cmd_reverse(args) -> CommandOutcome:
 
 
 def _cmd_dh(args) -> CommandOutcome:
+    if args.csv == "-":
+        raise InputError("--csv - would mix CSV into the JSON report on stdout; "
+                         "give a file path")
     P = _load_polytope(args.infile)
     profile = dh_profile(P)
     payload = {"profile": profile.to_json(),
@@ -319,12 +322,11 @@ def _cmd_dh(args) -> CommandOutcome:
         for k in range(nsamp):
             s = lo + (hi - lo) * Fraction(k, nsamp - 1)
             rows.append(f"{format_rational(s)},{format_rational(profile.value(s))}")
-        text = "\n".join(rows) + "\n"
-        if args.csv == "-":
-            sys.stdout.write(text)
-        else:
+        try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write("\n".join(rows) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from None
         payload["csv"] = args.csv
     if args.check_log_concavity:
         payload["log_concavity"] = check_log_concavity(profile).to_json()
@@ -403,9 +405,12 @@ def _cmd_local_model(args) -> CommandOutcome:
         if args.z is not None:
             z = _parse_z(args.z)
             r = cut_tameness_identity(action, z[:-1], complex(z[-1]))
+            # numpy scalars: json.dumps refuses numpy bools
             return CommandOutcome(0 if r.ok else 3, {
-                "value": r.value, "expected": r.expected, "rel_err": r.rel_err,
-                "orthogonality": [r.orth_1, r.orth_2], "ok": r.ok})
+                "value": float(r.value), "expected": float(r.expected),
+                "rel_err": float(r.rel_err),
+                "orthogonality": [float(r.orth_1), float(r.orth_2)],
+                "ok": bool(r.ok)})
         rep = batteries.cut_identity_battery(args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     if op == "blowup-potential":

@@ -2,12 +2,27 @@
 
 The density at level s is the Euclidean (n-1)-volume of the slice at s in
 the coordinates (x_2 .. x_n); it is a polynomial of degree <= n-1 on each
-chamber between consecutive critical levels.  Everything here is decided in
-exact rational arithmetic; inequalities on whole intervals go through Sturm
-sequences, never sampling floats.
+chamber between consecutive critical levels.
+
+Profiles come from localization at the vertices (Lawrence 1991, Brion-Vergne
+1997): on the chamber above lo the density is
+
+    sum over vertices v with x_1(v) <= lo of
+        |det G_v| (s - x_1(v))^(n-1) / ((n-1)! prod_k <xi, g_k(v)>),
+
+where g_1(v) .. g_n(v), the rows of G_v, are the primitive edge generators
+at v and xi = e_1.  Edges orthogonal to e_1 make some pairings zero, so xi
+is perturbed to e_1 + t*eta with eta = (0, 1, p, p^2, ..) for the first
+p = 2, 3, .. that pairs nonzero with every such edge.  Each vertex term is
+then a Laurent series in t with rational coefficients; the sum has no pole
+at t = 0, so its exact t^0 coefficient is the density.
+
+Everything here is decided in exact rational arithmetic; inequalities on
+whole intervals go through Sturm sequences, never sampling floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -15,25 +30,22 @@ from typing import Optional, Sequence
 from .errors import (
     DimensionMismatch,
     InternalError,
-    InterpolationMismatch,
     PreconditionError,
     WallNotSimpleCrossing,
 )
-from .lattice import content, dot, format_rational, solve_exact
+from .lattice import content, det_int, dot, format_rational, solve_exact
 from .polytope import (
     Facet,
     LabeledPolytope,
+    Vertex,
     canonical_equal,
     slice_at,
-    to_json_dict,
     vertices,
-    volume,
 )
 from .ops import _pruned, reversed_polytope
 from .ratpoly import (
     Poly,
     gap_samples,
-    interpolate,
     isolate_roots,
     nonpositive_on,
     one_sided_sign,
@@ -97,33 +109,81 @@ class DHProfile:
 
 
 def dh_profile(P: LabeledPolytope) -> DHProfile:
-    """Interpolate the exact slice volume on every chamber and verify it."""
+    """Sum the vertex terms chamber by chamber and verify positivity."""
     if P.dim < 2:
         raise DimensionMismatch("profiles need dimension >= 2")
+    st = P.structure()
+    if st.rays:
+        raise PreconditionError(
+            f"the region is unbounded along {list(st.rays[0])}; "
+            "profiles need a bounded polytope")
+    if not st.points:
+        raise PreconditionError(
+            "the region has no vertex (it is empty or contains a line); "
+            "profiles need a bounded polytope")
+    verts = sorted(vertices(P), key=lambda v: v.point[0])
+    gens = [edge_generators(P, v) for v in verts]
+    eta = _generic_direction(P.dim, {g for gs in gens for g in gs if g[0] == 0})
     walls = critical_values(P)
-    n = P.dim
     chambers = []
+    density = Poly([])
+    k = 0
     for lo, hi in zip(walls, walls[1:]):
-        width = hi - lo
-        samples = [lo + width * Fraction(k, n + 1) for k in range(1, n + 1)]
-        pts = [(s, _slice_volume(P, s)) for s in samples]
-        poly = interpolate(pts)
-        probe = lo + width * Fraction(1, 2 * (n + 1))
-        if poly(probe) != _slice_volume(P, probe):
-            raise InterpolationMismatch(
-                f"chamber ({format_rational(lo)}, {format_rational(hi)}) "
-                "has a hidden wall")
-        if not _positive_on_open(poly, lo, hi):
+        while k < len(verts) and verts[k].point[0] <= lo:
+            density = density + _vertex_term(verts[k], gens[k], eta)
+            k += 1
+        if not _positive_on_open(density, lo, hi):
             raise InternalError("chamber density is not positive")
-        chambers.append(Chamber(lo, hi, poly))
+        chambers.append(Chamber(lo, hi, density))
     return DHProfile(tuple(walls), tuple(chambers))
 
 
-def _slice_volume(P: LabeledPolytope, s: Fraction) -> Fraction:
-    sl = slice_at(P, s)
-    if sl.polytope is None:
-        return Fraction(0)
-    return volume(sl.polytope)
+def _generic_direction(n: int, flat: set[tuple[int, ...]]) -> tuple[int, ...]:
+    """First eta = (0, 1, p, p^2, ..), p = 2, 3, .., with <eta, g> != 0 for
+    every edge generator g orthogonal to e_1.
+
+    <eta, g> is a nonzero polynomial of degree <= n-2 in p, so each g rules
+    out at most n-2 values of p and the candidates below cannot all fail.
+    """
+    for p in range(2, 3 + len(flat) * (n - 2)):
+        eta = (0,) + tuple(p ** k for k in range(n - 1))
+        if all(dot(eta, g) != 0 for g in flat):
+            return eta
+    raise InternalError("no generic perturbation of e_1 found")
+
+
+def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],
+                 eta: tuple[int, ...]) -> Poly:
+    """The t^0 coefficient of the vertex term for xi = e_1 + t*eta.
+
+    With a = x_1(v), c = <eta, v>, w_k = <e_1, g_k>, u_k = <eta, g_k> and z
+    edges with w_k = 0, the term is
+
+        |det G| (s - a - c t)^(n-1) / ((n-1)! t^z prod_{w=0} u_k
+                                        prod_{w!=0} w_k (1 + t u_k/w_k)),
+
+    so its t^0 coefficient pairs the t^j part of the numerator with the
+    t^(z-j) part of the series prod_{w!=0} 1/(1 + t u_k/w_k).
+    """
+    n = len(gens)
+    z = sum(1 for g in gens if g[0] == 0)
+    scale = Fraction(abs(det_int([list(g) for g in gens])), math.factorial(n - 1))
+    series = [Fraction(1)] + [Fraction(0)] * z
+    for g in gens:
+        u = dot(eta, g)
+        if g[0] == 0:
+            scale /= u
+            continue
+        scale /= g[0]
+        r = Fraction(u, g[0])
+        for j in range(1, z + 1):
+            series[j] -= r * series[j - 1]
+    a, c = v.point[0], dot(eta, v.point)
+    # coefficients of the powers of (s - a), highest power n-1 first
+    shifted = [Fraction(0)] * n
+    for j in range(min(z, n - 1) + 1):
+        shifted[n - 1 - j] = scale * math.comb(n - 1, j) * (-c) ** j * series[z - j]
+    return Poly(shifted).compose_affine(Fraction(1), -a)
 
 
 def _positive_on_open(p: Poly, lo: Fraction, hi: Fraction) -> bool:

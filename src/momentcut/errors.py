@@ -74,7 +74,3 @@ class FixedPointInput(PreconditionError):
 
 class StepTooLarge(PreconditionError):
     pass
-
-
-class InterpolationMismatch(InternalError):
-    """A chamber polynomial failed its verification sample."""

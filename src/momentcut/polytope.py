@@ -575,31 +575,41 @@ def dumps(P: LabeledPolytope) -> str:
     return json.dumps(to_json_dict(P), indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are bools, not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json_dict(obj: dict) -> LabeledPolytope:
     if not isinstance(obj, dict) or "dim" not in obj or "facets" not in obj:
         raise InputError('polytope file must be {"dim": n, "facets": [...]}')
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise InputError(f'"dim" must be an integer, got {dim!r}')
+    if not isinstance(obj["facets"], list):
+        raise InputError(f'"facets" must be a list, got {obj["facets"]!r}')
     facets = []
     for i, fo in enumerate(obj["facets"]):
+        if not isinstance(fo, dict):
+            raise InputError(f'facet {i} must be an object with "normal" and '
+                             f'"offset", got {fo!r}')
         normal = fo.get("normal")
         if (not isinstance(normal, list) or not normal
-                or not all(isinstance(x, int) for x in normal)):
+                or not all(_is_int(x) for x in normal)):
             raise InputError(f"facet {i}: normal must be a list of integers, got {normal!r}")
         off = fo.get("offset")
         if isinstance(off, float):
             raise InputError(
                 f"facet {i}: offset {off!r} is a float; offsets must be exact "
                 f'rational strings such as "{format_rational(Fraction(off).limit_denominator(10**6))}"')
-        if isinstance(off, int):
+        if _is_int(off):
             offset = Fraction(off)
         elif isinstance(off, str):
             offset = parse_rational(off)
         else:
             raise InputError(f"facet {i}: offset must be an integer or a rational string")
         label = fo.get("label", 1)
-        if not isinstance(label, int) or label < 1:
+        if not _is_int(label) or label < 1:
             raise InputError(f"facet {i}: label must be a positive integer, got {label!r}")
         if not any(normal):
             raise InputError(f"facet {i}: zero normal")

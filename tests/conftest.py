@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
-from momentcut.polytope import LabeledPolytope, vertices
+from momentcut.dh import Chamber, DHProfile, critical_values
+from momentcut.polytope import LabeledPolytope, slice_at, vertices, volume
+from momentcut.ratpoly import interpolate
 
 F = Fraction
 
@@ -58,6 +60,31 @@ def edge_hyperplane_points(P: LabeledPolytope, s: Fraction) -> set:
             pts.add(tuple(v.point[i] + t * (w.point[i] - v.point[i])
                           for i in range(1, P.dim)))
     return pts
+
+
+def slice_volume(P: LabeledPolytope, s: Fraction) -> Fraction:
+    """(n-1)-volume of the slice at x1 = s, 0 off the moment image."""
+    sl = slice_at(P, s)
+    return volume(sl.polytope) if sl.polytope is not None else F(0)
+
+
+def profile_by_slicing(P: LabeledPolytope) -> DHProfile:
+    """Independent profile oracle: interpolate exact slice volumes.
+
+    The density is a polynomial of degree <= n-1 on each chamber, so n
+    interior samples fix it; one more sample checks for a hidden wall.
+    """
+    walls = critical_values(P)
+    n = P.dim
+    chambers = []
+    for lo, hi in zip(walls, walls[1:]):
+        width = hi - lo
+        samples = [lo + width * F(k, n + 1) for k in range(1, n + 1)]
+        poly = interpolate([(s, slice_volume(P, s)) for s in samples])
+        probe = lo + width * F(1, 2 * (n + 1))
+        assert poly(probe) == slice_volume(P, probe), (lo, hi, "hidden wall")
+        chambers.append(Chamber(lo, hi, poly))
+    return DHProfile(tuple(walls), tuple(chambers))
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[int]]:

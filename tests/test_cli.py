@@ -213,3 +213,72 @@ def test_local_model_batteries_cli():
     out = run(["local-model", "convexity", "--weights=-1,1", "--trials", "10",
                "--seed", "5", "--bad-region"])
     assert out.payload["reentries"] > 0
+
+
+def test_dh_refuses_unbounded_region(tmp_path):
+    # the half-strip x >= 0, 0 <= y <= 1 has no density profile
+    strip = {"dim": 2, "facets": [
+        {"normal": [-1, 0], "offset": "0", "label": 1},
+        {"normal": [0, -1], "offset": "0", "label": 1},
+        {"normal": [0, 1], "offset": "1", "label": 1}]}
+    p = tmp_path / "strip.json"
+    p.write_text(json.dumps(strip))
+    out = run(["dh", "--in", str(p)])
+    assert out.exit_code == 2 and out.payload["error"] == "precondition"
+    assert "[1, 0]" in out.payload["message"]
+
+
+def _wedge_doc() -> dict:
+    return json.loads(dumps(asymmetric_wedge()))
+
+
+def _facets_not_list(doc):
+    doc["facets"] = {"normal": [1, 0], "offset": "1"}
+
+
+def _facets_ints(doc):
+    doc["facets"] = [1, 2]
+
+
+def _label_true(doc):
+    doc["facets"][1]["label"] = True
+
+
+def _dim_true(doc):
+    # a segment, so that dim true would otherwise read as dim 1
+    doc["dim"] = True
+    doc["facets"] = [{"normal": [1], "offset": "1"}, {"normal": [-1], "offset": "0"}]
+
+
+def _normal_entry_false(doc):
+    doc["facets"][0]["normal"] = [False, 1]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _facets_not_list, _facets_ints, _label_true, _dim_true, _normal_entry_false,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_polytope_refused(tmp_path, corrupt):
+    doc = _wedge_doc()
+    corrupt(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    out = run(["validate", "--in", str(p)])
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"]
+
+
+@pytest.mark.parametrize("target,message", [
+    ("-", "give a file path"),
+    ("missing-dir/mu.csv", "cannot write"),
+])
+def test_dh_csv_target_refused(d3_file, tmp_path, target, message):
+    csv = target if target == "-" else str(tmp_path / target)
+    out = run(["dh", "--in", d3_file, "--csv", csv])
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert message in out.payload["message"]
+
+
+def test_cut_identity_single_point_serializes():
+    out = run(["local-model", "cut-identity", "--weights=-1,2", "--z", "1+1j,2-1j,1j"])
+    assert out.exit_code == 0 and out.payload["ok"] is True
+    json.dumps(out.payload)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from momentcut.corpus import delzant_corpus
+import momentcut.dh
+from momentcut.corpus import asymmetric_wedge, box, chopped_hypercube, delzant_corpus
 from momentcut.dh import (
     Chamber,
     DHProfile,
@@ -18,8 +20,10 @@ from momentcut.dh import (
 )
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
 from momentcut.ops import add_fixed_points, reversed_polytope
-from momentcut.polytope import slice_at, volume, vertices
+from momentcut.polytope import Facet, LabeledPolytope, transform, volume
 from momentcut.ratpoly import Poly
+
+from conftest import profile_by_slicing, random_unimodular, slice_volume
 
 F = Fraction
 
@@ -70,9 +74,72 @@ def test_profile_matches_slices_at_random_levels(d3):
         s = F(num, 128)
         if s in prof.walls:
             continue
-        sl = slice_at(d3, s)
-        vol = volume(sl.polytope) if sl.polytope else F(0)
-        assert prof.value(s) == vol
+        assert prof.value(s) == slice_volume(d3, s)
+
+
+def _chopped_box(n: int, corners, depth: Fraction) -> LabeledPolytope:
+    """Unit n-cube with the given corners chopped at depth < 1/2."""
+    facets = list(box(*[F(1)] * n).facets)
+    for bits in corners:
+        facets.append(Facet(tuple(1 if b else -1 for b in bits), F(sum(bits)) - depth))
+    return LabeledPolytope(n, facets)
+
+
+def _keeping_x1(rng: random.Random, n: int) -> list[list[int]]:
+    """Unimodular [[1, 0], [c, B]]: the image has the same first coordinate."""
+    B = random_unimodular(rng, n - 1)
+    return [[1] + [0] * (n - 1)] + [[rng.randint(-2, 2)] + row for row in B]
+
+
+def _oracle_cases() -> list[tuple[str, LabeledPolytope]]:
+    rng = random.Random(2024)
+    base = [(name, P) for name, P in delzant_corpus() if P.dim >= 2]
+    base.append(("wedge+afp", add_fixed_points(asymmetric_wedge(), F(1, 4))[0]))
+    for n, depth in ((3, F(1, 3)), (4, F(1, 4))):
+        corners = [bits for bits in product((0, 1), repeat=n) if rng.random() < 0.5]
+        base.append((f"chopped-{n}-cube", _chopped_box(n, corners, depth)))
+    images = []
+    for name, P in base:
+        b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(P.dim)]
+        images.append((f"{name} x1-kept", transform(P, _keeping_x1(rng, P.dim), b)))
+        images.append((f"{name} image", transform(P, random_unimodular(rng, P.dim), b)))
+    cases = base + images
+    return cases + [(f"{name} reversed", reversed_polytope(P)) for name, P in cases]
+
+
+@pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in _oracle_cases()])
+def test_profile_matches_slicing_oracle(P):
+    prof, oracle = dh_profile(P), profile_by_slicing(P)
+    assert prof.walls == oracle.walls
+    for ch, want in zip(prof.chambers, oracle.chambers):
+        assert ch == want, (ch.lo, ch.hi)
+    assert prof == oracle
+
+
+def test_profile_invariant_under_maps_keeping_x1():
+    rng = random.Random(11)
+    for name, P in delzant_corpus():
+        if P.dim < 2:
+            continue
+        Q = transform(P, _keeping_x1(rng, P.dim), [F(0)] + [F(1, 3)] * (P.dim - 1))
+        assert dh_profile(Q) == dh_profile(P), name
+
+
+def test_profile_takes_no_slices(monkeypatch):
+    def no_slicing(*args):
+        raise AssertionError("dh_profile sliced the polytope")
+    monkeypatch.setattr(momentcut.dh, "slice_at", no_slicing)
+    P = chopped_hypercube()
+    assert dh_profile(P).total_integral() == volume(P)
+
+
+@pytest.mark.parametrize("facets,message", [
+    ([Facet((-1, 0), F(0)), Facet((0, -1), F(0)), Facet((0, 1), F(1))], r"along \[1, 0\]"),
+    ([Facet((0, -1), F(0)), Facet((0, 1), F(1))], "no vertex"),
+], ids=["half-strip", "strip"])
+def test_profile_refuses_unbounded_region(facets, message):
+    with pytest.raises(PreconditionError, match=message):
+        dh_profile(LabeledPolytope(2, facets))
 
 
 def test_profile_integrates_to_volume_on_corpus():
