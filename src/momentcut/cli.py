@@ -59,6 +59,7 @@ from .polytope import (
     canonical_equal,
     dumps as dump_polytope,
     from_json_dict,
+    require_bounded,
     to_json_dict,
     validate,
     vertices,
@@ -104,8 +105,11 @@ def _load_polytope(path: str) -> LabeledPolytope:
 
 def _write_polytope(P: LabeledPolytope, path: Optional[str]) -> None:
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_polytope(P))
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(dump_polytope(P))
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(payload: dict) -> None:
@@ -216,6 +220,8 @@ def _cmd_validate(args) -> CommandOutcome:
 
 def _cmd_info(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
+    # the critical values of an unbounded region are only one end of its image
+    require_bounded(P, "info needs a bounded polytope")
     xi = (tuple(int(x) for x in args.xi.split(","))
           if args.xi else (1,) + (0,) * (P.dim - 1))
     verts = vertices(P)

@@ -39,6 +39,7 @@ from .polytope import (
     LabeledPolytope,
     Vertex,
     canonical_equal,
+    require_bounded,
     slice_at,
     vertices,
 )
@@ -112,15 +113,7 @@ def dh_profile(P: LabeledPolytope) -> DHProfile:
     """Sum the vertex terms chamber by chamber and verify positivity."""
     if P.dim < 2:
         raise DimensionMismatch("profiles need dimension >= 2")
-    st = P.structure()
-    if st.rays:
-        raise PreconditionError(
-            f"the region is unbounded along {list(st.rays[0])}; "
-            "profiles need a bounded polytope")
-    if not st.points:
-        raise PreconditionError(
-            "the region has no vertex (it is empty or contains a line); "
-            "profiles need a bounded polytope")
+    require_bounded(P, "profiles need a bounded polytope")
     verts = sorted(vertices(P), key=lambda v: v.point[0])
     gens = [edge_generators(P, v) for v in verts]
     eta = _generic_direction(P.dim, {g for gs in gens for g in gs if g[0] == 0})

@@ -310,6 +310,17 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
     return [Vertex(pt, act) for pt, act in st.points]
 
 
+def require_bounded(P: LabeledPolytope, need: str) -> None:
+    """Refuse an unbounded or vertex-less region; `need` ends the message."""
+    st = P.structure()
+    if st.rays:
+        raise PreconditionError(
+            f"the region is unbounded along {list(st.rays[0])}; {need}")
+    if not st.points:
+        raise PreconditionError(
+            f"the region has no vertex (it is empty or contains a line); {need}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -465,10 +476,21 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
 
 # ---------------------------------------------------------------------------
 # volume by fan triangulation over the face lattice
+#
+# Faces are sets of vertex indices.  vertices() is sorted by point, so the
+# apex (the least vertex) is index 0, the least vertex of a face is its
+# least index, and facet j cuts the face S down to S & inc[j].  Each
+# v - apex is one integer row over one denominator, so a simplex costs one
+# integer determinant divided by the product of its vertices' denominators.
 # ---------------------------------------------------------------------------
 
 def volume(P: LabeledPolytope) -> Fraction:
-    """Exact Euclidean volume (lattice normalization of Z^n)."""
+    """Exact Euclidean volume (lattice normalization of Z^n).
+
+    Sums the cones from the least vertex over a triangulation of every
+    facet not containing it; faces are vertex-index sets and each simplex
+    is an integer determinant over per-vertex denominators.
+    """
     verts = vertices(P)
     st = P.structure()
     if not st.bounded:
@@ -477,57 +499,47 @@ def volume(P: LabeledPolytope) -> Fraction:
     if n == 1:
         xs = [v.point[0] for v in verts]
         return max(xs) - min(xs)
+    inc: list[set[int]] = [set() for _ in P.facets]
+    for k, v in enumerate(verts):
+        for i in v.active:
+            inc[i].add(k)
+    apex = verts[0]
+    rows, dens = [], []
+    for v in verts:
+        diff = [q - a for q, a in zip(v.point, apex.point)]
+        den = math.lcm(*(x.denominator for x in diff))
+        rows.append([x.numerator * (den // x.denominator) for x in diff])
+        dens.append(den)
     total = Fraction(0)
-    apex = min(verts, key=lambda v: v.point)
-    for i in range(len(P.facets)):
-        if i in st.redundant or i in apex.active:
+    for i, face in enumerate(inc):
+        if i in st.redundant or i in apex.active or not face:
             continue
-        face_pts = [v.point for v in verts if i in v.active]
-        if not face_pts:
-            continue
-        for simplex in _triangulate_face(verts, frozenset([i]), face_pts, n - 1):
-            rows = [[q - a for q, a in zip(p, apex.point)] for p in simplex]
-            total += abs(_det_fraction(rows))
+        for simplex in _triangulate_face(verts, inc, frozenset([i]), face, n - 1):
+            det = det_int([rows[k] for k in simplex])
+            total += Fraction(abs(det), math.prod(dens[k] for k in simplex))
     return total / math.factorial(n)
 
 
-def _triangulate_face(verts: list[Vertex], active: frozenset[int],
-                      face_pts: list[tuple[Fraction, ...]], k: int):
-    """Simplices (lists of k+1 points) triangulating a k-face of a simple polytope."""
+def _triangulate_face(verts: list[Vertex], inc: list[set[int]],
+                      active: frozenset[int], face: set[int], k: int):
+    """Simplices (tuples of k+1 vertex indices) triangulating the k-face
+    `face` of a simple polytope, the face cut out by the facets `active`."""
+    u0 = min(face)
     if k == 0:
-        yield [face_pts[0]]
+        yield (u0,)
         return
-    face_set = set(face_pts)
-    u0 = min(face_pts)
-    u0_active = next(v.active for v in verts if v.point == u0)
+    u0_active = verts[u0].active
     seen_sub: set[frozenset[int]] = set()
-    for v in verts:
-        if v.point not in face_set:
-            continue
-        for j in v.active:
+    for w in sorted(face):
+        for j in verts[w].active:
             if j in active or j in u0_active:
                 continue
             sub_active = active | {j}
             if sub_active in seen_sub:
                 continue
             seen_sub.add(sub_active)
-            sub_pts = [w.point for w in verts
-                       if w.point in face_set and j in w.active]
-            for simplex in _triangulate_face(verts, sub_active, sub_pts, k - 1):
-                yield [u0] + simplex
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    scaled = []
-    mult = Fraction(1)
-    for row in rows:
-        lcm = 1
-        for e in row:
-            e = Fraction(e)
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        scaled.append([int(Fraction(e) * lcm) for e in row])
-        mult /= lcm
-    return det_int(scaled) * mult
+            for simplex in _triangulate_face(verts, inc, sub_active, face & inc[j], k - 1):
+                yield (u0,) + simplex
 
 
 # ---------------------------------------------------------------------------

@@ -215,17 +215,38 @@ def test_local_model_batteries_cli():
     assert out.payload["reentries"] > 0
 
 
-def test_dh_refuses_unbounded_region(tmp_path):
-    # the half-strip x >= 0, 0 <= y <= 1 has no density profile
+@pytest.fixture
+def half_strip_file(tmp_path):
+    """The unbounded half-strip x >= 0, 0 <= y <= 1."""
     strip = {"dim": 2, "facets": [
         {"normal": [-1, 0], "offset": "0", "label": 1},
         {"normal": [0, -1], "offset": "0", "label": 1},
         {"normal": [0, 1], "offset": "1", "label": 1}]}
     p = tmp_path / "strip.json"
     p.write_text(json.dumps(strip))
-    out = run(["dh", "--in", str(p)])
+    return str(p)
+
+
+def test_dh_refuses_unbounded_region(half_strip_file):
+    # the half-strip has no density profile
+    out = run(["dh", "--in", half_strip_file])
     assert out.exit_code == 2 and out.payload["error"] == "precondition"
     assert "[1, 0]" in out.payload["message"]
+
+
+def test_info_refuses_unbounded_region(half_strip_file):
+    # its critical values would be only one end of its moment image
+    out = run(["info", "--in", half_strip_file])
+    assert out.exit_code == 2 and out.payload["error"] == "precondition"
+    assert "[1, 0]" in out.payload["message"]
+
+
+@pytest.mark.parametrize("argv", [["reverse"], ["cut", "--level", "1/2"]],
+                         ids=["reverse", "cut"])
+def test_out_to_missing_directory_refused(d3_file, tmp_path, argv):
+    out = run(argv + ["--in", d3_file, "--out", str(tmp_path / "missing-dir" / "x.json")])
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert "cannot write" in out.payload["message"]
 
 
 def _wedge_doc() -> dict:

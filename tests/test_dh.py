@@ -150,6 +150,33 @@ def test_profile_integrates_to_volume_on_corpus():
         assert prof.total_integral() == volume(P), name
 
 
+def _volume_oracle_cases() -> list[tuple]:
+    """Chopped 3- and 4-cubes with random corner sets, each with a unimodular
+    map that does not keep x1, so the image is triangulated differently."""
+    rng = random.Random(31)
+    cases = []
+    for n, depth, count in ((3, F(1, 3), 4), (4, F(1, 4), 3)):
+        e1 = [1] + [0] * (n - 1)
+        for k in range(count):
+            corners = [bits for bits in product((0, 1), repeat=n) if rng.random() < 0.5]
+            A = random_unimodular(rng, n)
+            while A[0] == e1:
+                A = random_unimodular(rng, n)
+            b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            cases.append((f"chopped-{n}-cube-{k}", _chopped_box(n, corners, depth), A, b))
+    return cases
+
+
+@pytest.mark.parametrize("P,A,b", [pytest.param(P, A, b, id=name)
+                                   for name, P, A, b in _volume_oracle_cases()])
+def test_volume_matches_profile_and_images(P, A, b):
+    vol = volume(P)
+    Q = transform(P, A, b)
+    assert volume(Q) == vol
+    assert dh_profile(P).total_integral() == vol
+    assert dh_profile(Q).total_integral() == vol
+
+
 def test_profile_mirror(d3, pex2):
     for P in (d3, pex2):
         rev = dh_profile(reversed_polytope(P))

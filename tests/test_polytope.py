@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import fractions
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from momentcut.corpus import box, delzant_corpus, simplex
+from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
 from momentcut.errors import InputError, NotSimple
 from momentcut.lattice import dot
 from momentcut.polytope import (
@@ -197,6 +198,17 @@ def test_volume_unimodular_invariance():
             A = random_unimodular(rng, P.dim)
             b = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(P.dim))
             assert volume(transform(P, A, b)) == base, name
+
+
+def test_volume_hashes_no_fraction(monkeypatch):
+    # faces are vertex-index sets: no point is ever hashed
+    P = chopped_hypercube()
+    vertices(P)
+
+    def no_hash(self):
+        raise AssertionError("volume hashed a Fraction")
+    monkeypatch.setattr(fractions.Fraction, "__hash__", no_hash)
+    assert volume(P) == F(383, 384)
 
 
 def test_volume_segment():
