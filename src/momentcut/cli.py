@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -459,7 +460,13 @@ def run(argv: list[str]) -> CommandOutcome:
 
 def main() -> None:
     outcome = run(sys.argv[1:])
-    _emit(outcome.payload)
+    try:
+        _emit(outcome.payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`); point stdout at devnull so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(outcome.exit_code)
 
 

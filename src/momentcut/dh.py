@@ -519,7 +519,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
                                for i in others) - g * Fraction(found[0].offset)
                 if measured != s - a:
                     depth_ok[id(v)] = False
-        candidate = _pruned(P.dim - 1, continued + chops, bounded_hint=True)
+        candidate = _pruned(P.dim - 1, continued + chops)
         match_samples.append((s, canonical_equal(candidate, actual)))
 
     # Euler data: offset slopes per facet in each adjacent chamber

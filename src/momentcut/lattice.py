@@ -93,12 +93,14 @@ def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
 # fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Bareiss forward elimination of the leading n x n block of the n-row
+    integer matrix `a`, in place, carrying every column to its right.
+
+    Returns the determinant of the block; 0 when it is singular, and `a`
+    is then only partly eliminated.
+    """
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -111,15 +113,37 @@ def det_int(rows: list[list[int]]) -> int:
             else:
                 return 0
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
-            row_k = a[k]
             f = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int]:
+    """det * x for the solution x of the system eliminated by `_eliminate`
+    whose right-hand side is column `col`; exact integers."""
+    num = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = row[col] * det - sum(row[j] * num[j] for j in range(i + 1, n))
+        q, r = divmod(s, row[i])
+        if r != 0:  # pragma: no cover - Bareiss guarantees divisibility
+            raise ArithmeticError("non-integral back substitution")
+        num[i] = q
+    return num
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    return _eliminate([row[:] for row in rows], n)
 
 
 def solve_int(rows: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
@@ -130,41 +154,29 @@ def solve_int(rows: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int]
     """
     n = len(rows)
     a = [rows[i][:] + [rhs[i]] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return None
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            f = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    det = sign * a[n - 1][n - 1]
+    det = _eliminate(a, n)
     if det == 0:
         return None
-    # back substitution in exact integers scaled by det
-    num = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] * det - sum(a[i][j] * num[j] for j in range(i + 1, n))
-        q, r = divmod(s, a[i][i])
-        if r != 0:  # pragma: no cover - Bareiss guarantees divisibility
-            raise ArithmeticError("non-integral back substitution")
-        num[i] = q
+    num = _back_substitute(a, n, det, n)
     if det < 0:
         num = [-x for x in num]
         det = -det
     return num, det
+
+
+def adjugate_int(rows: list[list[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """Adjugate and determinant of a nonsingular integer square matrix.
+
+    Returns (adj, det) with rows @ adj = det * I, from one fraction-free
+    elimination of [rows | I]; None when the matrix is singular.
+    """
+    n = len(rows)
+    a = [rows[i][:] + [int(i == j) for j in range(n)] for i in range(n)]
+    det = _eliminate(a, n)
+    if det == 0:
+        return None
+    cols = [_back_substitute(a, n, det, n + c) for c in range(n)]
+    return [list(row) for row in zip(*cols)], det
 
 
 def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:

@@ -54,7 +54,7 @@ class CutSide(enum.Enum):
     ABOVE = "above"
 
 
-def _pruned(dim: int, facets: Sequence[Facet], bounded_hint: bool = False) -> LabeledPolytope:
+def _pruned(dim: int, facets: Sequence[Facet]) -> LabeledPolytope:
     """Deduplicate and drop redundant facets; error when the region is empty."""
     seen = set()
     uniq = []
@@ -65,7 +65,7 @@ def _pruned(dim: int, facets: Sequence[Facet], bounded_hint: bool = False) -> La
         seen.add(k)
         uniq.append(f)
     P = LabeledPolytope(dim, uniq)
-    st = P.structure(bounded_hint=bounded_hint)
+    st = P.structure()
     if not st.points:
         raise EmptyResult("the region has no vertices (empty intersection)")
     if st.redundant:
@@ -88,8 +88,7 @@ def restrict_halfspace(P: LabeledPolytope, a: Fraction,
         new = Facet(e1, a, 1)
     else:
         new = Facet(tuple(-x for x in e1), -a, 1)
-    return _pruned(P.dim, list(P.facets) + [new],
-                   bounded_hint=P.structure().bounded)
+    return _pruned(P.dim, list(P.facets) + [new])
 
 
 def cut(P: LabeledPolytope, a: Fraction, side: CutSide = CutSide.BELOW) -> LabeledPolytope:

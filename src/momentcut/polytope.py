@@ -4,11 +4,14 @@ A polytope is a finite list of facets (primitive integer outward normal,
 rational offset, positive integer label); the point set is
 {x : <normal, x> <= offset for every facet}.  All computations are exact.
 
-Vertex enumeration solves every n-subset of facets and keeps feasible
-solutions; boundedness is certified by checking that no edge at any vertex
-is an unbounded ray.  Unbounded but pointed H-representations are tolerated
-by the operations that need them (cutting a half-infinite region down to a
-compact one); `validate` still rejects them.
+Vertex enumeration finds one vertex from the first feasible n-subset of
+facets, then walks the vertex-edge graph in integer homogeneous
+coordinates: the edges at a vertex come from one fraction-free adjugate of
+its active basis, and an integer ratio test finds the neighbour along each.
+An edge that no facet blocks is an unbounded ray; the region is bounded
+when no vertex has one.  Unbounded but pointed H-representations are
+tolerated by the operations that need them (cutting a half-infinite region
+down to a compact one); `validate` still rejects them.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +34,7 @@ from .errors import (
 )
 from .lattice import (
     IntVector,
+    adjugate_int,
     content,
     det_int,
     dot,
@@ -38,6 +43,7 @@ from .lattice import (
     parse_rational,
     primitive,
     rank_rational,
+    solve_int,
     transpose,
 )
 
@@ -91,15 +97,22 @@ class LabeledPolytope:
     def __repr__(self) -> str:
         return f"LabeledPolytope(dim={self.dim}, facets={len(self.facets)})"
 
-    def structure(self, bounded_hint: bool = False) -> "Structure":
+    def structure(self) -> "Structure":
         if self._structure is None:
-            self._structure = _compute_structure(self, bounded_hint)
+            self._structure = _compute_structure(self)
         return self._structure
 
 
 @dataclass(frozen=True)
 class Structure:
-    """Everything vertex enumeration learns about one H-representation."""
+    """Everything the walk over the vertex-edge graph learns about one
+    H-representation.
+
+    points are the vertices with their active facet sets, sorted by point;
+    edges[k] holds the primitive edge directions at points[k], in
+    sorted(active) order at a simple vertex (entry i relaxes the i-th active
+    facet) and the extreme rays of the tangent cone at a non-simple one.
+    """
 
     points: tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]
     simple: bool
@@ -109,10 +122,15 @@ class Structure:
     full_dim: bool
     redundant: frozenset[int]
     affine_rank: int
+    edges: tuple[tuple[IntVector, ...], ...]
 
     @property
     def vertex_points(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(p for p, _ in self.points)
+
+    @cached_property
+    def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
+        return {act: es for (_, act), es in zip(self.points, self.edges)}
 
 
 def _scaled_rows(facets: Sequence[Facet]) -> tuple[list[tuple[int, ...]], list[int], int]:
@@ -124,45 +142,6 @@ def _scaled_rows(facets: Sequence[Facet]) -> tuple[list[tuple[int, ...]], list[i
     normals = [tuple(f.normal) for f in facets]
     offs = [int(Fraction(f.offset) * lcm) for f in facets]
     return normals, offs, lcm
-
-
-def _solve_subset_int(normals, offs, subset, n):
-    """Solve the n x n integer system for one facet subset via Bareiss.
-
-    Returns (num_vector, positive_denominator) or None when singular.
-    """
-    a = [list(normals[i]) + [offs[i]] for i in subset]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return None
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            f = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    det = sign * a[n - 1][n - 1]
-    if det == 0:
-        return None
-    num = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] * det - sum(a[i][j] * num[j] for j in range(i + 1, n))
-        num[i] = s // a[i][i]
-    if det < 0:
-        num = [-x for x in num]
-        det = -det
-    return num, det
 
 
 def _kernel_direction(rows: list[IntVector], n: int) -> Optional[IntVector]:
@@ -178,92 +157,162 @@ def _kernel_direction(rows: list[IntVector], n: int) -> Optional[IntVector]:
     return primitive(d)
 
 
-def _compute_structure(P: LabeledPolytope, bounded_hint: bool) -> Structure:
+def _start_vertex(normals, offs, n) -> Optional[tuple[list[int], int]]:
+    """The first n-subset of facets, in lexicographic order, whose solution
+    satisfies every facet, as (num, den); None when the region is empty."""
+    for subset in combinations(range(len(normals)), n):
+        sol = solve_int([list(normals[i]) for i in subset], [offs[i] for i in subset])
+        if sol is None:
+            continue
+        num, den = sol
+        if all(dot(a, num) <= o * den for a, o in zip(normals, offs)):
+            return num, den
+    return None
+
+
+def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
+    """Primitive edge directions at a vertex whose active facets are `act`
+    (sorted): the extreme rays of its tangent cone {d : <a_j, d> <= 0}.
+
+    At a simple vertex, entry k relaxes facet act[k] and pairs to zero with
+    the other active normals: it is column k of the adjugate of the active
+    basis, signed so that it pairs negatively with its own normal.
+    """
+    if len(act) == n:
+        adj, det = adjugate_int([list(normals[j]) for j in act])
+        return tuple(primitive(col if det < 0 else [-x for x in col])
+                     for col in zip(*adj))
+    rays: list[IntVector] = []
+    for sub in combinations(act, n - 1):
+        e = _kernel_direction([normals[j] for j in sub], n)
+        if e is None:
+            continue
+        if any(dot(normals[j], e) > 0 for j in act):
+            e = tuple(-x for x in e)
+            if any(dot(normals[j], e) > 0 for j in act):
+                continue
+        if e not in rays:
+            rays.append(e)
+    return tuple(rays)
+
+
+def _ratio_test(normals, slack: list[int], e: IntVector) -> Optional[tuple[int, int, list[int]]]:
+    """How far a vertex can move along e before a facet stops it.
+
+    With slack_j = off_j * den - <a_j, num> at the vertex num/den, the step
+    is num/den + (p / (q * den)) e for p/q the least slack_j / <a_j, e> over
+    the facets with <a_j, e> > 0.  Returns (p, q, the facets attaining it),
+    or None when no facet blocks e (an unbounded edge).
+    """
+    p, q, ties = None, 1, []
+    for j, a in enumerate(normals):
+        r = dot(a, e)
+        if r > 0:
+            s = slack[j]
+            if p is None or s * q < p * r:
+                p, q, ties = s, r, [j]
+            elif s * q == p * r:
+                ties.append(j)
+    return None if p is None else (p, q, ties)
+
+
+def _walk(normals, offs, n, start: tuple[list[int], int]) -> list[tuple]:
+    """Every vertex of a pointed region, by a walk over its edge graph from
+    `start`.  The vertices and bounded edges of a pointed polyhedron form a
+    connected graph, so the walk reaches all of them.
+
+    Returns (num, den, active, edges, unbounded) per vertex: the point
+    num/den of the scaled system, its active facets (sorted), its edge
+    directions and the set of those that no facet blocks.  An edge is walked
+    once; its key is the set of facets that stay tight along it.
+    """
+    found = []
+    walked: set[frozenset[int]] = set()
+    seen: set[frozenset[int]] = set()
+    stack = [start]
+    while stack:
+        num, den = stack.pop()
+        slack = [o * den - dot(a, num) for a, o in zip(normals, offs)]
+        act = [j for j, s in enumerate(slack) if s == 0]
+        seen.add(frozenset(act))
+        edges = _edge_directions(normals, act, n)
+        unbounded = set()
+        for e in edges:
+            tight = frozenset(j for j in act if dot(normals[j], e) == 0)
+            if tight in walked:
+                continue
+            walked.add(tight)
+            step = _ratio_test(normals, slack, e)
+            if step is None:
+                unbounded.add(e)
+                continue
+            p, q, ties = step
+            nxt_active = tight.union(ties)
+            if nxt_active in seen:
+                continue
+            seen.add(nxt_active)
+            nxt = [q * x + p * y for x, y in zip(num, e)]
+            g = math.gcd(q * den, *nxt)
+            stack.append(([x // g for x in nxt], q * den // g))
+        found.append((num, den, act, edges, unbounded))
+    return found
+
+
+def _compute_structure(P: LabeledPolytope) -> Structure:
     n = P.dim
     m = len(P.facets)
     normals, offs, lcm = _scaled_rows(P.facets)
     # pointedness: do the normals span R^n
     pointed = rank_rational(normals) == n
-
-    feasible: dict[tuple, tuple[tuple[Fraction, ...], set[int]]] = {}
-    if m >= n:
-        for subset in combinations(range(m), n):
-            sol = _solve_subset_int(normals, offs, subset, n)
-            if sol is None:
-                continue
-            num, den = sol
-            key = _point_key(num, den)
-            if key in feasible:
-                continue
-            ok = True
-            active: set[int] = set()
-            for j in range(m):
-                lhs = dot(normals[j], num)
-                rhs = offs[j] * den
-                if lhs > rhs:
-                    ok = False
-                    break
-                if lhs == rhs:
-                    active.add(j)
-            if ok:
-                # num/den solves the system scaled by lcm; unscale
-                point = tuple(Fraction(x, den * lcm) for x in num)
-                feasible[key] = (point, active)
-
-    points = tuple((pt, frozenset(act)) for pt, act in feasible.values())
-    points = tuple(sorted(points, key=lambda pa: pa[0]))
+    start = _start_vertex(normals, offs, n) if pointed else None
+    walk = _walk(normals, offs, n, start) if start is not None else []
+    # num/den solves the system scaled by lcm; unscale
+    walk = sorted(((tuple(Fraction(x, den * lcm) for x in num), frozenset(act), es, unb)
+                   for num, den, act, es, unb in walk), key=lambda w: w[0])
+    points = tuple((pt, act) for pt, act, _, _ in walk)
+    edges = tuple(es for _, _, es, _ in walk)
     simple = all(len(act) == n for _, act in points)
 
     rays: list[IntVector] = []
-    rays_known = bool(bounded_hint)
-    if points and pointed and not bounded_hint:
-        if simple:
-            # unbounded edges at vertices: every extreme recession ray of a
-            # pointed polyhedron shows up as one
-            seen = set()
-            for pt, act in points:
-                act_sorted = sorted(act)
-                for i in act_sorted:
-                    others = [normals[j] for j in act_sorted if j != i]
-                    e = _kernel_direction(others, n)
-                    if e is None:
-                        continue
-                    if dot(normals[i], e) > 0:
-                        e = tuple(-x for x in e)
-                    if dot(normals[i], e) >= 0:
-                        continue
-                    if all(dot(normals[j], e) <= 0 for j in range(m)) and e not in seen:
-                        seen.add(e)
-                        rays.append(e)
-        else:
-            # non-simple: enumerate extreme rays of the recession cone from
-            # (n-1)-subsets of normals
-            seen = set()
-            for subset in combinations(range(m), n - 1) if n > 1 else [()]:
-                rows = [normals[j] for j in subset]
-                e = _kernel_direction(rows, n) if n > 1 else (1,)
-                if e is None:
+    if points and simple:
+        # every extreme recession ray of a pointed polyhedron is the
+        # direction of an unbounded edge
+        for _, _, es, unbounded in walk:
+            rays += [e for e in es if e in unbounded and e not in rays]
+    elif points:
+        # non-simple: enumerate extreme rays of the recession cone from
+        # (n-1)-subsets of normals
+        seen = set()
+        for subset in combinations(range(m), n - 1):
+            e = _kernel_direction([normals[j] for j in subset], n)
+            if e is None:
+                continue
+            for cand in (e, tuple(-x for x in e)):
+                if cand in seen:
                     continue
-                for cand in (e, tuple(-x for x in e)):
-                    if cand in seen:
-                        continue
-                    if all(dot(normals[j], cand) <= 0 for j in range(m)):
-                        seen.add(cand)
-                        rays.append(cand)
-        rays_known = True
-    bounded = rays_known and not rays
+                if all(dot(normals[j], cand) <= 0 for j in range(m)):
+                    seen.add(cand)
+                    rays.append(cand)
+    bounded = bool(points) and not rays
 
-    if points:
+    if not points:
+        affine_rank = -1
+    elif simple:
+        # n independent edges leave a simple vertex
+        affine_rank = n
+    else:
         base = points[0][0]
         diffs = [[q - b for q, b in zip(pt, base)] for pt, _ in points[1:]]
         diffs += [list(r) for r in rays]
         affine_rank = rank_rational(diffs) if diffs else 0
-    else:
-        affine_rank = -1
     full_dim = affine_rank == n
 
     redundant: set[int] = set()
-    if points and full_dim and rays_known:
+    if points and simple:
+        # each active facet of a simple vertex holds n-1 of its edges, so
+        # it is a true facet; a facet active nowhere is redundant
+        redundant = set(range(m)).difference(*(act for _, act in points))
+    elif points and full_dim:
         for i in range(m):
             incident = [pt for pt, act in points if i in act]
             inc_rays = [r for r in rays if dot(normals[i], r) == 0]
@@ -285,14 +334,8 @@ def _compute_structure(P: LabeledPolytope, bounded_hint: bool) -> Structure:
         full_dim=full_dim,
         redundant=frozenset(redundant),
         affine_rank=affine_rank,
+        edges=edges,
     )
-
-
-def _point_key(num: list[int], den: int) -> tuple:
-    g = den
-    for x in num:
-        g = math.gcd(g, x)
-    return (tuple(x // g for x in num), den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +353,19 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
     return [Vertex(pt, act) for pt, act in st.points]
 
 
+def _dimension_failure(P: LabeledPolytope) -> Optional[str]:
+    if P.dim > MAX_DIM:
+        return (f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} "
+                "(facet-subset enumeration is combinatorial)")
+    return None
+
+
 def require_bounded(P: LabeledPolytope, need: str) -> None:
-    """Refuse an unbounded or vertex-less region; `need` ends the message."""
+    """Refuse a dimension above MAX_DIM, as `validate` does, and an
+    unbounded or vertex-less region; `need` ends the last two messages."""
+    failure = _dimension_failure(P)
+    if failure:
+        raise PreconditionError(failure)
     st = P.structure()
     if st.rays:
         raise PreconditionError(
@@ -332,11 +386,10 @@ class ValidationReport:
 
 def validate(P: LabeledPolytope) -> ValidationReport:
     """Check boundedness, full dimension, simplicity and irredundancy."""
+    failure = _dimension_failure(P)
+    if failure:
+        return ValidationReport(False, (failure,))
     failures: list[str] = []
-    if P.dim > MAX_DIM:
-        return ValidationReport(False, (
-            f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} "
-            "(facet-subset enumeration is combinatorial)",))
 
     seen: dict[IntVector, int] = {}
     for i, f in enumerate(P.facets):
@@ -464,7 +517,7 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     # mirror the constructor's canonical order so indices stay aligned
     pairs.sort(key=lambda fi: fi[0].key())
     Q = LabeledPolytope(P.dim - 1, [f for f, _ in pairs])
-    qst = Q.structure(bounded_hint=st.bounded)
+    qst = Q.structure()
     if not qst.points:
         return Slice(None, False, ())
     if not qst.full_dim:

@@ -24,7 +24,7 @@ from .lattice import (
     lattice_index,
     primitive,
 )
-from .polytope import LabeledPolytope, Vertex, _kernel_direction, vertices
+from .polytope import LabeledPolytope, Vertex, vertices
 
 INFINITE = "infinite"
 
@@ -73,24 +73,16 @@ def edge_generators(P: LabeledPolytope, v: Vertex) -> list[IntVector]:
 
     Entry k relaxes the k-th facet of sorted(v.active): it pairs to zero
     with every other active normal and strictly negatively with its own.
+    They are read off the vertex-edge graph of P.structure().
     """
     n = P.dim
     act = sorted(v.active)
     if len(act) != n:
         raise DegenerateVertex(f"vertex has {len(act)} active facets, expected {n}")
-    gens: list[IntVector] = []
-    for i in act:
-        others = [P.facets[j].normal for j in act if j != i]
-        e = _kernel_direction(others, n)
-        if e is None:
-            raise DegenerateVertex("active normals are linearly dependent")
-        pairing = dot(P.facets[i].normal, e)
-        if pairing > 0:
-            e = tuple(-x for x in e)
-        elif pairing == 0:
-            raise DegenerateVertex("edge direction does not relax its facet")
-        gens.append(e)
-    return gens
+    gens = P.structure().edges_by_active.get(v.active)
+    if gens is None:
+        raise DegenerateVertex(f"facets {act} do not meet in a vertex")
+    return list(gens)
 
 
 def weights_at_vertex(P: LabeledPolytope, v: Vertex,

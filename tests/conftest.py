@@ -8,7 +8,16 @@ import pytest
 
 from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
 from momentcut.dh import Chamber, DHProfile, critical_values
-from momentcut.polytope import LabeledPolytope, slice_at, vertices, volume
+from momentcut.lattice import det_int, dot, primitive, rank_rational, solve_int
+from momentcut.polytope import (
+    Facet,
+    LabeledPolytope,
+    Structure,
+    _scaled_rows,
+    slice_at,
+    vertices,
+    volume,
+)
 from momentcut.ratpoly import interpolate
 
 F = Fraction
@@ -87,6 +96,15 @@ def profile_by_slicing(P: LabeledPolytope) -> DHProfile:
     return DHProfile(tuple(walls), tuple(chambers))
 
 
+def chopped_box(n: int, corners, depth: Fraction) -> LabeledPolytope:
+    """Unit n-cube with the given corners chopped at depth <= 1/2 (at 1/2
+    the chops of two adjacent corners meet, so the result is not simple)."""
+    facets = list(box(*[F(1)] * n).facets)
+    for bits in corners:
+        facets.append(Facet(tuple(1 if b else -1 for b in bits), F(sum(bits)) - depth))
+    return LabeledPolytope(n, facets)
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[int]]:
     """Random product of integer shears, swaps and sign flips (|det| = 1)."""
     A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -117,3 +135,107 @@ def regular_levels(P: LabeledPolytope, rng: random.Random, count: int,
         if s not in xs and lo < s < hi:
             out.append(s)
     return out
+
+
+def kernel_direction(rows, n: int):
+    """Primitive kernel vector of n-1 integer rows of length n (cofactors),
+    or None when they are dependent."""
+    if n == 1:
+        return (1,)
+    d = [(-1) ** k * det_int([[row[c] for c in range(n) if c != k] for row in rows])
+         for k in range(n)]
+    return primitive(d) if any(d) else None
+
+
+def structure_by_subsets(P: LabeledPolytope) -> Structure:
+    """Independent structure oracle: solve every n-subset of facets.
+
+    Vertices are the feasible solutions; edges at a simple vertex are kernel
+    directions of n-1 active normals, oriented to relax the remaining one;
+    at a non-simple vertex they are the extreme rays of the tangent cone
+    from (n-1)-subsets of the active set.  Rays, rank and redundancy are
+    decided by the rank tests, without the walk's shortcuts.
+    """
+    n = P.dim
+    m = len(P.facets)
+    normals, offs, lcm = _scaled_rows(P.facets)
+    pointed = rank_rational(normals) == n
+
+    feasible = {}
+    for subset in combinations(range(m), n):
+        sol = solve_int([list(normals[i]) for i in subset], [offs[i] for i in subset])
+        if sol is None:
+            continue
+        num, den = sol
+        if any(dot(normals[j], num) > offs[j] * den for j in range(m)):
+            continue
+        point = tuple(F(x, den * lcm) for x in num)
+        feasible[point] = frozenset(j for j in range(m)
+                                    if dot(normals[j], num) == offs[j] * den)
+    points = tuple(sorted(feasible.items()))
+    simple = all(len(act) == n for _, act in points)
+
+    def tangent_rays(act):
+        out = []
+        for sub in combinations(act, n - 1):
+            e = kernel_direction([normals[j] for j in sub], n)
+            if e is None:
+                continue
+            for cand in (e, tuple(-x for x in e)):
+                if all(dot(normals[j], cand) <= 0 for j in act) and cand not in out:
+                    out.append(cand)
+        return tuple(out)
+
+    edges = []
+    for _, act in points:
+        act = sorted(act)
+        if len(act) > n:
+            edges.append(tangent_rays(act))
+            continue
+        gens = []
+        for i in act:
+            e = kernel_direction([normals[j] for j in act if j != i], n)
+            gens.append(e if dot(normals[i], e) < 0 else tuple(-x for x in e))
+        edges.append(tuple(gens))
+
+    rays = []
+    if points:
+        candidates = ([e for es in edges for e in es] if simple else
+                      [c for sub in (combinations(range(m), n - 1) if n > 1 else [()])
+                       for e in [kernel_direction([normals[j] for j in sub], n)]
+                       if e is not None for c in (e, tuple(-x for x in e))])
+        for e in candidates:
+            if all(dot(normals[j], e) <= 0 for j in range(m)) and e not in rays:
+                rays.append(e)
+
+    if points:
+        base = points[0][0]
+        diffs = [[q - b for q, b in zip(pt, base)] for pt, _ in points[1:]]
+        diffs += [list(r) for r in rays]
+        affine_rank = rank_rational(diffs) if diffs else 0
+    else:
+        affine_rank = -1
+
+    redundant = set()
+    if points and affine_rank == n:
+        for i in range(m):
+            incident = [pt for pt, act in points if i in act]
+            if not incident:
+                redundant.add(i)
+                continue
+            diffs = [[q - b for q, b in zip(pt, incident[0])] for pt in incident[1:]]
+            diffs += [list(r) for r in rays if dot(normals[i], r) == 0]
+            if (rank_rational(diffs) if diffs else 0) != n - 1:
+                redundant.add(i)
+
+    return Structure(
+        points=points,
+        simple=simple,
+        pointed=pointed,
+        rays=tuple(rays),
+        bounded=bool(points) and not rays,
+        full_dim=affine_rank == n,
+        redundant=frozenset(redundant),
+        affine_rank=affine_rank,
+        edges=tuple(edges),
+    )

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from momentcut.cli import run
-from momentcut.corpus import asymmetric_wedge, box, delta3
-from momentcut.polytope import dumps, loads, canonical_equal
+from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
+from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
 
 F = Fraction
 
@@ -303,3 +307,33 @@ def test_cut_identity_single_point_serializes():
     out = run(["local-model", "cut-identity", "--weights=-1,2", "--z", "1+1j,2-1j,1j"])
     assert out.exit_code == 0 and out.payload["ok"] is True
     json.dumps(out.payload)
+
+
+def test_closed_stdout_is_no_traceback(tmp_path):
+    # `momentcut info ... | head -1`: the reader is gone before the report
+    # is written; here it is gone from the start, so the write must fail
+    p = tmp_path / "chopped-cube.json"
+    p.write_text(dumps(chopped_cube()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in os.environ.get("PYTHONPATH", "").split(os.pathsep) if x]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "momentcut.cli", "info", "--in", str(p)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["info", "dh"])
+def test_dimension_cap_refused(tmp_path, command):
+    n = MAX_DIM + 1
+    p = tmp_path / "cube.json"
+    p.write_text(dumps(box(*[F(1)] * n)))
+    out = run([command, "--in", str(p)])
+    assert out.exit_code == 2 and out.payload["error"] == "precondition"
+    assert out.payload["message"] == run(["validate", "--in", str(p)]).payload["failures"][0]

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import momentcut.dh
-from momentcut.corpus import asymmetric_wedge, box, chopped_hypercube, delzant_corpus
+from momentcut.corpus import asymmetric_wedge, chopped_hypercube, delzant_corpus
 from momentcut.dh import (
     Chamber,
     DHProfile,
@@ -23,7 +23,7 @@ from momentcut.ops import add_fixed_points, reversed_polytope
 from momentcut.polytope import Facet, LabeledPolytope, transform, volume
 from momentcut.ratpoly import Poly
 
-from conftest import profile_by_slicing, random_unimodular, slice_volume
+from conftest import chopped_box, profile_by_slicing, random_unimodular, slice_volume
 
 F = Fraction
 
@@ -77,14 +77,6 @@ def test_profile_matches_slices_at_random_levels(d3):
         assert prof.value(s) == slice_volume(d3, s)
 
 
-def _chopped_box(n: int, corners, depth: Fraction) -> LabeledPolytope:
-    """Unit n-cube with the given corners chopped at depth < 1/2."""
-    facets = list(box(*[F(1)] * n).facets)
-    for bits in corners:
-        facets.append(Facet(tuple(1 if b else -1 for b in bits), F(sum(bits)) - depth))
-    return LabeledPolytope(n, facets)
-
-
 def _keeping_x1(rng: random.Random, n: int) -> list[list[int]]:
     """Unimodular [[1, 0], [c, B]]: the image has the same first coordinate."""
     B = random_unimodular(rng, n - 1)
@@ -97,7 +89,7 @@ def _oracle_cases() -> list[tuple[str, LabeledPolytope]]:
     base.append(("wedge+afp", add_fixed_points(asymmetric_wedge(), F(1, 4))[0]))
     for n, depth in ((3, F(1, 3)), (4, F(1, 4))):
         corners = [bits for bits in product((0, 1), repeat=n) if rng.random() < 0.5]
-        base.append((f"chopped-{n}-cube", _chopped_box(n, corners, depth)))
+        base.append((f"chopped-{n}-cube", chopped_box(n, corners, depth)))
     images = []
     for name, P in base:
         b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(P.dim)]
@@ -163,7 +155,7 @@ def _volume_oracle_cases() -> list[tuple]:
             while A[0] == e1:
                 A = random_unimodular(rng, n)
             b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-            cases.append((f"chopped-{n}-cube-{k}", _chopped_box(n, corners, depth), A, b))
+            cases.append((f"chopped-{n}-cube-{k}", chopped_box(n, corners, depth), A, b))
     return cases
 
 

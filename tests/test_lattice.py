@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from momentcut.errors import DimensionMismatch, NotUnimodular, ZeroVector
 from momentcut.lattice import (
+    adjugate_int,
     det_int,
     format_rational,
     half_sum_integral,
@@ -90,6 +91,20 @@ def test_solve_exact_resubstitution(rows, rhs):
     if x is not None:
         for row, b in zip(rows, rhs):
             assert sum(F(c) * v for c, v in zip(row, x)) == F(b)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_adjugate_times_matrix_is_det(rows):
+    d = det_int(rows)
+    got = adjugate_int(rows)
+    if d == 0:
+        assert got is None
+        return
+    adj, det = got
+    assert det == d
+    n = len(rows)
+    assert mat_mul_int(rows, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_smith_examples():

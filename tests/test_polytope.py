@@ -3,16 +3,21 @@ from __future__ import annotations
 import fractions
 import math
 import random
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import momentcut.polytope
 from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
 from momentcut.errors import InputError, NotSimple
 from momentcut.lattice import dot
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
+    Structure,
     canonical_equal,
     dumps,
     from_json_dict,
@@ -26,8 +31,15 @@ from momentcut.polytope import (
     vertices,
     volume,
 )
+from momentcut.toric import edge_generators
 
-from conftest import edge_hyperplane_points, random_unimodular, regular_levels
+from conftest import (
+    chopped_box,
+    edge_hyperplane_points,
+    random_unimodular,
+    regular_levels,
+    structure_by_subsets,
+)
 
 F = Fraction
 
@@ -125,6 +137,73 @@ def test_vertices_active_sets(square):
 def test_vertices_not_simple_raises():
     with pytest.raises(NotSimple):
         vertices(octahedron())
+
+
+# -- the edge walk against the subset oracle ---------------------------------
+
+def _facets(*rows) -> list[Facet]:
+    return [Facet(tuple(normal), F(offset)) for *normal, offset in rows]
+
+
+def _structure_cases() -> list[tuple[str, LabeledPolytope]]:
+    rng = random.Random(7)
+    corpus = delzant_corpus()
+    cases = list(corpus)
+    for name, P in corpus:
+        b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(P.dim)]
+        cases.append((f"{name} image", transform(P, random_unimodular(rng, P.dim), b)))
+    for n, depth, share in ((3, F(1, 3), 0.5), (4, F(1, 4), 0.5), (5, F(1, 4), 0.25)):
+        corners = [bits for bits in product((0, 1), repeat=n) if rng.random() < share]
+        cases.append((f"chopped-{n}-cube", chopped_box(n, corners, depth)))
+    cases += [
+        ("half-strip", LabeledPolytope(2, _facets((-1, 0, 0), (0, -1, 0), (0, 1, 1)))),
+        ("strip with a line", LabeledPolytope(2, _facets((0, -1, 0), (0, 1, 1)))),
+        ("empty", LabeledPolytope(2, _facets((1, 0, 0), (-1, 0, -1), (0, 1, 1),
+                                             (0, -1, 0)))),
+        ("square pyramid", LabeledPolytope(3, _facets(
+            (0, 0, -1, 0), (1, 0, 1, 1), (-1, 0, 1, 1), (0, 1, 1, 1), (0, -1, 1, 1)))),
+        ("square cone", LabeledPolytope(3, _facets(
+            (1, 0, -1, 0), (-1, 0, -1, 0), (0, 1, -1, 0), (0, -1, -1, 0)))),
+        ("octahedron", octahedron()),
+        ("cuboctahedron", chopped_box(3, list(product((0, 1), repeat=3)), F(1, 2))),
+        ("square in R^3", LabeledPolytope(3, _facets(
+            (1, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 1), (0, -1, 0, 0),
+            (0, 0, 1, 0), (0, 0, -1, 0)))),
+        ("segment", LabeledPolytope(1, _facets((1, F(5, 2)), (-1, 1)))),
+        ("point", LabeledPolytope(1, _facets((1, 2), (-1, -2)))),
+        ("redundant facet", LabeledPolytope(2, list(box(F(1), F(1)).facets)
+                                            + _facets((1, 1, 5)))),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in _structure_cases()])
+def test_structure_matches_subset_oracle(P):
+    st, oracle = P.structure(), structure_by_subsets(P)
+    for f in fields(Structure):
+        assert getattr(st, f.name) == getattr(oracle, f.name), f.name
+    if st.simple:
+        for v, gens in zip(vertices(P), oracle.edges):
+            assert edge_generators(P, v) == list(gens)
+
+
+def test_structure_walks_each_edge_once(monkeypatch):
+    # the start vertex takes a few solves and every edge one ratio test,
+    # where solving all C(24, 4) = 10 626 facet subsets took one solve each
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    for name in ("solve_int", "_ratio_test"):
+        monkeypatch.setattr(momentcut.polytope, name,
+                            counting(name, getattr(momentcut.polytope, name)))
+    st = chopped_hypercube().structure()
+    assert len(st.points) == 64
+    assert calls["solve_int"] < math.comb(24, 4) // 10
+    assert calls["_ratio_test"] <= 128
 
 
 # -- slicing -----------------------------------------------------------------
