@@ -286,11 +286,18 @@ def _isolate_rec(q: Poly, chain, lo: Fraction, hi: Fraction, out: list) -> None:
     mid = (lo + hi) / 2
     if q(mid) == 0:
         out.append(RootMarker(mid, mid, exact=mid))
+        # Step off the root to points that are not roots of q, with no other
+        # root between them and mid, so every interval handed on (and later
+        # refined against q's own chain) has non-root endpoints.
         q2 = deflate(q, mid)
-        if q2.degree >= 1:
-            chain2 = sturm_chain(q2)
-            _isolate_rec(q2, chain2, lo, mid, out)
-            _isolate_rec(q2, chain2, mid, hi, out)
+        chain2 = sturm_chain(q2)
+        delta = (hi - lo) / 4
+        while (q(mid - delta) == 0 or q(mid + delta) == 0
+               or (q2.degree >= 1
+                   and count_roots(q2, chain2, mid - delta, mid + delta) > 0)):
+            delta /= 2
+        _isolate_rec(q, chain, lo, mid - delta, out)
+        _isolate_rec(q, chain, mid + delta, hi, out)
     else:
         _isolate_rec(q, chain, lo, mid, out)
         _isolate_rec(q, chain, mid, hi, out)

@@ -115,6 +115,25 @@ def test_nonpositive_examples():
     assert not nonpositive_on(root_pair.scale(F(-1)), F(-1), F(1))[0]
 
 
+def test_bisection_through_an_exact_root():
+    # s^3 - s^2 - s = s (s^2 - s - 1): the first bisection of (-1, 1) lands on
+    # the root 0, and p > 0 between -0.618... and 0
+    p = Poly([F(0), F(-1), F(-1), F(1)])
+    ok, w = nonpositive_on(p, F(-3), F(1))
+    assert not ok and -3 <= w <= 1 and p(w) > 0
+    markers = isolate_roots(p, F(-3), F(1))
+    assert len(markers) == 2 and markers[1].exact == 0
+    assert markers[0].upper < markers[1].lower
+    # 3s^3 - s^2/3 - 3s + 1/3 = (3s - 1/3)(s^2 - 1): roots -1, 1/9, 1
+    q = Poly([F(1, 3), F(-3), F(-1, 3), F(3)])
+    markers = isolate_roots(q, F(-3), F(2))
+    assert len(markers) == 3
+    for m, r in zip(markers, [F(-1), F(1, 9), F(1)]):
+        assert m.lower <= r <= m.upper
+    ok, w = nonpositive_on(q, F(-3), F(1))
+    assert not ok and q(w) > 0
+
+
 def test_one_sided_signs():
     s2 = Poly([F(0), F(0), F(1)])
     assert one_sided_sign(s2, F(0), +1) == 1
