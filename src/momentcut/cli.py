@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import batteries
 from .dh import (
     check_log_concavity,
     critical_values,
@@ -31,19 +28,6 @@ from .dh import (
 )
 from .errors import InputError, InternalError, MomentcutError, PreconditionError
 from .lattice import format_rational, parse_rational
-from .localmodel import (
-    NeighborhoodSpec,
-    bad_annulus_region,
-    cut_tameness_identity,
-    default_spec,
-    level_membership,
-    n_pm,
-    orbital_convexity_probe,
-    parse_weights,
-    psh_criterion,
-    psh_test_family,
-    solve_time_to_level,
-)
 from .ops import (
     BlowupParams,
     CutSide,
@@ -186,7 +170,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--z", default=None, help="comma-separated complex values")
+    sp.add_argument("--z", default=None,
+                    help="comma-separated complex values, one per weight; "
+                         "cut-identity takes w last")
     sp.add_argument("--level", type=float, default=None)
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--eps-prime", type=float, default=0.25)
@@ -199,6 +185,14 @@ def build_parser() -> _Parser:
 
 def _rational(text: str) -> Fraction:
     return parse_rational(text)
+
+
+def _ints(option: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise InputError(f"{option} takes comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _vertex_arg(P: LabeledPolytope, args) -> tuple:
@@ -223,8 +217,10 @@ def _cmd_info(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     # the critical values of an unbounded region are only one end of its image
     require_bounded(P, "info needs a bounded polytope")
-    xi = (tuple(int(x) for x in args.xi.split(","))
-          if args.xi else (1,) + (0,) * (P.dim - 1))
+    xi = _ints("--xi", args.xi) if args.xi else (1,) + (0,) * (P.dim - 1)
+    if len(xi) != P.dim:
+        raise InputError(f"--xi needs {P.dim} entries, one per coordinate, "
+                         f"got {len(xi)}")
     verts = vertices(P)
     out_vertices = []
     for v in sorted(verts, key=lambda v: v.point):
@@ -350,19 +346,48 @@ def _cmd_wall_check(args) -> CommandOutcome:
     return CommandOutcome(0 if report.ok else 3, report.to_json())
 
 
-def _parse_z(text: str) -> np.ndarray:
-    return np.array([complex(part) for part in text.split(",")], dtype=complex)
+def _parse_z(text: str, n: int) -> tuple[complex, ...]:
+    try:
+        z = tuple(complex(part) for part in text.split(","))
+    except ValueError:
+        raise InputError(f"--z takes comma-separated complex numbers, "
+                         f"got {text!r}") from None
+    if len(z) != n:
+        raise InputError(f"--z needs {n} values for this op, got {len(z)}")
+    return z
 
 
 def _cmd_local_model(args) -> CommandOutcome:
-    action = parse_weights(args.weights)
+    # the float verifier, and numpy with it, loads here only: the exact
+    # commands start without it
+    from . import batteries
+    from .localmodel import (
+        LinearAction,
+        NeighborhoodSpec,
+        bad_annulus_region,
+        cut_tameness_identity,
+        default_spec,
+        level_membership,
+        n_pm,
+        orbital_convexity_probe,
+        psh_criterion,
+        psh_test_family,
+        solve_time_to_level,
+    )
+
+    weights = _ints("--weights", args.weights)
+    if any(abs(a) > sys.float_info.max for a in weights):
+        raise InputError("--weights: the local model needs weights that fit "
+                         "in a double")
+    action = LinearAction(weights)
     op = args.op
+    n = len(action.weights)
     if op == "monotone":
         rep = batteries.monotone_battery(args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     if op == "solve":
         if args.z is not None and args.level is not None:
-            t = solve_time_to_level(action, _parse_z(args.z), args.level,
+            t = solve_time_to_level(action, _parse_z(args.z, n), args.level,
                                     tol=args.tol or 1e-12)
             return CommandOutcome(0, {"weights": list(action.weights),
                                       "level": args.level, "time": t})
@@ -370,14 +395,14 @@ def _cmd_local_model(args) -> CommandOutcome:
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     if op == "membership":
         if args.z is not None and args.level is not None:
-            member = level_membership(action, _parse_z(args.z), args.level)
+            member = level_membership(action, _parse_z(args.z, n), args.level)
             return CommandOutcome(0, {"weights": list(action.weights),
                                       "level": args.level, "member": member})
         rep = batteries.solve_membership_battery(args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     if op == "npm":
         if args.z is not None:
-            nm, np_ = n_pm(action, _parse_z(args.z))
+            nm, np_ = n_pm(action, _parse_z(args.z, n))
             return CommandOutcome(0, {"n_minus": nm, "n_plus": np_})
         rep = batteries.npm_scaling_battery(args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
@@ -410,8 +435,8 @@ def _cmd_local_model(args) -> CommandOutcome:
             "at_t0": results, "battery": rep.to_json()})
     if op == "cut-identity":
         if args.z is not None:
-            z = _parse_z(args.z)
-            r = cut_tameness_identity(action, z[:-1], complex(z[-1]))
+            z = _parse_z(args.z, n + 1)
+            r = cut_tameness_identity(action, z[:-1], z[-1])
             # numpy scalars: json.dumps refuses numpy bools
             return CommandOutcome(0 if r.ok else 3, {
                 "value": float(r.value), "expected": float(r.expected),

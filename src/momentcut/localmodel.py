@@ -51,10 +51,6 @@ class LinearAction:
         return bool(np.all(np.abs(z[self.array() != 0]) == 0.0))
 
 
-def parse_weights(text: str) -> LinearAction:
-    return LinearAction(tuple(int(p) for p in text.split(",")))
-
-
 def flow(action: LinearAction, z: Sequence[complex], t: float) -> np.ndarray:
     """(e^{a_j t} z_j)_j, with an explicit overflow guard."""
     z = np.asarray(z, dtype=complex)

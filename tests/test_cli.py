@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentcut.cli import run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
@@ -309,14 +310,19 @@ def test_cut_identity_single_point_serializes():
     json.dumps(out.payload)
 
 
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in os.environ.get("PYTHONPATH", "").split(os.pathsep) if x]))
+
+
 def test_closed_stdout_is_no_traceback(tmp_path):
     # `momentcut info ... | head -1`: the reader is gone before the report
     # is written; here it is gone from the start, so the write must fail
     p = tmp_path / "chopped-cube.json"
     p.write_text(dumps(chopped_cube()))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in os.environ.get("PYTHONPATH", "").split(os.pathsep) if x]))
+    env = _src_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -337,3 +343,117 @@ def test_dimension_cap_refused(tmp_path, command):
     out = run([command, "--in", str(p)])
     assert out.exit_code == 2 and out.payload["error"] == "precondition"
     assert out.payload["message"] == run(["validate", "--in", str(p)]).payload["failures"][0]
+
+
+_EXACT_COMMANDS_ONLY = """
+import json, sys
+from momentcut import cli
+
+d3, wedge, square, out = sys.argv[1:5]
+argvs = {
+    "validate": ["--in", d3],
+    "info": ["--in", d3, "--xi", "1,0,0"],
+    "diff": ["--in", d3, "--other", d3],
+    "reduce": ["--in", d3, "--level=-1/2"],
+    "cut": ["--in", d3, "--level=-1/2", "--out", out],
+    "compactify": ["--in", d3, "--min=-1/2", "--max=-1/4"],
+    "blowup": ["--in", square, "--vertex-index", "0", "--depth", "1/4"],
+    "add-fixed-points": ["--in", wedge, "--eps", "1/4"],
+    "reverse": ["--in", d3],
+    "dh": ["--in", d3, "--check-log-concavity", "--local-minima"],
+    "wall-check": ["--in", d3, "--wall", "0", "--window", "1/2"],
+}
+assert set(argvs) == set(cli._HANDLERS) - {"local-model"}
+exits = {c: cli.run([c] + a).exit_code for c, a in argvs.items()}
+loaded = sorted(m for m in ("numpy", "momentcut.localmodel", "momentcut.batteries")
+                if m in sys.modules)
+npm = cli.run(["local-model", "npm", "--weights=-2,2", "--z", "4,9"])
+print(json.dumps({"exits": exits, "loaded": loaded,
+                  "npm": [npm.exit_code, npm.payload],
+                  "after": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_commands_start_without_the_float_verifier(tmp_path, d3_file, pex2_file,
+                                                         square_file):
+    # a fresh interpreter, so that no other test has imported numpy already
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_COMMANDS_ONLY, d3_file, pex2_file, square_file,
+         str(tmp_path / "cut.json")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert set(got["exits"].values()) == {0}, got["exits"]
+    assert got["loaded"] == []
+    assert got["npm"] == [0, {"n_minus": 2.0, "n_plus": 3.0}]
+    assert got["after"]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["info", "--xi", "1,a"], "--xi"),
+    (["info", "--xi", "1,0"], "--xi"),
+    (["info", "--xi", "1,0,0,0"], "--xi"),
+    (["local-model", "npm", "--weights", "1,a", "--z", "1,2"], "--weights"),
+    (["local-model", "npm", "--weights=1,-1", "--z", "1,a"], "--z"),
+    (["local-model", "npm", "--weights=1,-1", "--z", "1"], "--z"),
+    (["local-model", "solve", "--weights=1,-1", "--z", "1,2,3", "--level", "1"], "--z"),
+    (["local-model", "membership", "--weights=1,-1", "--z", "1", "--level", "1"], "--z"),
+    (["local-model", "cut-identity", "--weights=1,-1", "--z", "1"], "--z"),
+    (["local-model", "cut-identity", "--weights=1,-1", "--z", "1,2"], "--z"),
+    (["local-model", "npm", "--weights", "9" * 400, "--z", "1"], "--weights"),
+], ids=["xi-not-int", "xi-short", "xi-long", "weights-not-int", "z-not-complex",
+        "npm-z-short", "solve-z-long", "membership-z-short", "cut-identity-z-short",
+        "cut-identity-z-no-w", "weights-overflow-double"])
+def test_option_refused_by_name(d3_file, argv, option):
+    if argv[0] == "info":
+        argv = argv + ["--in", d3_file]
+    out = run(argv)
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith(option)
+
+
+@pytest.fixture(scope="module")
+def d3_module_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("cli") / "d3.json"
+    p.write_text(dumps(delta3()))
+    return str(p)
+
+
+# short comma-separated strings, most of them malformed
+_TEXT = st.text(alphabet=st.sampled_from("0123456789-+.,ej() xa_"), max_size=12)
+
+
+def _ints_text(size):
+    return st.lists(st.integers(-4, 4), min_size=size, max_size=size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+def _complexes_text(size):
+    return st.lists(st.complex_numbers(max_magnitude=1e6), min_size=size,
+                    max_size=size).map(lambda zs: ",".join(map(repr, zs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(xi=_TEXT | st.integers(1, 4).flatmap(_ints_text))
+def test_info_xi_never_escapes(d3_module_file, xi):
+    out = run(["info", "--in", d3_module_file, f"--xi={xi}"])
+    assert out.exit_code in (0, 1)
+
+
+@st.composite
+def _local_model_argv(draw):
+    op = draw(st.sampled_from(["solve", "membership", "npm", "cut-identity"]))
+    n = draw(st.integers(1, 4))
+    z_len = n + 1 if op == "cut-identity" else n
+    weights = draw(_TEXT | _ints_text(n))
+    z = draw(_TEXT | _complexes_text(z_len) | st.integers(1, 5).flatmap(_complexes_text))
+    level = draw(st.sampled_from(["-1", "0", "0.5", "3"]))
+    # --level keeps solve and membership on the single-point path: without
+    # it they run a 1000-trial battery
+    return ["local-model", op, f"--weights={weights}", f"--z={z}", "--level", level]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_local_model_argv())
+def test_local_model_arguments_never_escape(argv):
+    assert run(argv).exit_code in (0, 1, 2, 3)
