@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ class CommandOutcome:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops a lone "--" given as an option's value
+        # (`--weights=--`) and hands back an empty list instead of a string
+        if action.nargs is None and arg_strings == ["--"]:
+            raise InputError(f"{action.option_strings[0]} needs a value, got '--'")
+        return super()._get_values(action, arg_strings)
 
 
 def _read_text(path: str) -> str:
@@ -169,18 +177,31 @@ def build_parser() -> _Parser:
     sp.add_argument("--weights", required=True, help="comma-separated integers")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite("--tol"), default=None)
     sp.add_argument("--z", default=None,
                     help="comma-separated complex values, one per weight; "
                          "cut-identity takes w last")
-    sp.add_argument("--level", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--eps-prime", type=float, default=0.25)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--level", type=_finite("--level"), default=None)
+    sp.add_argument("--eps", type=_finite("--eps"), default=0.5)
+    sp.add_argument("--eps-prime", type=_finite("--eps-prime"), default=0.25)
+    sp.add_argument("--delta", type=_finite("--delta"), default=None)
     sp.add_argument("--bad-region", action="store_true")
-    sp.add_argument("--t0", type=float, default=0.7)
+    sp.add_argument("--t0", type=_finite("--t0"), default=0.7)
     sp.add_argument("--n", type=int, default=3)
     return p
+
+
+def _finite(option: str):
+    """argparse type for a float option that must be a finite number."""
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            raise InputError(f"{option} takes a number, got {text!r}") from None
+        if not math.isfinite(x):
+            raise InputError(f"{option} must be finite, got {text!r}")
+        return x
+    return parse
 
 
 def _rational(text: str) -> Fraction:
@@ -352,9 +373,20 @@ def _parse_z(text: str, n: int) -> tuple[complex, ...]:
     except ValueError:
         raise InputError(f"--z takes comma-separated complex numbers, "
                          f"got {text!r}") from None
+    if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in z):
+        raise InputError(f"--z takes finite values, got {text!r}")
     if len(z) != n:
         raise InputError(f"--z needs {n} values for this op, got {len(z)}")
     return z
+
+
+def _point_query(args) -> bool:
+    """Whether `solve` or `membership` asks about one point: --z and
+    --level together; neither runs the battery, one alone is refused."""
+    if (args.z is None) != (args.level is None):
+        missing, given = ("--level", "--z") if args.level is None else ("--z", "--level")
+        raise InputError(f"{missing} is needed with {given} for {args.op}")
+    return args.z is not None
 
 
 def _cmd_local_model(args) -> CommandOutcome:
@@ -386,7 +418,7 @@ def _cmd_local_model(args) -> CommandOutcome:
         rep = batteries.monotone_battery(args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     if op == "solve":
-        if args.z is not None and args.level is not None:
+        if _point_query(args):
             t = solve_time_to_level(action, _parse_z(args.z, n), args.level,
                                     tol=args.tol or 1e-12)
             return CommandOutcome(0, {"weights": list(action.weights),
@@ -394,7 +426,7 @@ def _cmd_local_model(args) -> CommandOutcome:
         rep = batteries.solve_membership_battery(args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     if op == "membership":
-        if args.z is not None and args.level is not None:
+        if _point_query(args):
             member = level_membership(action, _parse_z(args.z, n), args.level)
             return CommandOutcome(0, {"weights": list(action.weights),
                                       "level": args.level, "member": member})

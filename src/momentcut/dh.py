@@ -39,11 +39,13 @@ from .polytope import (
     LabeledPolytope,
     Vertex,
     canonical_equal,
+    irredundant,
     require_bounded,
+    require_vertex,
     slice_at,
     vertices,
 )
-from .ops import _pruned, reversed_polytope
+from .ops import reversed_polytope
 from .ratpoly import (
     Poly,
     gap_samples,
@@ -450,9 +452,11 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
 
     wall_verts = [v for v in vertices(P) if v.point[0] == a]
 
-    # the facet set active on slices below the wall
+    # the facet set active on slices below the wall; each sample level is
+    # sliced once, and the slices are shared by the checks below
     below_samples = [a - window / 2, a - window / 4]
-    below_slices = [slice_at(P, s) for s in below_samples]
+    sliced = {s: slice_at(P, s) for s in below_samples}
+    below_slices = [sliced[s] for s in below_samples]
     if any(sl.polytope is None for sl in below_slices):
         raise WallNotSimpleCrossing("no reduced space below the wall")
     if sorted(below_slices[0].inducing) != sorted(below_slices[1].inducing):
@@ -491,11 +495,12 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
     # verification samples above the wall
     above_samples = [a + window / 4, a + window / 2]
     extra_sample = a + window * Fraction(3, 8)
+    sliced.update((s, slice_at(P, s)) for s in above_samples + [extra_sample])
     match_samples = []
     image_ok = {id(v): True for v, *_ in crossing_data}
     depth_ok = {id(v): True for v, *_ in crossing_data}
     for s in above_samples:
-        actual = slice_at(P, s).polytope
+        actual = sliced[s].polytope
         if actual is None:
             raise WallNotSimpleCrossing("no reduced space above the wall")
         continued = _continued_facets(P, below_inducing, s)
@@ -519,7 +524,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
                                for i in others) - g * Fraction(found[0].offset)
                 if measured != s - a:
                     depth_ok[id(v)] = False
-        candidate = _pruned(P.dim - 1, continued + chops)
+        candidate = irredundant(require_vertex(LabeledPolytope(P.dim - 1, continued + chops)))
         match_samples.append((s, canonical_equal(candidate, actual)))
 
     # Euler data: offset slopes per facet in each adjacent chamber
@@ -529,7 +534,9 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         g = content(f.normal[1:])
         below_slopes.append((i, tuple(x // g for x in f.normal[1:]),
                              Fraction(-f.normal[0], g)))
-    above_slopes = _measured_slopes(P, above_samples, extra_sample)
+    slope_samples = above_samples + [extra_sample]
+    above_slopes = _measured_slopes(slope_samples,
+                                    [sliced[s].polytope for s in slope_samples])
 
     # Crossing the wall downward is the mirror image of crossing it upward:
     # the reversed polytope satisfies slice_rev(-s) = slice(s) exactly, its
@@ -543,7 +550,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         expect = sorted(tuple(sorted(-w for w in ws))
                         for _, ws, *_ in crossing_data)
         mirror_ok = all(
-            canonical_equal(slice_at(rev, -s).polytope, slice_at(P, s).polytope)
+            canonical_equal(slice_at(rev, -s).polytope, sliced[s].polytope)
             for s in above_samples + below_samples)
         reversed_summary = {
             "wall": format_rational(-a),
@@ -606,11 +613,12 @@ def _satisfies_all(facets: Sequence[Facet], point: Sequence[Fraction]) -> bool:
     return all(dot(f.normal, point) <= f.offset for f in facets)
 
 
-def _measured_slopes(P: LabeledPolytope, samples: Sequence[Fraction],
-                     probe: Fraction):
-    s1, s2 = samples
-    sl1, sl2 = slice_at(P, s1).polytope, slice_at(P, s2).polytope
-    sl3 = slice_at(P, probe).polytope
+def _measured_slopes(samples: Sequence[Fraction],
+                     slices: Sequence[LabeledPolytope]):
+    """Offset slopes from the slices at two samples, checked at a probe
+    (the third sample)."""
+    s1, s2, probe = samples
+    sl1, sl2, sl3 = slices
     offs1 = {f.normal: Fraction(f.offset) for f in sl1.facets}
     offs2 = {f.normal: Fraction(f.offset) for f in sl2.facets}
     offs3 = {f.normal: Fraction(f.offset) for f in sl3.facets}

@@ -33,6 +33,7 @@ from .polytope import (
     Slice,
     Vertex,
     canonical_equal,
+    intersect_halfspace,
     is_regular_level,
     polytope_hash,
     slice_at,
@@ -54,24 +55,11 @@ class CutSide(enum.Enum):
     ABOVE = "above"
 
 
-def _pruned(dim: int, facets: Sequence[Facet]) -> LabeledPolytope:
-    """Deduplicate and drop redundant facets; error when the region is empty."""
-    seen = set()
-    uniq = []
-    for f in facets:
-        k = (f.normal, f.offset)
-        if k in seen:
-            continue
-        seen.add(k)
-        uniq.append(f)
-    P = LabeledPolytope(dim, uniq)
-    st = P.structure()
-    if not st.points:
-        raise EmptyResult("the region has no vertices (empty intersection)")
-    if st.redundant:
-        keep = [f for i, f in enumerate(P.facets) if i not in st.redundant]
-        P = LabeledPolytope(dim, keep)
-    return P
+def _level_facet(n: int, a: Fraction, side: CutSide) -> Facet:
+    e1 = (1,) + (0,) * (n - 1)
+    if side == CutSide.BELOW:
+        return Facet(e1, a, 1)
+    return Facet(tuple(-x for x in e1), -a, 1)
 
 
 def restrict_halfspace(P: LabeledPolytope, a: Fraction,
@@ -82,13 +70,7 @@ def restrict_halfspace(P: LabeledPolytope, a: Fraction,
     exact face-dimension rule.  Used for agreement checks, where the half
     space passes exactly through the new fixed vertices.
     """
-    a = Fraction(a)
-    e1 = (1,) + (0,) * (P.dim - 1)
-    if side == CutSide.BELOW:
-        new = Facet(e1, a, 1)
-    else:
-        new = Facet(tuple(-x for x in e1), -a, 1)
-    return _pruned(P.dim, list(P.facets) + [new])
+    return intersect_halfspace(P, _level_facet(P.dim, Fraction(a), side))
 
 
 def cut(P: LabeledPolytope, a: Fraction, side: CutSide = CutSide.BELOW) -> LabeledPolytope:
@@ -96,12 +78,7 @@ def cut(P: LabeledPolytope, a: Fraction, side: CutSide = CutSide.BELOW) -> Label
     a = Fraction(a)
     if not is_regular_level(P, a):
         raise NotRegularLevel(f"a vertex lies at level {format_rational(a)}")
-    e1 = (1,) + (0,) * (P.dim - 1)
-    if side == CutSide.BELOW:
-        new = Facet(e1, a, 1)
-    else:
-        new = Facet(tuple(-x for x in e1), -a, 1)
-    return _pruned(P.dim, list(P.facets) + [new])
+    return restrict_halfspace(P, a, side)
 
 
 @dataclass(frozen=True)
@@ -249,7 +226,7 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
                 f"({', '.join(map(format_rational, w.point))})")
     g = content(raw)
     exc = Facet(tuple(x // g for x in raw), rhs / g, 1)
-    result = _pruned(P.dim, list(P.facets) + [exc])
+    result = intersect_halfspace(P, exc)
 
     rst = result.structure()
     if not rst.simple:

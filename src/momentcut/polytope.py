@@ -4,20 +4,33 @@ A polytope is a finite list of facets (primitive integer outward normal,
 rational offset, positive integer label); the point set is
 {x : <normal, x> <= offset for every facet}.  All computations are exact.
 
-Vertex enumeration finds one vertex from the first feasible n-subset of
-facets, then walks the vertex-edge graph in integer homogeneous
-coordinates: the edges at a vertex come from one fraction-free adjugate of
-its active basis, and an integer ratio test finds the neighbour along each.
-An edge that no facet blocks is an unbounded ray; the region is bounded
-when no vertex has one.  Unbounded but pointed H-representations are
-tolerated by the operations that need them (cutting a half-infinite region
-down to a compact one); `validate` still rejects them.
+A polytope read from input is walked from scratch: one vertex from the
+first feasible n-subset of facets, then a walk over the vertex-edge graph
+in integer homogeneous coordinates.  The edges at a vertex come from one
+fraction-free adjugate of its active basis, and an integer ratio test finds
+the neighbour along each.  An edge that no facet blocks is an unbounded
+ray; the region is bounded when no vertex has one.
+
+Every polytope derived by one half-space or hyperplane (cut, blow-up,
+slice) takes its structure from its parent's edge graph instead, by the
+double-description step (Motzkin; Fukuda-Prodon 1996): the parent's
+vertices on the kept side stay, and each edge or ray that strictly crosses
+the hyperplane gives one new vertex, whose active set is the facets holding
+that edge plus the new one.  Edges are paired by that set of holding
+facets, so no ratio test is run.  Dropping redundant facets carries the
+structure over unchanged.  Both paths end in the same finishing code, and
+the derived structure is equal to the one a fresh walk would give.
+
+Unbounded but pointed H-representations are tolerated by the operations
+that need them (cutting a half-infinite region down to a compact one);
+`validate` still rejects them.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
+    EmptyResult,
     InputError,
     InternalError,
     NotSimple,
@@ -93,6 +107,7 @@ class LabeledPolytope:
         self.dim = dim
         self.facets = facets
         self._structure: Optional[Structure] = None
+        self._graph: Optional[tuple] = None     # see _edge_graph
 
     def __repr__(self) -> str:
         return f"LabeledPolytope(dim={self.dim}, facets={len(self.facets)})"
@@ -216,6 +231,30 @@ def _ratio_test(normals, slack: list[int], e: IntVector) -> Optional[tuple[int, 
     return None if p is None else (p, q, ties)
 
 
+def _edge_keys(normals, act: list[int], edges, n: int) -> list[frozenset[int]]:
+    """The facets holding each edge at a vertex with sorted active set act.
+
+    These are all the facets that contain the edge, so the two ends of a
+    bounded edge give it the same key and an unbounded ray has it at one
+    vertex only.  At a simple vertex edge k relaxes act[k] alone.
+    """
+    if len(act) == n:
+        return [frozenset(act[:k] + act[k + 1:]) for k in range(n)]
+    return [frozenset(j for j in act if dot(normals[j], e) == 0) for e in edges]
+
+
+def _pair_edges(normals, n: int, points, edges) -> list[list[tuple[Optional[int], frozenset[int]]]]:
+    """Per vertex and per edge at it: the index of the vertex at the other
+    end (None on an unbounded ray) and the edge's key."""
+    keys = [_edge_keys(normals, sorted(act), es, n) for (_, act), es in zip(points, edges)]
+    ends: dict[frozenset[int], list[int]] = defaultdict(list)
+    for k, ks in enumerate(keys):
+        for key in ks:
+            ends[key].append(k)
+    return [[(next((w for w in ends[key] if w != k), None), key) for key in ks]
+            for k, ks in enumerate(keys)]
+
+
 def _walk(normals, offs, n, start: tuple[list[int], int]) -> list[tuple]:
     """Every vertex of a pointed region, by a walk over its edge graph from
     `start`.  The vertices and bounded edges of a pointed polyhedron form a
@@ -237,8 +276,7 @@ def _walk(normals, offs, n, start: tuple[list[int], int]) -> list[tuple]:
         seen.add(frozenset(act))
         edges = _edge_directions(normals, act, n)
         unbounded = set()
-        for e in edges:
-            tight = frozenset(j for j in act if dot(normals[j], e) == 0)
+        for e, tight in zip(edges, _edge_keys(normals, act, edges, n)):
             if tight in walked:
                 continue
             walked.add(tight)
@@ -259,26 +297,42 @@ def _walk(normals, offs, n, start: tuple[list[int], int]) -> list[tuple]:
 
 
 def _compute_structure(P: LabeledPolytope) -> Structure:
+    """The from-scratch walk, for a polytope with no parent structure."""
     n = P.dim
-    m = len(P.facets)
     normals, offs, lcm = _scaled_rows(P.facets)
     # pointedness: do the normals span R^n
     pointed = rank_rational(normals) == n
     start = _start_vertex(normals, offs, n) if pointed else None
     walk = _walk(normals, offs, n, start) if start is not None else []
     # num/den solves the system scaled by lcm; unscale
-    walk = sorted(((tuple(Fraction(x, den * lcm) for x in num), frozenset(act), es, unb)
-                   for num, den, act, es, unb in walk), key=lambda w: w[0])
-    points = tuple((pt, act) for pt, act, _, _ in walk)
-    edges = tuple(es for _, _, es, _ in walk)
+    return _finish(normals, n, pointed, [
+        (tuple(Fraction(x, den * lcm) for x in num), frozenset(act), es, unb)
+        for num, den, act, es, unb in walk])
+
+
+def _finish(normals, n: int, pointed: bool, records) -> Structure:
+    """The Structure of a region from its vertex records, shared by the walk
+    and the derived steps.
+
+    A record is (point, active set, edge directions, unbounded edges); the
+    last is None when not known, and then edges are paired by their keys.
+    """
+    m = len(normals)
+    records = sorted(records, key=lambda r: r[0])
+    points = tuple((pt, act) for pt, act, _, _ in records)
+    edges = tuple(es for _, _, es, _ in records)
     simple = all(len(act) == n for _, act in points)
 
     rays: list[IntVector] = []
     if points and simple:
         # every extreme recession ray of a pointed polyhedron is the
         # direction of an unbounded edge
-        for _, _, es, unbounded in walk:
-            rays += [e for e in es if e in unbounded and e not in rays]
+        unbounded = [unb for *_, unb in records]
+        if None in unbounded:
+            unbounded = [{e for e, (w, _) in zip(es, ends) if w is None}
+                         for es, ends in zip(edges, _pair_edges(normals, n, points, edges))]
+        for es, unb in zip(edges, unbounded):
+            rays += [e for e in es if e in unb and e not in rays]
     elif points:
         # non-simple: enumerate extreme rays of the recession cone from
         # (n-1)-subsets of normals
@@ -336,6 +390,117 @@ def _compute_structure(P: LabeledPolytope) -> Structure:
         affine_rank=affine_rank,
         edges=edges,
     )
+
+
+# ---------------------------------------------------------------------------
+# derived structures: one half-space step, and dropping facets
+# ---------------------------------------------------------------------------
+
+def _edge_graph(P: LabeledPolytope):
+    """P's vertices as integer rows over one denominator each, and
+    _pair_edges over its structure; kept with P for its later children."""
+    if P._graph is None:
+        st = P.structure()
+        rows = []
+        for pt, _ in st.points:
+            den = math.lcm(*(x.denominator for x in pt))
+            rows.append(([x.numerator * (den // x.denominator) for x in pt], den))
+        pairs = _pair_edges([f.normal for f in P.facets], P.dim, st.points, st.edges)
+        P._graph = rows, pairs
+    return P._graph
+
+
+def _crossings(P: LabeledPolytope, normal: IntVector, offset: Fraction):
+    """Where the hyperplane <normal, x> = offset meets P's edge graph.
+
+    Returns the slack offset - <normal, v> of every vertex v of P, each
+    scaled by a positive integer, and one (point, key) per edge or unbounded
+    ray of P that passes strictly from slack > 0 to slack < 0; key is the
+    set of facets holding that edge.
+    """
+    st = P.structure()
+    rows, pairs = _edge_graph(P)
+    offset = Fraction(offset)
+    p, q = offset.numerator, offset.denominator
+    slack = [p * den - q * dot(normal, num) for num, den in rows]
+    found = []
+    for (num, den), es, ends, sl in zip(rows, st.edges, pairs, slack):
+        if sl == 0:
+            continue
+        for e, (w, key) in zip(es, ends):
+            r = dot(normal, e)
+            # slack falls along e when r > 0; a bounded edge is met from
+            # its kept end, a ray from wherever it starts.  The point is
+            # num/den + sl / (q den r) e.
+            if (r > 0 and sl > 0 and (w is None or slack[w] < 0)
+                    or r < 0 and sl < 0 and w is None):
+                d = q * den * r
+                found.append((tuple(Fraction(q * r * x + sl * c, d)
+                                    for x, c in zip(num, e)), key))
+    return slack, found
+
+
+def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
+    """P intersected with {<facet.normal, x> <= facet.offset}, with its
+    Structure derived from P's (not pruned; see `intersect_halfspace`).
+
+    When the new facet repeats one of P's (normal and offset), the region
+    is P's and P itself is returned.  A parent with no vertex has no edge
+    graph to step from, and its child is walked from scratch.
+    """
+    if any(f.normal == facet.normal and f.offset == facet.offset for f in P.facets):
+        return P
+    child = LabeledPolytope(P.dim, P.facets + (facet,))
+    st = P.structure()
+    if not st.points:
+        return child
+    n = P.dim
+    # the constructor's canonical order keeps P's facets in order around
+    # the new one
+    pos = child.facets.index(facet)
+    normals = [f.normal for f in child.facets]
+    unb = set() if st.bounded else None
+
+    def moved(act):
+        return frozenset(j + (j >= pos) for j in act)
+
+    def fresh(pt, act):
+        return (pt, act, _edge_directions(normals, sorted(act), n), unb)
+
+    slack, crossings = _crossings(P, facet.normal, facet.offset)
+    records = []
+    for (pt, act), es, sl in zip(st.points, st.edges, slack):
+        if sl > 0:
+            records.append((pt, moved(act), es, unb))
+        elif sl == 0:
+            records.append(fresh(pt, moved(act) | {pos}))
+    records += [fresh(pt, moved(key) | {pos}) for pt, key in crossings]
+    # the child's normals include P's, so it is pointed too
+    child._structure = _finish(normals, n, True, records)
+    return child
+
+
+def _drop_facets(P: LabeledPolytope, drop: Iterable[int]) -> LabeledPolytope:
+    """P without the facets in `drop`, none of which changes the region.
+
+    The vertices and edges stay, so P's structure is carried over: active
+    sets are renumbered, and only a vertex that lost a facet gets its edge
+    directions again.
+    """
+    st = P.structure()
+    drop = set(drop)
+    keep = [i for i in range(len(P.facets)) if i not in drop]
+    Q = LabeledPolytope(P.dim, [P.facets[i] for i in keep])
+    new = {i: k for k, i in enumerate(keep)}
+    normals = [f.normal for f in Q.facets]
+    records = []
+    for (pt, act), es in zip(st.points, st.edges):
+        q_act = frozenset(new[j] for j in act if j in new)
+        if len(q_act) < len(act):
+            es = _edge_directions(normals, sorted(q_act), P.dim)
+        records.append((pt, q_act, es, set() if st.bounded else None))
+    Q._structure = _finish(normals, P.dim, st.pointed, records)
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +596,32 @@ def is_regular_level(P: LabeledPolytope, a: Fraction) -> bool:
 
 
 def irredundant(P: LabeledPolytope) -> LabeledPolytope:
-    """Drop redundant facets (exact face-dimension criterion)."""
+    """Drop repeated facets (same normal and offset; the first in canonical
+    order stays), then redundant ones (exact face-dimension criterion).
+
+    Neither changes the region, so the structure is carried over, not
+    walked again.
+    """
+    first: dict[tuple, int] = {}
+    repeated = [i for i, f in enumerate(P.facets)
+                if first.setdefault((f.normal, f.offset), i) != i]
+    if repeated:
+        P = _drop_facets(P, repeated)
     st = P.structure()
-    if not st.redundant:
-        return P
-    keep = [f for i, f in enumerate(P.facets) if i not in st.redundant]
-    return LabeledPolytope(P.dim, keep)
+    return _drop_facets(P, st.redundant) if st.redundant else P
+
+
+def require_vertex(P: LabeledPolytope) -> LabeledPolytope:
+    """P itself; EmptyResult when its region has no vertex."""
+    if not P.structure().points:
+        raise EmptyResult("the region has no vertices (empty intersection)")
+    return P
+
+
+def intersect_halfspace(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
+    """P intersected with {<facet.normal, x> <= facet.offset}, without
+    repeated or redundant facets; EmptyResult when no vertex is left."""
+    return irredundant(require_vertex(_halfspace_step(P, facet)))
 
 
 def canonical_key(P: LabeledPolytope) -> tuple:
@@ -482,21 +667,21 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
         raise DimensionMismatch("slicing needs dimension >= 2")
     s = Fraction(s)
     st = P.structure()
+    if st.points:
+        # the slice's vertices: P's vertices on {x1 = s} and the points where
+        # P's edges cross it, with the facets of P holding each
+        slack, crossings = _crossings(P, (1,) + (0,) * (P.dim - 1), s)
+        met = [(pt, act) for (pt, act), sl in zip(st.points, slack) if sl == 0] + crossings
 
     candidate_idx = range(len(P.facets))
     if st.simple and st.bounded:
-        # a facet can only matter on the slice if s lies in the x1-range
-        # of its incident vertices (faces are convex hulls of vertices)
-        ranges = {}
-        for pt, act in st.points:
-            for i in act:
-                lo, hi = ranges.get(i, (pt[0], pt[0]))
-                ranges[i] = (min(lo, pt[0]), max(hi, pt[0]))
-        candidate_idx = [i for i in candidate_idx
-                        if i in ranges and ranges[i][0] <= s <= ranges[i][1]]
+        # a facet meets the slice exactly when it holds one of those points
+        # (its edge graph is connected)
+        candidate_idx = sorted(set().union(*(act for _, act in met)))
 
     pairs: list[tuple[Facet, int]] = []
-    seen: dict[tuple, int] = {}
+    induced: dict[int, tuple] = {}        # facet of P -> its facet of the slice
+    seen: set[tuple] = set()
     for i in candidate_idx:
         f = P.facets[i]
         tail = f.normal[1:]
@@ -507,24 +692,38 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
             continue
         g = content(tail)
         key = (tuple(t // g for t in tail), rhs / g)
-        if key in seen:
-            continue
-        seen[key] = i
-        pairs.append((Facet(key[0], key[1], f.label), i))
+        if key not in seen:
+            seen.add(key)
+            pairs.append((Facet(key[0], key[1], f.label), i))
+        induced[i] = key
 
     if not pairs:
         return Slice(None, False, ())
     # mirror the constructor's canonical order so indices stay aligned
     pairs.sort(key=lambda fi: fi[0].key())
     Q = LabeledPolytope(P.dim - 1, [f for f, _ in pairs])
+    if st.points:
+        # project the points met to (x2 .. xn)
+        at = {(f.normal, f.offset): k for k, f in enumerate(Q.facets)}
+        q_index = {i: at[key] for i, key in induced.items()}
+        normals = [f.normal for f in Q.facets]
+        records = []
+        for pt, act in met:
+            q_act = frozenset(q_index[j] for j in act if j in q_index)
+            records.append((pt[1:], q_act, _edge_directions(normals, sorted(q_act), Q.dim),
+                            set() if st.bounded else None))
+        if not records:
+            return Slice(None, False, ())
+        # a nonempty slice of a pointed region has a vertex, so it is pointed
+        Q._structure = _finish(normals, Q.dim, True, records)
     qst = Q.structure()
     if not qst.points:
         return Slice(None, False, ())
     if not qst.full_dim:
         return Slice(None, True, ())
-    kept = [pairs[k] for k in range(len(pairs)) if k not in qst.redundant]
-    R = LabeledPolytope(P.dim - 1, [f for f, _ in kept])
-    return Slice(R, False, tuple(i for _, i in kept))
+    R = _drop_facets(Q, qst.redundant) if qst.redundant else Q
+    return Slice(R, False, tuple(i for k, (_, i) in enumerate(pairs)
+                                 if k not in qst.redundant))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import pytest
 
 from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
 from momentcut.dh import Chamber, DHProfile, critical_values
-from momentcut.lattice import det_int, dot, primitive, rank_rational, solve_int
+from momentcut.lattice import content, det_int, dot, primitive, rank_rational, solve_int
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
+    Slice,
     Structure,
     _scaled_rows,
     slice_at,
@@ -239,3 +240,52 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
         affine_rank=affine_rank,
         edges=tuple(edges),
     )
+
+
+def walked(P: LabeledPolytope) -> LabeledPolytope:
+    """A fresh polytope on P's facets, so its structure is walked from
+    scratch, never derived from a parent."""
+    return LabeledPolytope(P.dim, P.facets)
+
+
+def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
+    """Independent slice oracle: the induced facets, walked from scratch.
+
+    Candidate facets are those whose vertices reach level s on both sides
+    (all facets unless P is simple and bounded), one facet per induced
+    normal and offset; the slice is that system walked from scratch, with
+    its redundant facets dropped.
+    """
+    s = F(s)
+    st = walked(P).structure()
+    candidates = range(len(P.facets))
+    if st.simple and st.bounded:
+        xs = {}
+        for pt, act in st.points:
+            for i in act:
+                xs.setdefault(i, []).append(pt[0])
+        candidates = [i for i in candidates if i in xs and min(xs[i]) <= s <= max(xs[i])]
+    pairs, seen = [], set()
+    for i in candidates:
+        f = P.facets[i]
+        tail, rhs = f.normal[1:], F(f.offset) - f.normal[0] * s
+        if not any(tail):
+            if rhs < 0:
+                return Slice(None, False, ())
+            continue
+        g = content(tail)
+        key = (tuple(t // g for t in tail), rhs / g)
+        if key not in seen:
+            seen.add(key)
+            pairs.append((Facet(key[0], key[1], f.label), i))
+    if not pairs:
+        return Slice(None, False, ())
+    pairs.sort(key=lambda fi: fi[0].key())
+    qst = LabeledPolytope(P.dim - 1, [f for f, _ in pairs]).structure()
+    if not qst.points:
+        return Slice(None, False, ())
+    if not qst.full_dim:
+        return Slice(None, True, ())
+    kept = [pairs[k] for k in range(len(pairs)) if k not in qst.redundant]
+    return Slice(LabeledPolytope(P.dim - 1, [f for f, _ in kept]), False,
+                 tuple(i for _, i in kept))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentcut.cli import run
+from momentcut.cli import _emit, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
 
@@ -457,3 +457,52 @@ def _local_model_argv(draw):
 @given(argv=_local_model_argv())
 def test_local_model_arguments_never_escape(argv):
     assert run(argv).exit_code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["membership", "--weights=-1,1", "--z", "1,1", "--level", "nan"], "--level"),
+    (["solve", "--weights=-1,1", "--z", "1,1", "--level", "1e400"], "--level"),
+    (["solve", "--weights=-1,1", "--z", "1,1", "--level", "1", "--tol", "inf"], "--tol"),
+    (["convexity", "--weights=-1,1", "--eps", "inf"], "--eps"),
+    (["convexity", "--weights=-1,1", "--eps-prime=-inf"], "--eps-prime"),
+    (["convexity", "--weights=-1,1", "--delta", "nan"], "--delta"),
+    (["psh", "--weights=-1,1", "--t0", "nan"], "--t0"),
+    (["npm", "--weights=-1,1", "--z", "inf,1"], "--z"),
+    (["npm", "--weights=-1,1", "--z", "1,nanj"], "--z"),
+    (["solve", "--weights=-1,1", "--z", "1,1"], "--level"),
+    (["membership", "--weights=-1,1", "--z", "1,1"], "--level"),
+    (["solve", "--weights=-1,1", "--level", "1"], "--z"),
+    (["membership", "--weights=-1,1", "--level", "1"], "--z"),
+    (["solve", "--weights=--", "--z=", "--level", "-1"], "--weights"),
+    (["npm", "--weights=-1,1", "--z=--"], "--z"),
+], ids=["level-nan", "level-overflow", "tol-inf", "eps-inf", "eps-prime-inf", "delta-nan",
+        "t0-nan", "z-inf", "z-nan-imag", "solve-z-without-level",
+        "membership-z-without-level", "solve-level-without-z",
+        "membership-level-without-z", "weights-dashes", "z-dashes"])
+def test_local_model_refused_by_name(argv, option):
+    out = run(["local-model"] + argv)
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith(option)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--weights=-1,1", "--z", "1,1", "--level", "0.5"],
+    ["membership", "--weights=-1,1", "--z", "1,1", "--level", "0.5"],
+    ["npm", "--weights=-2,2", "--z", "4,9"],
+    ["cut-identity", "--weights=-1,1", "--z", "1,1,1"],
+    ["solve", "--weights=-1,1", "--trials", "3"],
+    ["membership", "--weights=-1,1", "--trials", "3"],
+    ["convexity", "--weights=-1,1", "--trials", "2"],
+], ids=["solve", "membership", "npm", "cut-identity", "solve-battery",
+        "membership-battery", "convexity"])
+def test_local_model_stdout_is_strict_json(argv, capsys):
+    out = run(["local-model"] + argv)
+    assert out.exit_code == 0
+    _emit(out.payload)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    # with neither --z nor --level, solve and membership run the battery
+    assert ("battery" in payload) == ("--trials" in argv and argv[0] != "convexity")

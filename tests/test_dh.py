@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -311,3 +312,18 @@ def test_profile_value_positive_inside(d3):
         s = F(rng.randint(-127, 127), 128)
         if prof.walls[0] < s < prof.walls[-1] and s not in prof.walls:
             assert prof.value(s) > 0
+
+
+def test_wall_check_slices_each_level_once(monkeypatch, d3):
+    # five sample levels on P (two below the wall, two above, one probe),
+    # and the four mirror levels on reversed_polytope(P)
+    counts = Counter()
+    slice_at = momentcut.dh.slice_at
+
+    def counting(Q, s):
+        counts["P" if Q is d3 else id(Q)] += 1
+        return slice_at(Q, s)
+    monkeypatch.setattr(momentcut.dh, "slice_at", counting)
+    assert wall_crossing_check(d3, F(0), F(1, 2)).ok
+    assert counts.pop("P") == 5
+    assert list(counts.values()) == [4]

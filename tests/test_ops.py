@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from momentcut.corpus import box, delzant_corpus
+import momentcut.dh
+import momentcut.ops
+import momentcut.polytope
+from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delzant_corpus
+from momentcut.dh import critical_values, wall_crossing_check
 from momentcut.errors import (
     BlowupTooLarge,
     EmptyResult,
@@ -31,13 +36,16 @@ from momentcut.polytope import (
     Facet,
     LabeledPolytope,
     canonical_equal,
+    canonical_key,
+    dumps,
+    loads,
     slice_at,
     vertices,
     volume,
 )
 from momentcut.toric import VertexKind, classify_vertex, edge_generators, weights_at_vertex
 
-from conftest import regular_levels
+from conftest import regular_levels, walked
 
 F = Fraction
 
@@ -310,3 +318,71 @@ def test_ledger_base_identity(square):
     assert len(ledger.base) == 12
     _, l2 = blowup(square, BlowupParams((F(0), F(0)), F(1, 8)), ledger)
     assert l2.base == ledger.base and len(l2.terms) == 1
+
+
+# -- derived polytopes take their structure from the parent ---------------------
+
+def test_derived_polytopes_take_no_walk(monkeypatch):
+    # a surgery chain walks from scratch only for its parsed inputs, their
+    # transform images and the wall-check candidates; every cut, slice,
+    # blow-up and irredundant form steps from its parent's structure
+    walks, walked_for, allowed = Counter(), [], []
+    walk, compute = momentcut.polytope._walk, momentcut.polytope._compute_structure
+
+    def counting_walk(*args):
+        walks["walk"] += 1
+        return walk(*args)
+
+    def recording(P):
+        walked_for.append(P)
+        return compute(P)
+
+    def keep(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            allowed.append(out if fn is not momentcut.dh.require_vertex else args[0])
+            return out
+        return wrapped
+    monkeypatch.setattr(momentcut.polytope, "_walk", counting_walk)
+    monkeypatch.setattr(momentcut.polytope, "_compute_structure", recording)
+    monkeypatch.setattr(momentcut.ops, "transform", keep(momentcut.ops.transform))
+    monkeypatch.setattr(momentcut.dh, "require_vertex", keep(momentcut.dh.require_vertex))
+
+    derived, wall_checks = [], 0
+    for P0 in (chopped_cube(), asymmetric_wedge()):
+        P = loads(dumps(P0))
+        allowed.append(P)
+        crit = critical_values(P)
+        lo, hi = [crit[0] + (crit[1] - crit[0]) * F(k, 3) for k in (1, 2)]
+        derived += [cut(P, lo), cut(P, lo, CutSide.ABOVE), reduce_at(P, lo).polytope,
+                    compactify(P, lo, hi)]
+        verts = vertices(P)
+        for v in verts:
+            act = sorted(v.active)
+            raw = [sum(P.facets[i].normal[k] for i in act) for k in range(P.dim)]
+            margin = min(sum(P.facets[i].offset for i in act) - dot(raw, w.point)
+                         for w in verts if w is not v)
+            try:
+                derived.append(blowup(P, BlowupParams(v.point, margin / 2))[0])
+            except VertexNotBlowable:
+                pass
+        T = momentcut.ops.transform(P, [[int(i == j) for j in range(P.dim)]
+                                        for i in range(P.dim)],
+                                    [-lo] + [F(0)] * (P.dim - 1))
+        Q = add_fixed_points(T, (crit[1] - lo) / 2)[0]
+        derived.append(Q)
+        for R in (P, Q):
+            for c in critical_values(R)[1:-1]:
+                try:
+                    wall_crossing_check(R, c)
+                    wall_checks += 1
+                except PreconditionError:
+                    pass
+    assert wall_checks >= 2 and len(derived) >= 20
+    assert 2 <= walks["walk"] <= len(walked_for)
+    assert all(any(Q is A for A in allowed) for Q in walked_for)
+
+    walks.clear()
+    keys = [canonical_key(D) for D in derived]
+    assert not walks
+    assert keys == [canonical_key(walked(D)) for D in derived]

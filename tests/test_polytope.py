@@ -9,10 +9,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentcut.polytope
 from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
-from momentcut.errors import InputError, NotSimple
+from momentcut.errors import EmptyResult, InputError, NotSimple, PreconditionError
 from momentcut.lattice import dot
 from momentcut.polytope import (
     Facet,
@@ -31,6 +32,7 @@ from momentcut.polytope import (
     vertices,
     volume,
 )
+from momentcut.ops import BlowupParams, CutSide, blowup, cut, restrict_halfspace
 from momentcut.toric import edge_generators
 
 from conftest import (
@@ -38,7 +40,9 @@ from conftest import (
     edge_hyperplane_points,
     random_unimodular,
     regular_levels,
+    slice_by_walk,
     structure_by_subsets,
+    walked,
 )
 
 F = Fraction
@@ -204,6 +208,87 @@ def test_structure_walks_each_edge_once(monkeypatch):
     assert len(st.points) == 64
     assert calls["solve_int"] < math.comb(24, 4) // 10
     assert calls["_ratio_test"] <= 128
+
+
+
+# -- derived structures against the walk from scratch -------------------------
+
+def _assert_as_walked(Q: LabeledPolytope) -> None:
+    st, fresh = Q.structure(), walked(Q).structure()
+    for f in fields(Structure):
+        assert getattr(st, f.name) == getattr(fresh, f.name), f.name
+    if len(Q.facets) <= 10:
+        assert st == structure_by_subsets(Q)
+
+
+def _assert_slice_as_walked(P: LabeledPolytope, s: Fraction) -> None:
+    got, want = slice_at(P, s), slice_by_walk(P, s)
+    assert (got.degenerate, got.inducing) == (want.degenerate, want.inducing), s
+    assert (got.polytope is None) == (want.polytope is None), s
+    if got.polytope is not None:
+        assert got.polytope.facets == want.polytope.facets, s
+        _assert_as_walked(got.polytope)
+
+
+@st.composite
+def _derived_cases(draw):
+    n = draw(st.integers(2, 3))
+    corners = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True, max_size=4))
+    # depth 1/2 makes the chops of adjacent corners meet: not simple
+    depth = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(1, 2)]))
+    P = chopped_box(n, corners, depth)
+    if draw(st.booleans()):
+        # without x1 <= 1 the box is unbounded unless a chop closes it
+        P = LabeledPolytope(n, [f for f in P.facets if f.normal != (1,) + (0,) * (n - 1)])
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        P = transform(P, random_unimodular(rng, n),
+                      [F(rng.randint(-3, 3), 2) for _ in range(n)])
+    xs = sorted({pt[0] for pt, _ in P.structure().points})
+    width = xs[-1] - xs[0]
+    # levels on both sides of the image and beyond it, and critical ones
+    spread = st.integers(-4, 20).map(lambda k: xs[0] + width * F(k, 16))
+    levels = draw(st.lists(spread | st.sampled_from(xs), min_size=2, max_size=4))
+    corner = draw(st.integers(0, len(xs) * 8))
+    fraction = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1)]))
+    return P, levels, corner, fraction
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_derived_cases())
+def test_derived_structures_match_fresh_walk(case):
+    P, levels, corner, fraction = case
+    simple = P.structure().simple
+    derived = [P]
+    for a in levels:
+        for side in CutSide:
+            try:
+                # at a critical level the new facet can pass through a
+                # vertex: a non-simple child
+                derived.append(restrict_halfspace(P, a, side))
+            except EmptyResult:
+                pass
+            if simple and is_regular_level(P, a):
+                try:
+                    derived.append(cut(P, a, side))
+                except EmptyResult:
+                    pass
+    if simple:
+        verts = vertices(P)
+        v = verts[corner % len(verts)]
+        act = sorted(v.active)
+        raw = [sum(P.facets[i].normal[k] for i in act) for k in range(P.dim)]
+        margin = min(sum(P.facets[i].offset for i in act) - dot(raw, w.point)
+                     for w in verts if w is not v)
+        try:
+            derived.append(blowup(P, BlowupParams(v.point, margin * fraction))[0])
+        except PreconditionError:
+            pass
+    for D in derived:
+        _assert_as_walked(D)
+        assert irredundant(D).structure() == irredundant(walked(D)).structure()
+        for s in levels:
+            _assert_slice_as_walked(D, s)
 
 
 # -- slicing -----------------------------------------------------------------
