@@ -66,6 +66,16 @@ class CommandOutcome:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # "argument --eps-prime: ..." becomes "--eps-prime: ...", so that
+        # argparse's refusals start with the option's name like the others
+        head, sep, detail = message.partition(": ")
+        if sep and head.startswith("argument "):
+            option = head[len("argument "):].split("/")[0]
+            message = f"{option}: {detail}"
+            if detail == "expected one argument":
+                # argparse takes a value such as "-inf" for an option
+                message += (f"; write a value that starts with '-' "
+                            f"as {option}=VALUE")
         raise InputError(message)
 
     def _get_values(self, action, arg_strings):

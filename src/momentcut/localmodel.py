@@ -8,6 +8,12 @@ the real flow e^t, the time-to-level solver, the weighted radii N-/N+ and
 orbital convexity of the model neighborhoods, the plurisubharmonicity
 eigenvalue identity, the cut tameness fraction, and the blow-up potential
 contraction.  Finite differences carry Richardson step-halving checks.
+
+Regions of C^n are row predicates: `membership_v` and `bad_annulus_region`
+take an array of points of shape (..., n) and return one bool per point,
+and `orbital_convexity_probe` hands a region a whole flow line at once.
+`n_pm` is the single-point definition of the weighted radii; the rows
+compute the same sums with array operations.
 """
 from __future__ import annotations
 
@@ -280,14 +286,28 @@ def sample_neighborhood(action: LinearAction, spec: NeighborhoodSpec,
     raise PreconditionError("rejection sampling failed; radii too tight")
 
 
+def _n_pm_rows(action: LinearAction, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_- and N_+ of every point in an array of shape (..., n)."""
+    out = []
+    for block in (action.neg, action.pos):
+        if not block:
+            out.append(np.zeros(Z.shape[:-1]))
+            continue
+        powers = np.array([2.0 / abs(action.weights[j]) for j in block])
+        out.append(np.sqrt((np.abs(Z[..., list(block)]) ** powers).sum(axis=-1)))
+    return out[0], out[1]
+
+
 def membership_v(action: LinearAction, spec: NeighborhoodSpec,
-                 z: np.ndarray) -> bool:
-    nm, np_ = n_pm(action, z)
-    w_norm = (np.linalg.norm(np.asarray(z)[list(action.zero)])
+                 Z: np.ndarray) -> np.ndarray:
+    """Whether each point of Z, an array of shape (..., n), lies in V."""
+    Z = np.asarray(Z, dtype=complex)
+    nm, np_ = _n_pm_rows(action, Z)
+    w_norm = (np.linalg.norm(Z[..., list(action.zero)], axis=-1)
               if action.zero else 0.0)
-    return (nm < spec.eps and np_ < spec.eps
-            and w_norm <= spec.compact_bound
-            and nm * np_ < spec.eps * spec.eps_prime)
+    return ((nm < spec.eps) & (np_ < spec.eps)
+            & (w_norm <= spec.compact_bound)
+            & (nm * np_ < spec.eps * spec.eps_prime))
 
 
 @dataclass(frozen=True)
@@ -306,7 +326,7 @@ class ConvexityReport:
 
 def orbital_convexity_probe(action: LinearAction, spec: NeighborhoodSpec,
                             trials: int = 1000, seed: int = 0,
-                            region: Optional[Callable[[np.ndarray], bool]] = None,
+                            region: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                             sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
                             t_span: float = 8.0,
                             grid_points: int = 2001) -> ConvexityReport:
@@ -316,9 +336,13 @@ def orbital_convexity_probe(action: LinearAction, spec: NeighborhoodSpec,
     run of grid points (re-entry), or when a finite-time exit happens
     without a visited moment value beyond +-delta.  A falsifier by
     sampling: the grid resolution and span are disclosed in the report.
+
+    `region` is a row predicate: it takes the flow line as an array of
+    shape (grid_points, n) and returns one bool per grid point.  It is
+    called once per trial; the default is `membership_v`.
     """
     rng = np.random.default_rng(seed)
-    inside = region if region is not None else (lambda z: membership_v(action, spec, z))
+    inside = region if region is not None else (lambda Z: membership_v(action, spec, Z))
     draw = sampler if sampler is not None else (
         lambda r: sample_neighborhood(action, spec, r))
     grid = np.linspace(-t_span, t_span, grid_points)
@@ -331,8 +355,7 @@ def orbital_convexity_probe(action: LinearAction, spec: NeighborhoodSpec,
         z = draw(rng)
         zt_all = factors * z[None, :]
         psis = 0.5 * (np.abs(zt_all) ** 2 * a).sum(axis=1)
-        flags = np.fromiter((inside(zt) for zt in zt_all), dtype=bool,
-                            count=grid_points)
+        flags = np.asarray(inside(zt_all), dtype=bool)
         idx = np.nonzero(flags)[0]
         if len(idx) == 0:
             continue
@@ -351,11 +374,15 @@ def orbital_convexity_probe(action: LinearAction, spec: NeighborhoodSpec,
 
 
 def bad_annulus_region(action: LinearAction, inner: float = 0.125,
-                       lo: float = 0.25, hi: float = 0.5) -> Callable[[np.ndarray], bool]:
-    """A deliberately non-convex control region: a ball plus an annulus in N_+."""
-    def region(z: np.ndarray) -> bool:
-        _, np_ = n_pm(action, z)
-        return np_ < inner or lo < np_ < hi
+                       lo: float = 0.25, hi: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
+    """A deliberately non-convex control region: a ball plus an annulus in N_+.
+
+    A row predicate, like `membership_v`: points of shape (..., n) in, one
+    bool per point out.
+    """
+    def region(Z: np.ndarray) -> np.ndarray:
+        _, np_ = _n_pm_rows(action, np.asarray(Z, dtype=complex))
+        return (np_ < inner) | ((lo < np_) & (np_ < hi))
     return region
 
 
@@ -476,23 +503,28 @@ class CutIdentityReport:
     rel_err: float
     orth_1: float
     orth_2: float
+    orth_scale: float
     moment_pairing_rel_err: float
 
     @property
     def ok(self) -> bool:
-        return (self.rel_err <= 1e-9 and abs(self.orth_1) <= 1e-9
-                and abs(self.orth_2) <= 1e-9
+        # orth_1 and orth_2 are rounding residuals: they are judged
+        # relative to orth_scale, the size of the pairings that make them
+        return (self.rel_err <= 1e-9
+                and abs(self.orth_1) <= 1e-9 * self.orth_scale
+                and abs(self.orth_2) <= 1e-9 * self.orth_scale
                 and self.moment_pairing_rel_err <= 1e-6)
 
 
 def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
-                          w: complex, fd_step: float = 1e-6) -> CutIdentityReport:
+                          w: complex) -> CutIdentityReport:
     """The descended taming value on the cut of the product model.
 
     With A = sum a_j^2 |z_j|^2, the vector Xi = xi_M - A/(A+|w|^2) xi_M'
     pairs to zero with xi_M' in both slots, and omega(Xi, J Xi) equals
     |w|^2 A / (A + |w|^2).  Also checks that psi'(z, w) = psi(z) + |w|^2/2
-    is a moment map for the diagonal field, by finite differences.
+    is a moment map for the diagonal field, through its closed-form
+    derivative d psi'(v) = sum a_j Re(conj(z_j) v_j) + Re(conj(w) v_w).
     """
     z = np.asarray(z, dtype=complex)
     w = complex(w)
@@ -507,6 +539,10 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
 
     orth1 = _omega(xi_prime, xi_big)
     orth2 = _omega(xi_prime, 1j * xi_big)
+    # Xi is a difference that cancels when |w| << |z|, so its rounding
+    # error scales with |xi_M| + c |xi'|, which also bounds |Xi|
+    norm_prime = float(np.linalg.norm(xi_prime))
+    orth_scale = norm_prime * (float(np.linalg.norm(xi_m)) + c * norm_prime)
     value = _omega(xi_big, 1j * xi_big)
     expected = abs(w) ** 2 * A / (A + abs(w) ** 2)
     rel = abs(value - expected) / max(abs(expected), 1e-300) if expected != 0 else abs(value)
@@ -514,21 +550,16 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
     # moment pairing: d psi'(v) = omega'(v, xi_M') along random directions
     rng = np.random.default_rng(12345)
     point = np.concatenate([z, [w]])
-
-    def psi_prime(p: np.ndarray) -> float:
-        return (moment_standard(action, p[:-1]) + 0.5 * abs(p[-1]) ** 2)
-
+    a_prime = np.concatenate([a, [1.0]])
     worst = 0.0
     for _ in range(6):
         v = rng.normal(size=len(point)) + 1j * rng.normal(size=len(point))
         v /= np.linalg.norm(v)
-        h = fd_step
-        d1 = (psi_prime(point + h * v) - psi_prime(point - h * v)) / (2 * h)
-        d2 = (psi_prime(point + h / 2 * v) - psi_prime(point - h / 2 * v)) / h
-        fd = (4 * d2 - d1) / 3
+        d_psi = float(np.sum(a_prime * np.real(np.conj(point) * v)))
         target = _omega(v, xi_prime)
-        worst = max(worst, abs(fd - target) / max(abs(target), 1.0))
-    return CutIdentityReport(value, expected, rel, orth1, orth2, worst)
+        scale = float(np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v)))
+        worst = max(worst, abs(d_psi - target) / max(scale, 1e-300))
+    return CutIdentityReport(value, expected, rel, orth1, orth2, orth_scale, worst)
 
 
 # ---------------------------------------------------------------------------

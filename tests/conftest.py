@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
 from momentcut.dh import Chamber, DHProfile, critical_values
 from momentcut.lattice import content, det_int, dot, primitive, rank_rational, solve_int
+from momentcut.localmodel import n_pm
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -289,3 +291,30 @@ def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
     kept = [pairs[k] for k in range(len(pairs)) if k not in qst.redundant]
     return Slice(LabeledPolytope(P.dim - 1, [f for f, _ in kept]), False,
                  tuple(i for _, i in kept))
+
+
+def membership_v_point(action, spec, z) -> bool:
+    """Per-point oracle for `localmodel.membership_v`: the definition of V
+    through the scalar `n_pm`, one point at a time."""
+    nm, np_ = n_pm(action, z)
+    w_norm = (np.linalg.norm(np.asarray(z)[list(action.zero)])
+              if action.zero else 0.0)
+    return (nm < spec.eps and np_ < spec.eps
+            and w_norm <= spec.compact_bound
+            and nm * np_ < spec.eps * spec.eps_prime)
+
+
+def bad_annulus_point(action, inner: float = 0.125, lo: float = 0.25,
+                      hi: float = 0.5):
+    """Per-point oracle for `localmodel.bad_annulus_region`."""
+    def region(z) -> bool:
+        _, np_ = n_pm(action, z)
+        return np_ < inner or lo < np_ < hi
+    return region
+
+
+def point_by_point(predicate):
+    """The row predicate that asks a per-point predicate about each row."""
+    def region(Z):
+        return np.fromiter((predicate(z) for z in Z), dtype=bool, count=len(Z))
+    return region

@@ -29,6 +29,7 @@ from momentcut.dh import (
     find_strict_local_minima,
     wall_crossing_check,
 )
+from momentcut.localmodel import LinearAction, default_spec, orbital_convexity_probe
 from momentcut.ops import BlowupParams, add_fixed_points, blowup, cut
 from momentcut.polytope import canonical_equal, slice_at, vertices, volume
 from momentcut.ratpoly import Poly
@@ -192,10 +193,16 @@ def test_criterion_9_performance():
     t0 = time.perf_counter()
     slices = [slice_at(P, s) for s in levels]
     t_slices = time.perf_counter() - t0
+    action = LinearAction((-1, 1))
+    spec = default_spec(action)
+    t0 = time.perf_counter()
+    probe = orbital_convexity_probe(action, spec, trials=100)
+    t_probe = time.perf_counter() - t0
     ok = (t_vertices < 0.15 and t_volume < 0.1 and t_ops < 0.25 and t_dh < 1.0
-          and t_slices < 0.25 and len(vs) == 64 and vol == F(383, 384)
-          and prof.total_integral() == vol and eq
-          and all(sl.polytope is not None for sl in slices))
+          and t_slices < 0.25 and t_probe < 0.5 and len(vs) == 64
+          and vol == F(383, 384) and prof.total_integral() == vol and eq
+          and all(sl.polytope is not None for sl in slices) and probe.ok)
     _report(9, ok, f"n=4, 24 facets: vertices {t_vertices:.2f}s, volume {t_volume:.3f}s, "
                    f"cut+blowup+volume+equality {t_ops:.2f}s, dh {t_dh:.2f}s, "
-                   f"16 slices {t_slices:.3f}s")
+                   f"16 slices {t_slices:.3f}s; convexity probe, 100 trials, "
+                   f"{t_probe:.3f}s")

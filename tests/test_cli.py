@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -483,6 +484,47 @@ def test_local_model_refused_by_name(argv, option):
     out = run(["local-model"] + argv)
     assert out.exit_code == 1 and out.payload["error"] == "input"
     assert out.payload["message"].startswith(option)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["convexity", "--weights=-1,1", "--eps-prime", "-inf"], "--eps-prime"),
+    (["solve", "--weights=-1,1", "--z", "1,1", "--level", "-nan"], "--level"),
+    (["convexity", "--weights=-1,1", "--delta"], "--delta"),
+], ids=["eps-prime", "level", "delta-missing"])
+def test_dash_value_refusal_suggests_equals_form(argv, option):
+    out = run(["local-model"] + argv)
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith(f"{option}: expected one argument")
+    assert f"{option}=VALUE" in out.payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--weights=-1,1", "--z", "1e4,1e4,1e4"],
+    ["--weights=-1", "--z", "1e-308,1e6j"],
+], ids=["orth-residual", "pairing-at-1e6"])
+def test_cut_identity_large_points_pass(argv):
+    out = run(["local-model", "cut-identity"] + argv)
+    assert out.exit_code == 0 and out.payload["ok"] is True
+
+
+@st.composite
+def _cut_identity_argv(draw):
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    z = []
+    for _ in range(n + 1):
+        r = 10.0 ** draw(st.floats(-6, 6))
+        phase = draw(st.floats(0, 2 * math.pi))
+        z.append(complex(r * math.cos(phase), r * math.sin(phase)))
+    return ["local-model", "cut-identity", "--weights=" + ",".join(map(str, weights)),
+            "--z=" + ",".join(map(repr, z))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_cut_identity_argv())
+def test_cut_identity_point_never_fails_on_valid_input(argv):
+    out = run(argv)
+    assert out.exit_code == 0, out.payload
 
 
 def _refuse_constant(token):

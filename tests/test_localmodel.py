@@ -24,6 +24,7 @@ from momentcut.localmodel import (
     default_spec,
     flow,
     level_membership,
+    membership_v,
     moment_standard,
     n_pm,
     orbital_convexity_probe,
@@ -32,6 +33,8 @@ from momentcut.localmodel import (
     sample_neighborhood,
     solve_time_to_level,
 )
+
+from conftest import bad_annulus_point, membership_v_point, point_by_point
 
 
 # -- flow and moment -----------------------------------------------------------
@@ -163,6 +166,93 @@ def test_convexity_half_line_when_positive_block_vanishes():
     rep = orbital_convexity_probe(act, spec, trials=40, seed=6, sampler=sampler)
     assert rep.reentries == 0
     assert rep.half_line_cases == 40
+
+
+# the four actions of the benchmark's probes; (-1, -1, 2) and (-2, 1, 1, 0)
+# need a smaller eps_prime than the default for a valid delta
+CONVEXITY_WEIGHTS = ((-1, 1), (-2, 3), (-1, -1, 2), (-2, 1, 1, 0))
+
+
+def spec_with_slack(act):
+    eps_prime = 0.25
+    while True:
+        try:
+            return default_spec(act, 0.5, eps_prime)
+        except PreconditionError:
+            eps_prime /= 2
+
+
+@pytest.mark.parametrize("weights", CONVEXITY_WEIGHTS)
+def test_convexity_rows_match_point_oracle(weights):
+    act = LinearAction(weights)
+    spec = spec_with_slack(act)
+    oracle = point_by_point(lambda z: membership_v_point(act, spec, z))
+    for seed in range(6):
+        assert (orbital_convexity_probe(act, spec, trials=4, seed=seed)
+                == orbital_convexity_probe(act, spec, trials=4, seed=seed,
+                                           region=oracle))
+
+
+@pytest.mark.parametrize("weights", CONVEXITY_WEIGHTS)
+def test_bad_annulus_rows_match_point_oracle(weights):
+    act = LinearAction(weights)
+    spec = spec_with_slack(act)
+    for seed in range(3):
+        rep = orbital_convexity_probe(act, spec, trials=8, seed=seed,
+                                      region=bad_annulus_region(act))
+        assert rep == orbital_convexity_probe(
+            act, spec, trials=8, seed=seed,
+            region=point_by_point(bad_annulus_point(act)))
+        assert rep.reentries > 0
+
+
+def test_half_line_rows_match_point_oracle():
+    act = LinearAction((-1, 1))
+    spec = default_spec(act, 0.5, 0.25)
+
+    def sampler(rng):
+        z = sample_neighborhood(act, spec, rng)
+        z[1] = 0.0
+        return z
+
+    oracle = point_by_point(lambda z: membership_v_point(act, spec, z))
+    for seed in range(3):
+        rep = orbital_convexity_probe(act, spec, trials=10, seed=seed, sampler=sampler)
+        assert rep == orbital_convexity_probe(act, spec, trials=10, seed=seed,
+                                              sampler=sampler, region=oracle)
+        assert rep.half_line_cases == 10
+
+
+def test_region_rows_match_point_oracle():
+    act = LinearAction((-2, 1, 1, 0))
+    spec = spec_with_slack(act)
+    rng = np.random.default_rng(3)
+    Z = (rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))) * 0.4
+    rows = membership_v(act, spec, Z)
+    assert rows.shape == (200,) and rows.dtype == bool
+    assert rows.tolist() == [membership_v_point(act, spec, z) for z in Z]
+    assert 0 < rows.sum() < 200
+    assert membership_v(act, spec, Z.reshape(10, 20, 4)).tolist() == \
+        rows.reshape(10, 20).tolist()
+    annulus = bad_annulus_region(act)(Z)
+    assert annulus.tolist() == [bad_annulus_point(act)(z) for z in Z]
+    assert 0 < annulus.sum() < 200
+
+
+def test_convexity_region_called_once_per_trial():
+    act = LinearAction((-1, 1))
+    spec = default_spec(act, 0.5, 0.25)
+    shapes = []
+
+    def counting(Z):
+        shapes.append(Z.shape)
+        return membership_v(act, spec, Z)
+
+    rep = orbital_convexity_probe(act, spec, trials=7, seed=2, region=counting,
+                                  grid_points=301)
+    assert shapes == [(301, 2)] * 7
+    assert rep == orbital_convexity_probe(act, spec, trials=7, seed=2,
+                                          grid_points=301)
 
 
 def test_default_spec_requires_slack():
