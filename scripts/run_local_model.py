@@ -7,6 +7,7 @@ import argparse
 import time
 
 from momentcut.batteries import run_all
+from momentcut.errors import PreconditionError
 from momentcut.localmodel import (
     LinearAction,
     default_spec,
@@ -33,7 +34,7 @@ def main() -> None:
             try:
                 spec = default_spec(action, 0.5, eps_prime)
                 break
-            except Exception:
+            except PreconditionError:
                 eps_prime /= 2
         rep = orbital_convexity_probe(action, spec, trials=max(100, args.trials // 5),
                                       seed=args.seed)

@@ -8,7 +8,6 @@ from .errors import (
     FixedPointInput,
     InputError,
     InternalError,
-    LabeledFaceUnsupported,
     MomentcutError,
     NotRegularLevel,
     NotSimple,
@@ -25,7 +24,6 @@ from .lattice import (
     lattice_index,
     parse_rational,
     primitive,
-    smith_normal_form,
     solve_exact,
 )
 from .polytope import (
@@ -64,7 +62,6 @@ from .ops import (
 from .dh import (
     DHProfile,
     WallReport,
-    chamber_affine_check,
     check_log_concavity,
     critical_values,
     dh_profile,

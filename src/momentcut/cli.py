@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +66,12 @@ class CommandOutcome:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1" and "-0.5" as values but "-1/2", "-1,1" and
+        # "-1+2j,3" as unknown options; a "-" and a digit start a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         # "argument --eps-prime: ..." becomes "--eps-prime: ...", so that
         # argparse's refusals start with the option's name like the others
@@ -126,9 +133,6 @@ def build_parser() -> _Parser:
 
     def add_io(sp, out=True):
         sp.add_argument("--in", dest="infile", default="-", metavar="PATH|-")
-        sp.add_argument("--json", action="store_true",
-                        help="machine-readable output (the default; accepted "
-                             "for pipeline compatibility)")
         if out:
             sp.add_argument("--out", dest="outfile", default="-", metavar="PATH|-")
 
@@ -214,10 +218,6 @@ def _finite(option: str):
     return parse
 
 
-def _rational(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 def _ints(option: str, text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -234,7 +234,7 @@ def _vertex_arg(P: LabeledPolytope, args) -> tuple:
                 f"--vertex-index {args.vertex_index} out of range 0..{len(verts)-1}")
         return verts[args.vertex_index].point
     if args.vertex is not None:
-        return tuple(_rational(c) for c in args.vertex.split(","))
+        return tuple(parse_rational(c) for c in args.vertex.split(","))
     raise InputError("one of --vertex-index or --vertex is required")
 
 
@@ -263,8 +263,7 @@ def _cmd_info(args) -> CommandOutcome:
         })
     stab = []
     for i in range(len(P.facets)):
-        order = circle_stabilizer_order(P, frozenset({i}))
-        stab.append({"facet": i, "order": order if order == "infinite" else int(order)})
+        stab.append({"facet": i, "order": circle_stabilizer_order(P, i)})
     return CommandOutcome(0, {
         "dim": P.dim,
         "direction": list(xi),
@@ -291,7 +290,7 @@ def _polytope_payload(P: LabeledPolytope, extra: Optional[dict] = None) -> dict:
 
 def _cmd_reduce(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
-    res = reduce_at(P, _rational(args.level))
+    res = reduce_at(P, parse_rational(args.level))
     _write_polytope(res.polytope, args.outfile)
     return CommandOutcome(0, _polytope_payload(res.polytope, {
         "level": format_rational(res.level),
@@ -302,7 +301,7 @@ def _cmd_reduce(args) -> CommandOutcome:
 def _cmd_cut(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     side = CutSide.ABOVE if args.above else CutSide.BELOW
-    Q = cut(P, _rational(args.level), side)
+    Q = cut(P, parse_rational(args.level), side)
     _write_polytope(Q, args.outfile)
     return CommandOutcome(0, _polytope_payload(Q, {
         "level": args.level, "side": side.value}))
@@ -310,7 +309,7 @@ def _cmd_cut(args) -> CommandOutcome:
 
 def _cmd_compactify(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
-    Q = compactify(P, _rational(args.lo), _rational(args.hi))
+    Q = compactify(P, parse_rational(args.lo), parse_rational(args.hi))
     _write_polytope(Q, args.outfile)
     return CommandOutcome(0, _polytope_payload(Q))
 
@@ -318,7 +317,7 @@ def _cmd_compactify(args) -> CommandOutcome:
 def _cmd_blowup(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     point = _vertex_arg(P, args)
-    Q, ledger = blowup(P, BlowupParams(point, _rational(args.depth)),
+    Q, ledger = blowup(P, BlowupParams(point, parse_rational(args.depth)),
                        fresh_ledger(P))
     _write_polytope(Q, args.outfile)
     return CommandOutcome(0, _polytope_payload(Q, {"ledger": ledger.to_json(Q)}))
@@ -326,7 +325,7 @@ def _cmd_blowup(args) -> CommandOutcome:
 
 def _cmd_add_fixed_points(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
-    Q, ledger, report = add_fixed_points(P, _rational(args.eps))
+    Q, ledger, report = add_fixed_points(P, parse_rational(args.eps))
     _write_polytope(Q, args.outfile)
     return CommandOutcome(0 if report.ok else 3, _polytope_payload(Q, {
         "ledger": ledger.to_json(Q),
@@ -372,8 +371,8 @@ def _cmd_dh(args) -> CommandOutcome:
 
 def _cmd_wall_check(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
-    window = _rational(args.window) if args.window else None
-    report = wall_crossing_check(P, _rational(args.wall), window)
+    window = parse_rational(args.window) if args.window else None
+    report = wall_crossing_check(P, parse_rational(args.wall), window)
     return CommandOutcome(0 if report.ok else 3, report.to_json())
 
 

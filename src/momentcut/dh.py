@@ -308,50 +308,6 @@ def find_strict_local_minima(profile: DHProfile) -> list[LocalMinimum]:
 
 
 # ---------------------------------------------------------------------------
-# chamber stability
-# ---------------------------------------------------------------------------
-
-def chamber_affine_check(P: LabeledPolytope, interval: tuple[Fraction, Fraction]) -> bool:
-    """Constant facet set and affine offset laws across a chamber.
-
-    Verified at three exact samples: the inducing facet sets must agree, the
-    vertex active-set combinatorics must agree, and each induced offset must
-    fit one affine law in s.
-    """
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    if lo >= hi:
-        raise PreconditionError("empty interval")
-    for c in critical_values(P):
-        if lo < c < hi:
-            raise PreconditionError(
-                f"critical value {format_rational(c)} inside the interval")
-    samples = [lo + (hi - lo) * Fraction(k, 4) for k in (1, 2, 3)]
-    slices = [slice_at(P, s) for s in samples]
-    if any(sl.polytope is None for sl in slices):
-        raise PreconditionError("interval leaves the moment image")
-    inducing_sets = [tuple(sorted(sl.inducing)) for sl in slices]
-    if not inducing_sets[0] == inducing_sets[1] == inducing_sets[2]:
-        return False
-    types = []
-    for sl in slices:
-        vs = vertices(sl.polytope)
-        types.append(sorted(
-            tuple(sorted(sl.inducing[i] for i in v.active)) for v in vs))
-    if not types[0] == types[1] == types[2]:
-        return False
-    # offsets: two samples fix an affine law; the third must obey it
-    for idx in range(len(inducing_sets[0])):
-        offs = []
-        for sl, s in zip(slices, samples):
-            pos = list(sl.inducing).index(inducing_sets[0][idx])
-            offs.append(Fraction(sl.polytope.facets[pos].offset))
-        s1, s2, s3 = samples
-        if (offs[1] - offs[0]) * (s3 - s2) != (offs[2] - offs[1]) * (s2 - s1):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # wall crossing
 # ---------------------------------------------------------------------------
 

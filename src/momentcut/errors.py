@@ -60,10 +60,6 @@ class DegenerateVertex(PreconditionError):
     pass
 
 
-class LabeledFaceUnsupported(PreconditionError):
-    pass
-
-
 class WallNotSimpleCrossing(PreconditionError):
     pass
 

@@ -8,7 +8,6 @@ integer-scaled data so intermediate entries stay bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -93,35 +92,50 @@ def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
 # fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def _eliminate(a: list[list[int]], n: int) -> int:
-    """Bareiss forward elimination of the leading n x n block of the n-row
-    integer matrix `a`, in place, carrying every column to its right.
+def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Bareiss row echelon form of the integer matrix `a` over its first
+    `ncols` columns, in place, carrying every column to their right.
 
-    Returns the determinant of the block; 0 when it is singular, and `a`
-    is then only partly eliminated.
+    A column with no pivot at or below the current row is skipped.  Returns
+    (rank, sign): the number of pivot rows and the sign of the row swaps.
+    When `a` has n rows and rank n over n columns, its determinant is
+    sign * a[n-1][n-1].
     """
+    m = len(a)
     width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        if a[r][c] == 0:
+            for i in range(r + 1, m):
+                if a[i][c] != 0:
+                    a[r], a[i] = a[i], a[r]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
+                continue
+        pivot = a[r][c]
+        row_r = a[r]
+        for i in range(r + 1, m):
             row_i = a[i]
-            f = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-            row_i[k] = 0
+            f = row_i[c]
+            for j in range(c + 1, width):
+                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
+            row_i[c] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        r += 1
+    return r, sign
+
+
+def _square_det(a: list[list[int]]) -> int:
+    """Eliminate the leading n x n block of the n-row matrix `a` in place
+    and return its determinant (0 when singular)."""
+    n = len(a)
+    rank, sign = _eliminate(a, n)
+    return sign * a[n - 1][n - 1] if rank == n else 0
 
 
 def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int]:
@@ -140,10 +154,9 @@ def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int
 
 def det_int(rows: list[list[int]]) -> int:
     """Determinant of an integer matrix by Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return 1
-    return _eliminate([row[:] for row in rows], n)
+    return _square_det([row[:] for row in rows])
 
 
 def solve_int(rows: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
@@ -154,7 +167,7 @@ def solve_int(rows: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int]
     """
     n = len(rows)
     a = [rows[i][:] + [rhs[i]] for i in range(n)]
-    det = _eliminate(a, n)
+    det = _square_det(a)
     if det == 0:
         return None
     num = _back_substitute(a, n, det, n)
@@ -172,11 +185,18 @@ def adjugate_int(rows: list[list[int]]) -> Optional[tuple[list[list[int]], int]]
     """
     n = len(rows)
     a = [rows[i][:] + [int(i == j) for j in range(n)] for i in range(n)]
-    det = _eliminate(a, n)
+    det = _square_det(a)
     if det == 0:
         return None
     cols = [_back_substitute(a, n, det, n + c) for c in range(n)]
     return [list(row) for row in zip(*cols)], det
+
+
+def over_common_denominator(row: Sequence) -> tuple[list[int], int]:
+    """(ints, den) with row == [x / den for x in ints] and den the least
+    common denominator of the rational (int or Fraction) entries."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -185,16 +205,8 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fra
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise DimensionMismatch("square system required")
     # scale each row to integers
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
-    for row, b in zip(matrix, rhs):
-        entries = [Fraction(x) for x in row] + [Fraction(b)]
-        lcm = 1
-        for e in entries:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        int_rows.append([int(e * lcm) for e in entries[:-1]])
-        int_rhs.append(int(entries[-1] * lcm))
-    sol = solve_int(int_rows, int_rhs)
+    a = [over_common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
+    sol = solve_int([row[:-1] for row in a], [row[-1] for row in a])
     if sol is None:
         return None
     num, den = sol
@@ -204,44 +216,11 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fra
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix (fraction-free row echelon)."""
     a = [list(map(int, row)) for row in rows]
-    m = len(a)
-    if m == 0:
-        return 0
-    n = len(a[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        for i in range(row + 1, m):
-            f = a[i][col]
-            for j in range(col, n):
-                a[i][j] = (pivot * a[i][j] - f * a[row][j]) // prev
-        prev = pivot
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
+    return _eliminate(a, len(a[0]))[0] if a else 0
 
 
 def rank_rational(rows: Sequence[Sequence]) -> int:
-    scaled = []
-    for row in rows:
-        entries = [Fraction(x) for x in row]
-        lcm = 1
-        for e in entries:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        scaled.append([int(e * lcm) for e in entries])
-    return rank_int(scaled)
+    return rank_int([over_common_denominator(row)[0] for row in rows])
 
 
 def in_rational_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
@@ -254,144 +233,14 @@ def in_rational_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
 # unimodular matrices
 # ---------------------------------------------------------------------------
 
-def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def mat_vec_int(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def identity_int(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def inverse_unimodular(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Inverse of an integer matrix with |det| = 1 (integer adjugate)."""
-    n = len(a)
-    d = det_int([list(map(int, row)) for row in a])
+    got = adjugate_int([list(map(int, row)) for row in a])
+    d = got[1] if got else 0
     if abs(d) != 1:
         raise NotUnimodular(f"|det| = {abs(d)}, expected 1")
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = det_int(minor) * (-1 if (i + j) % 2 else 1)
-            row.append(cof * d)  # d = 1/d for |d| = 1
-        inv.append(row)
-    return inv
+    return [[x * d for x in row] for row in got[0]]  # 1/d = d for |d| = 1
 
 
 def transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmithNormalForm:
-    """U @ A @ V = diag(d) with U, V unimodular and d_i | d_{i+1}."""
-
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = identity_int(m)
-    v = identity_int(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        for j in range(n):
-            a[dst][j] += c * a[src][j]
-        for j in range(m):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t then row t; restart if remainders appear
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility into the rest of the block
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                negate_row(t)
-            t += 1
-
-    diag = tuple(a[i][i] for i in range(min(m, n)))
-    return SmithNormalForm(diag, tuple(map(tuple, u)), tuple(map(tuple, v)))
-
-
-def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[IntVector]:
-    """Basis of {x in Z^n : A x = 0} via Smith normal form."""
-    rows = [list(map(int, row)) for row in matrix]
-    if not rows:
-        raise DimensionMismatch("empty matrix")
-    n = len(rows[0])
-    snf = smith_normal_form(rows)
-    rank = sum(1 for d in snf.diagonal if d != 0)
-    cols = transpose(snf.right)
-    return [tuple(cols[j]) for j in range(rank, n)]

@@ -30,7 +30,6 @@ from .lattice import content, dot, format_rational
 from .polytope import (
     Facet,
     LabeledPolytope,
-    Slice,
     Vertex,
     canonical_equal,
     intersect_halfspace,
@@ -113,7 +112,7 @@ def reduce_at(P: LabeledPolytope, a: Fraction) -> ReduceResult:
     if sl.polytope is None:
         raise EmptyResult(f"level {format_rational(a)} is outside the moment image")
     stab = tuple(
-        (i, j, circle_stabilizer_order(P, frozenset({j})))
+        (i, j, circle_stabilizer_order(P, j))
         for i, j in enumerate(sl.inducing)
     )
     return ReduceResult(sl.polytope, a, stab)

@@ -41,9 +41,7 @@ from .errors import (
     DimensionMismatch,
     EmptyResult,
     InputError,
-    InternalError,
     NotSimple,
-    NotUnimodular,
     PreconditionError,
 )
 from .lattice import (
@@ -54,6 +52,7 @@ from .lattice import (
     dot,
     format_rational,
     inverse_unimodular,
+    over_common_denominator,
     parse_rational,
     primitive,
     rank_rational,
@@ -401,10 +400,7 @@ def _edge_graph(P: LabeledPolytope):
     _pair_edges over its structure; kept with P for its later children."""
     if P._graph is None:
         st = P.structure()
-        rows = []
-        for pt, _ in st.points:
-            den = math.lcm(*(x.denominator for x in pt))
-            rows.append(([x.numerator * (den // x.denominator) for x in pt], den))
+        rows = [over_common_denominator(pt) for pt, _ in st.points]
         pairs = _pair_edges([f.normal for f in P.facets], P.dim, st.points, st.edges)
         P._graph = rows, pairs
     return P._graph
@@ -756,12 +752,8 @@ def volume(P: LabeledPolytope) -> Fraction:
         for i in v.active:
             inc[i].add(k)
     apex = verts[0]
-    rows, dens = [], []
-    for v in verts:
-        diff = [q - a for q, a in zip(v.point, apex.point)]
-        den = math.lcm(*(x.denominator for x in diff))
-        rows.append([x.numerator * (den // x.denominator) for x in diff])
-        dens.append(den)
+    rows, dens = zip(*(over_common_denominator([q - a for q, a in zip(v.point, apex.point)])
+                       for v in verts))
     total = Fraction(0)
     for i, face in enumerate(inc):
         if i in st.redundant or i in apex.active or not face:
@@ -804,11 +796,7 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
     n = P.dim
     if len(A) != n or any(len(row) != n for row in A) or len(b) != n:
         raise DimensionMismatch("transform shape mismatch")
-    try:
-        a_inv = inverse_unimodular(A)
-    except NotUnimodular:
-        raise
-    a_inv_t = transpose(a_inv)
+    a_inv_t = transpose(inverse_unimodular(A))
     bq = [Fraction(x) for x in b]
     new_facets = []
     for f in P.facets:

@@ -1,6 +1,6 @@
 """Polynomials with exact rational coefficients.
 
-Provides interpolation, calculus, and complete sign decisions on closed
+Provides arithmetic, calculus, and complete sign decisions on closed
 intervals via Sturm sequences.  Real roots are reported as exact rationals
 when they are rational and as isolating intervals with rational endpoints
 otherwise; either way the sign pattern between consecutive roots is decided
@@ -153,22 +153,6 @@ def deflate(p: Poly, r: Fraction) -> Poly:
     if not rem.is_zero():
         raise InternalError("deflation at a non-root")
     return q
-
-
-def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Newton divided-difference interpolation, exact."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    coef = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly([])
-    for j in range(n - 1, -1, -1):
-        poly = poly * Poly([-xs[j], Fraction(1)]) + Poly([coef[j]])
-    return poly
 
 
 # ---------------------------------------------------------------------------

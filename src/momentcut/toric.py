@@ -2,27 +2,24 @@
 
 The distinguished circle acts along the first coordinate direction e1.
 Vertex classification, weights at fixed vertices, stabilizer orders over
-faces and the fixed-point inventory are all exact lattice computations.
+facets and the fixed-point inventory are all exact lattice computations.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import DegenerateVertex, LabeledFaceUnsupported, PreconditionError
+from .errors import DegenerateVertex
 from .lattice import (
     IntVector,
     content,
     dot,
     half_sum_integral,
     in_rational_span,
-    integer_kernel_basis,
     lattice_index,
-    primitive,
 )
 from .polytope import LabeledPolytope, Vertex, vertices
 
@@ -93,39 +90,16 @@ def weights_at_vertex(P: LabeledPolytope, v: Vertex,
     return tuple(sorted(dot(xi, e) for e in edge_generators(P, v)))
 
 
-def circle_stabilizer_order(P: LabeledPolytope, face: frozenset[int] | Sequence[int]):
-    """Order of the stabilizer of the e1-circle over the given face.
+def circle_stabilizer_order(P: LabeledPolytope, i: int):
+    """Order of the stabilizer of the e1-circle over the interior of facet i.
 
-    Returns "infinite" when e1 lies in the real span of the face normals
-    (the face is fixed); otherwise the order of the finite cyclic group
-    {s in R/Z : s e1 in (span_R(normals) + Z^n)/Z^n}, computed from an
-    integer basis of the orthogonal complement lattice.  A facet label
-    k > 1 multiplies the order of its own facet-interior stabilizer;
-    labeled faces of codimension >= 2 are not supported.
+    For the primitive normal nu and label k this is k * gcd(nu_2, ..., nu_n)
+    (Lerman-Tolman 1997), or "infinite" when nu is parallel to e1 and the
+    facet is fixed.
     """
-    face = frozenset(face)
-    if not face:
-        return 1
-    labels = [P.facets[i].label for i in face]
-    if any(l > 1 for l in labels) and len(face) >= 2:
-        raise LabeledFaceUnsupported(
-            "stabilizer order over a codimension >= 2 face with labeled facets")
-    normals = [P.facets[i].normal for i in face]
-    e1 = (1,) + (0,) * (P.dim - 1)
-    if in_rational_span(normals, e1):
-        return INFINITE
-    # integer vectors orthogonal to the face span; the order is the gcd of
-    # their first components
-    kernel = integer_kernel_basis([list(nu) for nu in normals])
-    g = 0
-    for u in kernel:
-        g = math.gcd(g, u[0])
-    if g == 0:
-        return INFINITE
-    order = g
-    if len(face) == 1:
-        order *= labels[0]
-    return order
+    f = P.facets[i]
+    g = content(f.normal[1:])
+    return INFINITE if g == 0 else g * f.label
 
 
 @dataclass(frozen=True)
@@ -176,14 +150,3 @@ def fixed_components(P: LabeledPolytope) -> list[FixedComponent]:
         out.append(FixedComponent(s, level, pts))
     out.sort(key=lambda c: (c.level, sorted(c.active)))
     return out
-
-
-def fixed_levels(P: LabeledPolytope) -> list[Fraction]:
-    return sorted({c.level for c in fixed_components(P)})
-
-
-def min_max_levels(P: LabeledPolytope) -> tuple[Fraction, Fraction]:
-    xs = [v.point[0] for v in vertices(P)]
-    if not xs:
-        raise PreconditionError("no vertices")
-    return min(xs), max(xs)

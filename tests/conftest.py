@@ -2,14 +2,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
 from momentcut.dh import Chamber, DHProfile, critical_values
-from momentcut.lattice import content, det_int, dot, primitive, rank_rational, solve_int
+from momentcut.errors import PreconditionError
+from momentcut.lattice import (
+    content,
+    det_int,
+    dot,
+    format_rational,
+    primitive,
+    rank_rational,
+    solve_int,
+)
 from momentcut.localmodel import n_pm
 from momentcut.polytope import (
     Facet,
@@ -21,7 +30,8 @@ from momentcut.polytope import (
     vertices,
     volume,
 )
-from momentcut.ratpoly import interpolate
+from momentcut.ratpoly import Poly
+from momentcut.toric import INFINITE
 
 F = Fraction
 
@@ -74,6 +84,22 @@ def edge_hyperplane_points(P: LabeledPolytope, s: Fraction) -> set:
     return pts
 
 
+def interpolate(points) -> Poly:
+    """Newton divided-difference interpolation, exact."""
+    xs = [F(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    coef = [F(y) for _, y in points]
+    n = len(points)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = Poly([])
+    for j in range(n - 1, -1, -1):
+        poly = poly * Poly([-xs[j], F(1)]) + Poly([coef[j]])
+    return poly
+
+
 def slice_volume(P: LabeledPolytope, s: Fraction) -> Fraction:
     """(n-1)-volume of the slice at x1 = s, 0 off the moment image."""
     sl = slice_at(P, s)
@@ -97,6 +123,46 @@ def profile_by_slicing(P: LabeledPolytope) -> DHProfile:
         assert poly(probe) == slice_volume(P, probe), (lo, hi, "hidden wall")
         chambers.append(Chamber(lo, hi, poly))
     return DHProfile(tuple(walls), tuple(chambers))
+
+
+def chamber_affine_check(P: LabeledPolytope, interval: tuple[Fraction, Fraction]) -> bool:
+    """Constant facet set and affine offset laws across a chamber.
+
+    Verified at three exact samples: the inducing facet sets must agree, the
+    vertex active-set combinatorics must agree, and each induced offset must
+    fit one affine law in s.
+    """
+    lo, hi = F(interval[0]), F(interval[1])
+    if lo >= hi:
+        raise PreconditionError("empty interval")
+    for c in critical_values(P):
+        if lo < c < hi:
+            raise PreconditionError(
+                f"critical value {format_rational(c)} inside the interval")
+    samples = [lo + (hi - lo) * F(k, 4) for k in (1, 2, 3)]
+    slices = [slice_at(P, s) for s in samples]
+    if any(sl.polytope is None for sl in slices):
+        raise PreconditionError("interval leaves the moment image")
+    inducing_sets = [tuple(sorted(sl.inducing)) for sl in slices]
+    if not inducing_sets[0] == inducing_sets[1] == inducing_sets[2]:
+        return False
+    types = []
+    for sl in slices:
+        vs = vertices(sl.polytope)
+        types.append(sorted(
+            tuple(sorted(sl.inducing[i] for i in v.active)) for v in vs))
+    if not types[0] == types[1] == types[2]:
+        return False
+    # offsets: two samples fix an affine law; the third must obey it
+    for idx in range(len(inducing_sets[0])):
+        offs = []
+        for sl, s in zip(slices, samples):
+            pos = list(sl.inducing).index(inducing_sets[0][idx])
+            offs.append(F(sl.polytope.facets[pos].offset))
+        s1, s2, s3 = samples
+        if (offs[1] - offs[0]) * (s3 - s2) != (offs[2] - offs[1]) * (s2 - s1):
+            return False
+    return True
 
 
 def chopped_box(n: int, corners, depth: Fraction) -> LabeledPolytope:
@@ -123,6 +189,41 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[i
         else:
             A[i] = [-x for x in A[i]]
     return A
+
+
+def mat_mul_int(a, b) -> list[list[int]]:
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def mat_vec_int(a, v) -> list[int]:
+    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+
+
+def rank_by_fractions(rows) -> int:
+    """Rank oracle: Gauss elimination over Fraction, no Bareiss."""
+    a = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def stabilizer_order_by_search(normal, label: int, box: int):
+    """Facet stabilizer oracle: label times the least positive first
+    coordinate of an integer vector orthogonal to `normal` whose entries
+    lie in [-box, box]; "infinite" when the box holds none."""
+    tail = normal[1:]
+    reachable = {dot(tail, u) for u in product(range(-box, box + 1), repeat=len(tail))}
+    u0 = next((u0 for u0 in range(1, box + 1) if -u0 * normal[0] in reachable), None)
+    return INFINITE if u0 is None else u0 * label
 
 
 def regular_levels(P: LabeledPolytope, rng: random.Random, count: int,

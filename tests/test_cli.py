@@ -69,6 +69,19 @@ def test_reduce_exit_codes(square_file):
     assert out.exit_code == 2 and out.payload["kind"] == "NotRegularLevel"
 
 
+@pytest.mark.parametrize("command", ["reduce", "cut"])
+def test_negative_rational_level_is_a_value(d3_file, command):
+    out = run([command, "--level", "-1/2", "--in", d3_file])
+    assert out.exit_code == 0, out.payload
+    assert run([command, "--level=-1/2", "--in", d3_file]) == out
+
+
+def test_negative_list_values_are_values():
+    out = run(["local-model", "npm", "--weights", "-1,1", "--z", "-1+2j,3"])
+    assert out.exit_code == 0, out.payload
+    assert run(["local-model", "npm", "--weights=-1,1", "--z=-1+2j,3"]) == out
+
+
 def test_float_flag_rejected(square_file):
     out = run(["reduce", "--level", "0.5", "--in", square_file])
     assert out.exit_code == 1

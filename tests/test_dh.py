@@ -12,7 +12,6 @@ from momentcut.corpus import asymmetric_wedge, chopped_hypercube, delzant_corpus
 from momentcut.dh import (
     Chamber,
     DHProfile,
-    chamber_affine_check,
     check_log_concavity,
     critical_values,
     dh_profile,
@@ -24,7 +23,13 @@ from momentcut.ops import add_fixed_points, reversed_polytope
 from momentcut.polytope import Facet, LabeledPolytope, transform, volume
 from momentcut.ratpoly import Poly
 
-from conftest import chopped_box, profile_by_slicing, random_unimodular, slice_volume
+from conftest import (
+    chamber_affine_check,
+    chopped_box,
+    profile_by_slicing,
+    random_unimodular,
+    slice_volume,
+)
 
 F = Fraction
 

@@ -12,16 +12,16 @@ from momentcut.lattice import (
     det_int,
     format_rational,
     half_sum_integral,
-    integer_kernel_basis,
     inverse_unimodular,
     lattice_index,
-    mat_mul_int,
     parse_rational,
     primitive,
     rank_int,
-    smith_normal_form,
     solve_exact,
+    solve_int,
 )
+
+from conftest import mat_mul_int, random_unimodular, rank_by_fractions
 
 F = Fraction
 
@@ -107,52 +107,67 @@ def test_adjugate_times_matrix_is_det(rows):
     assert mat_mul_int(rows, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
-def test_smith_examples():
-    assert smith_normal_form([[1, 0], [0, 1]]).diagonal == (1, 1)
-    assert smith_normal_form([[2, 0], [0, 2]]).diagonal == (2, 2)
-    assert smith_normal_form([[1, 0], [-1, 2]]).diagonal == (1, 2)
-
-
-@given(st.lists(st.lists(st.integers(min_value=-9, max_value=9),
-                         min_size=2, max_size=4),
-                min_size=2, max_size=4).filter(
-    lambda rows: len({len(r) for r in rows}) == 1))
-def test_smith_structure(rows):
-    snf = smith_normal_form(rows)
-    m, n = len(rows), len(rows[0])
-    # divisibility chain and non-negativity
-    diag = snf.diagonal
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
-    # U A V equals the diagonal exactly, with unimodular transforms
-    u = [list(r) for r in snf.left]
-    v = [list(r) for r in snf.right]
-    prod = mat_mul_int(mat_mul_int(u, rows), v)
-    for i in range(m):
-        for j in range(n):
-            want = diag[i] if i == j and i < len(diag) else 0
-            assert prod[i][j] == want
-    assert abs(det_int(u)) == 1
-    assert abs(det_int(v)) == 1
-
-
-def test_integer_kernel():
-    basis = integer_kernel_basis([[-1, 2]])
-    assert len(basis) == 1
-    assert basis[0][0] * -1 + basis[0][1] * 2 == 0
-    assert rank_int(basis) == 1
-
-
 def test_inverse_unimodular():
     A = [[-1, 1, 1], [0, 1, 0], [0, 0, 1]]
     inv = inverse_unimodular(A)
     assert mat_mul_int(A, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(NotUnimodular):
         inverse_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(NotUnimodular):
+        inverse_unimodular([[1, 2], [2, 4]])
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+def test_inverse_unimodular_round_trip(n, seed):
+    A = random_unimodular(random.Random(seed), n, steps=10)
+    inv = inverse_unimodular(A)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert mat_mul_int(A, inv) == eye
+    assert mat_mul_int(inv, A) == eye
+    assert inverse_unimodular(inv) == A
+
+
+# tall, wide and square shapes of small entries
+shapes = st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+
+
+@given(shapes.flatmap(lambda mn: st.lists(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=mn[1], max_size=mn[1]),
+    min_size=mn[0], max_size=mn[0])))
+def test_rank_matches_fraction_gauss(rows):
+    assert rank_int(rows) == rank_by_fractions(rows)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda r: st.tuples(
+    st.lists(st.lists(ints, min_size=6, max_size=6), min_size=r, max_size=r),
+    st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r),
+             min_size=1, max_size=7))))
+def test_rank_deficient_matches_fraction_gauss(base_and_mix):
+    # every row is an integer combination of r base rows: rank <= r < 6
+    base, mix = base_and_mix
+    rows = [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(6)]
+            for coeffs in mix]
+    assert rank_int(rows) == rank_by_fractions(rows) <= len(base)
+
+
+def test_rank_examples():
+    assert rank_int([]) == 0
+    assert rank_int([[0, 0, 0]]) == 0
+    assert rank_int([[0, 1, 2], [0, 2, 4], [0, 0, 1]]) == 2
+    assert rank_int([[1, 2], [2, 4], [3, 6], [1, 3]]) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [0, 2]],
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+    [[1, 0, 5], [0, 0, 7], [2, 0, 9]],
+    [[0, 0, 0], [1, 2, 3], [4, 5, 6]],
+], ids=["first-column-zero", "middle-column-no-pivot", "zero-column", "zero-row"])
+def test_singular_without_a_pivot(rows):
+    assert det_int(rows) == 0
+    assert solve_int(rows, [1] * len(rows)) is None
+    assert solve_int(rows, [0] * len(rows)) is None
+    assert adjugate_int(rows) is None
 
 
 @given(small_rats)

@@ -9,12 +9,13 @@ from momentcut.ratpoly import (
     Poly,
     deflate,
     gap_samples,
-    interpolate,
     isolate_roots,
     nonpositive_on,
     one_sided_sign,
     squarefree,
 )
+
+from conftest import interpolate
 
 F = Fraction
 coeffs = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),

@@ -3,11 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, strategies as st
 
 from momentcut.corpus import delzant_corpus
-from momentcut.errors import LabeledFaceUnsupported
-from momentcut.lattice import det_int, inverse_unimodular, mat_vec_int, transpose
+from momentcut.lattice import det_int, inverse_unimodular, primitive, transpose
 from momentcut.polytope import Facet, LabeledPolytope, transform, vertices
 from momentcut.toric import (
     INFINITE,
@@ -19,7 +18,7 @@ from momentcut.toric import (
     weights_at_vertex,
 )
 
-from conftest import random_unimodular
+from conftest import mat_vec_int, random_unimodular, stabilizer_order_by_search
 
 F = Fraction
 
@@ -131,32 +130,35 @@ def test_extreme_vertices_weight_signs():
 
 def test_stabilizer_examples(square, pex2):
     horizontal = next(i for i, f in enumerate(square.facets) if f.normal == (0, -1))
-    assert circle_stabilizer_order(square, {horizontal}) == 1
+    assert circle_stabilizer_order(square, horizontal) == 1
     slanted = next(i for i, f in enumerate(pex2.facets) if f.normal == (-1, 2))
-    assert circle_stabilizer_order(pex2, {slanted}) == 2
+    assert circle_stabilizer_order(pex2, slanted) == 2
     vertical = next(i for i, f in enumerate(pex2.facets) if f.normal == (1, 0))
-    assert circle_stabilizer_order(pex2, {vertical}) == INFINITE
+    assert circle_stabilizer_order(pex2, vertical) == INFINITE
 
 
 def test_stabilizer_label_multiplies():
     P = LabeledPolytope(2, [Facet((-1, 2), F(1), 3), Facet((-1, -2), F(1)),
                             Facet((1, 0), F(1))])
     i = next(i for i, f in enumerate(P.facets) if f.normal == (-1, 2))
-    assert circle_stabilizer_order(P, {i}) == 6
+    assert circle_stabilizer_order(P, i) == 6
 
 
-def test_stabilizer_labeled_codim2_unsupported():
-    P = LabeledPolytope(2, [Facet((-1, 2), F(1), 3), Facet((-1, -2), F(1)),
-                            Facet((1, 0), F(1))])
-    v = vertex_at(P, (-1, 0))
-    with pytest.raises(LabeledFaceUnsupported):
-        circle_stabilizer_order(P, v.active)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)
+).filter(any), st.integers(min_value=1, max_value=4))
+def test_stabilizer_closed_form_matches_search(normal, label):
+    # with entries |.| <= 3 a least orthogonal vector lies inside the box
+    # (checked for every primitive normal of that size in dimensions 1-4)
+    normal = primitive(normal)
+    P = LabeledPolytope(len(normal), [Facet(normal, F(0), label)])
+    assert circle_stabilizer_order(P, 0) == stabilizer_order_by_search(normal, label, box=9)
 
 
 def test_stabilizer_divides_vertex_index(pex2):
     # facet order divides the lattice index of any vertex on that facet
     for i, f in enumerate(pex2.facets):
-        order = circle_stabilizer_order(pex2, {i})
+        order = circle_stabilizer_order(pex2, i)
         if order == INFINITE:
             continue
         for v in vertices(pex2):
