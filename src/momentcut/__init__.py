@@ -13,7 +13,6 @@ from .errors import (
     NotSimple,
     NotUnimodular,
     PreconditionError,
-    StepTooLarge,
     VertexNotBlowable,
     WallNotSimpleCrossing,
     ZeroVector,

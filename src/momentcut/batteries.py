@@ -1,19 +1,23 @@
 """Seeded randomized verification suites for the linear local model.
 
 Each battery runs a fixed number of independent trials against one of the
-model identities and reports pass counts plus the worst residual seen.
-Given the same seed the reports are bit-for-bit reproducible.
+model identities through one loop, `_run`, and reports the number of
+trials that are not ok plus the worst residual seen.  Given the same seed
+the reports are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .localmodel import (
     BumpSpec,
     LinearAction,
+    _scaled_gap,
     blowup_potential_check,
     check_monotone,
     cut_tameness_identity,
@@ -72,119 +76,105 @@ class BatteryReport:
         }
 
 
-def monotone_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
+def _run(name: str, tolerance: float, trials: int, seed: int,
+         trial: Callable[[np.random.Generator], tuple[float, bool]]) -> BatteryReport:
+    """The battery loop: each call of `trial` draws one trial's inputs from
+    the seeded stream and returns (residual, ok).  `failures` counts the
+    trials that are not ok."""
     rng = np.random.default_rng(seed)
-    grid = np.linspace(-3.0, 3.0, 1000)
     failures = 0
     worst = 0.0
     for _ in range(trials):
-        action = _random_action(rng)
-        z = _random_point(rng, action)
-        rep = check_monotone(action, z, grid)
-        worst = max(worst, rep.derivative_rel_err)
-        if not rep.ok:
+        residual, ok = trial(rng)
+        worst = max(worst, float(residual))
+        if not ok:
             failures += 1
-    return BatteryReport("monotone-flow", trials, failures, worst, 1e-6)
+    return BatteryReport(name, trials, failures, worst, tolerance)
+
+
+def monotone_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
+    grid = np.linspace(-3.0, 3.0, 1000)
+
+    def trial(rng):
+        action = _random_action(rng)
+        rep = check_monotone(action, _random_point(rng, action), grid)
+        return rep.derivative_rel_err, rep.ok
+    return _run("monotone-flow", 1e-6, trials, seed, trial)
 
 
 def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     """solve_time_to_level finds a time exactly when the block predicate
     says the level is attained, and the time is bracket-independent."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         action = _random_action(rng)
         z = _random_point(rng, action)
         s = float(rng.normal() * 2)
         if s == 0.0:
             s = 0.5
         t = solve_time_to_level(action, z, s)
-        member = level_membership(action, z, s)
-        if (t is None) == member:
-            failures += 1
-            continue
-        if t is not None:
-            resid = abs(moment_standard(action, flow(action, z, t)) - s)
-            worst = max(worst, resid)
-            t2 = solve_time_to_level(action, z, s, bracket0=3.7)
-            if t2 is None or abs(t - t2) > 1e-10 * max(1.0, abs(t)):
-                failures += 1
-            if resid > 1e-12:
-                failures += 1
-    return BatteryReport("solve-membership", trials, failures, worst, 1e-12)
+        if (t is None) == level_membership(action, z, s):
+            return 0.0, False
+        if t is None:
+            return 0.0, True
+        resid = abs(moment_standard(action, flow(action, z, t)) - s)
+        t2 = solve_time_to_level(action, z, s, bracket0=3.7)
+        agree = t2 is not None and abs(t - t2) <= 1e-10 * max(1.0, abs(t))
+        return resid, agree and resid <= 1e-12
+    return _run("solve-membership", 1e-12, trials, seed, trial)
 
 
 def npm_scaling_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     """N_pm(e^t z) = e^{+-t} N_pm(z) and N_- N_+ is flow-invariant."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         action = _random_action(rng, require_mixed=True)
         z = _random_point(rng, action)
         t = float(rng.uniform(-2, 2))
         nm0, np0 = n_pm(action, z)
         nm1, np1 = n_pm(action, flow(action, z, t))
-        for got, want in ((nm1, math.exp(-t) * nm0), (np1, math.exp(t) * np0),
-                          (nm1 * np1, nm0 * np0)):
-            rel = abs(got - want) / max(abs(want), 1e-300)
-            worst = max(worst, rel)
-            if rel > 1e-10:
-                failures += 1
-    return BatteryReport("n-pm-scaling", trials, failures, worst, 1e-10)
+        want = np.array([math.exp(-t) * nm0, math.exp(t) * np0, nm0 * np0])
+        rel = _scaled_gap([nm1, np1, nm1 * np1], want, want)
+        return rel, rel <= 1e-10
+    return _run("n-pm-scaling", 1e-10, trials, seed, trial)
 
 
 def psh_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
-    rng = np.random.default_rng(seed)
     family = psh_test_family(BumpSpec(0.25, 1.0))
-    failures = 0
-    worst = 0.0
-    for k in range(trials):
+    spec_seeds = itertools.count(seed * 100003)
+
+    def trial(rng):
         spec = family[int(rng.integers(0, len(family)))]
         if spec.name == "smoothed-ln":
             t0 = float(rng.uniform(0.01, 2.0))
         else:
             t0 = float(rng.uniform(0.01, 3.0))
         n = int(rng.integers(2, 7))
-        rep = psh_criterion(spec, t0, n, seed=seed * 100003 + k)
-        worst = max(worst, rep.rel_err)
-        if not rep.ok:
-            failures += 1
-    return BatteryReport("psh-eigenvalues", trials, failures, worst, 1e-9)
+        rep = psh_criterion(spec, t0, n, seed=next(spec_seeds))
+        return rep.rel_err, rep.ok
+    return _run("psh-eigenvalues", 1e-9, trials, seed, trial)
 
 
 def cut_identity_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         action = _random_action(rng)
         z = _random_point(rng, action)
         w = complex(rng.normal(), rng.normal())
         rep = cut_tameness_identity(action, z, w)
-        worst = max(worst, rep.rel_err, abs(rep.orth_1), abs(rep.orth_2))
-        if not (rep.rel_err <= 1e-9 and abs(rep.orth_1) <= 1e-9
-                and abs(rep.orth_2) <= 1e-9):
-            failures += 1
-    return BatteryReport("cut-tameness", trials, failures, worst, 1e-9)
+        orth = _scaled_gap([rep.orth_1, rep.orth_2], 0.0, rep.orth_scale)
+        return max(rep.rel_err, orth), rep.ok
+    return _run("cut-tameness", 1e-9, trials, seed, trial)
 
 
 def blowup_potential_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
-    rng = np.random.default_rng(seed)
     bump = BumpSpec(0.25, 1.0)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial(rng):
         action = _random_action(rng, n_max=3)
         n = len(action.weights)
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
         z *= rng.uniform(0.15, 0.4) / np.linalg.norm(z)
-        rep = blowup_potential_check(action, z, bump=bump, h=1e-3)
-        worst = max(worst, rep.contraction_rel_err)
-        if not rep.ok:
-            failures += 1
-    return BatteryReport("blowup-potential", trials, failures, worst, 1e-5)
+        rep = blowup_potential_check(action, z, bump=bump)
+        return rep.contraction_rel_err, rep.ok
+    return _run("blowup-potential", 1e-5, trials, seed, trial)
 
 
 ALL_BATTERIES = {

@@ -66,7 +66,3 @@ class WallNotSimpleCrossing(PreconditionError):
 
 class FixedPointInput(PreconditionError):
     pass
-
-
-class StepTooLarge(PreconditionError):
-    pass

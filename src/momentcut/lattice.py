@@ -97,12 +97,11 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
     `ncols` columns, in place, carrying every column to their right.
 
     A column with no pivot at or below the current row is skipped.  Returns
-    (rank, sign): the number of pivot rows and the sign of the row swaps.
-    When `a` has n rows and rank n over n columns, its determinant is
-    sign * a[n-1][n-1].
+    (rank, det): the number of pivot rows and the last pivot times the sign
+    of the row swaps.  When `a` has n rows and rank n over n columns, det is
+    its determinant; for n = 0 it is the empty product 1.
     """
     m = len(a)
-    width = len(a[0])
     sign = 1
     prev = 1
     r = 0
@@ -119,6 +118,7 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
                 continue
         pivot = a[r][c]
         row_r = a[r]
+        width = len(row_r)
         for i in range(r + 1, m):
             row_i = a[i]
             f = row_i[c]
@@ -127,15 +127,15 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
             row_i[c] = 0
         prev = pivot
         r += 1
-    return r, sign
+    return r, sign * prev
 
 
 def _square_det(a: list[list[int]]) -> int:
     """Eliminate the leading n x n block of the n-row matrix `a` in place
     and return its determinant (0 when singular)."""
     n = len(a)
-    rank, sign = _eliminate(a, n)
-    return sign * a[n - 1][n - 1] if rank == n else 0
+    rank, det = _eliminate(a, n)
+    return det if rank == n else 0
 
 
 def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int]:
@@ -154,8 +154,6 @@ def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int
 
 def det_int(rows: list[list[int]]) -> int:
     """Determinant of an integer matrix by Bareiss elimination."""
-    if not rows:
-        return 1
     return _square_det([row[:] for row in rows])
 
 
@@ -221,12 +219,6 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
 
 def rank_rational(rows: Sequence[Sequence]) -> int:
     return rank_int([over_common_denominator(row)[0] for row in rows])
-
-
-def in_rational_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """True iff target lies in the rational span of the given vectors."""
-    base = [list(v) for v in vectors]
-    return rank_rational(base) == rank_rational(base + [list(target)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,16 @@ analytic identities of that model numerically: monotonicity of psi along
 the real flow e^t, the time-to-level solver, the weighted radii N-/N+ and
 orbital convexity of the model neighborhoods, the plurisubharmonicity
 eigenvalue identity, the cut tameness fraction, and the blow-up potential
-contraction.  Finite differences carry Richardson step-halving checks.
+contraction.
+
+Every derivative is in closed form: d psi(v) = sum a_j Re(conj(z_j) v_j),
+and the complex Hessian of a radial potential f(|z|^2) is
+f'(t) I + f''(t) conj(z) z^T at t = |z|^2.  Every report judges its
+residuals by one rule: `_scaled_gap` measures |got - want| in units of a
+scale computed from the magnitudes of the inputs (|a|, |z|, |f'|, |f''|),
+never from the quantity under test, so a value that cancels to near zero is
+not judged against itself.  A report is ok when each residual is within
+the report's published tolerance.
 
 Regions of C^n are row predicates: `membership_v` and `bad_annulus_region`
 take an array of points of shape (..., n) and return one bool per point,
@@ -23,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FixedPointInput, PreconditionError, StepTooLarge
+from .errors import FixedPointInput, PreconditionError
 
 EXP_LIMIT = 700.0  # log of the largest safe double
 
@@ -73,6 +82,26 @@ def moment_standard(action: LinearAction, z: Sequence[complex]) -> float:
     return float(0.5 * np.sum(action.array() * np.abs(z) ** 2))
 
 
+def _d_psi(a: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d psi_a at z along v, for points and directions of shape (..., n)."""
+    return np.sum(a * np.real(np.conj(z) * v), axis=-1)
+
+
+def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The standard symplectic form on vectors of shape (..., n)."""
+    return np.sum(np.imag(np.conj(u) * v), axis=-1)
+
+
+def _scaled_gap(got, want, scale) -> float:
+    """The largest |got - want| in units of `scale`, elementwise.
+
+    `scale` is a magnitude computed from the inputs of a check, so that the
+    gap stays meaningful where `want` cancels to near zero.
+    """
+    gap = np.abs(np.subtract(got, want)) / np.maximum(scale, 1e-300)
+    return float(np.max(gap))
+
+
 # ---------------------------------------------------------------------------
 # monotone flow
 # ---------------------------------------------------------------------------
@@ -90,7 +119,11 @@ class MonotoneReport:
 
 def check_monotone(action: LinearAction, z: Sequence[complex],
                    t_grid: Optional[np.ndarray] = None) -> MonotoneReport:
-    """psi(e^t z) strictly increasing; d/dt psi = sum a_j^2 |z_j e^{a_j t}|^2."""
+    """psi(e^t z) strictly increasing on the grid, with derivative |xi_M|^2.
+
+    At probes of the grid, the closed-form d psi(a z_t) along the flow's
+    velocity a z_t is compared with omega(xi, J xi) for xi = i a z_t.
+    """
     z = np.asarray(z, dtype=complex)
     if action.is_fixed(z):
         raise FixedPointInput("the point is fixed by the action")
@@ -99,18 +132,11 @@ def check_monotone(action: LinearAction, z: Sequence[complex],
     a = action.array()
     vals = 0.5 * ((np.abs(z[None, :]) ** 2 * np.exp(2.0 * np.outer(t_grid, a))) * a).sum(axis=1)
     increasing = bool(np.all(np.diff(vals) > 0))
-    worst = 0.0
     probes = t_grid[:: max(1, len(t_grid) // 12)]
-    h = 1e-5
-    for t in probes:
-        zt = flow(action, z, t)
-        formula = float(np.sum(a**2 * np.abs(zt) ** 2))
-        d1 = (moment_standard(action, flow(action, z, t + h))
-              - moment_standard(action, flow(action, z, t - h))) / (2 * h)
-        d2 = (moment_standard(action, flow(action, z, t + h / 2))
-              - moment_standard(action, flow(action, z, t - h / 2))) / h
-        deriv = (4 * d2 - d1) / 3
-        worst = max(worst, abs(deriv - formula) / max(abs(formula), 1e-300))
+    zt = z[None, :] * np.exp(np.outer(probes, a))
+    xi = 1j * a * zt
+    scale = np.sum(np.abs(a) * np.abs(zt) * np.abs(a * zt), axis=1)
+    worst = _scaled_gap(_d_psi(a, zt, a * zt), _omega(xi, 1j * xi), scale)
     return MonotoneReport(increasing, worst, len(t_grid))
 
 
@@ -431,25 +457,43 @@ class BumpSpec:
         return -(60 * u - 180 * u**2 + 120 * u**3) / w**2
 
 
+def _smoothed_ln(bump: BumpSpec) -> FunctionSpec:
+    """f = rho ln: ln near 0, cut off to 0 beyond r2."""
+    return FunctionSpec(
+        "smoothed-ln",
+        lambda t: bump.rho(t) * math.log(t),
+        lambda t: bump.rho1(t) * math.log(t) + bump.rho(t) / t,
+        lambda t: (bump.rho2(t) * math.log(t) + 2 * bump.rho1(t) / t
+                   - bump.rho(t) / t**2),
+        domain_min=1e-12,
+    )
+
+
 def psh_test_family(bump: Optional[BumpSpec] = None) -> list[FunctionSpec]:
-    bump = bump or BumpSpec()
-    fam = [
+    return [
         FunctionSpec("t", lambda t: t, lambda t: 1.0, lambda t: 0.0),
         FunctionSpec("t^2", lambda t: t * t, lambda t: 2 * t, lambda t: 2.0),
         FunctionSpec("ln", math.log, lambda t: 1 / t, lambda t: -1 / t**2,
                      domain_min=1e-12),
         FunctionSpec("t+t^2", lambda t: t + t * t, lambda t: 1 + 2 * t,
                      lambda t: 2.0),
-        FunctionSpec(
-            "smoothed-ln",
-            lambda t: bump.rho(t) * math.log(t),
-            lambda t: bump.rho1(t) * math.log(t) + bump.rho(t) / t,
-            lambda t: (bump.rho2(t) * math.log(t) + 2 * bump.rho1(t) / t
-                       - bump.rho(t) / t**2),
-            domain_min=1e-12,
-        ),
+        _smoothed_ln(bump or BumpSpec()),
     ]
-    return fam
+
+
+def _radial_hessian(f1: float, f2: float, z: np.ndarray) -> np.ndarray:
+    """The complex Hessian d^2 g / dz_j dzbar_k of g = f(|z|^2) at z, from
+    f1 = f'(|z|^2) and f2 = f''(|z|^2): f1 I + f2 conj(z) z^T."""
+    return f1 * np.eye(len(z), dtype=complex) + f2 * np.outer(np.conj(z), z)
+
+
+def _d_phi(a: np.ndarray, z: np.ndarray, f1: float, f2: float,
+           v: np.ndarray) -> np.ndarray:
+    """d Phi at z along v, for Phi(z) = f'(|z|^2) sum a_j |z_j|^2, from
+    f1 = f'(|z|^2) and f2 = f''(|z|^2): Phi = 2 f' psi_a, so
+    d Phi = 2 f' d psi_a + 2 f'' (sum a_j |z_j|^2) d psi_1."""
+    return 2 * (f1 * _d_psi(a, z, v)
+                + f2 * np.sum(a * np.abs(z) ** 2) * _d_psi(1.0, z, v))
 
 
 @dataclass(frozen=True)
@@ -479,11 +523,10 @@ def psh_criterion(spec: FunctionSpec, t0: float, n: int,
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     z *= math.sqrt(t0) / np.linalg.norm(z)
     f1, f2 = spec.f1(t0), spec.f2(t0)
-    H = f1 * np.eye(n, dtype=complex) + f2 * np.outer(np.conj(z), z)
-    eig = np.sort(np.linalg.eigvalsh(H))
+    eig = np.sort(np.linalg.eigvalsh(_radial_hessian(f1, f2, z)))
     closed = np.sort(np.array([f1] * (n - 1) + [f1 + t0 * f2]))
-    scale = max(np.max(np.abs(closed)), 1e-300)
-    rel = float(np.max(np.abs(eig - closed)) / scale)
+    # |f'| + t0 |f''| bounds the norm of the Hessian
+    rel = _scaled_gap(eig, closed, abs(f1) + t0 * abs(f2))
     kahler = f1 > 0 and f1 + t0 * f2 > 0
     return PshReport(spec.name, t0, tuple(eig), tuple(closed), rel, kahler)
 
@@ -491,10 +534,6 @@ def psh_criterion(spec: FunctionSpec, t0: float, n: int,
 # ---------------------------------------------------------------------------
 # cut tameness identity
 # ---------------------------------------------------------------------------
-
-def _omega(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sum(np.imag(np.conj(u) * v)))
-
 
 @dataclass(frozen=True)
 class CutIdentityReport:
@@ -511,8 +550,7 @@ class CutIdentityReport:
         # orth_1 and orth_2 are rounding residuals: they are judged
         # relative to orth_scale, the size of the pairings that make them
         return (self.rel_err <= 1e-9
-                and abs(self.orth_1) <= 1e-9 * self.orth_scale
-                and abs(self.orth_2) <= 1e-9 * self.orth_scale
+                and _scaled_gap([self.orth_1, self.orth_2], 0.0, self.orth_scale) <= 1e-9
                 and self.moment_pairing_rel_err <= 1e-6)
 
 
@@ -529,23 +567,25 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
     z = np.asarray(z, dtype=complex)
     w = complex(w)
     a = action.array()
-    if action.is_fixed(z) and w == 0:
-        raise FixedPointInput("the point is fixed by the diagonal action")
     A = float(np.sum(a**2 * np.abs(z) ** 2))
+    # |xi'|^2 = A + |w|^2 is zero at a fixed point, and also where it is
+    # below the smallest double
+    if A + abs(w) ** 2 == 0:
+        raise FixedPointInput("the point is fixed by the diagonal action")
     xi_m = np.concatenate([1j * a * z, [0.0 + 0.0j]])
     xi_prime = np.concatenate([1j * a * z, [1j * w]])
     c = A / (A + abs(w) ** 2)
     xi_big = xi_m - c * xi_prime
 
-    orth1 = _omega(xi_prime, xi_big)
-    orth2 = _omega(xi_prime, 1j * xi_big)
+    orth1 = float(_omega(xi_prime, xi_big))
+    orth2 = float(_omega(xi_prime, 1j * xi_big))
     # Xi is a difference that cancels when |w| << |z|, so its rounding
     # error scales with |xi_M| + c |xi'|, which also bounds |Xi|
     norm_prime = float(np.linalg.norm(xi_prime))
     orth_scale = norm_prime * (float(np.linalg.norm(xi_m)) + c * norm_prime)
-    value = _omega(xi_big, 1j * xi_big)
+    value = float(_omega(xi_big, 1j * xi_big))
     expected = abs(w) ** 2 * A / (A + abs(w) ** 2)
-    rel = abs(value - expected) / max(abs(expected), 1e-300) if expected != 0 else abs(value)
+    rel = _scaled_gap(value, expected, expected) if expected != 0 else abs(value)
 
     # moment pairing: d psi'(v) = omega'(v, xi_M') along random directions
     rng = np.random.default_rng(12345)
@@ -555,10 +595,8 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
     for _ in range(6):
         v = rng.normal(size=len(point)) + 1j * rng.normal(size=len(point))
         v /= np.linalg.norm(v)
-        d_psi = float(np.sum(a_prime * np.real(np.conj(point) * v)))
-        target = _omega(v, xi_prime)
-        scale = float(np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v)))
-        worst = max(worst, abs(d_psi - target) / max(scale, 1e-300))
+        scale = np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v))
+        worst = max(worst, _scaled_gap(_d_psi(a_prime, point, v), _omega(v, xi_prime), scale))
     return CutIdentityReport(value, expected, rel, orth1, orth2, orth_scale, worst)
 
 
@@ -570,110 +608,57 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
 class BlowupPotentialReport:
     phi_value: float
     phi_formula: float
+    phi_rel_err: float
     contraction_rel_err: float
     scaling_rel_err: float
 
     @property
     def ok(self) -> bool:
         return (self.contraction_rel_err <= 1e-5
-                and abs(self.phi_value - self.phi_formula)
-                <= 1e-9 * max(abs(self.phi_formula), 1e-300)
+                and self.phi_rel_err <= 1e-9
                 and self.scaling_rel_err <= 1e-9)
 
 
 def blowup_potential_check(action: LinearAction, z: Sequence[complex],
-                           bump: Optional[BumpSpec] = None,
-                           h: float = 1e-3,
-                           richardson_tol: float = 5e-2) -> BlowupPotentialReport:
-    """Contract the circle field into i del delbar f(|z|^2), f = rho ln / 2pi.
+                           bump: Optional[BumpSpec] = None) -> BlowupPotentialReport:
+    """Contract the circle field into i del delbar g, g = f(|z|^2) / 2pi for
+    the smoothed-ln profile f = rho ln.
 
-    Inside the region where rho is 1, the associated Hamiltonian is
-    Phi(z) = sum a_j |z_j|^2 / (2 pi |z|^2); the check builds the form from
-    second-order finite differences of the potential and verifies the
-    contraction identity against first differences of Phi.
+    With t = |z|^2 and Phi(z) = f'(t) sum a_j |z_j|^2 / 2pi, the field
+    xi = i a z contracts the complex Hessian H of g (`_radial_hessian`) to
+    -d Phi: -2 Im sum_jk H_jk xi_j conj(v_k) = -d Phi(v) along each real unit
+    direction v, with d Phi in closed form (`_d_phi`).
+    Inside |z|^2 < r1, where rho = 1, Phi(z) = sum a_j |z_j|^2 / (2 pi |z|^2),
+    which does not change when z is scaled.  The residuals are measured
+    against |a| |z|^2 |f'| (for Phi) and 2 max|a| |z| (|f'| + t |f''|) (for
+    the contraction), which stay away from zero where Phi cancels.
     """
     bump = bump or BumpSpec()
     z = np.asarray(z, dtype=complex)
     n = len(z)
-    r2 = float(np.sum(np.abs(z) ** 2))
-    if r2 <= 0:
+    t = float(np.sum(np.abs(z) ** 2))
+    if t <= 0:
         raise PreconditionError("z must be nonzero")
-    if (math.sqrt(r2) + 4 * h) ** 2 >= bump.r1:
-        raise PreconditionError(
-            "z (plus the stencil width) must stay inside the rho = 1 region")
+    if t >= bump.r1:
+        raise PreconditionError("|z|^2 must stay below r1, inside the rho = 1 region")
     a = action.array()
-
-    def g(p: np.ndarray) -> float:
-        t = float(np.sum(np.abs(p) ** 2))
-        return bump.rho(t) * math.log(t) / (2 * math.pi)
+    profile = _smoothed_ln(bump)
 
     def phi(p: np.ndarray) -> float:
-        t = float(np.sum(np.abs(p) ** 2))
-        fprime = (bump.rho1(t) * math.log(t) + bump.rho(t) / t) / (2 * math.pi)
-        return float(np.sum(a * np.abs(p) ** 2) * fprime)
+        sq = np.abs(p) ** 2
+        return float(np.sum(a * sq)) * profile.f1(float(np.sum(sq))) / (2 * math.pi)
 
+    f1, f2 = profile.f1(t) / (2 * math.pi), profile.f2(t) / (2 * math.pi)
     phi_val = phi(z)
-    phi_formula = float(np.sum(a * np.abs(z) ** 2) / (2 * math.pi * r2))
+    phi_formula = float(np.sum(a * np.abs(z) ** 2) / (2 * math.pi * t))
+    phi_scale = float(np.sum(np.abs(a) * np.abs(z) ** 2)) * abs(f1)
+    lam = 1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(t)) / (2 * math.sqrt(t)))
+    scaling_err = _scaled_gap(phi(lam * z), phi_val, phi_scale)
 
-    lam = 1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(r2) - 4 * h) / (2 * math.sqrt(r2)))
-    scaling_err = abs(phi(lam * z) - phi_val) / max(abs(phi_val), 1e-300)
-
-    # real coordinates: p = x + iy interleaved as 2n real directions
-    def real_dirs() -> list[np.ndarray]:
-        dirs = []
-        for j in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[j] = 1.0
-            dirs.append(e)
-            e2 = np.zeros(n, dtype=complex)
-            e2[j] = 1j
-            dirs.append(e2)
-        return dirs
-
-    dirs = real_dirs()
-
-    def hessian_entry(da: np.ndarray, db: np.ndarray, step: float) -> float:
-        if np.array_equal(da, db):
-            return (g(z + step * da) - 2 * g(z) + g(z - step * da)) / step**2
-        return (g(z + step * da + step * db) - g(z + step * da - step * db)
-                - g(z - step * da + step * db) + g(z - step * da - step * db)
-                ) / (4 * step**2)
-
-    def hess(step: float) -> np.ndarray:
-        m = np.zeros((2 * n, 2 * n))
-        for p_ in range(2 * n):
-            for q_ in range(p_, 2 * n):
-                m[p_, q_] = m[q_, p_] = hessian_entry(dirs[p_], dirs[q_], step)
-        return m
-
-    h1 = hess(h)
-    h2 = hess(h / 2)
-    hessian = (4 * h2 - h1) / 3
-    scale = max(np.max(np.abs(hessian)), 1e-300)
-    if np.max(np.abs(h2 - h1)) / scale > richardson_tol:
-        raise StepTooLarge("second differences do not converge; reduce h")
-
-    # complex Hessian H_{jk} = d^2 g / dz_j dzbar_k from real second partials
-    H = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            xx = hessian[2 * j, 2 * k]
-            yy = hessian[2 * j + 1, 2 * k + 1]
-            xy = hessian[2 * j, 2 * k + 1]
-            yx = hessian[2 * j + 1, 2 * k]
-            H[j, k] = 0.25 * ((xx + yy) + 1j * (xy - yx))
-
-    def eta(u: np.ndarray, v: np.ndarray) -> float:
-        s1 = np.sum(H * np.outer(u, np.conj(v)))
-        return float(-2 * np.imag(s1))
-
-    xi = 1j * a * z
-    worst = 0.0
-    norm_scale = max(abs(phi_val), 1e-12)
-    for v in dirs:
-        lhs = eta(xi, v)
-        d1 = (phi(z + h * v) - phi(z - h * v)) / (2 * h)
-        d2 = (phi(z + h / 2 * v) - phi(z - h / 2 * v)) / h
-        dphi = (4 * d2 - d1) / 3
-        worst = max(worst, abs(lhs + dphi) / norm_scale)
-    return BlowupPotentialReport(phi_val, phi_formula, worst, scaling_err)
+    dirs = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    eta = -2 * np.imag(np.conj(dirs) @ (_radial_hessian(f1, f2, z).T @ (1j * a * z)))
+    d_phi = _d_phi(a, z, f1, f2, dirs)
+    scale = 2 * np.max(np.abs(a)) * math.sqrt(t) * (abs(f1) + t * abs(f2))
+    return BlowupPotentialReport(phi_val, phi_formula,
+                                 _scaled_gap(phi_val, phi_formula, phi_scale),
+                                 _scaled_gap(eta, -d_phi, scale), scaling_err)

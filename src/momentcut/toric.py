@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegenerateVertex
@@ -18,7 +17,6 @@ from .lattice import (
     content,
     dot,
     half_sum_integral,
-    in_rational_span,
     lattice_index,
 )
 from .polytope import LabeledPolytope, Vertex, vertices
@@ -126,27 +124,21 @@ class FixedComponent:
 
 
 def fixed_components(P: LabeledPolytope) -> list[FixedComponent]:
-    """Faces minimal (by active set) with e1 in the span of their normals."""
+    """Faces minimal (by active set) with e1 in the span of their normals.
+
+    At a simple vertex v the face with active set S is spanned by the edge
+    generators of the facets of v not in S, and e1 lies in the span of the
+    normals of S exactly when it pairs to zero with all of those.  So the
+    minimal fixed face through v is the set of active facets whose edge
+    generator has a nonzero weight.
+    """
     verts = vertices(P)
-    e1 = (1,) + (0,) * (P.dim - 1)
-    # collect candidate faces: subsets of vertex active sets, smallest first
-    subsets: set[frozenset[int]] = set()
-    for v in verts:
-        act = sorted(v.active)
-        for size in range(1, len(act) + 1):
-            for sub in combinations(act, size):
-                subsets.add(frozenset(sub))
-    minimal: list[frozenset[int]] = []
-    for s in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        if any(m <= s for m in minimal):
-            continue
-        normals = [P.facets[i].normal for i in s]
-        if in_rational_span(normals, e1):
-            minimal.append(s)
+    minimal = {frozenset(i for i, e in zip(sorted(v.active), edge_generators(P, v))
+                         if e[0] != 0)
+               for v in verts}
     out = []
     for s in minimal:
         pts = tuple(v.point for v in verts if s <= v.active)
-        level = pts[0][0]
-        out.append(FixedComponent(s, level, pts))
+        out.append(FixedComponent(s, pts[0][0], pts))
     out.sort(key=lambda c: (c.level, sorted(c.active)))
     return out

@@ -31,7 +31,7 @@ from momentcut.polytope import (
     volume,
 )
 from momentcut.ratpoly import Poly
-from momentcut.toric import INFINITE
+from momentcut.toric import INFINITE, FixedComponent
 
 F = Fraction
 
@@ -419,3 +419,77 @@ def point_by_point(predicate):
     def region(Z):
         return np.fromiter((predicate(z) for z in Z), dtype=bool, count=len(Z))
     return region
+
+
+def fixed_components_by_subsets(P: LabeledPolytope) -> list[FixedComponent]:
+    """Oracle for `toric.fixed_components`: every subset of every vertex's
+    active facets, smallest first, kept when e1 lies in the rational span
+    of its normals and no kept subset is contained in it."""
+    verts = vertices(P)
+    e1 = [1] + [0] * (P.dim - 1)
+    subsets: set[frozenset[int]] = set()
+    for v in verts:
+        act = sorted(v.active)
+        for size in range(1, len(act) + 1):
+            subsets.update(frozenset(sub) for sub in combinations(act, size))
+    minimal: list[frozenset[int]] = []
+    for s in sorted(subsets, key=lambda s: (len(s), sorted(s))):
+        if any(m <= s for m in minimal):
+            continue
+        normals = [list(P.facets[i].normal) for i in s]
+        if rank_rational(normals) == rank_rational(normals + [e1]):
+            minimal.append(s)
+    out = []
+    for s in minimal:
+        pts = tuple(v.point for v in verts if s <= v.active)
+        out.append(FixedComponent(s, pts[0][0], pts))
+    out.sort(key=lambda c: (c.level, sorted(c.active)))
+    return out
+
+
+# -- finite-difference oracles for the closed-form derivatives of localmodel --
+
+def richardson_derivative(f, h: float) -> float:
+    """f'(0) for a real function of one real variable: central differences
+    at steps h and h/2, Richardson-extrapolated."""
+    d1 = (f(h) - f(-h)) / (2 * h)
+    d2 = (f(h / 2) - f(-h / 2)) / h
+    return (4 * d2 - d1) / 3
+
+
+def complex_hessian_by_differences(g, z: np.ndarray, h: float) -> np.ndarray:
+    """Oracle for `localmodel._radial_hessian`: d^2 g / dz_j dzbar_k of a
+    real function g on C^n, from second differences over the (2n)^2 real
+    directions, Richardson-extrapolated from steps h and h/2.  Raises
+    AssertionError when the two steps disagree by more than 5 % of the
+    Hessian's size."""
+    n = len(z)
+    dirs = []
+    for j in range(n):
+        for unit in (1.0, 1j):
+            e = np.zeros(n, dtype=complex)
+            e[j] = unit
+            dirs.append(e)
+
+    def entry(da, db, step):
+        if da is db:
+            return (g(z + step * da) - 2 * g(z) + g(z - step * da)) / step**2
+        return (g(z + step * da + step * db) - g(z + step * da - step * db)
+                - g(z - step * da + step * db) + g(z - step * da - step * db)
+                ) / (4 * step**2)
+
+    def hess(step):
+        m = np.zeros((2 * n, 2 * n))
+        for p in range(2 * n):
+            for q in range(p, 2 * n):
+                m[p, q] = m[q, p] = entry(dirs[p], dirs[q], step)
+        return m
+
+    h1, h2 = hess(h), hess(h / 2)
+    real = (4 * h2 - h1) / 3
+    if np.max(np.abs(h2 - h1)) > 5e-2 * max(np.max(np.abs(real)), 1e-300):
+        raise AssertionError("second differences do not converge; reduce h")
+    # d/dz_j = (d/dx_j - i d/dy_j) / 2 and d/dzbar_k = (d/dx_k + i d/dy_k) / 2
+    xx, yy = real[0::2, 0::2], real[1::2, 1::2]
+    xy, yx = real[0::2, 1::2], real[1::2, 0::2]
+    return 0.25 * ((xx + yy) + 1j * (xy - yx))

@@ -168,7 +168,7 @@ def test_criterion_8_local_model_battery():
         blowup_potential_battery(trials=1000, seed=2024),
     ]
     elapsed = time.perf_counter() - start
-    ok = all(r.ok for r in reports) and elapsed < 30.0
+    ok = all(r.ok for r in reports) and elapsed < 12.0
     detail = "; ".join(f"{r.name} worst={r.worst_residual:.1e} (tol {r.tolerance:g})"
                        for r in reports)
     _report(8, ok, f"{detail}; total {elapsed:.1f}s")

@@ -403,6 +403,16 @@ def test_exact_commands_start_without_the_float_verifier(tmp_path, d3_file, pex2
     assert got["after"]
 
 
+@pytest.mark.parametrize("argv", [["run_local_model.py", "--trials", "5"],
+                                  ["run_corpus.py"]])
+def test_scripts_run(argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / argv[0]
+    proc = subprocess.run([sys.executable, str(script), *argv[1:]],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAILURES" not in proc.stdout
+
+
 @pytest.mark.parametrize("argv,option", [
     (["info", "--xi", "1,a"], "--xi"),
     (["info", "--xi", "1,0"], "--xi"),

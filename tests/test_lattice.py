@@ -83,6 +83,15 @@ def test_solve_exact_examples():
     assert solve_exact([[1, 1], [2, 2]], [1, 0]) is None
 
 
+def test_empty_system():
+    # the 0 x 0 matrix: determinant 1 (the empty product), empty solution
+    assert det_int([]) == 1
+    assert solve_int([], []) == ([], 1)
+    assert adjugate_int([]) == ([], 1)
+    assert solve_exact([], []) == ()
+    assert inverse_unimodular([]) == []
+
+
 @given(st.lists(st.lists(small_rats, min_size=3, max_size=3),
                 min_size=3, max_size=3),
        st.lists(small_rats, min_size=3, max_size=3))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from momentcut.batteries import (
     blowup_potential_battery,
@@ -13,10 +14,14 @@ from momentcut.batteries import (
     psh_battery,
     solve_membership_battery,
 )
-from momentcut.errors import FixedPointInput, PreconditionError, StepTooLarge
+from momentcut.errors import FixedPointInput, PreconditionError
 from momentcut.localmodel import (
     BumpSpec,
     LinearAction,
+    _d_phi,
+    _d_psi,
+    _radial_hessian,
+    _smoothed_ln,
     bad_annulus_region,
     blowup_potential_check,
     check_monotone,
@@ -34,7 +39,13 @@ from momentcut.localmodel import (
     solve_time_to_level,
 )
 
-from conftest import bad_annulus_point, membership_v_point, point_by_point
+from conftest import (
+    bad_annulus_point,
+    complex_hessian_by_differences,
+    membership_v_point,
+    point_by_point,
+    richardson_derivative,
+)
 
 
 # -- flow and moment -----------------------------------------------------------
@@ -299,6 +310,10 @@ def test_cut_identity_z_small_limit():
 def test_cut_identity_fixed_rejected():
     with pytest.raises(FixedPointInput):
         cut_tameness_identity(LinearAction((1,)), [0.0], 0.0)
+    # not fixed, but |xi'|^2 underflows to 0: refused, not a ZeroDivisionError
+    for weights, z, w in (((0,), [0.0], 2.6e-260), ((1,), [1e-200], 1e-200j)):
+        with pytest.raises(FixedPointInput):
+            cut_tameness_identity(LinearAction(weights), z, w)
 
 
 # -- blow-up potential --------------------------------------------------------------------
@@ -326,13 +341,75 @@ def test_blowup_potential_scaling():
 
 
 def test_blowup_potential_region_guard():
-    with pytest.raises(PreconditionError):
-        blowup_potential_check(LinearAction((1,)), [0.9])
+    # the check needs |z|^2 < r1, where rho = 1
+    act = LinearAction((1, -2))
+    unit = np.array([0.6, 0.8j])
+    for bump in (BumpSpec(), BumpSpec(2.0, 4.0)):
+        radius = math.sqrt(bump.r1)
+        assert blowup_potential_check(act, unit * radius * (1 - 1e-9), bump=bump).ok
+        for factor in (1.0, 1 + 1e-9, 1.8):
+            with pytest.raises(PreconditionError, match="r1"):
+                blowup_potential_check(act, unit * radius * factor, bump=bump)
+        with pytest.raises(PreconditionError, match="nonzero"):
+            blowup_potential_check(act, [0.0, 0.0], bump=bump)
 
 
-def test_blowup_potential_step_too_large():
-    with pytest.raises((StepTooLarge, PreconditionError)):
-        blowup_potential_check(LinearAction((1, 1)), [0.05, 0.0], h=0.04)
+@given(p=st.integers(1, 3), q=st.integers(1, 3), r=st.floats(0.01, 0.49),
+       eps=st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6]),
+       phases=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)))
+def test_blowup_potential_where_phi_cancels(p, q, r, eps, phases):
+    # weights (p, -q) with p |z1|^2 = q |z2|^2 (1 + eps): Phi is zero or
+    # nearly so, and the residuals must still be judged against |a| and |z|
+    z = np.array([math.sqrt(q * (1 + eps)), math.sqrt(p)]) * np.exp(1j * np.array(phases))
+    z *= r / np.linalg.norm(z)
+    rep = blowup_potential_check(LinearAction((p, -q)), z)
+    assert abs(rep.phi_formula) <= 1e-5
+    assert rep.ok, rep
+
+
+@given(a=st.sampled_from([-3, -2, -1, 1, 2, 3]), r=st.floats(0.01, 0.49),
+       phase=st.floats(0, 2 * math.pi))
+def test_blowup_potential_single_weight(a, r, phase):
+    # the Levi form of ln |z|^2 vanishes on C^1, so the contraction is a
+    # difference of two zeros; Phi itself is the constant a / 2 pi
+    rep = blowup_potential_check(LinearAction((a,)), [r * complex(math.cos(phase), math.sin(phase))])
+    assert rep.phi_value == pytest.approx(a / (2 * math.pi), rel=1e-12)
+    assert rep.ok, rep
+
+
+def test_closed_forms_match_finite_differences():
+    """The closed-form Hessian of f(|z|^2), d Phi and d psi / dt against
+    Richardson-extrapolated finite differences at random points."""
+    rng = np.random.default_rng(7)
+    bump = BumpSpec(0.25, 1.0)
+    profile = _smoothed_ln(bump)
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        act = LinearAction(tuple(int(x) for x in rng.choice([-3, -2, -1, 1, 2, 3], size=n)))
+        a = act.array()
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z *= rng.uniform(0.15, 0.4) / np.linalg.norm(z)
+        t = float(np.sum(np.abs(z) ** 2))
+        f1, f2 = profile.f1(t), profile.f2(t)
+        size = abs(f1) + t * abs(f2)
+
+        def g(p):
+            return profile.f(float(np.sum(np.abs(p) ** 2)))
+        fd = complex_hessian_by_differences(g, z, h=1e-3)
+        assert np.max(np.abs(_radial_hessian(f1, f2, z) - fd)) <= 1e-8 * size
+
+        def phi(p):
+            return profile.f1(float(np.sum(np.abs(p) ** 2))) * float(np.sum(a * np.abs(p) ** 2))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        want = richardson_derivative(lambda s: phi(z + s * v), 1e-4)
+        assert abs(_d_phi(a, z, f1, f2, v) - want) <= 1e-10 * 2 * np.max(np.abs(a)) * math.sqrt(t) * size
+
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t0 = float(rng.uniform(-1, 1))
+        zt = flow(act, w, t0)
+        want = richardson_derivative(lambda s: moment_standard(act, flow(act, w, t0 + s)), 1e-4)
+        assert _d_psi(a, zt, a * zt) == pytest.approx(want, rel=1e-9)
 
 
 # -- seeded batteries (small versions; acceptance runs them at full size) -----------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, strategies as st
 
@@ -18,7 +19,13 @@ from momentcut.toric import (
     weights_at_vertex,
 )
 
-from conftest import mat_vec_int, random_unimodular, stabilizer_order_by_search
+from conftest import (
+    chopped_box,
+    fixed_components_by_subsets,
+    mat_vec_int,
+    random_unimodular,
+    stabilizer_order_by_search,
+)
 
 F = Fraction
 
@@ -192,6 +199,32 @@ def test_fixed_components_delta3(d3):
     assert by_level[F(-1)].isolated
     assert by_level[F(0)].isolated
     assert not by_level[F(1)].isolated
+
+
+def _fixed_component_cases() -> list[tuple[str, LabeledPolytope]]:
+    rng = random.Random(5)
+    cases = list(delzant_corpus())
+    for n in (2, 3, 4):
+        for depth in (F(1, 8), F(1, 3)):
+            corners = [bits for bits in product((0, 1), repeat=n) if rng.random() < 0.5]
+            P = chopped_box(n, corners, depth)
+            # without x1 <= 1 the box is unbounded unless a chop closes it
+            Q = LabeledPolytope(n, [f for f in P.facets if f.normal != (1,) + (0,) * (n - 1)])
+            cases += [(f"chopped-{n}-cube", P), (f"open chopped-{n}-cube", Q)]
+    cases = [(name, P) for name, P in cases if P.structure().simple]
+    images = []
+    for name, P in cases:
+        for _ in range(3):
+            b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(P.dim)]
+            images.append((f"{name} image", transform(P, random_unimodular(rng, P.dim), b)))
+    return cases + images
+
+
+def test_fixed_components_match_subset_oracle():
+    cases = _fixed_component_cases()
+    assert len(cases) >= 100
+    for name, P in cases:
+        assert fixed_components(P) == fixed_components_by_subsets(P), name
 
 
 def test_fixed_levels_are_subset_of_critical(d3):
