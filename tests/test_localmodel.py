@@ -340,6 +340,19 @@ def test_blowup_potential_scaling():
     assert rep.scaling_rel_err <= 1e-9
 
 
+def test_blowup_potential_step_too_large():
+    # the derivatives are closed-form, so no difference step limits how close
+    # to the origin z may be: points a stencil of width 0.04 had to refuse
+    # are checked, and only z = 0 is refused
+    act = LinearAction((1, 1))
+    for z in ([0.05, 0.0], [0.03, 0.0], [1e-6, 2e-6j]):
+        rep = blowup_potential_check(act, z)
+        assert rep.ok, rep
+        assert rep.phi_formula == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+    with pytest.raises(PreconditionError, match="nonzero"):
+        blowup_potential_check(act, [0.0, 0.0])
+
+
 def test_blowup_potential_region_guard():
     # the check needs |z|^2 < r1, where rho = 1
     act = LinearAction((1, -2))
