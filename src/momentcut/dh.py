@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     WallNotSimpleCrossing,
 )
-from .lattice import content, det_int, dot, format_rational, solve_exact
+from .lattice import content, det_int, dot, format_rational
 from .polytope import (
     Facet,
     LabeledPolytope,
@@ -316,10 +316,10 @@ class CrossingVertex:
     point: tuple[Fraction, ...]
     weights: tuple[int, ...]
     vertex_class: object
-    multiplicity: int              # |negative weight|: 1 smooth, 2 for Z2
+    multiplicity: int              # m of the one negative weight -m
     exceptional_normal: tuple[int, ...]
     exceptional_slope: Fraction
-    coefficient: str               # "2*pi*(s - a)" or "pi*(s - a)"
+    coefficient: str               # 2*pi*(s - a)/m: "2*pi*(s - a)", "pi*(s - a)", ..
     image_vertex_ok: bool
     depth_law_ok: bool
 
@@ -380,15 +380,19 @@ class WallReport:
 
 
 def wall_crossing_check(P: LabeledPolytope, a: Fraction,
-                        window: Optional[Fraction] = None,
-                        include_reversed: bool = True) -> WallReport:
+                        window: Optional[Fraction] = None) -> WallReport:
     """Verify that crossing the wall upward blows up the reduced space.
 
-    The reduced polytopes just above the wall must equal the continuation of
-    the polytopes from below, chopped at the image of each fixed vertex with
-    depth (s - a).  A fixed vertex with weights (-1, 1, ..) contributes an
-    exceptional class with coefficient 2*pi*(s-a); weights (-2, 1, ..) give
-    the half coefficient pi*(s-a).
+    Each fixed vertex v at the wall needs exactly one negative weight
+    <e_1, g_j> = -m on its edge generators and no zero weight; a zero weight
+    means a non-isolated fixed component and several negative weights a
+    flip, and both are refused.  The facet F = act[j] relaxed by the downward
+    edge g_j starts at v, so the reduced polytopes just above the wall must
+    equal the continuation of those from below, with F's own continuation
+    chopping each continued corner (v + ((a - s)/m) g_j)[1:] at depth
+    (s - a) d/m, d = -<nu_F, g_j> (1 at a smooth vertex).  That is a weighted
+    blow-up (Godinho 2001) with exceptional class coefficient 2*pi*(s-a)/m:
+    2*pi*(s-a) for weights (-1, 1, ..), pi*(s-a) for (-2, 1, ..).
     """
     a = Fraction(a)
     crit = critical_values(P)
@@ -406,11 +410,10 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         if any(g < window for g in gaps):
             raise PreconditionError("another critical value inside the window")
 
-    wall_verts = [v for v in vertices(P) if v.point[0] == a]
-
     # the facet set active on slices below the wall; each sample level is
     # sliced once, and the slices are shared by the checks below
     below_samples = [a - window / 2, a - window / 4]
+    above_samples = [a + window / 4, a + window / 2]
     sliced = {s: slice_at(P, s) for s in below_samples}
     below_slices = [sliced[s] for s in below_samples]
     if any(sl.polytope is None for sl in below_slices):
@@ -419,120 +422,88 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         raise InternalError("facet set changed below the wall without a critical value")
     below_inducing = sorted(below_slices[0].inducing)
 
-    # classify every fixed vertex at the wall
-    crossing_data = []
-    n = P.dim
-    for v in wall_verts:
-        act = sorted(v.active)
+    # each fixed vertex at the wall, with its downward edge g_j and the
+    # exceptional facet act[j] that edge relaxes
+    crossing = []
+    for v in vertices(P):
+        if v.point[0] != a:
+            continue
         gens = edge_generators(P, v)
-        pair = [dot((1,) + (0,) * (n - 1), e) for e in gens]
+        pair = [g[0] for g in gens]
         negs = [k for k, w in enumerate(pair) if w < 0]
-        if len(negs) != 1 or any(w == 0 for w in pair):
+        if len(negs) != 1 or 0 in pair:
             raise WallNotSimpleCrossing(
                 f"vertex ({', '.join(map(format_rational, v.point))}) has weights "
-                f"{sorted(pair)}; need exactly one negative weight and no zero")
-        m = -pair[negs[0]]
-        if m not in (1, 2):
-            raise WallNotSimpleCrossing(
-                f"negative weight -{m} is not supported (only -1 and -2)")
-        j = act[negs[0]]
-        others = [i for i in act if i != j]
-        raw_tail = tuple(sum(P.facets[i].normal[k] for i in others)
-                         for k in range(1, n))
-        if m == 2 and any(x % 2 for x in raw_tail):
-            raise WallNotSimpleCrossing(
-                "weight -2 vertex fails the Z2 condition: the sum of the "
-                "continued normals is not divisible by 2")
-        if j in below_inducing or not set(others) <= set(below_inducing):
-            raise WallNotSimpleCrossing(
-                "the negative-weight facet is active below the wall")
-        crossing_data.append((v, tuple(sorted(pair)), m, j, others, raw_tail))
+                f"{sorted(pair)}; need exactly one negative weight and no zero "
+                "(a zero weight is a non-isolated fixed component, several "
+                "negative weights a flip)")
+        j = negs[0]
+        crossing.append((v, tuple(sorted(pair)), gens[j], sorted(v.active)[j]))
+    exceptional = [f for *_, f in crossing]
 
     # verification samples above the wall
-    above_samples = [a + window / 4, a + window / 2]
-    extra_sample = a + window * Fraction(3, 8)
-    sliced.update((s, slice_at(P, s)) for s in above_samples + [extra_sample])
+    sliced.update((s, slice_at(P, s)) for s in above_samples)
     match_samples = []
-    image_ok = {id(v): True for v, *_ in crossing_data}
-    depth_ok = {id(v): True for v, *_ in crossing_data}
+    image_ok = [True] * len(crossing)
+    depth_ok = [True] * len(crossing)
     for s in above_samples:
         actual = sliced[s].polytope
         if actual is None:
             raise WallNotSimpleCrossing("no reduced space above the wall")
         continued = _continued_facets(P, below_inducing, s)
-        chops = []
-        for v, _, m, j, others, raw_tail in crossing_data:
-            w_img = _continued_corner(P, others, s)
-            if w_img is None or not _satisfies_all(continued, w_img):
-                image_ok[id(v)] = False
-                continue
-            rhs = sum(Fraction(P.facets[i].offset) - P.facets[i].normal[0] * s
-                      for i in others) - (s - a)
-            g = content(raw_tail)
-            chop = Facet(tuple(x // g for x in raw_tail), Fraction(rhs, 1) / g, 1)
-            chops.append(chop)
+        chops = _continued_facets(P, exceptional, s)
+        for k, ((v, _, g, f), chop) in enumerate(zip(crossing, chops)):
+            m, nu = -g[0], P.facets[f].normal
+            corner = tuple(x + (a - s) / m * e for x, e in zip(v.point[1:], g[1:]))
+            image_ok[k] &= all(dot(h.normal, corner) <= h.offset for h in continued)
             # depth law measured on the actual slice
-            found = [f for f in actual.facets if f.normal == chop.normal]
-            if len(found) != 1:
-                depth_ok[id(v)] = False
-            else:
-                measured = sum(dot(P.facets[i].normal[1:], w_img)
-                               for i in others) - g * Fraction(found[0].offset)
-                if measured != s - a:
-                    depth_ok[id(v)] = False
+            found = [h for h in actual.facets if h.normal == chop.normal]
+            depth_ok[k] &= len(found) == 1 and (
+                content(nu[1:]) * (dot(chop.normal, corner) - found[0].offset)
+                == (s - a) * -dot(nu, g) / m)
         candidate = irredundant(require_vertex(LabeledPolytope(P.dim - 1, continued + chops)))
         match_samples.append((s, canonical_equal(candidate, actual)))
 
     # Euler data: offset slopes per facet in each adjacent chamber
-    below_slopes = []
-    for i in below_inducing:
-        f = P.facets[i]
-        g = content(f.normal[1:])
-        below_slopes.append((i, tuple(x // g for x in f.normal[1:]),
-                             Fraction(-f.normal[0], g)))
-    slope_samples = above_samples + [extra_sample]
-    above_slopes = _measured_slopes(slope_samples,
-                                    [sliced[s].polytope for s in slope_samples])
+    below_slopes = tuple((i, *_offset_slope(P, i)) for i in below_inducing)
+    above_slopes = tuple(sorted(_offset_slope(P, i)
+                                for i in sliced[above_samples[0]].inducing))
 
     # Crossing the wall downward is the mirror image of crossing it upward:
     # the reversed polytope satisfies slice_rev(-s) = slice(s) exactly, its
     # wall vertices carry the negated weights, and the exceptional class
     # coefficients flip sign.  Verify the mirror identity and the weights.
-    reversed_summary = None
-    if include_reversed:
-        rev = reversed_polytope(P)
-        rev_weights = sorted(
-            weights_at_vertex(rev, v) for v in vertices(rev) if v.point[0] == -a)
-        expect = sorted(tuple(sorted(-w for w in ws))
-                        for _, ws, *_ in crossing_data)
-        mirror_ok = all(
-            canonical_equal(slice_at(rev, -s).polytope, sliced[s].polytope)
-            for s in above_samples + below_samples)
-        reversed_summary = {
-            "wall": format_rational(-a),
-            "weights": [list(w) for w in rev_weights],
-            "weights_negated_ok": rev_weights == expect,
-            "mirror_slices_ok": mirror_ok,
-            "coefficient_sign": "flipped",
-            "ok": rev_weights == expect and mirror_ok,
-        }
+    rev = reversed_polytope(P)
+    rev_weights = sorted(
+        weights_at_vertex(rev, v) for v in vertices(rev) if v.point[0] == -a)
+    expect = sorted(tuple(sorted(-w for w in ws)) for _, ws, *_ in crossing)
+    mirror_ok = all(
+        canonical_equal(slice_at(rev, -s).polytope, sliced[s].polytope)
+        for s in above_samples + below_samples)
+    reversed_summary = {
+        "wall": format_rational(-a),
+        "weights": [list(w) for w in rev_weights],
+        "weights_negated_ok": rev_weights == expect,
+        "mirror_slices_ok": mirror_ok,
+        "coefficient_sign": "flipped",
+        "ok": rev_weights == expect and mirror_ok,
+    }
 
     out_vertices = []
-    for v, weights, m, j, others, raw_tail in crossing_data:
-        g = content(raw_tail)
-        slope = Fraction(-(sum(P.facets[i].normal[0] for i in others) + 1), g)
-        coeff = f"2*pi*(s - {format_rational(a)})" if m == 1 else \
-            f"pi*(s - {format_rational(a)})"
+    for k, (v, weights, g, f) in enumerate(crossing):
+        normal, slope = _offset_slope(P, f)
+        scale = Fraction(2, -g[0])
         out_vertices.append(CrossingVertex(
             point=v.point,
             weights=weights,
             vertex_class=classify_vertex(P, v),
-            multiplicity=m,
-            exceptional_normal=tuple(x // g for x in raw_tail),
+            multiplicity=-g[0],
+            exceptional_normal=normal,
             exceptional_slope=slope,
-            coefficient=coeff,
-            image_vertex_ok=image_ok[id(v)],
-            depth_law_ok=depth_ok[id(v)],
+            coefficient=("" if scale == 1 else f"{format_rational(scale)}*")
+            + f"pi*(s - {format_rational(a)})",
+            image_vertex_ok=image_ok[k],
+            depth_law_ok=depth_ok[k],
         ))
     return WallReport(
         wall=a,
@@ -540,10 +511,17 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         vertices=tuple(out_vertices),
         match_samples=tuple(match_samples),
         match=all(eq for _, eq in match_samples),
-        below_slopes=tuple(below_slopes),
+        below_slopes=below_slopes,
         above_slopes=above_slopes,
         reversed_summary=reversed_summary,
     )
+
+
+def _offset_slope(P: LabeledPolytope, i: int) -> tuple[tuple[int, ...], Fraction]:
+    """The normal of facet i's slice and the slope of its offset in s."""
+    f = P.facets[i]
+    g = content(f.normal[1:])
+    return tuple(x // g for x in f.normal[1:]), Fraction(-f.normal[0], g)
 
 
 def _continued_facets(P: LabeledPolytope, inducing: Sequence[int],
@@ -556,34 +534,3 @@ def _continued_facets(P: LabeledPolytope, inducing: Sequence[int],
         out.append(Facet(tuple(x // g for x in tail),
                          (Fraction(f.offset) - f.normal[0] * s) / g, f.label))
     return out
-
-
-def _continued_corner(P: LabeledPolytope, others: Sequence[int],
-                      s: Fraction) -> Optional[tuple[Fraction, ...]]:
-    rows = [list(P.facets[i].normal[1:]) for i in others]
-    rhs = [Fraction(P.facets[i].offset) - P.facets[i].normal[0] * s for i in others]
-    return solve_exact(rows, rhs)
-
-
-def _satisfies_all(facets: Sequence[Facet], point: Sequence[Fraction]) -> bool:
-    return all(dot(f.normal, point) <= f.offset for f in facets)
-
-
-def _measured_slopes(samples: Sequence[Fraction],
-                     slices: Sequence[LabeledPolytope]):
-    """Offset slopes from the slices at two samples, checked at a probe
-    (the third sample)."""
-    s1, s2, probe = samples
-    sl1, sl2, sl3 = slices
-    offs1 = {f.normal: Fraction(f.offset) for f in sl1.facets}
-    offs2 = {f.normal: Fraction(f.offset) for f in sl2.facets}
-    offs3 = {f.normal: Fraction(f.offset) for f in sl3.facets}
-    if set(offs1) != set(offs2) or set(offs1) != set(offs3):
-        raise InternalError("facet set changed above the wall without a critical value")
-    out = []
-    for nrm in sorted(offs1):
-        slope = (offs2[nrm] - offs1[nrm]) / (s2 - s1)
-        if offs3[nrm] != offs1[nrm] + slope * (probe - s1):
-            raise InternalError("offset law above the wall is not affine")
-        out.append((nrm, slope))
-    return tuple(out)

@@ -302,8 +302,14 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
 
     C = cut(P, eps, CutSide.BELOW)
     e1 = (1,) + (0,) * (P.dim - 1)
-    cut_idx = next(i for i, f in enumerate(C.facets)
-                   if f.normal == e1 and f.offset == eps)
+    cut_idx = next((i for i, f in enumerate(C.facets)
+                    if f.normal == e1 and f.offset == eps), None)
+    if cut_idx is None:
+        # the cut facet is redundant: all of P lies below eps
+        top = max(v.point[0] for v in vertices(C))
+        raise PreconditionError(
+            f"eps = {format_rational(eps)} lies above the top "
+            f"{format_rational(top)} of the moment image")
 
     z2_points: list[tuple[Fraction, ...]] = []
     smooth_points: list[tuple[Fraction, ...]] = []

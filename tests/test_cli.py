@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentcut.cli import _emit, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
+from momentcut.ops import add_fixed_points
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
 
 F = Fraction
@@ -117,6 +118,72 @@ def test_wall_check(d3_file):
     out = run(["wall-check", "--wall", "0", "--window", "1/2", "--in", d3_file])
     assert out.exit_code == 0 and out.payload["ok"]
     assert out.payload["fixed_vertices"][0]["weights"] == [-1, 1, 1]
+
+
+# wall-check JSON for two walls, byte for byte as the former special
+# cases for weights (-1, 1, ..) and (-2, 1, ..) printed it
+WALL_CHECK_DELTA3 = (
+    '{"blowup_match": {"samples": [{"equal": true, "s": "1/8"}, '
+    '{"equal": true, "s": "1/4"}], "verdict": true}, '
+    '"euler_slopes": {"above": [{"normal": [-1, -1], "slope": "-1"}, '
+    '{"normal": [-1, 0], "slope": "0"}, {"normal": [0, -1], "slope": "0"}, '
+    '{"normal": [1, 1], "slope": "1/2"}], "below": [{"inducing_facet": 0, '
+    '"normal": [1, 1], "slope": "1/2"}, {"inducing_facet": 1, '
+    '"normal": [-1, 0], "slope": "0"}, {"inducing_facet": 2, "normal": [0, '
+    '-1], "slope": "0"}]}, '
+    '"fixed_vertices": [{"class": {"half_sum_integral": false, "index": 1, '
+    '"kind": "smooth"}, "class_coefficient": "2*pi*(s - 0)", '
+    '"depth_law_ok": true, "exceptional_normal": [-1, -1], '
+    '"exceptional_offset_slope": "-1", "image_vertex_ok": true, '
+    '"multiplicity": 1, "point": ["0", "0", "0"], "weights": [-1, 1, 1]}], '
+    '"ok": true, "reversed": {"coefficient_sign": "flipped", '
+    '"mirror_slices_ok": true, "ok": true, "wall": "0", "weights": [[-1, '
+    '-1, 1]], "weights_negated_ok": true}, "wall": "0", "window": "1/2"}'
+)
+
+WALL_CHECK_WEDGE_AFP = (
+    '{"blowup_match": {"samples": [{"equal": true, "s": "1/32"}, '
+    '{"equal": true, "s": "1/16"}], "verdict": true}, '
+    '"euler_slopes": {"above": [{"normal": [-1], "slope": "0"}, '
+    '{"normal": [1], "slope": "0"}], "below": [{"inducing_facet": 0, '
+    '"normal": [-1], "slope": "1/2"}, {"inducing_facet": 1, "normal": [1], '
+    '"slope": "1/2"}]}, '
+    '"fixed_vertices": [{"class": {"half_sum_integral": false, "index": 1, '
+    '"kind": "smooth"}, "class_coefficient": "pi*(s - 0)", '
+    '"depth_law_ok": true, "exceptional_normal": [-1], '
+    '"exceptional_offset_slope": "0", "image_vertex_ok": true, '
+    '"multiplicity": 2, "point": ["0", "-1/2"], "weights": [-2, 1]}, '
+    '{"class": {"half_sum_integral": false, "index": 1, "kind": "smooth"}, '
+    '"class_coefficient": "pi*(s - 0)", "depth_law_ok": true, '
+    '"exceptional_normal": [1], "exceptional_offset_slope": "0", '
+    '"image_vertex_ok": true, "multiplicity": 2, "point": ["0", "1/2"], '
+    '"weights": [-2, 1]}], "ok": true, '
+    '"reversed": {"coefficient_sign": "flipped", "mirror_slices_ok": true, '
+    '"ok": true, "wall": "0", "weights": [[-1, 2], [-1, 2]], '
+    '"weights_negated_ok": true}, "wall": "0", "window": "1/8"}'
+)
+
+
+def test_wall_check_output_pinned(d3_file, tmp_path):
+    afp = tmp_path / "afp.json"
+    afp.write_text(dumps(add_fixed_points(asymmetric_wedge(), F(1, 4))[0]))
+    for argv, want in ((["--wall", "0", "--window", "1/2", "--in", d3_file], WALL_CHECK_DELTA3),
+                       (["--wall", "0", "--in", str(afp)], WALL_CHECK_WEDGE_AFP)):
+        out = run(["wall-check", *argv])
+        assert out.exit_code == 0
+        assert json.dumps(out.payload, sort_keys=True) == want
+
+
+def test_add_fixed_points_eps_above_image(tmp_path):
+    # a unimodular image of delta3 with x1 in [-5/2, -3/2]: the cut below
+    # eps = 1/8 is redundant
+    p = tmp_path / "low.json"
+    p.write_text(json.dumps({"dim": 3, "facets": [
+        {"normal": [-2, 1, -2], "offset": "11/2"}, {"normal": [0, 0, 1], "offset": "0"},
+        {"normal": [1, -1, 1], "offset": "-3"}, {"normal": [1, 0, 0], "offset": "-3/2"}]}))
+    out = run(["add-fixed-points", "--eps", "1/8", "--in", str(p)])
+    assert out.exit_code == 2
+    assert out.payload["message"] == "eps = 1/8 lies above the top -3/2 of the moment image"
 
 
 def test_wall_check_precondition(square_file):

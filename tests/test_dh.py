@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentcut.dh
 from momentcut.corpus import asymmetric_wedge, chopped_hypercube, delzant_corpus
@@ -20,8 +22,9 @@ from momentcut.dh import (
 )
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
 from momentcut.ops import add_fixed_points, reversed_polytope
-from momentcut.polytope import Facet, LabeledPolytope, transform, volume
+from momentcut.polytope import Facet, LabeledPolytope, transform, vertices, volume
 from momentcut.ratpoly import Poly
+from momentcut.toric import edge_generators
 
 from conftest import (
     chamber_affine_check,
@@ -320,8 +323,8 @@ def test_profile_value_positive_inside(d3):
 
 
 def test_wall_check_slices_each_level_once(monkeypatch, d3):
-    # five sample levels on P (two below the wall, two above, one probe),
-    # and the four mirror levels on reversed_polytope(P)
+    # four sample levels on P (two below the wall, two above), and the four
+    # mirror levels on reversed_polytope(P)
     counts = Counter()
     slice_at = momentcut.dh.slice_at
 
@@ -330,5 +333,90 @@ def test_wall_check_slices_each_level_once(monkeypatch, d3):
         return slice_at(Q, s)
     monkeypatch.setattr(momentcut.dh, "slice_at", counting)
     assert wall_crossing_check(d3, F(0), F(1, 2)).ok
-    assert counts.pop("P") == 5
+    assert counts.pop("P") == 4
     assert list(counts.values()) == [4]
+
+
+def _polytope(dim: int, facets) -> LabeledPolytope:
+    return LabeledPolytope(dim, [Facet(nrm, F(off)) for nrm, off in facets])
+
+
+def _jump_matches_localization(P: LabeledPolytope, a: Fraction) -> bool:
+    """The jump of the slice-volume profile at the wall a equals the sum of
+    the localization terms of the wall vertices: triangulation against
+    localization.  No wall vertex has a zero weight, so the terms do not
+    depend on the perturbation eta."""
+    chambers = profile_by_slicing(P).chambers
+    left = next(ch for ch in chambers if ch.hi == a)
+    right = next(ch for ch in chambers if ch.lo == a)
+    eta = momentcut.dh._generic_direction(P.dim, set())
+    terms = sum((momentcut.dh._vertex_term(v, edge_generators(P, v), eta)
+                 for v in vertices(P) if v.point[0] == a), Poly([]))
+    return right.poly - left.poly == terms
+
+
+# Walls whose vertex has one negative weight -m and other weights not all
+# 1, from random surgery chains (unimodular images of corpus members and
+# their add-fixed-points results), and a (-1, 1) vertex of lattice index 2,
+# where the chop lies at depth 2(s - a): d = -<nu_F, g_j> = 2.
+_SINGLE_NEGATIVE_WALLS = {
+    (-1, 1): (2, F(0), [((-1, -1), "0"), ((1, -1), "0"), ((0, 1), "2"), ((-1, 0), "1")]),
+    (-2, 3): (2, F(3, 4), [((-3, 5), "-25/4"), ((1, -2), "11/4"), ((2, -3), "9/2")]),
+    (-3, 2): (2, F(-3), [((-1, -2), "0"), ((0, -1), "-1"), ((1, 2), "1"), ((1, 3), "3")]),
+    (-1, 1, 3): (3, F(-13, 4), [
+        ((-1, 0, -1), "3/2"), ((-1, 2, 0), "1/2"), ((0, -3, -1), "7/2"),
+        ((0, -1, 0), "7/4"), ((0, 1, 0), "-3/4"), ((1, -2, 0), "1/2"), ((1, 0, 1), "-1/2")]),
+    (-1, 2, 3): (3, F(7, 3), [
+        ((-1, 0, -2), "1/6"), ((0, -2, 1), "1/4"), ((0, 1, 0), "-1/2"),
+        ((0, 2, -1), "3/4"), ((1, -1, 2), "4/3")]),
+    (-2, 1, 4): (3, F(10, 3), [
+        ((-1, 0, -2), "1/6"), ((0, -2, 1), "1/4"), ((0, 1, 0), "-1/2"),
+        ((0, 2, -1), "3/4"), ((1, -1, 2), "4/3")]),
+}
+
+
+@pytest.mark.parametrize("weights", list(_SINGLE_NEGATIVE_WALLS), ids=str)
+def test_wall_crossing_any_single_negative_weight(weights):
+    dim, a, facets = _SINGLE_NEGATIVE_WALLS[weights]
+    P = _polytope(dim, facets)
+    rep = wall_crossing_check(P, a)
+    assert rep.ok and rep.reversed_summary["ok"]
+    [v] = rep.vertices
+    m = -weights[0]
+    assert v.weights == weights and v.multiplicity == m
+    assert v.coefficient == {1: "2*", 2: "", 3: "2/3*"}[m] + f"pi*(s - {a})"
+    assert _jump_matches_localization(P, a)
+
+
+@pytest.mark.parametrize("weights,dim,a,facets", [
+    ("[-1, 0, 2]", 3, F(-3), [
+        ((-1, -2, -2), "6"), ((0, -1, 0), "-1"), ((0, 0, -1), "3"),
+        ((0, 1, 1), "-1"), ((1, 2, 2), "-5")]),
+    ("[-2, -1, 1]", 3, F(-3, 4), [
+        ((-1, 0, -1), "-2"), ((0, -1, 0), "1/2"), ((0, 0, -1), "-3"), ((0, 0, 1), "4"),
+        ((0, 1, 0), "1/2"), ((1, 0, 1), "3"), ((1, 1, 2), "29/4")]),
+], ids=["zero-weight", "flip"])
+def test_wall_crossing_refuses_zero_weight_and_flip(weights, dim, a, facets):
+    with pytest.raises(WallNotSimpleCrossing, match=re.escape(f"has weights {weights}")):
+        wall_crossing_check(_polytope(dim, facets), a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), picks=st.integers(0, 255), depth=st.sampled_from(
+    [F(1, 8), F(1, 4), F(1, 3)]), seed=st.integers(0, 2**32))
+def test_wall_crossing_matches_localization(n, picks, depth, seed):
+    # every interior wall of a chopped box image answers ok or is refused
+    # for a zero weight or a flip, and on each ok wall the crossing agrees
+    # with the jump of the slice-volume profile
+    corners = [bits for k, bits in enumerate(product((0, 1), repeat=n)) if picks >> k & 1]
+    rng = random.Random(seed)
+    b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    P = transform(chopped_box(n, corners, depth), random_unimodular(rng, n), b)
+    for a in critical_values(P)[1:-1]:
+        try:
+            rep = wall_crossing_check(P, a)
+        except WallNotSimpleCrossing as exc:
+            assert "need exactly one negative weight" in str(exc)
+            continue
+        assert rep.ok
+        assert _jump_matches_localization(P, a)
