@@ -17,13 +17,13 @@ import numpy as np
 from .localmodel import (
     BumpSpec,
     LinearAction,
+    MomentAlongFlow,
     _scaled_gap,
     blowup_potential_check,
     check_monotone,
     cut_tameness_identity,
     flow,
     level_membership,
-    moment_standard,
     n_pm,
     psh_criterion,
     psh_test_family,
@@ -104,7 +104,9 @@ def monotone_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
 
 def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     """solve_time_to_level finds a time exactly when the block predicate
-    says the level is attained, and the time is bracket-independent."""
+    says the level is attained, and the time is the least double t with
+    psi(t) >= s: psi(nextafter(t, -inf)) < s <= psi(t).  The residual
+    psi(t) - s is judged against 1/2 sum |a_j| |z_j|^2 e^{2 a_j t}."""
     def trial(rng):
         action = _random_action(rng)
         z = _random_point(rng, action)
@@ -116,10 +118,10 @@ def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
             return 0.0, False
         if t is None:
             return 0.0, True
-        resid = abs(moment_standard(action, flow(action, z, t)) - s)
-        t2 = solve_time_to_level(action, z, s, bracket0=3.7)
-        agree = t2 is not None and abs(t - t2) <= 1e-10 * max(1.0, abs(t))
-        return resid, agree and resid <= 1e-12
+        terms = MomentAlongFlow(action, z).terms(np.array([np.nextafter(t, -np.inf), t]))
+        before, at = terms.sum(axis=-1)
+        resid = _scaled_gap(at, s, np.abs(terms[1]).sum())
+        return resid, before < s <= at and resid <= 1e-12
     return _run("solve-membership", 1e-12, trials, seed, trial)
 
 

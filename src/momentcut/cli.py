@@ -44,6 +44,7 @@ from .ops import (
 from .polytope import (
     LabeledPolytope,
     canonical_equal,
+    dimension_failure,
     dumps as dump_polytope,
     from_json_dict,
     require_bounded,
@@ -67,7 +68,7 @@ class CommandOutcome:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # a prefix is no option
         # argparse takes "-1" and "-0.5" as values but "-1/2", "-1,1" and
         # "-1+2j,3" as unknown options; a "-" and a digit start a value
         self._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -103,14 +104,18 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_polytope(path: str) -> LabeledPolytope:
+def _load_polytope(path: str, gate: bool = True) -> LabeledPolytope:
+    # the one dimension gate; `validate` reports the dimension as a failure
     try:
         obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     if isinstance(obj, dict) and "polytope" in obj:
         obj = obj["polytope"]
-    return from_json_dict(obj)
+    P = from_json_dict(obj)
+    if gate and dimension_failure(P):
+        raise PreconditionError(dimension_failure(P))
+    return P
 
 
 def _write_polytope(P: LabeledPolytope, path: Optional[str]) -> None:
@@ -185,23 +190,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--window", default=None)
 
     sp = sub.add_parser("local-model")
-    sp.add_argument("op", choices=["monotone", "solve", "membership", "npm",
-                                   "convexity", "psh", "cut-identity",
-                                   "blowup-potential"])
-    sp.add_argument("--weights", required=True, help="comma-separated integers")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--tol", type=_finite("--tol"), default=None)
-    sp.add_argument("--z", default=None,
-                    help="comma-separated complex values, one per weight; "
-                         "cut-identity takes w last")
-    sp.add_argument("--level", type=_finite("--level"), default=None)
-    sp.add_argument("--eps", type=_finite("--eps"), default=0.5)
-    sp.add_argument("--eps-prime", type=_finite("--eps-prime"), default=0.25)
-    sp.add_argument("--delta", type=_finite("--delta"), default=None)
-    sp.add_argument("--bad-region", action="store_true")
-    sp.add_argument("--t0", type=_finite("--t0"), default=0.7)
-    sp.add_argument("--n", type=int, default=3)
+    ops = sp.add_subparsers(dest="op", required=True)
+    for op, (_, options) in _LOCAL_OPS.items():
+        op_parser = ops.add_parser(op)
+        op_parser.add_argument("--seed", type=int, default=0)
+        op_parser.add_argument("--trials", type=int, default=1000)
+        for option in options:
+            op_parser.add_argument(option, **_LOCAL_OPTIONS[option])
     return p
 
 
@@ -216,6 +211,34 @@ def _finite(option: str):
             raise InputError(f"{option} must be finite, got {text!r}")
         return x
     return parse
+
+
+# the options of the local-model ops, each declared once
+_LOCAL_OPTIONS = {
+    "--weights": dict(required=True, help="comma-separated integers"),
+    "--z": dict(help="comma-separated complex values, one per weight; "
+                     "cut-identity takes w last"),
+    "--level": dict(type=_finite("--level")),
+    "--eps": dict(type=_finite("--eps"), default=0.5),
+    "--eps-prime": dict(type=_finite("--eps-prime"), default=0.25),
+    "--delta": dict(type=_finite("--delta")),
+    "--bad-region": dict(action="store_true"),
+    "--t0": dict(type=_finite("--t0"), default=0.7),
+    "--n": dict(type=int, default=3),
+}
+
+# each local-model op: the battery it runs without a point query, and the
+# options it reads besides --seed and --trials; the parser refuses the rest
+_LOCAL_OPS = {
+    "monotone": ("monotone", ()),
+    "solve": ("solve-membership", ("--weights", "--z", "--level")),
+    "membership": ("solve-membership", ("--weights", "--z", "--level")),
+    "npm": ("npm-scaling", ("--weights", "--z")),
+    "convexity": (None, ("--weights", "--eps", "--eps-prime", "--delta", "--bad-region")),
+    "psh": ("psh", ("--t0", "--n")),
+    "cut-identity": ("cut-identity", ("--weights", "--z")),
+    "blowup-potential": ("blowup-potential", ()),
+}
 
 
 def _ints(option: str, text: str) -> tuple[int, ...]:
@@ -239,7 +262,7 @@ def _vertex_arg(P: LabeledPolytope, args) -> tuple:
 
 
 def _cmd_validate(args) -> CommandOutcome:
-    P = _load_polytope(args.infile)
+    P = _load_polytope(args.infile, gate=False)
     rep = validate(P)
     return CommandOutcome(0 if rep.valid else 1, rep.to_json())
 
@@ -390,70 +413,35 @@ def _parse_z(text: str, n: int) -> tuple[complex, ...]:
 
 
 def _point_query(args) -> bool:
-    """Whether `solve` or `membership` asks about one point: --z and
-    --level together; neither runs the battery, one alone is refused."""
-    if (args.z is None) != (args.level is None):
-        missing, given = ("--level", "--z") if args.level is None else ("--z", "--level")
+    """Whether the op asks about one point: --z, with --level for `solve` and
+    `membership`; with neither it runs its battery, one alone is refused."""
+    z, level = getattr(args, "z", None), getattr(args, "level", None)
+    if hasattr(args, "level") and (z is None) != (level is None):
+        missing, given = ("--level", "--z") if level is None else ("--z", "--level")
         raise InputError(f"{missing} is needed with {given} for {args.op}")
-    return args.z is not None
+    return z is not None
 
 
 def _cmd_local_model(args) -> CommandOutcome:
     # the float verifier, and numpy with it, loads here only: the exact
     # commands start without it
-    from . import batteries
-    from .localmodel import (
-        LinearAction,
-        NeighborhoodSpec,
-        bad_annulus_region,
-        cut_tameness_identity,
-        default_spec,
-        level_membership,
-        n_pm,
-        orbital_convexity_probe,
-        psh_criterion,
-        psh_test_family,
-        solve_time_to_level,
-    )
+    from . import batteries, localmodel as lm
 
-    weights = _ints("--weights", args.weights)
-    if any(abs(a) > sys.float_info.max for a in weights):
-        raise InputError("--weights: the local model needs weights that fit "
-                         "in a double")
-    action = LinearAction(weights)
     op = args.op
-    n = len(action.weights)
-    if op == "monotone":
-        rep = batteries.monotone_battery(args.trials, args.seed)
-        return CommandOutcome(0 if rep.ok else 3, rep.to_json())
-    if op == "solve":
-        if _point_query(args):
-            t = solve_time_to_level(action, _parse_z(args.z, n), args.level,
-                                    tol=args.tol or 1e-12)
-            return CommandOutcome(0, {"weights": list(action.weights),
-                                      "level": args.level, "time": t})
-        rep = batteries.solve_membership_battery(args.trials, args.seed)
-        return CommandOutcome(0 if rep.ok else 3, rep.to_json())
-    if op == "membership":
-        if _point_query(args):
-            member = level_membership(action, _parse_z(args.z, n), args.level)
-            return CommandOutcome(0, {"weights": list(action.weights),
-                                      "level": args.level, "member": member})
-        rep = batteries.solve_membership_battery(args.trials, args.seed)
-        return CommandOutcome(0 if rep.ok else 3, rep.to_json())
-    if op == "npm":
-        if args.z is not None:
-            nm, np_ = n_pm(action, _parse_z(args.z, n))
-            return CommandOutcome(0, {"n_minus": nm, "n_plus": np_})
-        rep = batteries.npm_scaling_battery(args.trials, args.seed)
-        return CommandOutcome(0 if rep.ok else 3, rep.to_json())
+    battery, options = _LOCAL_OPS[op]
+    if "--weights" in options:
+        weights = _ints("--weights", args.weights)
+        if any(abs(a) > sys.float_info.max for a in weights):
+            raise InputError("--weights: the local model needs weights that fit "
+                             "in a double")
+        action = lm.LinearAction(weights)
     if op == "convexity":
-        spec = (default_spec(action, args.eps, args.eps_prime)
+        spec = (lm.default_spec(action, args.eps, args.eps_prime)
                 if args.delta is None else
-                NeighborhoodSpec(args.eps, args.eps_prime, args.delta))
-        region = bad_annulus_region(action) if args.bad_region else None
-        rep = orbital_convexity_probe(action, spec, trials=args.trials,
-                                      seed=args.seed, region=region)
+                lm.NeighborhoodSpec(args.eps, args.eps_prime, args.delta))
+        region = lm.bad_annulus_region(action) if args.bad_region else None
+        rep = lm.orbital_convexity_probe(action, spec, trials=args.trials,
+                                         seed=args.seed, region=region)
         payload = {
             "eps": spec.eps, "eps_prime": spec.eps_prime, "delta": spec.delta,
             "trials": rep.trials, "reentries": rep.reentries,
@@ -464,32 +452,34 @@ def _cmd_local_model(args) -> CommandOutcome:
         }
         return CommandOutcome(0 if rep.ok or args.bad_region else 3, payload)
     if op == "psh":
-        worst = 0.0
         results = []
-        for spec in psh_test_family():
-            r = psh_criterion(spec, args.t0, args.n, seed=args.seed)
-            worst = max(worst, r.rel_err)
+        for spec in lm.psh_test_family():
+            r = lm.psh_criterion(spec, args.t0, args.n, seed=args.seed)
             results.append({"profile": r.name, "rel_err": r.rel_err,
                             "kahler": r.kahler})
-        rep = batteries.psh_battery(args.trials, args.seed)
+        rep = batteries.ALL_BATTERIES[battery](args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, {
             "at_t0": results, "battery": rep.to_json()})
-    if op == "cut-identity":
-        if args.z is not None:
-            z = _parse_z(args.z, n + 1)
-            r = cut_tameness_identity(action, z[:-1], z[-1])
-            # numpy scalars: json.dumps refuses numpy bools
-            return CommandOutcome(0 if r.ok else 3, {
-                "value": float(r.value), "expected": float(r.expected),
-                "rel_err": float(r.rel_err),
-                "orthogonality": [float(r.orth_1), float(r.orth_2)],
-                "ok": bool(r.ok)})
-        rep = batteries.cut_identity_battery(args.trials, args.seed)
+    if not _point_query(args):
+        rep = batteries.ALL_BATTERIES[battery](args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
-    if op == "blowup-potential":
-        rep = batteries.blowup_potential_battery(args.trials, args.seed)
-        return CommandOutcome(0 if rep.ok else 3, rep.to_json())
-    raise InputError(f"unknown local-model op {op}")  # pragma: no cover
+    z = _parse_z(args.z, len(weights) + (op == "cut-identity"))
+    if op == "solve":
+        return CommandOutcome(0, {"weights": list(action.weights), "level": args.level,
+                                  "time": lm.solve_time_to_level(action, z, args.level)})
+    if op == "membership":
+        return CommandOutcome(0, {"weights": list(action.weights), "level": args.level,
+                                  "member": lm.level_membership(action, z, args.level)})
+    if op == "npm":
+        nm, np_ = lm.n_pm(action, z)
+        return CommandOutcome(0, {"n_minus": nm, "n_plus": np_})
+    r = lm.cut_tameness_identity(action, z[:-1], z[-1])
+    # numpy scalars: json.dumps refuses numpy bools
+    return CommandOutcome(0 if r.ok else 3, {
+        "value": float(r.value), "expected": float(r.expected),
+        "rel_err": float(r.rel_err),
+        "orthogonality": [float(r.orth_1), float(r.orth_2)],
+        "ok": bool(r.ok)})
 
 
 _HANDLERS = {
@@ -511,7 +501,11 @@ _HANDLERS = {
 def run(argv: list[str]) -> CommandOutcome:
     """Parse and dispatch; errors become exit codes, never tracebacks."""
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            command = " ".join(filter(None, (args.command, getattr(args, "op", None))))
+            raise InputError(f"{extra[0].split('=')[0]}: `momentcut {command}` "
+                             "does not take this argument")
         return _HANDLERS[args.command](args)
     except InputError as exc:
         return CommandOutcome(1, {"error": "input", "message": str(exc)})

@@ -182,10 +182,9 @@ def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],
 
 
 def _positive_on_open(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    ok, _ = nonpositive_on(-p, lo, hi)
-    if not ok:
-        return False
-    return not isolate_roots(p, lo, hi)
+    """p > 0 on the open (lo, hi): no root there, and positive at the
+    midpoint.  With no root, p keeps one sign there by continuity."""
+    return not isolate_roots(p, lo, hi) and p((lo + hi) / 2) > 0
 
 
 # ---------------------------------------------------------------------------

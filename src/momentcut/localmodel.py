@@ -23,10 +23,16 @@ take an array of points of shape (..., n) and return one bool per point,
 and `orbital_convexity_probe` hands a region a whole flow line at once.
 `n_pm` is the single-point definition of the weighted radii; the rows
 compute the same sums with array operations.
+
+Along the real flow, psi(e^t z) is one increasing real function of t,
+`MomentAlongFlow`, and the time to level s is the least double t with
+psi(t) >= s.
 """
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -103,8 +109,37 @@ def _scaled_gap(got, want, scale) -> float:
 
 
 # ---------------------------------------------------------------------------
-# monotone flow
+# psi along the flow, monotone flow and the time-to-level solver
 # ---------------------------------------------------------------------------
+
+class MomentAlongFlow:
+    """t -> psi(e^t z) = 1/2 sum a_j c_j e^{2 a_j t}, c_j = |z_j|^2, over an
+    array of t.  The terms with a_j z_j != 0 are kept, as sign(a_j)
+    exp(2 a_j t + ln(|a_j| c_j / 2)) so that no c_j over- or underflows; a
+    fixed point, which keeps none, is refused.  A term can overflow to
+    +-inf, but only positive ones at large t and only negative ones at large
+    -t, so the sum is never nan."""
+
+    def __init__(self, action: LinearAction, z: Sequence[complex]):
+        # a handful of terms: plain floats build them faster than arrays
+        kept = [(a, math.hypot(zj.real, zj.imag))
+                for a, zj in zip(action.weights, map(complex, z)) if a and zj]
+        if not kept:
+            raise FixedPointInput("the point is fixed by the action")
+        if any(r == math.inf for _, r in kept):
+            raise PreconditionError("|z_j| overflows double precision")
+        self.two_a = np.array([2.0 * a for a, _ in kept])
+        self.log_half_ac = np.array([math.log(abs(a) / 2) + 2 * math.log(r) for a, r in kept])
+
+    def terms(self, t) -> np.ndarray:
+        """The terms 1/2 a_j c_j e^{2 a_j t}, of shape t.shape + (k,)."""
+        with np.errstate(over="ignore"):
+            exp = np.exp(np.multiply.outer(t, self.two_a) + self.log_half_ac)
+        return np.copysign(exp, self.two_a)
+
+    def __call__(self, t) -> np.ndarray:
+        return self.terms(t).sum(axis=-1)
+
 
 @dataclass(frozen=True)
 class MonotoneReport:
@@ -124,14 +159,12 @@ def check_monotone(action: LinearAction, z: Sequence[complex],
     At probes of the grid, the closed-form d psi(a z_t) along the flow's
     velocity a z_t is compared with omega(xi, J xi) for xi = i a z_t.
     """
-    z = np.asarray(z, dtype=complex)
-    if action.is_fixed(z):
-        raise FixedPointInput("the point is fixed by the action")
+    psi = MomentAlongFlow(action, z)
     if t_grid is None:
         t_grid = np.linspace(-3.0, 3.0, 1001)
+    z = np.asarray(z, dtype=complex)
     a = action.array()
-    vals = 0.5 * ((np.abs(z[None, :]) ** 2 * np.exp(2.0 * np.outer(t_grid, a))) * a).sum(axis=1)
-    increasing = bool(np.all(np.diff(vals) > 0))
+    increasing = bool(np.all(np.diff(psi(t_grid)) > 0))
     probes = t_grid[:: max(1, len(t_grid) // 12)]
     zt = z[None, :] * np.exp(np.outer(probes, a))
     xi = 1j * a * zt
@@ -140,60 +173,35 @@ def check_monotone(action: LinearAction, z: Sequence[complex],
     return MonotoneReport(increasing, worst, len(t_grid))
 
 
-# ---------------------------------------------------------------------------
-# the time-to-level solver and level membership
-# ---------------------------------------------------------------------------
-
-def moment_range(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
-    """Open range of psi along the real flow through z (limits, not attained)."""
-    z = np.asarray(z, dtype=complex)
-    if action.is_fixed(z):
-        raise FixedPointInput("the point is fixed by the action")
-    has_neg = any(abs(z[j]) > 0 for j in action.neg)
-    has_pos = any(abs(z[j]) > 0 for j in action.pos)
-    lo = -math.inf if has_neg else 0.0
-    hi = math.inf if has_pos else 0.0
-    return lo, hi
+def _double_key(x: float) -> int:
+    """The rank of x in the natural order of the doubles, 0 at -0.0 and 0.0:
+    its signed bits q if q >= 0, else -q - 2^63, a map that is its own inverse."""
+    q = struct.unpack("<q", struct.pack("<d", x))[0]
+    return q if q >= 0 else -q - (1 << 63)
 
 
-def solve_time_to_level(action: LinearAction, z: Sequence[complex], s: float,
-                        tol: float = 1e-12, bracket0: float = 1.0) -> Optional[float]:
-    """The unique t with psi(e^t z) = s, or None when s is not attained.
+def _key_double(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - (1 << 63)))[0]
 
-    Bracketing plus bisection; monotonicity makes the root unique, so the
-    answer does not depend on the initial bracket.
-    """
-    z = np.asarray(z, dtype=complex)
-    lo_lim, hi_lim = moment_range(action, z)
-    if not lo_lim < s < hi_lim:
+
+def solve_time_to_level(action: LinearAction, z: Sequence[complex],
+                        s: float) -> Optional[float]:
+    """The least double t with psi(e^t z) >= s, or None when s is outside
+    (psi(-max), psi(+max)) at the extreme finite doubles, where the float
+    psi meets the limits of its open range.  Bisection over the doubles in
+    their natural order keeps psi(lo) < s <= psi(hi) and returns hi: at
+    most 64 steps, with no bracket and no tolerance."""
+    psi = MomentAlongFlow(action, z)
+    lo, hi = _double_key(-sys.float_info.max), _double_key(sys.float_info.max)
+    if not psi(_key_double(lo)) < s < psi(_key_double(hi)):
         return None
-    a_max = max(abs(a) for a in action.weights if a != 0)
-    t_cap = EXP_LIMIT / (2 * a_max)
-
-    def psi(t: float) -> float:
-        return moment_standard(action, flow(action, z, t))
-
-    t_lo, t_hi = -bracket0, bracket0
-    while psi(t_hi) <= s:
-        t_hi *= 2
-        if t_hi > t_cap:
-            return None
-    while psi(t_lo) >= s:
-        t_lo *= 2
-        if t_lo < -t_cap:
-            return None
-    for _ in range(300):
-        mid = 0.5 * (t_lo + t_hi)
-        v = psi(mid)
-        if abs(v - s) <= tol:
-            return mid
-        if v < s:
-            t_lo = mid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if psi(_key_double(mid)) < s:
+            lo = mid
         else:
-            t_hi = mid
-        if t_hi - t_lo < 1e-16 * max(1.0, abs(t_lo)):
-            break
-    return 0.5 * (t_lo + t_hi)
+            hi = mid
+    return _key_double(hi)
 
 
 def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bool:

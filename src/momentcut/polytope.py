@@ -514,19 +514,15 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
     return [Vertex(pt, act) for pt, act in st.points]
 
 
-def _dimension_failure(P: LabeledPolytope) -> Optional[str]:
+def dimension_failure(P: LabeledPolytope) -> Optional[str]:
     if P.dim > MAX_DIM:
-        return (f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} "
-                "(facet-subset enumeration is combinatorial)")
+        return (f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} (the "
+                f"start-vertex scan runs over {P.dim}-subsets of the facets)")
     return None
 
 
 def require_bounded(P: LabeledPolytope, need: str) -> None:
-    """Refuse a dimension above MAX_DIM, as `validate` does, and an
-    unbounded or vertex-less region; `need` ends the last two messages."""
-    failure = _dimension_failure(P)
-    if failure:
-        raise PreconditionError(failure)
+    """Refuse an unbounded or vertex-less region; `need` ends the message."""
     st = P.structure()
     if st.rays:
         raise PreconditionError(
@@ -547,7 +543,7 @@ class ValidationReport:
 
 def validate(P: LabeledPolytope) -> ValidationReport:
     """Check boundedness, full dimension, simplicity and irredundancy."""
-    failure = _dimension_failure(P)
+    failure = dimension_failure(P)
     if failure:
         return ValidationReport(False, (failure,))
     failures: list[str] = []

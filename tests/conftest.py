@@ -30,7 +30,7 @@ from momentcut.polytope import (
     vertices,
     volume,
 )
-from momentcut.ratpoly import Poly
+from momentcut.ratpoly import Poly, isolate_roots, nonpositive_on
 from momentcut.toric import INFINITE, FixedComponent
 
 F = Fraction
@@ -98,6 +98,14 @@ def interpolate(points) -> Poly:
     for j in range(n - 1, -1, -1):
         poly = poly * Poly([-xs[j], F(1)]) + Poly([coef[j]])
     return poly
+
+
+def positive_on_open_by_two_isolations(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """p > 0 on the open (lo, hi), decided with two root isolations: p >= 0
+    on the closed [lo, hi] by `nonpositive_on(-p)`, then no root inside.
+    It calls the zero polynomial positive."""
+    ok, _ = nonpositive_on(-p, lo, hi)
+    return ok and not isolate_roots(p, lo, hi)
 
 
 def slice_volume(P: LabeledPolytope, s: Fraction) -> Fraction:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentcut.cli import _emit, run
+from momentcut.cli import _HANDLERS, _emit, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
 from momentcut.ops import add_fixed_points
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
@@ -290,8 +290,7 @@ def test_local_model_single_values():
 
 
 def test_local_model_batteries_cli():
-    out = run(["local-model", "monotone", "--weights", "1", "--trials", "25",
-               "--seed", "5"])
+    out = run(["local-model", "monotone", "--trials", "25", "--seed", "5"])
     assert out.exit_code == 0 and out.payload["ok"]
     out = run(["local-model", "convexity", "--weights=-1,1", "--trials", "20",
                "--seed", "5"])
@@ -416,14 +415,30 @@ def test_closed_stdout_is_no_traceback(tmp_path):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("command", ["info", "dh"])
+# the options each polytope command needs besides --in
+_POLYTOPE_COMMANDS = {
+    "info": [], "dh": [], "reverse": [], "diff": ["--other", "{p}"],
+    "reduce": ["--level", "1/2"], "cut": ["--level", "1/2"],
+    "compactify": ["--min", "1/4", "--max", "3/4"],
+    "blowup": ["--vertex-index", "0", "--depth", "1/4"],
+    "add-fixed-points": ["--eps", "1/4"], "wall-check": ["--wall", "0"],
+}
+
+
+def test_polytope_commands_listed():
+    assert set(_POLYTOPE_COMMANDS) == set(_HANDLERS) - {"validate", "local-model"}
+
+
+@pytest.mark.parametrize("command", list(_POLYTOPE_COMMANDS))
 def test_dimension_cap_refused(tmp_path, command):
     n = MAX_DIM + 1
     p = tmp_path / "cube.json"
     p.write_text(dumps(box(*[F(1)] * n)))
-    out = run([command, "--in", str(p)])
+    options = [o.format(p=p) for o in _POLYTOPE_COMMANDS[command]]
+    out = run([command, *options, "--in", str(p)])
     assert out.exit_code == 2 and out.payload["error"] == "precondition"
     assert out.payload["message"] == run(["validate", "--in", str(p)]).payload["failures"][0]
+    assert "start-vertex scan" in out.payload["message"]
 
 
 _EXACT_COMMANDS_ONLY = """
@@ -538,10 +553,13 @@ def _local_model_argv(draw):
     z_len = n + 1 if op == "cut-identity" else n
     weights = draw(_TEXT | _ints_text(n))
     z = draw(_TEXT | _complexes_text(z_len) | st.integers(1, 5).flatmap(_complexes_text))
-    level = draw(st.sampled_from(["-1", "0", "0.5", "3"]))
-    # --level keeps solve and membership on the single-point path: without
-    # it they run a 1000-trial battery
-    return ["local-model", op, f"--weights={weights}", f"--z={z}", "--level", level]
+    argv = ["local-model", op, f"--weights={weights}", f"--z={z}"]
+    if op in ("solve", "membership"):
+        # --level keeps solve and membership on the single-point path:
+        # without it they run a 1000-trial battery; npm and cut-identity
+        # refuse it
+        argv += ["--level", draw(st.sampled_from(["-1", "0", "0.5", "3"]))]
+    return argv
 
 
 @settings(max_examples=300, deadline=None)
@@ -553,7 +571,6 @@ def test_local_model_arguments_never_escape(argv):
 @pytest.mark.parametrize("argv,option", [
     (["membership", "--weights=-1,1", "--z", "1,1", "--level", "nan"], "--level"),
     (["solve", "--weights=-1,1", "--z", "1,1", "--level", "1e400"], "--level"),
-    (["solve", "--weights=-1,1", "--z", "1,1", "--level", "1", "--tol", "inf"], "--tol"),
     (["convexity", "--weights=-1,1", "--eps", "inf"], "--eps"),
     (["convexity", "--weights=-1,1", "--eps-prime=-inf"], "--eps-prime"),
     (["convexity", "--weights=-1,1", "--delta", "nan"], "--delta"),
@@ -566,7 +583,7 @@ def test_local_model_arguments_never_escape(argv):
     (["membership", "--weights=-1,1", "--level", "1"], "--z"),
     (["solve", "--weights=--", "--z=", "--level", "-1"], "--weights"),
     (["npm", "--weights=-1,1", "--z=--"], "--z"),
-], ids=["level-nan", "level-overflow", "tol-inf", "eps-inf", "eps-prime-inf", "delta-nan",
+], ids=["level-nan", "level-overflow", "eps-inf", "eps-prime-inf", "delta-nan",
         "t0-nan", "z-inf", "z-nan-imag", "solve-z-without-level",
         "membership-z-without-level", "solve-level-without-z",
         "membership-level-without-z", "weights-dashes", "z-dashes"])
@@ -574,6 +591,28 @@ def test_local_model_refused_by_name(argv, option):
     out = run(["local-model"] + argv)
     assert out.exit_code == 1 and out.payload["error"] == "input"
     assert out.payload["message"].startswith(option)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["monotone", "--weights=5,7"], "--weights"),
+    (["psh", "--weights=-1,1"], "--weights"),
+    (["blowup-potential", "--weights", "1"], "--weights"),
+    (["solve", "--weights=-1,1", "--eps", "0.5"], "--eps"),
+    (["solve", "--weights=-1,1", "--z", "1,1", "--level", "1", "--tol=1e-3"], "--tol"),
+    (["psh", "--z", "1"], "--z"),
+    (["npm", "--weights=-1,1", "--level", "1"], "--level"),
+    (["convexity", "--weights=-1,1", "--t0", "1"], "--t0"),
+    (["cut-identity", "--weights=-1,1", "--bad-region"], "--bad-region"),
+    (["convexity", "--weights=-1,1", "--bad", "--trials", "2"], "--bad"),
+    (["monotone", "--tri", "2"], "--tri"),
+], ids=["monotone-weights", "psh-weights", "blowup-potential-weights", "solve-eps",
+        "solve-tol", "psh-z", "npm-level", "convexity-t0", "cut-identity-bad-region",
+        "convexity-prefix", "monotone-prefix"])
+def test_local_model_unread_option_refused(argv, option):
+    # each op declares the options it reads; any other is refused by name
+    out = run(["local-model"] + argv)
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith(f"{option}: `momentcut local-model {argv[0]}`")
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -629,8 +668,14 @@ def _refuse_constant(token):
     ["solve", "--weights=-1,1", "--trials", "3"],
     ["membership", "--weights=-1,1", "--trials", "3"],
     ["convexity", "--weights=-1,1", "--trials", "2"],
+    ["monotone", "--trials", "3"],
+    ["psh", "--trials", "3"],
+    ["blowup-potential", "--trials", "3"],
+    ["npm", "--weights=-1,1", "--trials", "2"],
+    ["cut-identity", "--weights=-1,1", "--trials", "2"],
 ], ids=["solve", "membership", "npm", "cut-identity", "solve-battery",
-        "membership-battery", "convexity"])
+        "membership-battery", "convexity", "monotone-battery", "psh-battery",
+        "blowup-potential-battery", "npm-battery", "cut-identity-battery"])
 def test_local_model_stdout_is_strict_json(argv, capsys):
     out = run(["local-model"] + argv)
     assert out.exit_code == 0

@@ -17,6 +17,7 @@ from momentcut.dh import (
     check_log_concavity,
     critical_values,
     dh_profile,
+    _positive_on_open,
     find_strict_local_minima,
     wall_crossing_check,
 )
@@ -29,6 +30,7 @@ from momentcut.toric import edge_generators
 from conftest import (
     chamber_affine_check,
     chopped_box,
+    positive_on_open_by_two_isolations,
     profile_by_slicing,
     random_unimodular,
     slice_volume,
@@ -311,6 +313,28 @@ def test_wall_crossing_endpoint_rejected(d3):
 def test_wall_crossing_window_too_wide(d3):
     with pytest.raises(PreconditionError):
         wall_crossing_check(d3, F(0), F(2))
+
+
+_ROOT = st.sampled_from(["lo", "hi", "mid"]) | st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(_ROOT, max_size=3), cs=st.lists(
+           st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=3),
+       lo=st.fractions(-2, 2, max_denominator=4),
+       width=st.fractions(1, 3, max_denominator=4))
+def test_positive_on_open_matches_two_isolation_oracle(roots, cs, lo, width):
+    # roots at the ends and the midpoint are the cases where one isolation
+    # and one sample could differ from two isolations
+    hi = lo + width
+    at = {"lo": lo, "hi": hi, "mid": (lo + hi) / 2}
+    p = Poly(cs)
+    for r in roots:
+        p = p * Poly([-at.get(r, r), F(1)])
+    if p.is_zero():
+        assert not _positive_on_open(p, lo, hi)
+        return
+    assert _positive_on_open(p, lo, hi) == positive_on_open_by_two_isolations(p, lo, hi)
 
 
 def test_profile_value_positive_inside(d3):

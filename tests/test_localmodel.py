@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from momentcut.batteries import (
     blowup_potential_battery,
@@ -18,6 +19,7 @@ from momentcut.errors import FixedPointInput, PreconditionError
 from momentcut.localmodel import (
     BumpSpec,
     LinearAction,
+    MomentAlongFlow,
     _d_phi,
     _d_psi,
     _radial_hessian,
@@ -112,12 +114,78 @@ def test_solve_unattained():
     assert solve_time_to_level(LinearAction((-1, 1)), [0.0, 1.0], -1.0) is None
 
 
-def test_solve_bracket_independent():
+def test_solve_least_double_at_level():
     act = LinearAction((-2, 3))
     z = [0.3 + 0.1j, 0.7]
-    t1 = solve_time_to_level(act, z, 0.25)
-    t2 = solve_time_to_level(act, z, 0.25, bracket0=5.0)
-    assert t1 == pytest.approx(t2, abs=1e-10)
+    t = solve_time_to_level(act, z, 0.25)
+    before, at = MomentAlongFlow(act, z)(np.array([np.nextafter(t, -np.inf), t]))
+    assert before < 0.25 <= at
+
+
+def test_solve_fixed_point_rejected():
+    with pytest.raises(FixedPointInput):
+        solve_time_to_level(LinearAction((1, 0)), [0.0, 3.0], 1.0)
+
+
+def test_solve_refuses_overflowing_point():
+    # |z| = 2.4e308 has no double; 1e-300 squares to below the doubles but
+    # its log does not
+    with pytest.raises(PreconditionError, match="overflows"):
+        solve_time_to_level(LinearAction((1,)), [1.7e308 + 1.7e308j], 1.0)
+    t = solve_time_to_level(LinearAction((1,)), [1e-300], 1.0)
+    assert t == pytest.approx((math.log(2) + 600 * math.log(10)) / 2, rel=1e-14)
+
+
+def test_solve_at_most_66_evaluations(monkeypatch):
+    calls = []
+    call = MomentAlongFlow.__call__
+
+    def counted(self, t):
+        calls.append(t)
+        return call(self, t)
+    monkeypatch.setattr(MomentAlongFlow, "__call__", counted)
+    for weights, z, s in [((1,), [1.0], 2.0), ((-3, 1, 2), [1e-3, 2j, 0.5], -1e-9),
+                          ((-1, 1), [1e150, 1e-150], 1e300)]:
+        calls.clear()
+        assert solve_time_to_level(LinearAction(weights), z, s) is not None
+        assert len(calls) <= 66
+
+
+def test_psi_limits_at_extreme_doubles():
+    # -max and +max flow every term to 0 or +-inf, never to nan
+    big = sys.float_info.max
+    psi = MomentAlongFlow(LinearAction((-2, 0, 3)), [1e200, 5.0, 1e-200])
+    assert psi(np.array([-big, big])).tolist() == [-math.inf, math.inf]
+    psi = MomentAlongFlow(LinearAction((1, 2)), [1.0, 1.0])
+    assert psi(np.array([-big, big])).tolist() == [0.0, math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+       mags=st.lists(st.floats(-6, 6), min_size=4, max_size=4),
+       s=st.floats(-1e6, 1e6), t=st.floats(-50, 50))
+def test_psi_nondecreasing_across_adjacent_doubles(weights, mags, s, t):
+    act = LinearAction(weights)
+    z = [10.0 ** m for m in mags[:len(weights)]]
+    if act.is_fixed(z):
+        return
+    psi = MomentAlongFlow(act, z)
+    root = solve_time_to_level(act, z, s)
+    for center in [t] + ([] if root is None else [root]):
+        ts = [center]
+        for _ in range(40):
+            ts.append(float(np.nextafter(ts[-1], np.inf)))
+            ts.insert(0, float(np.nextafter(ts[0], -np.inf)))
+        assert np.all(np.diff(psi(np.array(ts))) >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.sampled_from([-3, -2, -1, 1, 2, 3]), c=st.floats(-6, 6),
+       s=st.floats(-6, 6))
+def test_solve_single_weight_closed_form(a, c, s):
+    c, s = 10.0 ** c, math.copysign(10.0 ** s, a)
+    t = solve_time_to_level(LinearAction((a,)), [math.sqrt(c)], s)
+    assert abs(t - math.log(2 * s / (a * c)) / (2 * a)) <= 1e-14 * max(1.0, abs(t))
 
 
 def test_membership_examples():
@@ -434,6 +502,13 @@ def test_closed_forms_match_finite_differences():
 def test_batteries_small(battery):
     rep = battery(trials=60, seed=11)
     assert rep.ok, rep
+
+
+@pytest.mark.parametrize("seed", [136, 214])
+def test_solve_battery_seeds_once_bracket_dependent(seed):
+    # a bracketed solve stopping at |psi - s| <= 1e-12 found two different
+    # roots on these seeds
+    assert solve_membership_battery(trials=20, seed=seed).ok
 
 
 def test_batteries_reproducible():
