@@ -215,7 +215,7 @@ def _finite(option: str):
 
 # the options of the local-model ops, each declared once
 _LOCAL_OPTIONS = {
-    "--weights": dict(required=True, help="comma-separated integers"),
+    "--weights": dict(help="comma-separated integers; a battery draws its own actions"),
     "--z": dict(help="comma-separated complex values, one per weight; "
                      "cut-identity takes w last"),
     "--level": dict(type=_finite("--level")),
@@ -367,16 +367,17 @@ def _cmd_dh(args) -> CommandOutcome:
     if args.csv == "-":
         raise InputError("--csv - would mix CSV into the JSON report on stdout; "
                          "give a file path")
+    if args.samples < 2:
+        raise InputError(f"--samples needs at least 2 points, got {args.samples}")
     P = _load_polytope(args.infile)
     profile = dh_profile(P)
     payload = {"profile": profile.to_json(),
                "total_integral": format_rational(profile.total_integral())}
     if args.csv:
         lo, hi = profile.walls[0], profile.walls[-1]
-        nsamp = max(2, args.samples)
         rows = ["s,mu"]
-        for k in range(nsamp):
-            s = lo + (hi - lo) * Fraction(k, nsamp - 1)
+        for k in range(args.samples):
+            s = lo + (hi - lo) * Fraction(k, args.samples - 1)
             rows.append(f"{format_rational(s)},{format_rational(profile.value(s))}")
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -429,7 +430,14 @@ def _cmd_local_model(args) -> CommandOutcome:
 
     op = args.op
     battery, options = _LOCAL_OPS[op]
-    if "--weights" in options:
+    point = _point_query(args)
+    if "--weights" in options and battery is not None and not point:
+        if args.weights is not None:    # the battery draws its own actions
+            raise InputError(f"--weights: the {battery} battery draws its own "
+                             "actions; give --weights with --z only")
+    elif "--weights" in options:
+        if args.weights is None:
+            raise InputError(f"--weights is needed {'with --z ' if point else ''}for {op}")
         weights = _ints("--weights", args.weights)
         if any(abs(a) > sys.float_info.max for a in weights):
             raise InputError("--weights: the local model needs weights that fit "
@@ -460,7 +468,7 @@ def _cmd_local_model(args) -> CommandOutcome:
         rep = batteries.ALL_BATTERIES[battery](args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, {
             "at_t0": results, "battery": rep.to_json()})
-    if not _point_query(args):
+    if not point:
         rep = batteries.ALL_BATTERIES[battery](args.trials, args.seed)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     z = _parse_z(args.z, len(weights) + (op == "cut-identity"))

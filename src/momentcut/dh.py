@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     WallNotSimpleCrossing,
 )
-from .lattice import content, det_int, dot, format_rational
+from .lattice import content, det_int, dot, format_rational, over_common_denominator
 from .polytope import (
     Facet,
     LabeledPolytope,
@@ -48,6 +48,7 @@ from .polytope import (
 from .ops import reversed_polytope
 from .ratpoly import (
     Poly,
+    affine_substitute,
     gap_samples,
     isolate_roots,
     nonpositive_on,
@@ -161,30 +162,33 @@ def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],
     t^(z-j) part of the series prod_{w!=0} 1/(1 + t u_k/w_k).
     """
     n = len(gens)
-    z = sum(1 for g in gens if g[0] == 0)
-    scale = Fraction(abs(det_int([list(g) for g in gens])), math.factorial(n - 1))
-    series = [Fraction(1)] + [Fraction(0)] * z
-    for g in gens:
-        u = dot(eta, g)
-        if g[0] == 0:
-            scale /= u
-            continue
-        scale /= g[0]
-        r = Fraction(u, g[0])
+    flat = [dot(eta, g) for g in gens if g[0] == 0]
+    steep = [(g[0], dot(eta, g)) for g in gens if g[0] != 0]
+    z, lcm = len(flat), math.lcm(*(w for w, _ in steep))
+    # the t^j coefficient of the series is series[j] / lcm^j
+    series = [1] + [0] * z
+    for w, u in steep:
         for j in range(1, z + 1):
-            series[j] -= r * series[j - 1]
-    a, c = v.point[0], dot(eta, v.point)
-    # coefficients of the powers of (s - a), highest power n-1 first
-    shifted = [Fraction(0)] * n
+            series[j] -= u * (lcm // w) * series[j - 1]
+    # v = point / q, so a = A / q and c = C / q
+    point, q = over_common_denominator(v.point)
+    A, C = point[0], dot(eta, point)
+    # the coefficients of the powers of (s - a), low first, times (q lcm)^z
+    shifted = [0] * n
     for j in range(min(z, n - 1) + 1):
-        shifted[n - 1 - j] = scale * math.comb(n - 1, j) * (-c) ** j * series[z - j]
-    return Poly(shifted).compose_affine(Fraction(1), -a)
+        shifted[n - 1 - j] = (math.comb(n - 1, j) * (-C) ** j * series[z - j]
+                              * q ** (z - j) * lcm ** j)
+    # and (s - a)^k = (q s - A)^k / q^k, over q^(n-1)
+    den = (math.factorial(n - 1) * math.prod(flat) * math.prod(w for w, _ in steep)
+           * (q * lcm) ** z * q ** (n - 1))
+    det = abs(det_int([list(g) for g in gens]))
+    return Poly.over([det * x for x in affine_substitute(shifted, q, -A, q)], den)
 
 
 def _positive_on_open(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     """p > 0 on the open (lo, hi): no root there, and positive at the
     midpoint.  With no root, p keeps one sign there by continuity."""
-    return not isolate_roots(p, lo, hi) and p((lo + hi) / 2) > 0
+    return not isolate_roots(p, lo, hi) and p.sign_at((lo + hi) / 2) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +294,7 @@ def find_strict_local_minima(profile: DHProfile) -> list[LocalMinimum]:
             continue
         samples = gap_samples(markers, ch.lo, ch.hi)
         for i, m in enumerate(markers):
-            before = d(samples[i])
-            after = d(samples[i + 1])
-            if before < 0 and after > 0:
+            if d.sign_at(samples[i]) < 0 and d.sign_at(samples[i + 1]) > 0:
                 minima.append(LocalMinimum("chamber", m.exact, m.lo, m.hi))
     for left, right in zip(profile.chambers, profile.chambers[1:]):
         a = left.hi

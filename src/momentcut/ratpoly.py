@@ -1,51 +1,79 @@
-"""Polynomials with exact rational coefficients.
+"""Polynomials with exact rational coefficients: integer numerators, low
+degree first, over one positive denominator, in lowest terms.  Arithmetic
+and signs work on the integers; `coeffs` gives `Fraction`s, for output.
 
-Provides arithmetic, calculus, and complete sign decisions on closed
-intervals via Sturm sequences.  Real roots are reported as exact rationals
-when they are rational and as isolating intervals with rational endpoints
-otherwise; either way the sign pattern between consecutive roots is decided
-exactly, never by floating point.
+Complete sign decisions on closed intervals go through Sturm sequences.
+Real roots are reported as exact rationals when they are rational and as
+isolating intervals with rational endpoints otherwise; either way the sign
+pattern between consecutive roots is decided exactly, never by floating point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalError
+from .lattice import over_common_denominator
 
 
 class Poly:
-    """Immutable dense polynomial, coefficients low degree first."""
+    """Immutable dense polynomial sum_k num[k] s^k / den, in lowest terms."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence[Fraction]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        """The polynomial with these rational coefficients, low degree first."""
+        self._reduce(*over_common_denominator(coeffs))
+
+    @classmethod
+    def over(cls, num: Sequence[int], den: int = 1) -> "Poly":
+        """sum_k num[k] s^k / den for integers num[k] and den != 0."""
+        return object.__new__(cls)._reduce(list(num), den)
+
+    def _reduce(self, num: list[int], den: int) -> "Poly":
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        self.num = tuple(c // g for c in num)
+        self.den = den // g
+        return self
 
     # -- basics ------------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
+
+    def _homogeneous(self, x) -> int:
+        """sum_k num[k] u^k v^(d-k) for x = u/v in lowest terms, v > 0."""
+        u, v = x.numerator, x.denominator
+        h, w = 0, 1
+        for c in reversed(self.num):
+            h, w = h * u + c * w, w * v
+        return h
+
+    def sign_at(self, x: Fraction) -> int:
+        """The sign of p(x) for a rational x, -1, 0 or 1."""
+        h = self._homogeneous(x)
+        return (h > 0) - (h < 0)
 
     def __call__(self, s: Fraction) -> Fraction:
         s = Fraction(s)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        return Fraction(self._homogeneous(s), self.den * s.denominator ** max(self.degree, 0))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         if self.is_zero():
@@ -54,82 +82,89 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self._c(k) + other._c(k) for k in range(n)])
+    def __add__(self, other: "Poly", sign: int = 1) -> "Poly":
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = [c * fa for c in self.num] + [0] * (len(other.num) - len(self.num))
+        for k, c in enumerate(other.num):
+            out[k] += c * fb
+        return Poly.over(out, self.den * fa)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self._c(k) - other._c(k) for k in range(n)])
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly.over([-c for c in self.num], self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self.num, other.num
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly.over(out, self.den * other.den)
 
     def scale(self, c: Fraction) -> "Poly":
         c = Fraction(c)
-        return Poly([a * c for a in self.coeffs])
-
-    def _c(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return Poly.over([x * c.numerator for x in self.num], self.den * c.denominator)
 
     # -- calculus ----------------------------------------------------------
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly.over([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def integrate(self, a: Fraction, b: Fraction) -> Fraction:
-        anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
-        F = Poly(anti)
-        return F(b) - F(a)
+        m = math.lcm(*range(1, len(self.num) + 1))
+        anti = Poly.over([0] + [c * (m // (k + 1)) for k, c in enumerate(self.num)],
+                         self.den * m)
+        return anti(b) - anti(a)
 
     def compose_affine(self, alpha: Fraction, beta: Fraction) -> "Poly":
         """p(alpha*s + beta) as a polynomial in s."""
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        acc = Poly([])
-        lin = Poly([beta, alpha])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly([c])
-        return acc
+        (p1, p0), q = over_common_denominator((Fraction(alpha), Fraction(beta)))
+        return Poly.over(affine_substitute(self.num, p1, p0, q),
+                         self.den * q ** max(self.degree, 0))
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        return Poly.over(self.num, self.num[-1]) if self.num else self
 
 
-def constant(c: Fraction) -> Poly:
-    return Poly([Fraction(c)])
+def affine_substitute(num: Sequence[int], p1: int, p0: int, q: int) -> list[int]:
+    """Integer coefficients of sum_k num[k] (p1 s + p0)^k q^(d-k), d =
+    len(num) - 1: q^d times p((p1 s + p0)/q) for p = sum_k num[k] s^k, by
+    Horner's rule on integer coefficient lists."""
+    out: list[int] = []
+    w = 1
+    for c in reversed(num):
+        # out * (p1 s + p0) + c w
+        out = [x + y for x, y in zip([c * w] + [p1 * x for x in out],
+                                     [p0 * x for x in out] + [0])]
+        w *= q
+    return out
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient Q b.den / (a.den e) and remainder R / (a.den e) of a by b,
+    from the integer pseudo-division e a.num = Q b.num + R, e a power of
+    the leading numerator of b."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quo = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
-    d = b.degree
-    lead = b.coeffs[-1]
-    while len(rem) - 1 >= d and any(rem):
-        k = len(rem) - 1
-        if rem[k] == 0:
-            rem.pop()
-            continue
-        f = rem[k] / lead
-        quo[k - d] = f
-        for j in range(d + 1):
-            rem[k - d + j] -= f * b.coeffs[j]
-        rem.pop()
-    return Poly(quo), Poly(rem)
+    B, d, lead = b.num, b.degree, b.num[-1]
+    rem = list(a.num)
+    quo = [0] * max(0, len(rem) - d)
+    e = 1
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem.pop()
+        if c:
+            # lead * rem - c s^(k-d) B, whose degree-k term cancels
+            rem = [lead * x for x in rem]
+            for j in range(d):
+                rem[k - d + j] -= c * B[j]
+            quo = [lead * x for x in quo]
+            quo[k - d] += c
+            e *= lead
+    den = a.den * e
+    return Poly.over([x * b.den for x in quo], den), Poly.over(rem, den)
 
 
 def gcd_poly(a: Poly, b: Poly) -> Poly:
@@ -149,7 +184,7 @@ def squarefree(p: Poly) -> Poly:
 
 def deflate(p: Poly, r: Fraction) -> Poly:
     """Divide out a known rational root exactly."""
-    q, rem = divmod_poly(p, Poly([-Fraction(r), Fraction(1)]))
+    q, rem = divmod_poly(p, Poly([-r, 1]))
     if not rem.is_zero():
         raise InternalError("deflation at a non-root")
     return q
@@ -170,17 +205,13 @@ def sturm_chain(q: Poly) -> list[Poly]:
 
 
 def sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for f in chain:
-        v = f(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [v for v in (f.sign_at(x) for f in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(q: Poly, chain: Sequence[Poly], a: Fraction, b: Fraction) -> int:
     """Distinct roots of square-free q in (a, b); endpoints must not be roots."""
-    if q(a) == 0 or q(b) == 0:
+    if not q.sign_at(a) or not q.sign_at(b):
         raise InternalError("count_roots endpoint is a root")
     return sign_variations(chain, a) - sign_variations(chain, b)
 
@@ -213,26 +244,25 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[RootMarker]:
     if p.degree < 1 or a >= b:
         return []
     q = squarefree(p)
-    while not q.is_zero() and q.degree >= 1 and q(a) == 0:
+    while q.degree >= 1 and not q.sign_at(a):
         q = deflate(q, a)
-    while not q.is_zero() and q.degree >= 1 and q(b) == 0:
+    while q.degree >= 1 and not q.sign_at(b):
         q = deflate(q, b)
     if q.degree < 1:
         return []
     markers: list[RootMarker] = []
-    _isolate_rec(q, sturm_chain(q), a, b, markers)
+    chain = sturm_chain(q)
+    _isolate_rec(q, chain, a, b, markers)
     markers.sort(key=lambda m: (m.lower, m.upper))
-    markers = _separate(q, markers, a, b)
+    markers = _separate(q, chain, markers, a, b)
     return [_exactify(q, m) for m in markers]
 
 
 def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    import math as _math
-
     if x < 0:
         return None
-    rn = _math.isqrt(x.numerator)
-    rd = _math.isqrt(x.denominator)
+    rn = math.isqrt(x.numerator)
+    rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
@@ -268,7 +298,7 @@ def _isolate_rec(q: Poly, chain, lo: Fraction, hi: Fraction, out: list) -> None:
         out.append(RootMarker(lo, hi))
         return
     mid = (lo + hi) / 2
-    if q(mid) == 0:
+    if not q.sign_at(mid):
         out.append(RootMarker(mid, mid, exact=mid))
         # Step off the root to points that are not roots of q, with no other
         # root between them and mid, so every interval handed on (and later
@@ -276,7 +306,7 @@ def _isolate_rec(q: Poly, chain, lo: Fraction, hi: Fraction, out: list) -> None:
         q2 = deflate(q, mid)
         chain2 = sturm_chain(q2)
         delta = (hi - lo) / 4
-        while (q(mid - delta) == 0 or q(mid + delta) == 0
+        while (not q.sign_at(mid - delta) or not q.sign_at(mid + delta)
                or (q2.degree >= 1
                    and count_roots(q2, chain2, mid - delta, mid + delta) > 0)):
             delta /= 2
@@ -292,15 +322,15 @@ def _refine(q: Poly, chain, m: RootMarker) -> RootMarker:
     if m.exact is not None:
         return m
     mid = (m.lo + m.hi) / 2
-    if q(mid) == 0:
+    if not q.sign_at(mid):
         return RootMarker(mid, mid, exact=mid)
     if count_roots(q, chain, m.lo, mid) == 1:
         return RootMarker(m.lo, mid)
     return RootMarker(mid, m.hi)
 
 
-def _separate(q: Poly, markers: list[RootMarker], a: Fraction, b: Fraction) -> list[RootMarker]:
-    chain = sturm_chain(q)
+def _separate(q: Poly, chain, markers: list[RootMarker], a: Fraction,
+              b: Fraction) -> list[RootMarker]:
     done = False
     while not done:
         done = True
@@ -332,15 +362,15 @@ def nonpositive_on(p: Poly, a: Fraction, b: Fraction) -> tuple[bool, Optional[Fr
     a, b = Fraction(a), Fraction(b)
     if p.is_zero():
         return True, None
-    if p(a) > 0:
+    if p.sign_at(a) > 0:
         return False, a
-    if p(b) > 0:
+    if p.sign_at(b) > 0:
         return False, b
     if p.degree < 1:
         return True, None
     markers = isolate_roots(p, a, b)
     for t in gap_samples(markers, a, b):
-        if p(t) > 0:
+        if p.sign_at(t) > 0:
             return False, t
     return True, None
 
@@ -355,9 +385,8 @@ def one_sided_sign(p: Poly, x: Fraction, direction: int) -> int:
     q = p
     k = 0
     while not q.is_zero():
-        v = q(x)
-        if v != 0:
-            s = 1 if v > 0 else -1
+        s = q.sign_at(x)
+        if s:
             if direction < 0 and k % 2 == 1:
                 s = -s
             return s

@@ -100,6 +100,89 @@ def interpolate(points) -> Poly:
     return poly
 
 
+class FractionPoly:
+    """Oracle for `ratpoly.Poly`: a tuple of `Fraction` coefficients, low
+    degree first, with every operation done per coefficient in `Fraction`
+    arithmetic."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __call__(self, s) -> Fraction:
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * s + c
+        return acc
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def _c(self, k: int) -> Fraction:
+        return self.coeffs[k] if k < len(self.coeffs) else F(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPoly([self._c(k) + other._c(k) for k in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPoly([self._c(k) - other._c(k) for k in range(n)])
+
+    def __mul__(self, other):
+        out = [F(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def derivative(self):
+        return FractionPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def integrate(self, a, b) -> Fraction:
+        anti = FractionPoly([F(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        return anti(b) - anti(a)
+
+    def compose_affine(self, alpha, beta):
+        """p(alpha*s + beta), by Horner's rule on polynomial products."""
+        acc = FractionPoly([])
+        lin = FractionPoly([beta, alpha])
+        for c in reversed(self.coeffs):
+            acc = acc * lin + FractionPoly([c])
+        return acc
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return FractionPoly([c / self.coeffs[-1] for c in self.coeffs])
+
+
+def fraction_divmod(a: FractionPoly, b: FractionPoly) -> tuple[FractionPoly, FractionPoly]:
+    """Oracle for `ratpoly.divmod_poly`: long division in `Fraction`s."""
+    rem = list(a.coeffs)
+    quo = [F(0)] * max(0, len(rem) - len(b.coeffs) + 1)
+    d = len(b.coeffs) - 1
+    while len(rem) - 1 >= d and any(rem):
+        k = len(rem) - 1
+        if rem[k] != 0:
+            f = rem[k] / b.coeffs[-1]
+            quo[k - d] = f
+            for j in range(d + 1):
+                rem[k - d + j] -= f * b.coeffs[j]
+        rem.pop()
+    return FractionPoly(quo), FractionPoly(rem)
+
+
 def positive_on_open_by_two_isolations(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     """p > 0 on the open (lo, hi), decided with two root isolations: p >= 0
     on the closed [lo, hi] by `nonpositive_on(-p)`, then no root inside.

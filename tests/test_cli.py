@@ -251,6 +251,15 @@ def test_dh_csv_and_reports(d3_file, tmp_path):
         assert "." not in line
 
 
+@pytest.mark.parametrize("samples", ["-3", "0", "1"])
+def test_dh_samples_below_two_refused(d3_file, tmp_path, samples):
+    csv = tmp_path / "mu.csv"
+    out = run(["dh", "--in", d3_file, "--csv", str(csv), f"--samples={samples}"])
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith("--samples")
+    assert not csv.exists()
+
+
 def test_dh_deterministic(d3_file):
     a = run(["dh", "--in", d3_file])
     b = run(["dh", "--in", d3_file])
@@ -615,6 +624,32 @@ def test_local_model_unread_option_refused(argv, option):
     assert out.payload["message"].startswith(f"{option}: `momentcut local-model {argv[0]}`")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--weights=5,7", "--trials", "3"],
+    ["membership", "--weights=-1,1"],
+    ["npm", "--weights=-1,1", "--trials", "2"],
+    ["cut-identity", "--weights=-1,1", "--seed", "4"],
+], ids=["solve", "membership", "npm", "cut-identity"])
+def test_battery_mode_refuses_weights(argv):
+    # without --z the op runs its battery, which draws its own actions
+    out = run(["local-model"] + argv)
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith("--weights: the ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--z", "1,1", "--level", "1"],
+    ["membership", "--z", "1,1", "--level", "1"],
+    ["npm", "--z", "1,1"],
+    ["cut-identity", "--z", "1,1,1"],
+    ["convexity", "--trials", "2"],
+], ids=["solve", "membership", "npm", "cut-identity", "convexity"])
+def test_point_query_and_probe_need_weights(argv):
+    out = run(["local-model"] + argv)
+    assert out.exit_code == 1 and out.payload["error"] == "input"
+    assert out.payload["message"].startswith("--weights is needed ")
+
+
 @pytest.mark.parametrize("argv,option", [
     (["convexity", "--weights=-1,1", "--eps-prime", "-inf"], "--eps-prime"),
     (["solve", "--weights=-1,1", "--z", "1,1", "--level", "-nan"], "--level"),
@@ -665,14 +700,14 @@ def _refuse_constant(token):
     ["membership", "--weights=-1,1", "--z", "1,1", "--level", "0.5"],
     ["npm", "--weights=-2,2", "--z", "4,9"],
     ["cut-identity", "--weights=-1,1", "--z", "1,1,1"],
-    ["solve", "--weights=-1,1", "--trials", "3"],
-    ["membership", "--weights=-1,1", "--trials", "3"],
+    ["solve", "--trials", "3"],
+    ["membership", "--trials", "3"],
     ["convexity", "--weights=-1,1", "--trials", "2"],
     ["monotone", "--trials", "3"],
     ["psh", "--trials", "3"],
     ["blowup-potential", "--trials", "3"],
-    ["npm", "--weights=-1,1", "--trials", "2"],
-    ["cut-identity", "--weights=-1,1", "--trials", "2"],
+    ["npm", "--trials", "2"],
+    ["cut-identity", "--trials", "2"],
 ], ids=["solve", "membership", "npm", "cut-identity", "solve-battery",
         "membership-battery", "convexity", "monotone-battery", "psh-battery",
         "blowup-potential-battery", "npm-battery", "cut-identity-battery"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentcut.dh
-from momentcut.corpus import asymmetric_wedge, chopped_hypercube, delzant_corpus
+from momentcut import cli
+from momentcut.corpus import asymmetric_wedge, chopped_hypercube, delta3, delzant_corpus
 from momentcut.dh import (
     Chamber,
     DHProfile,
@@ -23,8 +25,9 @@ from momentcut.dh import (
 )
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
 from momentcut.ops import add_fixed_points, reversed_polytope
-from momentcut.polytope import Facet, LabeledPolytope, transform, vertices, volume
-from momentcut.ratpoly import Poly
+from momentcut.lattice import format_rational
+from momentcut.polytope import Facet, LabeledPolytope, dumps, transform, vertices, volume
+from momentcut.ratpoly import Poly, isolate_roots
 from momentcut.toric import edge_generators
 
 from conftest import (
@@ -444,3 +447,86 @@ def test_wall_crossing_matches_localization(n, picks, depth, seed):
             continue
         assert rep.ok
         assert _jump_matches_localization(P, a)
+
+
+# -- pinned output ----------------------------------------------------------------
+
+# `dh --check-log-concavity --local-minima` payloads, root markers and the
+# reports of a hand-built profile, as the per-coefficient Fraction
+# implementation of `ratpoly.Poly` printed them
+_PINNED_DH = {
+    "delta3": ('{"log_concavity": {"chambers": [{"hi": "0", "lo": "-1", '
+               '"ok": true, "witness": null}, {"hi": "1", "lo": "0", "ok": true, '
+               '"witness": null}], "first_violation": null, "log_concave": true, '
+               '"walls": [{"continuous": true, "ok": true, "wall": "0"}]}, '
+               '"profile": {"chambers": [{"coefficients": ["1/8", "1/4", "1/8"], '
+               '"hi": "0", "lo": "-1"}, {"coefficients": ["1/8", "1/4", "-3/8"], '
+               '"hi": "1", "lo": "0"}], "walls": ["-1", "0", "1"]}, '
+               '"strict_local_minima": [], "total_integral": "1/6"}'),
+    "chopped_hypercube": ('{"log_concavity": {"chambers": [{"hi": "1/4", "lo": "0", '
+                          '"ok": true, "witness": null}, {"hi": "3/4", "lo": "1/4", '
+                          '"ok": true, "witness": null}, {"hi": "1", "lo": "3/4", '
+                          '"ok": true, "witness": null}], "first_violation": null, '
+                          '"log_concave": true, "walls": [{"continuous": true, "ok": true, '
+                          '"wall": "1/4"}, {"continuous": true, "ok": true, '
+                          '"wall": "3/4"}]}, '
+                          '"profile": {"chambers": [{"coefficients": ["47/48", "1/4", "-1", '
+                          '"4/3"], "hi": "1/4", "lo": "0"}, {"coefficients": ["1"], '
+                          '"hi": "3/4", "lo": "1/4"}, {"coefficients": ["25/16", "-9/4", '
+                          '"3", "-4/3"], "hi": "1", "lo": "3/4"}], "walls": ["0", "1/4", '
+                          '"3/4", "1"]}, "strict_local_minima": [], '
+                          '"total_integral": "383/384"}'),
+}
+# root markers (lo, hi, exact) on (a, b) of a product of factors, low degree
+# first: irrational roots, rational roots at bisection points (the inputs of
+# test_bisection_through_an_exact_root), double roots, a large denominator
+_PINNED_MARKERS = [
+    (([-1, 1], [-2, 0, 1], [3, 1]), (-10, 10),           # (s-1)(s^2-2)(s+3)
+     "(-5,-5/2,-) (-5/2,0,-) (0,5/4,-) (5/4,5/2,-)"),
+    (([0, -1, -1, 1],), (-3, 1), "(-1,-1/2,-) (0,0,0)"),
+    (([F(1, 3), -3, F(-1, 3), 3],), (-3, 2), "(-7/4,-1/2,-) (-1/2,3/4,-) (3/4,11/8,-)"),
+    (([F(-1, 16), 0, 1], [F(1, 16), 0, -1]), (-1, 1), "(-1/4,-1/4,-1/4) (1/4,1/4,1/4)"),
+    (([F(-1, 7), 4, 0, -5, 0, 1],), (-3, 3),
+     "(-9/4,-3/2,-) (-3/2,0,-) (0,3/4,-) (3/4,3/2,-) (3/2,9/4,-)"),
+    (([F(-2, 9), 0, 1], [F(-1, 1000), 1], [F(13, 17)]), (-1, 1),
+     "(-1/2,0,-) (0,1/4,-) (1/4,1/2,-)"),
+]
+_PINNED_HAND_BUILT = ('{"log_concavity": {"chambers": [{"hi": "0", "lo": "-1", '
+                      '"ok": true, "witness": null}, {"hi": "1", "lo": "0", "ok": false, '
+                      '"witness": "1/2"}, {"hi": "2", "lo": "1", "ok": false, '
+                      '"witness": "2"}], "first_violation": "chamber (0, '
+                      '1): mu*mu\'\' - mu\'^2 > 0 at s = 1/2", "log_concave": false, '
+                      '"walls": [{"continuous": false, "ok": true, "wall": "0"}, '
+                      '{"continuous": false, "ok": true, "wall": "1"}]}, '
+                      '"strict_local_minima": [{"isolating_interval": ["1/2", "1/2"], '
+                      '"kind": "chamber", "location": "1/2"}, '
+                      '{"isolating_interval": ["3/2", "7/4"], "kind": "chamber", '
+                      '"location": null}]}')
+
+
+def test_dh_output_pinned(tmp_path):
+    for name, P in [("delta3", delta3()), ("chopped_hypercube", chopped_hypercube())]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(P))
+        out = cli.run(["dh", "--in", str(path), "--check-log-concavity", "--local-minima"])
+        assert out.exit_code == 0
+        assert json.dumps(out.payload, sort_keys=True) == _PINNED_DH[name], name
+
+    def fmt(x):
+        return "-" if x is None else format_rational(x)
+
+    for factors, (a, b), want in _PINNED_MARKERS:
+        p = Poly([1])
+        for f in factors:
+            p = p * Poly(f)
+        got = " ".join(f"({fmt(m.lo)},{fmt(m.hi)},{fmt(m.exact)})"
+                       for m in isolate_roots(p, F(a), F(b)))
+        assert got == want, factors
+
+    prof = DHProfile((F(-1), F(0), F(1), F(2)), (
+        Chamber(F(-1), F(0), Poly([F(1), F(-1)])),
+        Chamber(F(0), F(1), Poly([F(1, 2), F(-1), F(1)])),      # minimum at 1/2
+        Chamber(F(1), F(2), Poly([F(1), F(11, 5), F(-3, 2), F(1, 3)]))))  # at 3/2 + sqrt(1/20)
+    got = {"log_concavity": check_log_concavity(prof).to_json(),
+           "strict_local_minima": [m.to_json() for m in find_strict_local_minima(prof)]}
+    assert json.dumps(got, sort_keys=True) == _PINNED_HAND_BUILT

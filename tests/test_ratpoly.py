@@ -3,11 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import momentcut.ratpoly
 from momentcut.ratpoly import (
     Poly,
     deflate,
+    divmod_poly,
     gap_samples,
     isolate_roots,
     nonpositive_on,
@@ -15,11 +17,17 @@ from momentcut.ratpoly import (
     squarefree,
 )
 
-from conftest import interpolate
+from conftest import FractionPoly, fraction_divmod, interpolate
 
 F = Fraction
 coeffs = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),
                   min_size=1, max_size=6)
+# small and huge numerators and denominators, zeros (so the zero
+# polynomial and trailing zeros), and leading coefficients of either sign
+_RATIONAL = (st.sampled_from([F(0), F(1), F(-1)])
+             | st.fractions(min_value=-8, max_value=8, max_denominator=12)
+             | st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+_COEFFS = st.lists(_RATIONAL, max_size=7)
 
 
 def test_eval_and_arith():
@@ -152,3 +160,66 @@ def test_squarefree():
     sf = squarefree(p)
     assert sf.degree == 2
     assert sf(F(1)) == 0 and sf(F(-1)) == 0
+
+
+def _same(p: Poly, oracle: FractionPoly) -> bool:
+    return p.coeffs == oracle.coeffs
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_COEFFS, b=_COEFFS, x=_RATIONAL, alpha=_RATIONAL, beta=_RATIONAL)
+def test_integer_poly_matches_fraction_oracle(a, b, x, alpha, beta):
+    p, q = Poly(a), Poly(b)
+    fp, fq = FractionPoly(a), FractionPoly(b)
+    assert _same(p, fp) and _same(q, fq)
+    assert p.den > 0 and (not p.num or p.num[-1] != 0)
+    assert _same(p + q, fp + fq) and _same(p - q, fp - fq) and _same(p * q, fp * fq)
+    assert _same(-p, FractionPoly([]) - fp)
+    assert _same(p.scale(x), fp * FractionPoly([x]))
+    assert _same(p.derivative(), fp.derivative())
+    assert _same(p.compose_affine(alpha, beta), fp.compose_affine(alpha, beta))
+    assert _same(p.monic(), fp.monic())
+    assert p(x) == fp(x)
+    assert p.sign_at(x) == (fp(x) > 0) - (fp(x) < 0)
+    assert p.integrate(x, alpha) == fp.integrate(x, alpha)
+    if not fq.is_zero():
+        quo, rem = divmod_poly(p, q)
+        fquo, frem = fraction_divmod(fp, fq)
+        assert _same(quo, fquo) and _same(rem, frem)
+    # one reduced form per rational polynomial: == and hash follow the
+    # coefficients, also for a form built over a larger denominator
+    assert (p == q) == (fp == fq)
+    if p == q:
+        assert hash(p) == hash(q)
+    k = 6 * x.denominator * (x.numerator or 1)
+    scaled = Poly.over([c * k for c in p.num], p.den * k)
+    assert scaled == p and hash(scaled) == hash(p)
+
+
+def test_one_sturm_chain_per_isolation(monkeypatch):
+    calls = []
+    sturm_chain = momentcut.ratpoly.sturm_chain
+
+    def counting(q):
+        calls.append(q)
+        return sturm_chain(q)
+    monkeypatch.setattr(momentcut.ratpoly, "sturm_chain", counting)
+    # no bisection of these lands on a root: one chain each
+    cases = [
+        (Poly([F(-1), F(1)]) * Poly([F(-2), F(0), F(1)]) * Poly([F(3), F(1)]), F(-10), F(10)),
+        (Poly([F(-2), F(0), F(1)]), F(0), F(10)),
+        (Poly([F(1, 4), F(-1), F(1)]), F(0), F(1)),
+        (Poly([F(-1, 7), F(4), F(0), F(-5), F(0), F(1)]), F(-3), F(3)),
+    ]
+    for p, a, b in cases:
+        calls.clear()
+        assert isolate_roots(p, a, b)
+        assert len(calls) == 1
+    # nothing to isolate: no chain
+    calls.clear()
+    assert isolate_roots(Poly([F(-1), F(1)]), F(1), F(2)) == []
+    assert isolate_roots(Poly([F(3)]), F(0), F(1)) == []
+    assert calls == []
+    # a bisection onto the root 0 adds the chain of the deflated polynomial
+    isolate_roots(Poly([F(0), F(-1), F(-1), F(1)]), F(-3), F(1))
+    assert len(calls) == 2
