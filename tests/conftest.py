@@ -125,9 +125,6 @@ class FractionPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def _c(self, k: int) -> Fraction:
         return self.coeffs[k] if k < len(self.coeffs) else F(0)
 
