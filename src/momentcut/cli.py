@@ -367,8 +367,8 @@ def _cmd_dh(args) -> CommandOutcome:
     if args.csv == "-":
         raise InputError("--csv - would mix CSV into the JSON report on stdout; "
                          "give a file path")
-    if args.samples < 2:
-        raise InputError(f"--samples needs at least 2 points, got {args.samples}")
+    if not 2 <= args.samples <= 100_000:  # the CSV rows are built in memory
+        raise InputError(f"--samples takes 2 to 100000 points, got {args.samples}")
     P = _load_polytope(args.infile)
     profile = dh_profile(P)
     payload = {"profile": profile.to_json(),

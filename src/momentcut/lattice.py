@@ -48,21 +48,16 @@ def format_rational(q: Fraction) -> str:
 
 def primitive(v: Sequence[int]) -> IntVector:
     """Divide an integer vector by the gcd of its entries."""
-    vv = tuple(int(x) for x in v)
+    vv = tuple(map(int, v))
     if not any(vv):
         raise ZeroVector("cannot primitivize the zero vector")
-    g = 0
-    for x in vv:
-        g = math.gcd(g, x)
+    g = math.gcd(*vv)
     return tuple(x // g for x in vv)
 
 
 def content(v: Sequence[int]) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, int(x))
-    return g
+    return math.gcd(*map(int, v))
 
 
 def dot(u: Sequence, v: Sequence):
@@ -92,20 +87,21 @@ def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
 # fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
+def _eliminate(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Bareiss row echelon form of the integer matrix `a` over its first
     `ncols` columns, in place, carrying every column to their right.
 
     A column with no pivot at or below the current row is skipped.  Returns
-    (rank, det): the number of pivot rows and the last pivot times the sign
-    of the row swaps.  When `a` has n rows and rank n over n columns, det is
-    its determinant; for n = 0 it is the empty product 1.
+    (pivots, det): the pivot columns, one per pivot row, and the last pivot
+    times the sign of the row swaps.  When `a` has n rows and rank n over n
+    columns, det is its determinant; for n = 0 it is the empty product 1.
     """
     m = len(a)
     sign = 1
     prev = 1
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == m:
             break
         if a[r][c] == 0:
@@ -126,16 +122,16 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int]:
                 row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
-        r += 1
-    return r, sign * prev
+        pivots.append(c)
+    return pivots, sign * prev
 
 
 def _square_det(a: list[list[int]]) -> int:
     """Eliminate the leading n x n block of the n-row matrix `a` in place
     and return its determinant (0 when singular)."""
     n = len(a)
-    rank, det = _eliminate(a, n)
-    return det if rank == n else 0
+    pivots, det = _eliminate(a, n)
+    return det if len(pivots) == n else 0
 
 
 def _back_substitute(a: list[list[int]], n: int, det: int, col: int) -> list[int]:
@@ -211,10 +207,32 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fra
     return tuple(Fraction(x, den) for x in num)
 
 
+def exchange(cols: list[list[int]], det: int, k: int, row: int) -> tuple[list[list[int]], int]:
+    """Replace basis row k by a row a in a fraction-free tableau: cols[l] is
+    adjugate column c_l of the basis (determinant det) followed by products
+    <a_j, c_l> with further rows, and cols[l][row] = <a, c_l>.  The new
+    determinant is <a, c_k>; c_k stays, and c_l becomes (det' c_l -
+    <a, c_l> c_k) / det, as does each product: the Bareiss step of
+    `_eliminate`, exact by Sylvester's identity."""
+    ck = cols[k]
+    new_det = ck[row]
+    out = []
+    for l, c in enumerate(cols):
+        f = c[row]
+        out.append(c if l == k else [(new_det * x - f * y) // det for x, y in zip(c, ck)])
+    return out, new_det
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The rows that are independent of the rows before them: the pivot
+    columns of one fraction-free elimination of the transpose."""
+    return _eliminate(transpose(rows), len(rows))[0]
+
+
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix (fraction-free row echelon)."""
     a = [list(map(int, row)) for row in rows]
-    return _eliminate(a, len(a[0]))[0] if a else 0
+    return len(_eliminate(a, len(a[0]))[0]) if a else 0
 
 
 def rank_rational(rows: Sequence[Sequence]) -> int:

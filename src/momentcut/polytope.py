@@ -4,12 +4,13 @@ A polytope is a finite list of facets (primitive integer outward normal,
 rational offset, positive integer label); the point set is
 {x : <normal, x> <= offset for every facet}.  All computations are exact.
 
-A polytope read from input is walked from scratch: one vertex from the
-first feasible n-subset of facets, then a walk over the vertex-edge graph
-in integer homogeneous coordinates.  The edges at a vertex come from one
-fraction-free adjugate of its active basis, and an integer ratio test finds
-the neighbour along each.  An edge that no facet blocks is an unbounded
-ray; the region is bounded when no vertex has one.
+A polytope read from input is walked from scratch: an exact phase-1
+simplex finds one vertex (or certifies that the region is empty), then a
+walk over the vertex-edge graph carries an integer tableau, the adjugate
+of the active basis and its products with every normal, from each simple
+vertex to the next by one fraction-free exchange; a ratio test scans one
+column.  An edge that no facet blocks is an unbounded ray; the region is
+bounded when no vertex has one.
 
 Every polytope derived by one half-space or hyperplane (cut, blow-up,
 slice) takes its structure from its parent's edge graph instead, by the
@@ -50,13 +51,14 @@ from .lattice import (
     content,
     det_int,
     dot,
+    exchange,
     format_rational,
+    independent_rows,
     inverse_unimodular,
     over_common_denominator,
     parse_rational,
     primitive,
     rank_rational,
-    solve_int,
     transpose,
 )
 
@@ -171,19 +173,6 @@ def _kernel_direction(rows: list[IntVector], n: int) -> Optional[IntVector]:
     return primitive(d)
 
 
-def _start_vertex(normals, offs, n) -> Optional[tuple[list[int], int]]:
-    """The first n-subset of facets, in lexicographic order, whose solution
-    satisfies every facet, as (num, den); None when the region is empty."""
-    for subset in combinations(range(len(normals)), n):
-        sol = solve_int([list(normals[i]) for i in subset], [offs[i] for i in subset])
-        if sol is None:
-            continue
-        num, den = sol
-        if all(dot(a, num) <= o * den for a, o in zip(normals, offs)):
-            return num, den
-    return None
-
-
 def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
     """Primitive edge directions at a vertex whose active facets are `act`
     (sorted): the extreme rays of its tangent cone {d : <a_j, d> <= 0}.
@@ -210,24 +199,95 @@ def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
     return tuple(rays)
 
 
-def _ratio_test(normals, slack: list[int], e: IntVector) -> Optional[tuple[int, int, list[int]]]:
-    """How far a vertex can move along e before a facet stops it.
-
-    With slack_j = off_j * den - <a_j, num> at the vertex num/den, the step
-    is num/den + (p / (q * den)) e for p/q the least slack_j / <a_j, e> over
-    the facets with <a_j, e> > 0.  Returns (p, q, the facets attaining it),
-    or None when no facet blocks e (an unbounded edge).
-    """
+def _ratio_test(slack: list[int], r: list[int]) -> Optional[tuple[int, int, list[int]]]:
+    """How far a point can move along d before a row stops it: (p, q, the
+    rows attaining it) for p/q the least slack_j / r_j over the rows with
+    r_j = <a_j, d> > 0, or None when no row blocks d (an unbounded edge)."""
     p, q, ties = None, 1, []
-    for j, a in enumerate(normals):
-        r = dot(a, e)
-        if r > 0:
-            s = slack[j]
-            if p is None or s * q < p * r:
-                p, q, ties = s, r, [j]
-            elif s * q == p * r:
+    for j, (s, rj) in enumerate(zip(slack, r)):
+        if rj > 0:
+            if p is None or s * q < p * rj:
+                p, q, ties = s, rj, [j]
+            elif s * q == p * rj:
                 ties.append(j)
     return None if p is None else (p, q, ties)
+
+
+def _advance(num: list[int], den: int, slack: list[int], v: list[int], p: int, q: int):
+    """num/den + (p / (q den)) d and its slacks, reduced, for v = d followed
+    by the r_j of `_ratio_test`.  The gcd takes the last slack, t in phase 1."""
+    nxt = [q * x + p * d for x, d in zip(num, v)]
+    sl = [q * s - p * r for s, r in zip(slack, v[len(num):])]
+    g = math.gcd(q * den, *nxt, sl[-1])
+    return [x // g for x in nxt], q * den // g, [s // g for s in sl]
+
+
+def _basis(normals, act: list[int]) -> tuple[list[list[int]], int]:
+    """The tableau of the sorted basis act by one fresh adjugate: per basis
+    row l, adjugate column c_l followed by <a_j, c_l> for every facet j."""
+    adj, det = adjugate_int([list(normals[j]) for j in act])
+    return [list(c) + [dot(a, c) for a in normals] for c in zip(*adj)], det
+
+
+def _pivot(basis, act: list[int], k: int, r: int, n: int):
+    """act with act[k] replaced by row r, and its tableau by one `exchange`,
+    kept in sorted row order.  Reordering rows flips the signs of tableau
+    and det alike, which keeps every edge -sign(det) c_l."""
+    cols, det = exchange(*basis, k, n + r)
+    rest = act[:k] + act[k + 1:]
+    i = sum(j < r for j in rest)
+    cols.insert(i, cols.pop(k))
+    return rest[:i] + [r] + rest[i:], (cols, det)
+
+
+def _phase1(normals, offs, n: int):
+    """(start, None) for the walk's first stack entry (num, den, slack,
+    tableau) at a vertex, or (None, y) for a Farkas certificate that the
+    region is empty: integers y >= 0, sum y_j a_j = 0, sum y_j o_j < 0;
+    (None, None) when the normals do not span R^n (no vertex, not pointed).
+
+    The first n independent facets, `rows`, give the vertex when their
+    basic solution is feasible.  Otherwise phase 1 minimises t >= 0 over
+    <a_j, x> - t <= o_j (j not in rows) and <a_i, x> <= o_i (i in rows)
+    from rows plus the most violated facet, by Bland's rule with the row
+    t >= 0 first.  Its tableau has one more column, and the row of t last.
+    """
+    m = len(normals)
+    rows = independent_rows(normals)
+    if len(rows) < n:
+        return None, None
+    cols, det = _basis(normals, rows)
+    v = [dot([offs[i] for i in rows], e) for e in zip(*cols)]
+    g = math.gcd(det, *v[:n]) * (-1 if det < 0 else 1)
+    num, den = [x // g for x in v[:n]], det // g
+    slack = [(o * det - x) // g for o, x in zip(offs, v[n:])]
+    worst = min(range(m), key=slack.__getitem__)
+    if slack[worst] >= 0:
+        return (num, den, slack, (cols, det)), None
+    # the row of facet j is (a_j, -1) off `rows`; the row of t is (0, -1)
+    shifted = [j not in rows for j in range(m)]
+    t = -slack[worst]
+    cols = [c[:n] + [x - s * c[n + worst] for x, s in zip(c[n:], shifted)] + [-c[n + worst]]
+            for c in cols] + [[0] * n + [det * s for s in shifted] + [det]]
+    act = sorted(rows + [worst])
+    cols.insert(act.index(worst), cols.pop())
+    slack = [x + t * s for x, s in zip(slack, shifted)] + [t]
+    basis = (cols, det)
+    while True:
+        cols, det = basis
+        sign = -1 if det > 0 else 1
+        # edge k changes t by -sign * cols[k][-1]; take the first that lowers it
+        k = next((k for k, c in enumerate(cols) if sign * c[-1] > 0), None)
+        if k is None:
+            at = dict(zip(act, cols))
+            return None, [-sign * at[j][-1] if j in at else 0 for j in range(m)]
+        v = [sign * x for x in cols[k]]
+        p, q, ties = _ratio_test(slack, v[n:])
+        r = m if ties[-1] == m else ties[0]
+        num, den, slack = _advance(num, den, slack, v, p, q)
+        act, basis = _pivot(basis, act, k, r, n)
+        if r == m:
+            return (num, den, slack[:-1], ([c[:-1] for c in basis[0][:-1]], basis[1])), None
 
 
 def _edge_keys(normals, act: list[int], edges, n: int) -> list[frozenset[int]]:
@@ -254,32 +314,41 @@ def _pair_edges(normals, n: int, points, edges) -> list[list[tuple[Optional[int]
             for k, ks in enumerate(keys)]
 
 
-def _walk(normals, offs, n, start: tuple[list[int], int]) -> list[tuple]:
+def _walk(normals, n, start) -> list[tuple]:
     """Every vertex of a pointed region, by a walk over its edge graph from
-    `start`.  The vertices and bounded edges of a pointed polyhedron form a
-    connected graph, so the walk reaches all of them.
+    `start` (see `_phase1`).  The vertices and bounded edges of a pointed
+    polyhedron form a connected graph, so the walk reaches all of them.
 
     Returns (num, den, active, edges, unbounded) per vertex: the point
     num/den of the scaled system, its active facets (sorted), its edge
     directions and the set of those that no facet blocks.  An edge is walked
-    once; its key is the set of facets that stay tight along it.
+    once; its key is the set of facets that stay tight along it.  A simple
+    vertex reached from a simple one through one blocking facet gets its
+    tableau by one exchange, and ratio tests scan the tableau's columns.
     """
     found = []
     walked: set[frozenset[int]] = set()
     seen: set[frozenset[int]] = set()
     stack = [start]
     while stack:
-        num, den = stack.pop()
-        slack = [o * den - dot(a, num) for a, o in zip(normals, offs)]
+        num, den, slack, basis = stack.pop()
         act = [j for j, s in enumerate(slack) if s == 0]
         seen.add(frozenset(act))
-        edges = _edge_directions(normals, act, n)
+        simple = len(act) == n
+        if simple:
+            basis = basis or _basis(normals, act)
+            sign = -1 if basis[1] > 0 else 1
+            moves = [[sign * x for x in c] for c in basis[0]]
+            edges = tuple(primitive(v[:n]) for v in moves)
+        else:
+            edges = _edge_directions(normals, act, n)
+            moves = [list(e) + [dot(a, e) for a in normals] for e in edges]
         unbounded = set()
-        for e, tight in zip(edges, _edge_keys(normals, act, edges, n)):
+        for k, (e, v, tight) in enumerate(zip(edges, moves, _edge_keys(normals, act, edges, n))):
             if tight in walked:
                 continue
             walked.add(tight)
-            step = _ratio_test(normals, slack, e)
+            step = _ratio_test(slack, v[n:])
             if step is None:
                 unbounded.add(e)
                 continue
@@ -288,9 +357,8 @@ def _walk(normals, offs, n, start: tuple[list[int], int]) -> list[tuple]:
             if nxt_active in seen:
                 continue
             seen.add(nxt_active)
-            nxt = [q * x + p * y for x, y in zip(num, e)]
-            g = math.gcd(q * den, *nxt)
-            stack.append(([x // g for x in nxt], q * den // g))
+            nxt_basis = _pivot(basis, act, k, ties[0], n)[1] if simple and len(ties) == 1 else None
+            stack.append((*_advance(num, den, slack, v, p, q), nxt_basis))
         found.append((num, den, act, edges, unbounded))
     return found
 
@@ -299,12 +367,10 @@ def _compute_structure(P: LabeledPolytope) -> Structure:
     """The from-scratch walk, for a polytope with no parent structure."""
     n = P.dim
     normals, offs, lcm = _scaled_rows(P.facets)
-    # pointedness: do the normals span R^n
-    pointed = rank_rational(normals) == n
-    start = _start_vertex(normals, offs, n) if pointed else None
-    walk = _walk(normals, offs, n, start) if start is not None else []
+    start, farkas = _phase1(normals, offs, n)
+    walk = _walk(normals, n, start) if start else []
     # num/den solves the system scaled by lcm; unscale
-    return _finish(normals, n, pointed, [
+    return _finish(normals, n, start is not None or farkas is not None, [
         (tuple(Fraction(x, den * lcm) for x in num), frozenset(act), es, unb)
         for num, den, act, es, unb in walk])
 
@@ -516,9 +582,17 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
 
 def dimension_failure(P: LabeledPolytope) -> Optional[str]:
     if P.dim > MAX_DIM:
-        return (f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} (the "
-                f"start-vertex scan runs over {P.dim}-subsets of the facets)")
+        return (f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} (a "
+                f"non-simple vertex and the recession cone take the "
+                f"{P.dim - 1}-subsets of the facets)")
     return None
+
+
+def _empty_reason(P: LabeledPolytope) -> Optional[str]:
+    """The facets of phase 1's certificate when P is empty and its normals
+    span R^n; None otherwise (the region may hold a line)."""
+    y = _phase1(*_scaled_rows(P.facets)[:2], P.dim)[1]
+    return y and f"facets {', '.join(str(j) for j, yj in enumerate(y) if yj)} have no common point"
 
 
 def require_bounded(P: LabeledPolytope, need: str) -> None:
@@ -528,7 +602,9 @@ def require_bounded(P: LabeledPolytope, need: str) -> None:
         raise PreconditionError(
             f"the region is unbounded along {list(st.rays[0])}; {need}")
     if not st.points:
+        reason = _empty_reason(P)
         raise PreconditionError(
+            f"the region is empty: {reason}; {need}" if reason else
             f"the region has no vertex (it is empty or contains a line); {need}")
 
 
@@ -561,7 +637,9 @@ def validate(P: LabeledPolytope) -> ValidationReport:
 
     st = P.structure()
     if not st.points:
-        failures.append("no vertex: the region is empty or unbounded without vertices")
+        reason = _empty_reason(P)
+        failures.append(f"empty: {reason}" if reason else
+                        "no vertex: the region is empty or unbounded without vertices")
         return ValidationReport(False, tuple(failures))
     if not st.simple:
         for pt, act in st.points:

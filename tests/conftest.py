@@ -433,6 +433,18 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
     )
 
 
+def empty_8d_region(seed: int = 0) -> LabeledPolytope:
+    """30 facets in dimension 8 with no common point: x1 <= -1 and -x1 <= 0,
+    and 28 random primitive facets with positive offsets."""
+    rng = random.Random(seed)
+    facets = [Facet((1,) + (0,) * 7, F(-1)), Facet((-1,) + (0,) * 7, F(0))]
+    while len(facets) < 30:
+        v = [rng.randint(-3, 3) for _ in range(8)]
+        if any(v):
+            facets.append(Facet(primitive(v), F(rng.randint(1, 9), rng.randint(1, 3))))
+    return LabeledPolytope(8, facets)
+
+
 def walked(P: LabeledPolytope) -> LabeledPolytope:
     """A fresh polytope on P's facets, so its structure is walked from
     scratch, never derived from a parent."""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from momentcut.cli import _HANDLERS, _emit, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
 from momentcut.ops import add_fixed_points
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
+
+from conftest import empty_8d_region
 
 F = Fraction
 
@@ -251,12 +254,13 @@ def test_dh_csv_and_reports(d3_file, tmp_path):
         assert "." not in line
 
 
-@pytest.mark.parametrize("samples", ["-3", "0", "1"])
+@pytest.mark.parametrize("samples", ["-3", "0", "1", "100001", "1000000000"])
 def test_dh_samples_below_two_refused(d3_file, tmp_path, samples):
     csv = tmp_path / "mu.csv"
     out = run(["dh", "--in", d3_file, "--csv", str(csv), f"--samples={samples}"])
     assert out.exit_code == 1 and out.payload["error"] == "input"
     assert out.payload["message"].startswith("--samples")
+    assert "100000" in out.payload["message"]
     assert not csv.exists()
 
 
@@ -447,7 +451,25 @@ def test_dimension_cap_refused(tmp_path, command):
     out = run([command, *options, "--in", str(p)])
     assert out.exit_code == 2 and out.payload["error"] == "precondition"
     assert out.payload["message"] == run(["validate", "--in", str(p)]).payload["failures"][0]
-    assert "start-vertex scan" in out.payload["message"]
+    assert "recession cone" in out.payload["message"]
+
+
+def test_empty_region_refused_fast_by_name(tmp_path):
+    # x1 <= -1 and -x1 <= 0 among 28 random facets in dimension 8; scanning
+    # the C(30, 8) = 5 852 925 facet subsets for a vertex ran for minutes
+    P = empty_8d_region()
+    pair = [k for k, f in enumerate(P.facets) if f.normal[1:] == (0,) * 7]
+    p = tmp_path / "empty.json"
+    p.write_text(dumps(P))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "momentcut.cli", "info", "--in", str(p)],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    elapsed = time.perf_counter() - t0
+    named = f"facets {pair[0]}, {pair[1]} have no common point"
+    assert proc.returncode == 2 and elapsed < 2.0, elapsed
+    assert json.loads(proc.stdout)["message"] == (
+        f"the region is empty: {named}; info needs a bounded polytope")
+    assert run(["validate", "--in", str(p)]).payload["failures"] == [f"empty: {named}"]
 
 
 _EXACT_COMMANDS_ONLY = """

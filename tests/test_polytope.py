@@ -9,16 +9,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import momentcut.lattice
 import momentcut.polytope
 from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
 from momentcut.errors import EmptyResult, InputError, NotSimple, PreconditionError
-from momentcut.lattice import dot
+from momentcut.lattice import dot, independent_rows, primitive, solve_int
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
     Structure,
+    _scaled_rows,
     canonical_equal,
     dumps,
     from_json_dict,
@@ -38,6 +40,7 @@ from momentcut.toric import edge_generators
 from conftest import (
     chopped_box,
     edge_hyperplane_points,
+    empty_8d_region,
     random_unimodular,
     regular_levels,
     slice_by_walk,
@@ -191,24 +194,159 @@ def test_structure_matches_subset_oracle(P):
             assert edge_generators(P, v) == list(gens)
 
 
-def test_structure_walks_each_edge_once(monkeypatch):
-    # the start vertex takes a few solves and every edge one ratio test,
-    # where solving all C(24, 4) = 10 626 facet subsets took one solve each
+def _count_work(monkeypatch, P: LabeledPolytope) -> Counter:
+    """Count the walk's primitives while P's structure is computed: fresh
+    adjugates, solves, and exchanges and ratio tests, each split between
+    phase 1 (one more column and row: the artificial t) and the walk."""
+    n, m = P.dim, len(P.facets)
     calls = Counter()
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-    for name in ("solve_int", "_ratio_test"):
-        monkeypatch.setattr(momentcut.polytope, name,
-                            counting(name, getattr(momentcut.polytope, name)))
-    st = chopped_hypercube().structure()
-    assert len(st.points) == 64
-    assert calls["solve_int"] < math.comb(24, 4) // 10
-    assert calls["_ratio_test"] <= 128
+    def count(module, name, kind):
+        fn = getattr(module, name)
 
+        def wrapped(*args):
+            calls[kind(args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    count(momentcut.polytope, "adjugate_int", lambda args: "adjugate_int")
+    count(momentcut.lattice, "solve_int", lambda args: "solve_int")
+    count(momentcut.polytope, "exchange",
+          lambda args: "walk exchange" if len(args[0]) == n else "phase-1 exchange")
+    count(momentcut.polytope, "_ratio_test",
+          lambda args: "walk ratio test" if len(args[0]) == m else "phase-1 ratio test")
+    return calls
+
+
+def test_structure_walks_each_edge_once(monkeypatch):
+    # one adjugate for the first basis, then one exchange per pivot of
+    # phase 1 and per vertex after the first, and one ratio test per edge
+    # over a column of the tableau; solving all C(24, 4) = 10 626 facet
+    # subsets took one solve each
+    P = chopped_hypercube()
+    calls = _count_work(monkeypatch, P)
+    st = P.structure()
+    assert len(st.points) == 64 and st.simple
+    assert calls == {"adjugate_int": 1, "phase-1 exchange": 2, "phase-1 ratio test": 2,
+                     "walk exchange": 63, "walk ratio test": 128}
+
+
+def test_empty_region_takes_few_pivots(monkeypatch):
+    # scanning the C(30, 8) = 5 852 925 facet subsets for a vertex ran for
+    # minutes; phase 1 pivots by exchange alone after the first basis
+    P = empty_8d_region()
+    calls = _count_work(monkeypatch, P)
+    assert P.structure().points == ()
+    assert calls == {"adjugate_int": 1, "phase-1 exchange": 5, "phase-1 ratio test": 5}
+
+
+def _check_tableaux(monkeypatch) -> Counter:
+    """Assert that every tableau the walk takes from phase 1 or by an
+    exchange equals the fresh `_basis` of its active set, up to the sign
+    that the order of the basis rows gives; count them."""
+    checked = Counter()
+    normals = []
+    walk, pivot = momentcut.polytope._walk, momentcut.polytope._pivot
+
+    def same(act, basis):
+        cols, det = basis
+        fresh_cols, fresh_det = momentcut.polytope._basis(normals, act)
+        sign = 1 if (det > 0) == (fresh_det > 0) else -1
+        assert (sign * det, [[sign * x for x in c] for c in cols]) == (fresh_det, fresh_cols)
+        checked["tableaux"] += 1
+
+    def checking_walk(rows, n, start):
+        normals[:] = rows
+        act = [j for j, s in enumerate(start[2]) if s == 0]
+        if len(act) == n:
+            same(act, start[3])
+        return walk(rows, n, start)
+
+    def checking_pivot(basis, act, k, r, n):
+        got = pivot(basis, act, k, r, n)
+        if len(got[0]) == n:    # not a phase-1 pivot
+            same(*got)
+        return got
+    monkeypatch.setattr(momentcut.polytope, "_walk", checking_walk)
+    monkeypatch.setattr(momentcut.polytope, "_pivot", checking_pivot)
+    return checked
+
+
+def test_exchanged_tableaux_match_fresh_adjugates(monkeypatch):
+    checked = _check_tableaux(monkeypatch)
+    simple_vertices = 0
+    for _, P in _structure_cases():
+        st = walked(P).structure()
+        simple_vertices += sum(len(act) == P.dim for _, act in st.points)
+    # every simple vertex but one: the square pyramid's walk reaches a
+    # vertex of its base from the apex, and that takes a fresh adjugate
+    assert checked["tableaux"] == simple_vertices - 1 == 409
+
+
+def _random_facets(rng: random.Random, n: int, count: int) -> list[Facet]:
+    facets = []
+    while len(facets) < count:
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        if any(v):
+            facets.append(Facet(primitive(v), F(rng.randint(-3, 3), rng.randint(1, 2))))
+    return facets
+
+
+def _first_basis_infeasible(P: LabeledPolytope) -> bool:
+    normals, offs, _ = _scaled_rows(P.facets)
+    rows = independent_rows(normals)
+    if len(rows) < P.dim:
+        return False
+    num, den = solve_int([list(normals[i]) for i in rows], [offs[i] for i in rows])
+    return any(dot(a, num) > o * den for a, o in zip(normals, offs))
+
+
+@st.composite
+def _walk_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["chopped box", "corpus image", "first basis infeasible"]))
+    if kind == "chopped box":
+        n = draw(st.integers(2, 4))
+        corners = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True, max_size=5))
+        P = chopped_box(n, corners, draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2)])))
+    elif kind == "corpus image":
+        P = draw(st.sampled_from([P for _, P in delzant_corpus()]))
+    else:
+        n = draw(st.integers(1, 3))
+        P = LabeledPolytope(n, _random_facets(rng, n, draw(st.integers(n + 1, 7))))
+        assume(_first_basis_infeasible(P))
+    if kind != "first basis infeasible" or draw(st.booleans()):
+        P = transform(P, random_unimodular(rng, P.dim),
+                      [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(P.dim)])
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=_walk_cases())
+def test_structure_matches_subset_oracle_on_random_systems(P):
+    st, oracle = P.structure(), structure_by_subsets(P)
+    for f in fields(Structure):
+        assert getattr(st, f.name) == getattr(oracle, f.name), f.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 4), contradiction=st.booleans())
+def test_phase1_certificate_on_random_systems(seed, n, contradiction):
+    rng = random.Random(seed)
+    facets = _random_facets(rng, n, rng.randint(n, n + 5))
+    if contradiction:
+        # <a, x> <= b and <-a, x> <= -b - c for some c > 0
+        a, b = facets[0].normal, facets[0].offset
+        facets.append(Facet(tuple(-x for x in a), -b - F(rng.randint(1, 4), rng.randint(1, 3))))
+    P = LabeledPolytope(n, facets)
+    normals, offs, _ = _scaled_rows(P.facets)
+    start, y = momentcut.polytope._phase1(normals, offs, n)
+    assume(start is not None or y is not None)      # the normals span R^n
+    assert (y is None) == bool(structure_by_subsets(P).points)
+    if y is not None:
+        assert all(yj >= 0 for yj in y)
+        assert [sum(yj * f.normal[k] for yj, f in zip(y, P.facets)) for k in range(n)] == [0] * n
+        assert sum(yj * f.offset for yj, f in zip(y, P.facets)) < 0
 
 
 # -- derived structures against the walk from scratch -------------------------
