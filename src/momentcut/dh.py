@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     DimensionMismatch,
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .lattice import content, det_int, dot, format_rational, over_common_denominator
 from .polytope import (
-    Facet,
     LabeledPolytope,
     Vertex,
     canonical_equal,
@@ -43,6 +42,7 @@ from .polytope import (
     require_bounded,
     require_vertex,
     slice_at,
+    slice_facet,
     vertices,
 )
 from .ops import reversed_polytope
@@ -451,8 +451,8 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         actual = sliced[s].polytope
         if actual is None:
             raise WallNotSimpleCrossing("no reduced space above the wall")
-        continued = _continued_facets(P, below_inducing, s)
-        chops = _continued_facets(P, exceptional, s)
+        continued = [slice_facet(P.facets[i], s) for i in below_inducing]
+        chops = [slice_facet(P.facets[i], s) for i in exceptional]
         for k, ((v, _, g, f), chop) in enumerate(zip(crossing, chops)):
             m, nu = -g[0], P.facets[f].normal
             corner = tuple(x + (a - s) / m * e for x, e in zip(v.point[1:], g[1:]))
@@ -523,15 +523,3 @@ def _offset_slope(P: LabeledPolytope, i: int) -> tuple[tuple[int, ...], Fraction
     f = P.facets[i]
     g = content(f.normal[1:])
     return tuple(x // g for x in f.normal[1:]), Fraction(-f.normal[0], g)
-
-
-def _continued_facets(P: LabeledPolytope, inducing: Sequence[int],
-                      s: Fraction) -> list[Facet]:
-    out = []
-    for i in inducing:
-        f = P.facets[i]
-        tail = f.normal[1:]
-        g = content(tail)
-        out.append(Facet(tuple(x // g for x in tail),
-                         (Fraction(f.offset) - f.normal[0] * s) / g, f.label))
-    return out

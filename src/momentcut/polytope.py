@@ -22,6 +22,14 @@ facets, so no ratio test is run.  Dropping redundant facets carries the
 structure over unchanged.  Both paths end in the same finishing code, and
 the derived structure is equal to the one a fresh walk would give.
 
+That code reads everything else off the edge records, by facts that hold
+for every pointed polyhedron, simple or not (Schrijver 1986, section 8):
+the extreme rays of the recession cone are the unbounded edges, the edges
+at a vertex span the affine hull, and the edges at a vertex that lie in a
+facet span that facet's face.  A simple vertex answers n and n - 1 with no
+elimination; only a non-simple vertex takes a rank, and only its tangent
+cone loops over subsets of its active facets.
+
 Unbounded but pointed H-representations are tolerated by the operations
 that need them (cutting a half-infinite region down to a compact one);
 `validate` still rejects them.
@@ -58,7 +66,7 @@ from .lattice import (
     over_common_denominator,
     parse_rational,
     primitive,
-    rank_rational,
+    rank_int,
     transpose,
 )
 
@@ -128,21 +136,21 @@ class Structure:
     edges[k] holds the primitive edge directions at points[k], in
     sorted(active) order at a simple vertex (entry i relaxes the i-th active
     facet) and the extreme rays of the tangent cone at a non-simple one.
+    The rest is read off these edge records: rays are the unbounded edges in
+    order of first appearance, affine_rank is the rank of the edges at the
+    first vertex, and a facet is redundant when no vertex holds it or the
+    edges at its first vertex that lie in it span fewer than n - 1
+    dimensions.
     """
 
     points: tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]
     simple: bool
-    pointed: bool
     rays: tuple[IntVector, ...]          # primitive unbounded edge directions
     bounded: bool
     full_dim: bool
     redundant: frozenset[int]
     affine_rank: int
     edges: tuple[tuple[IntVector, ...], ...]
-
-    @property
-    def vertex_points(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(p for p, _ in self.points)
 
     @cached_property
     def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
@@ -367,90 +375,60 @@ def _compute_structure(P: LabeledPolytope) -> Structure:
     """The from-scratch walk, for a polytope with no parent structure."""
     n = P.dim
     normals, offs, lcm = _scaled_rows(P.facets)
-    start, farkas = _phase1(normals, offs, n)
+    start = _phase1(normals, offs, n)[0]
     walk = _walk(normals, n, start) if start else []
     # num/den solves the system scaled by lcm; unscale
-    return _finish(normals, n, start is not None or farkas is not None, [
+    return _finish(normals, n, [
         (tuple(Fraction(x, den * lcm) for x in num), frozenset(act), es, unb)
         for num, den, act, es, unb in walk])
 
 
-def _finish(normals, n: int, pointed: bool, records) -> Structure:
+def _finish(normals, n: int, records) -> Structure:
     """The Structure of a region from its vertex records, shared by the walk
     and the derived steps.
 
     A record is (point, active set, edge directions, unbounded edges); the
     last is None when not known, and then edges are paired by their keys.
+    Rays, rank and redundancy are read off the edges, as in every pointed
+    polyhedron, simple or not: the extreme rays of the recession cone are
+    the unbounded edges, the edges at a vertex span the affine hull, and
+    those lying in a facet span that facet's face.
     """
-    m = len(normals)
     records = sorted(records, key=lambda r: r[0])
     points = tuple((pt, act) for pt, act, _, _ in records)
     edges = tuple(es for _, _, es, _ in records)
-    simple = all(len(act) == n for _, act in points)
 
+    unbounded = [unb for *_, unb in records]
+    if None in unbounded:
+        unbounded = [{e for e, (w, _) in zip(es, ends) if w is None}
+                     for es, ends in zip(edges, _pair_edges(normals, n, points, edges))]
     rays: list[IntVector] = []
-    if points and simple:
-        # every extreme recession ray of a pointed polyhedron is the
-        # direction of an unbounded edge
-        unbounded = [unb for *_, unb in records]
-        if None in unbounded:
-            unbounded = [{e for e, (w, _) in zip(es, ends) if w is None}
-                         for es, ends in zip(edges, _pair_edges(normals, n, points, edges))]
-        for es, unb in zip(edges, unbounded):
-            rays += [e for e in es if e in unb and e not in rays]
-    elif points:
-        # non-simple: enumerate extreme rays of the recession cone from
-        # (n-1)-subsets of normals
-        seen = set()
-        for subset in combinations(range(m), n - 1):
-            e = _kernel_direction([normals[j] for j in subset], n)
-            if e is None:
-                continue
-            for cand in (e, tuple(-x for x in e)):
-                if cand in seen:
-                    continue
-                if all(dot(normals[j], cand) <= 0 for j in range(m)):
-                    seen.add(cand)
-                    rays.append(cand)
-    bounded = bool(points) and not rays
+    for es, unb in zip(edges, unbounded):
+        rays += [e for e in es if e in unb and e not in rays]
 
-    if not points:
-        affine_rank = -1
-    elif simple:
-        # n independent edges leave a simple vertex
-        affine_rank = n
-    else:
-        base = points[0][0]
-        diffs = [[q - b for q, b in zip(pt, base)] for pt, _ in points[1:]]
-        diffs += [list(r) for r in rays]
-        affine_rank = rank_rational(diffs) if diffs else 0
-    full_dim = affine_rank == n
+    def span(act, es, facet=None) -> int:
+        """The rank of the edges at a vertex, or of those lying in `facet`:
+        a simple vertex has n independent edges, n - 1 in each active facet."""
+        if len(act) == n:
+            return n if facet is None else n - 1
+        return rank_int([e for e in es if facet is None or dot(normals[facet], e) == 0])
 
+    affine_rank = span(points[0][1], edges[0]) if points else -1
     redundant: set[int] = set()
-    if points and simple:
-        # each active facet of a simple vertex holds n-1 of its edges, so
-        # it is a true facet; a facet active nowhere is redundant
-        redundant = set(range(m)).difference(*(act for _, act in points))
-    elif points and full_dim:
-        for i in range(m):
-            incident = [pt for pt, act in points if i in act]
-            inc_rays = [r for r in rays if dot(normals[i], r) == 0]
-            if not incident:
-                redundant.add(i)
-                continue
-            base = incident[0]
-            diffs = [[q - b for q, b in zip(pt, base)] for pt in incident[1:]]
-            diffs += [list(r) for r in inc_rays]
-            if (rank_rational(diffs) if diffs else 0) != n - 1:
-                redundant.add(i)
+    if affine_rank == n:
+        first: dict[int, tuple] = {}
+        for (_, act), es in zip(points, edges):
+            for i in act:
+                first.setdefault(i, (act, es))
+        redundant = {i for i in range(len(normals))
+                     if i not in first or span(*first[i], i) < n - 1}
 
     return Structure(
         points=points,
-        simple=simple,
-        pointed=pointed,
+        simple=all(len(act) == n for _, act in points),
         rays=tuple(rays),
-        bounded=bounded,
-        full_dim=full_dim,
+        bounded=bool(points) and not rays,
+        full_dim=affine_rank == n,
         redundant=frozenset(redundant),
         affine_rank=affine_rank,
         edges=edges,
@@ -537,8 +515,7 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
         elif sl == 0:
             records.append(fresh(pt, moved(act) | {pos}))
     records += [fresh(pt, moved(key) | {pos}) for pt, key in crossings]
-    # the child's normals include P's, so it is pointed too
-    child._structure = _finish(normals, n, True, records)
+    child._structure = _finish(normals, n, records)
     return child
 
 
@@ -561,7 +538,7 @@ def _drop_facets(P: LabeledPolytope, drop: Iterable[int]) -> LabeledPolytope:
         if len(q_act) < len(act):
             es = _edge_directions(normals, sorted(q_act), P.dim)
         records.append((pt, q_act, es, set() if st.bounded else None))
-    Q._structure = _finish(normals, P.dim, st.pointed, records)
+    Q._structure = _finish(normals, P.dim, records)
     return Q
 
 
@@ -583,8 +560,8 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
 def dimension_failure(P: LabeledPolytope) -> Optional[str]:
     if P.dim > MAX_DIM:
         return (f"dimension {P.dim} exceeds the supported maximum {MAX_DIM} (a "
-                f"non-simple vertex and the recession cone take the "
-                f"{P.dim - 1}-subsets of the facets)")
+                f"non-simple vertex takes the {P.dim - 1}-subsets of its active "
+                f"facets)")
     return None
 
 
@@ -732,21 +709,28 @@ class Slice:
         return self.polytope is None
 
 
+def slice_facet(f: Facet, s: Fraction) -> Facet:
+    """Facet f restricted to {x1 = s}, in coordinates (x2 .. xn): the tail
+    of its normal made primitive, offset - nu_1 s divided alike.  The tail
+    must not be zero."""
+    tail = f.normal[1:]
+    g = content(tail)
+    return Facet(tuple(t // g for t in tail), (Fraction(f.offset) - f.normal[0] * s) / g,
+                 f.label)
+
+
 def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     if P.dim < 2:
         raise DimensionMismatch("slicing needs dimension >= 2")
     s = Fraction(s)
     st = P.structure()
+    candidate_idx = range(len(P.facets))
     if st.points:
         # the slice's vertices: P's vertices on {x1 = s} and the points where
-        # P's edges cross it, with the facets of P holding each
+        # P's edges cross it, with the facets of P holding each; every facet
+        # of a nonempty slice holds one of them
         slack, crossings = _crossings(P, (1,) + (0,) * (P.dim - 1), s)
         met = [(pt, act) for (pt, act), sl in zip(st.points, slack) if sl == 0] + crossings
-
-    candidate_idx = range(len(P.facets))
-    if st.simple and st.bounded:
-        # a facet meets the slice exactly when it holds one of those points
-        # (its edge graph is connected)
         candidate_idx = sorted(set().union(*(act for _, act in met)))
 
     pairs: list[tuple[Facet, int]] = []
@@ -754,17 +738,15 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     seen: set[tuple] = set()
     for i in candidate_idx:
         f = P.facets[i]
-        tail = f.normal[1:]
-        rhs = Fraction(f.offset) - f.normal[0] * s
-        if not any(tail):
-            if rhs < 0:
+        if not any(f.normal[1:]):
+            if f.offset < f.normal[0] * s:
                 return Slice(None, False, ())
             continue
-        g = content(tail)
-        key = (tuple(t // g for t in tail), rhs / g)
+        h = slice_facet(f, s)
+        key = (h.normal, h.offset)
         if key not in seen:
             seen.add(key)
-            pairs.append((Facet(key[0], key[1], f.label), i))
+            pairs.append((h, i))
         induced[i] = key
 
     if not pairs:
@@ -782,10 +764,7 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
             q_act = frozenset(q_index[j] for j in act if j in q_index)
             records.append((pt[1:], q_act, _edge_directions(normals, sorted(q_act), Q.dim),
                             set() if st.bounded else None))
-        if not records:
-            return Slice(None, False, ())
-        # a nonempty slice of a pointed region has a vertex, so it is pointed
-        Q._structure = _finish(normals, Q.dim, True, records)
+        Q._structure = _finish(normals, Q.dim, records)
     qst = Q.structure()
     if not qst.points:
         return Slice(None, False, ())

@@ -345,13 +345,15 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
     Vertices are the feasible solutions; edges at a simple vertex are kernel
     directions of n-1 active normals, oriented to relax the remaining one;
     at a non-simple vertex they are the extreme rays of the tangent cone
-    from (n-1)-subsets of the active set.  Rays, rank and redundancy are
-    decided by the rank tests, without the walk's shortcuts.
+    from (n-1)-subsets of the active set.  The rays are the extreme rays of
+    the recession cone from (n-1)-subsets of all normals, each asserted to
+    be an edge direction and ordered by first appearance among the edges.
+    Rank and redundancy are decided by rank tests on point differences and
+    rays, without the engine's edge-record rule.
     """
     n = P.dim
     m = len(P.facets)
     normals, offs, lcm = _scaled_rows(P.facets)
-    pointed = rank_rational(normals) == n
 
     feasible = {}
     for subset in combinations(range(m), n):
@@ -390,15 +392,19 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
             gens.append(e if dot(normals[i], e) < 0 else tuple(-x for x in e))
         edges.append(tuple(gens))
 
-    rays = []
+    recession = set()
     if points:
-        candidates = ([e for es in edges for e in es] if simple else
-                      [c for sub in (combinations(range(m), n - 1) if n > 1 else [()])
-                       for e in [kernel_direction([normals[j] for j in sub], n)]
-                       if e is not None for c in (e, tuple(-x for x in e))])
-        for e in candidates:
-            if all(dot(normals[j], e) <= 0 for j in range(m)) and e not in rays:
-                rays.append(e)
+        for sub in combinations(range(m), n - 1):
+            e = kernel_direction([normals[j] for j in sub], n)
+            if e is not None:
+                recession.update(c for c in (e, tuple(-x for x in e))
+                                 if all(dot(normals[j], c) <= 0 for j in range(m)))
+    rays = []
+    for e in (e for es in edges for e in es):
+        if e in recession and e not in rays:
+            rays.append(e)
+    # every extreme ray of the recession cone is an unbounded edge
+    assert set(rays) == recession
 
     if points:
         base = points[0][0]
@@ -423,7 +429,6 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
     return Structure(
         points=points,
         simple=simple,
-        pointed=pointed,
         rays=tuple(rays),
         bounded=bool(points) and not rays,
         full_dim=affine_rank == n,
@@ -442,6 +447,22 @@ def empty_8d_region(seed: int = 0) -> LabeledPolytope:
         v = [rng.randint(-3, 3) for _ in range(8)]
         if any(v):
             facets.append(Facet(primitive(v), F(rng.randint(1, 9), rng.randint(1, 3))))
+    return LabeledPolytope(8, facets)
+
+
+def cut_8_cube() -> LabeledPolytope:
+    """The unit 8-cube cut by random facets (random.Random(3), normals in
+    [-3, 3]^8, offsets k/2) until there are 30: a bounded region with 15
+    non-simple vertices, each on 9 facets."""
+    rng = random.Random(3)
+    facets = []
+    for i in range(8):
+        e = tuple(int(j == i) for j in range(8))
+        facets += [Facet(e, F(1)), Facet(tuple(-x for x in e), F(0))]
+    while len(facets) < 30:
+        v = [rng.randint(-3, 3) for _ in range(8)]
+        if any(v):
+            facets.append(Facet(primitive(v), F(rng.randint(1, 4), 2)))
     return LabeledPolytope(8, facets)
 
 

@@ -17,7 +17,7 @@ from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
 from momentcut.ops import add_fixed_points
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
 
-from conftest import empty_8d_region
+from conftest import cut_8_cube, empty_8d_region
 
 F = Fraction
 
@@ -451,7 +451,8 @@ def test_dimension_cap_refused(tmp_path, command):
     out = run([command, *options, "--in", str(p)])
     assert out.exit_code == 2 and out.payload["error"] == "precondition"
     assert out.payload["message"] == run(["validate", "--in", str(p)]).payload["failures"][0]
-    assert "recession cone" in out.payload["message"]
+    assert f"non-simple vertex takes the {n - 1}-subsets of its active facets" in (
+        out.payload["message"])
 
 
 def test_empty_region_refused_fast_by_name(tmp_path):
@@ -470,6 +471,22 @@ def test_empty_region_refused_fast_by_name(tmp_path):
     assert json.loads(proc.stdout)["message"] == (
         f"the region is empty: {named}; info needs a bounded polytope")
     assert run(["validate", "--in", str(p)]).payload["failures"] == [f"empty: {named}"]
+
+
+def test_non_simple_region_validated_fast(tmp_path):
+    # 326 vertices, 15 of them on 9 facets: the recession cone from all
+    # C(30, 7) facet subsets ran for 892 s after a walk of 0.3 s
+    P = cut_8_cube()
+    p = tmp_path / "cut-cube.json"
+    p.write_text(dumps(P))
+    t0 = time.perf_counter()
+    out = run(["validate", "--in", str(p)])
+    elapsed = time.perf_counter() - t0
+    assert out.exit_code == 1 and elapsed < 1.0, elapsed
+    # each names a point of 8 coordinates and its 9 facets
+    failures = out.payload["failures"]
+    assert len(failures) == 15 and all(
+        f.startswith("not simple: vertex (") and f.count(",") == 7 + 8 for f in failures)
 
 
 _EXACT_COMMANDS_ONLY = """

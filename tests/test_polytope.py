@@ -3,6 +3,7 @@ from __future__ import annotations
 import fractions
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -15,7 +16,7 @@ import momentcut.lattice
 import momentcut.polytope
 from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
 from momentcut.errors import EmptyResult, InputError, NotSimple, PreconditionError
-from momentcut.lattice import dot, independent_rows, primitive, solve_int
+from momentcut.lattice import dot, independent_rows, primitive, rank_rational, solve_int
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -39,6 +40,7 @@ from momentcut.toric import edge_generators
 
 from conftest import (
     chopped_box,
+    cut_8_cube,
     edge_hyperplane_points,
     empty_8d_region,
     random_unimodular,
@@ -238,6 +240,34 @@ def test_empty_region_takes_few_pivots(monkeypatch):
     calls = _count_work(monkeypatch, P)
     assert P.structure().points == ()
     assert calls == {"adjugate_int": 1, "phase-1 exchange": 5, "phase-1 ratio test": 5}
+
+
+def test_non_simple_region_reads_structure_off_edges(monkeypatch):
+    # the recession cone from all C(30, 7) = 2 035 800 facet subsets, one
+    # kernel direction each, took 892 s after a walk of 0.3 s; only the
+    # tangent cones of the 15 non-simple vertices take subsets now, C(9, 7)
+    # each of their own active facets
+    P = cut_8_cube()
+    callers = Counter()
+    kernel = momentcut.polytope._kernel_direction
+
+    def counted(rows, n):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return kernel(rows, n)
+    monkeypatch.setattr(momentcut.polytope, "_kernel_direction", counted)
+    st = P.structure()
+    non_simple = [act for _, act in st.points if len(act) > P.dim]
+    assert (len(st.points), len(non_simple), {len(act) for act in non_simple}) == (326, 15, {9})
+    assert st.bounded and st.rays == () and st.affine_rank == 8 and st.full_dim
+    assert callers == {"_edge_directions": 540}
+    # the face-dimension rule on point differences, once
+    by_points = set()
+    for i in range(len(P.facets)):
+        incident = [pt for pt, act in st.points if i in act]
+        diffs = [[q - b for q, b in zip(pt, incident[0])] for pt in incident[1:]]
+        if not incident or rank_rational(diffs) != P.dim - 1:
+            by_points.add(i)
+    assert st.redundant == by_points == {2, 4, *range(14, 25)}
 
 
 def _check_tableaux(monkeypatch) -> Counter:
