@@ -44,10 +44,12 @@ from .ops import (
 from .polytope import (
     LabeledPolytope,
     canonical_equal,
+    canonical_key,
     dimension_failure,
     dumps as dump_polytope,
     from_json_dict,
     require_bounded,
+    require_vertices,
     to_json_dict,
     validate,
     vertices,
@@ -250,6 +252,7 @@ def _ints(option: str, text: str) -> tuple[int, ...]:
 
 
 def _vertex_arg(P: LabeledPolytope, args) -> tuple:
+    require_vertices(P, "blowup needs a vertex")
     verts = vertices(P)
     if args.vertex_index is not None:
         if not 0 <= args.vertex_index < len(verts):
@@ -300,8 +303,16 @@ def _cmd_info(args) -> CommandOutcome:
 def _cmd_diff(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     Q = _load_polytope(args.other)
-    eq = canonical_equal(P, Q)
-    return CommandOutcome(0 if eq else 1, {"equal": eq})
+    if canonical_equal(P, Q):
+        return CommandOutcome(0, {"equal": True})
+
+    def only(mine: set, theirs: set) -> list:
+        """The facets of one irredundant form that the other lacks."""
+        return [{"normal": list(nrm), "offset": format_rational(off), "label": lab}
+                for nrm, off, lab in sorted(mine - theirs)]
+    kp, kq = set(canonical_key(P)), set(canonical_key(Q))
+    return CommandOutcome(1, {"equal": False,
+                              "facets_only_in": {"in": only(kp, kq), "other": only(kq, kp)}})
 
 
 def _polytope_payload(P: LabeledPolytope, extra: Optional[dict] = None) -> dict:

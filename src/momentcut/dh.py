@@ -38,9 +38,8 @@ from .polytope import (
     LabeledPolytope,
     Vertex,
     canonical_equal,
-    irredundant,
+    canonical_mismatch,
     require_bounded,
-    require_vertex,
     slice_at,
     slice_facet,
     vertices,
@@ -348,6 +347,8 @@ class WallReport:
     below_slopes: tuple[tuple[int, tuple[int, ...], Fraction], ...]
     above_slopes: tuple[tuple[tuple[int, ...], Fraction], ...]
     reversed_summary: Optional[dict]
+    # per unequal sample: the candidate facet or slice vertex that differs
+    mismatches: tuple[tuple[Fraction, str], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -355,13 +356,16 @@ class WallReport:
                                   for v in self.vertices)
 
     def to_json(self) -> dict:
+        differs = dict(self.mismatches)
         return {
             "wall": format_rational(self.wall),
             "window": format_rational(self.window),
             "fixed_vertices": [v.to_json() for v in self.vertices],
             "blowup_match": {
                 "samples": [
-                    {"s": format_rational(s), "equal": eq} for s, eq in self.match_samples
+                    {"s": format_rational(s), "equal": eq,
+                     **({"differs": differs[s]} if s in differs else {})}
+                    for s, eq in self.match_samples
                 ],
                 "verdict": self.match,
             },
@@ -444,7 +448,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
 
     # verification samples above the wall
     sliced.update((s, slice_at(P, s)) for s in above_samples)
-    match_samples = []
+    match_samples, mismatches = [], []
     image_ok = [True] * len(crossing)
     depth_ok = [True] * len(crossing)
     for s in above_samples:
@@ -462,8 +466,12 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
             depth_ok[k] &= len(found) == 1 and (
                 content(nu[1:]) * (dot(chop.normal, corner) - found[0].offset)
                 == (s - a) * -dot(nu, g) / m)
-        candidate = irredundant(require_vertex(LabeledPolytope(P.dim - 1, continued + chops)))
-        match_samples.append((s, canonical_equal(candidate, actual)))
+        # the candidate is compared with the actual slice's vertices and
+        # facets; it takes no structure of its own
+        mismatch = canonical_mismatch(continued + chops, actual)
+        match_samples.append((s, mismatch is None))
+        if mismatch:
+            mismatches.append((s, mismatch))
 
     # Euler data: offset slopes per facet in each adjacent chamber
     below_slopes = tuple((i, *_offset_slope(P, i)) for i in below_inducing)
@@ -512,6 +520,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         vertices=tuple(out_vertices),
         match_samples=tuple(match_samples),
         match=all(eq for _, eq in match_samples),
+        mismatches=tuple(mismatches),
         below_slopes=below_slopes,
         above_slopes=above_slopes,
         reversed_summary=reversed_summary,

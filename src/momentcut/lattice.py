@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, NotUnimodular, ZeroVector
@@ -61,7 +62,7 @@ def content(v: Sequence[int]) -> int:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def lattice_index(vs: Sequence[Sequence[int]]) -> Optional[int]:

@@ -182,13 +182,14 @@ class BlowupParams:
     depth: Fraction
 
 
-def _find_vertex(P: LabeledPolytope, v: Union[Vertex, Sequence[Fraction]]) -> Vertex:
-    point = tuple(Fraction(c) for c in (v.point if isinstance(v, Vertex) else v))
-    for w in vertices(P):
-        if w.point == point:
-            return w
+def _find_vertex(P: LabeledPolytope, v: Union[Vertex, Sequence[Fraction]]) -> int:
+    """The index of the vertex v among vertices(P)."""
+    pt = tuple(Fraction(c) for c in (v.point if isinstance(v, Vertex) else v))
+    for k, w in enumerate(vertices(P)):
+        if w.point == pt:
+            return k
     raise PreconditionError(
-        f"({', '.join(map(format_rational, point))}) is not a vertex")
+        f"({', '.join(map(format_rational, pt))}) is not a vertex")
 
 
 def blowup(P: LabeledPolytope, params: BlowupParams,
@@ -204,7 +205,8 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
     d = Fraction(params.depth)
     if d <= 0:
         raise PreconditionError("blow-up depth must be positive")
-    v = _find_vertex(P, params.vertex)
+    center = _find_vertex(P, params.vertex)
+    v = vertices(P)[center]
     cls = classify_vertex(P, v)
     if cls.kind == VertexKind.OTHER_ORBIFOLD:
         labels = [P.facets[i].label for i in sorted(v.active)]
@@ -216,13 +218,13 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
     raw = tuple(sum(P.facets[i].normal[k] for i in act) for k in range(P.dim))
     total = sum(Fraction(P.facets[i].offset) for i in act)
     rhs = total - d
-    for w in vertices(P):
-        if w.point == v.point:
-            continue
-        if dot(raw, w.point) >= rhs:
+    # vertex rows num / den are in lowest terms: equal points, equal rows
+    rows = [row for row, _ in P.structure().points]
+    for w, (num, den) in enumerate(rows):
+        if w != center and dot(raw, num) * rhs.denominator >= rhs.numerator * den:
             raise BlowupTooLarge(
                 f"depth {format_rational(d)} reaches the vertex "
-                f"({', '.join(map(format_rational, w.point))})")
+                f"({', '.join(map(format_rational, vertices(P)[w].point))})")
     g = content(raw)
     exc = Facet(tuple(x // g for x in raw), rhs / g, 1)
     result = intersect_halfspace(P, exc)
@@ -230,11 +232,10 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
     rst = result.structure()
     if not rst.simple:
         raise BlowupTooLarge("chopped polytope is not simple")
-    new_points = {pt for pt, _ in rst.points}
-    if v.point in new_points:
+    new_rows = {row for row, _ in rst.points}
+    if rows[center] in new_rows:
         raise InternalError("blown-up vertex survived the chop")
-    old_points = {w.point for w in vertices(P)} - {v.point}
-    if not old_points <= new_points:
+    if not set(rows[:center] + rows[center + 1:]) <= new_rows:
         raise BlowupTooLarge("the chop removed a vertex other than the center")
 
     z2 = cls.kind == VertexKind.Z2_SINGULAR

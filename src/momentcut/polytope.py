@@ -18,9 +18,15 @@ double-description step (Motzkin; Fukuda-Prodon 1996): the parent's
 vertices on the kept side stay, and each edge or ray that strictly crosses
 the hyperplane gives one new vertex, whose active set is the facets holding
 that edge plus the new one.  Edges are paired by that set of holding
-facets, so no ratio test is run.  Dropping redundant facets carries the
-structure over unchanged.  Both paths end in the same finishing code, and
+facets, so no ratio test is run, and the edges at a crossing of a simple
+vertex's edge come in closed form (see `_crossing_edges`).  Dropping
+redundant facets carries the structure over unchanged, and an affine
+unimodular image maps it.  All paths end in the same finishing code, and
 the derived structure is equal to the one a fresh walk would give.
+
+Vertices are kept as integer rows over one positive denominator, in lowest
+terms, so equal points have equal rows; `vertices` builds their `Fraction`
+points once per polytope.
 
 That code reads everything else off the edge records, by facts that hold
 for every pointed polyhedron, simple or not (Schrijver 1986, section 8):
@@ -42,9 +48,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -71,6 +77,8 @@ from .lattice import (
 )
 
 MAX_DIM = 8
+
+Row = tuple[IntVector, int]     # the point num / den, den > 0, in lowest terms
 
 
 @dataclass(frozen=True)
@@ -116,14 +124,20 @@ class LabeledPolytope:
         self.dim = dim
         self.facets = facets
         self._structure: Optional[Structure] = None
-        self._graph: Optional[tuple] = None     # see _edge_graph
+        # maps a parent's structure to this one's when first asked (transform)
+        self._derive: Optional[Callable[[LabeledPolytope], Structure]] = None
+        self._graph: Optional[list] = None      # see _edge_graph
+        self._vertices: Optional[list[Vertex]] = None
 
     def __repr__(self) -> str:
         return f"LabeledPolytope(dim={self.dim}, facets={len(self.facets)})"
 
     def structure(self) -> "Structure":
         if self._structure is None:
-            self._structure = _compute_structure(self)
+            if self._derive is None:
+                self._structure = _compute_structure(self)
+            else:
+                self._structure, self._derive = self._derive(self), None
         return self._structure
 
 
@@ -132,7 +146,8 @@ class Structure:
     """Everything the walk over the vertex-edge graph learns about one
     H-representation.
 
-    points are the vertices with their active facet sets, sorted by point;
+    points are the vertices, as integer rows (num, den), with their active
+    facet sets, sorted by point;
     edges[k] holds the primitive edge directions at points[k], in
     sorted(active) order at a simple vertex (entry i relaxes the i-th active
     facet) and the extreme rays of the tangent cone at a non-simple one.
@@ -143,7 +158,7 @@ class Structure:
     dimensions.
     """
 
-    points: tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]
+    points: tuple[tuple[Row, frozenset[int]], ...]
     simple: bool
     rays: tuple[IntVector, ...]          # primitive unbounded edge directions
     bounded: bool
@@ -155,6 +170,12 @@ class Structure:
     @cached_property
     def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
         return {act: es for (_, act), es in zip(self.points, self.edges)}
+
+
+def _row(num: Sequence[int], den: int) -> Row:
+    """The point num / den (den nonzero) in lowest terms, den > 0."""
+    g = math.gcd(den, *num) * (-1 if den < 0 else 1)
+    return tuple(x // g for x in num), den // g
 
 
 def _scaled_rows(facets: Sequence[Facet]) -> tuple[list[tuple[int, ...]], list[int], int]:
@@ -378,23 +399,25 @@ def _compute_structure(P: LabeledPolytope) -> Structure:
     start = _phase1(normals, offs, n)[0]
     walk = _walk(normals, n, start) if start else []
     # num/den solves the system scaled by lcm; unscale
-    return _finish(normals, n, [
-        (tuple(Fraction(x, den * lcm) for x in num), frozenset(act), es, unb)
-        for num, den, act, es, unb in walk])
+    return _finish(normals, n, [(_row(num, den * lcm), frozenset(act), es, unb)
+                                for num, den, act, es, unb in walk])
 
 
 def _finish(normals, n: int, records) -> Structure:
     """The Structure of a region from its vertex records, shared by the walk
     and the derived steps.
 
-    A record is (point, active set, edge directions, unbounded edges); the
+    A record is (row, active set, edge directions, unbounded edges); the
     last is None when not known, and then edges are paired by their keys.
+    Rows are sorted by their numerators over the common denominator, the
+    order of their points.
     Rays, rank and redundancy are read off the edges, as in every pointed
     polyhedron, simple or not: the extreme rays of the recession cone are
     the unbounded edges, the edges at a vertex span the affine hull, and
     those lying in a facet span that facet's face.
     """
-    records = sorted(records, key=lambda r: r[0])
+    common = math.lcm(*(den for (_, den), *_ in records))
+    records = sorted(records, key=lambda r: [x * (common // r[0][1]) for x in r[0][0]])
     points = tuple((pt, act) for pt, act, _, _ in records)
     edges = tuple(es for _, _, es, _ in records)
 
@@ -439,44 +462,62 @@ def _finish(normals, n: int, records) -> Structure:
 # derived structures: one half-space step, and dropping facets
 # ---------------------------------------------------------------------------
 
-def _edge_graph(P: LabeledPolytope):
-    """P's vertices as integer rows over one denominator each, and
-    _pair_edges over its structure; kept with P for its later children."""
+def _edge_graph(P: LabeledPolytope) -> list:
+    """_pair_edges over P's structure; kept with P for its later children."""
     if P._graph is None:
         st = P.structure()
-        rows = [over_common_denominator(pt) for pt, _ in st.points]
-        pairs = _pair_edges([f.normal for f in P.facets], P.dim, st.points, st.edges)
-        P._graph = rows, pairs
+        P._graph = _pair_edges([f.normal for f in P.facets], P.dim, st.points, st.edges)
     return P._graph
+
+
+def _crossing_edges(es, r: list[int], k: int) -> list[IntVector]:
+    """The edge directions where edge k of a simple vertex crosses the
+    hyperplane <a, x> = c, for es its edges and r_i = <a, es[i]>.
+
+    Entry k relaxes the new facet: -sgn(r_k) es[k], back across the plane.
+    Entry j relaxes what es[j] relaxes, and stays on the plane and on the
+    other facets: primitive(|r_k| es[j] - sgn(r_k) r_j es[k]).
+    """
+    s, g = (1 if r[k] > 0 else -1), es[k]
+    return [tuple(-s * x for x in g) if j == k else
+            e if rj == 0 else primitive([abs(r[k]) * x - s * rj * y for x, y in zip(e, g)])
+            for j, (e, rj) in enumerate(zip(es, r))]
 
 
 def _crossings(P: LabeledPolytope, normal: IntVector, offset: Fraction):
     """Where the hyperplane <normal, x> = offset meets P's edge graph.
 
     Returns the slack offset - <normal, v> of every vertex v of P, each
-    scaled by a positive integer, and one (point, key) per edge or unbounded
-    ray of P that passes strictly from slack > 0 to slack < 0; key is the
-    set of facets holding that edge.
+    scaled by a positive integer, and one (row, key, relax) per edge or
+    unbounded ray of P that passes strictly from slack > 0 to slack < 0:
+    key is the set of facets holding that edge, and relax maps each facet
+    of key, and None for the new one, to the edge at the new vertex that
+    relaxes it; relax is None when the edge starts at a non-simple vertex.
     """
     st = P.structure()
-    rows, pairs = _edge_graph(P)
+    pairs = _edge_graph(P)
     offset = Fraction(offset)
     p, q = offset.numerator, offset.denominator
-    slack = [p * den - q * dot(normal, num) for num, den in rows]
+    slack = [p * den - q * dot(normal, num) for (num, den), _ in st.points]
     found = []
-    for (num, den), es, ends, sl in zip(rows, st.edges, pairs, slack):
-        if sl == 0:
+    for ((num, den), act), es, ends, sl in zip(st.points, st.edges, pairs, slack):
+        if sl == 0 or sl < 0 and st.bounded:
             continue
-        for e, (w, key) in zip(es, ends):
-            r = dot(normal, e)
+        r = [dot(normal, e) for e in es]
+        for k, (e, (w, key), rk) in enumerate(zip(es, ends, r)):
             # slack falls along e when r > 0; a bounded edge is met from
-            # its kept end, a ray from wherever it starts.  The point is
-            # num/den + sl / (q den r) e.
-            if (r > 0 and sl > 0 and (w is None or slack[w] < 0)
-                    or r < 0 and sl < 0 and w is None):
-                d = q * den * r
-                found.append((tuple(Fraction(q * r * x + sl * c, d)
-                                    for x, c in zip(num, e)), key))
+            # its kept end, a ray (none in a bounded P) from wherever it
+            # starts.  The point is num/den + sl / (q den r) e.
+            if (rk > 0 and sl > 0 and (w is None or slack[w] < 0)
+                    or rk < 0 and sl < 0 and w is None):
+                row = _row([q * rk * x + sl * c for x, c in zip(num, e)], q * den * rk)
+                relax = None
+                if len(act) == len(num):
+                    # the facet es[k] relaxed holds no more; the new one does
+                    facets = sorted(act)
+                    facets[k] = None
+                    relax = dict(zip(facets, _crossing_edges(es, r, k)))
+                found.append((row, key, relax))
     return slack, found
 
 
@@ -501,20 +542,25 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
     normals = [f.normal for f in child.facets]
     unb = set() if st.bounded else None
 
-    def moved(act):
-        return frozenset(j + (j >= pos) for j in act)
-
-    def fresh(pt, act):
-        return (pt, act, _edge_directions(normals, sorted(act), n), unb)
+    def moved(j):
+        return pos if j is None else j + (j >= pos)
 
     slack, crossings = _crossings(P, facet.normal, facet.offset)
     records = []
-    for (pt, act), es, sl in zip(st.points, st.edges, slack):
+    for (row, act), es, sl in zip(st.points, st.edges, slack):
         if sl > 0:
-            records.append((pt, moved(act), es, unb))
+            records.append((row, frozenset(map(moved, act)), es, unb))
         elif sl == 0:
-            records.append(fresh(pt, moved(act) | {pos}))
-    records += [fresh(pt, moved(key) | {pos}) for pt, key in crossings]
+            act = frozenset(map(moved, act)) | {pos}
+            records.append((row, act, _edge_directions(normals, sorted(act), n), unb))
+    for row, key, relax in crossings:
+        act = frozenset(map(moved, key)) | {pos}
+        if relax is None:
+            es = _edge_directions(normals, sorted(act), n)
+        else:
+            by = {moved(j): e for j, e in relax.items()}
+            es = tuple(by[j] for j in sorted(act))
+        records.append((row, act, es, unb))
     child._structure = _finish(normals, n, records)
     return child
 
@@ -546,15 +592,27 @@ def _drop_facets(P: LabeledPolytope, drop: Iterable[int]) -> LabeledPolytope:
 # public operations
 # ---------------------------------------------------------------------------
 
+def _point(row: Row) -> tuple[Fraction, ...]:
+    num, den = row
+    return tuple(Fraction(x, den) for x in num)
+
+
+def _simple_points(P: LabeledPolytope) -> tuple[tuple[Row, frozenset[int]], ...]:
+    """P's vertex rows with their active sets; NotSimple at a vertex on more
+    than dim facets."""
+    st = P.structure()
+    if not st.simple:
+        row, act = next((row, act) for row, act in st.points if len(act) > P.dim)
+        raise NotSimple(
+            f"point {tuple(map(format_rational, _point(row)))} lies on {len(act)} facets")
+    return st.points
+
+
 def vertices(P: LabeledPolytope) -> list[Vertex]:
     """All vertices with their active facet sets, sorted by coordinates."""
-    st = P.structure()
-    for pt, act in st.points:
-        if len(act) > P.dim:
-            raise NotSimple(
-                f"point {tuple(map(format_rational, pt))} lies on {len(act)} facets"
-            )
-    return [Vertex(pt, act) for pt, act in st.points]
+    if P._vertices is None:
+        P._vertices = [Vertex(_point(row), act) for row, act in _simple_points(P)]
+    return list(P._vertices)
 
 
 def dimension_failure(P: LabeledPolytope) -> Optional[str]:
@@ -578,7 +636,12 @@ def require_bounded(P: LabeledPolytope, need: str) -> None:
     if st.rays:
         raise PreconditionError(
             f"the region is unbounded along {list(st.rays[0])}; {need}")
-    if not st.points:
+    require_vertices(P, need)
+
+
+def require_vertices(P: LabeledPolytope, need: str) -> None:
+    """Refuse a region with no vertex, naming why; `need` ends the message."""
+    if not P.structure().points:
         reason = _empty_reason(P)
         raise PreconditionError(
             f"the region is empty: {reason}; {need}" if reason else
@@ -619,10 +682,10 @@ def validate(P: LabeledPolytope) -> ValidationReport:
                         "no vertex: the region is empty or unbounded without vertices")
         return ValidationReport(False, tuple(failures))
     if not st.simple:
-        for pt, act in st.points:
+        for row, act in st.points:
             if len(act) > P.dim:
                 failures.append(
-                    f"not simple: vertex ({', '.join(map(format_rational, pt))}) "
+                    f"not simple: vertex ({', '.join(map(format_rational, _point(row)))}) "
                     f"lies on facets {sorted(act)}")
     if failures:
         return ValidationReport(False, tuple(failures))
@@ -639,7 +702,8 @@ def validate(P: LabeledPolytope) -> ValidationReport:
 
 def is_regular_level(P: LabeledPolytope, a: Fraction) -> bool:
     a = Fraction(a)
-    return all(v.point[0] != a for v in vertices(P))
+    p, q = a.numerator, a.denominator
+    return all(num[0] * q != p * den for (num, den), _ in _simple_points(P))
 
 
 def irredundant(P: LabeledPolytope) -> LabeledPolytope:
@@ -680,6 +744,39 @@ def canonical_equal(P: LabeledPolytope, Q: LabeledPolytope) -> bool:
     if P.dim != Q.dim:
         return False
     return canonical_key(P) == canonical_key(Q)
+
+
+def canonical_mismatch(candidate: Sequence[Facet], P: LabeledPolytope) -> Optional[str]:
+    """None when the candidate facets cut out P with P's labels, that is
+    when canonical_equal(LabeledPolytope(P.dim, candidate), P) holds, for P
+    bounded, full-dimensional and without repeated or redundant facets;
+    otherwise the candidate facet or the facet of P that differs.  The
+    candidate takes no structure of its own.
+
+    P is the convex hull of its vertices, so the candidate's region holds P
+    exactly when every candidate facet holds at every vertex of P, and lies
+    in P when every facet of P is a candidate facet.  Equal regions have
+    the same irredundant facets, and `irredundant` keeps the first of
+    repeated ones in canonical order, whose label must then be P's.
+    """
+    candidate = sorted(candidate, key=Facet.key)
+    rows = [row for row, _ in P.structure().points]
+    for h in candidate:
+        off = Fraction(h.offset)
+        for num, den in rows:
+            if dot(h.normal, num) * off.denominator > off.numerator * den:
+                return (f"candidate facet {list(h.normal)} <= {format_rational(off)} fails "
+                        f"at the vertex ({', '.join(map(format_rational, _point((num, den))))})")
+    label: dict[tuple, int] = {}
+    for h in candidate:
+        label.setdefault((h.normal, h.offset), h.label)
+    for f in P.facets:
+        got = label.get((f.normal, f.offset))
+        if got != f.label:
+            facet = f"facet {list(f.normal)} <= {format_rational(f.offset)}"
+            return (f"{facet} is not a candidate facet" if got is None else
+                    f"{facet} has label {f.label}, the candidate's {got}")
+    return None
 
 
 def polytope_hash(P: LabeledPolytope) -> str:
@@ -730,8 +827,9 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
         # P's edges cross it, with the facets of P holding each; every facet
         # of a nonempty slice holds one of them
         slack, crossings = _crossings(P, (1,) + (0,) * (P.dim - 1), s)
-        met = [(pt, act) for (pt, act), sl in zip(st.points, slack) if sl == 0] + crossings
-        candidate_idx = sorted(set().union(*(act for _, act in met)))
+        met = [(row, act, None) for (row, act), sl in zip(st.points, slack) if sl == 0]
+        met += crossings
+        candidate_idx = sorted(set().union(*(act for _, act, _ in met)))
 
     pairs: list[tuple[Facet, int]] = []
     induced: dict[int, tuple] = {}        # facet of P -> its facet of the slice
@@ -755,15 +853,19 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     pairs.sort(key=lambda fi: fi[0].key())
     Q = LabeledPolytope(P.dim - 1, [f for f, _ in pairs])
     if st.points:
-        # project the points met to (x2 .. xn)
+        # project the points met to (x2 .. xn); a crossing's edges other
+        # than the one off the plane have first coordinate 0, and keep their
+        # facets unless two of those induce one facet of the slice
         at = {(f.normal, f.offset): k for k, f in enumerate(Q.facets)}
         q_index = {i: at[key] for i, key in induced.items()}
         normals = [f.normal for f in Q.facets]
         records = []
-        for pt, act in met:
+        for (num, den), act, relax in met:
             q_act = frozenset(q_index[j] for j in act if j in q_index)
-            records.append((pt[1:], q_act, _edge_directions(normals, sorted(q_act), Q.dim),
-                            set() if st.bounded else None))
+            by = {q_index[j]: e[1:] for j, e in (relax or {}).items() if j in q_index}
+            es = (tuple(by[j] for j in sorted(q_act)) if len(by) == Q.dim
+                  else _edge_directions(normals, sorted(q_act), Q.dim))
+            records.append((_row(num[1:], den), q_act, es, set() if st.bounded else None))
         Q._structure = _finish(normals, Q.dim, records)
     qst = Q.structure()
     if not qst.points:
@@ -845,7 +947,10 @@ def _triangulate_face(verts: list[Vertex], inc: list[set[int]],
 
 def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
               b: Sequence[Fraction]) -> LabeledPolytope:
-    """Image polytope {Ax + b : x in P} for integer A with |det A| = 1."""
+    """Image polytope {Ax + b : x in P} for integer A with |det A| = 1.
+
+    Its structure is P's mapped (see `_mapped_structure`), when first asked.
+    """
     n = P.dim
     if len(A) != n or any(len(row) != n for row in A) or len(b) != n:
         raise DimensionMismatch("transform shape mismatch")
@@ -858,7 +963,38 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
         eta_p = tuple(x // g for x in eta)
         off = (Fraction(f.offset) + Fraction(dot(eta, bq))) / g
         new_facets.append(Facet(eta_p, off, f.label))
-    return LabeledPolytope(n, new_facets)
+    Q = LabeledPolytope(n, new_facets)
+    # the constructor's sort is stable: facet i of P is facet index[i] of Q
+    index = [0] * len(new_facets)
+    for k, i in enumerate(sorted(range(len(new_facets)), key=lambda i: new_facets[i].key())):
+        index[i] = k
+    Q._derive = partial(_mapped_structure, P, [list(row) for row in A], bq, index)
+    return Q
+
+
+def _mapped_structure(P: LabeledPolytope, A: list[list[int]], b: list[Fraction],
+                      index: list[int], Q: LabeledPolytope) -> Structure:
+    """The structure of Q = AP + b from P's: a row num / den goes to
+    (A num + den b) / den, an edge e to Ae (primitive, as A is unimodular),
+    and facet i to index[i].  A simple vertex's edges are put in the order
+    of its renumbered facets; a non-simple vertex's tangent cone is taken
+    again, so its edges come in the order a walk of Q would give."""
+    st = P.structure()
+    n = Q.dim
+    normals = [f.normal for f in Q.facets]
+    b_num, b_den = over_common_denominator(b)
+    rays = {tuple(dot(row, e) for row in A) for e in st.rays}
+    records = []
+    for ((num, den), act), es in zip(st.points, st.edges):
+        row = _row([b_den * dot(r, num) + den * t for r, t in zip(A, b_num)], den * b_den)
+        q_act = frozenset(index[j] for j in act)
+        if len(act) == n:
+            by = {index[j]: tuple(dot(r, e) for r in A) for j, e in zip(sorted(act), es)}
+            es = tuple(by[j] for j in sorted(q_act))
+        else:
+            es = _edge_directions(normals, sorted(q_act), n)
+        records.append((row, q_act, es, rays.intersection(es)))
+    return _finish(normals, n, records)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from momentcut.lattice import (
     det_int,
     dot,
     format_rational,
+    over_common_denominator,
     primitive,
     rank_rational,
     solve_int,
@@ -25,7 +26,9 @@ from momentcut.polytope import (
     LabeledPolytope,
     Slice,
     Structure,
+    _point,
     _scaled_rows,
+    canonical_equal,
     slice_at,
     vertices,
     volume,
@@ -368,6 +371,9 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
                                     if dot(normals[j], num) == offs[j] * den)
     points = tuple(sorted(feasible.items()))
     simple = all(len(act) == n for _, act in points)
+    # the engine's rows: least common denominator, lowest terms
+    rows = tuple((tuple(num), den) for num, den in
+                 (over_common_denominator(pt) for pt, _ in points))
 
     def tangent_rays(act):
         out = []
@@ -427,7 +433,7 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
                 redundant.add(i)
 
     return Structure(
-        points=points,
+        points=tuple(zip(rows, (act for _, act in points))),
         simple=simple,
         rays=tuple(rays),
         bounded=bool(points) and not rays,
@@ -472,6 +478,14 @@ def walked(P: LabeledPolytope) -> LabeledPolytope:
     return LabeledPolytope(P.dim, P.facets)
 
 
+def canonical_equal_by_walk(facets, P: LabeledPolytope) -> bool:
+    """Oracle for `polytope.canonical_mismatch`: the facets walked from
+    scratch as a polytope and compared by canonical key; a region with no
+    vertex is unequal."""
+    C = LabeledPolytope(P.dim, facets)
+    return bool(C.structure().points) and canonical_equal(C, P)
+
+
 def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
     """Independent slice oracle: the induced facets, walked from scratch.
 
@@ -485,9 +499,9 @@ def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
     candidates = range(len(P.facets))
     if st.simple and st.bounded:
         xs = {}
-        for pt, act in st.points:
+        for row, act in st.points:
             for i in act:
-                xs.setdefault(i, []).append(pt[0])
+                xs.setdefault(i, []).append(_point(row)[0])
         candidates = [i for i in candidates if i in xs and min(xs[i]) <= s <= max(xs[i])]
     pairs, seen = [], set()
     for i in candidates:

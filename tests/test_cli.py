@@ -223,6 +223,39 @@ def test_cut_reverse_reverse_diff(square_file, tmp_path):
     assert diff2.exit_code == 1 and not diff2.payload["equal"]
 
 
+def test_diff_names_the_differing_facets(square_file, tmp_path):
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": "2"}, {"normal": [-1, 0], "offset": "0"},
+        {"normal": [0, 1], "offset": "1"}, {"normal": [0, -1], "offset": "0", "label": 2},
+        # redundant: no part of the canonical key
+        {"normal": [1, 1], "offset": "5"}]}))
+    out = run(["diff", "--in", square_file, "--other", str(other)])
+    assert out.exit_code == 1 and out.payload == {"equal": False, "facets_only_in": {
+        "in": [{"normal": [0, -1], "offset": "0", "label": 1},
+               {"normal": [1, 0], "offset": "1", "label": 1}],
+        "other": [{"normal": [0, -1], "offset": "0", "label": 2},
+                  {"normal": [1, 0], "offset": "2", "label": 1}]}}
+    assert run(["diff", "--in", square_file, "--other", square_file]).payload == {
+        "equal": True}
+
+
+@pytest.mark.parametrize("facets, message", [
+    ([([1, 0], "0"), ([-1, 0], "-1"), ([0, 1], "1"), ([0, -1], "0")],
+     "the region is empty: facets 0, 3 have no common point; blowup needs a vertex"),
+    ([([0, 1], "1"), ([0, -1], "0")],
+     "the region has no vertex (it is empty or contains a line); blowup needs a vertex"),
+])
+def test_blowup_refuses_a_region_without_vertex(tmp_path, facets, message):
+    # --vertex-index 0 answered "out of range 0..-1"
+    p = tmp_path / "region.json"
+    p.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": nrm, "offset": off} for nrm, off in facets]}))
+    for pick in (["--vertex-index", "0"], ["--vertex", "0,0"]):
+        out = run(["blowup", *pick, "--depth", "1/4", "--in", str(p)])
+        assert out.exit_code == 2 and out.payload["message"] == message
+
+
 def test_compactify_cli(tmp_path):
     strip = {"dim": 2, "facets": [
         {"normal": [-1, 0], "offset": "0", "label": 1},

@@ -349,6 +349,23 @@ def test_profile_value_positive_inside(d3):
             assert prof.value(s) > 0
 
 
+def test_unequal_match_sample_names_what_differs(monkeypatch, d3):
+    # candidate facets moved inward above the wall cut off a slice vertex
+    slice_facet = momentcut.dh.slice_facet
+
+    def inward(f, s):
+        h = slice_facet(f, s)
+        return Facet(h.normal, h.offset - F(1, 64), h.label) if s > 0 else h
+    monkeypatch.setattr(momentcut.dh, "slice_facet", inward)
+    rep = wall_crossing_check(d3, F(0), F(1, 2))
+    assert not rep.match and not rep.ok
+    samples = rep.to_json()["blowup_match"]["samples"]
+    assert [sample["equal"] for sample in samples] == [False, False]
+    for sample in samples:
+        assert re.fullmatch(r"candidate facet \[.*\] <= \S+ fails at the vertex \(.*\)",
+                            sample["differs"]), sample["differs"]
+
+
 def test_wall_check_slices_each_level_once(monkeypatch, d3):
     # four sample levels on P (two below the wall, two above), and the four
     # mirror levels on reversed_polytope(P)

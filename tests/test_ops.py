@@ -323,10 +323,10 @@ def test_ledger_base_identity(square):
 # -- derived polytopes take their structure from the parent ---------------------
 
 def test_derived_polytopes_take_no_walk(monkeypatch):
-    # a surgery chain walks from scratch only for its parsed inputs, their
-    # transform images and the wall-check candidates; every cut, slice,
-    # blow-up and irredundant form steps from its parent's structure
-    walks, walked_for, allowed = Counter(), [], []
+    # a surgery chain walks from scratch only for its parsed inputs; every
+    # cut, slice, blow-up, transform image and irredundant form steps from
+    # its parent's structure, and a wall check walks nothing
+    walks, walked_for, parsed = Counter(), [], []
     walk, compute = momentcut.polytope._walk, momentcut.polytope._compute_structure
 
     def counting_walk(*args):
@@ -337,21 +337,13 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
         walked_for.append(P)
         return compute(P)
 
-    def keep(fn):
-        def wrapped(*args):
-            out = fn(*args)
-            allowed.append(out if fn is not momentcut.dh.require_vertex else args[0])
-            return out
-        return wrapped
     monkeypatch.setattr(momentcut.polytope, "_walk", counting_walk)
     monkeypatch.setattr(momentcut.polytope, "_compute_structure", recording)
-    monkeypatch.setattr(momentcut.ops, "transform", keep(momentcut.ops.transform))
-    monkeypatch.setattr(momentcut.dh, "require_vertex", keep(momentcut.dh.require_vertex))
 
     derived, wall_checks = [], 0
     for P0 in (chopped_cube(), asymmetric_wedge()):
         P = loads(dumps(P0))
-        allowed.append(P)
+        parsed.append(P)
         crit = critical_values(P)
         lo, hi = [crit[0] + (crit[1] - crit[0]) * F(k, 3) for k in (1, 2)]
         derived += [cut(P, lo), cut(P, lo, CutSide.ABOVE), reduce_at(P, lo).polytope,
@@ -373,14 +365,16 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
         derived.append(Q)
         for R in (P, Q):
             for c in critical_values(R)[1:-1]:
+                before = len(walked_for)
                 try:
                     wall_crossing_check(R, c)
                     wall_checks += 1
                 except PreconditionError:
                     pass
+                assert len(walked_for) == before
     assert wall_checks >= 2 and len(derived) >= 20
-    assert 2 <= walks["walk"] <= len(walked_for)
-    assert all(any(Q is A for A in allowed) for Q in walked_for)
+    assert walks["walk"] == len(walked_for) == 2
+    assert all(Q is A for Q, A in zip(walked_for, parsed))
 
     walks.clear()
     keys = [canonical_key(D) for D in derived]

@@ -21,8 +21,10 @@ from momentcut.polytope import (
     Facet,
     LabeledPolytope,
     Structure,
+    _point,
     _scaled_rows,
     canonical_equal,
+    canonical_mismatch,
     dumps,
     from_json_dict,
     irredundant,
@@ -35,10 +37,18 @@ from momentcut.polytope import (
     vertices,
     volume,
 )
-from momentcut.ops import BlowupParams, CutSide, blowup, cut, restrict_halfspace
+from momentcut.ops import (
+    BlowupParams,
+    CutSide,
+    blowup,
+    cut,
+    restrict_halfspace,
+    reversed_polytope,
+)
 from momentcut.toric import edge_generators
 
 from conftest import (
+    canonical_equal_by_walk,
     chopped_box,
     cut_8_cube,
     edge_hyperplane_points,
@@ -263,7 +273,7 @@ def test_non_simple_region_reads_structure_off_edges(monkeypatch):
     # the face-dimension rule on point differences, once
     by_points = set()
     for i in range(len(P.facets)):
-        incident = [pt for pt, act in st.points if i in act]
+        incident = [_point(row) for row, act in st.points if i in act]
         diffs = [[q - b for q, b in zip(pt, incident[0])] for pt in incident[1:]]
         if not incident or rank_rational(diffs) != P.dim - 1:
             by_points.add(i)
@@ -400,19 +410,24 @@ def _assert_slice_as_walked(P: LabeledPolytope, s: Fraction) -> None:
 
 @st.composite
 def _derived_cases(draw):
-    n = draw(st.integers(2, 3))
-    corners = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True, max_size=4))
-    # depth 1/2 makes the chops of adjacent corners meet: not simple
-    depth = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(1, 2)]))
-    P = chopped_box(n, corners, depth)
     if draw(st.booleans()):
-        # without x1 <= 1 the box is unbounded unless a chop closes it
-        P = LabeledPolytope(n, [f for f in P.facets if f.normal != (1,) + (0,) * (n - 1)])
+        P = draw(st.sampled_from([P for _, P in delzant_corpus()]))
+        n = P.dim
+    else:
+        n = draw(st.integers(2, 3))
+        corners = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True, max_size=4))
+        # depth 1/2 makes the chops of adjacent corners meet: not simple
+        depth = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(1, 2)]))
+        P = chopped_box(n, corners, depth)
+        if draw(st.booleans()):
+            # without x1 <= 1 the box is unbounded unless a chop closes it
+            P = LabeledPolytope(n, [f for f in P.facets if f.normal != (1,) + (0,) * (n - 1)])
     if draw(st.booleans()):
+        # the image maps P's structure
         rng = random.Random(draw(st.integers(0, 2 ** 16)))
         P = transform(P, random_unimodular(rng, n),
                       [F(rng.randint(-3, 3), 2) for _ in range(n)])
-    xs = sorted({pt[0] for pt, _ in P.structure().points})
+    xs = sorted({_point(row)[0] for row, _ in P.structure().points})
     width = xs[-1] - xs[0]
     # levels on both sides of the image and beyond it, and critical ones
     spread = st.integers(-4, 20).map(lambda k: xs[0] + width * F(k, 16))
@@ -427,7 +442,7 @@ def _derived_cases(draw):
 def test_derived_structures_match_fresh_walk(case):
     P, levels, corner, fraction = case
     simple = P.structure().simple
-    derived = [P]
+    derived = [P, reversed_polytope(P)]
     for a in levels:
         for side in CutSide:
             try:
@@ -457,6 +472,79 @@ def test_derived_structures_match_fresh_walk(case):
         assert irredundant(D).structure() == irredundant(walked(D)).structure()
         for s in levels:
             _assert_slice_as_walked(D, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_derived_cases(), normal=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+       k=st.integers(-8, 24))
+def test_crossing_edges_match_fresh_tangent_cones(case, normal, k):
+    # the closed-form edges at each crossing of a simple vertex's edge are
+    # the tangent cone of the new vertex: the adjugate of its active basis
+    P = case[0]
+    n = P.dim
+    a = tuple(normal[:n])
+    assume(any(a))
+    a = primitive(a)
+    values = [dot(a, _point(row)) for row, _ in P.structure().points]
+    c = min(values) + (max(values) - min(values)) * F(k, 16)
+    normals = [f.normal for f in P.facets] + [a]
+    crossings = momentcut.polytope._crossings(P, a, c)[1]
+    for row, key, relax in crossings:
+        if relax is None:
+            continue
+        act = sorted(key) + [len(P.facets)]
+        assert [relax[j] for j in sorted(key)] + [relax[None]] == list(
+            momentcut.polytope._edge_directions(normals, act, n))
+
+
+def test_crossings_take_no_adjugate(monkeypatch):
+    # cuts at regular levels, a blow-up and slices of a simple polytope
+    # meet no vertex: every new vertex is a crossing, with closed-form edges
+    P = chopped_hypercube()
+    verts = vertices(P)
+    levels = regular_levels(P, random.Random(4), 6)
+    calls = Counter()
+    for name in ("adjugate_int", "_edge_directions"):
+        fn = getattr(momentcut.polytope, name)
+        monkeypatch.setattr(momentcut.polytope, name,
+                            lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    derived = [cut(P, a, side) for a in levels[:2] for side in CutSide]
+    derived.append(blowup(P, BlowupParams(verts[0].point, F(1, 16)))[0])
+    # not at the levels of the cuts, whose vertices lie on them
+    slices = [(D, s, slice_at(D, s)) for D in derived for s in levels[2:]]
+    assert not calls
+    assert sum(sl.polytope is not None for *_, sl in slices) >= 8
+    monkeypatch.undo()
+    for D in derived:
+        _assert_as_walked(D)
+    for D, s, _ in slices:
+        _assert_slice_as_walked(D, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.sampled_from([P for _, P in delzant_corpus()]), seed=st.integers(0, 2 ** 32),
+       edits=st.lists(st.sampled_from(["shift", "relabel", "drop", "loose copy", "twin"]),
+                      max_size=3))
+def test_canonical_mismatch_matches_walked_candidate(P, seed, edits):
+    # the wall check's candidate test against the walk it replaced
+    rng = random.Random(seed)
+    facets = list(P.facets)
+    for edit in edits:
+        i = rng.randrange(len(facets))
+        f = facets[i]
+        if edit == "shift":
+            facets[i] = Facet(f.normal, f.offset + F(rng.choice([-1, 1]), rng.randint(1, 4)),
+                              f.label)
+        elif edit == "relabel":
+            facets[i] = Facet(f.normal, f.offset, f.label + 1)
+        elif edit == "drop" and len(facets) > 1:
+            facets.pop(i)
+        elif edit == "loose copy":
+            facets.append(Facet(f.normal, f.offset + 1, rng.randint(1, 2)))
+        elif edit == "twin":
+            facets.append(Facet(f.normal, f.offset, rng.randint(1, 3)))
+    got = canonical_mismatch(facets, P)
+    assert (got is None) == canonical_equal_by_walk(facets, P), got
 
 
 # -- slicing -----------------------------------------------------------------
