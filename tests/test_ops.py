@@ -346,21 +346,24 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
         parsed.append(P)
         crit = critical_values(P)
         lo, hi = [crit[0] + (crit[1] - crit[0]) * F(k, 3) for k in (1, 2)]
-        derived += [cut(P, lo), cut(P, lo, CutSide.ABOVE), reduce_at(P, lo).polytope,
-                    compactify(P, lo, hi)]
-        verts = vertices(P)
-        for v in verts:
-            act = sorted(v.active)
-            raw = [sum(P.facets[i].normal[k] for i in act) for k in range(P.dim)]
-            margin = min(sum(P.facets[i].offset for i in act) - dot(raw, w.point)
-                         for w in verts if w is not v)
-            try:
-                derived.append(blowup(P, BlowupParams(v.point, margin / 2))[0])
-            except VertexNotBlowable:
-                pass
         T = momentcut.ops.transform(P, [[int(i == j) for j in range(P.dim)]
                                         for i in range(P.dim)],
                                     [-lo] + [F(0)] * (P.dim - 1))
+        # the same surgery on P and on its image T, a derived polytope
+        for R, shift in ((P, 0), (T, lo)):
+            a, b = lo - shift, hi - shift
+            derived += [cut(R, a), cut(R, a, CutSide.ABOVE), reduce_at(R, a).polytope,
+                        compactify(R, a, b), reversed_polytope(R)]
+            verts = vertices(R)
+            for v in verts:
+                act = sorted(v.active)
+                raw = [sum(R.facets[i].normal[k] for i in act) for k in range(R.dim)]
+                margin = min(sum(R.facets[i].offset for i in act) - dot(raw, w.point)
+                             for w in verts if w is not v)
+                try:
+                    derived.append(blowup(R, BlowupParams(v.point, margin / 2))[0])
+                except VertexNotBlowable:
+                    pass
         Q = add_fixed_points(T, (crit[1] - lo) / 2)[0]
         derived.append(Q)
         for R in (P, Q):
@@ -372,7 +375,7 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
                 except PreconditionError:
                     pass
                 assert len(walked_for) == before
-    assert wall_checks >= 2 and len(derived) >= 20
+    assert wall_checks >= 2 and len(derived) >= 40
     assert walks["walk"] == len(walked_for) == 2
     assert all(Q is A for Q, A in zip(walked_for, parsed))
 
