@@ -348,7 +348,7 @@ class WallReport:
     above_slopes: tuple[tuple[tuple[int, ...], Fraction], ...]
     reversed_summary: Optional[dict]
     # per unequal sample: the candidate facet or slice vertex that differs
-    mismatches: tuple[tuple[Fraction, str], ...] = ()
+    mismatches: tuple[tuple[Fraction, str], ...]
 
     @property
     def ok(self) -> bool:
