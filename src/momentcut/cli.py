@@ -303,6 +303,9 @@ def _cmd_info(args) -> CommandOutcome:
 def _cmd_diff(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     Q = _load_polytope(args.other)
+    # with no vertex no facet can be told redundant, so keys do not compare
+    for R in (P, Q):
+        require_vertices(R, "diff needs a vertex on each side")
     if canonical_equal(P, Q):
         return CommandOutcome(0, {"equal": True})
 

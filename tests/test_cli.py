@@ -240,6 +240,22 @@ def test_diff_names_the_differing_facets(square_file, tmp_path):
         "equal": True}
 
 
+def test_diff_refuses_a_region_without_vertex(square_file, tmp_path):
+    # two empty regions are one set, but their facets were listed as differing
+    files = []
+    for k, far in enumerate(("-1", "-2")):
+        p = tmp_path / f"empty{k}.json"
+        p.write_text(json.dumps({"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": "0"}, {"normal": [-1, 0], "offset": far},
+            {"normal": [0, 1], "offset": "1"}, {"normal": [0, -1], "offset": "0"}]}))
+        files.append(str(p))
+    for pair in (files, [square_file, files[0]]):
+        out = run(["diff", "--in", pair[0], "--other", pair[1]])
+        assert out.exit_code == 2 and out.payload["message"] == (
+            "the region is empty: facets 0, 3 have no common point; "
+            "diff needs a vertex on each side")
+
+
 @pytest.mark.parametrize("facets, message", [
     ([([1, 0], "0"), ([-1, 0], "-1"), ([0, 1], "1"), ([0, -1], "0")],
      "the region is empty: facets 0, 3 have no common point; blowup needs a vertex"),
