@@ -98,12 +98,6 @@ class DHProfile:
         return sum((ch.poly.integrate(ch.lo, ch.hi) for ch in self.chambers),
                    Fraction(0))
 
-    def mirrored(self) -> "DHProfile":
-        chambers = tuple(
-            Chamber(-ch.hi, -ch.lo, ch.poly.compose_affine(Fraction(-1), Fraction(0)))
-            for ch in reversed(self.chambers))
-        return DHProfile(tuple(-w for w in reversed(self.walls)), chambers)
-
     def to_json(self) -> dict:
         return {
             "walls": [format_rational(w) for w in self.walls],

@@ -236,10 +236,6 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(a, len(a[0]))[0]) if a else 0
 
 
-def rank_rational(rows: Sequence[Sequence]) -> int:
-    return rank_int([over_common_denominator(row)[0] for row in rows])
-
-
 # ---------------------------------------------------------------------------
 # unimodular matrices
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from momentcut.lattice import (
     format_rational,
     over_common_denominator,
     primitive,
-    rank_rational,
+    rank_int,
     solve_int,
 )
 from momentcut.localmodel import n_pm
@@ -291,6 +291,20 @@ def mat_vec_int(a, v) -> list[int]:
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
+def rank_rational(rows) -> int:
+    """Rank of a matrix of int or Fraction entries, each row over its least
+    common denominator."""
+    return rank_int([over_common_denominator(row)[0] for row in rows])
+
+
+def mirrored(profile: DHProfile) -> DHProfile:
+    """The profile of the region mirrored by x1 -> -x1: walls negated in
+    reverse order, each chamber's density composed with s -> -s."""
+    chambers = tuple(Chamber(-ch.hi, -ch.lo, ch.poly.compose_affine(F(-1), F(0)))
+                     for ch in reversed(profile.chambers))
+    return DHProfile(tuple(-w for w in reversed(profile.walls)), chambers)
+
+
 def rank_by_fractions(rows) -> int:
     """Rank oracle: Gauss elimination over Fraction, no Bareiss."""
     a = [[F(x) for x in row] for row in rows]
@@ -342,6 +356,21 @@ def kernel_direction(rows, n: int):
     return primitive(d) if any(d) else None
 
 
+def tangent_rays(normals, act, n: int) -> tuple:
+    """Oracle for `polytope._edge_directions`: the extreme rays of the cone
+    {d : <a_j, d> <= 0, j in act}, from the kernel direction of every
+    (n-1)-subset of act, in the order of the first subset giving each."""
+    out = []
+    for sub in combinations(act, n - 1):
+        e = kernel_direction([normals[j] for j in sub], n)
+        if e is None:
+            continue
+        for cand in (e, tuple(-x for x in e)):
+            if all(dot(normals[j], cand) <= 0 for j in act) and cand not in out:
+                out.append(cand)
+    return tuple(out)
+
+
 def structure_by_subsets(P: LabeledPolytope) -> Structure:
     """Independent structure oracle: solve every n-subset of facets.
 
@@ -375,22 +404,11 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
     rows = tuple((tuple(num), den) for num, den in
                  (over_common_denominator(pt) for pt, _ in points))
 
-    def tangent_rays(act):
-        out = []
-        for sub in combinations(act, n - 1):
-            e = kernel_direction([normals[j] for j in sub], n)
-            if e is None:
-                continue
-            for cand in (e, tuple(-x for x in e)):
-                if all(dot(normals[j], cand) <= 0 for j in act) and cand not in out:
-                    out.append(cand)
-        return tuple(out)
-
     edges = []
     for _, act in points:
         act = sorted(act)
         if len(act) > n:
-            edges.append(tangent_rays(act))
+            edges.append(tangent_rays(normals, act, n))
             continue
         gens = []
         for i in act:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -500,8 +501,7 @@ def test_dimension_cap_refused(tmp_path, command):
     out = run([command, *options, "--in", str(p)])
     assert out.exit_code == 2 and out.payload["error"] == "precondition"
     assert out.payload["message"] == run(["validate", "--in", str(p)]).payload["failures"][0]
-    assert f"non-simple vertex takes the {n - 1}-subsets of its active facets" in (
-        out.payload["message"])
+    assert out.payload["message"] == f"dimension {n} exceeds the supported maximum {MAX_DIM}"
 
 
 def test_empty_region_refused_fast_by_name(tmp_path):
@@ -536,6 +536,42 @@ def test_non_simple_region_validated_fast(tmp_path):
     failures = out.payload["failures"]
     assert len(failures) == 15 and all(
         f.startswith("not simple: vertex (") and f.count(",") == 7 + 8 for f in failures)
+
+
+def _cross_polytope(n: int) -> dict:
+    """|x_1| + ... + |x_n| <= 1: 2n vertices, each on 2^(n-1) facets."""
+    return {"dim": n, "facets": [{"normal": list(signs), "offset": "1", "label": 1}
+                                 for signs in product((1, -1), repeat=n)]}
+
+
+def test_not_simple_names_the_vertex(tmp_path):
+    p = tmp_path / "cross.json"
+    p.write_text(json.dumps(_cross_polytope(3)))
+    out = run(["info", "--in", str(p)])
+    assert out.exit_code == 1 and out.payload == {
+        "error": "input", "message": "vertex (-1, 0, 0) lies on 4 facets"}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("command", ["validate", "info"])
+def test_cross_polytope_refused_fast(tmp_path, command, n):
+    # each vertex lies on 2^(n-1) facets: the C(2^(n-1), n-1) facet subsets
+    # of one vertex's tangent cone ran for over a minute at n = 6
+    p = tmp_path / "cross.json"
+    p.write_text(json.dumps(_cross_polytope(n)))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "momentcut.cli", command, "--in", str(p)],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 1 and elapsed < 2.0, elapsed
+    vertex = "(-1" + ", 0" * (n - 1) + ")"
+    if command == "info":
+        assert json.loads(proc.stdout)["message"] == (
+            f"vertex {vertex} lies on {2 ** (n - 1)} facets")
+    else:
+        failures = json.loads(proc.stdout)["failures"]
+        assert len(failures) == 2 * n and failures[0].startswith(
+            f"not simple: vertex {vertex} lies on facets [0, 1, 2, ")
 
 
 _EXACT_COMMANDS_ONLY = """

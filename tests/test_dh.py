@@ -33,6 +33,7 @@ from momentcut.toric import edge_generators
 from conftest import (
     chamber_affine_check,
     chopped_box,
+    mirrored,
     positive_on_open_by_two_isolations,
     profile_by_slicing,
     random_unimodular,
@@ -186,8 +187,8 @@ def test_volume_matches_profile_and_images(P, A, b):
 def test_profile_mirror(d3, pex2):
     for P in (d3, pex2):
         rev = dh_profile(reversed_polytope(P))
-        assert rev.walls == dh_profile(P).mirrored().walls
-        for ch, mh in zip(rev.chambers, dh_profile(P).mirrored().chambers):
+        assert rev.walls == mirrored(dh_profile(P)).walls
+        for ch, mh in zip(rev.chambers, mirrored(dh_profile(P)).chambers):
             assert ch.poly == mh.poly and (ch.lo, ch.hi) == (mh.lo, mh.hi)
 
 

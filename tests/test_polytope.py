@@ -3,20 +3,19 @@ from __future__ import annotations
 import fractions
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import momentcut.lattice
 import momentcut.polytope
 from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
 from momentcut.errors import EmptyResult, InputError, NotSimple, PreconditionError
-from momentcut.lattice import dot, independent_rows, primitive, rank_rational, solve_int
+from momentcut.lattice import dot, independent_rows, primitive, solve_int
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -54,9 +53,11 @@ from conftest import (
     edge_hyperplane_points,
     empty_8d_region,
     random_unimodular,
+    rank_rational,
     regular_levels,
     slice_by_walk,
     structure_by_subsets,
+    tangent_rays,
     walked,
 )
 
@@ -254,22 +255,23 @@ def test_empty_region_takes_few_pivots(monkeypatch):
 
 def test_non_simple_region_reads_structure_off_edges(monkeypatch):
     # the recession cone from all C(30, 7) = 2 035 800 facet subsets, one
-    # kernel direction each, took 892 s after a walk of 0.3 s; only the
-    # tangent cones of the 15 non-simple vertices take subsets now, C(9, 7)
-    # each of their own active facets
+    # kernel direction each, took 892 s after a walk of 0.3 s, and the
+    # tangent cones of the 15 non-simple vertices took C(9, 7) = 36 kernel
+    # directions each; the cone step combines 187 pairs of rays in all, and
+    # the walk takes no other `_combine`
     P = cut_8_cube()
-    callers = Counter()
-    kernel = momentcut.polytope._kernel_direction
+    combined = []
+    combine = momentcut.polytope._combine
 
-    def counted(rows, n):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return kernel(rows, n)
-    monkeypatch.setattr(momentcut.polytope, "_kernel_direction", counted)
+    def counted(*args):
+        combined.append(args)
+        return combine(*args)
+    monkeypatch.setattr(momentcut.polytope, "_combine", counted)
     st = P.structure()
     non_simple = [act for _, act in st.points if len(act) > P.dim]
     assert (len(st.points), len(non_simple), {len(act) for act in non_simple}) == (326, 15, {9})
     assert st.bounded and st.rays == () and st.affine_rank == 8 and st.full_dim
-    assert callers == {"_edge_directions": 540}
+    assert len(combined) == 187
     # the face-dimension rule on point differences, once
     by_points = set()
     for i in range(len(P.facets)):
@@ -367,6 +369,46 @@ def test_structure_matches_subset_oracle_on_random_systems(P):
     st, oracle = P.structure(), structure_by_subsets(P)
     for f in fields(Structure):
         assert getattr(st, f.name) == getattr(oracle, f.name), f.name
+
+
+def _cross_polytope_vertex(n: int, i: int = 0, sign: int = 1):
+    """The facet normals of |x_1| + ... + |x_n| <= 1 and the active set of
+    its vertex sign * e_i, which lies on 2^(n-1) facets."""
+    normals = list(product((1, -1), repeat=n))
+    return normals, [j for j, a in enumerate(normals) if a[i] == sign], n
+
+
+@st.composite
+def _pointed_cones(draw):
+    """(normals, act, n) with more than n normals in act, spanning R^n: a
+    non-simple vertex, since at a simple one the rays keep act's order, not
+    the subsets'.  A vertex of the cross-polytope, or random normals, some
+    repeated, opposite or off act, optionally turned to pair negatively with
+    one direction c (so c is interior and the cone full-dimensional)."""
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(3, 5))
+        i, sign = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1]))
+        return _cross_polytope_vertex(n, i, sign)
+    n = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    normals = [primitive(v) for v in draw(st.lists(vector, min_size=n + 1, max_size=n + 8))]
+    c = draw(st.one_of(st.none(), vector))
+    if c is not None:
+        normals = [a if dot(a, c) < 0 else tuple(-x for x in a) for a in normals if dot(a, c)]
+    assume(len(normals) > n)
+    act = sorted(draw(st.sets(st.sampled_from(range(len(normals))), min_size=n + 1)))
+    assume(len(independent_rows([normals[j] for j in act])) == n)
+    return normals, act, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone=_pointed_cones())
+@example(cone=_cross_polytope_vertex(3))
+@example(cone=_cross_polytope_vertex(4))
+@example(cone=_cross_polytope_vertex(5))
+def test_cone_step_matches_subset_oracle(cone):
+    normals, act, n = cone
+    assert momentcut.polytope._edge_directions(normals, act, n) == tangent_rays(normals, act, n)
 
 
 @settings(max_examples=80, deadline=None)
