@@ -33,7 +33,14 @@ from .errors import (
     PreconditionError,
     WallNotSimpleCrossing,
 )
-from .lattice import content, det_int, dot, format_rational, over_common_denominator
+from .lattice import (
+    content,
+    det_int,
+    dot,
+    format_rational,
+    generic_direction,
+    over_common_denominator,
+)
 from .polytope import (
     LabeledPolytope,
     Vertex,
@@ -112,7 +119,8 @@ def dh_profile(P: LabeledPolytope) -> DHProfile:
     require_bounded(P, "profiles need a bounded polytope")
     verts = sorted(vertices(P), key=lambda v: v.point[0])
     gens = [edge_generators(P, v) for v in verts]
-    eta = _generic_direction(P.dim, {g for gs in gens for g in gs if g[0] == 0})
+    flat = {g for gs in gens for g in gs if g[0] == 0}
+    eta = (0,) + generic_direction([g[1:] for g in flat], P.dim - 1)
     walls = critical_values(P)
     chambers = []
     density = Poly([])
@@ -125,20 +133,6 @@ def dh_profile(P: LabeledPolytope) -> DHProfile:
             raise InternalError("chamber density is not positive")
         chambers.append(Chamber(lo, hi, density))
     return DHProfile(tuple(walls), tuple(chambers))
-
-
-def _generic_direction(n: int, flat: set[tuple[int, ...]]) -> tuple[int, ...]:
-    """First eta = (0, 1, p, p^2, ..), p = 2, 3, .., with <eta, g> != 0 for
-    every edge generator g orthogonal to e_1.
-
-    <eta, g> is a nonzero polynomial of degree <= n-2 in p, so each g rules
-    out at most n-2 values of p and the candidates below cannot all fail.
-    """
-    for p in range(2, 3 + len(flat) * (n - 2)):
-        eta = (0,) + tuple(p ** k for k in range(n - 1))
-        if all(dot(eta, g) != 0 for g in flat):
-            return eta
-    raise InternalError("no generic perturbation of e_1 found")
 
 
 def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, InputError, NotUnimodular, ZeroVector
+from .errors import DimensionMismatch, InputError, InternalError, NotUnimodular, ZeroVector
 
 IntVector = tuple[int, ...]
 
@@ -63,6 +63,18 @@ def content(v: Sequence[int]) -> int:
 
 def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
+
+
+def generic_direction(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:
+    """First c = (1, p, .., p^(dim-1)), p = 2, 3, .., with <c, g> != 0 for
+    every nonzero integer dim-vector g in `vectors`: <c, g> is a nonzero
+    polynomial of degree < dim in p, so each g rules out at most dim-1
+    values of p and the candidates below cannot all fail."""
+    for p in range(2, 3 + len(vectors) * (dim - 1)):
+        c = tuple(p ** k for k in range(dim))
+        if all(dot(c, g) != 0 for g in vectors):
+            return c
+    raise InternalError("no generic direction found")
 
 
 def lattice_index(vs: Sequence[Sequence[int]]) -> Optional[int]:

@@ -66,6 +66,7 @@ from .lattice import (
     dot,
     exchange,
     format_rational,
+    generic_direction,
     independent_rows,
     inverse_unimodular,
     over_common_denominator,
@@ -709,6 +710,31 @@ def is_regular_level(P: LabeledPolytope, a: Fraction) -> bool:
     return all(num[0] * q != p * den for (num, den), _ in _simple_points(P))
 
 
+def volume(P: LabeledPolytope) -> Fraction:
+    """Exact Euclidean volume (lattice normalization of Z^n) by Lawrence's
+    vertex sum (Lawrence 1991; Brion 1988) over the edge records,
+
+        vol(P) = (1/n!) sum_v <c, v>^n |det G_v| / prod_k (-<c, g_k>),
+
+    G_v the edge generators g_k at the vertex v and c any vector with
+    <c, g> != 0 for every edge generator.  With v = num / q each term is an
+    integer over q^n prod_k (-<c, g_k>), summed over one common denominator.
+    """
+    points = _simple_points(P)
+    require_bounded(P, "volume needs a bounded polytope")
+    n = P.dim
+    edges = P.structure().edges
+    c = generic_direction([g for es in edges for g in es], n)
+    total, den = 0, 1
+    for ((num, q), _), es in zip(points, edges):
+        term = dot(c, num) ** n * abs(det_int([list(g) for g in es]))
+        term_den = q ** n * math.prod(-dot(c, g) for g in es)
+        common = math.lcm(den, term_den)
+        total = total * (common // den) + term * (common // term_den)
+        den = common
+    return Fraction(total, den * math.factorial(n))
+
+
 def irredundant(P: LabeledPolytope) -> LabeledPolytope:
     """Drop repeated facets (same normal and offset; the first in canonical
     order stays), then redundant ones (exact face-dimension criterion).
@@ -874,70 +900,6 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     R = _drop_facets(Q, qst.redundant) if qst.redundant else Q
     return Slice(R, False, tuple(i for k, (_, i) in enumerate(pairs)
                                  if k not in qst.redundant))
-
-
-# ---------------------------------------------------------------------------
-# volume by fan triangulation over the face lattice
-#
-# Faces are sets of vertex indices.  vertices() is sorted by point, so the
-# apex (the least vertex) is index 0, the least vertex of a face is its
-# least index, and facet j cuts the face S down to S & inc[j].  Each
-# v - apex is one integer row over one denominator, so a simplex costs one
-# integer determinant divided by the product of its vertices' denominators.
-# ---------------------------------------------------------------------------
-
-def volume(P: LabeledPolytope) -> Fraction:
-    """Exact Euclidean volume (lattice normalization of Z^n).
-
-    Sums the cones from the least vertex over a triangulation of every
-    facet not containing it; faces are vertex-index sets and each simplex
-    is an integer determinant over per-vertex denominators.
-    """
-    verts = vertices(P)
-    st = P.structure()
-    if not st.bounded:
-        raise PreconditionError("volume of an unbounded region")
-    n = P.dim
-    if n == 1:
-        xs = [v.point[0] for v in verts]
-        return max(xs) - min(xs)
-    inc: list[set[int]] = [set() for _ in P.facets]
-    for k, v in enumerate(verts):
-        for i in v.active:
-            inc[i].add(k)
-    apex = verts[0]
-    rows, dens = zip(*(over_common_denominator([q - a for q, a in zip(v.point, apex.point)])
-                       for v in verts))
-    total = Fraction(0)
-    for i, face in enumerate(inc):
-        if i in st.redundant or i in apex.active or not face:
-            continue
-        for simplex in _triangulate_face(verts, inc, frozenset([i]), face, n - 1):
-            det = det_int([rows[k] for k in simplex])
-            total += Fraction(abs(det), math.prod(dens[k] for k in simplex))
-    return total / math.factorial(n)
-
-
-def _triangulate_face(verts: list[Vertex], inc: list[set[int]],
-                      active: frozenset[int], face: set[int], k: int):
-    """Simplices (tuples of k+1 vertex indices) triangulating the k-face
-    `face` of a simple polytope, the face cut out by the facets `active`."""
-    u0 = min(face)
-    if k == 0:
-        yield (u0,)
-        return
-    u0_active = verts[u0].active
-    seen_sub: set[frozenset[int]] = set()
-    for w in sorted(face):
-        for j in verts[w].active:
-            if j in active or j in u0_active:
-                continue
-            sub_active = active | {j}
-            if sub_active in seen_sub:
-                continue
-            seen_sub.add(sub_active)
-            for simplex in _triangulate_face(verts, inc, sub_active, face & inc[j], k - 1):
-                yield (u0,) + simplex
 
 
 # ---------------------------------------------------------------------------

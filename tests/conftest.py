@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -31,7 +32,6 @@ from momentcut.polytope import (
     canonical_equal,
     slice_at,
     vertices,
-    volume,
 )
 from momentcut.ratpoly import Poly, isolate_roots, nonpositive_on
 from momentcut.toric import INFINITE, FixedComponent
@@ -191,10 +191,68 @@ def positive_on_open_by_two_isolations(p: Poly, lo: Fraction, hi: Fraction) -> b
     return ok and not isolate_roots(p, lo, hi)
 
 
+def volume_by_triangulation(P: LabeledPolytope) -> Fraction:
+    """Volume oracle independent of localization: the cones from the least
+    vertex over a fan triangulation of every facet not containing it.
+
+    Faces are sets of vertex indices.  vertices() is sorted by point, so the
+    apex (the least vertex) is index 0, the least vertex of a face is its
+    least index, and facet j cuts the face S down to S & inc[j].  Each
+    v - apex is one integer row over one denominator, so a simplex costs one
+    integer determinant divided by the product of its vertices' denominators.
+    """
+    verts = vertices(P)
+    st = P.structure()
+    assert st.bounded and st.points, "the oracle needs a bounded polytope"
+    n = P.dim
+    if n == 1:
+        xs = [v.point[0] for v in verts]
+        return max(xs) - min(xs)
+    inc: list[set[int]] = [set() for _ in P.facets]
+    for k, v in enumerate(verts):
+        for i in v.active:
+            inc[i].add(k)
+    apex = verts[0]
+    rows, dens = zip(*(over_common_denominator([q - a for q, a in zip(v.point, apex.point)])
+                       for v in verts))
+    total = F(0)
+    for i, face in enumerate(inc):
+        if i in st.redundant or i in apex.active or not face:
+            continue
+        for simplex in _triangulate_face(verts, inc, frozenset([i]), face, n - 1):
+            det = det_int([rows[k] for k in simplex])
+            total += F(abs(det), math.prod(dens[k] for k in simplex))
+    return total / math.factorial(n)
+
+
+def _triangulate_face(verts, inc: list[set[int]], active: frozenset[int], face: set[int],
+                      k: int):
+    """Simplices (tuples of k+1 vertex indices) triangulating the k-face
+    `face` of a simple polytope, the face cut out by the facets `active`."""
+    u0 = min(face)
+    if k == 0:
+        yield (u0,)
+        return
+    u0_active = verts[u0].active
+    seen_sub: set[frozenset[int]] = set()
+    for w in sorted(face):
+        for j in verts[w].active:
+            if j in active or j in u0_active:
+                continue
+            sub_active = active | {j}
+            if sub_active in seen_sub:
+                continue
+            seen_sub.add(sub_active)
+            for simplex in _triangulate_face(verts, inc, sub_active, face & inc[j], k - 1):
+                yield (u0,) + simplex
+
+
 def slice_volume(P: LabeledPolytope, s: Fraction) -> Fraction:
-    """(n-1)-volume of the slice at x1 = s, 0 off the moment image."""
+    """(n-1)-volume of the slice at x1 = s, 0 off the moment image, by the
+    triangulation oracle, so profile by slicing shares no formula with
+    profile by localization."""
     sl = slice_at(P, s)
-    return volume(sl.polytope) if sl.polytope is not None else F(0)
+    return volume_by_triangulation(sl.polytope) if sl.polytope is not None else F(0)
 
 
 def profile_by_slicing(P: LabeledPolytope) -> DHProfile:

@@ -25,7 +25,7 @@ from momentcut.dh import (
 )
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
 from momentcut.ops import add_fixed_points, reversed_polytope
-from momentcut.lattice import format_rational
+from momentcut.lattice import format_rational, generic_direction
 from momentcut.polytope import Facet, LabeledPolytope, dumps, transform, vertices, volume
 from momentcut.ratpoly import Poly, isolate_roots
 from momentcut.toric import edge_generators
@@ -38,6 +38,7 @@ from conftest import (
     profile_by_slicing,
     random_unimodular,
     slice_volume,
+    volume_by_triangulation,
 )
 
 F = Fraction
@@ -159,7 +160,7 @@ def test_profile_integrates_to_volume_on_corpus():
 
 def _volume_oracle_cases() -> list[tuple]:
     """Chopped 3- and 4-cubes with random corner sets, each with a unimodular
-    map that does not keep x1, so the image is triangulated differently."""
+    map that does not keep x1, so the image has other walls and edges."""
     rng = random.Random(31)
     cases = []
     for n, depth, count in ((3, F(1, 3), 4), (4, F(1, 4), 3)):
@@ -178,6 +179,7 @@ def _volume_oracle_cases() -> list[tuple]:
                                    for name, P, A, b in _volume_oracle_cases()])
 def test_volume_matches_profile_and_images(P, A, b):
     vol = volume(P)
+    assert vol == volume_by_triangulation(P)
     Q = transform(P, A, b)
     assert volume(Q) == vol
     assert dh_profile(P).total_integral() == vol
@@ -394,7 +396,7 @@ def _jump_matches_localization(P: LabeledPolytope, a: Fraction) -> bool:
     chambers = profile_by_slicing(P).chambers
     left = next(ch for ch in chambers if ch.hi == a)
     right = next(ch for ch in chambers if ch.lo == a)
-    eta = momentcut.dh._generic_direction(P.dim, set())
+    eta = (0,) + generic_direction([], P.dim - 1)
     terms = sum((momentcut.dh._vertex_term(v, edge_generators(P, v), eta)
                  for v in vertices(P) if v.point[0] == a), Poly([]))
     return right.poly - left.poly == terms

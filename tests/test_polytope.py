@@ -58,6 +58,7 @@ from conftest import (
     slice_by_walk,
     structure_by_subsets,
     tangent_rays,
+    volume_by_triangulation,
     walked,
 )
 
@@ -663,7 +664,7 @@ def test_volume_unimodular_invariance():
 
 
 def test_volume_hashes_no_fraction(monkeypatch):
-    # faces are vertex-index sets: no point is ever hashed
+    # the vertex sum runs on integer rows; one Fraction is built at the end
     P = chopped_hypercube()
     vertices(P)
 
@@ -676,6 +677,34 @@ def test_volume_hashes_no_fraction(monkeypatch):
 def test_volume_segment():
     seg = LabeledPolytope(1, [Facet((1,), F(5, 2)), Facet((-1,), F(1))])
     assert volume(seg) == F(7, 2)
+
+
+@pytest.mark.parametrize("dim,facets,message", [
+    (1, [((1,), 0), ((-1,), -1)],
+     "the region is empty: facets 0, 1 have no common point"),
+    (2, [((-1, 0), 0), ((0, -1), 0)], "the region is unbounded along [1, 0]"),
+    (2, [((1, 0), 1), ((-1, 0), 0)],
+     "the region has no vertex (it is empty or contains a line)"),
+], ids=["empty", "unbounded", "line"])
+def test_volume_refusal_names_the_region(dim, facets, message):
+    P = LabeledPolytope(dim, [Facet(nrm, F(off)) for nrm, off in facets])
+    with pytest.raises(PreconditionError) as err:
+        volume(P)
+    assert str(err.value) == f"{message}; volume needs a bounded polytope"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 4),
+       depth=st.fractions(F(1, 64), F(31, 64), max_denominator=64))
+def test_volume_matches_triangulation_on_chopped_boxes(seed, n, depth):
+    """Lawrence's vertex sum against the triangulation oracle on a chopped
+    box's unimodular image, and invariance under the map."""
+    rng = random.Random(seed)
+    corners = [bits for bits in product((0, 1), repeat=n) if rng.random() < 0.5]
+    P = chopped_box(n, corners, depth)
+    b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    Q = transform(P, random_unimodular(rng, n), b)
+    assert volume(Q) == volume_by_triangulation(Q) == volume(P)
 
 
 # -- regular levels ----------------------------------------------------------
