@@ -19,47 +19,15 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .dh import (
-    check_log_concavity,
-    critical_values,
-    dh_profile,
-    find_strict_local_minima,
-    wall_crossing_check,
-)
+# each handler imports the engine modules it runs, so that a command
+# compiles and loads only those: the CLI is one process per command
 from .errors import InputError, InternalError, MomentcutError, PreconditionError
 from .lattice import format_rational, parse_rational
-from .ops import (
-    BlowupParams,
-    CutSide,
-    add_fixed_points,
-    blowup,
-    compactify,
-    cut,
-    fresh_ledger,
-    reduce_at,
-    reversed_polytope,
-)
-from .polytope import (
-    LabeledPolytope,
-    canonical_equal,
-    canonical_key,
-    dimension_failure,
-    dumps as dump_polytope,
-    from_json_dict,
-    require_bounded,
-    require_vertices,
-    to_json_dict,
-    validate,
-    vertices,
-)
-from .toric import (
-    circle_stabilizer_order,
-    classify_vertex,
-    fixed_components,
-    weights_at_vertex,
-)
+
+if TYPE_CHECKING:
+    from .polytope import LabeledPolytope
 
 
 @dataclass(frozen=True)
@@ -108,6 +76,8 @@ def _read_text(path: str) -> str:
 
 def _load_polytope(path: str, gate: bool = True) -> LabeledPolytope:
     # the one dimension gate; `validate` reports the dimension as a failure
+    from .polytope import dimension_failure, from_json_dict
+
     try:
         obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -121,10 +91,12 @@ def _load_polytope(path: str, gate: bool = True) -> LabeledPolytope:
 
 
 def _write_polytope(P: LabeledPolytope, path: Optional[str]) -> None:
+    from .polytope import dumps
+
     if path and path != "-":
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump_polytope(P))
+                fh.write(dumps(P))
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from None
 
@@ -195,8 +167,9 @@ def build_parser() -> _Parser:
     ops = sp.add_subparsers(dest="op", required=True)
     for op, (_, options) in _LOCAL_OPS.items():
         op_parser = ops.add_parser(op)
-        op_parser.add_argument("--seed", type=int, default=0)
-        op_parser.add_argument("--trials", type=int, default=1000)
+        op_parser.add_argument("--seed", type=_int_in("--seed", 0), default=0)
+        op_parser.add_argument("--trials", type=_int_in("--trials", 1, 10_000),
+                               default=1000)
         for option in options:
             op_parser.add_argument(option, **_LOCAL_OPTIONS[option])
     return p
@@ -215,7 +188,23 @@ def _finite(option: str):
     return parse
 
 
-# the options of the local-model ops, each declared once
+def _int_in(option: str, lo: int, hi: Optional[int] = None):
+    """argparse type for an integer option from lo to hi (no bound if None)."""
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            raise InputError(f"{option} takes an integer, got {text!r}") from None
+        if k < lo or (hi is not None and k > hi):
+            bound = f"{lo} or more" if hi is None else f"{lo} to {hi}"
+            raise InputError(f"{option} takes {bound}, got {k}")
+        return k
+    return parse
+
+
+# the options of the local-model ops, each declared once; --trials and --n
+# bound the run time: 10 000 trials of the slowest battery (`solve`) take
+# about 8 s, and `psh --n 1000`, an n x n eigensolve, about 2 s
 _LOCAL_OPTIONS = {
     "--weights": dict(help="comma-separated integers; a battery draws its own actions"),
     "--z": dict(help="comma-separated complex values, one per weight; "
@@ -226,7 +215,7 @@ _LOCAL_OPTIONS = {
     "--delta": dict(type=_finite("--delta")),
     "--bad-region": dict(action="store_true"),
     "--t0": dict(type=_finite("--t0"), default=0.7),
-    "--n": dict(type=int, default=3),
+    "--n": dict(type=_int_in("--n", 1, 1000), default=3),
 }
 
 # each local-model op: the battery it runs without a point query, and the
@@ -252,6 +241,8 @@ def _ints(option: str, text: str) -> tuple[int, ...]:
 
 
 def _vertex_arg(P: LabeledPolytope, args) -> tuple:
+    from .polytope import require_vertices, vertices
+
     require_vertices(P, "blowup needs a vertex")
     verts = vertices(P)
     if args.vertex_index is not None:
@@ -265,12 +256,18 @@ def _vertex_arg(P: LabeledPolytope, args) -> tuple:
 
 
 def _cmd_validate(args) -> CommandOutcome:
+    from .polytope import validate
+
     P = _load_polytope(args.infile, gate=False)
     rep = validate(P)
     return CommandOutcome(0 if rep.valid else 1, rep.to_json())
 
 
 def _cmd_info(args) -> CommandOutcome:
+    from .polytope import critical_values, require_bounded, vertices
+    from .toric import (circle_stabilizer_order, classify_vertex, fixed_components,
+                        weights_at_vertex)
+
     P = _load_polytope(args.infile)
     # the critical values of an unbounded region are only one end of its image
     require_bounded(P, "info needs a bounded polytope")
@@ -301,6 +298,8 @@ def _cmd_info(args) -> CommandOutcome:
 
 
 def _cmd_diff(args) -> CommandOutcome:
+    from .polytope import canonical_equal, canonical_key, require_vertices
+
     P = _load_polytope(args.infile)
     Q = _load_polytope(args.other)
     # with no vertex no facet can be told redundant, so keys do not compare
@@ -319,6 +318,8 @@ def _cmd_diff(args) -> CommandOutcome:
 
 
 def _polytope_payload(P: LabeledPolytope, extra: Optional[dict] = None) -> dict:
+    from .polytope import to_json_dict
+
     payload = {"polytope": to_json_dict(P)}
     if extra:
         payload.update(extra)
@@ -326,6 +327,8 @@ def _polytope_payload(P: LabeledPolytope, extra: Optional[dict] = None) -> dict:
 
 
 def _cmd_reduce(args) -> CommandOutcome:
+    from .ops import reduce_at
+
     P = _load_polytope(args.infile)
     res = reduce_at(P, parse_rational(args.level))
     _write_polytope(res.polytope, args.outfile)
@@ -336,6 +339,8 @@ def _cmd_reduce(args) -> CommandOutcome:
 
 
 def _cmd_cut(args) -> CommandOutcome:
+    from .ops import CutSide, cut
+
     P = _load_polytope(args.infile)
     side = CutSide.ABOVE if args.above else CutSide.BELOW
     Q = cut(P, parse_rational(args.level), side)
@@ -345,6 +350,8 @@ def _cmd_cut(args) -> CommandOutcome:
 
 
 def _cmd_compactify(args) -> CommandOutcome:
+    from .ops import compactify
+
     P = _load_polytope(args.infile)
     Q = compactify(P, parse_rational(args.lo), parse_rational(args.hi))
     _write_polytope(Q, args.outfile)
@@ -352,6 +359,8 @@ def _cmd_compactify(args) -> CommandOutcome:
 
 
 def _cmd_blowup(args) -> CommandOutcome:
+    from .ops import BlowupParams, blowup, fresh_ledger
+
     P = _load_polytope(args.infile)
     point = _vertex_arg(P, args)
     Q, ledger = blowup(P, BlowupParams(point, parse_rational(args.depth)),
@@ -361,6 +370,8 @@ def _cmd_blowup(args) -> CommandOutcome:
 
 
 def _cmd_add_fixed_points(args) -> CommandOutcome:
+    from .ops import add_fixed_points
+
     P = _load_polytope(args.infile)
     Q, ledger, report = add_fixed_points(P, parse_rational(args.eps))
     _write_polytope(Q, args.outfile)
@@ -371,6 +382,8 @@ def _cmd_add_fixed_points(args) -> CommandOutcome:
 
 
 def _cmd_reverse(args) -> CommandOutcome:
+    from .ops import reversed_polytope
+
     P = _load_polytope(args.infile)
     Q = reversed_polytope(P)
     _write_polytope(Q, args.outfile)
@@ -378,6 +391,8 @@ def _cmd_reverse(args) -> CommandOutcome:
 
 
 def _cmd_dh(args) -> CommandOutcome:
+    from .dh import check_log_concavity, dh_profile, find_strict_local_minima
+
     if args.csv == "-":
         raise InputError("--csv - would mix CSV into the JSON report on stdout; "
                          "give a file path")
@@ -408,6 +423,8 @@ def _cmd_dh(args) -> CommandOutcome:
 
 
 def _cmd_wall_check(args) -> CommandOutcome:
+    from .dh import wall_crossing_check
+
     P = _load_polytope(args.infile)
     window = parse_rational(args.window) if args.window else None
     report = wall_crossing_check(P, parse_rational(args.wall), window)
@@ -438,8 +455,6 @@ def _point_query(args) -> bool:
 
 
 def _cmd_local_model(args) -> CommandOutcome:
-    # the float verifier, and numpy with it, loads here only: the exact
-    # commands start without it
     from . import batteries, localmodel as lm
 
     op = args.op

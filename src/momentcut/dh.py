@@ -46,6 +46,7 @@ from .polytope import (
     Vertex,
     canonical_equal,
     canonical_mismatch,
+    critical_values,
     require_bounded,
     slice_at,
     slice_facet,
@@ -61,11 +62,6 @@ from .ratpoly import (
     one_sided_sign,
 )
 from .toric import classify_vertex, edge_generators, weights_at_vertex
-
-
-def critical_values(P: LabeledPolytope) -> list[Fraction]:
-    """Distinct first coordinates of the vertices, sorted."""
-    return sorted({v.point[0] for v in vertices(P)})
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ that need them (cutting a half-infinite region down to a compact one);
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import defaultdict
@@ -622,6 +621,11 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
     return list(P._vertices)
 
 
+def critical_values(P: LabeledPolytope) -> list[Fraction]:
+    """Distinct first coordinates of the vertices, sorted."""
+    return sorted({v.point[0] for v in vertices(P)})
+
+
 def dimension_failure(P: LabeledPolytope) -> Optional[str]:
     if P.dim > MAX_DIM:
         return f"dimension {P.dim} exceeds the supported maximum {MAX_DIM}"
@@ -805,6 +809,7 @@ def canonical_mismatch(candidate: Sequence[Facet], P: LabeledPolytope) -> Option
 
 
 def polytope_hash(P: LabeledPolytope) -> str:
+    import hashlib  # only the ledger hashes; loading it costs a process ~4 ms
     payload = json.dumps(to_json_dict(P), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 

@@ -504,6 +504,58 @@ def test_dimension_cap_refused(tmp_path, command):
     assert out.payload["message"] == f"dimension {n} exceeds the supported maximum {MAX_DIM}"
 
 
+# small JSON values of every kind
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _polytope_json(draw):
+    """A box around 0 cut by at most three facets, in dimension 1 to 3,
+    with at most one part of its file spoilt."""
+    dim = draw(st.integers(1, 3))
+    box = [tuple(sign * (i == k) for i in range(dim)) for k in range(dim) for sign in (1, -1)]
+    cuts = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).map(tuple).filter(any)
+    facets = []
+    for normal in dict.fromkeys(box + draw(st.lists(cuts, max_size=3))):
+        lo = F(1, 3) if normal in box else F(-1)
+        facets.append({"normal": list(normal),
+                       "offset": str(draw(st.fractions(lo, 2, max_denominator=3)))})
+        if draw(st.booleans()):
+            facets[-1]["label"] = draw(st.integers(1, 3))
+    doc = {"dim": dim, "facets": facets}
+    spoil = draw(st.sampled_from([None, None, None, "dim", "facets", "normal",
+                                  "offset", "label"]))
+    if spoil in ("dim", "facets"):
+        doc[spoil] = draw(_JSON)
+    elif spoil:
+        draw(st.sampled_from(facets))[spoil] = draw(_JSON)
+    return draw(st.sampled_from([doc, {"polytope": doc}]))
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_polytope_json() | _JSON)
+def test_polytope_commands_answer_any_json(doc_path, doc):
+    # each command imports its engine names when it runs, so only running
+    # every command finds a name that one of them does not import
+    doc_path.write_text(json.dumps(doc))
+    for command, options in {"validate": [], **_POLYTOPE_COMMANDS}.items():
+        out = run([command, *(o.format(p=doc_path) for o in options),
+                   "--in", str(doc_path)])
+        assert out.exit_code in (0, 1, 2, 3)
+        if out.exit_code and not (command == "validate" and out.payload.get("failures")):
+            assert out.payload["message"], (command, out.payload)
+
+
 def test_empty_region_refused_fast_by_name(tmp_path):
     # x1 <= -1 and -x1 <= 0 among 28 random facets in dimension 8; scanning
     # the C(30, 8) = 5 852 925 facet subsets for a vertex ran for minutes
@@ -574,48 +626,85 @@ def test_cross_polytope_refused_fast(tmp_path, command, n):
             f"not simple: vertex {vertex} lies on facets [0, 1, 2, ")
 
 
-_EXACT_COMMANDS_ONLY = """
+_LOADED = """
 import json, sys
 from momentcut import cli
+out = cli.run(sys.argv[1:])
+print(json.dumps({"exit": out.exit_code, "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.startswith("momentcut"))}))
+"""
 
-d3, wedge, square, out = sys.argv[1:5]
-argvs = {
-    "validate": ["--in", d3],
-    "info": ["--in", d3, "--xi", "1,0,0"],
-    "diff": ["--in", d3, "--other", d3],
-    "reduce": ["--in", d3, "--level=-1/2"],
-    "cut": ["--in", d3, "--level=-1/2", "--out", out],
-    "compactify": ["--in", d3, "--min=-1/2", "--max=-1/4"],
-    "blowup": ["--in", square, "--vertex-index", "0", "--depth", "1/4"],
-    "add-fixed-points": ["--in", wedge, "--eps", "1/4"],
-    "reverse": ["--in", d3],
-    "dh": ["--in", d3, "--check-log-concavity", "--local-minima"],
-    "wall-check": ["--in", d3, "--wall", "0", "--window", "1/2"],
+_CLI = ["momentcut", "momentcut.cli", "momentcut.errors", "momentcut.lattice"]
+_POLYTOPE = _CLI + ["momentcut.polytope"]
+_OPS = _POLYTOPE + ["momentcut.ops", "momentcut.toric"]
+_DH = _OPS + ["momentcut.dh", "momentcut.ratpoly"]
+
+# each command's arguments and the momentcut modules it loads
+_COMMAND_MODULES = {
+    "validate": (["--in", "{d3}"], _POLYTOPE),
+    "diff": (["--in", "{d3}", "--other", "{d3}"], _POLYTOPE),
+    "info": (["--in", "{d3}", "--xi", "1,0,0"], _POLYTOPE + ["momentcut.toric"]),
+    "reduce": (["--in", "{d3}", "--level=-1/2"], _OPS),
+    "cut": (["--in", "{d3}", "--level=-1/2", "--out", "{out}"], _OPS),
+    "compactify": (["--in", "{d3}", "--min=-1/2", "--max=-1/4"], _OPS),
+    "blowup": (["--in", "{square}", "--vertex-index", "0", "--depth", "1/4"], _OPS),
+    "add-fixed-points": (["--in", "{wedge}", "--eps", "1/4"], _OPS),
+    "reverse": (["--in", "{d3}"], _OPS),
+    "dh": (["--in", "{d3}", "--check-log-concavity", "--local-minima"], _DH),
+    "wall-check": (["--in", "{d3}", "--wall", "0", "--window", "1/2"], _DH),
+    "local-model": (["npm", "--weights=-2,2", "--z", "4,9"],
+                    _CLI + ["momentcut.batteries", "momentcut.localmodel"]),
 }
-assert set(argvs) == set(cli._HANDLERS) - {"local-model"}
-exits = {c: cli.run([c] + a).exit_code for c, a in argvs.items()}
-loaded = sorted(m for m in ("numpy", "momentcut.localmodel", "momentcut.batteries")
-                if m in sys.modules)
-npm = cli.run(["local-model", "npm", "--weights=-2,2", "--z", "4,9"])
-print(json.dumps({"exits": exits, "loaded": loaded,
-                  "npm": [npm.exit_code, npm.payload],
-                  "after": "numpy" in sys.modules}))
+
+
+def _fresh(code: str, *argv: str) -> dict:
+    """The JSON line that `code` prints in a fresh interpreter, which no
+    other test has made import anything."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command", list(_HANDLERS))
+def test_command_loads_only_its_modules(tmp_path, d3_file, pex2_file, square_file,
+                                        command):
+    # a command starts with the modules it runs, and only local-model numpy
+    argv, modules = _COMMAND_MODULES[command]
+    files = dict(d3=d3_file, wedge=pex2_file, square=square_file,
+                 out=str(tmp_path / "out.json"))
+    got = _fresh(_LOADED, command, *(a.format(**files) for a in argv))
+    assert got == {"exit": 0, "numpy": command == "local-model",
+                   "modules": sorted(modules)}
+
+
+_PACKAGE = """
+import importlib, json, sys
+import momentcut
+loaded = sorted(m for m in sys.modules if m.startswith("momentcut"))
+homes = {}
+for name in momentcut.__all__:
+    obj = getattr(momentcut, name)
+    home = importlib.import_module(obj.__module__)
+    if obj.__name__ == name and vars(home).get(name) is obj:
+        homes[name] = obj.__module__
+print(json.dumps({"loaded": loaded, "all": momentcut.__all__, "homes": homes}))
 """
 
 
-def test_exact_commands_start_without_the_float_verifier(tmp_path, d3_file, pex2_file,
-                                                         square_file):
-    # a fresh interpreter, so that no other test has imported numpy already
-    proc = subprocess.run(
-        [sys.executable, "-c", _EXACT_COMMANDS_ONLY, d3_file, pex2_file, square_file,
-         str(tmp_path / "cut.json")],
-        capture_output=True, text=True, env=_src_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert set(got["exits"].values()) == {0}, got["exits"]
-    assert got["loaded"] == []
-    assert got["npm"] == [0, {"n_minus": 2.0, "n_plus": 3.0}]
-    assert got["after"]
+def test_package_loads_no_submodule_until_a_name_is_used():
+    got = _fresh(_PACKAGE)
+    assert got["loaded"] == ["momentcut"]
+    # every public name is the object that its own module defines
+    assert len(got["all"]) == 55 and set(got["homes"]) == set(got["all"])
+    assert {m.split(".")[0] for m in got["homes"].values()} == {"momentcut"}
+
+
+def test_package_refuses_an_unknown_name():
+    import momentcut
+
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        momentcut.nothing
 
 
 @pytest.mark.parametrize("argv", [["run_local_model.py", "--trials", "5"],
@@ -716,10 +805,20 @@ def test_local_model_arguments_never_escape(argv):
     (["membership", "--weights=-1,1", "--level", "1"], "--z"),
     (["solve", "--weights=--", "--z=", "--level", "-1"], "--weights"),
     (["npm", "--weights=-1,1", "--z=--"], "--z"),
+    (["monotone", "--seed", "-1"], "--seed"),
+    (["psh", "--n", "0"], "--n"),
+    (["psh", "--n", "-1"], "--n"),
+    (["psh", "--n", "1001"], "--n"),
+    (["monotone", "--trials", "-3"], "--trials"),
+    (["monotone", "--trials", "0"], "--trials"),
+    (["convexity", "--weights=-1,1", "--trials", "10001"], "--trials"),
+    (["solve", "--trials", "1e3"], "--trials"),
 ], ids=["level-nan", "level-overflow", "eps-inf", "eps-prime-inf", "delta-nan",
         "t0-nan", "z-inf", "z-nan-imag", "solve-z-without-level",
         "membership-z-without-level", "solve-level-without-z",
-        "membership-level-without-z", "weights-dashes", "z-dashes"])
+        "membership-level-without-z", "weights-dashes", "z-dashes", "seed-negative",
+        "n-zero", "n-negative", "n-above-1000", "trials-negative", "trials-zero",
+        "trials-above-10000", "trials-not-int"])
 def test_local_model_refused_by_name(argv, option):
     out = run(["local-model"] + argv)
     assert out.exit_code == 1 and out.payload["error"] == "input"
@@ -829,11 +928,12 @@ def _refuse_constant(token):
     ["convexity", "--weights=-1,1", "--trials", "2"],
     ["monotone", "--trials", "3"],
     ["psh", "--trials", "3"],
+    ["psh", "--trials", "1", "--n", "1", "--seed", "0"],
     ["blowup-potential", "--trials", "3"],
     ["npm", "--trials", "2"],
     ["cut-identity", "--trials", "2"],
 ], ids=["solve", "membership", "npm", "cut-identity", "solve-battery",
-        "membership-battery", "convexity", "monotone-battery", "psh-battery",
+        "membership-battery", "convexity", "monotone-battery", "psh-battery", "psh-least",
         "blowup-potential-battery", "npm-battery", "cut-identity-battery"])
 def test_local_model_stdout_is_strict_json(argv, capsys):
     out = run(["local-model"] + argv)
