@@ -12,9 +12,9 @@ _NAMES = {
               "NotSimple NotUnimodular PreconditionError VertexNotBlowable "
               "WallNotSimpleCrossing ZeroVector",
     "lattice": "format_rational half_sum_integral lattice_index parse_rational "
-               "primitive solve_exact",
+               "primitive",
     "polytope": "Facet LabeledPolytope Vertex canonical_equal critical_values "
-                "is_regular_level slice_at transform validate vertices volume",
+                "require_regular slice_at transform validate vertices volume",
     "toric": "VertexClass VertexKind circle_stabilizer_order classify_vertex "
              "edge_generators fixed_components weights_at_vertex",
     "ops": "BlowupParams ClassLedger CutSide PipelineReport add_fixed_points blowup "

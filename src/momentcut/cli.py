@@ -154,7 +154,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("dh")
     add_io(sp, out=False)
     sp.add_argument("--csv", default=None, metavar="PATH")
-    sp.add_argument("--samples", type=int, default=100)
+    # the CSV rows are built in memory
+    sp.add_argument("--samples", type=_int_in("--samples", 2, 100_000), default=100)
     sp.add_argument("--check-log-concavity", action="store_true")
     sp.add_argument("--local-minima", action="store_true")
 
@@ -332,10 +333,7 @@ def _cmd_reduce(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     res = reduce_at(P, parse_rational(args.level))
     _write_polytope(res.polytope, args.outfile)
-    return CommandOutcome(0, _polytope_payload(res.polytope, {
-        "level": format_rational(res.level),
-        "stabilizers": res.to_json()["stabilizers"],
-    }))
+    return CommandOutcome(0, res.to_json())
 
 
 def _cmd_cut(args) -> CommandOutcome:
@@ -343,10 +341,11 @@ def _cmd_cut(args) -> CommandOutcome:
 
     P = _load_polytope(args.infile)
     side = CutSide.ABOVE if args.above else CutSide.BELOW
-    Q = cut(P, parse_rational(args.level), side)
+    level = parse_rational(args.level)
+    Q = cut(P, level, side)
     _write_polytope(Q, args.outfile)
     return CommandOutcome(0, _polytope_payload(Q, {
-        "level": args.level, "side": side.value}))
+        "level": format_rational(level), "side": side.value}))
 
 
 def _cmd_compactify(args) -> CommandOutcome:
@@ -396,8 +395,6 @@ def _cmd_dh(args) -> CommandOutcome:
     if args.csv == "-":
         raise InputError("--csv - would mix CSV into the JSON report on stdout; "
                          "give a file path")
-    if not 2 <= args.samples <= 100_000:  # the CSV rows are built in memory
-        raise InputError(f"--samples takes 2 to 100000 points, got {args.samples}")
     P = _load_polytope(args.infile)
     profile = dh_profile(P)
     payload = {"profile": profile.to_json(),

@@ -191,8 +191,6 @@ class WallVerdict:
     wall: Fraction
     ok: bool
     continuous: bool
-    left_slope_num: Fraction
-    right_slope_num: Fraction
 
 
 @dataclass(frozen=True)
@@ -235,16 +233,10 @@ def check_log_concavity(profile: DHProfile) -> LogConcavityReport:
     for left, right in zip(profile.chambers, profile.chambers[1:]):
         a = left.hi
         vl, vr = left.poly(a), right.poly(a)
-        continuous = vl == vr
-        if vl <= 0 or vr <= 0:
-            ok = False
-            lhs = rhs = Fraction(0)
-        else:
-            # (mu'/mu)(a-) >= (mu'/mu)(a+), cross-multiplied
-            lhs = left.poly.derivative()(a) * vr
-            rhs = right.poly.derivative()(a) * vl
-            ok = lhs >= rhs
-        wall_verdicts.append(WallVerdict(a, ok, continuous, lhs, rhs))
+        # (mu'/mu)(a-) >= (mu'/mu)(a+), cross-multiplied
+        ok = vl > 0 and vr > 0 and (
+            left.poly.derivative()(a) * vr >= right.poly.derivative()(a) * vl)
+        wall_verdicts.append(WallVerdict(a, ok, vl == vr))
         if not ok and first is None:
             first = (f"wall {format_rational(a)}: one-sided log-derivative "
                      "increases across the wall")

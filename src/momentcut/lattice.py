@@ -166,24 +166,6 @@ def det_int(rows: list[list[int]]) -> int:
     return _square_det([row[:] for row in rows])
 
 
-def solve_int(rows: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
-    """Solve an integer square system exactly.
-
-    Returns (numerators, denominator) with denominator > 0 such that
-    x_i = numerators[i]/denominator, or None when singular.
-    """
-    n = len(rows)
-    a = [rows[i][:] + [rhs[i]] for i in range(n)]
-    det = _square_det(a)
-    if det == 0:
-        return None
-    num = _back_substitute(a, n, det, n)
-    if det < 0:
-        num = [-x for x in num]
-        det = -det
-    return num, det
-
-
 def adjugate_int(rows: list[list[int]]) -> Optional[tuple[list[list[int]], int]]:
     """Adjugate and determinant of a nonsingular integer square matrix.
 
@@ -204,20 +186,6 @@ def over_common_denominator(row: Sequence) -> tuple[list[int], int]:
     common denominator of the rational (int or Fraction) entries."""
     den = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
-
-
-def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """Exact solution of a square rational system, or None when singular."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise DimensionMismatch("square system required")
-    # scale each row to integers
-    a = [over_common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
-    sol = solve_int([row[:-1] for row in a], [row[-1] for row in a])
-    if sol is None:
-        return None
-    num, den = sol
-    return tuple(Fraction(x, den) for x in num)
 
 
 def exchange(cols: list[list[int]], det: int, k: int, row: int) -> tuple[list[list[int]], int]:

@@ -22,7 +22,6 @@ from .errors import (
     BlowupTooLarge,
     EmptyResult,
     InternalError,
-    NotRegularLevel,
     PreconditionError,
     VertexNotBlowable,
 )
@@ -33,8 +32,8 @@ from .polytope import (
     Vertex,
     canonical_equal,
     intersect_halfspace,
-    is_regular_level,
     polytope_hash,
+    require_regular,
     slice_at,
     to_json_dict,
     transform,
@@ -74,9 +73,7 @@ def restrict_halfspace(P: LabeledPolytope, a: Fraction,
 
 def cut(P: LabeledPolytope, a: Fraction, side: CutSide = CutSide.BELOW) -> LabeledPolytope:
     """Intersect with {x1 <= a} (BELOW) or {x1 >= a} (ABOVE)."""
-    a = Fraction(a)
-    if not is_regular_level(P, a):
-        raise NotRegularLevel(f"a vertex lies at level {format_rational(a)}")
+    require_regular(P, a)
     return restrict_halfspace(P, a, side)
 
 
@@ -106,8 +103,7 @@ def reduce_at(P: LabeledPolytope, a: Fraction) -> ReduceResult:
     fully reduced labeling would need.
     """
     a = Fraction(a)
-    if not is_regular_level(P, a):
-        raise NotRegularLevel(f"a vertex lies at level {format_rational(a)}")
+    require_regular(P, a)
     sl = slice_at(P, a)
     if sl.polytope is None:
         raise EmptyResult(f"level {format_rational(a)} is outside the moment image")
@@ -157,19 +153,13 @@ class ClassLedger:
         return replace(self, terms=self.terms + (term,))
 
     def to_json(self, polytope: Optional[LabeledPolytope] = None) -> dict:
-        index_of = {}
-        if polytope is not None:
-            for i, fo in enumerate(to_json_dict(polytope)["facets"]):
-                index_of[(tuple(fo["normal"]), fo["offset"])] = i
-        terms = []
-        for t in self.terms:
-            key = (t.normal, format_rational(t.offset))
-            terms.append({
-                "facet": index_of.get(key),
-                "multiplier": format_rational(t.multiplier),
-                "depth": format_rational(t.depth),
-            })
-        return {"base": self.base, "terms": terms}
+        index_of = {} if polytope is None else {
+            (f.normal, f.offset): i for i, f in enumerate(polytope.facets)}
+        return {"base": self.base, "terms": [
+            {"facet": index_of.get((t.normal, t.offset)),
+             "multiplier": format_rational(t.multiplier),
+             "depth": format_rational(t.depth)}
+            for t in self.terms]}
 
 
 def fresh_ledger(P: LabeledPolytope) -> ClassLedger:
@@ -291,10 +281,8 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    if not is_regular_level(P, eps):
-        raise NotRegularLevel(f"a vertex lies at level {format_rational(eps)}")
-    if not is_regular_level(P, Fraction(0)):
-        raise NotRegularLevel("a vertex lies at level 0")
+    require_regular(P, eps)
+    require_regular(P, 0)
     for comp in fixed_components(P):
         if 0 < comp.level <= eps:
             raise PreconditionError(

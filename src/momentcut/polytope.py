@@ -54,6 +54,7 @@ from .errors import (
     DimensionMismatch,
     EmptyResult,
     InputError,
+    NotRegularLevel,
     NotSimple,
     PreconditionError,
 )
@@ -106,26 +107,26 @@ class LabeledPolytope:
     def __init__(self, dim: int, facets: Iterable[Facet]):
         if dim < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
-        # canonical facet order keeps indices stable across serialization
-        facets = tuple(sorted(facets, key=lambda f: f.key()))
+        facets = tuple(facets)
         if not facets:
             raise InputError("a polytope needs at least one facet")
+        # the one check of facet values, in the caller's order: i is the input position
         for i, f in enumerate(facets):
-            if len(f.normal) != dim:
-                raise InputError(f"facet {i}: normal has length {len(f.normal)}, expected {dim}")
-            if not any(f.normal):
-                raise InputError(f"facet {i}: zero normal")
-            if content(f.normal) != 1:
-                g = content(f.normal)
-                fixed = tuple(x // g for x in f.normal)
-                raise InputError(
-                    f"facet {i}: normal {list(f.normal)} is not primitive; "
-                    f"use {list(fixed)} with offset {format_rational(Fraction(f.offset) / g)}"
-                )
             if f.label < 1:
                 raise InputError(f"facet {i}: label must be a positive integer, got {f.label}")
+            if not any(f.normal):
+                raise InputError(f"facet {i}: zero normal")
+            g = content(f.normal)
+            if g != 1:
+                raise InputError(
+                    f"facet {i}: normal {list(f.normal)} is not primitive; "
+                    f"use {[x // g for x in f.normal]} with offset "
+                    f"{format_rational(Fraction(f.offset) / g)}")
+            if len(f.normal) != dim:
+                raise InputError(f"facet {i}: normal has length {len(f.normal)}, expected {dim}")
         self.dim = dim
-        self.facets = facets
+        # canonical facet order keeps indices stable across serialization
+        self.facets = tuple(sorted(facets, key=Facet.key))
         self._structure: Optional[Structure] = None
         # maps a parent's structure to this one's when first asked (transform)
         self._derive: Optional[Callable[[LabeledPolytope], Structure]] = None
@@ -657,6 +658,14 @@ def require_vertices(P: LabeledPolytope, need: str) -> None:
             f"the region has no vertex (it is empty or contains a line); {need}")
 
 
+def require_regular(P: LabeledPolytope, a: Fraction) -> None:
+    """Refuse a level a at which a vertex of P lies."""
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    if any(num[0] * q == p * den for (num, den), _ in _simple_points(P)):
+        raise NotRegularLevel(f"a vertex lies at level {format_rational(a)}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -706,12 +715,6 @@ def validate(P: LabeledPolytope) -> ValidationReport:
         failures.append(f"facet {i} ({list(P.facets[i].normal)} <= "
                         f"{format_rational(P.facets[i].offset)}) is redundant")
     return ValidationReport(not failures, tuple(failures))
-
-
-def is_regular_level(P: LabeledPolytope, a: Fraction) -> bool:
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
-    return all(num[0] * q != p * den for (num, den), _ in _simple_points(P))
 
 
 def volume(P: LabeledPolytope) -> Fraction:
@@ -1016,16 +1019,8 @@ def from_json_dict(obj: dict) -> LabeledPolytope:
         else:
             raise InputError(f"facet {i}: offset must be an integer or a rational string")
         label = fo.get("label", 1)
-        if not _is_int(label) or label < 1:
+        if not _is_int(label):
             raise InputError(f"facet {i}: label must be a positive integer, got {label!r}")
-        if not any(normal):
-            raise InputError(f"facet {i}: zero normal")
-        g = content(normal)
-        if g != 1:
-            fixed = [x // g for x in normal]
-            raise InputError(
-                f"facet {i}: normal {normal} is not primitive; use {fixed} "
-                f"with offset {format_rational(offset / g)}")
         facets.append(Facet(tuple(normal), offset, label))
     return LabeledPolytope(dim, facets)
 

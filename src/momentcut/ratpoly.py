@@ -105,10 +105,6 @@ class Poly:
                     out[i + j] += x * y
         return Poly.over(out, self.den * other.den)
 
-    def scale(self, c: Fraction) -> "Poly":
-        c = Fraction(c)
-        return Poly.over([x * c.numerator for x in self.num], self.den * c.denominator)
-
     # -- calculus ----------------------------------------------------------
     def derivative(self) -> "Poly":
         return Poly.over([k * c for k, c in enumerate(self.num)][1:], self.den)
@@ -118,12 +114,6 @@ class Poly:
         anti = Poly.over([0] + [c * (m // (k + 1)) for k, c in enumerate(self.num)],
                          self.den * m)
         return anti(b) - anti(a)
-
-    def compose_affine(self, alpha: Fraction, beta: Fraction) -> "Poly":
-        """p(alpha*s + beta) as a polynomial in s."""
-        (p1, p0), q = over_common_denominator((Fraction(alpha), Fraction(beta)))
-        return Poly.over(affine_substitute(self.num, p1, p0, q),
-                         self.den * q ** max(self.degree, 0))
 
     def monic(self) -> "Poly":
         return Poly.over(self.num, self.num[-1]) if self.num else self

@@ -12,6 +12,8 @@ from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
 from momentcut.dh import Chamber, DHProfile, critical_values
 from momentcut.errors import PreconditionError
 from momentcut.lattice import (
+    _back_substitute,
+    _square_det,
     content,
     det_int,
     dot,
@@ -19,7 +21,6 @@ from momentcut.lattice import (
     over_common_denominator,
     primitive,
     rank_int,
-    solve_int,
 )
 from momentcut.localmodel import n_pm
 from momentcut.polytope import (
@@ -33,7 +34,7 @@ from momentcut.polytope import (
     slice_at,
     vertices,
 )
-from momentcut.ratpoly import Poly, isolate_roots, nonpositive_on
+from momentcut.ratpoly import Poly, affine_substitute, isolate_roots, nonpositive_on
 from momentcut.toric import INFINITE, FixedComponent
 
 F = Fraction
@@ -340,6 +341,12 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> list[list[i
     return A
 
 
+def keeping_x1(rng: random.Random, n: int) -> list[list[int]]:
+    """Unimodular [[1, 0], [c, B]]: the image has the same first coordinate."""
+    B = random_unimodular(rng, n - 1)
+    return [[1] + [0] * (n - 1)] + [[rng.randint(-2, 2)] + row for row in B]
+
+
 def mat_mul_int(a, b) -> list[list[int]]:
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
@@ -358,7 +365,8 @@ def rank_rational(rows) -> int:
 def mirrored(profile: DHProfile) -> DHProfile:
     """The profile of the region mirrored by x1 -> -x1: walls negated in
     reverse order, each chamber's density composed with s -> -s."""
-    chambers = tuple(Chamber(-ch.hi, -ch.lo, ch.poly.compose_affine(F(-1), F(0)))
+    chambers = tuple(Chamber(-ch.hi, -ch.lo,
+                             Poly.over(affine_substitute(ch.poly.num, -1, 0, 1), ch.poly.den))
                      for ch in reversed(profile.chambers))
     return DHProfile(tuple(-w for w in reversed(profile.walls)), chambers)
 
@@ -427,6 +435,20 @@ def tangent_rays(normals, act, n: int) -> tuple:
             if all(dot(normals[j], cand) <= 0 for j in act) and cand not in out:
                 out.append(cand)
     return tuple(out)
+
+
+def solve_int(rows: list[list[int]], rhs: list[int]):
+    """(numerators, den) with den > 0 and x_i = numerators[i] / den for the
+    solution x of an integer square system, or None when it is singular."""
+    n = len(rows)
+    a = [rows[i][:] + [rhs[i]] for i in range(n)]
+    det = _square_det(a)
+    if det == 0:
+        return None
+    num = _back_substitute(a, n, det, n)
+    if det < 0:
+        num, det = [-x for x in num], -det
+    return num, det
 
 
 def structure_by_subsets(P: LabeledPolytope) -> Structure:

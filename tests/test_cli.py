@@ -93,6 +93,16 @@ def test_float_flag_rejected(square_file):
     assert "1/2" in out.payload["message"]
 
 
+def test_validate_names_the_facet_by_input_position(tmp_path):
+    # the bad facet comes second and sorts first
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": "1"}, {"normal": [-1], "offset": "0"}]}))
+    out = run(["validate", "--in", str(p)])
+    assert out.exit_code == 1
+    assert out.payload["message"] == "facet 1: normal has length 1, expected 2"
+
+
 def test_nonprimitive_normal_rejected_with_suggestion(tmp_path):
     p = tmp_path / "np.json"
     p.write_text(json.dumps({"dim": 2, "facets": [
@@ -114,7 +124,7 @@ def test_add_fixed_points_pipeline(pex2_file, tmp_path):
     assert all(v["weights"] == [-2, 1] for v in rep["new_fixed_vertices"])
     assert {t["multiplier"] for t in out.payload["ledger"]["terms"]} == {"1/2"}
     # the file written alongside round-trips
-    saved = loads(open(outfile).read())
+    saved = loads(Path(outfile).read_text())
     assert canonical_equal(saved, loads(json.dumps(out.payload["polytope"])))
 
 
@@ -205,6 +215,13 @@ def test_blowup_by_index_and_ledger(square_file):
     facet_idx = out.payload["ledger"]["terms"][0]["facet"]
     facet = out.payload["polytope"]["facets"][facet_idx]
     assert facet["normal"] == [-1, -1]
+
+
+@pytest.mark.parametrize("level", ["2/4", "+1/2", " 1/2"])
+def test_cut_prints_the_normalized_level(square_file, level):
+    out = run(["cut", "--level", level, "--in", square_file])
+    assert out.exit_code == 0 and out.payload["level"] == "1/2"
+    assert run(["reduce", "--level", level, "--in", square_file]).payload["level"] == "1/2"
 
 
 def test_cut_reverse_reverse_diff(square_file, tmp_path):
@@ -312,6 +329,12 @@ def test_dh_samples_below_two_refused(d3_file, tmp_path, samples):
     assert out.payload["message"].startswith("--samples")
     assert "100000" in out.payload["message"]
     assert not csv.exists()
+
+
+def test_dh_samples_not_an_integer_refused(d3_file):
+    out = run(["dh", "--in", d3_file, "--samples", "x"])
+    assert out.exit_code == 1
+    assert out.payload["message"] == "--samples takes an integer, got 'x'"
 
 
 def test_dh_deterministic(d3_file):
@@ -696,7 +719,7 @@ def test_package_loads_no_submodule_until_a_name_is_used():
     got = _fresh(_PACKAGE)
     assert got["loaded"] == ["momentcut"]
     # every public name is the object that its own module defines
-    assert len(got["all"]) == 55 and set(got["homes"]) == set(got["all"])
+    assert len(got["all"]) == 54 and set(got["homes"]) == set(got["all"])
     assert {m.split(".")[0] for m in got["homes"].values()} == {"momentcut"}
 
 

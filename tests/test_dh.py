@@ -33,6 +33,7 @@ from momentcut.toric import edge_generators
 from conftest import (
     chamber_affine_check,
     chopped_box,
+    keeping_x1,
     mirrored,
     positive_on_open_by_two_isolations,
     profile_by_slicing,
@@ -93,12 +94,6 @@ def test_profile_matches_slices_at_random_levels(d3):
         assert prof.value(s) == slice_volume(d3, s)
 
 
-def _keeping_x1(rng: random.Random, n: int) -> list[list[int]]:
-    """Unimodular [[1, 0], [c, B]]: the image has the same first coordinate."""
-    B = random_unimodular(rng, n - 1)
-    return [[1] + [0] * (n - 1)] + [[rng.randint(-2, 2)] + row for row in B]
-
-
 def _oracle_cases() -> list[tuple[str, LabeledPolytope]]:
     rng = random.Random(2024)
     base = [(name, P) for name, P in delzant_corpus() if P.dim >= 2]
@@ -109,7 +104,7 @@ def _oracle_cases() -> list[tuple[str, LabeledPolytope]]:
     images = []
     for name, P in base:
         b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(P.dim)]
-        images.append((f"{name} x1-kept", transform(P, _keeping_x1(rng, P.dim), b)))
+        images.append((f"{name} x1-kept", transform(P, keeping_x1(rng, P.dim), b)))
         images.append((f"{name} image", transform(P, random_unimodular(rng, P.dim), b)))
     cases = base + images
     return cases + [(f"{name} reversed", reversed_polytope(P)) for name, P in cases]
@@ -129,7 +124,7 @@ def test_profile_invariant_under_maps_keeping_x1():
     for name, P in delzant_corpus():
         if P.dim < 2:
             continue
-        Q = transform(P, _keeping_x1(rng, P.dim), [F(0)] + [F(1, 3)] * (P.dim - 1))
+        Q = transform(P, keeping_x1(rng, P.dim), [F(0)] + [F(1, 3)] * (P.dim - 1))
         assert dh_profile(Q) == dh_profile(P), name
 
 

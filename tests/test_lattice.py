@@ -17,11 +17,9 @@ from momentcut.lattice import (
     parse_rational,
     primitive,
     rank_int,
-    solve_exact,
-    solve_int,
 )
 
-from conftest import mat_mul_int, random_unimodular, rank_by_fractions
+from conftest import mat_mul_int, random_unimodular, rank_by_fractions, solve_int
 
 F = Fraction
 
@@ -77,29 +75,12 @@ def test_half_sum_examples():
     assert half_sum_integral([(-1, 2), (-1, -2)]) is True
 
 
-def test_solve_exact_examples():
-    assert solve_exact([[1, 0], [0, 1]], [F(3, 2), F(-1)]) == (F(3, 2), F(-1))
-    assert solve_exact([[1, 0], [-1, 2]], [1, 1]) == (F(1), F(1))
-    assert solve_exact([[1, 1], [2, 2]], [1, 0]) is None
-
-
 def test_empty_system():
     # the 0 x 0 matrix: determinant 1 (the empty product), empty solution
     assert det_int([]) == 1
     assert solve_int([], []) == ([], 1)
     assert adjugate_int([]) == ([], 1)
-    assert solve_exact([], []) == ()
     assert inverse_unimodular([]) == []
-
-
-@given(st.lists(st.lists(small_rats, min_size=3, max_size=3),
-                min_size=3, max_size=3),
-       st.lists(small_rats, min_size=3, max_size=3))
-def test_solve_exact_resubstitution(rows, rhs):
-    x = solve_exact(rows, rhs)
-    if x is not None:
-        for row, b in zip(rows, rhs):
-            assert sum(F(c) * v for c, v in zip(row, x)) == F(b)
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentcut.dh
 import momentcut.ops
@@ -15,6 +16,7 @@ from momentcut.dh import critical_values, wall_crossing_check
 from momentcut.errors import (
     BlowupTooLarge,
     EmptyResult,
+    MomentcutError,
     NotRegularLevel,
     PreconditionError,
     VertexNotBlowable,
@@ -40,12 +42,13 @@ from momentcut.polytope import (
     dumps,
     loads,
     slice_at,
+    transform,
     vertices,
     volume,
 )
 from momentcut.toric import VertexKind, classify_vertex, edge_generators, weights_at_vertex
 
-from conftest import regular_levels, walked
+from conftest import keeping_x1, regular_levels, walked
 
 F = Fraction
 
@@ -383,3 +386,79 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
     keys = [canonical_key(D) for D in derived]
     assert not walks
     assert keys == [canonical_key(walked(D)) for D in derived]
+
+
+# -- equivariance under unimodular maps that keep x1 ----------------------------
+
+def _outcome(thunk):
+    """What thunk returns, or the type of the MomentcutError it raises."""
+    try:
+        return thunk()
+    except MomentcutError as exc:
+        return type(exc)
+
+
+def _agree(got, want) -> bool:
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return canonical_equal(got, want)
+
+
+def _stabilizers(res, image=lambda f: f) -> dict:
+    """Each facet of a reduced polytope, through `image`, with its order."""
+    return {image(res.polytope.facets[i]): order for i, _, order in res.stabilizers}
+
+
+_X1_CASES = [(name, P) for name, P in delzant_corpus() if P.dim <= 3]
+_X1_CASES.append(("wedge", asymmetric_wedge()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), case=st.sampled_from(_X1_CASES))
+def test_operations_commute_with_maps_keeping_x1(seed, case):
+    # y = Ax + b with A = [[1, 0], [c, B]] moves every level by b_1, so each
+    # operation on the image at a + b_1 is the image of the operation at a
+    rng = random.Random(seed)
+    _, P = case
+    n = P.dim
+    A = keeping_x1(rng, n)
+    b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    Q = transform(P, A, b)
+    a = regular_levels(P, rng, 1)[0]
+
+    for side in CutSide:
+        assert _agree(_outcome(lambda: cut(Q, a + b[0], side)),
+                      _outcome(lambda: transform(cut(P, a, side), A, b)))
+
+    # the slice at x1 = a maps by x' -> Bx' + (a c + b')
+    B = [row[1:] for row in A[1:]]
+    shift = [row[0] * a + t for row, t in zip(A[1:], b[1:])]
+    got, want = reduce_at(Q, a + b[0]), reduce_at(P, a)
+    assert canonical_equal(got.polytope, transform(want.polytope, B, shift))
+    assert _stabilizers(got) == _stabilizers(
+        want, lambda f: transform(LabeledPolytope(n - 1, [f]), B, shift).facets[0])
+
+    verts = vertices(P)
+    v = rng.choice(verts)
+    act = sorted(v.active)
+    raw = [sum(P.facets[i].normal[k] for i in act) for k in range(n)]
+    margin = min(sum(P.facets[i].offset for i in act) - dot(raw, w.point)
+                 for w in verts if w is not v)
+    depth = margin * F(rng.randint(1, 5), 4)       # too deep from 4/4 on
+    w = tuple(dot(row, v.point) + t for row, t in zip(A, b))
+    assert _agree(_outcome(lambda: blowup(Q, BlowupParams(w, depth))[0]),
+                  _outcome(lambda: transform(blowup(P, BlowupParams(v.point, depth))[0], A, b)))
+
+    # add_fixed_points works at level 0: move a there, and keep b_1 = 0
+    P0 = transform(P, [[int(i == j) for j in range(n)] for i in range(n)],
+                   [-a] + [F(0)] * (n - 1))
+    top = min(x for x in critical_values(P) if x > a)
+    eps = (top - a) * F(rng.randint(1, 3), 4)
+    b0 = [F(0)] + b[1:]
+    got = _outcome(lambda: add_fixed_points(transform(P0, A, b0), eps))
+    want = _outcome(lambda: add_fixed_points(P0, eps))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert canonical_equal(got[0], transform(want[0], A, b0))
+        assert got[2].ok == want[2].ok

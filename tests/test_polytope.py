@@ -11,11 +11,16 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import momentcut.lattice
 import momentcut.polytope
 from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
-from momentcut.errors import EmptyResult, InputError, NotSimple, PreconditionError
-from momentcut.lattice import dot, independent_rows, primitive, solve_int
+from momentcut.errors import (
+    EmptyResult,
+    InputError,
+    NotRegularLevel,
+    NotSimple,
+    PreconditionError,
+)
+from momentcut.lattice import dot, independent_rows, primitive
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -27,8 +32,8 @@ from momentcut.polytope import (
     dumps,
     from_json_dict,
     irredundant,
-    is_regular_level,
     loads,
+    require_regular,
     slice_at,
     to_json_dict,
     transform,
@@ -56,6 +61,7 @@ from conftest import (
     rank_rational,
     regular_levels,
     slice_by_walk,
+    solve_int,
     structure_by_subsets,
     tangent_rays,
     volume_by_triangulation,
@@ -128,6 +134,19 @@ def test_constructor_rejects_nonprimitive():
 def test_constructor_rejects_bad_label():
     with pytest.raises(InputError, match="label"):
         LabeledPolytope(1, [Facet((1,), F(1), 0), Facet((-1,), F(0))])
+
+
+@pytest.mark.parametrize("bad", [
+    Facet((0, 0), F(0)), Facet((-2, 4), F(0)), Facet((-1, 0), F(0), 0), Facet((-1,), F(0)),
+], ids=["zero", "not-primitive", "label-0", "length-1"])
+def test_facet_index_names_the_input_position(bad):
+    # the bad facet comes second and sorts first: the index is the caller's
+    with pytest.raises(InputError, match="^facet 1: "):
+        LabeledPolytope(2, [Facet((1, 0), F(1)), bad])
+    with pytest.raises(InputError, match="^facet 1: "):
+        from_json_dict({"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": "1"},
+            {"normal": list(bad.normal), "offset": "0", "label": bad.label}]})
 
 
 # -- vertices ----------------------------------------------------------------
@@ -210,7 +229,7 @@ def test_structure_matches_subset_oracle(P):
 
 def _count_work(monkeypatch, P: LabeledPolytope) -> Counter:
     """Count the walk's primitives while P's structure is computed: fresh
-    adjugates, solves, and exchanges and ratio tests, each split between
+    adjugates, and exchanges and ratio tests, each split between
     phase 1 (one more column and row: the artificial t) and the walk."""
     n, m = P.dim, len(P.facets)
     calls = Counter()
@@ -224,7 +243,6 @@ def _count_work(monkeypatch, P: LabeledPolytope) -> Counter:
         monkeypatch.setattr(module, name, wrapped)
 
     count(momentcut.polytope, "adjugate_int", lambda args: "adjugate_int")
-    count(momentcut.lattice, "solve_int", lambda args: "solve_int")
     count(momentcut.polytope, "exchange",
           lambda args: "walk exchange" if len(args[0]) == n else "phase-1 exchange")
     count(momentcut.polytope, "_ratio_test",
@@ -494,10 +512,10 @@ def test_derived_structures_match_fresh_walk(case):
                 derived.append(restrict_halfspace(P, a, side))
             except EmptyResult:
                 pass
-            if simple and is_regular_level(P, a):
+            if simple:
                 try:
                     derived.append(cut(P, a, side))
-                except EmptyResult:
+                except (EmptyResult, NotRegularLevel):
                     pass
     if simple:
         verts = vertices(P)
@@ -709,10 +727,12 @@ def test_volume_matches_triangulation_on_chopped_boxes(seed, n, depth):
 
 # -- regular levels ----------------------------------------------------------
 
-def test_is_regular_level(square, d3):
-    assert is_regular_level(square, F(1, 2))
-    assert not is_regular_level(square, F(0))
-    assert not is_regular_level(d3, F(0))
+def test_require_regular(square, d3):
+    require_regular(square, F(1, 2))
+    with pytest.raises(NotRegularLevel, match="a vertex lies at level 0"):
+        require_regular(square, F(0))
+    with pytest.raises(NotRegularLevel):
+        require_regular(d3, F(0))
 
 
 # -- transforms --------------------------------------------------------------
