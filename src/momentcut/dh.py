@@ -39,7 +39,6 @@ from .lattice import (
     dot,
     format_rational,
     generic_direction,
-    over_common_denominator,
 )
 from .polytope import (
     LabeledPolytope,
@@ -154,7 +153,7 @@ def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],
         for j in range(1, z + 1):
             series[j] -= u * (lcm // w) * series[j - 1]
     # v = point / q, so a = A / q and c = C / q
-    point, q = over_common_denominator(v.point)
+    point, q = v.row
     A, C = point[0], dot(eta, point)
     # the coefficients of the powers of (s - a), low first, times (q lcm)^z
     shifted = [0] * n
@@ -407,7 +406,8 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
     # exceptional facet act[j] that edge relaxes
     crossing = []
     for v in vertices(P):
-        if v.point[0] != a:
+        num, den = v.row
+        if num[0] * a.denominator != a.numerator * den:
             continue
         gens = edge_generators(P, v)
         pair = [g[0] for g in gens]
@@ -435,13 +435,20 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
         chops = [slice_facet(P.facets[i], s) for i in exceptional]
         for k, ((v, _, g, f), chop) in enumerate(zip(crossing, chops)):
             m, nu = -g[0], P.facets[f].normal
-            corner = tuple(x + (a - s) / m * e for x, e in zip(v.point[1:], g[1:]))
-            image_ok[k] &= all(dot(h.normal, corner) <= h.offset for h in continued)
-            # depth law measured on the actual slice
+            # the corner (v + t g)[1:] as the row cnum / cden, for v = num / den
+            # and t = (a - s) / m = tn / td
+            tn = a.numerator * s.denominator - s.numerator * a.denominator
+            td = a.denominator * s.denominator * m
+            num, den = v.row
+            cnum = [x * td + den * tn * e for x, e in zip(num[1:], g[1:])]
+            cden = den * td
+            image_ok[k] &= all(dot(h.normal, cnum) * h.den <= h.num * cden for h in continued)
+            # depth law measured on the actual slice, cross-multiplied:
+            # content(nu[1:]) (<chop, corner> - offset) = (s - a) (-<nu, g>) / m
             found = [h for h in actual.facets if h.normal == chop.normal]
             depth_ok[k] &= len(found) == 1 and (
-                content(nu[1:]) * (dot(chop.normal, corner) - found[0].offset)
-                == (s - a) * -dot(nu, g) / m)
+                content(nu[1:]) * (dot(chop.normal, cnum) * found[0].den - found[0].num * cden)
+                * td == tn * dot(nu, g) * cden * found[0].den)
         # the candidate is compared with the actual slice's vertices and
         # facets; it takes no structure of its own
         mismatch = canonical_mismatch(continued + chops, actual)
@@ -460,7 +467,8 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
     # coefficients flip sign.  Verify the mirror identity and the weights.
     rev = reversed_polytope(P)
     rev_weights = sorted(
-        weights_at_vertex(rev, v) for v in vertices(rev) if v.point[0] == -a)
+        weights_at_vertex(rev, v) for v in vertices(rev)
+        if v.row[0][0] * a.denominator == -a.numerator * v.row[1])
     expect = sorted(tuple(sorted(-w for w in ws)) for _, ws, *_ in crossing)
     mirror_ok = all(
         canonical_equal(slice_at(rev, -s).polytope, sliced[s].polytope)

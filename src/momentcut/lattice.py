@@ -39,8 +39,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """The text form of a Fraction or an int."""
+    return _format_ratio(q.numerator, q.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """The text form of num / den, given in lowest terms with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +105,11 @@ def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
 # fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def _eliminate(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _eliminate(a: list[list[int]], ncols: int,
+               rank: Optional[int] = None) -> tuple[list[int], int]:
     """Bareiss row echelon form of the integer matrix `a` over its first
-    `ncols` columns, in place, carrying every column to their right.
+    `ncols` columns, in place, carrying every column to their right; it
+    stops at `rank` pivots when given.
 
     A column with no pivot at or below the current row is skipped.  Returns
     (pivots, det): the pivot columns, one per pivot row, and the last pivot
@@ -110,12 +117,13 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     columns, det is its determinant; for n = 0 it is the empty product 1.
     """
     m = len(a)
+    stop = m if rank is None else min(m, rank)
     sign = 1
     prev = 1
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        if r == m:
+        if r == stop:
             break
         if a[r][c] == 0:
             for i in range(r + 1, m):
@@ -204,10 +212,11 @@ def exchange(cols: list[list[int]], det: int, k: int, row: int) -> tuple[list[li
     return out, new_det
 
 
-def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+def independent_rows(rows: Sequence[Sequence[int]], limit: Optional[int] = None) -> list[int]:
     """The rows that are independent of the rows before them: the pivot
-    columns of one fraction-free elimination of the transpose."""
-    return _eliminate(transpose(rows), len(rows))[0]
+    columns of one fraction-free elimination of the transpose, which stops
+    at `limit` of them when given."""
+    return _eliminate(transpose(rows), len(rows), limit)[0]
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:

@@ -14,6 +14,7 @@ multiplier 1 at a smooth vertex, 1/2 at a Z2 vertex.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -25,12 +26,13 @@ from .errors import (
     PreconditionError,
     VertexNotBlowable,
 )
-from .lattice import content, dot, format_rational
+from .lattice import content, dot, format_rational, over_common_denominator
 from .polytope import (
     Facet,
     LabeledPolytope,
     Vertex,
     canonical_equal,
+    critical_values,
     intersect_halfspace,
     polytope_hash,
     require_regular,
@@ -39,13 +41,7 @@ from .polytope import (
     transform,
     vertices,
 )
-from .toric import (
-    VertexKind,
-    circle_stabilizer_order,
-    classify_vertex,
-    fixed_components,
-    weights_at_vertex,
-)
+from .toric import VertexKind, circle_stabilizer_order, classify_vertex, weights_at_vertex
 
 
 class CutSide(enum.Enum):
@@ -126,7 +122,7 @@ def reversed_polytope(P: LabeledPolytope) -> LabeledPolytope:
     """Image under x1 -> -x1; all first-coordinate pairings change sign."""
     n = P.dim
     A = [[(-1 if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
-    return transform(P, A, (Fraction(0),) * n)
+    return transform(P, A, (0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +150,9 @@ class ClassLedger:
 
     def to_json(self, polytope: Optional[LabeledPolytope] = None) -> dict:
         index_of = {} if polytope is None else {
-            (f.normal, f.offset): i for i, f in enumerate(polytope.facets)}
+            (f.normal, f.num, f.den): i for i, f in enumerate(polytope.facets)}
         return {"base": self.base, "terms": [
-            {"facet": index_of.get((t.normal, t.offset)),
+            {"facet": index_of.get((t.normal, t.offset.numerator, t.offset.denominator)),
              "multiplier": format_rational(t.multiplier),
              "depth": format_rational(t.depth)}
             for t in self.terms]}
@@ -173,11 +169,18 @@ class BlowupParams:
 
 
 def _find_vertex(P: LabeledPolytope, v: Union[Vertex, Sequence[Fraction]]) -> int:
-    """The index of the vertex v among vertices(P)."""
-    pt = tuple(Fraction(c) for c in (v.point if isinstance(v, Vertex) else v))
+    """The index of the vertex v among vertices(P), found by its integer row."""
+    if isinstance(v, Vertex):
+        row = v.row
+    else:
+        # over the least common denominator, entries in lowest terms give a
+        # row in lowest terms, as vertex rows are
+        num, den = over_common_denominator(v)
+        row = (tuple(num), den)
     for k, w in enumerate(vertices(P)):
-        if w.point == pt:
+        if w.row == row:
             return k
+    pt = v.point if isinstance(v, Vertex) else v
     raise PreconditionError(
         f"({', '.join(map(format_rational, pt))}) is not a vertex")
 
@@ -196,7 +199,8 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
     if d <= 0:
         raise PreconditionError("blow-up depth must be positive")
     center = _find_vertex(P, params.vertex)
-    v = vertices(P)[center]
+    verts = vertices(P)
+    v = verts[center]
     cls = classify_vertex(P, v)
     if cls.kind == VertexKind.OTHER_ORBIFOLD:
         labels = [P.facets[i].label for i in sorted(v.active)]
@@ -204,19 +208,21 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
             f"vertex has lattice index {cls.index} with labels {labels}; "
             "only smooth and Z2 vertices can be blown up")
 
-    act = sorted(v.active)
-    raw = tuple(sum(P.facets[i].normal[k] for i in act) for k in range(P.dim))
-    total = sum(Fraction(P.facets[i].offset) for i in act)
-    rhs = total - d
-    # vertex rows num / den are in lowest terms: equal points, equal rows
-    rows = [row for row, _ in P.structure().points]
-    for w, (num, den) in enumerate(rows):
-        if w != center and dot(raw, num) * rhs.denominator >= rhs.numerator * den:
+    held = [P.facets[i] for i in sorted(v.active)]
+    raw = tuple(sum(f.normal[k] for f in held) for k in range(P.dim))
+    # the sum of the active offsets less d, as num / den
+    den = math.lcm(d.denominator, *(f.den for f in held))
+    num = sum(f.num * (den // f.den) for f in held) - d.numerator * (den // d.denominator)
+    # vertex rows are in lowest terms: equal points, equal rows
+    rows = [w.row for w in verts]
+    for w, (x, q) in enumerate(rows):
+        if w != center and dot(raw, x) * den >= num * q:
             raise BlowupTooLarge(
                 f"depth {format_rational(d)} reaches the vertex "
-                f"({', '.join(map(format_rational, vertices(P)[w].point))})")
+                f"({', '.join(map(format_rational, verts[w].point))})")
     g = content(raw)
-    exc = Facet(tuple(x // g for x in raw), rhs / g, 1)
+    offset = Fraction(num, den * g)
+    exc = Facet(tuple(x // g for x in raw), offset, 1)
     result = intersect_halfspace(P, exc)
 
     rst = result.structure()
@@ -229,7 +235,7 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
         raise BlowupTooLarge("the chop removed a vertex other than the center")
 
     z2 = cls.kind == VertexKind.Z2_SINGULAR
-    term = LedgerTerm(exc.normal, exc.offset,
+    term = LedgerTerm(exc.normal, offset,
                       Fraction(1, 2) if z2 else Fraction(1), d, z2)
     return result, ledger.with_term(term)
 
@@ -283,16 +289,18 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
         raise PreconditionError("eps must be positive")
     require_regular(P, eps)
     require_regular(P, 0)
-    for comp in fixed_components(P):
-        if 0 < comp.level <= eps:
-            raise PreconditionError(
-                f"a fixed component sits at level {format_rational(comp.level)} "
-                f"inside (0, {format_rational(eps)}]")
+    # each vertex is fixed, and so is the least face through it that holds
+    # e1 in the span of its normals: its fixed component, at its level
+    level = next((c for c in critical_values(P) if 0 < c <= eps), None)
+    if level is not None:
+        raise PreconditionError(
+            f"a fixed component sits at level {format_rational(level)} "
+            f"inside (0, {format_rational(eps)}]")
 
     C = cut(P, eps, CutSide.BELOW)
     e1 = (1,) + (0,) * (P.dim - 1)
-    cut_idx = next((i for i, f in enumerate(C.facets)
-                    if f.normal == e1 and f.offset == eps), None)
+    cut_idx = next((i for i, f in enumerate(C.facets) if f.normal == e1
+                    and f.num == eps.numerator and f.den == eps.denominator), None)
     if cut_idx is None:
         # the cut facet is redundant: all of P lies below eps
         top = max(v.point[0] for v in vertices(C))
@@ -326,7 +334,7 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
     new_fixed = []
     weights_ok = True
     for v in vertices(result):
-        if v.point[0] == 0:
+        if v.row[0][0] == 0:
             w = weights_at_vertex(result, v)
             new_fixed.append((v.point, w))
             if w != expected:

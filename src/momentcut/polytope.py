@@ -24,9 +24,11 @@ redundant facets carries the structure over unchanged, and an affine
 unimodular image maps it.  All paths end in the same finishing code, and
 the derived structure is equal to the one a fresh walk would give.
 
-Vertices are kept as integer rows over one positive denominator, in lowest
-terms, so equal points have equal rows; `vertices` builds their `Fraction`
-points once per polytope.
+Every value of that exact arithmetic is an integer.  Vertices are kept as
+integer rows over one positive denominator, and facet offsets as integer
+pairs (num, den), both in lowest terms, so equal values have equal
+integers.  A `Fraction` is built only at parse, by the `Facet.offset` and
+`Vertex.point` accessors, and in values handed back to callers.
 
 That code reads everything else off the edge records, by facts that hold
 for every pointed polyhedron, simple or not (Schrijver 1986, section 8):
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -60,6 +62,7 @@ from .errors import (
 )
 from .lattice import (
     IntVector,
+    _format_ratio,
     adjugate_int,
     content,
     det_int,
@@ -85,20 +88,62 @@ MAX_DIM = 8
 Row = tuple[IntVector, int]     # the point num / den, den > 0, in lowest terms
 
 
-@dataclass(frozen=True)
-class Facet:
-    normal: IntVector
-    offset: Fraction
-    label: int = 1
+class Facet(namedtuple("Facet", "normal num den label")):
+    """The half-space <normal, x> <= num / den, with a label.
+
+    normal is a primitive integer vector, num / den the offset in lowest
+    terms with den > 0, and label a positive integer.  Facet(normal, offset,
+    label=1) takes the offset as an int or a Fraction, and `offset` gives it
+    back as a Fraction.  An offset of any other type is kept as num, with
+    den None, for the LabeledPolytope constructor to refuse.  Facets are
+    ordered by the value of their offsets (see `_order_key`), never as
+    tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, normal: IntVector, offset: Fraction, label: int = 1) -> "Facet":
+        if isinstance(offset, Fraction) or _is_int(offset):
+            return _facet(normal, offset.numerator, offset.denominator, label)
+        return tuple.__new__(cls, (normal, offset, None, label))
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     def key(self) -> tuple:
         return (self.normal, self.offset, self.label)
 
 
+def _facet(normal: IntVector, num: int, den: int, label: int) -> Facet:
+    """The facet <normal, x> <= num / den (den nonzero), put in lowest terms."""
+    g = math.gcd(num, den) * (-1 if den < 0 else 1)
+    return tuple.__new__(Facet, (normal, num // g, den // g, label))
+
+
+def _order_key(facets: Sequence[Facet]) -> Callable[[Facet], tuple]:
+    """The sort key of the canonical facet order, by normal, offset and
+    label, for these facets: offsets compare as integers over their lcm."""
+    lcm = math.lcm(*(f.den for f in facets))
+    return lambda f: (f.normal, f.num * (lcm // f.den), f.label)
+
+
 @dataclass(frozen=True)
 class Vertex:
-    point: tuple[Fraction, ...]
+    """A vertex: its point as an integer row (num, den) and its active
+    facets.  `point` builds the point's Fractions when first asked."""
+
+    row: Row
     active: frozenset[int]
+
+    @cached_property
+    def point(self) -> tuple[Fraction, ...]:
+        return _point(self.row)
 
 
 class LabeledPolytope:
@@ -112,21 +157,28 @@ class LabeledPolytope:
             raise InputError("a polytope needs at least one facet")
         # the one check of facet values, in the caller's order: i is the input position
         for i, f in enumerate(facets):
-            if f.label < 1:
-                raise InputError(f"facet {i}: label must be a positive integer, got {f.label}")
-            if not any(f.normal):
+            # bools are ints to Python, but not to JSON
+            if type(f.normal) is not tuple or not {int}.issuperset(map(type, f.normal)):
+                raise InputError(
+                    f"facet {i}: normal must be a tuple of integers, got {f.normal!r}")
+            if f.den is None:
+                raise InputError(
+                    f"facet {i}: offset must be an integer or a Fraction, got {f.num!r}")
+            if type(f.label) is not int or f.label < 1:
+                raise InputError(f"facet {i}: label must be a positive integer, got {f.label!r}")
+            g = math.gcd(*f.normal)
+            if g == 0:
                 raise InputError(f"facet {i}: zero normal")
-            g = content(f.normal)
             if g != 1:
                 raise InputError(
                     f"facet {i}: normal {list(f.normal)} is not primitive; "
                     f"use {[x // g for x in f.normal]} with offset "
-                    f"{format_rational(Fraction(f.offset) / g)}")
+                    f"{format_rational(f.offset / g)}")
             if len(f.normal) != dim:
                 raise InputError(f"facet {i}: normal has length {len(f.normal)}, expected {dim}")
         self.dim = dim
         # canonical facet order keeps indices stable across serialization
-        self.facets = tuple(sorted(facets, key=Facet.key))
+        self.facets = tuple(sorted(facets, key=_order_key(facets)))
         self._structure: Optional[Structure] = None
         # maps a parent's structure to this one's when first asked (transform)
         self._derive: Optional[Callable[[LabeledPolytope], Structure]] = None
@@ -184,13 +236,8 @@ def _row(num: Sequence[int], den: int) -> Row:
 
 def _scaled_rows(facets: Sequence[Facet]) -> tuple[list[tuple[int, ...]], list[int], int]:
     """Clear offset denominators: returns (normals, scaled offsets, scale L)."""
-    lcm = 1
-    for f in facets:
-        d = Fraction(f.offset).denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    normals = [tuple(f.normal) for f in facets]
-    offs = [int(Fraction(f.offset) * lcm) for f in facets]
-    return normals, offs, lcm
+    lcm = math.lcm(*(f.den for f in facets))
+    return [f.normal for f in facets], [f.num * (lcm // f.den) for f in facets], lcm
 
 
 def _combine(e: IntVector, re: int, g: IntVector, rg: int) -> IntVector:
@@ -211,7 +258,8 @@ def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
     with <a_j, d> <= 0 stay, and two rays across it combine when no third
     ray's zero set holds their common zero set.  A non-simple vertex's rays are
     sorted by the greedy basis of their zero sets, the order in which the
-    (n-1)-subsets of act first give them.
+    (n-1)-subsets of act first give them; a zero set has rank n - 1, and its
+    elimination stops there.
     """
     rows = [normals[j] for j in act]
     basis = independent_rows(rows)
@@ -229,7 +277,7 @@ def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
 
     def greedy_basis(ray) -> list[int]:
         zero = [i for i in range(len(act)) if ray[1] >> i & 1]
-        return [zero[k] for k in independent_rows([rows[i] for i in zero])]
+        return [zero[k] for k in independent_rows([rows[i] for i in zero], n - 1)]
     return tuple(e for e, _ in (sorted(rays, key=greedy_basis) if len(act) > n else rays))
 
 
@@ -488,10 +536,10 @@ def _crossing_edges(es, r: list[int], k: int) -> list[IntVector]:
             for j, (e, rj) in enumerate(zip(es, r))]
 
 
-def _crossings(P: LabeledPolytope, normal: IntVector, offset: Fraction):
-    """Where the hyperplane <normal, x> = offset meets P's edge graph.
+def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
+    """Where the hyperplane <normal, x> = p / q (q > 0) meets P's edge graph.
 
-    Returns the slack offset - <normal, v> of every vertex v of P, each
+    Returns the slack p / q - <normal, v> of every vertex v of P, each
     scaled by a positive integer, and one (row, key, relax) per edge or
     unbounded ray of P that passes strictly from slack > 0 to slack < 0:
     key is the set of facets holding that edge, and relax maps each facet
@@ -500,8 +548,6 @@ def _crossings(P: LabeledPolytope, normal: IntVector, offset: Fraction):
     """
     st = P.structure()
     pairs = _edge_graph(P)
-    offset = Fraction(offset)
-    p, q = offset.numerator, offset.denominator
     slack = [p * den - q * dot(normal, num) for (num, den), _ in st.points]
     found = []
     for ((num, den), act), es, ends, sl in zip(st.points, st.edges, pairs, slack):
@@ -533,7 +579,8 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
     is P's and P itself is returned.  A parent with no vertex has no edge
     graph to step from, and its child is walked from scratch.
     """
-    if any(f.normal == facet.normal and f.offset == facet.offset for f in P.facets):
+    if any(f.normal == facet.normal and f.num == facet.num and f.den == facet.den
+           for f in P.facets):
         return P
     child = LabeledPolytope(P.dim, P.facets + (facet,))
     st = P.structure()
@@ -549,7 +596,7 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
     def moved(j):
         return pos if j is None else j + (j >= pos)
 
-    slack, crossings = _crossings(P, facet.normal, facet.offset)
+    slack, crossings = _crossings(P, facet.normal, facet.num, facet.den)
     records = []
     for (row, act), es, sl in zip(st.points, st.edges, slack):
         if sl > 0:
@@ -618,13 +665,14 @@ def _simple_points(P: LabeledPolytope) -> tuple[tuple[Row, frozenset[int]], ...]
 def vertices(P: LabeledPolytope) -> list[Vertex]:
     """All vertices with their active facet sets, sorted by coordinates."""
     if P._vertices is None:
-        P._vertices = [Vertex(_point(row), act) for row, act in _simple_points(P)]
+        P._vertices = [Vertex(row, act) for row, act in _simple_points(P)]
     return list(P._vertices)
 
 
 def critical_values(P: LabeledPolytope) -> list[Fraction]:
     """Distinct first coordinates of the vertices, sorted."""
-    return sorted({v.point[0] for v in vertices(P)})
+    firsts = {_row(num[:1], den) for (num, den), _ in _simple_points(P)}
+    return sorted(Fraction(x, den) for (x,), den in firsts)
 
 
 def dimension_failure(P: LabeledPolytope) -> Optional[str]:
@@ -712,8 +760,9 @@ def validate(P: LabeledPolytope) -> ValidationReport:
     if not st.full_dim:
         failures.append(f"not full-dimensional: affine rank {st.affine_rank} < {P.dim}")
     for i in sorted(st.redundant):
-        failures.append(f"facet {i} ({list(P.facets[i].normal)} <= "
-                        f"{format_rational(P.facets[i].offset)}) is redundant")
+        f = P.facets[i]
+        failures.append(f"facet {i} ({list(f.normal)} <= {_format_ratio(f.num, f.den)}) "
+                        "is redundant")
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -751,7 +800,7 @@ def irredundant(P: LabeledPolytope) -> LabeledPolytope:
     """
     first: dict[tuple, int] = {}
     repeated = [i for i, f in enumerate(P.facets)
-                if first.setdefault((f.normal, f.offset), i) != i]
+                if first.setdefault((f.normal, f.num, f.den), i) != i]
     if repeated:
         P = _drop_facets(P, repeated)
     st = P.structure()
@@ -768,14 +817,14 @@ def intersect_halfspace(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
 
 
 def canonical_key(P: LabeledPolytope) -> tuple:
-    Q = irredundant(P)
-    return tuple(sorted(f.key() for f in Q.facets))
+    """The (normal, offset, label) of P's irredundant facets, in canonical
+    order; equal regions with equal labels have equal keys."""
+    return tuple(f.key() for f in irredundant(P).facets)
 
 
 def canonical_equal(P: LabeledPolytope, Q: LabeledPolytope) -> bool:
-    if P.dim != Q.dim:
-        return False
-    return canonical_key(P) == canonical_key(Q)
+    """canonical_key(P) == canonical_key(Q), compared on the integers."""
+    return P.dim == Q.dim and irredundant(P).facets == irredundant(Q).facets
 
 
 def canonical_mismatch(candidate: Sequence[Facet], P: LabeledPolytope) -> Optional[str]:
@@ -791,21 +840,20 @@ def canonical_mismatch(candidate: Sequence[Facet], P: LabeledPolytope) -> Option
     the same irredundant facets, and `irredundant` keeps the first of
     repeated ones in canonical order, whose label must then be P's.
     """
-    candidate = sorted(candidate, key=Facet.key)
+    candidate = sorted(candidate, key=_order_key(candidate))
     rows = [row for row, _ in P.structure().points]
     for h in candidate:
-        off = Fraction(h.offset)
         for num, den in rows:
-            if dot(h.normal, num) * off.denominator > off.numerator * den:
-                return (f"candidate facet {list(h.normal)} <= {format_rational(off)} fails "
-                        f"at the vertex {_format_row((num, den))}")
+            if dot(h.normal, num) * h.den > h.num * den:
+                return (f"candidate facet {list(h.normal)} <= {_format_ratio(h.num, h.den)} "
+                        f"fails at the vertex {_format_row((num, den))}")
     label: dict[tuple, int] = {}
     for h in candidate:
-        label.setdefault((h.normal, h.offset), h.label)
+        label.setdefault((h.normal, h.num, h.den), h.label)
     for f in P.facets:
-        got = label.get((f.normal, f.offset))
+        got = label.get((f.normal, f.num, f.den))
         if got != f.label:
-            facet = f"facet {list(f.normal)} <= {format_rational(f.offset)}"
+            facet = f"facet {list(f.normal)} <= {_format_ratio(f.num, f.den)}"
             return (f"{facet} is not a candidate facet" if got is None else
                     f"{facet} has label {f.label}, the candidate's {got}")
     return None
@@ -842,54 +890,56 @@ class Slice:
 def slice_facet(f: Facet, s: Fraction) -> Facet:
     """Facet f restricted to {x1 = s}, in coordinates (x2 .. xn): the tail
     of its normal made primitive, offset - nu_1 s divided alike.  The tail
-    must not be zero."""
+    must not be zero.  With s = p / q and the offset num / den that offset
+    is (num q - nu_1 p den) / (den q g), g the content of the tail."""
     tail = f.normal[1:]
     g = content(tail)
-    return Facet(tuple(t // g for t in tail), (Fraction(f.offset) - f.normal[0] * s) / g,
-                 f.label)
+    p, q = s.numerator, s.denominator
+    return _facet(tuple(t // g for t in tail), f.num * q - f.normal[0] * p * f.den,
+                  f.den * q * g, f.label)
 
 
 def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     if P.dim < 2:
         raise DimensionMismatch("slicing needs dimension >= 2")
     s = Fraction(s)
+    p, q = s.numerator, s.denominator
     st = P.structure()
     candidate_idx = range(len(P.facets))
     if st.points:
         # the slice's vertices: P's vertices on {x1 = s} and the points where
         # P's edges cross it, with the facets of P holding each; every facet
         # of a nonempty slice holds one of them
-        slack, crossings = _crossings(P, (1,) + (0,) * (P.dim - 1), s)
+        slack, crossings = _crossings(P, (1,) + (0,) * (P.dim - 1), p, q)
         met = [(row, act, None) for (row, act), sl in zip(st.points, slack) if sl == 0]
         met += crossings
         candidate_idx = sorted(set().union(*(act for _, act, _ in met)))
 
-    pairs: list[tuple[Facet, int]] = []
+    facets: list[Facet] = []
+    source: dict[tuple, int] = {}         # (normal, num, den) of the slice -> first facet of P
     induced: dict[int, tuple] = {}        # facet of P -> its facet of the slice
-    seen: set[tuple] = set()
     for i in candidate_idx:
         f = P.facets[i]
         if not any(f.normal[1:]):
-            if f.offset < f.normal[0] * s:
+            if f.num * q < f.normal[0] * p * f.den:
                 return Slice(None, False, ())
             continue
         h = slice_facet(f, s)
-        key = (h.normal, h.offset)
-        if key not in seen:
-            seen.add(key)
-            pairs.append((h, i))
+        key = (h.normal, h.num, h.den)
+        if key not in source:
+            source[key] = i
+            facets.append(h)
         induced[i] = key
 
-    if not pairs:
+    if not facets:
         return Slice(None, False, ())
-    # mirror the constructor's canonical order so indices stay aligned
-    pairs.sort(key=lambda fi: fi[0].key())
-    Q = LabeledPolytope(P.dim - 1, [f for f, _ in pairs])
+    Q = LabeledPolytope(P.dim - 1, facets)
+    keys = [(f.normal, f.num, f.den) for f in Q.facets]
     if st.points:
         # project the points met to (x2 .. xn); a crossing's edges other
         # than the one off the plane have first coordinate 0, and keep their
         # facets unless two of those induce one facet of the slice
-        at = {(f.normal, f.offset): k for k, f in enumerate(Q.facets)}
+        at = {key: k for k, key in enumerate(keys)}
         q_index = {i: at[key] for i, key in induced.items()}
         normals = [f.normal for f in Q.facets]
         records = []
@@ -906,7 +956,7 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     if not qst.full_dim:
         return Slice(None, True, ())
     R = _drop_facets(Q, qst.redundant) if qst.redundant else Q
-    return Slice(R, False, tuple(i for k, (_, i) in enumerate(pairs)
+    return Slice(R, False, tuple(source[key] for k, key in enumerate(keys)
                                  if k not in qst.redundant))
 
 
@@ -924,34 +974,37 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
     if len(A) != n or any(len(row) != n for row in A) or len(b) != n:
         raise DimensionMismatch("transform shape mismatch")
     a_inv_t = transpose(inverse_unimodular(A))
-    bq = [Fraction(x) for x in b]
+    # b = b_num / b_den, and the offset of eta x <= num / den + <eta, b> over g
+    b_num, b_den = over_common_denominator([Fraction(x) for x in b])
     new_facets = []
     for f in P.facets:
         eta = tuple(dot(row, f.normal) for row in a_inv_t)
         g = content(eta)
-        eta_p = tuple(x // g for x in eta)
-        off = (Fraction(f.offset) + Fraction(dot(eta, bq))) / g
-        new_facets.append(Facet(eta_p, off, f.label))
+        new_facets.append(_facet(tuple(x // g for x in eta),
+                                 f.num * b_den + f.den * dot(eta, b_num), f.den * b_den * g,
+                                 f.label))
     Q = LabeledPolytope(n, new_facets)
     # the constructor's sort is stable: facet i of P is facet index[i] of Q
+    key = _order_key(new_facets)
     index = [0] * len(new_facets)
-    for k, i in enumerate(sorted(range(len(new_facets)), key=lambda i: new_facets[i].key())):
+    for k, i in enumerate(sorted(range(len(new_facets)), key=lambda i: key(new_facets[i]))):
         index[i] = k
-    Q._derive = partial(_mapped_structure, P, [list(row) for row in A], bq, index)
+    Q._derive = partial(_mapped_structure, P, [list(row) for row in A], (b_num, b_den), index)
     return Q
 
 
-def _mapped_structure(P: LabeledPolytope, A: list[list[int]], b: list[Fraction],
+def _mapped_structure(P: LabeledPolytope, A: list[list[int]], b: tuple[list[int], int],
                       index: list[int], Q: LabeledPolytope) -> Structure:
-    """The structure of Q = AP + b from P's: a row num / den goes to
-    (A num + den b) / den, an edge e to Ae (primitive, as A is unimodular),
-    and facet i to index[i].  A simple vertex's edges are put in the order
-    of its renumbered facets; a non-simple vertex's tangent cone is taken
-    again, so its edges come in the order a walk of Q would give."""
+    """The structure of Q = AP + b from P's, for b = b_num / b_den: a row
+    num / den goes to (A num + den b) / den, an edge e to Ae (primitive, as
+    A is unimodular), and facet i to index[i].  A simple vertex's edges are
+    put in the order of its renumbered facets; a non-simple vertex's
+    tangent cone is taken again, so its edges come in the order a walk of Q
+    would give."""
     st = P.structure()
     n = Q.dim
     normals = [f.normal for f in Q.facets]
-    b_num, b_den = over_common_denominator(b)
+    b_num, b_den = b
     rays = {tuple(dot(row, e) for row in A) for e in st.rays}
     records = []
     for ((num, den), act), es in zip(st.points, st.edges):
@@ -975,7 +1028,7 @@ def to_json_dict(P: LabeledPolytope) -> dict:
     return {
         "dim": P.dim,
         "facets": [
-            {"normal": list(f.normal), "offset": format_rational(f.offset), "label": f.label}
+            {"normal": list(f.normal), "offset": _format_ratio(f.num, f.den), "label": f.label}
             for f in facets
         ],
     }
@@ -1012,16 +1065,14 @@ def from_json_dict(obj: dict) -> LabeledPolytope:
             raise InputError(
                 f"facet {i}: offset {off!r} is a float; offsets must be exact "
                 f'rational strings such as "{format_rational(Fraction(off).limit_denominator(10**6))}"')
-        if _is_int(off):
-            offset = Fraction(off)
-        elif isinstance(off, str):
-            offset = parse_rational(off)
-        else:
+        if isinstance(off, str):
+            off = parse_rational(off)
+        elif not _is_int(off):
             raise InputError(f"facet {i}: offset must be an integer or a rational string")
         label = fo.get("label", 1)
         if not _is_int(label):
             raise InputError(f"facet {i}: label must be a positive integer, got {label!r}")
-        facets.append(Facet(tuple(normal), offset, label))
+        facets.append(Facet(tuple(normal), off, label))
     return LabeledPolytope(dim, facets)
 
 

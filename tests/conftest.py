@@ -584,6 +584,20 @@ def canonical_equal_by_walk(facets, P: LabeledPolytope) -> bool:
     return bool(C.structure().points) and canonical_equal(C, P)
 
 
+def slice_facet_by_fractions(f: Facet, s: Fraction) -> Facet:
+    """Oracle for `polytope.slice_facet`: the offset (o - nu_1 s) / g in
+    Fraction arithmetic."""
+    tail = f.normal[1:]
+    g = content(tail)
+    return Facet(tuple(t // g for t in tail), (f.offset - f.normal[0] * F(s)) / g, f.label)
+
+
+def canonical_order_by_fractions(facets) -> list[Facet]:
+    """Oracle for the constructor's canonical order: by normal, Fraction
+    offset and label, stable."""
+    return sorted(facets, key=lambda f: (f.normal, f.offset, f.label))
+
+
 def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
     """Independent slice oracle: the induced facets, walked from scratch.
 
@@ -604,16 +618,14 @@ def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
     pairs, seen = [], set()
     for i in candidates:
         f = P.facets[i]
-        tail, rhs = f.normal[1:], F(f.offset) - f.normal[0] * s
-        if not any(tail):
-            if rhs < 0:
+        if not any(f.normal[1:]):
+            if f.offset < f.normal[0] * s:
                 return Slice(None, False, ())
             continue
-        g = content(tail)
-        key = (tuple(t // g for t in tail), rhs / g)
-        if key not in seen:
-            seen.add(key)
-            pairs.append((Facet(key[0], key[1], f.label), i))
+        h = slice_facet_by_fractions(f, s)
+        if (h.normal, h.offset) not in seen:
+            seen.add((h.normal, h.offset))
+            pairs.append((h, i))
     if not pairs:
         return Slice(None, False, ())
     pairs.sort(key=lambda fi: fi[0].key())

@@ -198,7 +198,7 @@ def test_criterion_9_performance():
     t0 = time.perf_counter()
     probe = orbital_convexity_probe(action, spec, trials=100)
     t_probe = time.perf_counter() - t0
-    ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.1 and t_dh < 0.05
+    ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.04 and t_dh < 0.05
           and t_slices < 0.1 and t_probe < 0.5 and len(vs) == 64
           and vol == F(383, 384) and prof.total_integral() == vol and eq
           and all(sl.polytope is not None for sl in slices) and probe.ok)

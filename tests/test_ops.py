@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import momentcut.dh
 import momentcut.ops
 import momentcut.polytope
-from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delzant_corpus
+from momentcut.corpus import (asymmetric_wedge, box, chopped_cube, chopped_hypercube,
+                               delzant_corpus)
 from momentcut.dh import critical_values, wall_crossing_check
 from momentcut.errors import (
     BlowupTooLarge,
@@ -324,6 +326,35 @@ def test_ledger_base_identity(square):
 
 
 # -- derived polytopes take their structure from the parent ---------------------
+
+def test_derived_chain_builds_few_fractions():
+    # the chain's exact arithmetic runs on integers: a Fraction is built
+    # only for an input, by the Facet.offset and Vertex.point accessors, and
+    # in the values handed back
+    P = chopped_hypercube()
+    half, center, depth, level = F(1, 2), (0, 0, 0, F(1, 4)), F(1, 16), F(3, 8)
+    shift, eps, wall = (F(-1, 2), 0, 0, 0), F(1, 8), F(3, 4)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    code = Fraction.__new__.__code__
+    built = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built["Fraction"] += 1
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        C = cut(P, half)
+        B, _ = blowup(C, BlowupParams(center, depth))
+        reduced = reduce_at(B, level)
+        report = add_fixed_points(transform(P, identity, shift), eps)[2]
+        checked = wall_crossing_check(P, wall)
+    finally:
+        sys.setprofile(before)
+    assert len(vertices(B)) == len(vertices(C)) + 3 and reduced.polytope is not None
+    assert report.ok and checked.ok
+    assert built["Fraction"] == 162
+
 
 def test_derived_polytopes_take_no_walk(monkeypatch):
     # a surgery chain walks from scratch only for its parsed inputs; every

@@ -3,6 +3,7 @@ from __future__ import annotations
 import fractions
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -35,6 +36,7 @@ from momentcut.polytope import (
     loads,
     require_regular,
     slice_at,
+    slice_facet,
     to_json_dict,
     transform,
     validate,
@@ -53,6 +55,7 @@ from momentcut.toric import edge_generators
 
 from conftest import (
     canonical_equal_by_walk,
+    canonical_order_by_fractions,
     chopped_box,
     cut_8_cube,
     edge_hyperplane_points,
@@ -61,6 +64,7 @@ from conftest import (
     rank_rational,
     regular_levels,
     slice_by_walk,
+    slice_facet_by_fractions,
     solve_int,
     structure_by_subsets,
     tangent_rays,
@@ -147,6 +151,55 @@ def test_facet_index_names_the_input_position(bad):
         from_json_dict({"dim": 2, "facets": [
             {"normal": [1, 0], "offset": "1"},
             {"normal": list(bad.normal), "offset": "0", "label": bad.label}]})
+
+
+@pytest.mark.parametrize("bad,message", [
+    (Facet((-1, 0), 0.1), "offset must be an integer or a Fraction, got 0.1"),
+    (Facet((-1, 0), "1/2"), "offset must be an integer or a Fraction, got '1/2'"),
+    (Facet((-1, 0), F(0), 2.0), "label must be a positive integer, got 2.0"),
+    (Facet((-1, 0), F(0), True), "label must be a positive integer, got True"),
+    (Facet((-1.0, 0), F(0)), "normal must be a tuple of integers, got (-1.0, 0)"),
+], ids=["float-offset", "string-offset", "float-label", "bool-label", "float-normal"])
+def test_constructor_refuses_values_of_other_types(bad, message):
+    # a float offset would be read as its binary value, a string parsed, a
+    # float or bool label printed as 2.0 or true, a float normal a TypeError
+    with pytest.raises(InputError, match="^" + re.escape(f"facet 1: {message}") + "$"):
+        LabeledPolytope(2, [Facet((1, 0), F(1)), bad])
+
+
+def test_facet_offset_is_an_integer_pair():
+    f = Facet((1, -1), F(6, -4), 2)
+    assert (f.num, f.den, f.offset, f.key()) == (-3, 2, F(-3, 2), ((1, -1), F(-3, 2), 2))
+    assert Facet((0, 1), 3) == Facet((0, 1), F(3), 1)
+    with pytest.raises(TypeError):
+        sorted([Facet((0, 1), 3), Facet((1, 0), 0)])
+
+
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _facet_lists(draw, n):
+    """Facets with primitive normals of small entries, so normals repeat."""
+    count = draw(st.integers(1, 8))
+    normals = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(primitive)
+    return [Facet(draw(normals), draw(_rationals), draw(st.integers(1, 3)))
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_canonical_order_matches_fraction_oracle(data, n):
+    facets = data.draw(_facet_lists(n))
+    assert list(LabeledPolytope(n, facets).facets) == canonical_order_by_fractions(facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal=st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda v: any(v[1:])),
+       offset=_rationals, label=st.integers(1, 3), s=_rationals)
+def test_slice_facet_matches_fraction_oracle(normal, offset, label, s):
+    f = Facet(primitive(normal), offset, label)
+    assert slice_facet(f, s) == slice_facet_by_fractions(f, s)
 
 
 # -- vertices ----------------------------------------------------------------
@@ -549,7 +602,7 @@ def test_crossing_edges_match_fresh_tangent_cones(case, normal, k):
     values = [dot(a, _point(row)) for row, _ in P.structure().points]
     c = min(values) + (max(values) - min(values)) * F(k, 16)
     normals = [f.normal for f in P.facets] + [a]
-    crossings = momentcut.polytope._crossings(P, a, c)[1]
+    crossings = momentcut.polytope._crossings(P, a, c.numerator, c.denominator)[1]
     for row, key, relax in crossings:
         if relax is None:
             continue
