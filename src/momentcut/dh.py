@@ -18,7 +18,8 @@ then a Laurent series in t with rational coefficients; the sum has no pole
 at t = 0, so its exact t^0 coefficient is the density.
 
 Everything here is decided in exact rational arithmetic; inequalities on
-whole intervals go through Sturm sequences, never sampling floats.
+whole intervals go through exact root isolation (Descartes' rule of signs,
+see `ratpoly`), never sampling floats.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .lattice import (
     content,
     det_int,
     dot,
+    exact,
     format_rational,
     generic_direction,
 )
@@ -87,7 +89,7 @@ class DHProfile:
     chambers: tuple[Chamber, ...]
 
     def value(self, s: Fraction) -> Fraction:
-        s = Fraction(s)
+        s = exact(s, "level")
         for ch in self.chambers:
             if ch.lo <= s < ch.hi:
                 return ch.poly(s)
@@ -374,7 +376,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
     blow-up (Godinho 2001) with exceptional class coefficient 2*pi*(s-a)/m:
     2*pi*(s-a) for weights (-1, 1, ..), pi*(s-a) for (-2, 1, ..).
     """
-    a = Fraction(a)
+    a = exact(a, "level")
     crit = critical_values(P)
     if a not in crit:
         raise WallNotSimpleCrossing(f"no vertex at level {format_rational(a)}")
@@ -384,7 +386,7 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
             raise WallNotSimpleCrossing("single-wall moment image")
         window = min(gaps) / 2
     else:
-        window = Fraction(window)
+        window = exact(window, "window")
         if window <= 0:
             raise PreconditionError("window must be positive")
         if any(g < window for g in gaps):
@@ -392,8 +394,8 @@ def wall_crossing_check(P: LabeledPolytope, a: Fraction,
 
     # the facet set active on slices below the wall; each sample level is
     # sliced once, and the slices are shared by the checks below
-    below_samples = [a - window / 2, a - window / 4]
-    above_samples = [a + window / 4, a + window / 2]
+    below_samples = [a - Fraction(window, 2), a - Fraction(window, 4)]
+    above_samples = [a + Fraction(window, 4), a + Fraction(window, 2)]
     sliced = {s: slice_at(P, s) for s in below_samples}
     below_slices = [sliced[s] for s in below_samples]
     if any(sl.polytope is None for sl in below_slices):

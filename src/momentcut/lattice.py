@@ -38,6 +38,14 @@ def parse_rational(text: str) -> Fraction:
     return q
 
 
+def exact(value, what: str):
+    """value itself when it is an int or a Fraction; anything else (a float,
+    a string, a bool) is refused, not converted."""
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise InputError(f"{what} must be an integer or a Fraction, got {value!r}")
+
+
 def format_rational(q: Fraction) -> str:
     """The text form of a Fraction or an int."""
     return _format_ratio(q.numerator, q.denominator)

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     VertexNotBlowable,
 )
-from .lattice import content, dot, format_rational, over_common_denominator
+from .lattice import content, dot, exact, format_rational, over_common_denominator
 from .polytope import (
     Facet,
     LabeledPolytope,
@@ -64,7 +64,7 @@ def restrict_halfspace(P: LabeledPolytope, a: Fraction,
     exact face-dimension rule.  Used for agreement checks, where the half
     space passes exactly through the new fixed vertices.
     """
-    return intersect_halfspace(P, _level_facet(P.dim, Fraction(a), side))
+    return intersect_halfspace(P, _level_facet(P.dim, exact(a, "level"), side))
 
 
 def cut(P: LabeledPolytope, a: Fraction, side: CutSide = CutSide.BELOW) -> LabeledPolytope:
@@ -98,7 +98,6 @@ def reduce_at(P: LabeledPolytope, a: Fraction) -> ReduceResult:
     stabilizer orders reported alongside carry the isotropy data that a
     fully reduced labeling would need.
     """
-    a = Fraction(a)
     require_regular(P, a)
     sl = slice_at(P, a)
     if sl.polytope is None:
@@ -112,7 +111,7 @@ def reduce_at(P: LabeledPolytope, a: Fraction) -> ReduceResult:
 
 def compactify(P: LabeledPolytope, a: Fraction, b: Fraction) -> LabeledPolytope:
     """cut from above at b, then from below at a; needs a < b, both regular."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a, "lower level"), exact(b, "upper level")
     if not a < b:
         raise PreconditionError(f"need a < b, got {format_rational(a)} >= {format_rational(b)}")
     return cut(cut(P, b, CutSide.BELOW), a, CutSide.ABOVE)
@@ -175,7 +174,7 @@ def _find_vertex(P: LabeledPolytope, v: Union[Vertex, Sequence[Fraction]]) -> in
     else:
         # over the least common denominator, entries in lowest terms give a
         # row in lowest terms, as vertex rows are
-        num, den = over_common_denominator(v)
+        num, den = over_common_denominator([exact(x, "vertex coordinate") for x in v])
         row = (tuple(num), den)
     for k, w in enumerate(vertices(P)):
         if w.row == row:
@@ -195,7 +194,7 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
     """
     if ledger is None:
         ledger = fresh_ledger(P)
-    d = Fraction(params.depth)
+    d = exact(params.depth, "blow-up depth")
     if d <= 0:
         raise PreconditionError("blow-up depth must be positive")
     center = _find_vertex(P, params.vertex)
@@ -284,7 +283,7 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
     The result agrees with P on {x1 <= 0} and gains one fixed vertex per Z2
     point, sitting in {x1 = 0} with weights (-2, 1, ..., 1).
     """
-    eps = Fraction(eps)
+    eps = exact(eps, "eps")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     require_regular(P, eps)

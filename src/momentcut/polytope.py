@@ -67,6 +67,7 @@ from .lattice import (
     content,
     det_int,
     dot,
+    exact,
     exchange,
     format_rational,
     generic_direction,
@@ -708,7 +709,7 @@ def require_vertices(P: LabeledPolytope, need: str) -> None:
 
 def require_regular(P: LabeledPolytope, a: Fraction) -> None:
     """Refuse a level a at which a vertex of P lies."""
-    a = Fraction(a)
+    a = exact(a, "level")
     p, q = a.numerator, a.denominator
     if any(num[0] * q == p * den for (num, den), _ in _simple_points(P)):
         raise NotRegularLevel(f"a vertex lies at level {format_rational(a)}")
@@ -902,7 +903,7 @@ def slice_facet(f: Facet, s: Fraction) -> Facet:
 def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     if P.dim < 2:
         raise DimensionMismatch("slicing needs dimension >= 2")
-    s = Fraction(s)
+    s = exact(s, "level")
     p, q = s.numerator, s.denominator
     st = P.structure()
     candidate_idx = range(len(P.facets))
@@ -975,7 +976,7 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
         raise DimensionMismatch("transform shape mismatch")
     a_inv_t = transpose(inverse_unimodular(A))
     # b = b_num / b_den, and the offset of eta x <= num / den + <eta, b> over g
-    b_num, b_den = over_common_denominator([Fraction(x) for x in b])
+    b_num, b_den = over_common_denominator([exact(x, "shift") for x in b])
     new_facets = []
     for f in P.facets:
         eta = tuple(dot(row, f.normal) for row in a_inv_t)

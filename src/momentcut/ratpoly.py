@@ -2,10 +2,12 @@
 degree first, over one positive denominator, in lowest terms.  Arithmetic
 and signs work on the integers; `coeffs` gives `Fraction`s, for output.
 
-Complete sign decisions on closed intervals go through Sturm sequences.
-Real roots are reported as exact rationals when they are rational and as
-isolating intervals with rational endpoints otherwise; either way the sign
-pattern between consecutive roots is decided exactly, never by floating point.
+Complete sign decisions on closed intervals rest on Descartes' rule of
+signs over the interval (Collins-Akritas 1976): halve until the bound on
+the roots inside is 0 or 1.  Real roots are reported as exact rationals
+when they are rational and as isolating intervals with rational endpoints
+otherwise; either way the sign pattern between consecutive roots is decided
+exactly, never by floating point.
 """
 from __future__ import annotations
 
@@ -181,29 +183,19 @@ def deflate(p: Poly, r: Fraction) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and root isolation
+# root isolation by Descartes' rule of signs
 # ---------------------------------------------------------------------------
 
-def sturm_chain(q: Poly) -> list[Poly]:
-    chain = [q, q.derivative()]
-    while chain[-1].degree > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [f for f in chain if not f.is_zero()]
-
-
-def sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = [v for v in (f.sign_at(x) for f in chain) if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(q: Poly, chain: Sequence[Poly], a: Fraction, b: Fraction) -> int:
-    """Distinct roots of square-free q in (a, b); endpoints must not be roots."""
-    if not q.sign_at(a) or not q.sign_at(b):
-        raise InternalError("count_roots endpoint is a root")
-    return sign_variations(chain, a) - sign_variations(chain, b)
+def _variations(q: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Descartes' bound on the roots of q in the open (lo, hi), counted with
+    multiplicity: the sign changes of (1 + y)^d q((hi + lo y) / (1 + y)),
+    whose positive roots y are those roots.  The bound exceeds their number
+    by an even number, so 0 and 1 are exact."""
+    (u, v), w = over_common_denominator((lo, hi))
+    # w^d q((u + (v - u) t) / w), then (1 + y)^d times that at t = 1 / (1 + y)
+    r = affine_substitute(q.num, v - u, u, w)
+    signs = [c > 0 for c in affine_substitute(r[::-1], 1, 1, 1) if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[RootMarker]:
     upper_i < lower_{i+1} unless both roots are exact.
     """
     a, b = Fraction(a), Fraction(b)
-    if p.degree < 1 or a >= b:
+    if p.degree < 1 or a >= b or not _variations(p, a, b):
         return []
     q = squarefree(p)
     while q.degree >= 1 and not q.sign_at(a):
@@ -240,11 +232,7 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[RootMarker]:
         q = deflate(q, b)
     if q.degree < 1:
         return []
-    markers: list[RootMarker] = []
-    chain = sturm_chain(q)
-    _isolate_rec(q, chain, a, b, markers)
-    markers.sort(key=lambda m: (m.lower, m.upper))
-    markers = _separate(q, chain, markers, a, b)
+    markers = _separate(q, _isolate(q, a, b), a, b)
     return [_exactify(q, m) for m in markers]
 
 
@@ -280,46 +268,42 @@ def _exactify(q: Poly, m: RootMarker) -> RootMarker:
     return m
 
 
-def _isolate_rec(q: Poly, chain, lo: Fraction, hi: Fraction, out: list) -> None:
-    n = count_roots(q, chain, lo, hi)
-    if n == 0:
-        return
-    if n == 1:
-        out.append(RootMarker(lo, hi))
-        return
+def _isolate(q: Poly, lo: Fraction, hi: Fraction) -> list[RootMarker]:
+    """Markers for the roots of square-free q in (lo, hi), in order, by
+    halving until Descartes' bound is 0 or 1; lo and hi are not roots."""
+    n = _variations(q, lo, hi)
+    if n < 2:
+        return [RootMarker(lo, hi)] if n else []
     mid = (lo + hi) / 2
-    if not q.sign_at(mid):
-        out.append(RootMarker(mid, mid, exact=mid))
-        # Step off the root to points that are not roots of q, with no other
-        # root between them and mid, so every interval handed on (and later
-        # refined against q's own chain) has non-root endpoints.
-        q2 = deflate(q, mid)
-        chain2 = sturm_chain(q2)
-        delta = (hi - lo) / 4
-        while (not q.sign_at(mid - delta) or not q.sign_at(mid + delta)
-               or (q2.degree >= 1
-                   and count_roots(q2, chain2, mid - delta, mid + delta) > 0)):
-            delta /= 2
-        _isolate_rec(q, chain, lo, mid - delta, out)
-        _isolate_rec(q, chain, mid + delta, hi, out)
-    else:
-        _isolate_rec(q, chain, lo, mid, out)
-        _isolate_rec(q, chain, mid, hi, out)
+    if q.sign_at(mid):
+        return _isolate(q, lo, mid) + _isolate(q, mid, hi)
+    # Step off the root to points that are not roots of q, with no other
+    # root between them and mid, so every interval handed on (and later
+    # refined by the signs at its ends) has non-root endpoints.
+    q2 = deflate(q, mid)
+    delta = (hi - lo) / 4
+    while (not q.sign_at(mid - delta) or not q.sign_at(mid + delta)
+           or _isolate(q2, mid - delta, mid + delta)):
+        delta /= 2
+    return (_isolate(q, lo, mid - delta) + [RootMarker(mid, mid, exact=mid)]
+            + _isolate(q, mid + delta, hi))
 
 
-def _refine(q: Poly, chain, m: RootMarker) -> RootMarker:
-    """Halve an isolating interval, keeping exactly one root inside."""
+def _refine(q: Poly, m: RootMarker) -> RootMarker:
+    """Halve an isolating interval, keeping its one root inside: q changes
+    sign across it, and its ends are not roots."""
     if m.exact is not None:
         return m
     mid = (m.lo + m.hi) / 2
-    if not q.sign_at(mid):
+    s = q.sign_at(mid)
+    if not s:
         return RootMarker(mid, mid, exact=mid)
-    if count_roots(q, chain, m.lo, mid) == 1:
+    if s != q.sign_at(m.lo):
         return RootMarker(m.lo, mid)
     return RootMarker(mid, m.hi)
 
 
-def _separate(q: Poly, chain, markers: list[RootMarker], a: Fraction,
+def _separate(q: Poly, markers: list[RootMarker], a: Fraction,
               b: Fraction) -> list[RootMarker]:
     done = False
     while not done:
@@ -331,7 +315,7 @@ def _separate(q: Poly, chain, markers: list[RootMarker], a: Fraction,
             # neighbouring markers' hulls and the interval endpoints
             if m.exact is None and (m.lo < lo_bound or m.hi > hi_bound
                                     or m.lo <= a or m.hi >= b):
-                markers[i] = _refine(q, chain, m)
+                markers[i] = _refine(q, m)
                 done = False
     return markers
 

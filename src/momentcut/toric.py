@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateVertex
+from .errors import DegenerateVertex, DimensionMismatch
 from .lattice import (
     IntVector,
     content,
@@ -85,6 +85,8 @@ def weights_at_vertex(P: LabeledPolytope, v: Vertex,
     """Multiset (sorted tuple) of pairings of xi with the edge generators."""
     if xi is None:
         xi = (1,) + (0,) * (P.dim - 1)
+    elif len(xi) != P.dim:
+        raise DimensionMismatch(f"xi has {len(xi)} entries, expected {P.dim}")
     return tuple(sorted(dot(xi, e) for e in edge_generators(P, v)))
 
 

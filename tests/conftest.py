@@ -34,7 +34,18 @@ from momentcut.polytope import (
     slice_at,
     vertices,
 )
-from momentcut.ratpoly import Poly, affine_substitute, isolate_roots, nonpositive_on
+from momentcut.ratpoly import (
+    Poly,
+    RootMarker,
+    _exactify,
+    affine_substitute,
+    deflate,
+    divmod_poly,
+    gap_samples,
+    isolate_roots,
+    nonpositive_on,
+    squarefree,
+)
 from momentcut.toric import INFINITE, FixedComponent
 
 F = Fraction
@@ -182,6 +193,90 @@ def fraction_divmod(a: FractionPoly, b: FractionPoly) -> tuple[FractionPoly, Fra
                 rem[k - d + j] -= f * b.coeffs[j]
         rem.pop()
     return FractionPoly(quo), FractionPoly(rem)
+
+
+def sturm_chain(q: Poly) -> list[Poly]:
+    """The Sturm sequence of q: q, q', then negated remainders."""
+    chain = [q, q.derivative()]
+    while chain[-1].degree > 0:
+        rem = divmod_poly(chain[-2], chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    return [f for f in chain if not f.is_zero()]
+
+
+def sturm_count(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+    """Distinct roots in (a, b) of the square-free head of the chain, whose
+    ends a and b are not roots."""
+    def variations(x):
+        signs = [v for v in (f.sign_at(x) for f in chain) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    assert chain[0].sign_at(a) and chain[0].sign_at(b), "Sturm endpoint is a root"
+    return variations(a) - variations(b)
+
+
+def isolate_roots_by_sturm(p: Poly, a: Fraction, b: Fraction) -> list[RootMarker]:
+    """Oracle for `ratpoly.isolate_roots`: halve while Sturm's count of the
+    distinct roots inside is 2 or more, step off a root hit at a midpoint,
+    and refine by the count until the markers are separated."""
+    a, b = F(a), F(b)
+    if p.degree < 1 or a >= b:
+        return []
+    q = squarefree(p)
+    while q.degree >= 1 and not q.sign_at(a):
+        q = deflate(q, a)
+    while q.degree >= 1 and not q.sign_at(b):
+        q = deflate(q, b)
+    if q.degree < 1:
+        return []
+    chain = sturm_chain(q)
+
+    def isolate(q, chain, lo, hi):
+        n = sturm_count(chain, lo, hi)
+        if n < 2:
+            return [RootMarker(lo, hi)] * n
+        mid = (lo + hi) / 2
+        if q.sign_at(mid):
+            return isolate(q, chain, lo, mid) + isolate(q, chain, mid, hi)
+        q2 = deflate(q, mid)
+        chain2 = sturm_chain(q2)
+        delta = (hi - lo) / 4
+        while (not q.sign_at(mid - delta) or not q.sign_at(mid + delta)
+               or (q2.degree >= 1 and sturm_count(chain2, mid - delta, mid + delta))):
+            delta /= 2
+        return (isolate(q, chain, lo, mid - delta) + [RootMarker(mid, mid, mid)]
+                + isolate(q, chain, mid + delta, hi))
+
+    markers = isolate(q, chain, a, b)
+    moved = True
+    while moved:
+        moved = False
+        for i, m in enumerate(markers):
+            lo_bound = a if i == 0 else markers[i - 1].upper
+            hi_bound = b if i == len(markers) - 1 else markers[i + 1].lower
+            if m.exact is None and (m.lo < lo_bound or m.hi > hi_bound
+                                    or m.lo <= a or m.hi >= b):
+                mid = (m.lo + m.hi) / 2
+                if not q.sign_at(mid):
+                    markers[i] = RootMarker(mid, mid, mid)
+                elif sturm_count(chain, m.lo, mid) == 1:
+                    markers[i] = RootMarker(m.lo, mid)
+                else:
+                    markers[i] = RootMarker(mid, m.hi)
+                moved = True
+    return [_exactify(q, m) for m in markers]
+
+
+def nonpositive_by_sturm(p: Poly, a: Fraction, b: Fraction):
+    """Oracle for `ratpoly.nonpositive_on`: the first of a, b and one point
+    in each gap between the Sturm markers at which p > 0."""
+    if p.is_zero():
+        return True, None
+    for t in [F(a), F(b)] + gap_samples(isolate_roots_by_sturm(p, a, b), F(a), F(b)):
+        if p.sign_at(t) > 0:
+            return False, t
+    return True, None
 
 
 def positive_on_open_by_two_isolations(p: Poly, lo: Fraction, hi: Fraction) -> bool:

@@ -189,6 +189,10 @@ def test_criterion_9_performance():
     t0 = time.perf_counter()
     prof = dh_profile(P)
     t_dh = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    log_concave = check_log_concavity(prof).ok
+    minima = find_strict_local_minima(prof)
+    t_signs = time.perf_counter() - t0
     levels = regular_levels(P, random.Random(9), 16)
     t0 = time.perf_counter()
     slices = [slice_at(P, s) for s in levels]
@@ -199,10 +203,12 @@ def test_criterion_9_performance():
     probe = orbital_convexity_probe(action, spec, trials=100)
     t_probe = time.perf_counter() - t0
     ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.04 and t_dh < 0.05
-          and t_slices < 0.1 and t_probe < 0.5 and len(vs) == 64
+          and t_signs < 0.01 and t_slices < 0.1 and t_probe < 0.5 and len(vs) == 64
           and vol == F(383, 384) and prof.total_integral() == vol and eq
+          and log_concave and minima == []
           and all(sl.polytope is not None for sl in slices) and probe.ok)
     _report(9, ok, f"n=4, 24 facets: vertices {t_vertices:.2f}s, volume {t_volume:.3f}s, "
                    f"cut+blowup+volume+equality {t_ops:.2f}s, dh {t_dh:.3f}s, "
+                   f"log-concavity+minima {t_signs:.4f}s, "
                    f"16 slices {t_slices:.3f}s; convexity probe, 100 trials, "
                    f"{t_probe:.3f}s")

@@ -13,11 +13,12 @@ import momentcut.dh
 import momentcut.ops
 import momentcut.polytope
 from momentcut.corpus import (asymmetric_wedge, box, chopped_cube, chopped_hypercube,
-                               delzant_corpus)
-from momentcut.dh import critical_values, wall_crossing_check
+                               delta3, delzant_corpus)
+from momentcut.dh import critical_values, dh_profile, wall_crossing_check
 from momentcut.errors import (
     BlowupTooLarge,
     EmptyResult,
+    InputError,
     MomentcutError,
     NotRegularLevel,
     PreconditionError,
@@ -353,7 +354,8 @@ def test_derived_chain_builds_few_fractions():
         sys.setprofile(before)
     assert len(vertices(B)) == len(vertices(C)) + 3 and reduced.polytope is not None
     assert report.ok and checked.ok
-    assert built["Fraction"] == 162
+    # the entry points take their levels as given, with no Fraction(x) copy
+    assert built["Fraction"] == 132
 
 
 def test_derived_polytopes_take_no_walk(monkeypatch):
@@ -493,3 +495,69 @@ def test_operations_commute_with_maps_keeping_x1(seed, case):
     else:
         assert canonical_equal(got[0], transform(want[0], A, b0))
         assert got[2].ok == want[2].ok
+
+
+# -- exact numbers only at the entry points ----------------------------------
+
+_NOT_EXACT = {"float": 0.5, "nan": float("nan"), "str": "1/2", "bool": True, "none": None}
+
+
+def _entry_points(bad):
+    """(name in the refusal, call) for each number a public op takes."""
+    square, d3 = box(F(1), F(1)), delta3()
+    center = vertices(square)[0]
+    calls = [
+        ("level", lambda: momentcut.polytope.require_regular(square, bad)),
+        ("level", lambda: slice_at(square, bad)),
+        ("level", lambda: cut(square, bad)),
+        ("level", lambda: restrict_halfspace(square, bad, CutSide.ABOVE)),
+        ("level", lambda: reduce_at(square, bad)),
+        ("lower level", lambda: compactify(square, bad, F(1, 2))),
+        ("upper level", lambda: compactify(square, F(1, 4), bad)),
+        ("eps", lambda: add_fixed_points(square, bad)),
+        ("blow-up depth", lambda: blowup(square, BlowupParams(center, bad))),
+        ("vertex coordinate", lambda: blowup(square, BlowupParams((F(0), bad), F(1, 4)))),
+        ("shift", lambda: transform(square, [[1, 0], [0, 1]], (0, bad))),
+        ("level", lambda: wall_crossing_check(d3, bad)),
+        ("level", lambda: dh_profile(d3).value(bad)),
+    ]
+    if bad is not None:
+        # a window of None asks for the default one
+        calls.append(("window", lambda: wall_crossing_check(d3, F(0), bad)))
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_EXACT))
+def test_entry_points_refuse_inexact_numbers(kind):
+    # a float is not taken as its binary value, a string is not parsed, and
+    # True is not the level 1
+    bad = _NOT_EXACT[kind]
+    for what, call in _entry_points(bad):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == f"{what} must be an integer or a Fraction, got {bad!r}", what
+
+
+def test_entry_points_take_ints_as_exact():
+    wide, d3 = box(F(3), F(1)), delta3()
+    assert canonical_equal(cut(wide, 1), cut(wide, F(1)))
+    assert canonical_equal(compactify(wide, 1, 2), compactify(wide, F(1), F(2)))
+    assert reduce_at(wide, 1).to_json() == reduce_at(wide, F(1)).to_json()
+    assert (wall_crossing_check(d3, 0, 1).to_json()
+            == wall_crossing_check(d3, F(0), F(1)).to_json())
+    assert dh_profile(d3).value(0) == dh_profile(d3).value(F(0))
+
+
+# -- the centre of a blow-up ---------------------------------------------------
+
+def test_blowup_centre_given_as_a_vertex(square):
+    v = next(v for v in vertices(square) if v.point == (F(0), F(0)))
+    by_vertex = blowup(square, BlowupParams(v, F(1, 4)))
+    by_point = blowup(square, BlowupParams((F(0), F(0)), F(1, 4)))
+    assert by_vertex[0].facets == by_point[0].facets and by_vertex[1] == by_point[1]
+
+
+def test_blowup_refuses_a_point_that_is_not_a_vertex(square):
+    with pytest.raises(PreconditionError) as err:
+        blowup(square, BlowupParams((F(1, 2), F(0)), F(1, 4)))
+    assert str(err.value) == "(1/2, 0) is not a vertex"

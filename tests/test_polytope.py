@@ -522,6 +522,17 @@ def _assert_slice_as_walked(P: LabeledPolytope, s: Fraction) -> None:
         _assert_as_walked(got.polytope)
 
 
+def test_halfspace_step_from_a_non_simple_vertex():
+    # the square pyramid with its base [-1, 1]^2 at x1 = 0 and its apex
+    # (1, 0, 0) on four facets: the cut x1 >= 1/2 crosses the four edges
+    # from the apex, whose directions the apex cannot supply
+    pyramid = LabeledPolytope(3, [Facet((-1, 0, 0), F(0))] + [
+        Facet((1,) + tail, F(1)) for tail in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+    assert not pyramid.structure().simple
+    top = restrict_halfspace(pyramid, F(1, 2), CutSide.ABOVE)
+    _assert_as_walked(top)
+
+
 @st.composite
 def _derived_cases(draw):
     if draw(st.booleans()):

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import momentcut.ratpoly
 from momentcut.lattice import over_common_denominator
@@ -19,7 +19,13 @@ from momentcut.ratpoly import (
     squarefree,
 )
 
-from conftest import FractionPoly, fraction_divmod, interpolate
+from conftest import (
+    FractionPoly,
+    fraction_divmod,
+    interpolate,
+    isolate_roots_by_sturm,
+    nonpositive_by_sturm,
+)
 
 F = Fraction
 coeffs = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),
@@ -193,30 +199,69 @@ def test_integer_poly_matches_fraction_oracle(a, b, x, alpha, beta):
     assert scaled == p and hash(scaled) == hash(p)
 
 
-def test_one_sturm_chain_per_isolation(monkeypatch):
+def test_squarefree_only_when_a_root_may_be_inside(monkeypatch):
     calls = []
-    sturm_chain = momentcut.ratpoly.sturm_chain
 
     def counting(q):
         calls.append(q)
-        return sturm_chain(q)
-    monkeypatch.setattr(momentcut.ratpoly, "sturm_chain", counting)
-    # no bisection of these lands on a root: one chain each
+        return squarefree(q)
+    monkeypatch.setattr(momentcut.ratpoly, "squarefree", counting)
+    # Descartes' bound is 0 on a root-free interval: no gcd
+    assert isolate_roots(Poly([F(-1), F(1)]), F(1), F(2)) == []
+    assert isolate_roots(Poly([F(-2), F(0), F(1)]), F(2), F(10)) == []
+    assert isolate_roots(Poly([F(3)]), F(0), F(1)) == []
+    assert calls == []
+    # one gcd per isolation that holds a root, also through an exact
+    # bisection point (the root 0 of the last)
     cases = [
         (Poly([F(-1), F(1)]) * Poly([F(-2), F(0), F(1)]) * Poly([F(3), F(1)]), F(-10), F(10)),
         (Poly([F(-2), F(0), F(1)]), F(0), F(10)),
         (Poly([F(1, 4), F(-1), F(1)]), F(0), F(1)),
         (Poly([F(-1, 7), F(4), F(0), F(-5), F(0), F(1)]), F(-3), F(3)),
+        (Poly([F(0), F(-1), F(-1), F(1)]), F(-3), F(1)),
     ]
     for p, a, b in cases:
         calls.clear()
         assert isolate_roots(p, a, b)
         assert len(calls) == 1
-    # nothing to isolate: no chain
-    calls.clear()
-    assert isolate_roots(Poly([F(-1), F(1)]), F(1), F(2)) == []
-    assert isolate_roots(Poly([F(3)]), F(0), F(1)) == []
-    assert calls == []
-    # a bisection onto the root 0 adds the chain of the deflated polynomial
-    isolate_roots(Poly([F(0), F(-1), F(-1), F(1)]), F(-3), F(1))
-    assert len(calls) == 2
+
+
+# roots at halving points of dyadic intervals and at other rationals
+_DYADIC = st.builds(lambda k, e: F(k, 2 ** e), st.integers(-24, 24), st.integers(0, 4))
+_POINT = _DYADIC | st.fractions(min_value=-4, max_value=4, max_denominator=9)
+_LINEAR = _POINT.map(lambda r: Poly([-r, F(1)]))
+# (s - c)^2 - k with k not a rational square: the roots c +- sqrt(k)
+_QUADRATIC = st.builds(lambda c, k: Poly([c * c - k, -2 * c, F(1)]),
+                       _POINT, st.sampled_from([F(2), F(3), F(5), F(1, 2), F(7, 4)]))
+
+
+@st.composite
+def _real_rooted(draw):
+    """A product of linear and irrational quadratic factors, some repeated,
+    times a nonzero rational."""
+    p = Poly([draw(st.sampled_from([F(1), F(-1), F(3, 2), F(-5, 7)]))])
+    for f in draw(st.lists(_LINEAR | _QUADRATIC, max_size=4)):
+        for _ in range(draw(st.integers(1, 2))):
+            p = p * f
+    return p
+
+
+# dyadic ends a power of 2 apart, so that roots fall on halving points, or
+# ends anywhere
+_INTERVAL = (st.tuples(_DYADIC, st.integers(-1, 4)).map(lambda t: (t[0], t[0] + F(2) ** t[1]))
+             | st.tuples(_POINT, st.fractions(min_value=F(1, 9), max_value=8, max_denominator=9)
+                         ).map(lambda t: (t[0], t[0] + t[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_real_rooted(), ab=_INTERVAL)
+@example(p=Poly([F(0), F(-1), F(-1), F(1)]), ab=(F(-3), F(1)))
+@example(p=Poly([F(1, 3), F(-3), F(-1, 3), F(3)]), ab=(F(-3), F(2)))
+@example(p=Poly([F(1, 3), F(-3), F(-1, 3), F(3)]), ab=(F(-3), F(1)))
+def test_isolation_matches_sturm_oracle(p, ab):
+    # for real-rooted p Descartes' bound is the number of roots, so the
+    # halving stops where Sturm's count did: the same markers
+    a, b = ab
+    assert isolate_roots(p, a, b) == isolate_roots_by_sturm(p, a, b)
+    assert nonpositive_on(p, a, b) == nonpositive_by_sturm(p, a, b)
+    assert nonpositive_on(-p, a, b) == nonpositive_by_sturm(-p, a, b)

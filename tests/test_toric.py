@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, strategies as st
 
 from momentcut.corpus import delzant_corpus
+from momentcut.errors import DimensionMismatch
 from momentcut.lattice import det_int, inverse_unimodular, primitive, transpose
 from momentcut.polytope import Facet, LabeledPolytope, transform, vertices
 from momentcut.toric import (
@@ -90,6 +92,14 @@ def test_edge_generators_delta3(d3):
 def test_weights_examples(square, d3):
     assert weights_at_vertex(square, vertex_at(square, (0, 0))) == (0, 1)
     assert weights_at_vertex(d3, vertex_at(d3, (0, 0, 0))) == (-1, 1, 1)
+
+
+@pytest.mark.parametrize("xi", [(1,), (1, 0), (1, 0, 0, 0)])
+def test_weights_refuse_a_direction_of_the_wrong_length(d3, xi):
+    # pairings must not be truncated to the shorter vector
+    with pytest.raises(DimensionMismatch) as err:
+        weights_at_vertex(d3, vertex_at(d3, (0, 0, 0)), xi)
+    assert str(err.value) == f"xi has {len(xi)} entries, expected 3"
 
 
 def test_weights_transform_covariance(d3):
