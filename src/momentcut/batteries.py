@@ -1,16 +1,20 @@
 """Seeded randomized verification suites for the linear local model.
 
 Each battery runs a fixed number of independent trials against one of the
-model identities through one loop, `_run`, and reports the number of
-trials that are not ok plus the worst residual seen.  Given the same seed
-the reports are bit-for-bit reproducible.
+model identities through one loop, `_run`: it first draws every trial's
+inputs from the seeded stream, then judges all trials at once, as rows
+where the check allows it, and reports the number of trials that are not
+ok plus the worst residual seen.  No check draws from the stream, so
+judging after drawing sees the same inputs.  Given the same seed the
+reports are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from itertools import count, starmap
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,6 +22,7 @@ from .localmodel import (
     BumpSpec,
     LinearAction,
     MomentAlongFlow,
+    _gaps,
     _scaled_gap,
     blowup_potential_check,
     check_monotone,
@@ -27,7 +32,6 @@ from .localmodel import (
     n_pm,
     psh_criterion,
     psh_test_family,
-    solve_time_to_level,
 )
 
 
@@ -77,106 +81,118 @@ class BatteryReport:
 
 
 def _run(name: str, tolerance: float, trials: int, seed: int,
-         trial: Callable[[np.random.Generator], tuple[float, bool]]) -> BatteryReport:
-    """The battery loop: each call of `trial` draws one trial's inputs from
-    the seeded stream and returns (residual, ok).  `failures` counts the
-    trials that are not ok."""
+         draw: Callable[[np.random.Generator], tuple],
+         judge: Callable[[list[tuple]], Iterable[tuple[float, bool]]]) -> BatteryReport:
+    """The battery loop: `draw` takes one trial's inputs from the seeded
+    stream, for every trial first, and `judge` returns (residual, ok) per
+    trial, as `partial(starmap, check)` does for a check of one trial.
+    `failures` counts the trials that are not ok."""
     rng = np.random.default_rng(seed)
+    drawn = [draw(rng) for _ in range(trials)]
     failures = 0
     worst = 0.0
-    for _ in range(trials):
-        residual, ok = trial(rng)
+    for residual, ok in judge(drawn) if drawn else ():
         worst = max(worst, float(residual))
         if not ok:
             failures += 1
     return BatteryReport(name, trials, failures, worst, tolerance)
 
 
+def _action_and_point(rng: np.random.Generator, **kwargs) -> tuple:
+    action = _random_action(rng, **kwargs)
+    return action, _random_point(rng, action)
+
+
 def monotone_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     grid = np.linspace(-3.0, 3.0, 1000)
 
-    def trial(rng):
-        action = _random_action(rng)
-        rep = check_monotone(action, _random_point(rng, action), grid)
+    def check(action, z):
+        rep = check_monotone(action, z, grid)
         return rep.derivative_rel_err, rep.ok
-    return _run("monotone-flow", 1e-6, trials, seed, trial)
+    return _run("monotone-flow", 1e-6, trials, seed, _action_and_point, partial(starmap, check))
 
 
 def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
-    """solve_time_to_level finds a time exactly when the block predicate
-    says the level is attained, and the time is the least double t with
-    psi(t) >= s: psi(nextafter(t, -inf)) < s <= psi(t).  The residual
-    psi(t) - s is judged against 1/2 sum |a_j| |z_j|^2 e^{2 a_j t}."""
-    def trial(rng):
-        action = _random_action(rng)
-        z = _random_point(rng, action)
+    """The solver finds a time exactly when the block predicate says the
+    level is attained, and the time is the least double t with psi(t) >= s:
+    psi(nextafter(t, -inf)) < s <= psi(t).  The residual psi(t) - s is
+    judged against 1/2 sum |a_j| |z_j|^2 e^{2 a_j t}.  All trials are solved
+    as rows of one `MomentAlongFlow`."""
+    def draw(rng):
+        action, z = _action_and_point(rng)
         s = float(rng.normal() * 2)
-        if s == 0.0:
-            s = 0.5
-        t = solve_time_to_level(action, z, s)
-        if (t is None) == level_membership(action, z, s):
-            return 0.0, False
-        if t is None:
-            return 0.0, True
-        terms = MomentAlongFlow(action, z).terms(np.array([np.nextafter(t, -np.inf), t]))
+        return action, z, s if s != 0.0 else 0.5
+
+    def judge(drawn):
+        actions, zs, levels = zip(*drawn)
+        psi = MomentAlongFlow.rows(actions, zs)
+        s = np.array(levels)
+        t = psi.time_to_level(s)
+        found = ~np.isnan(t)
+        agree = found == np.array([level_membership(*inputs) for inputs in drawn])
+        t = np.where(found, t, 0.0)
+        terms = psi.terms(np.stack([np.nextafter(t, -np.inf), t]))
         before, at = terms.sum(axis=-1)
-        resid = _scaled_gap(at, s, np.abs(terms[1]).sum())
-        return resid, before < s <= at and resid <= 1e-12
-    return _run("solve-membership", 1e-12, trials, seed, trial)
+        resid = _gaps(at, s, np.abs(terms[1]).sum(axis=-1))
+        ok = ~found | ((before < s) & (s <= at) & (resid <= 1e-12))
+        return zip(np.where(agree & found, resid, 0.0), agree & ok)
+    return _run("solve-membership", 1e-12, trials, seed, draw, judge)
 
 
 def npm_scaling_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     """N_pm(e^t z) = e^{+-t} N_pm(z) and N_- N_+ is flow-invariant."""
-    def trial(rng):
-        action = _random_action(rng, require_mixed=True)
-        z = _random_point(rng, action)
-        t = float(rng.uniform(-2, 2))
+    def draw(rng):
+        return (*_action_and_point(rng, require_mixed=True), float(rng.uniform(-2, 2)))
+
+    def check(action, z, t):
         nm0, np0 = n_pm(action, z)
         nm1, np1 = n_pm(action, flow(action, z, t))
         want = np.array([math.exp(-t) * nm0, math.exp(t) * np0, nm0 * np0])
         rel = _scaled_gap([nm1, np1, nm1 * np1], want, want)
         return rel, rel <= 1e-10
-    return _run("n-pm-scaling", 1e-10, trials, seed, trial)
+    return _run("n-pm-scaling", 1e-10, trials, seed, draw, partial(starmap, check))
 
 
 def psh_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     family = psh_test_family(BumpSpec(0.25, 1.0))
-    spec_seeds = itertools.count(seed * 100003)
+    spec_seeds = count(seed * 100003)
 
-    def trial(rng):
+    def draw(rng):
         spec = family[int(rng.integers(0, len(family)))]
-        if spec.name == "smoothed-ln":
-            t0 = float(rng.uniform(0.01, 2.0))
-        else:
-            t0 = float(rng.uniform(0.01, 3.0))
-        n = int(rng.integers(2, 7))
-        rep = psh_criterion(spec, t0, n, seed=next(spec_seeds))
+        t0 = float(rng.uniform(0.01, 2.0 if spec.name == "smoothed-ln" else 3.0))
+        return spec, t0, int(rng.integers(2, 7)), next(spec_seeds)
+
+    def check(spec, t0, n, spec_seed):
+        rep = psh_criterion(spec, t0, n, seed=spec_seed)
         return rep.rel_err, rep.ok
-    return _run("psh-eigenvalues", 1e-9, trials, seed, trial)
+    return _run("psh-eigenvalues", 1e-9, trials, seed, draw, partial(starmap, check))
 
 
 def cut_identity_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
-    def trial(rng):
-        action = _random_action(rng)
-        z = _random_point(rng, action)
-        w = complex(rng.normal(), rng.normal())
+    def draw(rng):
+        return (*_action_and_point(rng), complex(rng.normal(), rng.normal()))
+
+    def check(action, z, w):
         rep = cut_tameness_identity(action, z, w)
         orth = _scaled_gap([rep.orth_1, rep.orth_2], 0.0, rep.orth_scale)
         return max(rep.rel_err, orth), rep.ok
-    return _run("cut-tameness", 1e-9, trials, seed, trial)
+    return _run("cut-tameness", 1e-9, trials, seed, draw, partial(starmap, check))
 
 
 def blowup_potential_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     bump = BumpSpec(0.25, 1.0)
 
-    def trial(rng):
+    def draw(rng):
         action = _random_action(rng, n_max=3)
         n = len(action.weights)
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
         z *= rng.uniform(0.15, 0.4) / np.linalg.norm(z)
+        return action, z
+
+    def check(action, z):
         rep = blowup_potential_check(action, z, bump=bump)
         return rep.contraction_rel_err, rep.ok
-    return _run("blowup-potential", 1e-5, trials, seed, trial)
+    return _run("blowup-potential", 1e-5, trials, seed, draw, partial(starmap, check))
 
 
 ALL_BATTERIES = {

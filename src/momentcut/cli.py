@@ -204,8 +204,9 @@ def _int_in(option: str, lo: int, hi: Optional[int] = None):
 
 
 # the options of the local-model ops, each declared once; --trials and --n
-# bound the run time: 10 000 trials of the slowest battery (`solve`) take
-# about 8 s, and `psh --n 1000`, an n x n eigensolve, about 2 s
+# bound the run time: 10 000 trials of the slowest batteries (`monotone`,
+# `blowup-potential`) take about 3 s, and `psh --n 1000`, an n x n
+# eigensolve, about 2 s
 _LOCAL_OPTIONS = {
     "--weights": dict(help="comma-separated integers; a battery draws its own actions"),
     "--z": dict(help="comma-separated complex values, one per weight; "
@@ -451,8 +452,13 @@ def _point_query(args) -> bool:
     return z is not None
 
 
+def _battery(name: str, args):
+    from .batteries import ALL_BATTERIES     # a point query needs no battery
+    return ALL_BATTERIES[name](args.trials, args.seed)
+
+
 def _cmd_local_model(args) -> CommandOutcome:
-    from . import batteries, localmodel as lm
+    from . import localmodel as lm
 
     op = args.op
     battery, options = _LOCAL_OPS[op]
@@ -491,11 +497,11 @@ def _cmd_local_model(args) -> CommandOutcome:
             r = lm.psh_criterion(spec, args.t0, args.n, seed=args.seed)
             results.append({"profile": r.name, "rel_err": r.rel_err,
                             "kahler": r.kahler})
-        rep = batteries.ALL_BATTERIES[battery](args.trials, args.seed)
+        rep = _battery(battery, args)
         return CommandOutcome(0 if rep.ok else 3, {
             "at_t0": results, "battery": rep.to_json()})
     if not point:
-        rep = batteries.ALL_BATTERIES[battery](args.trials, args.seed)
+        rep = _battery(battery, args)
         return CommandOutcome(0 if rep.ok else 3, rep.to_json())
     z = _parse_z(args.z, len(weights) + (op == "cut-identity"))
     if op == "solve":

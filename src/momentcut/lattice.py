@@ -38,10 +38,16 @@ def parse_rational(text: str) -> Fraction:
     return q
 
 
+def _is_int(x) -> bool:
+    """An exact integer: bools are ints to Python, but not to JSON or here.
+    Private, so that a tracer of the public functions leaves it unwrapped."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def exact(value, what: str):
     """value itself when it is an int or a Fraction; anything else (a float,
     a string, a bool) is refused, not converted."""
-    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+    if isinstance(value, Fraction) or _is_int(value):
         return value
     raise InputError(f"{what} must be an integer or a Fraction, got {value!r}")
 

@@ -26,14 +26,13 @@ compute the same sums with array operations.
 
 Along the real flow, psi(e^t z) is one increasing real function of t,
 `MomentAlongFlow`, and the time to level s is the least double t with
-psi(t) >= s.
+psi(t) >= s, found for many points at once as rows bisected in lockstep.
 """
 from __future__ import annotations
 
 import math
-import struct
-import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -98,47 +97,94 @@ def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(np.imag(np.conj(u) * v), axis=-1)
 
 
-def _scaled_gap(got, want, scale) -> float:
-    """The largest |got - want| in units of `scale`, elementwise.
+def _gaps(got, want, scale) -> np.ndarray:
+    """|got - want| in units of `scale`, elementwise.
 
     `scale` is a magnitude computed from the inputs of a check, so that the
     gap stays meaningful where `want` cancels to near zero.
     """
-    gap = np.abs(np.subtract(got, want)) / np.maximum(scale, 1e-300)
-    return float(np.max(gap))
+    return np.abs(np.subtract(got, want)) / np.maximum(scale, 1e-300)
+
+
+def _scaled_gap(got, want, scale) -> float:
+    """The largest of the `_gaps`."""
+    return float(np.max(_gaps(got, want, scale)))
 
 
 # ---------------------------------------------------------------------------
 # psi along the flow, monotone flow and the time-to-level solver
 # ---------------------------------------------------------------------------
 
+def _flow_terms(action: LinearAction, z: Sequence[complex]) -> list[tuple[float, float]]:
+    """(2 a_j, ln(|a_j| c_j / 2)) for each j with a_j z_j != 0."""
+    # a handful of terms: plain floats build them faster than arrays
+    kept = [(a, math.hypot(zj.real, zj.imag))
+            for a, zj in zip(action.weights, map(complex, z)) if a and zj]
+    if not kept:
+        raise FixedPointInput("the point is fixed by the action")
+    if any(r == math.inf for _, r in kept):
+        raise PreconditionError("|z_j| overflows double precision")
+    return [(2.0 * a, math.log(abs(a) / 2) + 2 * math.log(r)) for a, r in kept]
+
+
+def _key_doubles(k: np.ndarray) -> np.ndarray:
+    """The doubles of int64 ranks in the natural order of the doubles: rank
+    k >= 0 is the double with bits k, and rank -k its negative."""
+    return np.where(k >= 0, k, -k | np.int64(-1 << 63)).view(np.float64)
+
+
 class MomentAlongFlow:
     """t -> psi(e^t z) = 1/2 sum a_j c_j e^{2 a_j t}, c_j = |z_j|^2, over an
     array of t.  The terms with a_j z_j != 0 are kept, as sign(a_j)
     exp(2 a_j t + ln(|a_j| c_j / 2)) so that no c_j over- or underflows; a
     fixed point, which keeps none, is refused.  A term can overflow to
-    +-inf, but only positive ones at large t and only negative ones at large
-    -t, so the sum is never nan."""
+    +-inf; while every |a_j| c_j / 2 is a finite double, only positive ones
+    do at t > 0 and only negative ones at t < 0, so the sum is not nan.
+    `rows` takes many points: t then has one entry per row in its last axis."""
 
     def __init__(self, action: LinearAction, z: Sequence[complex]):
-        # a handful of terms: plain floats build them faster than arrays
-        kept = [(a, math.hypot(zj.real, zj.imag))
-                for a, zj in zip(action.weights, map(complex, z)) if a and zj]
-        if not kept:
-            raise FixedPointInput("the point is fixed by the action")
-        if any(r == math.inf for _, r in kept):
-            raise PreconditionError("|z_j| overflows double precision")
-        self.two_a = np.array([2.0 * a for a, _ in kept])
-        self.log_half_ac = np.array([math.log(abs(a) / 2) + 2 * math.log(r) for a, r in kept])
+        self.two_a, self.log_half_ac = map(np.array, zip(*_flow_terms(action, z)))
+
+    @classmethod
+    def rows(cls, actions: Sequence[LinearAction],
+             zs: Sequence[Sequence[complex]]) -> "MomentAlongFlow":
+        """One row per point, padded after its own terms with 2a = 0, ln = -inf
+        (terms that are exactly 0).  numpy sums fewer than 8 terms from left
+        to right, so only there does padding keep each row's sum exact."""
+        rows = [_flow_terms(action, z) for action, z in zip(actions, zs)]
+        width = max(map(len, rows))
+        if width >= 8 and any(len(row) < width for row in rows):
+            raise PreconditionError("rows of 8 or more terms must all have as many")
+        psi = cls.__new__(cls)
+        psi.two_a, psi.log_half_ac = np.array(
+            [row + [(0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
+        return psi
 
     def terms(self, t) -> np.ndarray:
         """The terms 1/2 a_j c_j e^{2 a_j t}, of shape t.shape + (k,)."""
         with np.errstate(over="ignore"):
-            exp = np.exp(np.multiply.outer(t, self.two_a) + self.log_half_ac)
+            exp = np.exp(np.asarray(t)[..., None] * self.two_a + self.log_half_ac)
         return np.copysign(exp, self.two_a)
 
     def __call__(self, t) -> np.ndarray:
         return self.terms(t).sum(axis=-1)
+
+    def time_to_level(self, s) -> np.ndarray:
+        """Per row, the least double t with psi(t) >= s, or nan when s is
+        outside (psi(-max), psi(+max)), the float psi's open range.  All rows
+        are bisected in lockstep over the ranks of the doubles, keeping
+        psi(lo) < s <= psi(hi): one psi call for the ends, one per step."""
+        s = np.asarray(s, dtype=float)
+        hi = np.full(s.shape, 0x7FEF_FFFF_FFFF_FFFF, dtype=np.int64)  # the largest double
+        lo = -hi
+        at_lo, at_hi = self(_key_doubles(np.stack([lo, hi])))
+        attained = (at_lo < s) & (s < at_hi)
+        while np.any(lo + 1 < hi):      # hi - lo overflows at the start
+            # floor((lo + hi) / 2), which keeps a finished row at lo
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            below = self(_key_doubles(mid)) < s
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return np.where(attained, _key_doubles(hi), np.nan)
 
 
 @dataclass(frozen=True)
@@ -173,35 +219,12 @@ def check_monotone(action: LinearAction, z: Sequence[complex],
     return MonotoneReport(increasing, worst, len(t_grid))
 
 
-def _double_key(x: float) -> int:
-    """The rank of x in the natural order of the doubles, 0 at -0.0 and 0.0:
-    its signed bits q if q >= 0, else -q - 2^63, a map that is its own inverse."""
-    q = struct.unpack("<q", struct.pack("<d", x))[0]
-    return q if q >= 0 else -q - (1 << 63)
-
-
-def _key_double(k: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - (1 << 63)))[0]
-
-
 def solve_time_to_level(action: LinearAction, z: Sequence[complex],
                         s: float) -> Optional[float]:
     """The least double t with psi(e^t z) >= s, or None when s is outside
-    (psi(-max), psi(+max)) at the extreme finite doubles, where the float
-    psi meets the limits of its open range.  Bisection over the doubles in
-    their natural order keeps psi(lo) < s <= psi(hi) and returns hi: at
-    most 64 steps, with no bracket and no tolerance."""
-    psi = MomentAlongFlow(action, z)
-    lo, hi = _double_key(-sys.float_info.max), _double_key(sys.float_info.max)
-    if not psi(_key_double(lo)) < s < psi(_key_double(hi)):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if psi(_key_double(mid)) < s:
-            lo = mid
-        else:
-            hi = mid
-    return _key_double(hi)
+    (psi(-max), psi(+max)): `MomentAlongFlow.time_to_level` of one point."""
+    t = MomentAlongFlow(action, z).time_to_level(s)
+    return None if np.isnan(t) else float(t)
 
 
 def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bool:
@@ -595,17 +618,26 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
     expected = abs(w) ** 2 * A / (A + abs(w) ** 2)
     rel = _scaled_gap(value, expected, expected) if expected != 0 else abs(value)
 
-    # moment pairing: d psi'(v) = omega'(v, xi_M') along random directions
-    rng = np.random.default_rng(12345)
+    # moment pairing: d psi'(v) = omega'(v, xi_M') along 6 unit directions
     point = np.concatenate([z, [w]])
     a_prime = np.concatenate([a, [1.0]])
-    worst = 0.0
-    for _ in range(6):
-        v = rng.normal(size=len(point)) + 1j * rng.normal(size=len(point))
-        v /= np.linalg.norm(v)
-        scale = np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v))
-        worst = max(worst, _scaled_gap(_d_psi(a_prime, point, v), _omega(v, xi_prime), scale))
+    v = _pairing_directions(len(point))
+    scale = np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v), axis=-1)
+    gaps = _gaps(_d_psi(a_prime, point, v), _omega(v, xi_prime), scale)
+    worst = max([0.0, *gaps.tolist()])      # skips a nan gap, unlike np.max
     return CutIdentityReport(value, expected, rel, orth1, orth2, orth_scale, worst)
+
+
+@cache
+def _pairing_directions(m: int) -> np.ndarray:
+    """The 6 random unit directions in C^m of the moment pairing check, one
+    per row: a read-only block, drawn once per length from a fixed seed."""
+    parts = np.random.default_rng(12345).normal(size=(6, 2, m))
+    v = parts[:, 0] + 1j * parts[:, 1]
+    for row in v:
+        row /= np.linalg.norm(row)
+    v.flags.writeable = False
+    return v
 
 
 # ---------------------------------------------------------------------------

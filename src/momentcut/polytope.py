@@ -63,6 +63,7 @@ from .errors import (
 from .lattice import (
     IntVector,
     _format_ratio,
+    _is_int,
     adjugate_int,
     content,
     det_int,
@@ -1037,11 +1038,6 @@ def to_json_dict(P: LabeledPolytope) -> dict:
 
 def dumps(P: LabeledPolytope) -> str:
     return json.dumps(to_json_dict(P), indent=2, sort_keys=True) + "\n"
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; true and false are bools, not integers."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def from_json_dict(obj: dict) -> LabeledPolytope:

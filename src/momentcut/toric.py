@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateVertex, DimensionMismatch
+from .errors import DegenerateVertex, DimensionMismatch, InputError
 from .lattice import (
     IntVector,
+    _is_int,
     content,
     dot,
     half_sum_integral,
@@ -87,6 +88,10 @@ def weights_at_vertex(P: LabeledPolytope, v: Vertex,
         xi = (1,) + (0,) * (P.dim - 1)
     elif len(xi) != P.dim:
         raise DimensionMismatch(f"xi has {len(xi)} entries, expected {P.dim}")
+    else:
+        for k, x in enumerate(xi):
+            if not _is_int(x):
+                raise InputError(f"xi entry {k} must be an integer, got {x!r}")
     return tuple(sorted(dot(xi, e) for e in edge_generators(P, v)))
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,7 +24,7 @@ from momentcut.lattice import (
     primitive,
     rank_int,
 )
-from momentcut.localmodel import n_pm
+from momentcut.localmodel import MomentAlongFlow, n_pm
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -752,6 +754,35 @@ def bad_annulus_point(action, inner: float = 0.125, lo: float = 0.25,
         _, np_ = n_pm(action, z)
         return np_ < inner or lo < np_ < hi
     return region
+
+
+def _double_key(x: float) -> int:
+    """The rank of x in the natural order of the doubles, 0 at -0.0 and 0.0:
+    its signed bits q if q >= 0, else -q - 2^63, a map that is its own inverse."""
+    q = struct.unpack("<q", struct.pack("<d", x))[0]
+    return q if q >= 0 else -q - (1 << 63)
+
+
+def _key_double(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - (1 << 63)))[0]
+
+
+def solve_time_to_level_by_bisection(action, z, s: float):
+    """Oracle for `localmodel.solve_time_to_level`: one point's bisection over
+    the doubles in their natural order, in Python integers, keeping
+    psi(lo) < s <= psi(hi) and returning hi, or None when s is outside
+    (psi(-max), psi(+max))."""
+    psi = MomentAlongFlow(action, z)
+    lo, hi = _double_key(-sys.float_info.max), _double_key(sys.float_info.max)
+    if not psi(_key_double(lo)) < s < psi(_key_double(hi)):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if psi(_key_double(mid)) < s:
+            lo = mid
+        else:
+            hi = mid
+    return _key_double(hi)
 
 
 def point_by_point(predicate):

@@ -202,8 +202,13 @@ def test_criterion_9_performance():
     t0 = time.perf_counter()
     probe = orbital_convexity_probe(action, spec, trials=100)
     t_probe = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    rows = [solve_membership_battery(trials=200, seed=2024),
+            cut_identity_battery(trials=200, seed=2024)]
+    t_batteries = time.perf_counter() - t0
     ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.04 and t_dh < 0.05
-          and t_signs < 0.01 and t_slices < 0.1 and t_probe < 0.5 and len(vs) == 64
+          and t_signs < 0.01 and t_slices < 0.1 and t_probe < 0.5 and t_batteries < 0.3
+          and all(r.ok for r in rows) and len(vs) == 64
           and vol == F(383, 384) and prof.total_integral() == vol and eq
           and log_concave and minima == []
           and all(sl.polytope is not None for sl in slices) and probe.ok)
@@ -211,4 +216,5 @@ def test_criterion_9_performance():
                    f"cut+blowup+volume+equality {t_ops:.2f}s, dh {t_dh:.3f}s, "
                    f"log-concavity+minima {t_signs:.4f}s, "
                    f"16 slices {t_slices:.3f}s; convexity probe, 100 trials, "
-                   f"{t_probe:.3f}s")
+                   f"{t_probe:.3f}s; solve and cut-identity batteries, 200 trials, "
+                   f"{t_batteries:.3f}s")

@@ -675,9 +675,15 @@ _COMMAND_MODULES = {
     "reverse": (["--in", "{d3}"], _OPS),
     "dh": (["--in", "{d3}", "--check-log-concavity", "--local-minima"], _DH),
     "wall-check": (["--in", "{d3}", "--wall", "0", "--window", "1/2"], _DH),
-    "local-model": (["npm", "--weights=-2,2", "--z", "4,9"],
-                    _CLI + ["momentcut.batteries", "momentcut.localmodel"]),
+    "local-model": (["npm", "--weights=-2,2", "--z", "4,9"], _CLI + ["momentcut.localmodel"]),
 }
+
+
+def test_only_a_battery_loads_the_batteries():
+    # a point query (--z) runs one localmodel function; a battery run needs both
+    got = _fresh(_LOADED, "local-model", "npm", "--trials", "2")
+    assert got["exit"] == 0
+    assert {"momentcut.batteries", "momentcut.localmodel"} <= set(got["modules"])
 
 
 def _fresh(code: str, *argv: str) -> dict:

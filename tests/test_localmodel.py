@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentcut.batteries import (
+    _random_action,
+    _random_point,
     blowup_potential_battery,
     cut_identity_battery,
     monotone_battery,
@@ -22,6 +24,7 @@ from momentcut.localmodel import (
     MomentAlongFlow,
     _d_phi,
     _d_psi,
+    _pairing_directions,
     _radial_hessian,
     _smoothed_ln,
     bad_annulus_region,
@@ -47,6 +50,7 @@ from conftest import (
     membership_v_point,
     point_by_point,
     richardson_derivative,
+    solve_time_to_level_by_bisection,
 )
 
 
@@ -136,19 +140,123 @@ def test_solve_refuses_overflowing_point():
     assert t == pytest.approx((math.log(2) + 600 * math.log(10)) / 2, rel=1e-14)
 
 
-def test_solve_at_most_66_evaluations(monkeypatch):
+def _count_psi_evaluations(monkeypatch) -> list:
+    """Every evaluation of psi, by the solver or a check, goes through
+    `MomentAlongFlow.terms`; the list gets the shape of each t array."""
     calls = []
-    call = MomentAlongFlow.__call__
+    terms = MomentAlongFlow.terms
 
     def counted(self, t):
-        calls.append(t)
-        return call(self, t)
-    monkeypatch.setattr(MomentAlongFlow, "__call__", counted)
+        calls.append(np.shape(t))
+        return terms(self, t)
+    monkeypatch.setattr(MomentAlongFlow, "terms", counted)
+    return calls
+
+
+def test_solve_at_most_66_evaluations(monkeypatch):
+    calls = _count_psi_evaluations(monkeypatch)
     for weights, z, s in [((1,), [1.0], 2.0), ((-3, 1, 2), [1e-3, 2j, 0.5], -1e-9),
                           ((-1, 1), [1e150, 1e-150], 1e300)]:
         calls.clear()
         assert solve_time_to_level(LinearAction(weights), z, s) is not None
-        assert len(calls) <= 66
+        assert 0 < len(calls) <= 66
+
+
+@pytest.mark.parametrize("trials", [20, 200])
+def test_solve_battery_at_most_66_evaluations(monkeypatch, trials):
+    # the rows are bisected in lockstep: the count does not grow with trials,
+    # and every evaluation takes all trials at once
+    calls = _count_psi_evaluations(monkeypatch)
+    assert solve_membership_battery(trials=trials, seed=5).ok
+    assert 0 < len(calls) <= 66
+    assert all(shape[-1] == trials for shape in calls)
+
+
+def _bits(t):
+    """A solver answer as text that tells every double apart, -0.0 from 0.0."""
+    return None if t is None or np.isnan(t) else float(t).hex()
+
+
+@st.composite
+def _solve_rows(draw):
+    """(action, z, s): up to 7 weights, |z_j| from 1e-300 to 1e300 with some
+    entries 0 (so a point can be fixed), and s spread over 24 decades or
+    within two doubles of psi(-max) or psi(+max)."""
+    weights = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
+    z = []
+    for _ in weights:
+        mag, phase, zero = draw(st.tuples(st.floats(-300, 300), st.floats(0, 6.3),
+                                          st.booleans()))
+        z.append(0j if zero else 10.0 ** mag * complex(math.cos(phase), math.sin(phase)))
+    action = LinearAction(weights)
+    if draw(st.booleans()) or action.is_fixed(z):
+        s = math.copysign(10.0 ** draw(st.floats(-12, 12)), draw(st.sampled_from([-1, 1])))
+    else:
+        end = draw(st.sampled_from([-sys.float_info.max, sys.float_info.max]))
+        s = float(MomentAlongFlow(action, z)(end))
+        for _ in range(abs(step := draw(st.integers(-2, 2)))):
+            s = float(np.nextafter(s, math.copysign(math.inf, step)))
+    return action, z, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_solve_rows(), min_size=1, max_size=6))
+@np.errstate(over="ignore", invalid="ignore")
+def test_row_solver_matches_scalar_bisection(rows):
+    # both sides sum the same terms, so a sum that overflows, or a nan where
+    # e^t z overflows both sign blocks at once, gives them the same answer
+    fixed = [action.is_fixed(z) for action, z, _ in rows]
+    for (action, z, s), is_fixed in zip(rows, fixed):
+        if is_fixed:
+            with pytest.raises(FixedPointInput):
+                solve_time_to_level_by_bisection(action, z, s)
+            with pytest.raises(FixedPointInput):
+                solve_time_to_level(action, z, s)
+    if any(fixed):
+        with pytest.raises(FixedPointInput):
+            MomentAlongFlow.rows([a for a, _, _ in rows], [z for _, z, _ in rows])
+    rows = [row for row, is_fixed in zip(rows, fixed) if not is_fixed]
+    if not rows:
+        return
+    actions, zs, levels = zip(*rows)
+    got = MomentAlongFlow.rows(actions, zs).time_to_level(np.array(levels))
+    for (action, z, s), t in zip(rows, got):
+        want = _bits(solve_time_to_level_by_bisection(action, z, s))
+        assert _bits(t) == want
+        assert _bits(solve_time_to_level(action, z, s)) == want
+
+
+def test_rows_from_eight_terms_are_not_padded():
+    # numpy sums 8 or more terms pairwise, so a padded row would not sum as
+    # its point alone
+    eight, one = LinearAction((1,) * 8), LinearAction((1,))
+    with pytest.raises(PreconditionError, match="8 or more"):
+        MomentAlongFlow.rows([eight, one], [[1.0] * 8, [1.0]])
+    psi = MomentAlongFlow.rows([eight, eight], [[1.0] * 8, [0.5] * 8])
+    assert [_bits(t) for t in psi.time_to_level(np.array([3.0, -1.0]))] == [
+        _bits(solve_time_to_level_by_bisection(eight, [1.0] * 8, 3.0)), None]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_battery_matches_trial_by_trial_oracle(seed):
+    # each trial drawn, solved by the scalar bisection and judged alone
+    rng = np.random.default_rng(seed)
+    failures, worst = 0, 0.0
+    for _ in range(40):
+        action = _random_action(rng)
+        z = _random_point(rng, action)
+        s = float(rng.normal() * 2) or 0.5
+        t = solve_time_to_level_by_bisection(action, z, s)
+        if (t is None) == level_membership(action, z, s):
+            failures += 1
+        elif t is not None:
+            terms = MomentAlongFlow(action, z).terms(np.array([np.nextafter(t, -np.inf), t]))
+            before, at = terms.sum(axis=-1)
+            resid = abs(at - s) / max(np.abs(terms[1]).sum(), 1e-300)
+            worst = max(worst, float(resid))
+            failures += not (before < s <= at and resid <= 1e-12)
+    rep = solve_membership_battery(trials=40, seed=seed)
+    assert (rep.failures, rep.worst_residual.hex()) == (failures, worst.hex())
 
 
 def test_psi_limits_at_extreme_doubles():
@@ -382,6 +490,34 @@ def test_cut_identity_fixed_rejected():
     for weights, z, w in (((0,), [0.0], 2.6e-260), ((1,), [1e-200], 1e-200j)):
         with pytest.raises(FixedPointInput):
             cut_tameness_identity(LinearAction(weights), z, w)
+
+
+def test_cut_identity_draws_its_directions_once_per_length(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args):
+        built.append(args)
+        return default_rng(*args)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    _pairing_directions.cache_clear()
+    act, z = LinearAction((1, -2, 3)), [1.0, 0.5j, 2.0]
+    first = cut_tameness_identity(act, z, 0.5)
+    assert built == [(12345,)]
+    assert cut_tameness_identity(act, z, 0.5) == first
+    assert cut_tameness_identity(LinearAction((0, 1, -1)), [3.0, 1j, 0.0], 2.0).ok
+    assert built == [(12345,)]          # the same length: no second generator
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 17])
+def test_pairing_directions_are_the_direction_by_direction_draws(m):
+    block = _pairing_directions(m)
+    assert block.shape == (6, m) and not block.flags.writeable
+    rng = np.random.default_rng(12345)
+    for row in block:
+        v = rng.normal(size=m) + 1j * rng.normal(size=m)
+        v /= np.linalg.norm(v)
+        assert v.tobytes() == row.tobytes()
 
 
 # -- blow-up potential --------------------------------------------------------------------

@@ -159,7 +159,10 @@ def test_facet_index_names_the_input_position(bad):
     (Facet((-1, 0), F(0), 2.0), "label must be a positive integer, got 2.0"),
     (Facet((-1, 0), F(0), True), "label must be a positive integer, got True"),
     (Facet((-1.0, 0), F(0)), "normal must be a tuple of integers, got (-1.0, 0)"),
-], ids=["float-offset", "string-offset", "float-label", "bool-label", "float-normal"])
+    (Facet((-1, False), F(0)), "normal must be a tuple of integers, got (-1, False)"),
+    (Facet((-1, 0), True), "offset must be an integer or a Fraction, got True"),
+], ids=["float-offset", "string-offset", "float-label", "bool-label", "float-normal",
+        "bool-normal", "bool-offset"])
 def test_constructor_refuses_values_of_other_types(bad, message):
     # a float offset would be read as its binary value, a string parsed, a
     # float or bool label printed as 2.0 or true, a float normal a TypeError

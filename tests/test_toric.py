@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from momentcut.corpus import delzant_corpus
-from momentcut.errors import DimensionMismatch
+from momentcut.errors import DimensionMismatch, InputError
 from momentcut.lattice import det_int, inverse_unimodular, primitive, transpose
 from momentcut.polytope import Facet, LabeledPolytope, transform, vertices
 from momentcut.toric import (
@@ -92,6 +92,17 @@ def test_edge_generators_delta3(d3):
 def test_weights_examples(square, d3):
     assert weights_at_vertex(square, vertex_at(square, (0, 0))) == (0, 1)
     assert weights_at_vertex(d3, vertex_at(d3, (0, 0, 0))) == (-1, 1, 1)
+
+
+@pytest.mark.parametrize("xi, k, got", [((0.5, 0, 0), 0, "0.5"),
+                                       ((True, False, False), 0, "True"),
+                                       ((1, 0, Fraction(1, 2)), 2, "Fraction(1, 2)"),
+                                       ((1, "0", 0), 1, "'0'")])
+def test_weights_refuse_entries_that_are_not_integers(d3, xi, k, got):
+    # (0.5, 0, 0) gave (0.5, 1.0, 1.0), and bools were read as 0 and 1
+    with pytest.raises(InputError) as err:
+        weights_at_vertex(d3, vertex_at(d3, (0, 0, 0)), xi)
+    assert str(err.value) == f"xi entry {k} must be an integer, got {got}"
 
 
 @pytest.mark.parametrize("xi", [(1,), (1, 0), (1, 0, 0, 0)])
