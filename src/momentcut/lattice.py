@@ -44,6 +44,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _sequence(value, what: str):
+    """value itself when it is a list or a tuple; anything else (a number, a
+    string) is refused.  Private, like _is_int."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise InputError(f"{what} must be a list or a tuple, got {value!r}")
+
+
 def exact(value, what: str):
     """value itself when it is an int or a Fraction; anything else (a float,
     a string, a bool) is refused, not converted."""
@@ -245,7 +253,7 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
 
 def inverse_unimodular(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Inverse of an integer matrix with |det| = 1 (integer adjugate)."""
-    got = adjugate_int([list(map(int, row)) for row in a])
+    got = adjugate_int([list(row) for row in a])
     d = got[1] if got else 0
     if abs(d) != 1:
         raise NotUnimodular(f"|det| = {abs(d)}, expected 1")

@@ -31,6 +31,7 @@ psi(t) >= s, found for many points at once as rows bisected in lockstep.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
@@ -40,6 +41,8 @@ import numpy as np
 from .errors import FixedPointInput, PreconditionError
 
 EXP_LIMIT = 700.0  # log of the largest safe double
+_LOG_MAX = math.log(sys.float_info.max)
+_ROOT_MAX = math.sqrt(sys.float_info.max) * (1 - 2**-30)  # less a margin for rounding
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,11 @@ def _scaled_gap(got, want, scale) -> float:
 # ---------------------------------------------------------------------------
 
 def _flow_terms(action: LinearAction, z: Sequence[complex]) -> list[tuple[float, float]]:
-    """(2 a_j, ln(|a_j| c_j / 2)) for each j with a_j z_j != 0."""
+    """(2 a_j, L_j = ln(|a_j| c_j / 2)) for each j with a_j z_j != 0.
+
+    A positive term overflows for t > (ln(max double) - L_j) / (2 a_j), a
+    negative one for t below it; a point where both kinds overflow at one t
+    (within a few ulps), so that psi is inf - inf, is refused."""
     # a handful of terms: plain floats build them faster than arrays
     kept = [(a, math.hypot(zj.real, zj.imag))
             for a, zj in zip(action.weights, map(complex, z)) if a and zj]
@@ -124,7 +131,16 @@ def _flow_terms(action: LinearAction, z: Sequence[complex]) -> list[tuple[float,
         raise FixedPointInput("the point is fixed by the action")
     if any(r == math.inf for _, r in kept):
         raise PreconditionError("|z_j| overflows double precision")
-    return [(2.0 * a, math.log(abs(a) / 2) + 2 * math.log(r)) for a, r in kept]
+    terms = [(2.0 * a, math.log(abs(a) / 2) + 2 * math.log(r)) for a, r in kept]
+    # with every L_j below ln(max double) - 1 the ranges lie on either side of 0
+    if max(ln for _, ln in terms) > _LOG_MAX - 1:
+        up = min(((_LOG_MAX - ln) / a2 for a2, ln in terms if a2 > 0), default=math.inf)
+        down = max(((_LOG_MAX - ln) / a2 for a2, ln in terms if a2 < 0), default=-math.inf)
+        if up - down <= 4 * math.ulp(max(_LOG_MAX, *(abs(ln) for _, ln in terms))):
+            raise PreconditionError(
+                f"psi(e^t z) overflows in both sign blocks at once for t from {up!r} "
+                f"to {down!r}, where it would be inf - inf; the point is too large")
+    return terms
 
 
 def _key_doubles(k: np.ndarray) -> np.ndarray:
@@ -138,8 +154,8 @@ class MomentAlongFlow:
     array of t.  The terms with a_j z_j != 0 are kept, as sign(a_j)
     exp(2 a_j t + ln(|a_j| c_j / 2)) so that no c_j over- or underflows; a
     fixed point, which keeps none, is refused.  A term can overflow to
-    +-inf; while every |a_j| c_j / 2 is a finite double, only positive ones
-    do at t > 0 and only negative ones at t < 0, so the sum is not nan.
+    +-inf, but a point where terms of both signs overflow at one t is
+    refused too (see `_flow_terms`), so the sum is never nan.
     `rows` takes many points: t then has one entry per row in its last axis."""
 
     def __init__(self, action: LinearAction, z: Sequence[complex]):
@@ -597,6 +613,16 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
     """
     z = np.asarray(z, dtype=complex)
     w = complex(w)
+    # |xi'| = sqrt(A + |w|^2) and sqrt(A) |w|, whose squares must be finite,
+    # by hypot on plain floats before any square can overflow
+    root_a = math.hypot(*(abs(aj) * math.hypot(zj.real, zj.imag)
+                          for aj, zj in zip(action.weights, z.tolist())))
+    abs_w = math.hypot(w.real, w.imag)
+    norm, root = math.hypot(root_a, abs_w), root_a * abs_w
+    if not (norm <= _ROOT_MAX and root <= _ROOT_MAX):
+        raise PreconditionError(
+            f"A + |w|^2 or |w|^2 A overflows double precision: sqrt(A + |w|^2) = "
+            f"{norm:.6g} and sqrt(A) |w| = {root:.6g} must stay below {_ROOT_MAX:.6g}")
     a = action.array()
     A = float(np.sum(a**2 * np.abs(z) ** 2))
     # |xi'|^2 = A + |w|^2 is zero at a fixed point, and also where it is

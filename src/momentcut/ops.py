@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Union
 from .errors import (
     BlowupTooLarge,
     EmptyResult,
+    InputError,
     InternalError,
     PreconditionError,
     VertexNotBlowable,
@@ -171,6 +172,8 @@ def _find_vertex(P: LabeledPolytope, v: Union[Vertex, Sequence[Fraction]]) -> in
     """The index of the vertex v among vertices(P), found by its integer row."""
     if isinstance(v, Vertex):
         row = v.row
+    elif not isinstance(v, (list, tuple)):
+        raise InputError(f"vertex must be a Vertex, a list or a tuple, got {v!r}")
     else:
         # over the least common denominator, entries in lowest terms give a
         # row in lowest terms, as vertex rows are

@@ -4,13 +4,14 @@ A polytope is a finite list of facets (primitive integer outward normal,
 rational offset, positive integer label); the point set is
 {x : <normal, x> <= offset for every facet}.  All computations are exact.
 
-A polytope read from input is walked from scratch: an exact phase-1
-simplex finds one vertex (or certifies that the region is empty), then a
-walk over the vertex-edge graph carries an integer tableau, the adjugate
-of the active basis and its products with every normal, from each simple
-vertex to the next by one fraction-free exchange; a ratio test scans one
-column.  An edge that no facet blocks is an unbounded ray; the region is
-bounded when no vertex has one.
+A polytope read from input, or an affine unimodular image of one, is
+walked from scratch: an exact phase-1 simplex finds one vertex (or
+certifies that the region is empty), then a walk over the vertex-edge
+graph carries an integer tableau, the adjugate of the active basis and its
+products with every normal, from each simple vertex to the next by one
+fraction-free exchange; a ratio test scans one column.  An edge that no
+facet blocks is an unbounded ray; the region is bounded when no vertex has
+one.
 
 Every polytope derived by one half-space or hyperplane (cut, blow-up,
 slice) takes its structure from its parent's edge graph instead, by the
@@ -20,9 +21,9 @@ the hyperplane gives one new vertex, whose active set is the facets holding
 that edge plus the new one.  Edges are paired by that set of holding
 facets, so no ratio test is run, and the edges at a crossing of a simple
 vertex's edge come in closed form (see `_crossing_edges`).  Dropping
-redundant facets carries the structure over unchanged, and an affine
-unimodular image maps it.  All paths end in the same finishing code, and
-the derived structure is equal to the one a fresh walk would give.
+redundant facets carries the structure over unchanged.  All paths end in
+the same finishing code, and the derived structure is equal to the one a
+fresh walk would give.
 
 Every value of that exact arithmetic is an integer.  Vertices are kept as
 integer rows over one positive denominator, and facet offsets as integer
@@ -49,7 +50,7 @@ import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -64,6 +65,7 @@ from .lattice import (
     IntVector,
     _format_ratio,
     _is_int,
+    _sequence,
     adjugate_int,
     content,
     det_int,
@@ -182,8 +184,6 @@ class LabeledPolytope:
         # canonical facet order keeps indices stable across serialization
         self.facets = tuple(sorted(facets, key=_order_key(facets)))
         self._structure: Optional[Structure] = None
-        # maps a parent's structure to this one's when first asked (transform)
-        self._derive: Optional[Callable[[LabeledPolytope], Structure]] = None
         self._graph: Optional[list] = None      # see _edge_graph
         self._vertices: Optional[list[Vertex]] = None
 
@@ -192,10 +192,7 @@ class LabeledPolytope:
 
     def structure(self) -> "Structure":
         if self._structure is None:
-            if self._derive is None:
-                self._structure = _compute_structure(self)
-            else:
-                self._structure, self._derive = self._derive(self), None
+            self._structure = _compute_structure(self)
         return self._structure
 
 
@@ -968,13 +965,13 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
 
 def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
               b: Sequence[Fraction]) -> LabeledPolytope:
-    """Image polytope {Ax + b : x in P} for integer A with |det A| = 1.
-
-    Its structure is P's mapped (see `_mapped_structure`), when first asked.
-    """
+    """Image polytope {Ax + b : x in P} for integer A with |det A| = 1."""
     n = P.dim
-    if len(A) != n or any(len(row) != n for row in A) or len(b) != n:
+    A, b = _sequence(A, "matrix"), _sequence(b, "shift")
+    if len(A) != n or any(len(_sequence(row, "matrix row")) != n for row in A) or len(b) != n:
         raise DimensionMismatch("transform shape mismatch")
+    if not all(_is_int(x) for row in A for x in row):
+        raise InputError(f"matrix entries must be integers, got {A!r}")
     a_inv_t = transpose(inverse_unimodular(A))
     # b = b_num / b_den, and the offset of eta x <= num / den + <eta, b> over g
     b_num, b_den = over_common_denominator([exact(x, "shift") for x in b])
@@ -985,40 +982,7 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
         new_facets.append(_facet(tuple(x // g for x in eta),
                                  f.num * b_den + f.den * dot(eta, b_num), f.den * b_den * g,
                                  f.label))
-    Q = LabeledPolytope(n, new_facets)
-    # the constructor's sort is stable: facet i of P is facet index[i] of Q
-    key = _order_key(new_facets)
-    index = [0] * len(new_facets)
-    for k, i in enumerate(sorted(range(len(new_facets)), key=lambda i: key(new_facets[i]))):
-        index[i] = k
-    Q._derive = partial(_mapped_structure, P, [list(row) for row in A], (b_num, b_den), index)
-    return Q
-
-
-def _mapped_structure(P: LabeledPolytope, A: list[list[int]], b: tuple[list[int], int],
-                      index: list[int], Q: LabeledPolytope) -> Structure:
-    """The structure of Q = AP + b from P's, for b = b_num / b_den: a row
-    num / den goes to (A num + den b) / den, an edge e to Ae (primitive, as
-    A is unimodular), and facet i to index[i].  A simple vertex's edges are
-    put in the order of its renumbered facets; a non-simple vertex's
-    tangent cone is taken again, so its edges come in the order a walk of Q
-    would give."""
-    st = P.structure()
-    n = Q.dim
-    normals = [f.normal for f in Q.facets]
-    b_num, b_den = b
-    rays = {tuple(dot(row, e) for row in A) for e in st.rays}
-    records = []
-    for ((num, den), act), es in zip(st.points, st.edges):
-        row = _row([b_den * dot(r, num) + den * t for r, t in zip(A, b_num)], den * b_den)
-        q_act = frozenset(index[j] for j in act)
-        if len(act) == n:
-            by = {index[j]: tuple(dot(r, e) for r in A) for j, e in zip(sorted(act), es)}
-            es = tuple(by[j] for j in sorted(q_act))
-        else:
-            es = _edge_directions(normals, sorted(q_act), n)
-        records.append((row, q_act, es, rays.intersection(es)))
-    return _finish(normals, n, records)
+    return LabeledPolytope(n, new_facets)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .errors import DegenerateVertex, DimensionMismatch, InputError
 from .lattice import (
     IntVector,
     _is_int,
+    _sequence,
     content,
     dot,
     half_sum_integral,
@@ -86,7 +87,7 @@ def weights_at_vertex(P: LabeledPolytope, v: Vertex,
     """Multiset (sorted tuple) of pairings of xi with the edge generators."""
     if xi is None:
         xi = (1,) + (0,) * (P.dim - 1)
-    elif len(xi) != P.dim:
+    elif len(_sequence(xi, "xi")) != P.dim:
         raise DimensionMismatch(f"xi has {len(xi)} entries, expected {P.dim}")
     else:
         for k, x in enumerate(xi):
@@ -102,6 +103,8 @@ def circle_stabilizer_order(P: LabeledPolytope, i: int):
     (Lerman-Tolman 1997), or "infinite" when nu is parallel to e1 and the
     facet is fixed.
     """
+    if not (_is_int(i) and 0 <= i < len(P.facets)):
+        raise InputError(f"facet index must be an integer in 0..{len(P.facets) - 1}, got {i!r}")
     f = P.facets[i]
     g = content(f.normal[1:])
     return INFINITE if g == 0 else g * f.label

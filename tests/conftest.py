@@ -25,6 +25,7 @@ from momentcut.lattice import (
     rank_int,
 )
 from momentcut.localmodel import MomentAlongFlow, n_pm
+from momentcut.ops import reversed_polytope
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -48,7 +49,7 @@ from momentcut.ratpoly import (
     nonpositive_on,
     squarefree,
 )
-from momentcut.toric import INFINITE, FixedComponent
+from momentcut.toric import INFINITE, FixedComponent, weights_at_vertex
 
 F = Fraction
 
@@ -466,6 +467,28 @@ def mirrored(profile: DHProfile) -> DHProfile:
                              Poly.over(affine_substitute(ch.poly.num, -1, 0, 1), ch.poly.den))
                      for ch in reversed(profile.chambers))
     return DHProfile(tuple(-w for w in reversed(profile.walls)), chambers)
+
+
+def mirror_summary_by_reversal(P: LabeledPolytope, a: Fraction, window: Fraction) -> dict:
+    """Oracle for the `reversed` block of `dh.wall_crossing_check`: the
+    downward crossing computed on reversed_polytope(P) itself.  Its slices
+    at the four negated sample levels are compared with P's, and the
+    weights at its wall vertices with P's negated."""
+    rev = reversed_polytope(P)
+    rev_weights = sorted(weights_at_vertex(rev, v) for v in vertices(rev) if v.point[0] == -a)
+    expect = sorted(tuple(sorted(-w for w in weights_at_vertex(P, v)))
+                    for v in vertices(P) if v.point[0] == a)
+    levels = [a + window * k for k in (F(-1, 2), F(-1, 4), F(1, 4), F(1, 2))]
+    mirror_ok = all(canonical_equal(slice_at(rev, -s).polytope, slice_at(P, s).polytope)
+                    for s in levels)
+    return {
+        "wall": format_rational(-a),
+        "weights": [list(w) for w in rev_weights],
+        "weights_negated_ok": rev_weights == expect,
+        "mirror_slices_ok": mirror_ok,
+        "coefficient_sign": "flipped",
+        "ok": rev_weights == expect and mirror_ok,
+    }
 
 
 def rank_by_fractions(rows) -> int:

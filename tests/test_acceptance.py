@@ -206,8 +206,12 @@ def test_criterion_9_performance():
     rows = [solve_membership_battery(trials=200, seed=2024),
             cut_identity_battery(trials=200, seed=2024)]
     t_batteries = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    wall = wall_crossing_check(P, F(3, 4))
+    t_wall = time.perf_counter() - t0
     ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.04 and t_dh < 0.05
           and t_signs < 0.01 and t_slices < 0.1 and t_probe < 0.5 and t_batteries < 0.3
+          and t_wall < 0.04 and wall.ok
           and all(r.ok for r in rows) and len(vs) == 64
           and vol == F(383, 384) and prof.total_integral() == vol and eq
           and log_concave and minima == []
@@ -217,4 +221,4 @@ def test_criterion_9_performance():
                    f"log-concavity+minima {t_signs:.4f}s, "
                    f"16 slices {t_slices:.3f}s; convexity probe, 100 trials, "
                    f"{t_probe:.3f}s; solve and cut-identity batteries, 200 trials, "
-                   f"{t_batteries:.3f}s")
+                   f"{t_batteries:.3f}s; wall check at 3/4 {t_wall:.4f}s")

@@ -660,7 +660,7 @@ print(json.dumps({"exit": out.exit_code, "numpy": "numpy" in sys.modules,
 _CLI = ["momentcut", "momentcut.cli", "momentcut.errors", "momentcut.lattice"]
 _POLYTOPE = _CLI + ["momentcut.polytope"]
 _OPS = _POLYTOPE + ["momentcut.ops", "momentcut.toric"]
-_DH = _OPS + ["momentcut.dh", "momentcut.ratpoly"]
+_DH = _POLYTOPE + ["momentcut.toric", "momentcut.dh", "momentcut.ratpoly"]
 
 # each command's arguments and the momentcut modules it loads
 _COMMAND_MODULES = {
@@ -945,6 +945,51 @@ def test_cut_identity_point_never_fails_on_valid_input(argv):
 
 def _refuse_constant(token):
     raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("argv,exit_code,says", [
+    (["cut-identity", "--weights=1", "--z=1e200,1"], 2, "A + |w|^2 or |w|^2 A overflows"),
+    (["cut-identity", "--weights=1", "--z=1,1e200"], 2, "A + |w|^2 or |w|^2 A overflows"),
+    (["cut-identity", "--weights=1", "--z=1e100,1e100"], 2, "A + |w|^2 or |w|^2 A overflows"),
+    (["cut-identity", "--weights=1", "--z=1e77,1e77"], 0, None),
+    (["solve", "--weights=-1,1", "--z=1e300,1e300", "--level=1"], 2, "both sign blocks"),
+    (["solve", "--weights=-1,1", "--z=1e200,1e-10", "--level=1"], 0, None),
+], ids=["cut-identity-A", "cut-identity-w", "cut-identity-product", "cut-identity-1e154",
+        "solve-both-blocks", "solve-one-block"])
+def test_points_that_overflow_are_refused_as_json(argv, exit_code, says):
+    # allow_nan=False refuses the NaN and Infinity that are not JSON
+    out = run(["local-model"] + argv)
+    json.dumps(out.payload, allow_nan=False)
+    assert out.exit_code == exit_code
+    if says:
+        assert out.payload["kind"] == "PreconditionError" and says in out.payload["message"]
+    else:
+        assert "error" not in out.payload
+
+
+@st.composite
+def _huge_point_argv(draw):
+    op = draw(st.sampled_from(["cut-identity", "solve"]))
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=n, max_size=n))
+    z = []
+    for _ in range(n + (op == "cut-identity")):
+        r = 10.0 ** draw(st.floats(-300, 300))
+        phase = draw(st.floats(0, 2 * math.pi))
+        z.append(repr(complex(r * math.cos(phase), r * math.sin(phase))).strip("()"))
+    argv = ["local-model", op, "--weights=" + ",".join(map(str, weights)), "--z=" + ",".join(z)]
+    return argv + ["--level=1"] * (op == "solve")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_huge_point_argv())
+def test_huge_points_print_strict_json(argv):
+    # |z| from 1e-300 to 1e300: an answer or a refusal, never a NaN or an
+    # Infinity, and no numpy warning (warnings are errors here)
+    out = run(argv)
+    json.dumps(out.payload, allow_nan=False)
+    assert out.exit_code in (0, 2, 3)
+    assert (out.exit_code == 2) == ("error" in out.payload)
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,12 +28,13 @@ from momentcut.ops import add_fixed_points, reversed_polytope
 from momentcut.lattice import format_rational, generic_direction
 from momentcut.polytope import Facet, LabeledPolytope, dumps, transform, vertices, volume
 from momentcut.ratpoly import Poly, isolate_roots
-from momentcut.toric import edge_generators
+from momentcut.toric import VertexKind, edge_generators
 
 from conftest import (
     chamber_affine_check,
     chopped_box,
     keeping_x1,
+    mirror_summary_by_reversal,
     mirrored,
     positive_on_open_by_two_isolations,
     profile_by_slicing,
@@ -365,8 +366,8 @@ def test_unequal_match_sample_names_what_differs(monkeypatch, d3):
 
 
 def test_wall_check_slices_each_level_once(monkeypatch, d3):
-    # four sample levels on P (two below the wall, two above), and the four
-    # mirror levels on reversed_polytope(P)
+    # four sample levels on P (two below the wall, two above), and no slice
+    # of any other polytope: the mirror block is read off P's
     counts = Counter()
     slice_at = momentcut.dh.slice_at
 
@@ -375,8 +376,30 @@ def test_wall_check_slices_each_level_once(monkeypatch, d3):
         return slice_at(Q, s)
     monkeypatch.setattr(momentcut.dh, "slice_at", counting)
     assert wall_crossing_check(d3, F(0), F(1, 2)).ok
-    assert counts.pop("P") == 4
-    assert list(counts.values()) == [4]
+    assert counts == {"P": 4}
+
+
+def test_mirror_block_matches_reversal_oracle():
+    # every interior wall that answers gives the reversed block that the
+    # reversed polytope itself gives; among the wall vertices are index-2
+    # ones and, on a relabeled delta3, ones on a facet of label 2
+    d3 = delta3()
+    labeled = LabeledPolytope(3, [f._replace(label=2) if f.normal[0] else f
+                                  for f in d3.facets])
+    cases = _oracle_cases() + [("delta3 labeled", labeled)] + [
+        (str(w), _polytope(dim, facets)) for w, (dim, _, facets) in _SINGLE_NEGATIVE_WALLS.items()]
+    answered, kinds = Counter(), Counter()
+    for name, P in cases:
+        for a in critical_values(P)[1:-1]:
+            try:
+                rep = wall_crossing_check(P, a)
+            except WallNotSimpleCrossing:
+                continue
+            assert rep.reversed_summary == mirror_summary_by_reversal(P, a, rep.window), (name, a)
+            answered[name] += 1
+            kinds.update(v.vertex_class.kind for v in rep.vertices)
+    assert answered.total() >= 40 and answered["delta3 labeled"] == 1
+    assert kinds[VertexKind.Z2_SINGULAR] and kinds[VertexKind.OTHER_ORBIFOLD]
 
 
 def _polytope(dim: int, facets) -> LabeledPolytope:

@@ -189,41 +189,63 @@ def _solve_rows(draw):
                                           st.booleans()))
         z.append(0j if zero else 10.0 ** mag * complex(math.cos(phase), math.sin(phase)))
     action = LinearAction(weights)
-    if draw(st.booleans()) or action.is_fixed(z):
+    try:
+        psi = MomentAlongFlow(action, z)
+    except PreconditionError:           # a fixed point, or one too large
+        psi = None
+    if draw(st.booleans()) or psi is None:
         s = math.copysign(10.0 ** draw(st.floats(-12, 12)), draw(st.sampled_from([-1, 1])))
     else:
         end = draw(st.sampled_from([-sys.float_info.max, sys.float_info.max]))
-        s = float(MomentAlongFlow(action, z)(end))
+        s = float(psi(end))
         for _ in range(abs(step := draw(st.integers(-2, 2)))):
             s = float(np.nextafter(s, math.copysign(math.inf, step)))
     return action, z, s
 
 
+def _solved(solve, *args):
+    """The time that solve returns, as _bits, or the type of the
+    PreconditionError it raises."""
+    try:
+        return _bits(solve(*args))
+    except PreconditionError as exc:
+        return type(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_solve_rows(), min_size=1, max_size=6))
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def test_row_solver_matches_scalar_bisection(rows):
-    # both sides sum the same terms, so a sum that overflows, or a nan where
-    # e^t z overflows both sign blocks at once, gives them the same answer
-    fixed = [action.is_fixed(z) for action, z, _ in rows]
-    for (action, z, s), is_fixed in zip(rows, fixed):
-        if is_fixed:
-            with pytest.raises(FixedPointInput):
-                solve_time_to_level_by_bisection(action, z, s)
-            with pytest.raises(FixedPointInput):
-                solve_time_to_level(action, z, s)
-    if any(fixed):
-        with pytest.raises(FixedPointInput):
+    # both sides sum the same terms, so a sum that overflows gives them the
+    # same answer; a fixed point, and a point where e^t z overflows both sign
+    # blocks at once (inf - inf, which would warn as invalid), are refused
+    # by both
+    want = [_solved(solve_time_to_level_by_bisection, *row) for row in rows]
+    for row, answer in zip(rows, want):
+        assert _solved(solve_time_to_level, *row) == answer
+    refused = [answer for answer in want if isinstance(answer, type)]
+    if refused:
+        with pytest.raises(PreconditionError) as info:
             MomentAlongFlow.rows([a for a, _, _ in rows], [z for _, z, _ in rows])
-    rows = [row for row, is_fixed in zip(rows, fixed) if not is_fixed]
-    if not rows:
-        return
-    actions, zs, levels = zip(*rows)
-    got = MomentAlongFlow.rows(actions, zs).time_to_level(np.array(levels))
-    for (action, z, s), t in zip(rows, got):
-        want = _bits(solve_time_to_level_by_bisection(action, z, s))
-        assert _bits(t) == want
-        assert _bits(solve_time_to_level(action, z, s)) == want
+        assert type(info.value) is refused[0]
+    kept = [k for k, answer in enumerate(want) if not isinstance(answer, type)]
+    if kept:
+        actions, zs, levels = zip(*(rows[k] for k in kept))
+        got = MomentAlongFlow.rows(actions, zs).time_to_level(np.array(levels))
+        assert [_bits(t) for t in got] == [want[k] for k in kept]
+
+
+@pytest.mark.parametrize("z,want", [
+    ((1e300, 1e300), None),             # psi(t) = 1e600 sinh(2t): inf - inf near t = 0
+    ((1e200, 1e-10), 241.77143476437485),
+])
+def test_both_blocks_overflowing_at_once_refused(z, want):
+    action = LinearAction((-1, 1))
+    if want is None:
+        with pytest.raises(PreconditionError, match="both sign blocks"):
+            solve_time_to_level(action, z, 1.0)
+    else:
+        assert solve_time_to_level(action, z, 1.0) == want
 
 
 def test_rows_from_eight_terms_are_not_padded():

@@ -49,7 +49,8 @@ from momentcut.polytope import (
     vertices,
     volume,
 )
-from momentcut.toric import VertexKind, classify_vertex, edge_generators, weights_at_vertex
+from momentcut.toric import (VertexKind, circle_stabilizer_order, classify_vertex,
+                             edge_generators, weights_at_vertex)
 
 from conftest import keeping_x1, regular_levels, walked
 
@@ -355,14 +356,14 @@ def test_derived_chain_builds_few_fractions():
     assert len(vertices(B)) == len(vertices(C)) + 3 and reduced.polytope is not None
     assert report.ok and checked.ok
     # the entry points take their levels as given, with no Fraction(x) copy
-    assert built["Fraction"] == 132
+    assert built["Fraction"] == 128
 
 
 def test_derived_polytopes_take_no_walk(monkeypatch):
-    # a surgery chain walks from scratch only for its parsed inputs; every
-    # cut, slice, blow-up, transform image and irredundant form steps from
-    # its parent's structure, and a wall check walks nothing
-    walks, walked_for, parsed = Counter(), [], []
+    # a surgery chain walks from scratch only for its parsed inputs and its
+    # transform images, once each; every cut, slice, blow-up and irredundant
+    # form steps from its parent's structure, and a wall check walks nothing
+    walks, walked_for, inputs = Counter(), [], []
     walk, compute = momentcut.polytope._walk, momentcut.polytope._compute_structure
 
     def counting_walk(*args):
@@ -379,17 +380,17 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
     derived, wall_checks = [], 0
     for P0 in (chopped_cube(), asymmetric_wedge()):
         P = loads(dumps(P0))
-        parsed.append(P)
         crit = critical_values(P)
         lo, hi = [crit[0] + (crit[1] - crit[0]) * F(k, 3) for k in (1, 2)]
         T = momentcut.ops.transform(P, [[int(i == j) for j in range(P.dim)]
                                         for i in range(P.dim)],
                                     [-lo] + [F(0)] * (P.dim - 1))
-        # the same surgery on P and on its image T, a derived polytope
+        inputs += [P, T]
+        # the same surgery on P and on its image T
         for R, shift in ((P, 0), (T, lo)):
             a, b = lo - shift, hi - shift
             derived += [cut(R, a), cut(R, a, CutSide.ABOVE), reduce_at(R, a).polytope,
-                        compactify(R, a, b), reversed_polytope(R)]
+                        compactify(R, a, b)]
             verts = vertices(R)
             for v in verts:
                 act = sorted(v.active)
@@ -412,8 +413,8 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
                     pass
                 assert len(walked_for) == before
     assert wall_checks >= 2 and len(derived) >= 40
-    assert walks["walk"] == len(walked_for) == 2
-    assert all(Q is A for Q, A in zip(walked_for, parsed))
+    assert walks["walk"] == len(walked_for) == 4
+    assert all(Q is A for Q, A in zip(walked_for, inputs))
 
     walks.clear()
     keys = [canonical_key(D) for D in derived]
@@ -536,6 +537,34 @@ def test_entry_points_refuse_inexact_numbers(kind):
         with pytest.raises(InputError) as err:
             call()
         assert str(err.value) == f"{what} must be an integer or a Fraction, got {bad!r}", what
+
+
+def _sequence_calls():
+    """(refusal, call) for each sequence or index argument of a public op."""
+    square = box(F(1), F(1))
+    v, identity = vertices(square)[0], [[1, 0], [0, 1]]
+    return [
+        ("vertex must be a Vertex, a list or a tuple, got 0.5",
+         lambda: blowup(square, BlowupParams(0.5, F(1, 4)))),
+        ("matrix must be a list or a tuple, got 0.5", lambda: transform(square, 0.5, (0, 0))),
+        ("matrix row must be a list or a tuple, got 0.5",
+         lambda: transform(square, [0.5, [0, 1]], (0, 0))),
+        ("matrix entries must be integers, got [[1.0, 0], [0, 1]]",
+         lambda: transform(square, [[1.0, 0], [0, 1]], (0, 0))),
+        ("shift must be a list or a tuple, got 0.5", lambda: transform(square, identity, 0.5)),
+        ("xi must be a list or a tuple, got 0.5", lambda: weights_at_vertex(square, v, 0.5)),
+    ] + [(f"facet index must be an integer in 0..3, got {i!r}",
+          lambda i=i: circle_stabilizer_order(square, i)) for i in (-1, 4, True, 0.5)]
+
+
+@pytest.mark.parametrize("k", range(len(_sequence_calls())))
+def test_sequence_and_index_arguments_refused_by_name(k):
+    # a number where a sequence belongs is not left to a bare TypeError,
+    # and a negative facet index does not read from the end
+    message, call = _sequence_calls()[k]
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_entry_points_take_ints_as_exact():
