@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run the full randomized local-model battery plus the orbital-convexity
-probe, with a fixed seed.  Prints one line per suite."""
+probe, with a fixed seed.  Prints one line per suite, with its seconds of
+wall-clock time."""
 from __future__ import annotations
 
 import argparse
 import time
 
-from momentcut.batteries import run_all
+from momentcut.batteries import ALL_BATTERIES
 from momentcut.errors import PreconditionError
 from momentcut.localmodel import (
     LinearAction,
@@ -22,10 +23,12 @@ def main() -> None:
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    for rep in run_all(trials=args.trials, seed=args.seed):
+    for battery in ALL_BATTERIES.values():
+        start = time.perf_counter()
+        rep = battery(trials=args.trials, seed=args.seed)
         status = "ok" if rep.ok else f"{rep.failures} FAILURES"
         print(f"{rep.name:18s} trials={rep.trials:5d} worst={rep.worst_residual:9.2e} "
-              f"tol={rep.tolerance:g}  {status}")
+              f"tol={rep.tolerance:g}  {time.perf_counter() - start:6.2f}s  {status}")
 
     for weights in [(-1, 1), (-2, 3), (-1, -1, 2), (-2, 1, 1, 0)]:
         action = LinearAction(weights)
@@ -36,12 +39,14 @@ def main() -> None:
                 break
             except PreconditionError:
                 eps_prime /= 2
+        start = time.perf_counter()
         rep = orbital_convexity_probe(action, spec, trials=max(100, args.trials // 5),
                                       seed=args.seed)
         status = "ok" if rep.ok else "FAILURES"
         print(f"convexity {str(weights):12s} trials={rep.trials:5d} "
               f"reentries={rep.reentries} clause_failures={rep.exit_clause_failures} "
-              f"grid=({rep.grid_points} pts over +-{rep.t_span})  {status}")
+              f"grid=({rep.grid_points} pts over +-{rep.t_span})  "
+              f"{time.perf_counter() - start:6.2f}s  {status}")
     print(f"total {time.perf_counter() - t0:.1f}s (seed {args.seed})")
 
 

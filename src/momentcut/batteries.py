@@ -2,11 +2,14 @@
 
 Each battery runs a fixed number of independent trials against one of the
 model identities through one loop, `_run`: it first draws every trial's
-inputs from the seeded stream, then judges all trials at once, as rows
-where the check allows it, and reports the number of trials that are not
-ok plus the worst residual seen.  No check draws from the stream, so
-judging after drawing sees the same inputs.  Given the same seed the
-reports are bit-for-bit reproducible.
+inputs from the seeded stream, then judges them in blocks of at most
+`BLOCK_ROWS` trials, and reports the number of trials that are not ok plus
+the worst residual seen.  `monotone`, `solve-membership`, `cut-identity`
+and `blowup-potential` judge a block as rows, with one call of the row
+form of their check; `npm-scaling` and `psh` judge trial by trial (`n_pm`
+is the scalar definition, and `psh` seeds a generator per trial).  No
+check draws from the stream, so judging after drawing sees the same
+inputs.  Given the same seed the reports are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -24,11 +27,11 @@ from .localmodel import (
     MomentAlongFlow,
     _gaps,
     _scaled_gap,
-    blowup_potential_check,
-    check_monotone,
-    cut_tameness_identity,
+    blowup_potential_rows,
+    cut_identity_rows,
     flow,
     level_membership,
+    monotone_rows,
     n_pm,
     psh_criterion,
     psh_test_family,
@@ -80,21 +83,28 @@ class BatteryReport:
         }
 
 
+# the most trials judged at once: a block of rows holds (grid, rows, n)
+# doubles in `monotone_rows`, 8 MB at 256 rows of 4 entries
+BLOCK_ROWS = 256
+
+
 def _run(name: str, tolerance: float, trials: int, seed: int,
          draw: Callable[[np.random.Generator], tuple],
          judge: Callable[[list[tuple]], Iterable[tuple[float, bool]]]) -> BatteryReport:
     """The battery loop: `draw` takes one trial's inputs from the seeded
     stream, for every trial first, and `judge` returns (residual, ok) per
-    trial, as `partial(starmap, check)` does for a check of one trial.
-    `failures` counts the trials that are not ok."""
+    trial of a block of at most BLOCK_ROWS trials, as `partial(starmap,
+    check)` does for a check of one trial.  `failures` counts the trials
+    that are not ok."""
     rng = np.random.default_rng(seed)
     drawn = [draw(rng) for _ in range(trials)]
     failures = 0
     worst = 0.0
-    for residual, ok in judge(drawn) if drawn else ():
-        worst = max(worst, float(residual))
-        if not ok:
-            failures += 1
+    for start in range(0, trials, BLOCK_ROWS):
+        for residual, ok in judge(drawn[start:start + BLOCK_ROWS]):
+            worst = max(worst, float(residual))
+            if not ok:
+                failures += 1
     return BatteryReport(name, trials, failures, worst, tolerance)
 
 
@@ -106,10 +116,9 @@ def _action_and_point(rng: np.random.Generator, **kwargs) -> tuple:
 def monotone_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     grid = np.linspace(-3.0, 3.0, 1000)
 
-    def check(action, z):
-        rep = check_monotone(action, z, grid)
-        return rep.derivative_rel_err, rep.ok
-    return _run("monotone-flow", 1e-6, trials, seed, _action_and_point, partial(starmap, check))
+    def judge(block):
+        return ((rep.derivative_rel_err, rep.ok) for rep in monotone_rows(*zip(*block), grid))
+    return _run("monotone-flow", 1e-6, trials, seed, _action_and_point, judge)
 
 
 def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
@@ -172,11 +181,10 @@ def cut_identity_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     def draw(rng):
         return (*_action_and_point(rng), complex(rng.normal(), rng.normal()))
 
-    def check(action, z, w):
-        rep = cut_tameness_identity(action, z, w)
-        orth = _scaled_gap([rep.orth_1, rep.orth_2], 0.0, rep.orth_scale)
-        return max(rep.rel_err, orth), rep.ok
-    return _run("cut-tameness", 1e-9, trials, seed, draw, partial(starmap, check))
+    def judge(block):
+        return ((max(rep.rel_err, rep.orth_rel_err), rep.ok)
+                for rep in cut_identity_rows(*zip(*block)))
+    return _run("cut-tameness", 1e-9, trials, seed, draw, judge)
 
 
 def blowup_potential_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
@@ -189,10 +197,10 @@ def blowup_potential_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
         z *= rng.uniform(0.15, 0.4) / np.linalg.norm(z)
         return action, z
 
-    def check(action, z):
-        rep = blowup_potential_check(action, z, bump=bump)
-        return rep.contraction_rel_err, rep.ok
-    return _run("blowup-potential", 1e-5, trials, seed, draw, partial(starmap, check))
+    def judge(block):
+        return ((rep.contraction_rel_err, rep.ok)
+                for rep in blowup_potential_rows(*zip(*block), bump))
+    return _run("blowup-potential", 1e-5, trials, seed, draw, judge)
 
 
 ALL_BATTERIES = {
@@ -203,7 +211,3 @@ ALL_BATTERIES = {
     "cut-identity": cut_identity_battery,
     "blowup-potential": blowup_potential_battery,
 }
-
-
-def run_all(trials: int = 1000, seed: int = 0) -> list[BatteryReport]:
-    return [fn(trials=trials, seed=seed) for fn in ALL_BATTERIES.values()]

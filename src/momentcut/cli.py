@@ -204,9 +204,9 @@ def _int_in(option: str, lo: int, hi: Optional[int] = None):
 
 
 # the options of the local-model ops, each declared once; --trials and --n
-# bound the run time: 10 000 trials of the slowest batteries (`monotone`,
-# `blowup-potential`) take about 3 s, and `psh --n 1000`, an n x n
-# eigensolve, about 2 s
+# bound the run time: 10 000 trials of the slowest battery (`monotone`) take
+# about 1.1 s (scripts/run_local_model.py prints each battery's seconds),
+# and `psh --n 1000`, an n x n eigensolve, about 2 s
 _LOCAL_OPTIONS = {
     "--weights": dict(help="comma-separated integers; a battery draws its own actions"),
     "--z": dict(help="comma-separated complex values, one per weight; "

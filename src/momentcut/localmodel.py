@@ -22,7 +22,16 @@ Regions of C^n are row predicates: `membership_v` and `bad_annulus_region`
 take an array of points of shape (..., n) and return one bool per point,
 and `orbital_convexity_probe` hands a region a whole flow line at once.
 `n_pm` is the single-point definition of the weighted radii; the rows
-compute the same sums with array operations.
+compute the same sums with array operations.  The monotone, cut and
+blow-up checks are row checks too (`monotone_rows`, `cut_identity_rows`,
+`blowup_potential_rows`): points of one length are judged together, with
+the arithmetic of one point in every row, and the one-point functions are
+the one-row case.
+
+Every point enters through one gate, `_point`: as many entries as weights,
+each a finite complex number, or an InputError that names the entry.  A
+check whose arithmetic leaves the doubles raises a PreconditionError
+(`_in_doubles`) instead of printing a numpy warning and a nan.
 
 Along the real flow, psi(e^t z) is one increasing real function of t,
 `MomentAlongFlow`, and the time to level s is the least double t with
@@ -31,14 +40,15 @@ psi(t) >= s, found for many points at once as rows bisected in lockstep.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FixedPointInput, PreconditionError
+from .errors import FixedPointInput, InputError, PreconditionError
 
 EXP_LIMIT = 700.0  # log of the largest safe double
 _LOG_MAX = math.log(sys.float_info.max)
@@ -50,19 +60,28 @@ class LinearAction:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.weights:
+        try:
+            weights = tuple(self.weights)
+        except TypeError:
+            raise InputError(f"weights must be a sequence of integers, got {self.weights!r}") from None
+        if not weights:
             raise PreconditionError("need at least one weight")
-        object.__setattr__(self, "weights", tuple(int(a) for a in self.weights))
+        for j, a in enumerate(weights):
+            if (isinstance(a, bool) or not isinstance(a, (int, np.integer))
+                    or abs(int(a)) > sys.float_info.max):
+                raise InputError(f"weight {j} must be an integer that fits in a double, got {a!r}")
+        object.__setattr__(self, "weights", tuple(map(int, weights)))
 
-    @property
+    # the sign blocks, computed once per action
+    @cached_property
     def neg(self) -> tuple[int, ...]:
         return tuple(j for j, a in enumerate(self.weights) if a < 0)
 
-    @property
+    @cached_property
     def pos(self) -> tuple[int, ...]:
         return tuple(j for j, a in enumerate(self.weights) if a > 0)
 
-    @property
+    @cached_property
     def zero(self) -> tuple[int, ...]:
         return tuple(j for j, a in enumerate(self.weights) if a == 0)
 
@@ -70,8 +89,81 @@ class LinearAction:
         return np.asarray(self.weights, dtype=float)
 
     def is_fixed(self, z: np.ndarray) -> bool:
-        z = np.asarray(z, dtype=complex)
-        return bool(np.all(np.abs(z[self.array() != 0]) == 0.0))
+        """Whether every entry of z with a nonzero weight is 0."""
+        z = np.asarray(z, dtype=complex).tolist()
+        return not any(z[j] for block in (self.neg, self.pos) for j in block)
+
+
+def _complex(x, what: str) -> complex:
+    """x as a finite Python complex number, or an InputError naming `what`."""
+    if type(x) is complex or (isinstance(x, numbers.Number)
+                              and not isinstance(x, (bool, np.bool_))):
+        try:
+            c = complex(x)
+            if math.isfinite(c.real) and math.isfinite(c.imag):
+                return c
+        except (OverflowError, TypeError, ValueError):    # beyond a double
+            pass
+    raise InputError(f"{what} must be a finite complex number, got {x!r}")
+
+
+def _point(action: LinearAction, z, what: str = "z") -> list[complex]:
+    """The one gate for a point of the model: z as Python complex numbers,
+    one per weight.  A point of another length, or an entry that is not a
+    finite number (a string, None, a bool, nan), is refused with an
+    InputError that names it."""
+    n = len(action.weights)
+    try:
+        entries = list(z.tolist() if isinstance(z, np.ndarray) else z)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence of {n} complex numbers, got {z!r}") from None
+    if len(entries) != n:
+        raise InputError(f"{what} needs {n} entries, one per weight, got {len(entries)}")
+    return [_complex(x, f"{what}[{j}]") for j, x in enumerate(entries)]
+
+
+def _level(s) -> float:
+    """The level s as a float, +-inf included; nan, a bool, a string or an
+    int beyond a double is refused."""
+    if isinstance(s, numbers.Real) and not isinstance(s, (bool, np.bool_)):
+        try:
+            level = float(s)
+            if not math.isnan(level):
+                return level
+        except OverflowError:                               # beyond a double
+            pass
+    raise InputError(f"s must be a real number within the doubles and not nan, got {s!r}")
+
+
+def _rows(actions: Sequence[LinearAction], zs) -> list[tuple]:
+    """The row constructor: every point through `_point`, grouped by length,
+    so that a sum over a row's entries is the sum over its point alone.  Per
+    length: the rows' positions in the caller's order, their actions and
+    points, and the weights (as doubles) and points as arrays (rows, n)."""
+    groups: dict[int, list] = {}
+    for k, (action, z) in enumerate(zip(actions, zs, strict=True)):
+        point = _point(action, z)
+        groups.setdefault(len(point), []).append((k, action, point))
+    out = []
+    for group in groups.values():
+        index, acts, points = zip(*group)
+        out.append((index, acts, points, np.array([act.weights for act in acts], dtype=float),
+                    np.array(points, dtype=complex)))
+    return out
+
+
+def _in_doubles(fn):
+    """fn with numpy's overflow, invalid operation and division by zero
+    raised as a PreconditionError, where numpy would warn and go on."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise PreconditionError(f"{fn.__name__}: the point is out of double "
+                                    f"precision ({exc})") from None
+    return checked
 
 
 def flow(action: LinearAction, z: Sequence[complex], t: float) -> np.ndarray:
@@ -118,15 +210,16 @@ def _scaled_gap(got, want, scale) -> float:
 # psi along the flow, monotone flow and the time-to-level solver
 # ---------------------------------------------------------------------------
 
-def _flow_terms(action: LinearAction, z: Sequence[complex]) -> list[tuple[float, float]]:
-    """(2 a_j, L_j = ln(|a_j| c_j / 2)) for each j with a_j z_j != 0.
+def _flow_terms(action: LinearAction, z: list[complex]) -> list[tuple[float, float]]:
+    """(2 a_j, L_j = ln(|a_j| c_j / 2)) for each j with a_j z_j != 0, for a
+    point z that has passed `_point`.
 
     A positive term overflows for t > (ln(max double) - L_j) / (2 a_j), a
     negative one for t below it; a point where both kinds overflow at one t
     (within a few ulps), so that psi is inf - inf, is refused."""
     # a handful of terms: plain floats build them faster than arrays
     kept = [(a, math.hypot(zj.real, zj.imag))
-            for a, zj in zip(action.weights, map(complex, z)) if a and zj]
+            for a, zj in zip(action.weights, z) if a and zj]
     if not kept:
         raise FixedPointInput("the point is fixed by the action")
     if any(r == math.inf for _, r in kept):
@@ -159,15 +252,21 @@ class MomentAlongFlow:
     `rows` takes many points: t then has one entry per row in its last axis."""
 
     def __init__(self, action: LinearAction, z: Sequence[complex]):
-        self.two_a, self.log_half_ac = map(np.array, zip(*_flow_terms(action, z)))
+        self.two_a, self.log_half_ac = map(np.array, zip(*_flow_terms(action, _point(action, z))))
 
     @classmethod
     def rows(cls, actions: Sequence[LinearAction],
              zs: Sequence[Sequence[complex]]) -> "MomentAlongFlow":
-        """One row per point, padded after its own terms with 2a = 0, ln = -inf
-        (terms that are exactly 0).  numpy sums fewer than 8 terms from left
-        to right, so only there does padding keep each row's sum exact."""
-        rows = [_flow_terms(action, z) for action, z in zip(actions, zs)]
+        """One row per point."""
+        return cls._padded([_flow_terms(action, _point(action, z))
+                            for action, z in zip(actions, zs, strict=True)])
+
+    @classmethod
+    def _padded(cls, rows: list[list[tuple[float, float]]]) -> "MomentAlongFlow":
+        """The rows of `_flow_terms`, each padded after its own terms with
+        2a = 0, ln = -inf (terms that are exactly 0).  numpy sums fewer than 8
+        terms from left to right, so only there does padding keep each row's
+        sum exact."""
         width = max(map(len, rows))
         if width >= 8 and any(len(row) < width for row in rows):
             raise PreconditionError("rows of 8 or more terms must all have as many")
@@ -189,17 +288,19 @@ class MomentAlongFlow:
         """Per row, the least double t with psi(t) >= s, or nan when s is
         outside (psi(-max), psi(+max)), the float psi's open range.  All rows
         are bisected in lockstep over the ranks of the doubles, keeping
-        psi(lo) < s <= psi(hi): one psi call for the ends, one per step."""
+        psi(lo) < s <= psi(hi): one psi call for the ends, one per step.  A
+        sum of terms may overflow to +-inf, a value beyond every level."""
         s = np.asarray(s, dtype=float)
         hi = np.full(s.shape, 0x7FEF_FFFF_FFFF_FFFF, dtype=np.int64)  # the largest double
         lo = -hi
-        at_lo, at_hi = self(_key_doubles(np.stack([lo, hi])))
-        attained = (at_lo < s) & (s < at_hi)
-        while np.any(lo + 1 < hi):      # hi - lo overflows at the start
-            # floor((lo + hi) / 2), which keeps a finished row at lo
-            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-            below = self(_key_doubles(mid)) < s
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        with np.errstate(over="ignore"):
+            at_lo, at_hi = self(_key_doubles(np.stack([lo, hi])))
+            attained = (at_lo < s) & (s < at_hi)
+            while np.any(lo + 1 < hi):      # hi - lo overflows at the start
+                # floor((lo + hi) / 2), which keeps a finished row at lo
+                mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+                below = self(_key_doubles(mid)) < s
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         return np.where(attained, _key_doubles(hi), np.nan)
 
 
@@ -216,30 +317,43 @@ class MonotoneReport:
 
 def check_monotone(action: LinearAction, z: Sequence[complex],
                    t_grid: Optional[np.ndarray] = None) -> MonotoneReport:
-    """psi(e^t z) strictly increasing on the grid, with derivative |xi_M|^2.
+    """psi(e^t z) strictly increasing on the grid, with derivative |xi_M|^2:
+    `monotone_rows` of one point."""
+    return monotone_rows([action], [z], t_grid)[0]
 
-    At probes of the grid, the closed-form d psi(a z_t) along the flow's
-    velocity a z_t is compared with omega(xi, J xi) for xi = i a z_t.
+
+@_in_doubles
+def monotone_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]],
+                  t_grid: Optional[np.ndarray] = None) -> list[MonotoneReport]:
+    """`check_monotone` of each point, judged as rows of one length at a time.
+
+    psi(e^t z) is evaluated on the whole grid; at probes of the grid, the
+    closed-form d psi(a z_t) along the flow's velocity a z_t is compared
+    with omega(xi, J xi) for xi = i a z_t.  Rows of 8 or more flow terms
+    must all have as many (see `MomentAlongFlow._padded`).
     """
-    psi = MomentAlongFlow(action, z)
-    if t_grid is None:
-        t_grid = np.linspace(-3.0, 3.0, 1001)
-    z = np.asarray(z, dtype=complex)
-    a = action.array()
-    increasing = bool(np.all(np.diff(psi(t_grid)) > 0))
+    t_grid = np.linspace(-3.0, 3.0, 1001) if t_grid is None else np.asarray(t_grid, dtype=float)
     probes = t_grid[:: max(1, len(t_grid) // 12)]
-    zt = z[None, :] * np.exp(np.outer(probes, a))
-    xi = 1j * a * zt
-    scale = np.sum(np.abs(a) * np.abs(zt) * np.abs(a * zt), axis=1)
-    worst = _scaled_gap(_d_psi(a, zt, a * zt), _omega(xi, 1j * xi), scale)
-    return MonotoneReport(increasing, worst, len(t_grid))
+    reports: list = [None] * len(zs)
+    for index, acts, points, a, z in _rows(actions, zs):
+        psi = MomentAlongFlow._padded(list(map(_flow_terms, acts, points)))
+        increasing = np.all(np.diff(psi(t_grid[:, None]), axis=0) > 0, axis=0)
+        a = a[:, None, :]                       # (rows, probes, n) below
+        zt = z[:, None, :] * np.exp(probes[:, None] * a)
+        xi = 1j * a * zt
+        scale = np.sum(np.abs(a) * np.abs(zt) * np.abs(a * zt), axis=-1)
+        worst = _gaps(_d_psi(a, zt, a * zt), _omega(xi, 1j * xi), scale).max(axis=-1)
+        for k, up, err in zip(index, increasing.tolist(), worst.tolist()):
+            reports[k] = MonotoneReport(up, err, len(t_grid))
+    return reports
 
 
+@_in_doubles
 def solve_time_to_level(action: LinearAction, z: Sequence[complex],
                         s: float) -> Optional[float]:
     """The least double t with psi(e^t z) >= s, or None when s is outside
     (psi(-max), psi(+max)): `MomentAlongFlow.time_to_level` of one point."""
-    t = MomentAlongFlow(action, z).time_to_level(s)
+    t = MomentAlongFlow(action, z).time_to_level(_level(s))
     return None if np.isnan(t) else float(t)
 
 
@@ -249,11 +363,14 @@ def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bo
     s > 0 needs the positive-weight block of z to be non-zero, s < 0 the
     negative block, and s = 0 both.
     """
-    z = np.asarray(z, dtype=complex)
-    if action.is_fixed(z):
+    z = _point(action, z)
+    s = _level(s)
+    has_neg = any(z[j] for j in action.neg)
+    has_pos = any(z[j] for j in action.pos)
+    if not (has_neg or has_pos):
         raise FixedPointInput("the point is fixed by the action")
-    has_neg = any(abs(z[j]) > 0 for j in action.neg)
-    has_pos = any(abs(z[j]) > 0 for j in action.pos)
+    if math.isinf(s):
+        return False            # psi takes finite values only
     if s > 0:
         return has_pos
     if s < 0:
@@ -266,14 +383,23 @@ def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bo
 # ---------------------------------------------------------------------------
 
 def n_pm(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
-    """N_-(z) and N_+(z): (sum |z_j|^{2/|a_j|})^{1/2} over the sign blocks."""
-    z = np.asarray(z, dtype=complex)
+    """N_-(z) and N_+(z): (sum |z_j|^{2/|a_j|})^{1/2} over the sign blocks.
+
+    A sum that overflows a double is refused: Python floats raise
+    OverflowError where numpy would warn and return inf."""
+    z = _point(action, z)
     out = []
     for block in (action.neg, action.pos):
-        if not block:
-            out.append(0.0)
-            continue
-        total = sum(abs(z[j]) ** (2.0 / abs(action.weights[j])) for j in block)
+        total = 0.0
+        try:
+            for j in block:
+                total += abs(z[j]) ** (2.0 / abs(action.weights[j]))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise PreconditionError(
+                "N_- or N_+ overflows double precision: sum |z_j|^(2/|a_j|) over a "
+                "sign block exceeds the largest double")
         out.append(math.sqrt(total))
     return out[0], out[1]
 
@@ -328,10 +454,11 @@ def default_spec(action: LinearAction, eps: float = 0.5,
 def _sample_block(rng: np.random.Generator, k: int, weights: Sequence[int],
                   radius: float) -> np.ndarray:
     """Random point of the open ball N < radius in a sign block."""
+    powers = np.abs(np.asarray(weights, dtype=float)) / 2.0
     while True:
         u = rng.uniform(0.0, radius**2, size=k)
         if u.sum() < radius**2:
-            mags = u ** (np.abs(np.asarray(weights, dtype=float)) / 2.0)
+            mags = u ** powers
             phases = np.exp(2j * np.pi * rng.uniform(size=k))
             return mags * phases
 
@@ -528,10 +655,13 @@ def psh_test_family(bump: Optional[BumpSpec] = None) -> list[FunctionSpec]:
     ]
 
 
-def _radial_hessian(f1: float, f2: float, z: np.ndarray) -> np.ndarray:
+def _radial_hessian(f1, f2, z: np.ndarray) -> np.ndarray:
     """The complex Hessian d^2 g / dz_j dzbar_k of g = f(|z|^2) at z, from
-    f1 = f'(|z|^2) and f2 = f''(|z|^2): f1 I + f2 conj(z) z^T."""
-    return f1 * np.eye(len(z), dtype=complex) + f2 * np.outer(np.conj(z), z)
+    f1 = f'(|z|^2) and f2 = f''(|z|^2): f1 I + f2 conj(z) z^T.  For points
+    of shape (..., n), with f1 and f2 of shape (...), one n x n block each."""
+    f1, f2 = np.asarray(f1)[..., None, None], np.asarray(f2)[..., None, None]
+    return (f1 * np.eye(z.shape[-1], dtype=complex)
+            + f2 * (np.conj(z)[..., :, None] * z[..., None, :]))
 
 
 def _d_phi(a: np.ndarray, z: np.ndarray, f1: float, f2: float,
@@ -540,7 +670,7 @@ def _d_phi(a: np.ndarray, z: np.ndarray, f1: float, f2: float,
     f1 = f'(|z|^2) and f2 = f''(|z|^2): Phi = 2 f' psi_a, so
     d Phi = 2 f' d psi_a + 2 f'' (sum a_j |z_j|^2) d psi_1."""
     return 2 * (f1 * _d_psi(a, z, v)
-                + f2 * np.sum(a * np.abs(z) ** 2) * _d_psi(1.0, z, v))
+                + f2 * np.sum(a * np.abs(z) ** 2, axis=-1) * _d_psi(1.0, z, v))
 
 
 @dataclass(frozen=True)
@@ -591,19 +721,36 @@ class CutIdentityReport:
     orth_2: float
     orth_scale: float
     moment_pairing_rel_err: float
+    # orth_1 and orth_2 are rounding residuals: they are judged relative to
+    # orth_scale, the size of the pairings that make them
+    orth_rel_err: float
 
     @property
     def ok(self) -> bool:
-        # orth_1 and orth_2 are rounding residuals: they are judged
-        # relative to orth_scale, the size of the pairings that make them
-        return (self.rel_err <= 1e-9
-                and _scaled_gap([self.orth_1, self.orth_2], 0.0, self.orth_scale) <= 1e-9
+        return (self.rel_err <= 1e-9 and self.orth_rel_err <= 1e-9
                 and self.moment_pairing_rel_err <= 1e-6)
 
 
 def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
                           w: complex) -> CutIdentityReport:
-    """The descended taming value on the cut of the product model.
+    """The descended taming value on the cut of the product model at (z, w):
+    `cut_identity_rows` of one point."""
+    return cut_identity_rows([action], [z], [w])[0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex array as it computes a norm:
+    sqrt(Re x . Re x + Im x . Im x), the dot products taken by stacked
+    matmul, which calls the same BLAS dot per row."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+@_in_doubles
+def cut_identity_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]],
+                      ws: Sequence[complex]) -> list[CutIdentityReport]:
+    """`cut_tameness_identity` of each point (z, w), judged as rows of one
+    length at a time.
 
     With A = sum a_j^2 |z_j|^2, the vector Xi = xi_M - A/(A+|w|^2) xi_M'
     pairs to zero with xi_M' in both slots, and omega(Xi, J Xi) equals
@@ -611,47 +758,60 @@ def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
     is a moment map for the diagonal field, through its closed-form
     derivative d psi'(v) = sum a_j Re(conj(z_j) v_j) + Re(conj(w) v_w).
     """
-    z = np.asarray(z, dtype=complex)
-    w = complex(w)
-    # |xi'| = sqrt(A + |w|^2) and sqrt(A) |w|, whose squares must be finite,
-    # by hypot on plain floats before any square can overflow
-    root_a = math.hypot(*(abs(aj) * math.hypot(zj.real, zj.imag)
-                          for aj, zj in zip(action.weights, z.tolist())))
-    abs_w = math.hypot(w.real, w.imag)
-    norm, root = math.hypot(root_a, abs_w), root_a * abs_w
-    if not (norm <= _ROOT_MAX and root <= _ROOT_MAX):
-        raise PreconditionError(
-            f"A + |w|^2 or |w|^2 A overflows double precision: sqrt(A + |w|^2) = "
-            f"{norm:.6g} and sqrt(A) |w| = {root:.6g} must stay below {_ROOT_MAX:.6g}")
-    a = action.array()
-    A = float(np.sum(a**2 * np.abs(z) ** 2))
-    # |xi'|^2 = A + |w|^2 is zero at a fixed point, and also where it is
-    # below the smallest double
-    if A + abs(w) ** 2 == 0:
-        raise FixedPointInput("the point is fixed by the diagonal action")
-    xi_m = np.concatenate([1j * a * z, [0.0 + 0.0j]])
-    xi_prime = np.concatenate([1j * a * z, [1j * w]])
-    c = A / (A + abs(w) ** 2)
-    xi_big = xi_m - c * xi_prime
+    ws = [_complex(w, "w") for w in ws]
+    reports: list = [None] * len(ws)
+    for index, acts, points, a, z in _rows(actions, zs):
+        w = [ws[k] for k in index]
+        for action, p, wk in zip(acts, points, w):
+            # |xi'| = sqrt(A + |w|^2) and sqrt(A) |w|, whose squares must be
+            # finite, by hypot on plain floats before any square can overflow
+            root_a = math.hypot(*(abs(aj) * math.hypot(zj.real, zj.imag)
+                                  for aj, zj in zip(action.weights, p)))
+            abs_w = math.hypot(wk.real, wk.imag)
+            norm, root = math.hypot(root_a, abs_w), root_a * abs_w
+            if not (norm <= _ROOT_MAX and root <= _ROOT_MAX):
+                raise PreconditionError(
+                    f"A + |w|^2 or |w|^2 A overflows double precision: sqrt(A + |w|^2) = "
+                    f"{norm:.6g} and sqrt(A) |w| = {root:.6g} must stay below {_ROOT_MAX:.6g}")
+        # Python's abs of a complex, which np.abs does not match in the last bit
+        w2 = np.array([abs(wk) ** 2 for wk in w])
+        A = np.sum(a**2 * np.abs(z) ** 2, axis=-1)
+        # |xi'|^2 = A + |w|^2 is zero at a fixed point, and also where it is
+        # below the smallest double
+        if not np.all(A + w2):
+            raise FixedPointInput("the point is fixed by the diagonal action")
+        xi_m = np.zeros((len(w), z.shape[-1] + 1), dtype=complex)
+        xi_m[:, :-1] = 1j * a * z
+        xi_prime = xi_m.copy()
+        xi_prime[:, -1] = [1j * wk for wk in w]
+        c = A / (A + w2)
+        xi_big = xi_m - c[:, None] * xi_prime
 
-    orth1 = float(_omega(xi_prime, xi_big))
-    orth2 = float(_omega(xi_prime, 1j * xi_big))
-    # Xi is a difference that cancels when |w| << |z|, so its rounding
-    # error scales with |xi_M| + c |xi'|, which also bounds |Xi|
-    norm_prime = float(np.linalg.norm(xi_prime))
-    orth_scale = norm_prime * (float(np.linalg.norm(xi_m)) + c * norm_prime)
-    value = float(_omega(xi_big, 1j * xi_big))
-    expected = abs(w) ** 2 * A / (A + abs(w) ** 2)
-    rel = _scaled_gap(value, expected, expected) if expected != 0 else abs(value)
+        orth = np.stack([_omega(xi_prime, xi_big), _omega(xi_prime, 1j * xi_big)], axis=-1)
+        # Xi is a difference that cancels when |w| << |z|, so its rounding
+        # error scales with |xi_M| + c |xi'|, which also bounds |Xi|; near
+        # the overflow bound the scale is inf, and the orth gaps are 0
+        norm_prime = _norms(xi_prime)
+        with np.errstate(over="ignore"):
+            orth_scale = norm_prime * (_norms(xi_m) + c * norm_prime)
+        value = _omega(xi_big, 1j * xi_big)
+        expected = w2 * A / (A + w2)
+        nonzero = expected != 0
+        rel = np.where(nonzero, _gaps(value, expected, np.where(nonzero, expected, 1.0)),
+                       np.abs(value))
 
-    # moment pairing: d psi'(v) = omega'(v, xi_M') along 6 unit directions
-    point = np.concatenate([z, [w]])
-    a_prime = np.concatenate([a, [1.0]])
-    v = _pairing_directions(len(point))
-    scale = np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v), axis=-1)
-    gaps = _gaps(_d_psi(a_prime, point, v), _omega(v, xi_prime), scale)
-    worst = max([0.0, *gaps.tolist()])      # skips a nan gap, unlike np.max
-    return CutIdentityReport(value, expected, rel, orth1, orth2, orth_scale, worst)
+        # moment pairing: d psi'(v) = omega'(v, xi_M') along 6 unit directions
+        zw = np.concatenate([z, np.array(w)[:, None]], axis=-1)[:, None, :]
+        a_prime = np.concatenate([a, np.ones((len(w), 1))], axis=-1)[:, None, :]
+        v = _pairing_directions(zw.shape[-1])
+        scale = np.sum(np.abs(a_prime) * np.abs(zw) * np.abs(v), axis=-1)
+        gaps = _gaps(_d_psi(a_prime, zw, v), _omega(v, xi_prime[:, None, :]), scale)
+        worst = np.fmax.reduce(gaps, axis=-1, initial=0.0)     # skips a nan gap
+        columns = (value, expected, rel, orth[:, 0], orth[:, 1], orth_scale, worst,
+                   _gaps(orth, 0.0, orth_scale[:, None]).max(axis=-1))
+        for k, fields in zip(index, zip(*(col.tolist() for col in columns))):
+            reports[k] = CutIdentityReport(*fields)
+    return reports
 
 
 @cache
@@ -687,8 +847,17 @@ class BlowupPotentialReport:
 
 def blowup_potential_check(action: LinearAction, z: Sequence[complex],
                            bump: Optional[BumpSpec] = None) -> BlowupPotentialReport:
-    """Contract the circle field into i del delbar g, g = f(|z|^2) / 2pi for
-    the smoothed-ln profile f = rho ln.
+    """Contract the circle field into i del delbar g at z:
+    `blowup_potential_rows` of one point."""
+    return blowup_potential_rows([action], [z], bump)[0]
+
+
+@_in_doubles
+def blowup_potential_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]],
+                          bump: Optional[BumpSpec] = None) -> list[BlowupPotentialReport]:
+    """`blowup_potential_check` of each point, judged as rows of one length at
+    a time: contract the circle field into i del delbar g, g = f(|z|^2) / 2pi
+    for the smoothed-ln profile f = rho ln.
 
     With t = |z|^2 and Phi(z) = f'(t) sum a_j |z_j|^2 / 2pi, the field
     xi = i a z contracts the complex Hessian H of g (`_radial_hessian`) to
@@ -697,34 +866,49 @@ def blowup_potential_check(action: LinearAction, z: Sequence[complex],
     Inside |z|^2 < r1, where rho = 1, Phi(z) = sum a_j |z_j|^2 / (2 pi |z|^2),
     which does not change when z is scaled.  The residuals are measured
     against |a| |z|^2 |f'| (for Phi) and 2 max|a| |z| (|f'| + t |f''|) (for
-    the contraction), which stay away from zero where Phi cancels.
+    the contraction), which stay away from zero where Phi cancels.  H is
+    contracted by stacked matmul, one BLAS product per row as for one point.
     """
     bump = bump or BumpSpec()
-    z = np.asarray(z, dtype=complex)
-    n = len(z)
-    t = float(np.sum(np.abs(z) ** 2))
-    if t <= 0:
-        raise PreconditionError("z must be nonzero")
-    if t >= bump.r1:
-        raise PreconditionError("|z|^2 must stay below r1, inside the rho = 1 region")
-    a = action.array()
     profile = _smoothed_ln(bump)
+    two_pi = 2 * math.pi
 
-    def phi(p: np.ndarray) -> float:
+    def phi(a: np.ndarray, p: np.ndarray) -> list[float]:
         sq = np.abs(p) ** 2
-        return float(np.sum(a * sq)) * profile.f1(float(np.sum(sq))) / (2 * math.pi)
+        return [s * profile.f1(tk) / two_pi for s, tk in
+                zip(np.sum(a * sq, axis=-1).tolist(), np.sum(sq, axis=-1).tolist())]
 
-    f1, f2 = profile.f1(t) / (2 * math.pi), profile.f2(t) / (2 * math.pi)
-    phi_val = phi(z)
-    phi_formula = float(np.sum(a * np.abs(z) ** 2) / (2 * math.pi * t))
-    phi_scale = float(np.sum(np.abs(a) * np.abs(z) ** 2)) * abs(f1)
-    lam = 1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(t)) / (2 * math.sqrt(t)))
-    scaling_err = _scaled_gap(phi(lam * z), phi_val, phi_scale)
+    reports: list = [None] * len(zs)
+    for index, _, _, a, z in _rows(actions, zs):
+        sq = np.abs(z) ** 2
+        t = np.sum(sq, axis=-1)
+        ts = t.tolist()
+        for tk in ts:
+            if tk <= 0:
+                raise PreconditionError("z must be nonzero")
+            if tk >= bump.r1:
+                raise PreconditionError("|z|^2 must stay below r1, inside the rho = 1 region")
+            if tk < 1 / _ROOT_MAX:
+                raise PreconditionError(
+                    f"|z|^2 = {tk!r} is too small: f''(|z|^2) = -1/|z|^4 overflows double precision")
+        f1 = np.array([profile.f1(tk) / two_pi for tk in ts])
+        f2 = np.array([profile.f2(tk) / two_pi for tk in ts])
+        phi_val = np.array(phi(a, z))
+        s1 = np.sum(a * sq, axis=-1)
+        phi_formula = s1 / (two_pi * t)
+        phi_scale = np.sum(np.abs(a) * sq, axis=-1) * np.abs(f1)
+        lam = [1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(tk)) / (2 * math.sqrt(tk)))
+               for tk in ts]
+        scaling_err = _gaps(phi(a, np.array(lam)[:, None] * z), phi_val, phi_scale)
 
-    dirs = np.concatenate([np.eye(n), 1j * np.eye(n)])
-    eta = -2 * np.imag(np.conj(dirs) @ (_radial_hessian(f1, f2, z).T @ (1j * a * z)))
-    d_phi = _d_phi(a, z, f1, f2, dirs)
-    scale = 2 * np.max(np.abs(a)) * math.sqrt(t) * (abs(f1) + t * abs(f2))
-    return BlowupPotentialReport(phi_val, phi_formula,
-                                 _scaled_gap(phi_val, phi_formula, phi_scale),
-                                 _scaled_gap(eta, -d_phi, scale), scaling_err)
+        n = z.shape[-1]
+        dirs = np.concatenate([np.eye(n), 1j * np.eye(n)])
+        h_xi = _radial_hessian(f1, f2, z).swapaxes(-1, -2) @ (1j * a * z)[..., None]
+        eta = -2 * np.imag(np.conj(dirs) @ h_xi)[..., 0]
+        d_phi = _d_phi(a[:, None, :], z[:, None, :], f1[:, None], f2[:, None], dirs)
+        scale = 2 * np.abs(a).max(axis=-1) * np.sqrt(t) * (np.abs(f1) + t * np.abs(f2))
+        columns = (phi_val, phi_formula, _gaps(phi_val, phi_formula, phi_scale),
+                   _gaps(eta, -d_phi, scale[:, None]).max(axis=-1), scaling_err)
+        for k, fields in zip(index, zip(*(col.tolist() for col in columns))):
+            reports[k] = BlowupPotentialReport(*fields)
+    return reports

@@ -24,7 +24,23 @@ from momentcut.lattice import (
     primitive,
     rank_int,
 )
-from momentcut.localmodel import MomentAlongFlow, n_pm
+from momentcut.localmodel import (
+    BlowupPotentialReport,
+    BumpSpec,
+    CutIdentityReport,
+    MomentAlongFlow,
+    MonotoneReport,
+    _d_phi,
+    _d_psi,
+    _gaps,
+    _omega,
+    _pairing_directions,
+    _radial_hessian,
+    _ROOT_MAX,
+    _scaled_gap,
+    _smoothed_ln,
+    n_pm,
+)
 from momentcut.ops import reversed_polytope
 from momentcut.polytope import (
     Facet,
@@ -806,6 +822,90 @@ def solve_time_to_level_by_bisection(action, z, s: float):
         else:
             hi = mid
     return _key_double(hi)
+
+
+def check_monotone_by_point(action, z, t_grid=None) -> MonotoneReport:
+    """Oracle for `localmodel.monotone_rows`: one point's check, with its
+    own flow line and probes."""
+    psi = MomentAlongFlow(action, z)
+    if t_grid is None:
+        t_grid = np.linspace(-3.0, 3.0, 1001)
+    z = np.asarray(z, dtype=complex)
+    a = action.array()
+    increasing = bool(np.all(np.diff(psi(t_grid)) > 0))
+    probes = t_grid[:: max(1, len(t_grid) // 12)]
+    zt = z[None, :] * np.exp(np.outer(probes, a))
+    xi = 1j * a * zt
+    scale = np.sum(np.abs(a) * np.abs(zt) * np.abs(a * zt), axis=1)
+    worst = _scaled_gap(_d_psi(a, zt, a * zt), _omega(xi, 1j * xi), scale)
+    return MonotoneReport(increasing, worst, len(t_grid))
+
+
+def cut_tameness_identity_by_point(action, z, w) -> CutIdentityReport:
+    """Oracle for `localmodel.cut_identity_rows`: one point's check, with
+    np.linalg.norm and Python floats where the rows use arrays."""
+    z = np.asarray(z, dtype=complex)
+    w = complex(w)
+    root_a = math.hypot(*(abs(aj) * math.hypot(zj.real, zj.imag)
+                          for aj, zj in zip(action.weights, z.tolist())))
+    abs_w = math.hypot(w.real, w.imag)
+    norm, root = math.hypot(root_a, abs_w), root_a * abs_w
+    if not (norm <= _ROOT_MAX and root <= _ROOT_MAX):
+        raise PreconditionError("A + |w|^2 or |w|^2 A overflows double precision")
+    a = action.array()
+    A = float(np.sum(a**2 * np.abs(z) ** 2))
+    if A + abs(w) ** 2 == 0:
+        raise PreconditionError("the point is fixed by the diagonal action")
+    xi_m = np.concatenate([1j * a * z, [0.0 + 0.0j]])
+    xi_prime = np.concatenate([1j * a * z, [1j * w]])
+    c = A / (A + abs(w) ** 2)
+    xi_big = xi_m - c * xi_prime
+    orth1 = float(_omega(xi_prime, xi_big))
+    orth2 = float(_omega(xi_prime, 1j * xi_big))
+    norm_prime = float(np.linalg.norm(xi_prime))
+    orth_scale = norm_prime * (float(np.linalg.norm(xi_m)) + c * norm_prime)
+    value = float(_omega(xi_big, 1j * xi_big))
+    expected = abs(w) ** 2 * A / (A + abs(w) ** 2)
+    rel = _scaled_gap(value, expected, expected) if expected != 0 else abs(value)
+    point = np.concatenate([z, [w]])
+    a_prime = np.concatenate([a, [1.0]])
+    v = _pairing_directions(len(point))
+    scale = np.sum(np.abs(a_prime) * np.abs(point) * np.abs(v), axis=-1)
+    gaps = _gaps(_d_psi(a_prime, point, v), _omega(v, xi_prime), scale)
+    worst = max([0.0, *gaps.tolist()])
+    orth = _scaled_gap([orth1, orth2], 0.0, orth_scale)
+    return CutIdentityReport(value, expected, rel, orth1, orth2, orth_scale, worst, orth)
+
+
+def blowup_potential_check_by_point(action, z, bump=None) -> BlowupPotentialReport:
+    """Oracle for `localmodel.blowup_potential_rows`: one point's check, its
+    Hessian contracted by plain matmul."""
+    bump = bump or BumpSpec()
+    z = np.asarray(z, dtype=complex)
+    n = len(z)
+    t = float(np.sum(np.abs(z) ** 2))
+    if not 0 < t < bump.r1:
+        raise PreconditionError("need 0 < |z|^2 < r1")
+    a = action.array()
+    profile = _smoothed_ln(bump)
+
+    def phi(p: np.ndarray) -> float:
+        sq = np.abs(p) ** 2
+        return float(np.sum(a * sq)) * profile.f1(float(np.sum(sq))) / (2 * math.pi)
+
+    f1, f2 = profile.f1(t) / (2 * math.pi), profile.f2(t) / (2 * math.pi)
+    phi_val = phi(z)
+    phi_formula = float(np.sum(a * np.abs(z) ** 2) / (2 * math.pi * t))
+    phi_scale = float(np.sum(np.abs(a) * np.abs(z) ** 2)) * abs(f1)
+    lam = 1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(t)) / (2 * math.sqrt(t)))
+    scaling_err = _scaled_gap(phi(lam * z), phi_val, phi_scale)
+    dirs = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    eta = -2 * np.imag(np.conj(dirs) @ (_radial_hessian(f1, f2, z).T @ (1j * a * z)))
+    d_phi = _d_phi(a, z, f1, f2, dirs)
+    scale = 2 * np.max(np.abs(a)) * math.sqrt(t) * (abs(f1) + t * abs(f2))
+    return BlowupPotentialReport(phi_val, phi_formula,
+                                 _scaled_gap(phi_val, phi_formula, phi_scale),
+                                 _scaled_gap(eta, -d_phi, scale), scaling_err)
 
 
 def point_by_point(predicate):

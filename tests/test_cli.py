@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from momentcut.cli import _HANDLERS, _emit, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
+from momentcut.errors import PreconditionError
+from momentcut.localmodel import LinearAction
 from momentcut.ops import add_fixed_points
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
 
-from conftest import cut_8_cube, empty_8d_region
+from conftest import cut_8_cube, cut_tameness_identity_by_point, empty_8d_region
 
 F = Fraction
 
@@ -979,6 +982,40 @@ def _huge_point_argv(draw):
         z.append(repr(complex(r * math.cos(phase), r * math.sin(phase))).strip("()"))
     argv = ["local-model", op, "--weights=" + ",".join(map(str, weights)), "--z=" + ",".join(z)]
     return argv + ["--level=1"] * (op == "solve")
+
+
+def test_npm_overflow_is_refused_as_json():
+    # |z_2|^2 is about 2.7e415: the weighted radius overflows a double
+    out = run(["local-model", "npm", "--weights=-1,-1",
+               "--z=2.6491435786825835e+52-2.340252674769164e+52j,"
+               "-5.224845290929576e+207-2.1797843196843264e+206j"])
+    json.dumps(out.payload, allow_nan=False)
+    assert out.exit_code == 2 and out.payload["kind"] == "PreconditionError"
+    assert "N_- or N_+ overflows double precision" in out.payload["message"]
+
+
+def test_cut_identity_point_prints_the_point_oracle():
+    # 1 500 seeded points of 1 to 4 weights, |z_j| from 1e-6 to 1e6 and some
+    # entries 0: the CLI, one row of `cut_identity_rows`, prints the bytes
+    # that the per-point check gives
+    rng = random.Random(1500)
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        weights = [rng.randint(-3, 3) for _ in range(n)]
+        z = [0j if rng.random() < 0.15 else
+             10.0 ** rng.uniform(-6, 6) * complex(math.cos(p), math.sin(p))
+             for p in (rng.uniform(0, 2 * math.pi) for _ in range(n + 1))]
+        out = run(["local-model", "cut-identity", "--weights=" + ",".join(map(str, weights)),
+                   "--z=" + ",".join(repr(x).strip("()") for x in z)])
+        try:
+            r = cut_tameness_identity_by_point(LinearAction(weights), z[:-1], z[-1])
+        except PreconditionError:           # a fixed point
+            assert out.exit_code == 2 and out.payload["kind"] == "FixedPointInput"
+            continue
+        want = {"value": r.value, "expected": r.expected, "rel_err": r.rel_err,
+                "orthogonality": [r.orth_1, r.orth_2], "ok": r.ok}
+        assert (out.exit_code, json.dumps(out.payload)) == (
+            0 if r.ok else 3, json.dumps(want)), z
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import momentcut.batteries as batteries
 from momentcut.batteries import (
     _random_action,
     _random_point,
@@ -17,7 +18,7 @@ from momentcut.batteries import (
     psh_battery,
     solve_membership_battery,
 )
-from momentcut.errors import FixedPointInput, PreconditionError
+from momentcut.errors import FixedPointInput, InputError, MomentcutError, PreconditionError
 from momentcut.localmodel import (
     BumpSpec,
     LinearAction,
@@ -29,13 +30,16 @@ from momentcut.localmodel import (
     _smoothed_ln,
     bad_annulus_region,
     blowup_potential_check,
+    blowup_potential_rows,
     check_monotone,
+    cut_identity_rows,
     cut_tameness_identity,
     default_spec,
     flow,
     level_membership,
     membership_v,
     moment_standard,
+    monotone_rows,
     n_pm,
     orbital_convexity_probe,
     psh_criterion,
@@ -46,7 +50,10 @@ from momentcut.localmodel import (
 
 from conftest import (
     bad_annulus_point,
+    blowup_potential_check_by_point,
+    check_monotone_by_point,
     complex_hessian_by_differences,
+    cut_tameness_identity_by_point,
     membership_v_point,
     point_by_point,
     richardson_derivative,
@@ -673,3 +680,202 @@ def test_batteries_reproducible():
     a = solve_membership_battery(trials=40, seed=3)
     b = solve_membership_battery(trials=40, seed=3)
     assert a == b
+
+
+# -- the row checks against their per-point oracles -------------------------------------
+
+def _small_point(rng):
+    """A point inside |z|^2 < 1/4, where the blow-up check applies, with
+    some entries 0 (but not all)."""
+    action = _random_action(rng, n_max=4)
+    n = len(action.weights)
+    while True:
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z[rng.uniform(size=n) < 0.25] = 0.0
+        if np.any(z):
+            return action, z * rng.uniform(0.01, 0.49) / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_checks_match_point_oracles(seed):
+    # one call of each row check over 40 points of lengths 1 to 4, compared
+    # report by report with the point's own check; repr tells every double
+    # apart, -0.0 from 0.0 and a nan from a number
+    rng = np.random.default_rng(seed)
+    drawn = [batteries._action_and_point(rng) for _ in range(40)]
+    actions, zs = zip(*drawn)
+    assert len({len(a.weights) for a in actions}) > 1
+    assert any(0 in a.weights for a in actions) and any(not np.all(z) for z in zs)
+    for grid in (None, np.linspace(-3.0, 3.0, 1000)):
+        got = monotone_rows(actions, zs, grid)
+        assert [repr(r) for r in got] == [
+            repr(check_monotone_by_point(a, z, grid)) for a, z in drawn]
+    ws = [complex(rng.normal(), rng.normal()) if k % 7 else 0j for k in range(40)]
+    got = cut_identity_rows(actions, zs, ws)
+    assert [repr(r) for r in got] == [
+        repr(cut_tameness_identity_by_point(a, z, w)) for (a, z), w in zip(drawn, ws)]
+    small = [_small_point(rng) for _ in range(40)]
+    for bump in (BumpSpec(0.25, 1.0), BumpSpec(2.0, 4.0)):
+        got = blowup_potential_rows(*zip(*small), bump)
+        assert [repr(r) for r in got] == [
+            repr(blowup_potential_check_by_point(a, z, bump)) for a, z in small]
+
+
+def test_cut_identity_rows_keep_the_tiny_w_report():
+    # a valid point whose w is tiny next to z: the identity is judged off by
+    # 1.77e-6 (an open defect); the rows report what the point alone reports
+    act = LinearAction((-3,))
+    z = [2.438765207715675e-30 - 6.294288148635856e-29j]
+    w = -6.339210155975502e-133 + 5.1854392914466564e-132j
+    rep = cut_tameness_identity(act, z, w)
+    assert repr(rep) == repr(cut_tameness_identity_by_point(act, z, w))
+    assert not rep.ok and 1e-6 < rep.rel_err < 1e-5
+
+
+@pytest.mark.parametrize("battery,name", [
+    (monotone_battery, "monotone_rows"),
+    (cut_identity_battery, "cut_identity_rows"),
+    (blowup_potential_battery, "blowup_potential_rows"),
+])
+def test_battery_judges_each_block_with_one_row_call(monkeypatch, battery, name):
+    want = battery(trials=20, seed=3)
+    rows = getattr(batteries, name)
+    blocks = []
+
+    def counted(*args):
+        blocks.append(len(args[0]))
+        return rows(*args)
+    monkeypatch.setattr(batteries, name, counted)
+    monkeypatch.setattr(batteries, "BLOCK_ROWS", 8)
+    assert battery(trials=20, seed=3) == want
+    assert blocks == [8, 8, 4]
+
+
+def test_monotone_battery_memory_is_bounded_by_its_blocks():
+    # judged at once, 10 000 trials would need (1000, 10000, 4) doubles,
+    # 320 MB for one array; blocks of BLOCK_ROWS trials take about 10 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        assert monotone_battery(trials=10_000, seed=1).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+# -- one gate for actions, points and levels --------------------------------------
+
+@pytest.mark.parametrize("weights,says", [
+    ((0.5,), "weight 0 must be an integer that fits in a double, got 0.5"),
+    ((1, "2"), "weight 1 must be an integer that fits in a double, got '2'"),
+    ((True,), "weight 0 must be an integer that fits in a double, got True"),
+    ((1, 2**1100), "weight 1 must be an integer that fits in a double, got 1"),
+    ((-(2**1100),), "weight 0 must be an integer that fits in a double, got -1"),
+    (None, "weights must be a sequence of integers, got None"),
+    (3, "weights must be a sequence of integers, got 3"),
+])
+def test_action_refuses_weights_that_are_not_integers(weights, says):
+    with pytest.raises(InputError, match="^" + says):
+        LinearAction(weights)
+
+
+def test_action_takes_numpy_integers():
+    act = LinearAction(np.array([-2, 0, 3]))
+    assert act.weights == (-2, 0, 3) and all(type(a) is int for a in act.weights)
+    assert (act.neg, act.zero, act.pos) == ((0,), (1,), (2,))
+    assert act.neg is act.neg           # computed once per action
+
+
+@pytest.mark.parametrize("call", [
+    lambda act, z: check_monotone(act, z),
+    lambda act, z: solve_time_to_level(act, z, 1.0),
+    lambda act, z: level_membership(act, z, 1.0),
+    lambda act, z: n_pm(act, z),
+    lambda act, z: cut_tameness_identity(act, z, 1.0),
+    lambda act, z: blowup_potential_check(act, z),
+], ids=["monotone", "solve", "membership", "npm", "cut-identity", "blowup-potential"])
+def test_every_entry_point_gates_its_point(call):
+    act = LinearAction((1, -2))
+    # zip would have truncated the point, or indexing it failed
+    with pytest.raises(InputError, match="z needs 2 entries, one per weight, got 1"):
+        call(act, [0.1])
+    for entry, says in ((math.nan, "nan"), ("1", "'1'"), (True, "True"), (None, "None"),
+                        (2**1100, "1"), (complex(1, math.inf), r"\(1\+infj\)")):
+        with pytest.raises(InputError, match=r"^z\[1\] must be a finite complex number, "
+                                             "got " + says):
+            call(act, [0.1, entry])
+    with pytest.raises(InputError, match="z must be a sequence of 2 complex numbers"):
+        call(act, None)
+
+
+def test_levels_and_w_are_gated():
+    act, z = LinearAction((1, -2)), [0.1, 0.2]
+    for bad in (math.nan, "1", None, True, 2**1100):
+        with pytest.raises(InputError, match="^s "):
+            solve_time_to_level(act, z, bad)
+        with pytest.raises(InputError, match="^s "):
+            level_membership(act, z, bad)
+    with pytest.raises(InputError, match="^w must be a finite complex number"):
+        cut_tameness_identity(act, z, complex(0, math.inf))
+    # an infinite level lies beyond psi's range: never attained
+    assert solve_time_to_level(act, z, math.inf) is None
+    assert level_membership(act, z, math.inf) is False
+    assert level_membership(act, z, -math.inf) is False
+
+
+def test_npm_overflow_is_refused():
+    # |z_2|^2 is about 2.7e415: numpy warned and returned inf
+    act = LinearAction((-1, -1))
+    z = [2.6491435786825835e+52 - 2.340252674769164e+52j,
+         -5.224845290929576e+207 - 2.1797843196843264e+206j]
+    with pytest.raises(PreconditionError, match="N_- or N_\\+ overflows double precision"):
+        n_pm(act, z)
+    with pytest.raises(PreconditionError, match="overflows double precision"):
+        n_pm(LinearAction((1, 2)), [1e200, 1e300])
+    assert n_pm(act, [1e154, 0]) == (1e154, 0.0)
+
+
+_ANYTHING = (st.floats() | st.complex_numbers() | st.integers(-3, 3)
+             | st.sampled_from([2**1100, -(2**1100), 10**308, True, None, "1", "", math.nan]))
+
+
+@st.composite
+def _local_model_call(draw):
+    """Arguments for the local-model API: mostly well-formed actions and
+    points of sizes from 1e-320 to 1e308, with stray values of any kind and
+    wrong lengths a quarter of the time each."""
+    weights = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        weights = draw(st.lists(st.integers(-3, 3) | _ANYTHING, max_size=4) | _ANYTHING)
+    n = len(weights) if isinstance(weights, list) else 2
+    size = (st.floats(-320, 308) | st.floats(-3, 0)).map(lambda e: 10.0 ** e)
+    entry = st.tuples(size, st.floats(0, 6.3)).map(
+        lambda p: complex(p[0] * math.cos(p[1]), p[0] * math.sin(p[1]))) | st.just(0j)
+    z = draw(st.lists(entry, min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        length = draw(st.sampled_from([max(n - 1, 0), n, n + 1]))
+        z = draw(st.lists(entry | _ANYTHING, min_size=length, max_size=length) | _ANYTHING)
+    s = draw(st.tuples(size, st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
+             | st.just(0.0) | _ANYTHING)
+    return weights, z, s, draw(entry | _ANYTHING)
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=_local_model_call())
+def test_local_model_api_answers_or_refuses(call):
+    # every call answers or raises a MomentcutError: no bare TypeError,
+    # ValueError, IndexError or OverflowError, and no numpy warning (the
+    # suite turns warnings into errors)
+    weights, z, s, w = call
+    try:
+        act = LinearAction(weights)
+    except MomentcutError:
+        return
+    for fn, args in [(n_pm, (z,)), (check_monotone, (z,)), (solve_time_to_level, (z, s)),
+                     (level_membership, (z, s)), (cut_tameness_identity, (z, w)),
+                     (blowup_potential_check, (z,))]:
+        try:
+            fn(act, *args)
+        except MomentcutError:
+            pass
