@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 # each handler imports the engine modules it runs, so that a command
 # compiles and loads only those: the CLI is one process per command
@@ -105,75 +105,30 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser of `momentcut`, with a subparser only for the command, and
+    the local-model op, that argv starts with; with every one where argv
+    names none, so that argparse's usage, refusals and --help list them all."""
     p = _Parser(prog="momentcut", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_io(sp, out=True):
-        sp.add_argument("--in", dest="infile", default="-", metavar="PATH|-")
-        if out:
-            sp.add_argument("--out", dest="outfile", default="-", metavar="PATH|-")
-
-    add_io(sub.add_parser("validate"), out=False)
-
-    sp = sub.add_parser("info")
-    add_io(sp, out=False)
-    sp.add_argument("--xi", default=None, help="circle direction, e.g. 1,0,0")
-
-    sp = sub.add_parser("diff")
-    add_io(sp, out=False)
-    sp.add_argument("--other", required=True, metavar="PATH")
-
-    sp = sub.add_parser("reduce")
-    add_io(sp)
-    sp.add_argument("--level", required=True)
-
-    sp = sub.add_parser("cut")
-    add_io(sp)
-    sp.add_argument("--level", required=True)
-    sp.add_argument("--above", action="store_true")
-
-    sp = sub.add_parser("compactify")
-    add_io(sp)
-    sp.add_argument("--min", dest="lo", required=True)
-    sp.add_argument("--max", dest="hi", required=True)
-
-    sp = sub.add_parser("blowup")
-    add_io(sp)
-    sp.add_argument("--vertex-index", type=int, default=None)
-    sp.add_argument("--vertex", default=None, help="exact coordinates, e.g. 0,1/2")
-    sp.add_argument("--depth", required=True)
-
-    sp = sub.add_parser("add-fixed-points")
-    add_io(sp)
-    sp.add_argument("--eps", required=True)
-
-    add_io(sub.add_parser("reverse"))
-
-    sp = sub.add_parser("dh")
-    add_io(sp, out=False)
-    sp.add_argument("--csv", default=None, metavar="PATH")
-    # the CSV rows are built in memory
-    sp.add_argument("--samples", type=_int_in("--samples", 2, 100_000), default=100)
-    sp.add_argument("--check-log-concavity", action="store_true")
-    sp.add_argument("--local-minima", action="store_true")
-
-    sp = sub.add_parser("wall-check")
-    add_io(sp, out=False)
-    sp.add_argument("--wall", required=True)
-    sp.add_argument("--window", default=None)
-
-    sp = sub.add_parser("local-model")
-    ops = sp.add_subparsers(dest="op", required=True)
-    for op, (_, options) in _LOCAL_OPS.items():
-        op_parser = ops.add_parser(op)
-        op_parser.add_argument("--seed", type=_int_in("--seed", 0), default=0)
-        op_parser.add_argument("--trials", type=_int_in("--trials", 1, 10_000),
-                               default=1000)
-        for option in options:
-            op_parser.add_argument(option, **_LOCAL_OPTIONS[option])
+    _add_table(p, "command", _COMMANDS, _OPTIONS, list(argv))
     return p
+
+
+def _add_table(parser: _Parser, dest: str, table: dict, options: dict,
+               argv: list[str]) -> None:
+    """One subparser per entry of table, or only the one argv[0] names; an
+    entry holds its option names, or (local-model) the table of its ops."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named = bool(argv) and argv[0] in table
+    for name in argv[:1] if named else table:
+        sp = sub.add_parser(name)
+        spec = table[name][1]
+        if isinstance(spec, dict):
+            _add_table(sp, "op", spec, _LOCAL_OPTIONS, argv[1:] if named else [])
+        else:
+            for option in spec:
+                sp.add_argument(option, **options[option])
 
 
 def _finite(option: str):
@@ -203,11 +158,36 @@ def _int_in(option: str, lo: int, hi: Optional[int] = None):
     return parse
 
 
+# the options of the polytope commands, each declared once
+_OPTIONS = {
+    "--in": dict(dest="infile", default="-", metavar="PATH|-"),
+    "--out": dict(dest="outfile", default="-", metavar="PATH|-"),
+    "--xi": dict(default=None, help="circle direction, e.g. 1,0,0"),
+    "--other": dict(required=True, metavar="PATH"),
+    "--level": dict(required=True),
+    "--above": dict(action="store_true"),
+    "--min": dict(dest="lo", required=True),
+    "--max": dict(dest="hi", required=True),
+    "--vertex-index": dict(type=int, default=None),
+    "--vertex": dict(default=None, help="exact coordinates, e.g. 0,1/2"),
+    "--depth": dict(required=True),
+    "--eps": dict(required=True),
+    "--csv": dict(default=None, metavar="PATH"),
+    # the CSV rows are built in memory
+    "--samples": dict(type=_int_in("--samples", 2, 100_000), default=100),
+    "--check-log-concavity": dict(action="store_true"),
+    "--local-minima": dict(action="store_true"),
+    "--wall": dict(required=True),
+    "--window": dict(default=None),
+}
+
 # the options of the local-model ops, each declared once; --trials and --n
 # bound the run time: 10 000 trials of the slowest battery (`monotone`) take
 # about 1.1 s (scripts/run_local_model.py prints each battery's seconds),
 # and `psh --n 1000`, an n x n eigensolve, about 2 s
 _LOCAL_OPTIONS = {
+    "--seed": dict(type=_int_in("--seed", 0), default=0),
+    "--trials": dict(type=_int_in("--trials", 1, 10_000), default=1000),
     "--weights": dict(help="comma-separated integers; a battery draws its own actions"),
     "--z": dict(help="comma-separated complex values, one per weight; "
                      "cut-identity takes w last"),
@@ -221,16 +201,18 @@ _LOCAL_OPTIONS = {
 }
 
 # each local-model op: the battery it runs without a point query, and the
-# options it reads besides --seed and --trials; the parser refuses the rest
+# options it reads; the parser refuses the rest
+_SEEDED = ("--seed", "--trials")
 _LOCAL_OPS = {
-    "monotone": ("monotone", ()),
-    "solve": ("solve-membership", ("--weights", "--z", "--level")),
-    "membership": ("solve-membership", ("--weights", "--z", "--level")),
-    "npm": ("npm-scaling", ("--weights", "--z")),
-    "convexity": (None, ("--weights", "--eps", "--eps-prime", "--delta", "--bad-region")),
-    "psh": ("psh", ("--t0", "--n")),
-    "cut-identity": ("cut-identity", ("--weights", "--z")),
-    "blowup-potential": ("blowup-potential", ()),
+    "monotone": ("monotone", _SEEDED),
+    "solve": ("solve-membership", (*_SEEDED, "--weights", "--z", "--level")),
+    "membership": ("solve-membership", (*_SEEDED, "--weights", "--z", "--level")),
+    "npm": ("npm-scaling", (*_SEEDED, "--weights", "--z")),
+    "convexity": (None, (*_SEEDED, "--weights", "--eps", "--eps-prime", "--delta",
+                         "--bad-region")),
+    "psh": ("psh", (*_SEEDED, "--t0", "--n")),
+    "cut-identity": ("cut-identity", (*_SEEDED, "--weights", "--z")),
+    "blowup-potential": ("blowup-potential", _SEEDED),
 }
 
 
@@ -319,13 +301,12 @@ def _cmd_diff(args) -> CommandOutcome:
                               "facets_only_in": {"in": only(kp, kq), "other": only(kq, kp)}})
 
 
-def _polytope_payload(P: LabeledPolytope, extra: Optional[dict] = None) -> dict:
+def _polytope_payload(Q: LabeledPolytope, args, **extra) -> dict:
+    """Write Q to --out; the report that embeds Q, with the extra keys."""
     from .polytope import to_json_dict
 
-    payload = {"polytope": to_json_dict(P)}
-    if extra:
-        payload.update(extra)
-    return payload
+    _write_polytope(Q, args.outfile)
+    return {"polytope": to_json_dict(Q), **extra}
 
 
 def _cmd_reduce(args) -> CommandOutcome:
@@ -343,10 +324,8 @@ def _cmd_cut(args) -> CommandOutcome:
     P = _load_polytope(args.infile)
     side = CutSide.ABOVE if args.above else CutSide.BELOW
     level = parse_rational(args.level)
-    Q = cut(P, level, side)
-    _write_polytope(Q, args.outfile)
-    return CommandOutcome(0, _polytope_payload(Q, {
-        "level": format_rational(level), "side": side.value}))
+    return CommandOutcome(0, _polytope_payload(cut(P, level, side), args,
+                                               level=format_rational(level), side=side.value))
 
 
 def _cmd_compactify(args) -> CommandOutcome:
@@ -354,8 +333,7 @@ def _cmd_compactify(args) -> CommandOutcome:
 
     P = _load_polytope(args.infile)
     Q = compactify(P, parse_rational(args.lo), parse_rational(args.hi))
-    _write_polytope(Q, args.outfile)
-    return CommandOutcome(0, _polytope_payload(Q))
+    return CommandOutcome(0, _polytope_payload(Q, args))
 
 
 def _cmd_blowup(args) -> CommandOutcome:
@@ -365,8 +343,7 @@ def _cmd_blowup(args) -> CommandOutcome:
     point = _vertex_arg(P, args)
     Q, ledger = blowup(P, BlowupParams(point, parse_rational(args.depth)),
                        fresh_ledger(P))
-    _write_polytope(Q, args.outfile)
-    return CommandOutcome(0, _polytope_payload(Q, {"ledger": ledger.to_json(Q)}))
+    return CommandOutcome(0, _polytope_payload(Q, args, ledger=ledger.to_json(Q)))
 
 
 def _cmd_add_fixed_points(args) -> CommandOutcome:
@@ -374,20 +351,15 @@ def _cmd_add_fixed_points(args) -> CommandOutcome:
 
     P = _load_polytope(args.infile)
     Q, ledger, report = add_fixed_points(P, parse_rational(args.eps))
-    _write_polytope(Q, args.outfile)
-    return CommandOutcome(0 if report.ok else 3, _polytope_payload(Q, {
-        "ledger": ledger.to_json(Q),
-        "report": report.to_json(),
-    }))
+    return CommandOutcome(0 if report.ok else 3, _polytope_payload(
+        Q, args, ledger=ledger.to_json(Q), report=report.to_json()))
 
 
 def _cmd_reverse(args) -> CommandOutcome:
     from .ops import reversed_polytope
 
-    P = _load_polytope(args.infile)
-    Q = reversed_polytope(P)
-    _write_polytope(Q, args.outfile)
-    return CommandOutcome(0, _polytope_payload(Q))
+    Q = reversed_polytope(_load_polytope(args.infile))
+    return CommandOutcome(0, _polytope_payload(Q, args))
 
 
 def _cmd_dh(args) -> CommandOutcome:
@@ -522,31 +494,34 @@ def _cmd_local_model(args) -> CommandOutcome:
         "ok": bool(r.ok)})
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "info": _cmd_info,
-    "diff": _cmd_diff,
-    "reduce": _cmd_reduce,
-    "cut": _cmd_cut,
-    "compactify": _cmd_compactify,
-    "blowup": _cmd_blowup,
-    "add-fixed-points": _cmd_add_fixed_points,
-    "reverse": _cmd_reverse,
-    "dh": _cmd_dh,
-    "wall-check": _cmd_wall_check,
-    "local-model": _cmd_local_model,
+# each command: its handler, and its options in the order --help lists them
+# (local-model: the table of its ops)
+_COMMANDS = {
+    "validate": (_cmd_validate, ("--in",)),
+    "info": (_cmd_info, ("--in", "--xi")),
+    "diff": (_cmd_diff, ("--in", "--other")),
+    "reduce": (_cmd_reduce, ("--in", "--out", "--level")),
+    "cut": (_cmd_cut, ("--in", "--out", "--level", "--above")),
+    "compactify": (_cmd_compactify, ("--in", "--out", "--min", "--max")),
+    "blowup": (_cmd_blowup, ("--in", "--out", "--vertex-index", "--vertex", "--depth")),
+    "add-fixed-points": (_cmd_add_fixed_points, ("--in", "--out", "--eps")),
+    "reverse": (_cmd_reverse, ("--in", "--out")),
+    "dh": (_cmd_dh, ("--in", "--csv", "--samples", "--check-log-concavity",
+                     "--local-minima")),
+    "wall-check": (_cmd_wall_check, ("--in", "--wall", "--window")),
+    "local-model": (_cmd_local_model, _LOCAL_OPS),
 }
 
 
 def run(argv: list[str]) -> CommandOutcome:
     """Parse and dispatch; errors become exit codes, never tracebacks."""
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        args, extra = build_parser(argv).parse_known_args(argv)
         if extra:
             command = " ".join(filter(None, (args.command, getattr(args, "op", None))))
             raise InputError(f"{extra[0].split('=')[0]}: `momentcut {command}` "
                              "does not take this argument")
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InputError as exc:
         return CommandOutcome(1, {"error": "input", "message": str(exc)})
     except PreconditionError as exc:

@@ -62,6 +62,7 @@ def exact(value, what: str):
 
 def format_rational(q: Fraction) -> str:
     """The text form of a Fraction or an int."""
+    q = exact(q, "q")
     return _format_ratio(q.numerator, q.denominator)
 
 
@@ -74,9 +75,18 @@ def _format_ratio(num: int, den: int) -> str:
 # integer vectors
 # ---------------------------------------------------------------------------
 
+def _int_vector(v, what: str) -> IntVector:
+    """v as a tuple when its entries are integers; a float, a string or a
+    bool entry is refused, not converted.  Private, like _is_int."""
+    vv = tuple(v)
+    if not all(map(_is_int, vv)):
+        raise InputError(f"{what} entries must be integers, got {v!r}")
+    return vv
+
+
 def primitive(v: Sequence[int]) -> IntVector:
     """Divide an integer vector by the gcd of its entries."""
-    vv = tuple(map(int, v))
+    vv = _int_vector(v, "vector")
     if not any(vv):
         raise ZeroVector("cannot primitivize the zero vector")
     g = math.gcd(*vv)
@@ -109,7 +119,7 @@ def lattice_index(vs: Sequence[Sequence[int]]) -> Optional[int]:
     n = len(vs)
     if n == 0 or any(len(v) != n for v in vs):
         raise DimensionMismatch(f"need n vectors of dimension n, got {[len(v) for v in vs]}")
-    d = det_int([list(map(int, v)) for v in vs])
+    d = det_int([list(_int_vector(v, "vector")) for v in vs])
     return None if d == 0 else abs(d)
 
 
@@ -118,7 +128,7 @@ def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
     if not vs:
         raise DimensionMismatch("empty vector list")
     n = len(vs[0])
-    if any(len(v) != n for v in vs):
+    if any(len(_int_vector(v, "vector")) != n for v in vs):
         raise DimensionMismatch("mixed dimensions")
     return all(sum(v[i] for v in vs) % 2 == 0 for i in range(n))
 

@@ -775,7 +775,8 @@ def cut_identity_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[com
                     f"{norm:.6g} and sqrt(A) |w| = {root:.6g} must stay below {_ROOT_MAX:.6g}")
         # Python's abs of a complex, which np.abs does not match in the last bit
         w2 = np.array([abs(wk) ** 2 for wk in w])
-        A = np.sum(a**2 * np.abs(z) ** 2, axis=-1)
+        # a weight-0 entry adds nothing, however large: its square could overflow
+        A = np.sum(a**2 * np.abs(np.where(a == 0, 0, z)) ** 2, axis=-1)
         # |xi'|^2 = A + |w|^2 is zero at a fixed point, and also where it is
         # below the smallest double
         if not np.all(A + w2):

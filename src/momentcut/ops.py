@@ -51,6 +51,8 @@ class CutSide(enum.Enum):
 
 
 def _level_facet(n: int, a: Fraction, side: CutSide) -> Facet:
+    if not isinstance(side, CutSide):
+        raise InputError(f"side must be a CutSide, got {side!r}")
     e1 = (1,) + (0,) * (n - 1)
     if side == CutSide.BELOW:
         return Facet(e1, a, 1)
@@ -195,6 +197,8 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
     normals, primitivized.  Depth validity demands that every other vertex
     satisfies the chop strictly, so only the corner is affected.
     """
+    if not isinstance(params, BlowupParams):
+        raise InputError(f"params must be a BlowupParams, got {params!r}")
     if ledger is None:
         ledger = fresh_ledger(P)
     d = exact(params.depth, "blow-up depth")

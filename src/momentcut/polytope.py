@@ -154,6 +154,8 @@ class LabeledPolytope:
     """Immutable H-representation; geometric structure is computed lazily."""
 
     def __init__(self, dim: int, facets: Iterable[Facet]):
+        if not _is_int(dim):
+            raise InputError(f"dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
         facets = tuple(facets)

@@ -46,12 +46,18 @@ class VertexClass:
         }
 
 
+def _require_vertex(v) -> None:
+    if not isinstance(v, Vertex):
+        raise InputError(f"vertex must be a Vertex, got {v!r}")
+
+
 def classify_vertex(P: LabeledPolytope, v: Vertex) -> VertexClass:
     """Smooth / Z2 / other, from the lattice index of the active normals.
 
     A vertex incident to a facet with label > 1 is an orbifold point no
     matter what the normals generate, so labels enter the classification.
     """
+    _require_vertex(v)
     normals = [P.facets[i].normal for i in sorted(v.active)]
     idx = lattice_index(normals)
     half = half_sum_integral(normals) if idx is not None else False
@@ -72,6 +78,7 @@ def edge_generators(P: LabeledPolytope, v: Vertex) -> list[IntVector]:
     with every other active normal and strictly negatively with its own.
     They are read off the vertex-edge graph of P.structure().
     """
+    _require_vertex(v)
     n = P.dim
     act = sorted(v.active)
     if len(act) != n:

@@ -6,6 +6,7 @@ floating-point batteries carry their stated tolerances and seeds.  Run with
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from momentcut.batteries import (
     psh_battery,
     solve_membership_battery,
 )
+from momentcut.cli import run
 from momentcut.corpus import asymmetric_wedge, chopped_hypercube, delta3, delzant_corpus
 from momentcut.dh import (
     Chamber,
@@ -213,9 +215,21 @@ def test_criterion_9_performance():
     t0 = time.perf_counter()
     wall = wall_crossing_check(P, F(3, 4))
     t_wall = time.perf_counter() - t0
+    # an in-process CLI query, which parses only its own op: the best of 5
+    # calls after one that loads the op's modules; 200 timed runs of this
+    # block took at most 1.14 ms on a 2-vCPU Xeon, so the 4 ms bound keeps a
+    # 3x margin (building every command's parser took about 5 ms a call)
+    npm = ["local-model", "npm", "--weights=1,-1", "--z=1,2"]
+    cli = [run(npm)]
+    t_cli = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        cli.append(run(npm))
+        t_cli = min(t_cli, time.perf_counter() - t0)
     ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.04 and t_dh < 0.05
           and t_signs < 0.01 and t_slices < 0.1 and t_probe < 0.5 and t_batteries < 0.3
-          and t_wall < 0.04 and wall.ok
+          and t_wall < 0.04 and wall.ok and t_cli < 0.004
+          and all(out.exit_code == 0 for out in cli)
           and all(r.ok for r in rows) and len(vs) == 64
           and vol == F(383, 384) and prof.total_integral() == vol and eq
           and log_concave and minima == []
@@ -226,4 +240,5 @@ def test_criterion_9_performance():
                    f"16 slices {t_slices:.3f}s; convexity probe, 100 trials, "
                    f"{t_probe:.3f}s; solve, cut-identity, monotone and blowup-potential "
                    f"batteries, 200 trials, "
-                   f"{t_batteries:.3f}s; wall check at 3/4 {t_wall:.4f}s")
+                   f"{t_batteries:.3f}s; wall check at 3/4 {t_wall:.4f}s; "
+                   f"local-model npm --z in process {t_cli * 1e3:.2f}ms")

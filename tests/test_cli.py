@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentcut.cli import _HANDLERS, _emit, run
+from momentcut.cli import _COMMANDS, _LOCAL_OPS, _emit, build_parser, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
 from momentcut.errors import PreconditionError
 from momentcut.localmodel import LinearAction
@@ -515,7 +516,49 @@ _POLYTOPE_COMMANDS = {
 
 
 def test_polytope_commands_listed():
-    assert set(_POLYTOPE_COMMANDS) == set(_HANDLERS) - {"validate", "local-model"}
+    assert set(_POLYTOPE_COMMANDS) == set(_COMMANDS) - {"validate", "local-model"}
+
+
+def _choices(parser: argparse.ArgumentParser) -> dict:
+    """The subparsers of parser, by name."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_parser_builds_only_the_command_that_runs():
+    assert list(_choices(build_parser(["reduce", "--level", "1/2"]))) == ["reduce"]
+    top = _choices(build_parser(["local-model", "npm", "--z=1,2"]))
+    assert list(top) == ["local-model"] and list(_choices(top["local-model"])) == ["npm"]
+    # a missing or unknown name builds every choice, so the refusal lists them all
+    for argv in ([], ["foo"], ["-h"], ["--in", "x", "reduce"], ["Reduce"]):
+        assert list(_choices(build_parser(argv))) == list(_COMMANDS)
+    for argv in (["local-model"], ["local-model", "foo"], ["local-model", "-h", "npm"]):
+        ops = _choices(_choices(build_parser(argv))["local-model"])
+        assert list(ops) == list(_LOCAL_OPS)
+    assert run(["foo"]).payload["message"] == (
+        "command: invalid choice: 'foo' (choose from "
+        + ", ".join(map(repr, _COMMANDS)) + ")")
+    assert run(["local-model", "foo"]).payload["message"] == (
+        "op: invalid choice: 'foo' (choose from " + ", ".join(map(repr, _LOCAL_OPS)) + ")")
+    assert len(_COMMANDS) == 12 and len(_LOCAL_OPS) == 8
+
+
+# each parser's path and the names its --help must list: the top level its
+# commands, local-model its ops, a command or an op its options
+_HELP_PAGES = [((), list(_COMMANDS)), (("local-model",), list(_LOCAL_OPS))]
+_HELP_PAGES += [((c,), list(spec)) for c, (_, spec) in _COMMANDS.items() if c != "local-model"]
+_HELP_PAGES += [(("local-model", op), list(spec)) for op, (_, spec) in _LOCAL_OPS.items()]
+
+
+@pytest.mark.parametrize("path, names", _HELP_PAGES,
+                         ids=[" ".join(path) or "top" for path, _ in _HELP_PAGES])
+def test_help_exits_0_and_names_the_options(path, names):
+    proc = subprocess.run([sys.executable, "-m", "momentcut.cli", *path, "--help"],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith(f"usage: {' '.join(('momentcut',) + path)} ")
+    for name in names + ["-h, --help"]:
+        assert name in proc.stdout, name
 
 
 @pytest.mark.parametrize("command", list(_POLYTOPE_COMMANDS))
@@ -698,7 +741,7 @@ def _fresh(code: str, *argv: str) -> dict:
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("command", list(_HANDLERS))
+@pytest.mark.parametrize("command", list(_COMMANDS))
 def test_command_loads_only_its_modules(tmp_path, d3_file, pex2_file, square_file,
                                         command):
     # a command starts with the modules it runs, and only local-model numpy

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from momentcut.errors import DimensionMismatch, NotUnimodular, ZeroVector
+from momentcut.errors import DimensionMismatch, InputError, NotUnimodular, ZeroVector
 from momentcut.lattice import (
     adjugate_int,
     det_int,
@@ -73,6 +73,25 @@ def test_half_sum_examples():
     assert half_sum_integral([(1, 0), (-1, 2)]) is True
     assert half_sum_integral([(-1, 0), (0, -1)]) is False
     assert half_sum_integral([(-1, 2), (-1, -2)]) is True
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lattice_index([[1.5, 0], [0, 1]]), "vector entries must be integers, got [1.5, 0]"),
+    (lambda: lattice_index(["ab", "cd"]), "vector entries must be integers, got 'ab'"),
+    (lambda: lattice_index([[True, 0], [0, 1]]),
+     "vector entries must be integers, got [True, 0]"),
+    (lambda: primitive([0.5, 1]), "vector entries must be integers, got [0.5, 1]"),
+    (lambda: primitive(["a"]), "vector entries must be integers, got ['a']"),
+    (lambda: half_sum_integral([[1, "a"]]), "vector entries must be integers, got [1, 'a']"),
+    (lambda: format_rational(0.5), "q must be an integer or a Fraction, got 0.5"),
+    (lambda: format_rational("1/2"), "q must be an integer or a Fraction, got '1/2'"),
+], ids=["index-float", "index-str", "index-bool", "primitive-float", "primitive-str",
+        "half-sum-str", "format-float", "format-str"])
+def test_integer_arguments_refused_by_name(call, message):
+    # int() read 1.5 as 1 and 0.5 as 0; a string escaped as a bare ValueError
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_empty_system():

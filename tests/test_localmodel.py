@@ -521,6 +521,14 @@ def test_cut_identity_fixed_rejected():
             cut_tameness_identity(LinearAction(weights), z, w)
 
 
+def test_cut_identity_ignores_the_size_of_a_weight_zero_entry():
+    # A = sum a_j^2 |z_j|^2 does not depend on z_0 when a_0 = 0; squaring
+    # |z_0| = 1e200 first overflowed, and the point was refused
+    act = LinearAction((0, 1))
+    rep = cut_tameness_identity(act, [1e200, 1], 1)
+    assert rep.ok and rep == cut_tameness_identity(act, [1, 1], 1)
+
+
 def test_cut_identity_draws_its_directions_once_per_length(monkeypatch):
     built = []
     default_rng = np.random.default_rng

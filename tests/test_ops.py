@@ -539,8 +539,20 @@ def test_entry_points_refuse_inexact_numbers(kind):
         assert str(err.value) == f"{what} must be an integer or a Fraction, got {bad!r}", what
 
 
+@pytest.mark.parametrize("side", ["below", "above", None, 1])
+def test_cut_side_must_be_a_cut_side(side):
+    # any side that is not a CutSide was read as ABOVE: x1 >= 1/3 was kept
+    square = box(F(1), F(1))
+    for call in (lambda: cut(square, F(1, 3), side),
+                 lambda: restrict_halfspace(square, F(1, 3), side)):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == f"side must be a CutSide, got {side!r}"
+
+
 def _sequence_calls():
-    """(refusal, call) for each sequence or index argument of a public op."""
+    """(refusal, call) for each sequence, index, vertex or parameter argument
+    of a public op."""
     square = box(F(1), F(1))
     v, identity = vertices(square)[0], [[1, 0], [0, 1]]
     return [
@@ -554,7 +566,13 @@ def _sequence_calls():
         ("shift must be a list or a tuple, got 0.5", lambda: transform(square, identity, 0.5)),
         ("xi must be a list or a tuple, got 0.5", lambda: weights_at_vertex(square, v, 0.5)),
     ] + [(f"facet index must be an integer in 0..3, got {i!r}",
-          lambda i=i: circle_stabilizer_order(square, i)) for i in (-1, 4, True, 0.5)]
+          lambda i=i: circle_stabilizer_order(square, i)) for i in (-1, 4, True, 0.5)] + [
+        ("vertex must be a Vertex, got (0, 0)", lambda: classify_vertex(square, (0, 0))),
+        ("vertex must be a Vertex, got None", lambda: edge_generators(square, None)),
+        ("vertex must be a Vertex, got (0, 0)", lambda: weights_at_vertex(square, (0, 0))),
+        (f"params must be a BlowupParams, got {(v, F(1, 4))!r}",
+         lambda: blowup(square, (v, F(1, 4)))),
+    ]
 
 
 @pytest.mark.parametrize("k", range(len(_sequence_calls())))

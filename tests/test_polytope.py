@@ -170,6 +170,14 @@ def test_constructor_refuses_values_of_other_types(bad, message):
         LabeledPolytope(2, [Facet((1, 0), F(1)), bad])
 
 
+@pytest.mark.parametrize("dim", [2.0, True, "2"])
+def test_constructor_refuses_a_dimension_that_is_not_an_integer(dim):
+    # 2.0 was printed as "dim": 2.0 and made validate fail with a TypeError
+    with pytest.raises(InputError) as err:
+        LabeledPolytope(dim, box(F(1), F(1)).facets)
+    assert str(err.value) == f"dimension must be an integer, got {dim!r}"
+
+
 def test_facet_offset_is_an_integer_pair():
     f = Facet((1, -1), F(6, -4), 2)
     assert (f.num, f.den, f.offset, f.key()) == (-3, 2, F(-3, 2), ((1, -1), F(-3, 2), 2))
