@@ -4,16 +4,15 @@ Each battery runs a fixed number of independent trials against one of the
 model identities through one loop, `_run`: it first draws every trial's
 inputs from the seeded stream, then judges them in blocks of at most
 `BLOCK_ROWS` trials, and reports the number of trials that are not ok plus
-the worst residual seen.  `monotone`, `solve-membership`, `cut-identity`
-and `blowup-potential` judge a block as rows, with one call of the row
-form of their check; `npm-scaling` and `psh` judge trial by trial (`n_pm`
-is the scalar definition, and `psh` seeds a generator per trial).  No
-check draws from the stream, so judging after drawing sees the same
-inputs.  Given the same seed the reports are bit-for-bit reproducible.
+the worst residual seen.  Every battery but `psh` judges a block as rows,
+with the row form of its check or of the quantities it compares (psi,
+the flow and N-/N+); `psh` seeds a generator per trial, so it judges trial
+by trial.  No check draws from the stream, so judging after drawing sees
+the same inputs.  Given the same seed the reports are bit-for-bit
+reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, starmap
@@ -25,14 +24,14 @@ from .localmodel import (
     BumpSpec,
     LinearAction,
     MomentAlongFlow,
+    _flow_rows,
     _gaps,
-    _scaled_gap,
+    _n_pm_rows,
+    _rows,
     blowup_potential_rows,
     cut_identity_rows,
-    flow,
     level_membership,
     monotone_rows,
-    n_pm,
     psh_criterion,
     psh_test_family,
 )
@@ -134,7 +133,7 @@ def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
 
     def judge(drawn):
         actions, zs, levels = zip(*drawn)
-        psi = MomentAlongFlow.rows(actions, zs)
+        psi = MomentAlongFlow(actions, zs)
         s = np.array(levels)
         t = psi.time_to_level(s)
         found = ~np.isnan(t)
@@ -153,13 +152,18 @@ def npm_scaling_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     def draw(rng):
         return (*_action_and_point(rng, require_mixed=True), float(rng.uniform(-2, 2)))
 
-    def check(action, z, t):
-        nm0, np0 = n_pm(action, z)
-        nm1, np1 = n_pm(action, flow(action, z, t))
-        want = np.array([math.exp(-t) * nm0, math.exp(t) * np0, nm0 * np0])
-        rel = _scaled_gap([nm1, np1, nm1 * np1], want, want)
-        return rel, rel <= 1e-10
-    return _run("n-pm-scaling", 1e-10, trials, seed, draw, partial(starmap, check))
+    def judge(block):
+        actions, zs, ts = zip(*block)
+        ts, rel = np.array(ts), np.empty(len(block))
+        for index, _, _, a, z in _rows(actions, zs):
+            t = ts[list(index)]
+            nm0, np0 = _n_pm_rows(a, z)
+            nm1, np1 = _n_pm_rows(a, _flow_rows(a, z, t[:, None]))
+            want = np.stack([np.exp(-t) * nm0, np.exp(t) * np0, nm0 * np0], axis=-1)
+            got = np.stack([nm1, np1, nm1 * np1], axis=-1)
+            rel[list(index)] = _gaps(got, want, want).max(axis=-1)
+        return zip(rel, rel <= 1e-10)
+    return _run("n-pm-scaling", 1e-10, trials, seed, draw, judge)
 
 
 def psh_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:

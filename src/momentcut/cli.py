@@ -168,7 +168,7 @@ _OPTIONS = {
     "--above": dict(action="store_true"),
     "--min": dict(dest="lo", required=True),
     "--max": dict(dest="hi", required=True),
-    "--vertex-index": dict(type=int, default=None),
+    "--vertex-index": dict(type=_int_in("--vertex-index", 0), default=None),
     "--vertex": dict(default=None, help="exact coordinates, e.g. 0,1/2"),
     "--depth": dict(required=True),
     "--eps": dict(required=True),
@@ -230,7 +230,7 @@ def _vertex_arg(P: LabeledPolytope, args) -> tuple:
     require_vertices(P, "blowup needs a vertex")
     verts = vertices(P)
     if args.vertex_index is not None:
-        if not 0 <= args.vertex_index < len(verts):
+        if args.vertex_index >= len(verts):
             raise PreconditionError(
                 f"--vertex-index {args.vertex_index} out of range 0..{len(verts)-1}")
         return verts[args.vertex_index].point
@@ -485,13 +485,10 @@ def _cmd_local_model(args) -> CommandOutcome:
     if op == "npm":
         nm, np_ = lm.n_pm(action, z)
         return CommandOutcome(0, {"n_minus": nm, "n_plus": np_})
-    r = lm.cut_tameness_identity(action, z[:-1], z[-1])
-    # numpy scalars: json.dumps refuses numpy bools
+    [r] = lm.cut_identity_rows([action], [z[:-1]], [z[-1]])
     return CommandOutcome(0 if r.ok else 3, {
-        "value": float(r.value), "expected": float(r.expected),
-        "rel_err": float(r.rel_err),
-        "orthogonality": [float(r.orth_1), float(r.orth_2)],
-        "ok": bool(r.ok)})
+        "value": r.value, "expected": r.expected, "rel_err": r.rel_err,
+        "orthogonality": [r.orth_1, r.orth_2], "ok": r.ok})
 
 
 # each command: its handler, and its options in the order --help lists them

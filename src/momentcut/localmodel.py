@@ -12,21 +12,22 @@ contraction.
 Every derivative is in closed form: d psi(v) = sum a_j Re(conj(z_j) v_j),
 and the complex Hessian of a radial potential f(|z|^2) is
 f'(t) I + f''(t) conj(z) z^T at t = |z|^2.  Every report judges its
-residuals by one rule: `_scaled_gap` measures |got - want| in units of a
+residuals by one rule: `_gaps` measures |got - want| in units of a
 scale computed from the magnitudes of the inputs (|a|, |z|, |f'|, |f''|),
 never from the quantity under test, so a value that cancels to near zero is
 not judged against itself.  A report is ok when each residual is within
 the report's published tolerance.
 
-Regions of C^n are row predicates: `membership_v` and `bad_annulus_region`
-take an array of points of shape (..., n) and return one bool per point,
-and `orbital_convexity_probe` hands a region a whole flow line at once.
-`n_pm` is the single-point definition of the weighted radii; the rows
-compute the same sums with array operations.  The monotone, cut and
-blow-up checks are row checks too (`monotone_rows`, `cut_identity_rows`,
-`blowup_potential_rows`): points of one length are judged together, with
-the arithmetic of one point in every row, and the one-point functions are
-the one-row case.
+Each quantity has one definition, over rows of points of shape (..., n):
+the flow e^{a t} z (`_flow_rows`), the weighted radii N-/N+ (`_n_pm_rows`)
+and psi along the flow (`MomentAlongFlow`); `flow` and `n_pm` are the gated
+one-point case of the first two.  Regions of C^n are row predicates too:
+`membership_v` and `bad_annulus_region` take an array of points and return
+one bool per point, and `orbital_convexity_probe` hands a region a whole
+flow line at once.  The monotone, cut and blow-up checks are row checks
+(`monotone_rows`, `cut_identity_rows`, `blowup_potential_rows`): points of
+one length are judged together, with the arithmetic of one point in every
+row, so one point is a call with one row.
 
 Every point enters through one gate, `_point`: as many entries as weights,
 each a finite complex number, or an InputError that names the entry.  A
@@ -50,7 +51,6 @@ import numpy as np
 
 from .errors import FixedPointInput, InputError, PreconditionError
 
-EXP_LIMIT = 700.0  # log of the largest safe double
 _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_MAX = math.sqrt(sys.float_info.max) * (1 - 2**-30)  # less a margin for rounding
 
@@ -122,17 +122,18 @@ def _point(action: LinearAction, z, what: str = "z") -> list[complex]:
     return [_complex(x, f"{what}[{j}]") for j, x in enumerate(entries)]
 
 
-def _level(s) -> float:
-    """The level s as a float, +-inf included; nan, a bool, a string or an
-    int beyond a double is refused."""
-    if isinstance(s, numbers.Real) and not isinstance(s, (bool, np.bool_)):
+def _real(x, what: str, finite: bool = False) -> float:
+    """x as a float, +-inf included unless `finite`; nan, a bool, a string
+    or an int beyond a double is refused with an InputError naming `what`."""
+    if isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_)):
         try:
-            level = float(s)
-            if not math.isnan(level):
-                return level
+            r = float(x)
+            if not math.isnan(r) and not (finite and math.isinf(r)):
+                return r
         except OverflowError:                               # beyond a double
             pass
-    raise InputError(f"s must be a real number within the doubles and not nan, got {s!r}")
+    kind = "a finite real number" if finite else "a real number within the doubles and not nan"
+    raise InputError(f"{what} must be {kind}, got {x!r}")
 
 
 def _rows(actions: Sequence[LinearAction], zs) -> list[tuple]:
@@ -166,20 +167,17 @@ def _in_doubles(fn):
     return checked
 
 
+def _flow_rows(a: np.ndarray, z: np.ndarray, t) -> np.ndarray:
+    """The flow e^{a t} z = (e^{a_j t} z_j)_j, for points z of shape
+    (..., n) and weights and times that broadcast against them."""
+    return z * np.exp(t * a)
+
+
+@_in_doubles
 def flow(action: LinearAction, z: Sequence[complex], t: float) -> np.ndarray:
-    """(e^{a_j t} z_j)_j, with an explicit overflow guard."""
-    z = np.asarray(z, dtype=complex)
-    a = action.array()
-    with np.errstate(divide="ignore"):
-        logs = a * t + np.log(np.where(np.abs(z) > 0, np.abs(z), 1.0))
-    if np.any(logs[np.abs(z) > 0] > EXP_LIMIT):
-        raise PreconditionError(f"flow to t={t} overflows double precision")
-    return z * np.exp(a * t)
-
-
-def moment_standard(action: LinearAction, z: Sequence[complex]) -> float:
-    z = np.asarray(z, dtype=complex)
-    return float(0.5 * np.sum(action.array() * np.abs(z) ** 2))
+    """e^{a t} z for one point z and a finite real t; a factor e^{a_j t}
+    beyond the doubles is refused, even where its product with z_j is not."""
+    return _flow_rows(action.array(), np.array(_point(action, z)), _real(t, "t", finite=True))
 
 
 def _d_psi(a: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -199,11 +197,6 @@ def _gaps(got, want, scale) -> np.ndarray:
     gap stays meaningful where `want` cancels to near zero.
     """
     return np.abs(np.subtract(got, want)) / np.maximum(scale, 1e-300)
-
-
-def _scaled_gap(got, want, scale) -> float:
-    """The largest of the `_gaps`."""
-    return float(np.max(_gaps(got, want, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +242,19 @@ class MomentAlongFlow:
     fixed point, which keeps none, is refused.  A term can overflow to
     +-inf, but a point where terms of both signs overflow at one t is
     refused too (see `_flow_terms`), so the sum is never nan.
-    `rows` takes many points: t then has one entry per row in its last axis."""
 
-    def __init__(self, action: LinearAction, z: Sequence[complex]):
-        self.two_a, self.log_half_ac = map(np.array, zip(*_flow_terms(action, _point(action, z))))
+    One row per point: t has one entry per row in its last axis, of any
+    length for one row.  Each row is padded after its terms with 2a = 0,
+    ln = -inf (exact zeros); numpy sums fewer than 8 terms from left to
+    right, so only there does padding keep each row's sum its point's."""
 
-    @classmethod
-    def rows(cls, actions: Sequence[LinearAction],
-             zs: Sequence[Sequence[complex]]) -> "MomentAlongFlow":
-        """One row per point."""
-        return cls._padded([_flow_terms(action, _point(action, z))
-                            for action, z in zip(actions, zs, strict=True)])
-
-    @classmethod
-    def _padded(cls, rows: list[list[tuple[float, float]]]) -> "MomentAlongFlow":
-        """The rows of `_flow_terms`, each padded after its own terms with
-        2a = 0, ln = -inf (terms that are exactly 0).  numpy sums fewer than 8
-        terms from left to right, so only there does padding keep each row's
-        sum exact."""
+    def __init__(self, actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]]):
+        rows = [_flow_terms(action, _point(action, z)) for action, z in zip(actions, zs, strict=True)]
         width = max(map(len, rows))
         if width >= 8 and any(len(row) < width for row in rows):
             raise PreconditionError("rows of 8 or more terms must all have as many")
-        psi = cls.__new__(cls)
-        psi.two_a, psi.log_half_ac = np.array(
+        self.two_a, self.log_half_ac = np.array(
             [row + [(0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
-        return psi
 
     def terms(self, t) -> np.ndarray:
         """The terms 1/2 a_j c_j e^{2 a_j t}, of shape t.shape + (k,)."""
@@ -315,31 +296,25 @@ class MonotoneReport:
         return self.strictly_increasing and self.derivative_rel_err <= 1e-6
 
 
-def check_monotone(action: LinearAction, z: Sequence[complex],
-                   t_grid: Optional[np.ndarray] = None) -> MonotoneReport:
-    """psi(e^t z) strictly increasing on the grid, with derivative |xi_M|^2:
-    `monotone_rows` of one point."""
-    return monotone_rows([action], [z], t_grid)[0]
-
-
 @_in_doubles
 def monotone_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]],
                   t_grid: Optional[np.ndarray] = None) -> list[MonotoneReport]:
-    """`check_monotone` of each point, judged as rows of one length at a time.
+    """Whether psi(e^t z) strictly increases on the grid, with derivative
+    |xi_M|^2, for each point, judged as rows of one length at a time.
 
     psi(e^t z) is evaluated on the whole grid; at probes of the grid, the
     closed-form d psi(a z_t) along the flow's velocity a z_t is compared
     with omega(xi, J xi) for xi = i a z_t.  Rows of 8 or more flow terms
-    must all have as many (see `MomentAlongFlow._padded`).
+    must all have as many (see `MomentAlongFlow`).
     """
     t_grid = np.linspace(-3.0, 3.0, 1001) if t_grid is None else np.asarray(t_grid, dtype=float)
     probes = t_grid[:: max(1, len(t_grid) // 12)]
     reports: list = [None] * len(zs)
     for index, acts, points, a, z in _rows(actions, zs):
-        psi = MomentAlongFlow._padded(list(map(_flow_terms, acts, points)))
+        psi = MomentAlongFlow(acts, points)
         increasing = np.all(np.diff(psi(t_grid[:, None]), axis=0) > 0, axis=0)
         a = a[:, None, :]                       # (rows, probes, n) below
-        zt = z[:, None, :] * np.exp(probes[:, None] * a)
+        zt = _flow_rows(a, z[:, None, :], probes[:, None])
         xi = 1j * a * zt
         scale = np.sum(np.abs(a) * np.abs(zt) * np.abs(a * zt), axis=-1)
         worst = _gaps(_d_psi(a, zt, a * zt), _omega(xi, 1j * xi), scale).max(axis=-1)
@@ -352,8 +327,8 @@ def monotone_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex
 def solve_time_to_level(action: LinearAction, z: Sequence[complex],
                         s: float) -> Optional[float]:
     """The least double t with psi(e^t z) >= s, or None when s is outside
-    (psi(-max), psi(+max)): `MomentAlongFlow.time_to_level` of one point."""
-    t = MomentAlongFlow(action, z).time_to_level(_level(s))
+    (psi(-max), psi(+max)): `MomentAlongFlow.time_to_level` of one row."""
+    [t] = MomentAlongFlow([action], [z]).time_to_level([_real(s, "s")])
     return None if np.isnan(t) else float(t)
 
 
@@ -364,7 +339,7 @@ def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bo
     negative block, and s = 0 both.
     """
     z = _point(action, z)
-    s = _level(s)
+    s = _real(s, "s")
     has_neg = any(z[j] for j in action.neg)
     has_pos = any(z[j] for j in action.pos)
     if not (has_neg or has_pos):
@@ -382,26 +357,26 @@ def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bo
 # weighted radii and orbital convexity
 # ---------------------------------------------------------------------------
 
-def n_pm(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
-    """N_-(z) and N_+(z): (sum |z_j|^{2/|a_j|})^{1/2} over the sign blocks.
+def _n_pm_rows(a: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_- and N_+, (sum |z_j|^{2/|a_j|})^{1/2} over a_j < 0 and over a_j > 0,
+    of each point of Z, of shape (..., n), under weights a that broadcast
+    against it (a weight-0 entry, raised to the power 0, cannot overflow).
+    The entries are summed transposed, first in memory, so that numpy adds
+    them left to right with one vector add per entry."""
+    terms = np.abs(Z) ** np.where(a == 0, 0.0, 2.0 / np.maximum(np.abs(a), 1.0))
+    a, terms = np.broadcast_to(a, Z.shape).T, terms.T.copy()
+    return tuple(np.sqrt(terms.sum(axis=0, where=block)).T for block in (a < 0, a > 0))
 
-    A sum that overflows a double is refused: Python floats raise
-    OverflowError where numpy would warn and return inf."""
-    z = _point(action, z)
-    out = []
-    for block in (action.neg, action.pos):
-        total = 0.0
-        try:
-            for j in block:
-                total += abs(z[j]) ** (2.0 / abs(action.weights[j]))
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            raise PreconditionError(
-                "N_- or N_+ overflows double precision: sum |z_j|^(2/|a_j|) over a "
-                "sign block exceeds the largest double")
-        out.append(math.sqrt(total))
-    return out[0], out[1]
+
+def n_pm(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
+    """N_-(z) and N_+(z): `_n_pm_rows` of one point.  A sum beyond the
+    largest double is refused, where numpy would return inf."""
+    with np.errstate(over="ignore"):
+        nm, np_ = np.array(_n_pm_rows(action.array(), np.array(_point(action, z)))).tolist()
+    if math.isinf(nm) or math.isinf(np_):
+        raise PreconditionError("N_- or N_+ overflows double precision: sum |z_j|^(2/|a_j|) "
+                                "over a sign block exceeds the largest double")
+    return nm, np_
 
 
 @dataclass(frozen=True)
@@ -451,58 +426,47 @@ def default_spec(action: LinearAction, eps: float = 0.5,
     return NeighborhoodSpec(eps, eps_prime, delta)
 
 
-def _sample_block(rng: np.random.Generator, k: int, weights: Sequence[int],
-                  radius: float) -> np.ndarray:
-    """Random point of the open ball N < radius in a sign block."""
+def _sample_block(rng: np.random.Generator, weights: Sequence[int],
+                  radius: float) -> tuple[np.ndarray, float]:
+    """Random point of the open ball N < radius in a sign block, drawn as
+    u_j = |z_j|^{2/|a_j|}, and its N^2 = sum u_j; an empty block draws nothing."""
+    k = len(weights)
     powers = np.abs(np.asarray(weights, dtype=float)) / 2.0
     while True:
         u = rng.uniform(0.0, radius**2, size=k)
-        if u.sum() < radius**2:
+        if (n2 := u.sum()) < radius**2:
             mags = u ** powers
             phases = np.exp(2j * np.pi * rng.uniform(size=k))
-            return mags * phases
+            return mags * phases, n2
 
 
 def sample_neighborhood(action: LinearAction, spec: NeighborhoodSpec,
                         rng: np.random.Generator) -> np.ndarray:
-    """Random point of the model neighborhood V."""
+    """Random point of the model neighborhood V.  Each sign block is drawn
+    in the coordinates u_j = |z_j|^{2/|a_j|}, so its N^2 is the sum of its
+    u_j, and the point is kept when N_- N_+ < eps eps'."""
     n = len(action.weights)
     for _ in range(10_000):
         z = np.zeros(n, dtype=complex)
-        if action.neg:
-            z[list(action.neg)] = _sample_block(
-                rng, len(action.neg), [action.weights[j] for j in action.neg], spec.eps)
-        if action.pos:
-            z[list(action.pos)] = _sample_block(
-                rng, len(action.pos), [action.weights[j] for j in action.pos], spec.eps)
+        sums = []
+        for block in (action.neg, action.pos):
+            z[list(block)], n2 = _sample_block(rng, [action.weights[j] for j in block], spec.eps)
+            sums.append(n2)
         if action.zero:
             w = rng.normal(size=len(action.zero)) + 1j * rng.normal(size=len(action.zero))
             norm = np.linalg.norm(w)
             scale = rng.uniform() ** (1.0 / (2 * len(action.zero)))
             z[list(action.zero)] = (w / max(norm, 1e-300)) * spec.compact_bound * scale
-        nm, np_ = n_pm(action, z)
-        if nm * np_ < spec.eps * spec.eps_prime:
+        if math.sqrt(sums[0]) * math.sqrt(sums[1]) < spec.eps * spec.eps_prime:
             return z
     raise PreconditionError("rejection sampling failed; radii too tight")
-
-
-def _n_pm_rows(action: LinearAction, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_- and N_+ of every point in an array of shape (..., n)."""
-    out = []
-    for block in (action.neg, action.pos):
-        if not block:
-            out.append(np.zeros(Z.shape[:-1]))
-            continue
-        powers = np.array([2.0 / abs(action.weights[j]) for j in block])
-        out.append(np.sqrt((np.abs(Z[..., list(block)]) ** powers).sum(axis=-1)))
-    return out[0], out[1]
 
 
 def membership_v(action: LinearAction, spec: NeighborhoodSpec,
                  Z: np.ndarray) -> np.ndarray:
     """Whether each point of Z, an array of shape (..., n), lies in V."""
     Z = np.asarray(Z, dtype=complex)
-    nm, np_ = _n_pm_rows(action, Z)
+    nm, np_ = _n_pm_rows(action.array(), Z)
     w_norm = (np.linalg.norm(Z[..., list(action.zero)], axis=-1)
               if action.zero else 0.0)
     return ((nm < spec.eps) & (np_ < spec.eps)
@@ -547,25 +511,27 @@ def orbital_convexity_probe(action: LinearAction, spec: NeighborhoodSpec,
         lambda r: sample_neighborhood(action, spec, r))
     grid = np.linspace(-t_span, t_span, grid_points)
     a = action.array()
-    factors = np.exp(np.outer(grid, a))          # (grid, n), moderate exponents
+    points = [draw(rng) for _ in range(trials)]
+    # the flow lines of 64 trials at a time, from one e^{a t} per grid point
+    lines = (line for start in range(0, trials, 64) for line in _flow_rows(
+        a, np.array(points[start:start + 64])[:, None, :], grid[:, None]))
     reentries = 0
     clause_failures = 0
     half_lines = 0
-    for _ in range(trials):
-        z = draw(rng)
-        zt_all = factors * z[None, :]
-        psis = 0.5 * (np.abs(zt_all) ** 2 * a).sum(axis=1)
-        flags = np.asarray(inside(zt_all), dtype=bool)
+    for z, line in zip(points, lines):
+        flags = np.asarray(inside(line), dtype=bool)
         idx = np.nonzero(flags)[0]
         if len(idx) == 0:
             continue
         if idx[-1] - idx[0] + 1 != len(idx):
             reentries += 1
             continue
-        occupied = psis[idx]
         if flags[-1]:
             half_lines += 1           # forward exit beyond the grid or t+ = inf
-        elif occupied.max() <= spec.delta:
+        if flags[0] and flags[-1]:
+            continue                  # no exit to judge; a fixed point has no psi
+        occupied = MomentAlongFlow([action], [z])(grid[idx])
+        if not flags[-1] and occupied.max() <= spec.delta:
             clause_failures += 1
         if not flags[0] and occupied.min() >= -spec.delta:
             clause_failures += 1
@@ -581,7 +547,7 @@ def bad_annulus_region(action: LinearAction, inner: float = 0.125,
     bool per point out.
     """
     def region(Z: np.ndarray) -> np.ndarray:
-        _, np_ = _n_pm_rows(action, np.asarray(Z, dtype=complex))
+        _, np_ = _n_pm_rows(action.array(), np.asarray(Z, dtype=complex))
         return (np_ < inner) | ((lo < np_) & (np_ < hi))
     return region
 
@@ -703,7 +669,7 @@ def psh_criterion(spec: FunctionSpec, t0: float, n: int,
     eig = np.sort(np.linalg.eigvalsh(_radial_hessian(f1, f2, z)))
     closed = np.sort(np.array([f1] * (n - 1) + [f1 + t0 * f2]))
     # |f'| + t0 |f''| bounds the norm of the Hessian
-    rel = _scaled_gap(eig, closed, abs(f1) + t0 * abs(f2))
+    rel = float(_gaps(eig, closed, abs(f1) + t0 * abs(f2)).max())
     kahler = f1 > 0 and f1 + t0 * f2 > 0
     return PshReport(spec.name, t0, tuple(eig), tuple(closed), rel, kahler)
 
@@ -731,13 +697,6 @@ class CutIdentityReport:
                 and self.moment_pairing_rel_err <= 1e-6)
 
 
-def cut_tameness_identity(action: LinearAction, z: Sequence[complex],
-                          w: complex) -> CutIdentityReport:
-    """The descended taming value on the cut of the product model at (z, w):
-    `cut_identity_rows` of one point."""
-    return cut_identity_rows([action], [z], [w])[0]
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of a complex array as it computes a norm:
     sqrt(Re x . Re x + Im x . Im x), the dot products taken by stacked
@@ -749,8 +708,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
 @_in_doubles
 def cut_identity_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]],
                       ws: Sequence[complex]) -> list[CutIdentityReport]:
-    """`cut_tameness_identity` of each point (z, w), judged as rows of one
-    length at a time.
+    """The descended taming value on the cut of the product model at each
+    point (z, w), judged as rows of one length at a time.
 
     With A = sum a_j^2 |z_j|^2, the vector Xi = xi_M - A/(A+|w|^2) xi_M'
     pairs to zero with xi_M' in both slots, and omega(Xi, J Xi) equals
@@ -846,19 +805,12 @@ class BlowupPotentialReport:
                 and self.scaling_rel_err <= 1e-9)
 
 
-def blowup_potential_check(action: LinearAction, z: Sequence[complex],
-                           bump: Optional[BumpSpec] = None) -> BlowupPotentialReport:
-    """Contract the circle field into i del delbar g at z:
-    `blowup_potential_rows` of one point."""
-    return blowup_potential_rows([action], [z], bump)[0]
-
-
 @_in_doubles
 def blowup_potential_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]],
                           bump: Optional[BumpSpec] = None) -> list[BlowupPotentialReport]:
-    """`blowup_potential_check` of each point, judged as rows of one length at
-    a time: contract the circle field into i del delbar g, g = f(|z|^2) / 2pi
-    for the smoothed-ln profile f = rho ln.
+    """Contract the circle field into i del delbar g at each point, judged as
+    rows of one length at a time, where g = f(|z|^2) / 2pi for the
+    smoothed-ln profile f = rho ln.
 
     With t = |z|^2 and Phi(z) = f'(t) sum a_j |z_j|^2 / 2pi, the field
     xi = i a z contracts the complex Hessian H of g (`_radial_hessian`) to

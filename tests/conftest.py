@@ -37,9 +37,7 @@ from momentcut.localmodel import (
     _pairing_directions,
     _radial_hessian,
     _ROOT_MAX,
-    _scaled_gap,
     _smoothed_ln,
-    n_pm,
 )
 from momentcut.ops import reversed_polytope
 from momentcut.polytope import (
@@ -775,10 +773,53 @@ def slice_by_walk(P: LabeledPolytope, s: Fraction) -> Slice:
                  tuple(i for _, i in kept))
 
 
+def _scaled_gap(got, want, scale) -> float:
+    """The largest of the `localmodel._gaps`, as one point's check takes it."""
+    return float(np.max(_gaps(got, want, scale)))
+
+
+def moment_standard(action, z) -> float:
+    """Oracle for `localmodel.MomentAlongFlow` at t = 0: psi(z) = 1/2 sum
+    a_j |z_j|^2, summed as written."""
+    z = np.asarray(z, dtype=complex)
+    return float(0.5 * np.sum(action.array() * np.abs(z) ** 2))
+
+
+def n_pm_by_point(action, z) -> tuple[float, float]:
+    """Oracle for `localmodel.n_pm`: N_- and N_+ summed in Python floats, one
+    sign block at a time.  An overflowing sum is refused as `n_pm` refuses
+    it: Python floats raise OverflowError where numpy would return inf."""
+    z = [complex(x) for x in z]
+    out = []
+    for block in (action.neg, action.pos):
+        total = 0.0
+        try:
+            for j in block:
+                total += abs(z[j]) ** (2.0 / abs(action.weights[j]))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise PreconditionError(
+                "N_- or N_+ overflows double precision: sum |z_j|^(2/|a_j|) over a "
+                "sign block exceeds the largest double")
+        out.append(math.sqrt(total))
+    return out[0], out[1]
+
+
+def npm_scaling_by_trial(action, z, t) -> float:
+    """Oracle for one trial of `batteries.npm_scaling_battery`: the scaled
+    gap of N_pm(e^t z) = e^{+-t} N_pm(z) and of N_- N_+ = const, by
+    `n_pm_by_point` and the flow written out."""
+    nm0, np0 = n_pm_by_point(action, z)
+    nm1, np1 = n_pm_by_point(action, np.asarray(z) * np.exp(t * action.array()))
+    want = np.array([math.exp(-t) * nm0, math.exp(t) * np0, nm0 * np0])
+    return _scaled_gap([nm1, np1, nm1 * np1], want, want)
+
+
 def membership_v_point(action, spec, z) -> bool:
     """Per-point oracle for `localmodel.membership_v`: the definition of V
-    through the scalar `n_pm`, one point at a time."""
-    nm, np_ = n_pm(action, z)
+    through `n_pm_by_point`, one point at a time."""
+    nm, np_ = n_pm_by_point(action, z)
     w_norm = (np.linalg.norm(np.asarray(z)[list(action.zero)])
               if action.zero else 0.0)
     return (nm < spec.eps and np_ < spec.eps
@@ -790,7 +831,7 @@ def bad_annulus_point(action, inner: float = 0.125, lo: float = 0.25,
                       hi: float = 0.5):
     """Per-point oracle for `localmodel.bad_annulus_region`."""
     def region(z) -> bool:
-        _, np_ = n_pm(action, z)
+        _, np_ = n_pm_by_point(action, z)
         return np_ < inner or lo < np_ < hi
     return region
 
@@ -811,7 +852,10 @@ def solve_time_to_level_by_bisection(action, z, s: float):
     the doubles in their natural order, in Python integers, keeping
     psi(lo) < s <= psi(hi) and returning hi, or None when s is outside
     (psi(-max), psi(+max))."""
-    psi = MomentAlongFlow(action, z)
+    row = MomentAlongFlow([action], [z])
+
+    def psi(t: float) -> float:
+        return float(row(np.array([t]))[0])
     lo, hi = _double_key(-sys.float_info.max), _double_key(sys.float_info.max)
     if not psi(_key_double(lo)) < s < psi(_key_double(hi)):
         return None
@@ -827,7 +871,7 @@ def solve_time_to_level_by_bisection(action, z, s: float):
 def check_monotone_by_point(action, z, t_grid=None) -> MonotoneReport:
     """Oracle for `localmodel.monotone_rows`: one point's check, with its
     own flow line and probes."""
-    psi = MomentAlongFlow(action, z)
+    psi = MomentAlongFlow([action], [z])
     if t_grid is None:
         t_grid = np.linspace(-3.0, 3.0, 1001)
     z = np.asarray(z, dtype=complex)

@@ -221,6 +221,18 @@ def test_blowup_by_index_and_ledger(square_file):
     assert facet["normal"] == [-1, -1]
 
 
+@pytest.mark.parametrize("pick,code,message", [
+    # argparse's "--vertex-index: invalid int value: 'x'"
+    ("x", 1, "--vertex-index takes an integer, got 'x'"),
+    # the precondition "--vertex-index -1 out of range 0..3", exit 2
+    ("-1", 1, "--vertex-index takes 0 or more, got -1"),
+    ("4", 2, "--vertex-index 4 out of range 0..3"),
+])
+def test_blowup_vertex_index_is_parsed_like_the_other_integers(square_file, pick, code, message):
+    out = run(["blowup", f"--vertex-index={pick}", "--depth", "1/4", "--in", square_file])
+    assert (out.exit_code, out.payload["message"]) == (code, message)
+
+
 @pytest.mark.parametrize("level", ["2/4", "+1/2", " 1/2"])
 def test_cut_prints_the_normalized_level(square_file, level):
     out = run(["cut", "--level", level, "--in", square_file])

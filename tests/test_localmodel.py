@@ -29,16 +29,12 @@ from momentcut.localmodel import (
     _radial_hessian,
     _smoothed_ln,
     bad_annulus_region,
-    blowup_potential_check,
     blowup_potential_rows,
-    check_monotone,
     cut_identity_rows,
-    cut_tameness_identity,
     default_spec,
     flow,
     level_membership,
     membership_v,
-    moment_standard,
     monotone_rows,
     n_pm,
     orbital_convexity_probe,
@@ -55,6 +51,9 @@ from conftest import (
     complex_hessian_by_differences,
     cut_tameness_identity_by_point,
     membership_v_point,
+    moment_standard,
+    n_pm_by_point,
+    npm_scaling_by_trial,
     point_by_point,
     richardson_derivative,
     solve_time_to_level_by_bisection,
@@ -81,36 +80,55 @@ def test_flow_group_law():
 
 
 def test_flow_overflow_guard():
-    with pytest.raises(PreconditionError, match="overflow"):
-        flow(LinearAction((3,)), [1.0], 300.0)
+    # e^900 is beyond the doubles: refused, where numpy warned and the old
+    # guard let [1e-300] through as inf
+    for z in ([1.0], [1e-300]):
+        with pytest.raises(PreconditionError, match="^flow: .*overflow"):
+            flow(LinearAction((3,)), z, 300.0)
+
+
+def test_flow_gates_its_point_and_time():
+    act = LinearAction((1,))
+    # a point of two entries broadcast against one weight
+    with pytest.raises(InputError, match="z needs 1 entries, one per weight, got 2"):
+        flow(act, [1.0, 2.0], 0.5)
+    # nan gave nan+nanj, a string a numpy UFuncTypeError
+    for t in (math.nan, math.inf, "1", None, True, 2**1100):
+        with pytest.raises(InputError, match="^t must be a finite real number"):
+            flow(act, [1.0], t)
 
 
 def test_moment_examples():
-    assert moment_standard(LinearAction((1,)), [math.sqrt(2)]) == pytest.approx(1.0)
-    assert moment_standard(LinearAction((-1, 2)), [1, 1]) == pytest.approx(0.5)
-    assert moment_standard(LinearAction((5, -7)), [0, 0]) == 0.0
+    # psi at t = 0 is 1/2 sum a_j |z_j|^2; a fixed point has no flow terms
+    for weights, z, want in (((1,), [math.sqrt(2)], 1.0), ((-1, 2), [1, 1], 0.5),
+                             ((-3, 0, 2), [0.5j, 7.0, 1 + 1j], 1.625)):
+        act = LinearAction(weights)
+        [psi] = MomentAlongFlow([act], [z])(np.zeros(1))
+        assert psi == pytest.approx(want) == moment_standard(act, z)
+    with pytest.raises(FixedPointInput):
+        MomentAlongFlow([LinearAction((5, -7))], [[0, 0]])
 
 
 # -- monotone --------------------------------------------------------------------
 
 def test_monotone_closed_form():
-    rep = check_monotone(LinearAction((1,)), [1.0])
+    rep = monotone_rows([LinearAction((1,))], [[1.0]])[0]
     assert rep.ok
 
 
 def test_monotone_derivative_value():
     # at t = 0 with weights (-1, 1) and z = (1, 1) the derivative is 2
     act = LinearAction((-1, 1))
-    rep = check_monotone(act, [1.0, 1.0], np.linspace(-0.5, 0.5, 101))
+    rep = monotone_rows([act], [[1.0, 1.0]], np.linspace(-0.5, 0.5, 101))[0]
     assert rep.ok
     assert sum(np.array(act.weights) ** 2) == 2
 
 
 def test_monotone_fixed_point_rejected():
     with pytest.raises(FixedPointInput):
-        check_monotone(LinearAction((0,)), [1.0])
+        monotone_rows([LinearAction((0,))], [[1.0]])[0]
     with pytest.raises(FixedPointInput):
-        check_monotone(LinearAction((1, 0)), [0.0, 3.0])
+        monotone_rows([LinearAction((1, 0))], [[0.0, 3.0]])[0]
 
 
 # -- solver ------------------------------------------------------------------------
@@ -129,7 +147,7 @@ def test_solve_least_double_at_level():
     act = LinearAction((-2, 3))
     z = [0.3 + 0.1j, 0.7]
     t = solve_time_to_level(act, z, 0.25)
-    before, at = MomentAlongFlow(act, z)(np.array([np.nextafter(t, -np.inf), t]))
+    before, at = MomentAlongFlow([act], [z])(np.array([np.nextafter(t, -np.inf), t]))
     assert before < 0.25 <= at
 
 
@@ -197,14 +215,14 @@ def _solve_rows(draw):
         z.append(0j if zero else 10.0 ** mag * complex(math.cos(phase), math.sin(phase)))
     action = LinearAction(weights)
     try:
-        psi = MomentAlongFlow(action, z)
+        psi = MomentAlongFlow([action], [z])
     except PreconditionError:           # a fixed point, or one too large
         psi = None
     if draw(st.booleans()) or psi is None:
         s = math.copysign(10.0 ** draw(st.floats(-12, 12)), draw(st.sampled_from([-1, 1])))
     else:
         end = draw(st.sampled_from([-sys.float_info.max, sys.float_info.max]))
-        s = float(psi(end))
+        s = float(psi(np.array([end]))[0])
         for _ in range(abs(step := draw(st.integers(-2, 2)))):
             s = float(np.nextafter(s, math.copysign(math.inf, step)))
     return action, z, s
@@ -233,12 +251,12 @@ def test_row_solver_matches_scalar_bisection(rows):
     refused = [answer for answer in want if isinstance(answer, type)]
     if refused:
         with pytest.raises(PreconditionError) as info:
-            MomentAlongFlow.rows([a for a, _, _ in rows], [z for _, z, _ in rows])
+            MomentAlongFlow([a for a, _, _ in rows], [z for _, z, _ in rows])
         assert type(info.value) is refused[0]
     kept = [k for k, answer in enumerate(want) if not isinstance(answer, type)]
     if kept:
         actions, zs, levels = zip(*(rows[k] for k in kept))
-        got = MomentAlongFlow.rows(actions, zs).time_to_level(np.array(levels))
+        got = MomentAlongFlow(actions, zs).time_to_level(np.array(levels))
         assert [_bits(t) for t in got] == [want[k] for k in kept]
 
 
@@ -260,8 +278,8 @@ def test_rows_from_eight_terms_are_not_padded():
     # its point alone
     eight, one = LinearAction((1,) * 8), LinearAction((1,))
     with pytest.raises(PreconditionError, match="8 or more"):
-        MomentAlongFlow.rows([eight, one], [[1.0] * 8, [1.0]])
-    psi = MomentAlongFlow.rows([eight, eight], [[1.0] * 8, [0.5] * 8])
+        MomentAlongFlow([eight, one], [[1.0] * 8, [1.0]])
+    psi = MomentAlongFlow([eight, eight], [[1.0] * 8, [0.5] * 8])
     assert [_bits(t) for t in psi.time_to_level(np.array([3.0, -1.0]))] == [
         _bits(solve_time_to_level_by_bisection(eight, [1.0] * 8, 3.0)), None]
 
@@ -279,7 +297,7 @@ def test_solve_battery_matches_trial_by_trial_oracle(seed):
         if (t is None) == level_membership(action, z, s):
             failures += 1
         elif t is not None:
-            terms = MomentAlongFlow(action, z).terms(np.array([np.nextafter(t, -np.inf), t]))
+            terms = MomentAlongFlow([action], [z]).terms(np.array([np.nextafter(t, -np.inf), t]))
             before, at = terms.sum(axis=-1)
             resid = abs(at - s) / max(np.abs(terms[1]).sum(), 1e-300)
             worst = max(worst, float(resid))
@@ -291,9 +309,9 @@ def test_solve_battery_matches_trial_by_trial_oracle(seed):
 def test_psi_limits_at_extreme_doubles():
     # -max and +max flow every term to 0 or +-inf, never to nan
     big = sys.float_info.max
-    psi = MomentAlongFlow(LinearAction((-2, 0, 3)), [1e200, 5.0, 1e-200])
+    psi = MomentAlongFlow([LinearAction((-2, 0, 3))], [[1e200, 5.0, 1e-200]])
     assert psi(np.array([-big, big])).tolist() == [-math.inf, math.inf]
-    psi = MomentAlongFlow(LinearAction((1, 2)), [1.0, 1.0])
+    psi = MomentAlongFlow([LinearAction((1, 2))], [[1.0, 1.0]])
     assert psi(np.array([-big, big])).tolist() == [0.0, math.inf]
 
 
@@ -306,7 +324,7 @@ def test_psi_nondecreasing_across_adjacent_doubles(weights, mags, s, t):
     z = [10.0 ** m for m in mags[:len(weights)]]
     if act.is_fixed(z):
         return
-    psi = MomentAlongFlow(act, z)
+    psi = MomentAlongFlow([act], [z])
     root = solve_time_to_level(act, z, s)
     for center in [t] + ([] if root is None else [root]):
         ts = [center]
@@ -351,6 +369,47 @@ def test_npm_scaling_law():
         nm1, np1 = n_pm(act, flow(act, z, t))
         assert nm1 == pytest.approx(math.exp(-t) * nm0, rel=1e-10)
         assert np1 == pytest.approx(math.exp(t) * np0, rel=1e-10)
+
+
+def _radii_or_refusal(fn, act, z):
+    try:
+        return fn(act, z)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.integers(-3, 3), min_size=1, max_size=7),
+       entries=st.lists(st.tuples(st.floats(-320, 308), st.floats(0, 6.3), st.booleans()),
+                        min_size=7, max_size=7))
+def test_npm_matches_python_float_oracle(weights, entries):
+    # the rows take |z_j| and its power 2/|a_j| in numpy, the oracle in
+    # Python floats: each rounds a few times per entry, so N_- and N_+ may
+    # differ in the last bits (at most 2 ulps on 40 000 random radii); the
+    # bound is 4 ulps, and an overflowing sum is refused by both alike
+    act = LinearAction(weights)
+    z = [0j if zero else 10.0 ** e * complex(math.cos(p), math.sin(p))
+         for e, p, zero in entries[:len(weights)]]
+    want = _radii_or_refusal(n_pm_by_point, act, z)
+    got = _radii_or_refusal(n_pm, act, z)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_npm_battery_matches_trial_by_trial_oracle(seed):
+    # the same trials, each judged alone by `n_pm_by_point` and Python's
+    # exp: the residuals are rounding errors, so the worst differ by ulps
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(60):
+        action, z = batteries._action_and_point(rng, require_mixed=True)
+        residuals.append(npm_scaling_by_trial(action, z, float(rng.uniform(-2, 2))))
+    rep = npm_scaling_battery(trials=60, seed=seed)
+    assert rep.failures == sum(not r <= 1e-10 for r in residuals)
+    assert abs(rep.worst_residual - max(residuals)) <= 2**-50
 
 
 # -- orbital convexity ----------------------------------------------------------------
@@ -497,36 +556,36 @@ def test_psh_family_values():
 # -- cut identity -----------------------------------------------------------------------
 
 def test_cut_identity_example():
-    rep = cut_tameness_identity(LinearAction((1,)), [1.0], 1.0)
+    rep = cut_identity_rows([LinearAction((1,))], [[1.0]], [1.0])[0]
     assert rep.ok
     assert rep.expected == pytest.approx(0.5)
 
 
 def test_cut_identity_w_zero():
-    rep = cut_tameness_identity(LinearAction((1,)), [1.0], 0.0)
+    rep = cut_identity_rows([LinearAction((1,))], [[1.0]], [0.0])[0]
     assert rep.expected == 0.0 and abs(rep.value) <= 1e-12
 
 
 def test_cut_identity_z_small_limit():
-    rep = cut_tameness_identity(LinearAction((1,)), [1e-8], 1.0)
+    rep = cut_identity_rows([LinearAction((1,))], [[1e-8]], [1.0])[0]
     assert rep.expected == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cut_identity_fixed_rejected():
     with pytest.raises(FixedPointInput):
-        cut_tameness_identity(LinearAction((1,)), [0.0], 0.0)
+        cut_identity_rows([LinearAction((1,))], [[0.0]], [0.0])[0]
     # not fixed, but |xi'|^2 underflows to 0: refused, not a ZeroDivisionError
     for weights, z, w in (((0,), [0.0], 2.6e-260), ((1,), [1e-200], 1e-200j)):
         with pytest.raises(FixedPointInput):
-            cut_tameness_identity(LinearAction(weights), z, w)
+            cut_identity_rows([LinearAction(weights)], [z], [w])[0]
 
 
 def test_cut_identity_ignores_the_size_of_a_weight_zero_entry():
     # A = sum a_j^2 |z_j|^2 does not depend on z_0 when a_0 = 0; squaring
     # |z_0| = 1e200 first overflowed, and the point was refused
     act = LinearAction((0, 1))
-    rep = cut_tameness_identity(act, [1e200, 1], 1)
-    assert rep.ok and rep == cut_tameness_identity(act, [1, 1], 1)
+    rep = cut_identity_rows([act], [[1e200, 1]], [1])[0]
+    assert rep.ok and rep == cut_identity_rows([act], [[1, 1]], [1])[0]
 
 
 def test_cut_identity_draws_its_directions_once_per_length(monkeypatch):
@@ -539,10 +598,10 @@ def test_cut_identity_draws_its_directions_once_per_length(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     _pairing_directions.cache_clear()
     act, z = LinearAction((1, -2, 3)), [1.0, 0.5j, 2.0]
-    first = cut_tameness_identity(act, z, 0.5)
+    first = cut_identity_rows([act], [z], [0.5])[0]
     assert built == [(12345,)]
-    assert cut_tameness_identity(act, z, 0.5) == first
-    assert cut_tameness_identity(LinearAction((0, 1, -1)), [3.0, 1j, 0.0], 2.0).ok
+    assert cut_identity_rows([act], [z], [0.5])[0] == first
+    assert cut_identity_rows([LinearAction((0, 1, -1))], [[3.0, 1j, 0.0]], [2.0])[0].ok
     assert built == [(12345,)]          # the same length: no second generator
 
 
@@ -560,7 +619,7 @@ def test_pairing_directions_are_the_direction_by_direction_draws(m):
 # -- blow-up potential --------------------------------------------------------------------
 
 def test_blowup_potential_formula():
-    rep = blowup_potential_check(LinearAction((1, 1)), [0.3, 0.0])
+    rep = blowup_potential_rows([LinearAction((1, 1))], [[0.3, 0.0]])[0]
     assert rep.phi_formula == pytest.approx(1 / (2 * math.pi) * 0.09 / 0.09)
     assert rep.ok
 
@@ -570,14 +629,14 @@ def test_blowup_potential_sphere_value():
     # cutoff plateau so the sphere is inside it
     bump = BumpSpec(2.0, 4.0)
     z = np.array([0.6, 0.8], dtype=complex)
-    rep = blowup_potential_check(LinearAction((2, 1)), z, bump=bump)
+    rep = blowup_potential_rows([LinearAction((2, 1))], [z], bump)[0]
     want = (2 * 0.36 + 1 * 0.64) / (2 * math.pi)
     assert rep.phi_value == pytest.approx(want, rel=1e-12)
     assert rep.ok
 
 
 def test_blowup_potential_scaling():
-    rep = blowup_potential_check(LinearAction((1, 2)), [0.2, 0.1])
+    rep = blowup_potential_rows([LinearAction((1, 2))], [[0.2, 0.1]])[0]
     assert rep.scaling_rel_err <= 1e-9
 
 
@@ -587,11 +646,11 @@ def test_blowup_potential_step_too_large():
     # are checked, and only z = 0 is refused
     act = LinearAction((1, 1))
     for z in ([0.05, 0.0], [0.03, 0.0], [1e-6, 2e-6j]):
-        rep = blowup_potential_check(act, z)
+        rep = blowup_potential_rows([act], [z])[0]
         assert rep.ok, rep
         assert rep.phi_formula == pytest.approx(1 / (2 * math.pi), rel=1e-12)
     with pytest.raises(PreconditionError, match="nonzero"):
-        blowup_potential_check(act, [0.0, 0.0])
+        blowup_potential_rows([act], [[0.0, 0.0]])[0]
 
 
 def test_blowup_potential_region_guard():
@@ -600,12 +659,12 @@ def test_blowup_potential_region_guard():
     unit = np.array([0.6, 0.8j])
     for bump in (BumpSpec(), BumpSpec(2.0, 4.0)):
         radius = math.sqrt(bump.r1)
-        assert blowup_potential_check(act, unit * radius * (1 - 1e-9), bump=bump).ok
+        assert blowup_potential_rows([act], [unit * radius * (1 - 1e-9)], bump)[0].ok
         for factor in (1.0, 1 + 1e-9, 1.8):
             with pytest.raises(PreconditionError, match="r1"):
-                blowup_potential_check(act, unit * radius * factor, bump=bump)
+                blowup_potential_rows([act], [unit * radius * factor], bump)[0]
         with pytest.raises(PreconditionError, match="nonzero"):
-            blowup_potential_check(act, [0.0, 0.0], bump=bump)
+            blowup_potential_rows([act], [[0.0, 0.0]], bump)[0]
 
 
 @given(p=st.integers(1, 3), q=st.integers(1, 3), r=st.floats(0.01, 0.49),
@@ -616,7 +675,7 @@ def test_blowup_potential_where_phi_cancels(p, q, r, eps, phases):
     # nearly so, and the residuals must still be judged against |a| and |z|
     z = np.array([math.sqrt(q * (1 + eps)), math.sqrt(p)]) * np.exp(1j * np.array(phases))
     z *= r / np.linalg.norm(z)
-    rep = blowup_potential_check(LinearAction((p, -q)), z)
+    rep = blowup_potential_rows([LinearAction((p, -q))], [z])[0]
     assert abs(rep.phi_formula) <= 1e-5
     assert rep.ok, rep
 
@@ -626,7 +685,8 @@ def test_blowup_potential_where_phi_cancels(p, q, r, eps, phases):
 def test_blowup_potential_single_weight(a, r, phase):
     # the Levi form of ln |z|^2 vanishes on C^1, so the contraction is a
     # difference of two zeros; Phi itself is the constant a / 2 pi
-    rep = blowup_potential_check(LinearAction((a,)), [r * complex(math.cos(phase), math.sin(phase))])
+    z = r * complex(math.cos(phase), math.sin(phase))
+    rep = blowup_potential_rows([LinearAction((a,))], [[z]])[0]
     assert rep.phi_value == pytest.approx(a / (2 * math.pi), rel=1e-12)
     assert rep.ok, rep
 
@@ -735,7 +795,7 @@ def test_cut_identity_rows_keep_the_tiny_w_report():
     act = LinearAction((-3,))
     z = [2.438765207715675e-30 - 6.294288148635856e-29j]
     w = -6.339210155975502e-133 + 5.1854392914466564e-132j
-    rep = cut_tameness_identity(act, z, w)
+    rep = cut_identity_rows([act], [z], [w])[0]
     assert repr(rep) == repr(cut_tameness_identity_by_point(act, z, w))
     assert not rep.ok and 1e-6 < rep.rel_err < 1e-5
 
@@ -796,13 +856,14 @@ def test_action_takes_numpy_integers():
 
 
 @pytest.mark.parametrize("call", [
-    lambda act, z: check_monotone(act, z),
+    lambda act, z: monotone_rows([act], [z])[0],
     lambda act, z: solve_time_to_level(act, z, 1.0),
     lambda act, z: level_membership(act, z, 1.0),
     lambda act, z: n_pm(act, z),
-    lambda act, z: cut_tameness_identity(act, z, 1.0),
-    lambda act, z: blowup_potential_check(act, z),
-], ids=["monotone", "solve", "membership", "npm", "cut-identity", "blowup-potential"])
+    lambda act, z: cut_identity_rows([act], [z], [1.0])[0],
+    lambda act, z: blowup_potential_rows([act], [z])[0],
+    lambda act, z: flow(act, z, 0.5),
+], ids=["monotone", "solve", "membership", "npm", "cut-identity", "blowup-potential", "flow"])
 def test_every_entry_point_gates_its_point(call):
     act = LinearAction((1, -2))
     # zip would have truncated the point, or indexing it failed
@@ -825,7 +886,7 @@ def test_levels_and_w_are_gated():
         with pytest.raises(InputError, match="^s "):
             level_membership(act, z, bad)
     with pytest.raises(InputError, match="^w must be a finite complex number"):
-        cut_tameness_identity(act, z, complex(0, math.inf))
+        cut_identity_rows([act], [z], [complex(0, math.inf)])[0]
     # an infinite level lies beyond psi's range: never attained
     assert solve_time_to_level(act, z, math.inf) is None
     assert level_membership(act, z, math.inf) is False
@@ -837,11 +898,12 @@ def test_npm_overflow_is_refused():
     act = LinearAction((-1, -1))
     z = [2.6491435786825835e+52 - 2.340252674769164e+52j,
          -5.224845290929576e+207 - 2.1797843196843264e+206j]
-    with pytest.raises(PreconditionError, match="N_- or N_\\+ overflows double precision"):
-        n_pm(act, z)
-    with pytest.raises(PreconditionError, match="overflows double precision"):
-        n_pm(LinearAction((1, 2)), [1e200, 1e300])
-    assert n_pm(act, [1e154, 0]) == (1e154, 0.0)
+    for radii in (n_pm, n_pm_by_point):
+        with pytest.raises(PreconditionError, match="N_- or N_\\+ overflows double precision"):
+            radii(act, z)
+        with pytest.raises(PreconditionError, match="overflows double precision"):
+            radii(LinearAction((1, 2)), [1e200, 1e300])
+        assert radii(act, [1e154, 0]) == (1e154, 0.0)
 
 
 _ANYTHING = (st.floats() | st.complex_numbers() | st.integers(-3, 3)
@@ -880,10 +942,10 @@ def test_local_model_api_answers_or_refuses(call):
         act = LinearAction(weights)
     except MomentcutError:
         return
-    for fn, args in [(n_pm, (z,)), (check_monotone, (z,)), (solve_time_to_level, (z, s)),
-                     (level_membership, (z, s)), (cut_tameness_identity, (z, w)),
-                     (blowup_potential_check, (z,))]:
+    for fn, args in [(n_pm, (act, z)), (flow, (act, z, s)), (monotone_rows, ([act], [z])),
+                     (solve_time_to_level, (act, z, s)), (level_membership, (act, z, s)),
+                     (cut_identity_rows, ([act], [z], [w])), (blowup_potential_rows, ([act], [z]))]:
         try:
-            fn(act, *args)
+            fn(*args)
         except MomentcutError:
             pass
