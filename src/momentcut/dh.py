@@ -17,6 +17,13 @@ p = 2, 3, .. that pairs nonzero with every such edge.  Each vertex term is
 then a Laurent series in t with rational coefficients; the sum has no pole
 at t = 0, so its exact t^0 coefficient is the density.
 
+The vertices are read off the polytope's Structure, in its order, along
+which x_1 never decreases: the vertices at each wall are one run of it.
+|det G_v| is the Structure's `dets[k]`, computed once per vertex and
+shared with `polytope.volume`.  The vertices at one wall share the level
+x_1(v) = a, so their terms are summed as polynomials in (s - a) and shifted
+to powers of s once per wall (`_wall_jump`).
+
 Everything here is decided in exact rational arithmetic; inequalities on
 whole intervals go through exact root isolation (Descartes' rule of signs,
 see `ratpoly`), never sampling floats.
@@ -26,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -36,7 +44,6 @@ from .errors import (
 )
 from .lattice import (
     content,
-    det_int,
     dot,
     exact,
     format_rational,
@@ -44,7 +51,7 @@ from .lattice import (
 )
 from .polytope import (
     LabeledPolytope,
-    Vertex,
+    _simple_points,
     canonical_mismatch,
     critical_values,
     require_bounded,
@@ -72,6 +79,11 @@ class Chamber:
     lo: Fraction
     hi: Fraction
     poly: Poly
+
+    @cached_property
+    def slope(self) -> Poly:
+        """The derivative of poly, taken once for the sign checks."""
+        return self.poly.derivative()
 
     def to_json(self) -> dict:
         return {
@@ -112,27 +124,53 @@ def dh_profile(P: LabeledPolytope) -> DHProfile:
     if P.dim < 2:
         raise DimensionMismatch("profiles need dimension >= 2")
     require_bounded(P, "profiles need a bounded polytope")
-    verts = sorted(vertices(P), key=lambda v: v.point[0])
-    gens = [edge_generators(P, v) for v in verts]
-    flat = {g for gs in gens for g in gs if g[0] == 0}
+    rows = [row for row, _ in _simple_points(P)]
+    flat = {g for es in P.structure().edges for g in es if g[0] == 0}
     eta = (0,) + generic_direction([g[1:] for g in flat], P.dim - 1)
     walls = critical_values(P)
     chambers = []
     density = Poly([])
     k = 0
     for lo, hi in zip(walls, walls[1:]):
-        while k < len(verts) and verts[k].point[0] <= lo:
-            density = density + _vertex_term(verts[k], gens[k], eta)
+        # the run of vertices at x_1 = lo, compared as integers
+        start = k
+        while k < len(rows) and rows[k][0][0] * lo.denominator <= lo.numerator * rows[k][1]:
             k += 1
+        density = density + _wall_jump(P, range(start, k), lo, eta)
         if not _positive_on_open(density, lo, hi):
             raise InternalError("chamber density is not positive")
         chambers.append(Chamber(lo, hi, density))
     return DHProfile(tuple(walls), tuple(chambers))
 
 
-def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],
-                 eta: tuple[int, ...]) -> Poly:
-    """The t^0 coefficient of the vertex term for xi = e_1 + t*eta.
+def _wall_jump(P: LabeledPolytope, ks: Iterable[int], a: Fraction,
+               eta: tuple[int, ...]) -> Poly:
+    """The jump of the density at the wall a: the sum of the vertex terms of
+    the vertices points[ks] of P's Structure, all at x_1 = a.
+
+    Each term comes as integers over a denominator in powers of (s - a); they
+    are summed over one common denominator and shifted to powers of s by one
+    `affine_substitute`, with a = p / q:
+
+        sum_k c_k (s - a)^k = sum_k c_k (q s - p)^k q^(n-1-k) / q^(n-1).
+    """
+    st = P.structure()
+    total, den = [0] * P.dim, 1
+    for k in ks:
+        num, d = _vertex_term(st.points[k][0], st.edges[k], st.dets[k], eta)
+        common = math.lcm(den, d)
+        total = [x * (common // den) + y * (common // d) for x, y in zip(total, num)]
+        den = common
+    p, q = a.numerator, a.denominator
+    return Poly.over(affine_substitute(total, q, -p, q), den * q ** (P.dim - 1))
+
+
+def _vertex_term(row: tuple[tuple[int, ...], int], gens: tuple[tuple[int, ...], ...],
+                 det: int, eta: tuple[int, ...]) -> tuple[list[int], int]:
+    """The t^0 coefficient of the vertex term for xi = e_1 + t*eta, at the
+    vertex v = row[0] / row[1] with edge generators gens: integer
+    coefficients of the powers of (s - a), low first, and their denominator.
+    det is |det G|, read off the Structure (`Structure.dets`).
 
     With a = x_1(v), c = <eta, v>, w_k = <e_1, g_k>, u_k = <eta, g_k> and z
     edges with w_k = 0, the term is
@@ -152,19 +190,17 @@ def _vertex_term(v: Vertex, gens: list[tuple[int, ...]],
     for w, u in steep:
         for j in range(1, z + 1):
             series[j] -= u * (lcm // w) * series[j - 1]
-    # v = point / q, so a = A / q and c = C / q
-    point, q = v.row
-    A, C = point[0], dot(eta, point)
+    # v = point / q, so c = C / q
+    point, q = row
+    C = dot(eta, point)
     # the coefficients of the powers of (s - a), low first, times (q lcm)^z
     shifted = [0] * n
     for j in range(min(z, n - 1) + 1):
-        shifted[n - 1 - j] = (math.comb(n - 1, j) * (-C) ** j * series[z - j]
+        shifted[n - 1 - j] = (det * math.comb(n - 1, j) * (-C) ** j * series[z - j]
                               * q ** (z - j) * lcm ** j)
-    # and (s - a)^k = (q s - A)^k / q^k, over q^(n-1)
     den = (math.factorial(n - 1) * math.prod(flat) * math.prod(w for w, _ in steep)
-           * (q * lcm) ** z * q ** (n - 1))
-    det = abs(det_int([list(g) for g in gens]))
-    return Poly.over([det * x for x in affine_substitute(shifted, q, -A, q)], den)
+           * (q * lcm) ** z)
+    return shifted, den
 
 
 def _positive_on_open(p: Poly, lo: Fraction, hi: Fraction) -> bool:
@@ -221,9 +257,8 @@ def check_log_concavity(profile: DHProfile) -> LogConcavityReport:
     chamber_verdicts = []
     first = None
     for ch in profile.chambers:
-        p = ch.poly
-        g = p * p.derivative().derivative() - p.derivative() * p.derivative()
-        ok, witness = nonpositive_on(g, ch.lo, ch.hi)
+        d1 = ch.slope
+        ok, witness = nonpositive_on(ch.poly * d1.derivative() - d1 * d1, ch.lo, ch.hi)
         chamber_verdicts.append(ChamberVerdict(ch.lo, ch.hi, ok, witness))
         if not ok and first is None:
             first = (f"chamber ({format_rational(ch.lo)}, {format_rational(ch.hi)}): "
@@ -233,8 +268,7 @@ def check_log_concavity(profile: DHProfile) -> LogConcavityReport:
         a = left.hi
         vl, vr = left.poly(a), right.poly(a)
         # (mu'/mu)(a-) >= (mu'/mu)(a+), cross-multiplied
-        ok = vl > 0 and vr > 0 and (
-            left.poly.derivative()(a) * vr >= right.poly.derivative()(a) * vl)
+        ok = vl > 0 and vr > 0 and left.slope(a) * vr >= right.slope(a) * vl
         wall_verdicts.append(WallVerdict(a, ok, vl == vr))
         if not ok and first is None:
             first = (f"wall {format_rational(a)}: one-sided log-derivative "
@@ -262,7 +296,7 @@ def find_strict_local_minima(profile: DHProfile) -> list[LocalMinimum]:
     """Interior points where the density has a strict local minimum."""
     minima: list[LocalMinimum] = []
     for ch in profile.chambers:
-        d = ch.poly.derivative()
+        d = ch.slope
         markers = isolate_roots(d, ch.lo, ch.hi)
         if not markers:
             continue

@@ -86,11 +86,16 @@ def _int_vector(v, what: str) -> IntVector:
 
 def primitive(v: Sequence[int]) -> IntVector:
     """Divide an integer vector by the gcd of its entries."""
-    vv = _int_vector(v, "vector")
-    if not any(vv):
+    return _primitive(_int_vector(_sequence(v, "vector"), "vector"))
+
+
+def _primitive(v: Sequence[int]) -> IntVector:
+    """`primitive` without its input gate, for integer vectors the engine
+    built itself.  Private, like _is_int."""
+    if not any(v):
         raise ZeroVector("cannot primitivize the zero vector")
-    g = math.gcd(*vv)
-    return tuple(x // g for x in vv)
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def content(v: Sequence[int]) -> int:
@@ -116,7 +121,7 @@ def generic_direction(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:
 
 def lattice_index(vs: Sequence[Sequence[int]]) -> Optional[int]:
     """|det| of n integer n-vectors; None when the set is degenerate."""
-    n = len(vs)
+    n = len(_sequence(vs, "vectors"))
     if n == 0 or any(len(v) != n for v in vs):
         raise DimensionMismatch(f"need n vectors of dimension n, got {[len(v) for v in vs]}")
     d = det_int([list(_int_vector(v, "vector")) for v in vs])
@@ -125,7 +130,7 @@ def lattice_index(vs: Sequence[Sequence[int]]) -> Optional[int]:
 
 def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
     """True iff every entry of the sum of the vectors is even."""
-    if not vs:
+    if not _sequence(vs, "vectors"):
         raise DimensionMismatch("empty vector list")
     n = len(vs[0])
     if any(len(_int_vector(v, "vector")) != n for v in vs):

@@ -65,6 +65,7 @@ from .lattice import (
     IntVector,
     _format_ratio,
     _is_int,
+    _primitive,
     _sequence,
     adjugate_int,
     content,
@@ -78,7 +79,6 @@ from .lattice import (
     inverse_unimodular,
     over_common_denominator,
     parse_rational,
-    primitive,
     rank_int,
     transpose,
 )
@@ -204,7 +204,8 @@ class Structure:
     H-representation.
 
     points are the vertices, as integer rows (num, den), with their active
-    facet sets, sorted by point;
+    facet sets, sorted by point, so that x1 never decreases along them (the
+    profile and `critical_values` read the levels in this order);
     edges[k] holds the primitive edge directions at points[k], in
     sorted(active) order at a simple vertex (entry i relaxes the i-th active
     facet) and the extreme rays of the tangent cone at a non-simple one.
@@ -212,7 +213,9 @@ class Structure:
     order of first appearance, affine_rank is the rank of the edges at the
     first vertex, and a facet is redundant when no vertex holds it or the
     edges at its first vertex that lie in it span fewer than n - 1
-    dimensions.
+    dimensions.  dets[k], computed when first asked, is |det G_v| for the
+    matrix G_v whose rows are edges[k], at a simple vertex; the volume and
+    the profile both read it.
     """
 
     points: tuple[tuple[Row, frozenset[int]], ...]
@@ -227,6 +230,11 @@ class Structure:
     @cached_property
     def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
         return {act: es for (_, act), es in zip(self.points, self.edges)}
+
+    @cached_property
+    def dets(self) -> tuple[Optional[int], ...]:
+        return tuple(abs(det_int([list(g) for g in es])) if len(es) == len(es[0]) else None
+                     for es in self.edges)
 
 
 def _row(num: Sequence[int], den: int) -> Row:
@@ -245,7 +253,7 @@ def _combine(e: IntVector, re: int, g: IntVector, rg: int) -> IntVector:
     """primitive(|rg| e - sgn(rg) re g), which pairs to zero with a when
     re = <a, e> and rg = <a, g> != 0: the new direction of a half-space step."""
     s = 1 if rg > 0 else -1
-    return primitive([abs(rg) * x - s * re * y for x, y in zip(e, g)])
+    return _primitive([abs(rg) * x - s * re * y for x, y in zip(e, g)])
 
 
 def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
@@ -266,7 +274,7 @@ def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
     basis = independent_rows(rows)
     adj, det = adjugate_int([list(rows[i]) for i in basis])
     # each ray with the bit mask of the rows it pairs to zero with so far
-    rays = [(primitive(col if det < 0 else [-x for x in col]), sum(1 << j for j in basis if j != i))
+    rays = [(_primitive(col if det < 0 else [-x for x in col]), sum(1 << j for j in basis if j != i))
             for i, col in zip(basis, zip(*adj))]
     for i in sorted(set(range(len(act))).difference(basis)):
         r = [dot(rows[i], e) for e, _ in rays]
@@ -422,7 +430,7 @@ def _walk(normals, n, start) -> list[tuple]:
             basis = basis or _basis(normals, act)
             sign = -1 if basis[1] > 0 else 1
             moves = [[sign * x for x in c] for c in basis[0]]
-            edges = tuple(primitive(v[:n]) for v in moves)
+            edges = tuple(_primitive(v[:n]) for v in moves)
         else:
             edges = _edge_directions(normals, act, n)
             moves = [list(e) + [dot(a, e) for a in normals] for e in edges]
@@ -671,9 +679,15 @@ def vertices(P: LabeledPolytope) -> list[Vertex]:
 
 
 def critical_values(P: LabeledPolytope) -> list[Fraction]:
-    """Distinct first coordinates of the vertices, sorted."""
-    firsts = {_row(num[:1], den) for (num, den), _ in _simple_points(P)}
-    return sorted(Fraction(x, den) for (x,), den in firsts)
+    """Distinct first coordinates of the vertices, sorted: x1 never
+    decreases along the points, so each new level is read off in order."""
+    levels: list[Fraction] = []
+    last = None
+    for (num, den), _ in _simple_points(P):
+        if last is None or num[0] * last[1] != last[0] * den:
+            last = num[0], den
+            levels.append(Fraction(*last))
+    return levels
 
 
 def dimension_failure(P: LabeledPolytope) -> Optional[str]:
@@ -780,11 +794,11 @@ def volume(P: LabeledPolytope) -> Fraction:
     points = _simple_points(P)
     require_bounded(P, "volume needs a bounded polytope")
     n = P.dim
-    edges = P.structure().edges
-    c = generic_direction([g for es in edges for g in es], n)
+    st = P.structure()
+    c = generic_direction([g for es in st.edges for g in es], n)
     total, den = 0, 1
-    for ((num, q), _), es in zip(points, edges):
-        term = dot(c, num) ** n * abs(det_int([list(g) for g in es]))
+    for ((num, q), _), es, det in zip(points, st.edges, st.dets):
+        term = dot(c, num) ** n * det
         term_den = q ** n * math.prod(-dot(c, g) for g in es)
         common = math.lcm(den, term_den)
         total = total * (common // den) + term * (common // term_den)

@@ -226,8 +226,11 @@ def test_criterion_9_performance():
         t0 = time.perf_counter()
         cli.append(run(npm))
         t_cli = min(t_cli, time.perf_counter() - t0)
-    ok = (t_vertices < 0.03 and t_volume < 0.01 and t_ops < 0.04 and t_dh < 0.05
-          and t_signs < 0.01 and t_slices < 0.1 and t_probe < 0.5 and t_batteries < 0.3
+    # 200 timed runs of volume, dh_profile and the two sign checks took at
+    # most 1.47, 1.30 and 0.75 ms on a 2-vCPU Xeon, so their bounds keep a
+    # margin of 3x or more
+    ok = (t_vertices < 0.03 and t_volume < 0.005 and t_ops < 0.04 and t_dh < 0.01
+          and t_signs < 0.005 and t_slices < 0.1 and t_probe < 0.5 and t_batteries < 0.3
           and t_wall < 0.04 and wall.ok and t_cli < 0.004
           and all(out.exit_code == 0 for out in cli)
           and all(r.ok for r in rows) and len(vs) == 64

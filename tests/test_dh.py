@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -26,9 +27,9 @@ from momentcut.dh import (
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
 from momentcut.ops import add_fixed_points, reversed_polytope
 from momentcut.lattice import format_rational, generic_direction
-from momentcut.polytope import Facet, LabeledPolytope, dumps, transform, vertices, volume
+from momentcut.polytope import Facet, LabeledPolytope, dumps, transform, volume
 from momentcut.ratpoly import Poly, isolate_roots
-from momentcut.toric import VertexKind, edge_generators
+from momentcut.toric import VertexKind
 
 from conftest import (
     chamber_affine_check,
@@ -135,6 +136,42 @@ def test_profile_takes_no_slices(monkeypatch):
     monkeypatch.setattr(momentcut.dh, "slice_at", no_slicing)
     P = chopped_hypercube()
     assert dh_profile(P).total_integral() == volume(P)
+
+
+def test_volume_and_profile_share_one_record_per_vertex(monkeypatch):
+    # both sums read |det G_v| off the Structure, computed once per vertex;
+    # the profile shifts each wall's vertex terms to powers of s at once,
+    # and a Fraction is built only for the levels and the values handed back
+    P = chopped_hypercube()
+    calls = Counter()
+
+    def counting(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    counting(momentcut.polytope, "det_int")
+    counting(momentcut.dh, "affine_substitute")
+    code = Fraction.__new__.__code__
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls["Fraction"] += 1
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        vol = volume(P)
+        prof = dh_profile(P)
+    finally:
+        sys.setprofile(before)
+    assert vol == F(383, 384) and prof.total_integral() == vol
+    assert calls["det_int"] == len(P.structure().points) == 64
+    assert calls["affine_substitute"] == len(prof.walls) - 1 == 3
+    # 273 when each vertex term took its own determinant and the vertices
+    # were sorted by their Fraction points
+    assert calls["Fraction"] == 17
 
 
 @pytest.mark.parametrize("facets,message", [
@@ -415,9 +452,8 @@ def _jump_matches_localization(P: LabeledPolytope, a: Fraction) -> bool:
     left = next(ch for ch in chambers if ch.hi == a)
     right = next(ch for ch in chambers if ch.lo == a)
     eta = (0,) + generic_direction([], P.dim - 1)
-    terms = sum((momentcut.dh._vertex_term(v, edge_generators(P, v), eta)
-                 for v in vertices(P) if v.point[0] == a), Poly([]))
-    return right.poly - left.poly == terms
+    ks = [k for k, ((num, den), _) in enumerate(P.structure().points) if F(num[0], den) == a]
+    return right.poly - left.poly == momentcut.dh._wall_jump(P, ks, a, eta)
 
 
 # Walls whose vertex has one negative weight -m and other weights not all

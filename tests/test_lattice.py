@@ -94,6 +94,26 @@ def test_integer_arguments_refused_by_name(call, message):
     assert str(err.value) == message
 
 
+# a number or None where a sequence of vectors (or one vector) belongs
+# escaped as a bare TypeError from len() or tuple()
+@pytest.mark.parametrize("value", [5, None, F(1, 2)], ids=["int", "none", "fraction"])
+def test_primitive_refuses_a_non_sequence(value):
+    with pytest.raises(InputError, match=r"^vector must be a list or a tuple, got "):
+        primitive(value)
+
+
+@pytest.mark.parametrize("value", [5, None, F(1, 2)], ids=["int", "none", "fraction"])
+def test_lattice_index_refuses_a_non_sequence(value):
+    with pytest.raises(InputError, match=r"^vectors must be a list or a tuple, got "):
+        lattice_index(value)
+
+
+@pytest.mark.parametrize("value", [3, None, F(1, 2)], ids=["int", "none", "fraction"])
+def test_half_sum_integral_refuses_a_non_sequence(value):
+    with pytest.raises(InputError, match=r"^vectors must be a list or a tuple, got "):
+        half_sum_integral(value)
+
+
 def test_empty_system():
     # the 0 x 0 matrix: determinant 1 (the empty product), empty solution
     assert det_int([]) == 1

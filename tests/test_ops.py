@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,7 @@ from momentcut.polytope import (
     canonical_equal,
     canonical_key,
     dumps,
+    intersect_halfspace,
     loads,
     slice_at,
     transform,
@@ -52,7 +54,7 @@ from momentcut.polytope import (
 from momentcut.toric import (VertexKind, circle_stabilizer_order, classify_vertex,
                              edge_generators, weights_at_vertex)
 
-from conftest import keeping_x1, regular_levels, walked
+from conftest import chopped_box, keeping_x1, random_unimodular, regular_levels, walked
 
 F = Fraction
 
@@ -357,6 +359,33 @@ def test_derived_chain_builds_few_fractions():
     assert report.ok and checked.ok
     # the entry points take their levels as given, with no Fraction(x) copy
     assert built["Fraction"] == 128
+
+
+def _x1_never_decreases(P: LabeledPolytope) -> bool:
+    rows = [row for row, _ in P.structure().points]
+    return all(a[0] * d <= c[0] * b for (a, b), (c, d) in zip(rows, rows[1:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), picks=st.integers(0, 2**16 - 1), seed=st.integers(0, 2**32))
+def test_x1_never_decreases_along_the_points(n, picks, seed):
+    # dh_profile and critical_values read the levels in the order of
+    # Structure.points, walked or derived: by a cut, a blow-up, a slice, a
+    # half-space step and the facets it makes redundant, or a transform
+    rng = random.Random(seed)
+    corners = [c for k, c in enumerate(product((0, 1), repeat=n)) if picks >> k & 1]
+    b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    P = transform(chopped_box(n, corners, F(1, 4)), random_unimodular(rng, n), b)
+    crit = critical_values(P)
+    level = crit[0] + (crit[-1] - crit[0]) * F(rng.randint(1, 15), 16)
+    e1 = (1,) + (0,) * (n - 1)
+    derived = [P, intersect_halfspace(P, Facet(e1, crit[-1] + 1)),
+               intersect_halfspace(P, Facet(e1, level)),
+               blowup(P, BlowupParams(rng.choice(vertices(P)).point, F(1, 16)))[0]]
+    if level not in crit:
+        derived += [cut(P, level), slice_at(P, level).polytope]
+    for Q in derived:
+        assert _x1_never_decreases(Q)
 
 
 def test_derived_polytopes_take_no_walk(monkeypatch):
