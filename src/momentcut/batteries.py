@@ -28,6 +28,7 @@ from .localmodel import (
     _gaps,
     _n_pm_rows,
     _rows,
+    _sum_entries,
     blowup_potential_rows,
     cut_identity_rows,
     level_membership,
@@ -140,8 +141,8 @@ def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
         agree = found == np.array([level_membership(*inputs) for inputs in drawn])
         t = np.where(found, t, 0.0)
         terms = psi.terms(np.stack([np.nextafter(t, -np.inf), t]))
-        before, at = terms.sum(axis=-1)
-        resid = _gaps(at, s, np.abs(terms[1]).sum(axis=-1))
+        before, at = _sum_entries(terms)
+        resid = _gaps(at, s, _sum_entries(np.abs(terms[1])))
         ok = ~found | ((before < s) & (s <= at) & (resid <= 1e-12))
         return zip(np.where(agree & found, resid, 0.0), agree & ok)
     return _run("solve-membership", 1e-12, trials, seed, draw, judge)

@@ -77,8 +77,11 @@ def _format_ratio(num: int, den: int) -> str:
 
 def _int_vector(v, what: str) -> IntVector:
     """v as a tuple when its entries are integers; a float, a string or a
-    bool entry is refused, not converted.  Private, like _is_int."""
-    vv = tuple(v)
+    bool entry is refused, not converted, as is a v that is no sequence.  Private, like _is_int."""
+    try:
+        vv = tuple(v)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence of integers, got {v!r}") from None
     if not all(map(_is_int, vv)):
         raise InputError(f"{what} entries must be integers, got {v!r}")
     return vv
@@ -121,21 +124,21 @@ def generic_direction(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:
 
 def lattice_index(vs: Sequence[Sequence[int]]) -> Optional[int]:
     """|det| of n integer n-vectors; None when the set is degenerate."""
-    n = len(_sequence(vs, "vectors"))
-    if n == 0 or any(len(v) != n for v in vs):
+    vs = [_int_vector(v, "vector") for v in _sequence(vs, "vectors")]
+    if not vs or any(len(v) != len(vs) for v in vs):
         raise DimensionMismatch(f"need n vectors of dimension n, got {[len(v) for v in vs]}")
-    d = det_int([list(_int_vector(v, "vector")) for v in vs])
+    d = det_int([list(v) for v in vs])
     return None if d == 0 else abs(d)
 
 
 def half_sum_integral(vs: Sequence[Sequence[int]]) -> bool:
     """True iff every entry of the sum of the vectors is even."""
-    if not _sequence(vs, "vectors"):
+    vs = [_int_vector(v, "vector") for v in _sequence(vs, "vectors")]
+    if not vs:
         raise DimensionMismatch("empty vector list")
-    n = len(vs[0])
-    if any(len(_int_vector(v, "vector")) != n for v in vs):
+    if len({len(v) for v in vs}) > 1:
         raise DimensionMismatch("mixed dimensions")
-    return all(sum(v[i] for v in vs) % 2 == 0 for i in range(n))
+    return all(sum(column) % 2 == 0 for column in zip(*vs))
 
 
 # ---------------------------------------------------------------------------

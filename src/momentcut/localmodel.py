@@ -21,7 +21,9 @@ the report's published tolerance.
 Each quantity has one definition, over rows of points of shape (..., n):
 the flow e^{a t} z (`_flow_rows`), the weighted radii N-/N+ (`_n_pm_rows`)
 and psi along the flow (`MomentAlongFlow`); `flow` and `n_pm` are the gated
-one-point case of the first two.  Regions of C^n are row predicates too:
+one-point case of the first two.  psi and N-/N+ add a row's terms by one
+rule, `_sum_entries`: left to right, so a row padded with exact zeros sums
+as its point alone.  Regions of C^n are row predicates too:
 `membership_v` and `bad_annulus_region` take an array of points and return
 one bool per point, and `orbital_convexity_probe` hands a region a whole
 flow line at once.  The monotone, cut and blow-up checks are row checks
@@ -190,6 +192,16 @@ def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(np.imag(np.conj(u) * v), axis=-1)
 
 
+def _sum_entries(x: np.ndarray) -> np.ndarray:
+    """The sum of each row's entries, the last axis of x, added left to right,
+    one vector add per entry.  numpy's own sum goes pairwise over 8 or more
+    entries, so a row's sum would depend on its padding."""
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def _gaps(got, want, scale) -> np.ndarray:
     """|got - want| in units of `scale`, elementwise.
 
@@ -244,17 +256,15 @@ class MomentAlongFlow:
     refused too (see `_flow_terms`), so the sum is never nan.
 
     One row per point: t has one entry per row in its last axis, of any
-    length for one row.  Each row is padded after its terms with 2a = 0,
-    ln = -inf (exact zeros); numpy sums fewer than 8 terms from left to
-    right, so only there does padding keep each row's sum its point's."""
+    length for one row.  Each row is padded after its terms with 2a = -0.0,
+    ln = -inf, terms of exactly -0.0, which leave any sum as it is; the
+    terms are added by `_sum_entries`, so each row's psi is its point's."""
 
     def __init__(self, actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]]):
         rows = [_flow_terms(action, _point(action, z)) for action, z in zip(actions, zs, strict=True)]
         width = max(map(len, rows))
-        if width >= 8 and any(len(row) < width for row in rows):
-            raise PreconditionError("rows of 8 or more terms must all have as many")
         self.two_a, self.log_half_ac = np.array(
-            [row + [(0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
+            [row + [(-0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
 
     def terms(self, t) -> np.ndarray:
         """The terms 1/2 a_j c_j e^{2 a_j t}, of shape t.shape + (k,)."""
@@ -263,7 +273,7 @@ class MomentAlongFlow:
         return np.copysign(exp, self.two_a)
 
     def __call__(self, t) -> np.ndarray:
-        return self.terms(t).sum(axis=-1)
+        return _sum_entries(self.terms(t))
 
     def time_to_level(self, s) -> np.ndarray:
         """Per row, the least double t with psi(t) >= s, or nan when s is
@@ -304,8 +314,7 @@ def monotone_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex
 
     psi(e^t z) is evaluated on the whole grid; at probes of the grid, the
     closed-form d psi(a z_t) along the flow's velocity a z_t is compared
-    with omega(xi, J xi) for xi = i a z_t.  Rows of 8 or more flow terms
-    must all have as many (see `MomentAlongFlow`).
+    with omega(xi, J xi) for xi = i a z_t.
     """
     t_grid = np.linspace(-3.0, 3.0, 1001) if t_grid is None else np.asarray(t_grid, dtype=float)
     probes = t_grid[:: max(1, len(t_grid) // 12)]
@@ -344,13 +353,8 @@ def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bo
     has_pos = any(z[j] for j in action.pos)
     if not (has_neg or has_pos):
         raise FixedPointInput("the point is fixed by the action")
-    if math.isinf(s):
-        return False            # psi takes finite values only
-    if s > 0:
-        return has_pos
-    if s < 0:
-        return has_neg
-    return has_neg and has_pos
+    # psi takes finite values only
+    return not math.isinf(s) and (has_pos or s < 0) and (has_neg or s > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +365,9 @@ def _n_pm_rows(a: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """N_- and N_+, (sum |z_j|^{2/|a_j|})^{1/2} over a_j < 0 and over a_j > 0,
     of each point of Z, of shape (..., n), under weights a that broadcast
     against it (a weight-0 entry, raised to the power 0, cannot overflow).
-    The entries are summed transposed, first in memory, so that numpy adds
-    them left to right with one vector add per entry."""
+    Each block sums by `_sum_entries`, the other block's entries set to 0."""
     terms = np.abs(Z) ** np.where(a == 0, 0.0, 2.0 / np.maximum(np.abs(a), 1.0))
-    a, terms = np.broadcast_to(a, Z.shape).T, terms.T.copy()
-    return tuple(np.sqrt(terms.sum(axis=0, where=block)).T for block in (a < 0, a > 0))
+    return tuple(np.sqrt(_sum_entries(np.where(block, terms, 0.0))) for block in (a < 0, a > 0))
 
 
 def n_pm(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
@@ -426,18 +428,15 @@ def default_spec(action: LinearAction, eps: float = 0.5,
     return NeighborhoodSpec(eps, eps_prime, delta)
 
 
-def _sample_block(rng: np.random.Generator, weights: Sequence[int],
-                  radius: float) -> tuple[np.ndarray, float]:
-    """Random point of the open ball N < radius in a sign block, drawn as
-    u_j = |z_j|^{2/|a_j|}, and its N^2 = sum u_j; an empty block draws nothing."""
-    k = len(weights)
-    powers = np.abs(np.asarray(weights, dtype=float)) / 2.0
+def _sample_block(rng: np.random.Generator, powers: np.ndarray,
+                  r2: float) -> tuple[np.ndarray, float]:
+    """Random point of the ball N^2 < r2 in a sign block of exponents |a_j|/2,
+    drawn as u_j = |z_j|^{2/|a_j|}, and its N^2 = sum u_j (none if empty)."""
     while True:
-        u = rng.uniform(0.0, radius**2, size=k)
-        if (n2 := u.sum()) < radius**2:
-            mags = u ** powers
-            phases = np.exp(2j * np.pi * rng.uniform(size=k))
-            return mags * phases, n2
+        u = rng.uniform(0.0, r2, size=len(powers))
+        if (n2 := u.sum()) < r2:
+            phases = np.exp(2j * np.pi * rng.uniform(size=len(powers)))
+            return u ** powers * phases, n2
 
 
 def sample_neighborhood(action: LinearAction, spec: NeighborhoodSpec,
@@ -446,11 +445,13 @@ def sample_neighborhood(action: LinearAction, spec: NeighborhoodSpec,
     in the coordinates u_j = |z_j|^{2/|a_j|}, so its N^2 is the sum of its
     u_j, and the point is kept when N_- N_+ < eps eps'."""
     n = len(action.weights)
+    blocks = [(list(block), np.abs(action.array()[list(block)]) / 2.0)
+              for block in (action.neg, action.pos)]
     for _ in range(10_000):
         z = np.zeros(n, dtype=complex)
         sums = []
-        for block in (action.neg, action.pos):
-            z[list(block)], n2 = _sample_block(rng, [action.weights[j] for j in block], spec.eps)
+        for entries, powers in blocks:
+            z[entries], n2 = _sample_block(rng, powers, spec.eps**2)
             sums.append(n2)
         if action.zero:
             w = rng.normal(size=len(action.zero)) + 1j * rng.normal(size=len(action.zero))
@@ -515,9 +516,7 @@ def orbital_convexity_probe(action: LinearAction, spec: NeighborhoodSpec,
     # the flow lines of 64 trials at a time, from one e^{a t} per grid point
     lines = (line for start in range(0, trials, 64) for line in _flow_rows(
         a, np.array(points[start:start + 64])[:, None, :], grid[:, None]))
-    reentries = 0
-    clause_failures = 0
-    half_lines = 0
+    reentries = clause_failures = half_lines = 0
     for z, line in zip(points, lines):
         flags = np.asarray(inside(line), dtype=bool)
         idx = np.nonzero(flags)[0]
@@ -630,13 +629,11 @@ def _radial_hessian(f1, f2, z: np.ndarray) -> np.ndarray:
             + f2 * (np.conj(z)[..., :, None] * z[..., None, :]))
 
 
-def _d_phi(a: np.ndarray, z: np.ndarray, f1: float, f2: float,
-           v: np.ndarray) -> np.ndarray:
-    """d Phi at z along v, for Phi(z) = f'(|z|^2) sum a_j |z_j|^2, from
+def _d_phi(a: np.ndarray, z: np.ndarray, s, f1, f2, v: np.ndarray) -> np.ndarray:
+    """d Phi at z along v, for Phi(z) = f'(|z|^2) s, from s = sum a_j |z_j|^2,
     f1 = f'(|z|^2) and f2 = f''(|z|^2): Phi = 2 f' psi_a, so
-    d Phi = 2 f' d psi_a + 2 f'' (sum a_j |z_j|^2) d psi_1."""
-    return 2 * (f1 * _d_psi(a, z, v)
-                + f2 * np.sum(a * np.abs(z) ** 2, axis=-1) * _d_psi(1.0, z, v))
+    d Phi = 2 f' d psi_a + 2 f'' s d psi_1."""
+    return 2 * (f1 * _d_psi(a, z, v) + f2 * s * _d_psi(1.0, z, v))
 
 
 @dataclass(frozen=True)
@@ -719,19 +716,20 @@ def cut_identity_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[com
     """
     ws = [_complex(w, "w") for w in ws]
     reports: list = [None] * len(ws)
-    for index, acts, points, a, z in _rows(actions, zs):
+    for index, _, _, a, z in _rows(actions, zs):
         w = [ws[k] for k in index]
-        for action, p, wk in zip(acts, points, w):
-            # |xi'| = sqrt(A + |w|^2) and sqrt(A) |w|, whose squares must be
-            # finite, by hypot on plain floats before any square can overflow
-            root_a = math.hypot(*(abs(aj) * math.hypot(zj.real, zj.imag)
-                                  for aj, zj in zip(action.weights, p)))
-            abs_w = math.hypot(wk.real, wk.imag)
-            norm, root = math.hypot(root_a, abs_w), root_a * abs_w
-            if not (norm <= _ROOT_MAX and root <= _ROOT_MAX):
-                raise PreconditionError(
-                    f"A + |w|^2 or |w|^2 A overflows double precision: sqrt(A + |w|^2) = "
-                    f"{norm:.6g} and sqrt(A) |w| = {root:.6g} must stay below {_ROOT_MAX:.6g}")
+        # |xi'| = sqrt(A + |w|^2) and sqrt(A) |w|, whose squares must be
+        # finite, by hypot before any square can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            root_a = np.hypot.reduce(np.abs(a) * np.abs(z), axis=-1)
+            abs_w = np.abs(np.array(w))
+            norm, root = np.hypot(root_a, abs_w), root_a * abs_w
+        over = ~((norm <= _ROOT_MAX) & (root <= _ROOT_MAX))
+        if over.any():
+            k = over.argmax()
+            raise PreconditionError(
+                f"A + |w|^2 or |w|^2 A overflows double precision: sqrt(A + |w|^2) = "
+                f"{norm[k]:.6g} and sqrt(A) |w| = {root[k]:.6g} must stay below {_ROOT_MAX:.6g}")
         # Python's abs of a complex, which np.abs does not match in the last bit
         w2 = np.array([abs(wk) ** 2 for wk in w])
         # a weight-0 entry adds nothing, however large: its square could overflow
@@ -755,7 +753,7 @@ def cut_identity_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[com
         with np.errstate(over="ignore"):
             orth_scale = norm_prime * (_norms(xi_m) + c * norm_prime)
         value = _omega(xi_big, 1j * xi_big)
-        expected = w2 * A / (A + w2)
+        expected = w2 * c           # not w2 A / (A + w2): w2 A can be subnormal
         nonzero = expected != 0
         rel = np.where(nonzero, _gaps(value, expected, np.where(nonzero, expected, 1.0)),
                        np.abs(value))
@@ -826,39 +824,37 @@ def blowup_potential_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence
     profile = _smoothed_ln(bump)
     two_pi = 2 * math.pi
 
-    def phi(a: np.ndarray, p: np.ndarray) -> list[float]:
-        sq = np.abs(p) ** 2
-        return [s * profile.f1(tk) / two_pi for s, tk in
-                zip(np.sum(a * sq, axis=-1).tolist(), np.sum(sq, axis=-1).tolist())]
+    def phi(s: np.ndarray, t: np.ndarray) -> np.ndarray:    # from the row sums
+        return s * np.array([profile.f1(tk) for tk in t.tolist()]) / two_pi
 
     reports: list = [None] * len(zs)
     for index, _, _, a, z in _rows(actions, zs):
         sq = np.abs(z) ** 2
         t = np.sum(sq, axis=-1)
-        ts = t.tolist()
-        for tk in ts:
+        # the gates over all rows; the first row beyond them names its gate
+        beyond = (t >= bump.r1) | (t < 1 / _ROOT_MAX)
+        if beyond.any():
+            tk = t[beyond.argmax()].item()
             if tk <= 0:
                 raise PreconditionError("z must be nonzero")
             if tk >= bump.r1:
                 raise PreconditionError("|z|^2 must stay below r1, inside the rho = 1 region")
-            if tk < 1 / _ROOT_MAX:
-                raise PreconditionError(
-                    f"|z|^2 = {tk!r} is too small: f''(|z|^2) = -1/|z|^4 overflows double precision")
-        f1 = np.array([profile.f1(tk) / two_pi for tk in ts])
-        f2 = np.array([profile.f2(tk) / two_pi for tk in ts])
-        phi_val = np.array(phi(a, z))
-        s1 = np.sum(a * sq, axis=-1)
-        phi_formula = s1 / (two_pi * t)
+            raise PreconditionError(
+                f"|z|^2 = {tk!r} is too small: f''(|z|^2) = -1/|z|^4 overflows double precision")
+        s = np.sum(a * sq, axis=-1)         # 2 psi, summed once per row
+        f1, f2 = (np.array([f(tk) / two_pi for tk in t.tolist()]) for f in (profile.f1, profile.f2))
+        phi_val = phi(s, t)
+        phi_formula = s / (two_pi * t)
         phi_scale = np.sum(np.abs(a) * sq, axis=-1) * np.abs(f1)
-        lam = [1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(tk)) / (2 * math.sqrt(tk)))
-               for tk in ts]
-        scaling_err = _gaps(phi(a, np.array(lam)[:, None] * z), phi_val, phi_scale)
+        lam = 1.0 + np.minimum(0.25, (math.sqrt(bump.r1) - np.sqrt(t)) / (2 * np.sqrt(t)))
+        sq_l = np.abs(lam[:, None] * z) ** 2
+        scaling_err = _gaps(phi(np.sum(a * sq_l, axis=-1), np.sum(sq_l, axis=-1)), phi_val, phi_scale)
 
         n = z.shape[-1]
         dirs = np.concatenate([np.eye(n), 1j * np.eye(n)])
         h_xi = _radial_hessian(f1, f2, z).swapaxes(-1, -2) @ (1j * a * z)[..., None]
         eta = -2 * np.imag(np.conj(dirs) @ h_xi)[..., 0]
-        d_phi = _d_phi(a[:, None, :], z[:, None, :], f1[:, None], f2[:, None], dirs)
+        d_phi = _d_phi(a[:, None, :], z[:, None, :], s[:, None], f1[:, None], f2[:, None], dirs)
         scale = 2 * np.abs(a).max(axis=-1) * np.sqrt(t) * (np.abs(f1) + t * np.abs(f2))
         columns = (phi_val, phi_formula, _gaps(phi_val, phi_formula, phi_scale),
                    _gaps(eta, -d_phi, scale[:, None]).max(axis=-1), scaling_err)

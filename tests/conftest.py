@@ -909,7 +909,7 @@ def cut_tameness_identity_by_point(action, z, w) -> CutIdentityReport:
     norm_prime = float(np.linalg.norm(xi_prime))
     orth_scale = norm_prime * (float(np.linalg.norm(xi_m)) + c * norm_prime)
     value = float(_omega(xi_big, 1j * xi_big))
-    expected = abs(w) ** 2 * A / (A + abs(w) ** 2)
+    expected = abs(w) ** 2 * c
     rel = _scaled_gap(value, expected, expected) if expected != 0 else abs(value)
     point = np.concatenate([z, [w]])
     a_prime = np.concatenate([a, [1.0]])
@@ -938,14 +938,15 @@ def blowup_potential_check_by_point(action, z, bump=None) -> BlowupPotentialRepo
         return float(np.sum(a * sq)) * profile.f1(float(np.sum(sq))) / (2 * math.pi)
 
     f1, f2 = profile.f1(t) / (2 * math.pi), profile.f2(t) / (2 * math.pi)
+    s = np.sum(a * np.abs(z) ** 2)
     phi_val = phi(z)
-    phi_formula = float(np.sum(a * np.abs(z) ** 2) / (2 * math.pi * t))
+    phi_formula = float(s / (2 * math.pi * t))
     phi_scale = float(np.sum(np.abs(a) * np.abs(z) ** 2)) * abs(f1)
     lam = 1.0 + min(0.25, (math.sqrt(bump.r1) - math.sqrt(t)) / (2 * math.sqrt(t)))
     scaling_err = _scaled_gap(phi(lam * z), phi_val, phi_scale)
     dirs = np.concatenate([np.eye(n), 1j * np.eye(n)])
     eta = -2 * np.imag(np.conj(dirs) @ (_radial_hessian(f1, f2, z).T @ (1j * a * z)))
-    d_phi = _d_phi(a, z, f1, f2, dirs)
+    d_phi = _d_phi(a, z, s, f1, f2, dirs)
     scale = 2 * np.max(np.abs(a)) * math.sqrt(t) * (abs(f1) + t * abs(f2))
     return BlowupPotentialReport(phi_val, phi_formula,
                                  _scaled_gap(phi_val, phi_formula, phi_scale),

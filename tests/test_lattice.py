@@ -83,10 +83,12 @@ def test_half_sum_examples():
     (lambda: primitive([0.5, 1]), "vector entries must be integers, got [0.5, 1]"),
     (lambda: primitive(["a"]), "vector entries must be integers, got ['a']"),
     (lambda: half_sum_integral([[1, "a"]]), "vector entries must be integers, got [1, 'a']"),
+    (lambda: lattice_index([5, 6]), "vector must be a sequence of integers, got 5"),
+    (lambda: half_sum_integral([5]), "vector must be a sequence of integers, got 5"),
     (lambda: format_rational(0.5), "q must be an integer or a Fraction, got 0.5"),
     (lambda: format_rational("1/2"), "q must be an integer or a Fraction, got '1/2'"),
 ], ids=["index-float", "index-str", "index-bool", "primitive-float", "primitive-str",
-        "half-sum-str", "format-float", "format-str"])
+        "half-sum-str", "index-int-vector", "half-sum-int-vector", "format-float", "format-str"])
 def test_integer_arguments_refused_by_name(call, message):
     # int() read 1.5 as 1 and 0.5 as 0; a string escaped as a bare ValueError
     with pytest.raises(InputError) as err:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import momentcut.batteries as batteries
 from momentcut.batteries import (
@@ -25,6 +26,7 @@ from momentcut.localmodel import (
     MomentAlongFlow,
     _d_phi,
     _d_psi,
+    _n_pm_rows,
     _pairing_directions,
     _radial_hessian,
     _smoothed_ln,
@@ -273,15 +275,37 @@ def test_both_blocks_overflowing_at_once_refused(z, want):
         assert solve_time_to_level(action, z, 1.0) == want
 
 
-def test_rows_from_eight_terms_are_not_padded():
-    # numpy sums 8 or more terms pairwise, so a padded row would not sum as
-    # its point alone
-    eight, one = LinearAction((1,) * 8), LinearAction((1,))
-    with pytest.raises(PreconditionError, match="8 or more"):
-        MomentAlongFlow([eight, one], [[1.0] * 8, [1.0]])
-    psi = MomentAlongFlow([eight, eight], [[1.0] * 8, [0.5] * 8])
-    assert [_bits(t) for t in psi.time_to_level(np.array([3.0, -1.0]))] == [
-        _bits(solve_time_to_level_by_bisection(eight, [1.0] * 8, 3.0)), None]
+@st.composite
+def _flow_row(draw):
+    """(action, z, t0): 1 to 16 nonzero weights, |z_j| from 1e-5 to 1e5, and
+    a time whose psi is the row's level."""
+    weights = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=16))
+    z = [10.0 ** mag * complex(math.cos(phase), math.sin(phase)) for mag, phase in
+         draw(st.lists(st.tuples(st.floats(-5, 5), st.floats(0, 6.3)),
+                       min_size=len(weights), max_size=len(weights)))]
+    return LinearAction(weights), z, draw(st.floats(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_flow_row(), min_size=2, max_size=6))
+@example(rows=[(LinearAction((1, 2, 3, -1, 1, 2, 3, -2, 1)),
+                [3.0, 1e-3, 0.7j, 2.0, 1e4, 0.3, 5.0, 1e-2, 9.0], 0.1),
+               (LinearAction((1,)), [1.0], 0.0)])
+def test_rows_of_any_length_sum_as_their_own_point(rows):
+    # rows of 1 to 16 terms in one object, padded to the longest: each row's
+    # psi and time to level are its one-row object's, bit for bit, whether
+    # that object is asked about many times at once or one
+    actions, zs, t0 = zip(*rows)
+    psi = MomentAlongFlow(actions, zs)
+    grid = np.linspace(-2.0, 2.0, 9)
+    values = psi(grid[:, None])
+    one = [MomentAlongFlow([act], [z]) for act, z in zip(actions, zs)]
+    levels = np.array([float(row(np.array([t]))[0]) for row, t in zip(one, t0)])
+    times = psi.time_to_level(levels)
+    for k, row in enumerate(one):
+        assert values[:, k].tobytes() == row(grid[:, None])[:, 0].tobytes()
+        assert values[:, k].tobytes() == np.concatenate([row(np.array([t])) for t in grid]).tobytes()
+        assert times[k].tobytes() == row.time_to_level(levels[k:k + 1]).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -396,6 +420,22 @@ def test_npm_matches_python_float_oracle(weights, entries):
         assert got == want
     else:
         assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got, want)), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+       mags=st.lists(st.floats(-8, 8), min_size=3 * 12, max_size=3 * 12))
+def test_npm_of_a_point_is_its_row_in_a_block(weights, mags):
+    # one point's N-/N+ and its row's among others are summed by one rule,
+    # bit for bit: a sign block broken by entries of the other sign, such as
+    # the positive block of (-2, 3, 2, 0, -1, 1, 2), was summed a run at a
+    # time for one point and left to right for rows
+    act = LinearAction(weights)
+    n = len(weights)
+    points = np.array([10.0 ** m for m in mags[:3 * n]]).reshape(3, n) * np.exp(1j * np.arange(n))
+    rows = np.stack(_n_pm_rows(act.array(), points), axis=-1)
+    for point, row in zip(points, rows):
+        assert np.array(n_pm(act, point)).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -717,7 +757,8 @@ def test_closed_forms_match_finite_differences():
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         want = richardson_derivative(lambda s: phi(z + s * v), 1e-4)
-        assert abs(_d_phi(a, z, f1, f2, v) - want) <= 1e-10 * 2 * np.max(np.abs(a)) * math.sqrt(t) * size
+        d_phi = _d_phi(a, z, np.sum(a * np.abs(z) ** 2), f1, f2, v)
+        assert abs(d_phi - want) <= 1e-10 * 2 * np.max(np.abs(a)) * math.sqrt(t) * size
 
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         t0 = float(rng.uniform(-1, 1))
@@ -789,15 +830,31 @@ def test_row_checks_match_point_oracles(seed):
             repr(blowup_potential_check_by_point(a, z, bump)) for a, z in small]
 
 
-def test_cut_identity_rows_keep_the_tiny_w_report():
-    # a valid point whose w is tiny next to z: the identity is judged off by
-    # 1.77e-6 (an open defect); the rows report what the point alone reports
+def test_cut_identity_tiny_w_answers_ok():
+    # a valid point whose w is tiny next to z: |w|^2 A = 9.7e-319 is
+    # subnormal, so |w|^2 A / (A + |w|^2) was off by 1.77e-6; |w|^2 c is not
     act = LinearAction((-3,))
     z = [2.438765207715675e-30 - 6.294288148635856e-29j]
     w = -6.339210155975502e-133 + 5.1854392914466564e-132j
     rep = cut_identity_rows([act], [z], [w])[0]
     assert repr(rep) == repr(cut_tameness_identity_by_point(act, z, w))
-    assert not rep.ok and 1e-6 < rep.rel_err < 1e-5
+    assert rep.ok and rep.rel_err < 1e-15
+    assert rep.value == 2.7290636499295033e-263
+
+
+def test_cut_identity_names_the_row_that_overflows():
+    # the overflow precheck is one test over a block; its refusal names the
+    # first row beyond the bound, here the second
+    act = LinearAction((1, -2))
+    zs = [[1.0, 2.0j], [1e200, 1.0], [3.0, 1e160]]
+    overflows = "A + |w|^2 or |w|^2 A overflows double precision"
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"{overflows}: sqrt(A + |w|^2) = 1e+200 and")):
+        cut_identity_rows([act] * 3, zs, [0.5, 1.0, 2.0])
+    # |w| alone can be beyond it, and so can sqrt(A) |w| with both below
+    for z, w in (([1.0, 1.0], 1e155), ([1e100, 0.0], 1e60)):
+        with pytest.raises(PreconditionError, match=re.escape(overflows)):
+            cut_identity_rows([act] * 2, [[1.0, 1.0], z], [1.0, w])
 
 
 @pytest.mark.parametrize("battery,name", [
