@@ -14,11 +14,12 @@ _NAMES = {
     "lattice": "format_rational half_sum_integral lattice_index parse_rational "
                "primitive",
     "polytope": "Facet LabeledPolytope Vertex canonical_equal critical_values "
-                "require_regular slice_at transform validate vertices volume",
+                "require_regular reversed_polytope slice_at transform validate vertices "
+                "volume",
     "toric": "VertexClass VertexKind circle_stabilizer_order classify_vertex "
              "edge_generators fixed_components weights_at_vertex",
     "ops": "BlowupParams ClassLedger CutSide PipelineReport add_fixed_points blowup "
-           "compactify cut reduce_at reversed_polytope",
+           "compactify cut reduce_at",
     "dh": "DHProfile WallReport check_log_concavity dh_profile "
           "find_strict_local_minima wall_crossing_check",
 }

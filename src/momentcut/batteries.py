@@ -13,7 +13,7 @@ reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import count, starmap
 from typing import Callable, Iterable
@@ -60,13 +60,9 @@ def _random_point(rng: np.random.Generator, action: LinearAction) -> np.ndarray:
             return z
 
 
-@dataclass(frozen=True)
-class BatteryReport:
-    name: str
-    trials: int
-    failures: int
-    worst_residual: float
-    tolerance: float
+class BatteryReport(namedtuple("BatteryReport",
+                               "name trials failures worst_residual tolerance")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

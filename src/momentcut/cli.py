@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -30,10 +30,8 @@ if TYPE_CHECKING:
     from .polytope import LabeledPolytope
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    payload: dict
+class CommandOutcome(namedtuple("CommandOutcome", "exit_code payload")):
+    __slots__ = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,7 +354,7 @@ def _cmd_add_fixed_points(args) -> CommandOutcome:
 
 
 def _cmd_reverse(args) -> CommandOutcome:
-    from .ops import reversed_polytope
+    from .polytope import reversed_polytope
 
     Q = reversed_polytope(_load_polytope(args.infile))
     return CommandOutcome(0, _polytope_payload(Q, args))

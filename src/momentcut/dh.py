@@ -31,7 +31,7 @@ see `ratpoly`), never sampling floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
@@ -74,11 +74,9 @@ from .toric import classify_vertex, edge_generators
 # profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chamber:
-    lo: Fraction
-    hi: Fraction
-    poly: Poly
+class Chamber(namedtuple("Chamber", "lo hi poly")):
+    """The density on [lo, hi], a Poly; `slope` lives in the instance dict,
+    so there are no `__slots__`."""
 
     @cached_property
     def slope(self) -> Poly:
@@ -93,10 +91,8 @@ class Chamber:
         }
 
 
-@dataclass(frozen=True)
-class DHProfile:
-    walls: tuple[Fraction, ...]
-    chambers: tuple[Chamber, ...]
+class DHProfile(namedtuple("DHProfile", "walls chambers")):
+    __slots__ = ()
 
     def value(self, s: Fraction) -> Fraction:
         s = exact(s, "level")
@@ -213,27 +209,17 @@ def _positive_on_open(p: Poly, lo: Fraction, hi: Fraction) -> bool:
 # log-concavity and local minima
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChamberVerdict:
-    lo: Fraction
-    hi: Fraction
-    ok: bool
-    witness: Optional[Fraction]
+class ChamberVerdict(namedtuple("ChamberVerdict", "lo hi ok witness")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WallVerdict:
-    wall: Fraction
-    ok: bool
-    continuous: bool
+class WallVerdict(namedtuple("WallVerdict", "wall ok continuous")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LogConcavityReport:
-    ok: bool
-    chambers: tuple[ChamberVerdict, ...]
-    walls: tuple[WallVerdict, ...]
-    first_violation: Optional[str]
+class LogConcavityReport(namedtuple("LogConcavityReport",
+                                    "ok chambers walls first_violation")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -277,12 +263,9 @@ def check_log_concavity(profile: DHProfile) -> LogConcavityReport:
     return LogConcavityReport(all_ok, tuple(chamber_verdicts), tuple(wall_verdicts), first)
 
 
-@dataclass(frozen=True)
-class LocalMinimum:
-    kind: str                      # "wall" or "chamber"
-    location: Optional[Fraction]   # exact point when known
-    lo: Fraction
-    hi: Fraction
+# kind: "wall" or "chamber"; location: the exact point when known, else None
+class LocalMinimum(namedtuple("LocalMinimum", "kind location lo hi")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -320,17 +303,12 @@ def find_strict_local_minima(profile: DHProfile) -> list[LocalMinimum]:
 # wall crossing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossingVertex:
-    point: tuple[Fraction, ...]
-    weights: tuple[int, ...]
-    vertex_class: object
-    multiplicity: int              # m of the one negative weight -m
-    exceptional_normal: tuple[int, ...]
-    exceptional_slope: Fraction
-    coefficient: str               # 2*pi*(s - a)/m: "2*pi*(s - a)", "pi*(s - a)", ..
-    image_vertex_ok: bool
-    depth_law_ok: bool
+# multiplicity: m of the one negative weight -m; coefficient: 2*pi*(s - a)/m
+# as text, "2*pi*(s - a)", "pi*(s - a)", ..
+class CrossingVertex(namedtuple("CrossingVertex", "point weights vertex_class multiplicity "
+                                "exceptional_normal exceptional_slope coefficient "
+                                "image_vertex_ok depth_law_ok")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -346,18 +324,11 @@ class CrossingVertex:
         }
 
 
-@dataclass(frozen=True)
-class WallReport:
-    wall: Fraction
-    window: Fraction
-    vertices: tuple[CrossingVertex, ...]
-    match_samples: tuple[tuple[Fraction, bool], ...]
-    match: bool
-    below_slopes: tuple[tuple[int, tuple[int, ...], Fraction], ...]
-    above_slopes: tuple[tuple[tuple[int, ...], Fraction], ...]
-    reversed_summary: dict         # the mirror x1 -> -x1, read off the upward check
-    # per unequal sample: the candidate facet or slice vertex that differs
-    mismatches: tuple[tuple[Fraction, str], ...]
+# reversed_summary: the mirror x1 -> -x1, read off the upward check, a dict;
+# mismatches: per unequal sample, the candidate facet or slice vertex that differs
+class WallReport(namedtuple("WallReport", "wall window vertices match_samples match "
+                            "below_slopes above_slopes reversed_summary mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property, wraps
 from typing import Callable, Optional, Sequence
 
@@ -57,22 +57,22 @@ _LOG_MAX = math.log(sys.float_info.max)
 _ROOT_MAX = math.sqrt(sys.float_info.max) * (1 - 2**-30)  # less a margin for rounding
 
 
-@dataclass(frozen=True)
-class LinearAction:
-    weights: tuple[int, ...]
+class LinearAction(namedtuple("LinearAction", "weights")):
+    """The circle acting on C^n with these integer weights, kept as a tuple
+    of ints; the sign blocks live in the instance dict: no `__slots__`."""
 
-    def __post_init__(self):
+    def __new__(cls, weights) -> "LinearAction":
         try:
-            weights = tuple(self.weights)
+            weights = tuple(weights)
         except TypeError:
-            raise InputError(f"weights must be a sequence of integers, got {self.weights!r}") from None
+            raise InputError(f"weights must be a sequence of integers, got {weights!r}") from None
         if not weights:
             raise PreconditionError("need at least one weight")
         for j, a in enumerate(weights):
             if (isinstance(a, bool) or not isinstance(a, (int, np.integer))
                     or abs(int(a)) > sys.float_info.max):
                 raise InputError(f"weight {j} must be an integer that fits in a double, got {a!r}")
-        object.__setattr__(self, "weights", tuple(map(int, weights)))
+        return super().__new__(cls, tuple(map(int, weights)))
 
     # the sign blocks, computed once per action
     @cached_property
@@ -295,11 +295,9 @@ class MomentAlongFlow:
         return np.where(attained, _key_doubles(hi), np.nan)
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    strictly_increasing: bool
-    derivative_rel_err: float
-    grid_points: int
+class MonotoneReport(namedtuple("MonotoneReport",
+                                "strictly_increasing derivative_rel_err grid_points")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -381,18 +379,16 @@ def n_pm(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
     return nm, np_
 
 
-@dataclass(frozen=True)
-class NeighborhoodSpec:
-    eps: float
-    eps_prime: float
-    delta: float
-    compact_bound: float = 1.0
+class NeighborhoodSpec(namedtuple("NeighborhoodSpec", "eps eps_prime delta compact_bound")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.eps_prime < self.eps):
+    def __new__(cls, eps: float, eps_prime: float, delta: float,
+                compact_bound: float = 1.0) -> "NeighborhoodSpec":
+        if not (0 < eps_prime < eps):
             raise PreconditionError("need 0 < eps_prime < eps")
-        if self.delta <= 0:
+        if delta <= 0:
             raise PreconditionError("delta must be positive")
+        return super().__new__(cls, eps, eps_prime, delta, compact_bound)
 
 
 def default_spec(action: LinearAction, eps: float = 0.5,
@@ -475,14 +471,9 @@ def membership_v(action: LinearAction, spec: NeighborhoodSpec,
             & (nm * np_ < spec.eps * spec.eps_prime))
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    trials: int
-    reentries: int
-    exit_clause_failures: int
-    half_line_cases: int
-    t_span: float
-    grid_points: int
+class ConvexityReport(namedtuple("ConvexityReport", "trials reentries exit_clause_failures "
+                                 "half_line_cases t_span grid_points")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -555,23 +546,16 @@ def bad_annulus_region(action: LinearAction, inner: float = 0.125,
 # plurisubharmonicity eigenvalue identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A radial potential profile with first two derivatives."""
+class FunctionSpec(namedtuple("FunctionSpec", "name f f1 f2 domain_min", defaults=(0.0,))):
+    """A radial potential profile f with its first two derivatives f1, f2."""
 
-    name: str
-    f: Callable[[float], float]
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    domain_min: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BumpSpec:
+class BumpSpec(namedtuple("BumpSpec", "r1 r2", defaults=(0.25, 1.0))):
     """C^2 cutoff: 1 below r1, 0 above r2, quintic smoothstep between."""
 
-    r1: float = 0.25
-    r2: float = 1.0
+    __slots__ = ()
 
     def rho(self, t: float) -> float:
         if t <= self.r1:
@@ -636,14 +620,8 @@ def _d_phi(a: np.ndarray, z: np.ndarray, s, f1, f2, v: np.ndarray) -> np.ndarray
     return 2 * (f1 * _d_psi(a, z, v) + f2 * s * _d_psi(1.0, z, v))
 
 
-@dataclass(frozen=True)
-class PshReport:
-    name: str
-    t0: float
-    eigenvalues: tuple[float, ...]
-    closed_form: tuple[float, ...]
-    rel_err: float
-    kahler: bool
+class PshReport(namedtuple("PshReport", "name t0 eigenvalues closed_form rel_err kahler")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -675,18 +653,11 @@ def psh_criterion(spec: FunctionSpec, t0: float, n: int,
 # cut tameness identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutIdentityReport:
-    value: float
-    expected: float
-    rel_err: float
-    orth_1: float
-    orth_2: float
-    orth_scale: float
-    moment_pairing_rel_err: float
-    # orth_1 and orth_2 are rounding residuals: they are judged relative to
-    # orth_scale, the size of the pairings that make them
-    orth_rel_err: float
+# orth_1 and orth_2 are rounding residuals: they are judged relative to
+# orth_scale, the size of the pairings that make them (orth_rel_err)
+class CutIdentityReport(namedtuple("CutIdentityReport", "value expected rel_err orth_1 orth_2 "
+                                   "orth_scale moment_pairing_rel_err orth_rel_err")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -788,13 +759,9 @@ def _pairing_directions(m: int) -> np.ndarray:
 # blow-up potential contraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlowupPotentialReport:
-    phi_value: float
-    phi_formula: float
-    phi_rel_err: float
-    contraction_rel_err: float
-    scaling_rel_err: float
+class BlowupPotentialReport(namedtuple("BlowupPotentialReport", "phi_value phi_formula "
+                                       "phi_rel_err contraction_rel_err scaling_rel_err")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -829,8 +796,10 @@ def blowup_potential_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence
 
     reports: list = [None] * len(zs)
     for index, _, _, a, z in _rows(actions, zs):
-        sq = np.abs(z) ** 2
-        t = np.sum(sq, axis=-1)
+        # a square beyond the doubles is inf, which the r1 gate refuses
+        with np.errstate(over="ignore"):
+            sq = np.abs(z) ** 2
+            t = np.sum(sq, axis=-1)
         # the gates over all rows; the first row beyond them names its gate
         beyond = (t >= bump.r1) | (t < 1 / _ROOT_MAX)
         if beyond.any():

@@ -5,7 +5,6 @@ reduce_at  slice at a regular level, with stabilizer bookkeeping
 compactify cut from both sides
 blowup     corner chop at a smooth or Z2 vertex, with class bookkeeping
 add_fixed_points  cut just above 0 and chop every Z2 vertex on the new facet
-reversed_polytope flip the circle direction (x1 -> -x1)
 
 The class ledger records, per blow-up, the exceptional facet and the
 coefficient of its divisor class in units of the scale parameter t = 2*pi*d:
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -39,7 +38,6 @@ from .polytope import (
     require_regular,
     slice_at,
     to_json_dict,
-    transform,
     vertices,
 )
 from .toric import VertexKind, circle_stabilizer_order, classify_vertex, weights_at_vertex
@@ -76,12 +74,10 @@ def cut(P: LabeledPolytope, a: Fraction, side: CutSide = CutSide.BELOW) -> Label
     return restrict_halfspace(P, a, side)
 
 
-@dataclass(frozen=True)
-class ReduceResult:
-    polytope: LabeledPolytope
-    level: Fraction
-    # (facet index in the reduced polytope, inducing facet index in P, order)
-    stabilizers: tuple[tuple[int, int, object], ...]
+# stabilizers: (facet index in the reduced polytope, inducing facet index
+# in P, order) per facet
+class ReduceResult(namedtuple("ReduceResult", "polytope level stabilizers")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -120,35 +116,22 @@ def compactify(P: LabeledPolytope, a: Fraction, b: Fraction) -> LabeledPolytope:
     return cut(cut(P, b, CutSide.BELOW), a, CutSide.ABOVE)
 
 
-def reversed_polytope(P: LabeledPolytope) -> LabeledPolytope:
-    """Image under x1 -> -x1; all first-coordinate pairings change sign."""
-    n = P.dim
-    A = [[(-1 if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
-    return transform(P, A, (0,) * n)
-
-
 # ---------------------------------------------------------------------------
 # blow-ups and the class ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LedgerTerm:
-    normal: tuple[int, ...]
-    offset: Fraction
-    multiplier: Fraction      # 1 for a smooth center, 1/2 for a Z2 center
-    depth: Fraction
-    z2: bool
+# multiplier: 1 for a smooth center, 1/2 for a Z2 center
+class LedgerTerm(namedtuple("LedgerTerm", "normal offset multiplier depth z2")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassLedger:
+class ClassLedger(namedtuple("ClassLedger", "base terms", defaults=((),))):
     """Cohomology bookkeeping: base class minus multiplier * t per blow-up."""
 
-    base: str
-    terms: tuple[LedgerTerm, ...] = ()
+    __slots__ = ()
 
     def with_term(self, term: LedgerTerm) -> "ClassLedger":
-        return replace(self, terms=self.terms + (term,))
+        return self._replace(terms=self.terms + (term,))
 
     def to_json(self, polytope: Optional[LabeledPolytope] = None) -> dict:
         index_of = {} if polytope is None else {
@@ -164,10 +147,9 @@ def fresh_ledger(P: LabeledPolytope) -> ClassLedger:
     return ClassLedger(base=polytope_hash(P))
 
 
-@dataclass(frozen=True)
-class BlowupParams:
-    vertex: Union[Vertex, tuple[Fraction, ...]]
-    depth: Fraction
+# vertex: a Vertex, or its point as a tuple of Fractions
+class BlowupParams(namedtuple("BlowupParams", "vertex depth")):
+    __slots__ = ()
 
 
 def _find_vertex(P: LabeledPolytope, v: Union[Vertex, Sequence[Fraction]]) -> int:
@@ -250,16 +232,10 @@ def blowup(P: LabeledPolytope, params: BlowupParams,
 # the add-fixed-points pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineReport:
-    eps: Fraction
-    z2_vertices: tuple[tuple[Fraction, ...], ...]
-    smooth_vertices: tuple[tuple[Fraction, ...], ...]
-    chops: tuple[LedgerTerm, ...]
-    new_fixed_vertices: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-    agreement_below: bool
-    expected_weights: tuple[int, ...]
-    weights_ok: bool
+class PipelineReport(namedtuple("PipelineReport", "eps z2_vertices smooth_vertices chops "
+                                  "new_fixed_vertices agreement_below expected_weights "
+                                  "weights_ok")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

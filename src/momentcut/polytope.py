@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -137,13 +136,10 @@ def _order_key(facets: Sequence[Facet]) -> Callable[[Facet], tuple]:
     return lambda f: (f.normal, f.num * (lcm // f.den), f.label)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(namedtuple("Vertex", "row active")):
     """A vertex: its point as an integer row (num, den) and its active
-    facets.  `point` builds the point's Fractions when first asked."""
-
-    row: Row
-    active: frozenset[int]
+    facets, a frozenset.  `point` builds the point's Fractions when first
+    asked, and keeps them in the instance dict: no `__slots__`."""
 
     @cached_property
     def point(self) -> tuple[Fraction, ...]:
@@ -198,8 +194,8 @@ class LabeledPolytope:
         return self._structure
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(namedtuple("Structure", "points simple rays bounded full_dim "
+                                        "redundant affine_rank edges")):
     """Everything the walk over the vertex-edge graph learns about one
     H-representation.
 
@@ -215,17 +211,9 @@ class Structure:
     edges at its first vertex that lie in it span fewer than n - 1
     dimensions.  dets[k], computed when first asked, is |det G_v| for the
     matrix G_v whose rows are edges[k], at a simple vertex; the volume and
-    the profile both read it.
+    the profile both read it.  The two cached properties live in the
+    instance dict: no `__slots__`.
     """
-
-    points: tuple[tuple[Row, frozenset[int]], ...]
-    simple: bool
-    rays: tuple[IntVector, ...]          # primitive unbounded edge directions
-    bounded: bool
-    full_dim: bool
-    redundant: frozenset[int]
-    affine_rank: int
-    edges: tuple[tuple[IntVector, ...], ...]
 
     @cached_property
     def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
@@ -729,10 +717,8 @@ def require_regular(P: LabeledPolytope, a: Fraction) -> None:
         raise NotRegularLevel(f"a vertex lies at level {format_rational(a)}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    failures: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport", "valid failures")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"valid": self.valid, "failures": list(self.failures)}
@@ -884,8 +870,7 @@ def polytope_hash(P: LabeledPolytope) -> str:
 # slicing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(namedtuple("Slice", "polytope degenerate inducing")):
     """Result of intersecting with {x_1 = s}, in coordinates (x_2 .. x_n).
 
     polytope is None when the slice is empty or lower-dimensional; the
@@ -893,9 +878,7 @@ class Slice:
     facet of the source polytope that produced facet i of the slice.
     """
 
-    polytope: Optional[LabeledPolytope]
-    degenerate: bool
-    inducing: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def empty(self) -> bool:
@@ -999,6 +982,13 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
                                  f.num * b_den + f.den * dot(eta, b_num), f.den * b_den * g,
                                  f.label))
     return LabeledPolytope(n, new_facets)
+
+
+def reversed_polytope(P: LabeledPolytope) -> LabeledPolytope:
+    """Image under x1 -> -x1; all first-coordinate pairings change sign."""
+    n = P.dim
+    A = [[(-1 if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return transform(P, A, (0,) * n)
 
 
 # ---------------------------------------------------------------------------

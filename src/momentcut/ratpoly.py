@@ -12,7 +12,7 @@ exactly, never by floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -68,7 +68,8 @@ class Poly:
         return (h > 0) - (h < 0)
 
     def __call__(self, s: Fraction) -> Fraction:
-        s = Fraction(s)
+        if not isinstance(s, Fraction):
+            s = Fraction(s)
         return Fraction(self._homogeneous(s), self.den * s.denominator ** max(self.degree, 0))
 
     def __eq__(self, other) -> bool:
@@ -198,13 +199,10 @@ def _variations(q: Poly, lo: Fraction, hi: Fraction) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-@dataclass(frozen=True)
-class RootMarker:
+class RootMarker(namedtuple("RootMarker", "lo hi exact", defaults=(None,))):
     """One real root: exact rational, or contained in the open (lo, hi)."""
 
-    lo: Fraction
-    hi: Fraction
-    exact: Optional[Fraction] = None
+    __slots__ = ()
 
     @property
     def upper(self) -> Fraction:

@@ -7,8 +7,7 @@ facets and the fixed-point inventory are all exact lattice computations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .errors import DegenerateVertex, DimensionMismatch, InputError
@@ -32,11 +31,9 @@ class VertexKind(enum.Enum):
     OTHER_ORBIFOLD = "orbifold"
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    kind: VertexKind
-    index: Optional[int]          # lattice index of the active normals
-    half_sum_integral: bool
+# index: the lattice index of the active normals (it shadows tuple.index)
+class VertexClass(namedtuple("VertexClass", "kind index half_sum_integral")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -117,13 +114,11 @@ def circle_stabilizer_order(P: LabeledPolytope, i: int):
     return INFINITE if g == 0 else g * f.label
 
 
-@dataclass(frozen=True)
-class FixedComponent:
-    """A face pointwise fixed by the e1-circle (constant first coordinate)."""
+class FixedComponent(namedtuple("FixedComponent", "active level vertex_points")):
+    """A face pointwise fixed by the e1-circle (constant first coordinate):
+    its active facet set, its level and the points of its vertices."""
 
-    active: frozenset[int]
-    level: Fraction
-    vertex_points: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
     @property
     def isolated(self) -> bool:

@@ -39,7 +39,6 @@ from momentcut.localmodel import (
     _ROOT_MAX,
     _smoothed_ln,
 )
-from momentcut.ops import reversed_polytope
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -48,6 +47,7 @@ from momentcut.polytope import (
     _point,
     _scaled_rows,
     canonical_equal,
+    reversed_polytope,
     slice_at,
     vertices,
 )

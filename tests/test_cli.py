@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -712,6 +713,7 @@ import json, sys
 from momentcut import cli
 out = cli.run(sys.argv[1:])
 print(json.dumps({"exit": out.exit_code, "numpy": "numpy" in sys.modules,
+                  "introspection": sorted({"dataclasses", "inspect"} & set(sys.modules)),
                   "modules": sorted(m for m in sys.modules if m.startswith("momentcut"))}))
 """
 
@@ -730,7 +732,7 @@ _COMMAND_MODULES = {
     "compactify": (["--in", "{d3}", "--min=-1/2", "--max=-1/4"], _OPS),
     "blowup": (["--in", "{square}", "--vertex-index", "0", "--depth", "1/4"], _OPS),
     "add-fixed-points": (["--in", "{wedge}", "--eps", "1/4"], _OPS),
-    "reverse": (["--in", "{d3}"], _OPS),
+    "reverse": (["--in", "{d3}"], _POLYTOPE),
     "dh": (["--in", "{d3}", "--check-log-concavity", "--local-minima"], _DH),
     "wall-check": (["--in", "{d3}", "--wall", "0", "--window", "1/2"], _DH),
     "local-model": (["npm", "--weights=-2,2", "--z", "4,9"], _CLI + ["momentcut.localmodel"]),
@@ -761,8 +763,34 @@ def test_command_loads_only_its_modules(tmp_path, d3_file, pex2_file, square_fil
     files = dict(d3=d3_file, wedge=pex2_file, square=square_file,
                  out=str(tmp_path / "out.json"))
     got = _fresh(_LOADED, command, *(a.format(**files) for a in argv))
-    assert got == {"exit": 0, "numpy": command == "local-model",
-                   "modules": sorted(modules)}
+    introspection = got.pop("introspection")
+    assert got == {"exit": 0, "numpy": command == "local-model", "modules": sorted(modules)}
+    # the engine's records are named tuples, so only numpy, which loads
+    # `inspect`, brings in either module
+    assert introspection == [] or command == "local-model"
+
+
+# the modules that define the engine's records
+_RECORD_MODULES = ("polytope", "toric", "ops", "ratpoly", "dh", "cli", "localmodel",
+                   "batteries")
+
+
+def test_records_refuse_field_assignment():
+    # every record is a named tuple: no field can be set or deleted, also on
+    # the records that keep an instance dict for their cached properties
+    records = [obj for module in _RECORD_MODULES
+               for obj in vars(importlib.import_module(f"momentcut.{module}")).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__ == f"momentcut.{module}"]
+    assert len(records) == 32
+    for cls in records:
+        record = cls._make(range(len(cls._fields)))     # _make skips the checks of __new__
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert tuple(record) == tuple(range(len(cls._fields)))
 
 
 _PACKAGE = """

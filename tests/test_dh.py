@@ -25,9 +25,10 @@ from momentcut.dh import (
     wall_crossing_check,
 )
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
-from momentcut.ops import add_fixed_points, reversed_polytope
+from momentcut.ops import add_fixed_points
 from momentcut.lattice import format_rational, generic_direction
-from momentcut.polytope import Facet, LabeledPolytope, dumps, transform, volume
+from momentcut.polytope import (Facet, LabeledPolytope, dumps, reversed_polytope, transform,
+                                volume)
 from momentcut.ratpoly import Poly, isolate_roots
 from momentcut.toric import VertexKind
 

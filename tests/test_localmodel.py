@@ -707,6 +707,15 @@ def test_blowup_potential_region_guard():
             blowup_potential_rows([act], [[0.0, 0.0]], bump)[0]
 
 
+@pytest.mark.parametrize("z", [[1e160], [3e153 + 3e153j], [1e155, 1e155], [1.0, 1e200j]])
+def test_blowup_potential_refuses_a_far_point_by_its_gate(z):
+    # a square beyond the doubles is past r1, not an overflow
+    act = LinearAction((1,) * len(z))
+    with pytest.raises(PreconditionError) as err:
+        blowup_potential_rows([act], [z])
+    assert str(err.value) == "|z|^2 must stay below r1, inside the rho = 1 region"
+
+
 @given(p=st.integers(1, 3), q=st.integers(1, 3), r=st.floats(0.01, 0.49),
        eps=st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6]),
        phases=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)))

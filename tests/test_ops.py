@@ -36,7 +36,6 @@ from momentcut.ops import (
     fresh_ledger,
     reduce_at,
     restrict_halfspace,
-    reversed_polytope,
 )
 from momentcut.polytope import (
     Facet,
@@ -46,6 +45,7 @@ from momentcut.polytope import (
     dumps,
     intersect_halfspace,
     loads,
+    reversed_polytope,
     slice_at,
     transform,
     vertices,
@@ -411,9 +411,9 @@ def test_derived_polytopes_take_no_walk(monkeypatch):
         P = loads(dumps(P0))
         crit = critical_values(P)
         lo, hi = [crit[0] + (crit[1] - crit[0]) * F(k, 3) for k in (1, 2)]
-        T = momentcut.ops.transform(P, [[int(i == j) for j in range(P.dim)]
-                                        for i in range(P.dim)],
-                                    [-lo] + [F(0)] * (P.dim - 1))
+        T = momentcut.polytope.transform(P, [[int(i == j) for j in range(P.dim)]
+                                             for i in range(P.dim)],
+                                         [-lo] + [F(0)] * (P.dim - 1))
         inputs += [P, T]
         # the same surgery on P and on its image T
         for R, shift in ((P, 0), (T, lo)):

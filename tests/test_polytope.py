@@ -5,7 +5,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -35,6 +34,7 @@ from momentcut.polytope import (
     irredundant,
     loads,
     require_regular,
+    reversed_polytope,
     slice_at,
     slice_facet,
     to_json_dict,
@@ -49,7 +49,6 @@ from momentcut.ops import (
     blowup,
     cut,
     restrict_halfspace,
-    reversed_polytope,
 )
 from momentcut.toric import edge_generators
 
@@ -284,8 +283,8 @@ def _structure_cases() -> list[tuple[str, LabeledPolytope]]:
 @pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in _structure_cases()])
 def test_structure_matches_subset_oracle(P):
     st, oracle = P.structure(), structure_by_subsets(P)
-    for f in fields(Structure):
-        assert getattr(st, f.name) == getattr(oracle, f.name), f.name
+    for name in Structure._fields:
+        assert getattr(st, name) == getattr(oracle, name), name
     if st.simple:
         for v, gens in zip(vertices(P), oracle.edges):
             assert edge_generators(P, v) == list(gens)
@@ -450,8 +449,8 @@ def _walk_cases(draw):
 @given(P=_walk_cases())
 def test_structure_matches_subset_oracle_on_random_systems(P):
     st, oracle = P.structure(), structure_by_subsets(P)
-    for f in fields(Structure):
-        assert getattr(st, f.name) == getattr(oracle, f.name), f.name
+    for name in Structure._fields:
+        assert getattr(st, name) == getattr(oracle, name), name
 
 
 def _cross_polytope_vertex(n: int, i: int = 0, sign: int = 1):
@@ -518,8 +517,8 @@ def test_phase1_certificate_on_random_systems(seed, n, contradiction):
 
 def _assert_as_walked(Q: LabeledPolytope) -> None:
     st, fresh = Q.structure(), walked(Q).structure()
-    for f in fields(Structure):
-        assert getattr(st, f.name) == getattr(fresh, f.name), f.name
+    for name in Structure._fields:
+        assert getattr(st, name) == getattr(fresh, name), name
     if len(Q.facets) <= 10:
         assert st == structure_by_subsets(Q)
 
