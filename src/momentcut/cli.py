@@ -446,9 +446,7 @@ def _cmd_local_model(args) -> CommandOutcome:
                              "in a double")
         action = lm.LinearAction(weights)
     if op == "convexity":
-        spec = (lm.default_spec(action, args.eps, args.eps_prime)
-                if args.delta is None else
-                lm.NeighborhoodSpec(args.eps, args.eps_prime, args.delta))
+        spec = lm.default_spec(action, args.eps, args.eps_prime, args.delta)
         region = lm.bad_annulus_region(action) if args.bad_region else None
         rep = lm.orbital_convexity_probe(action, spec, trials=args.trials,
                                          seed=args.seed, region=region)

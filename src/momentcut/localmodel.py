@@ -391,15 +391,17 @@ class NeighborhoodSpec(namedtuple("NeighborhoodSpec", "eps eps_prime delta compa
         return super().__new__(cls, eps, eps_prime, delta, compact_bound)
 
 
-def default_spec(action: LinearAction, eps: float = 0.5,
-                 eps_prime: float = 0.25) -> NeighborhoodSpec:
+def default_spec(action: LinearAction, eps: float = 0.5, eps_prime: float = 0.25,
+                 delta: Optional[float] = None) -> NeighborhoodSpec:
     """A provably valid delta for the model neighborhood.
 
     On the sphere N_+ = eps the positive moment part is at least
     (1/2) k^{1-amax} eps^{2 amax}; on the disc N_- < eps' the negative part
     is at most (1/2) amax' eps'^{2 amin'}.  delta takes 90% of the slack,
-    using the worse of the two exit directions.
+    using the worse of the two exit directions.  A delta that is given is
+    checked against that slack instead, and refused when it reaches it.
     """
+    spec = None if delta is None else NeighborhoodSpec(eps, eps_prime, delta)
     if eps >= 1:
         raise PreconditionError("eps must be < 1 for the model bounds")
     sides = []
@@ -417,11 +419,14 @@ def default_spec(action: LinearAction, eps: float = 0.5,
         sides.append(lower - upper)
     if not sides:
         raise PreconditionError("the action has no nonzero weight")
-    delta = 0.9 * min(sides)
-    if delta <= 0:
+    slack = min(sides)
+    if spec is not None and delta >= slack:
+        raise PreconditionError(f"delta {delta!r} must stay below the lemma's bound {slack!r} "
+                                "for these radii" + ("; decrease eps_prime" if slack <= 0 else ""))
+    if spec is None and 0.9 * slack <= 0:
         raise PreconditionError(
             "no valid delta for these radii; decrease eps_prime")
-    return NeighborhoodSpec(eps, eps_prime, delta)
+    return spec or NeighborhoodSpec(eps, eps_prime, 0.9 * slack)
 
 
 def _sample_block(rng: np.random.Generator, powers: np.ndarray,

@@ -31,7 +31,7 @@ from .polytope import (
     Facet,
     LabeledPolytope,
     Vertex,
-    canonical_equal,
+    canonical_mismatch,
     critical_values,
     intersect_halfspace,
     polytope_hash,
@@ -62,8 +62,7 @@ def restrict_halfspace(P: LabeledPolytope, a: Fraction,
     """Plain intersection with a half-space, no regularity demanded.
 
     Vertices may lie on the boundary plane; tangent facets are pruned by the
-    exact face-dimension rule.  Used for agreement checks, where the half
-    space passes exactly through the new fixed vertices.
+    exact face-dimension rule.  `cut` is this at a regular level.
     """
     return intersect_halfspace(P, _level_facet(P.dim, exact(a, "level"), side))
 
@@ -264,7 +263,9 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
     """Cut below eps, then blow up every Z2 vertex on the cut facet by eps.
 
     The result agrees with P on {x1 <= 0} and gains one fixed vertex per Z2
-    point, sitting in {x1 = 0} with weights (-2, 1, ..., 1).
+    point, sitting in {x1 = 0} with weights (-2, 1, ..., 1).  The agreement
+    is decided from candidate facets, the result's and x1 <= 0, against
+    P's lower half (`canonical_mismatch`): the result is not cut again.
     """
     eps = exact(eps, "eps")
     if eps <= 0:
@@ -310,8 +311,11 @@ def add_fixed_points(P: LabeledPolytope, eps: Fraction) -> tuple[
     for p in z2_points:
         result, ledger = blowup(result, BlowupParams(p, eps), ledger)
 
-    agreement = canonical_equal(restrict_halfspace(result, Fraction(0)),
-                                restrict_halfspace(P, Fraction(0)))
+    # result and P agree on {x1 <= 0} when result's facets and x1 <= 0 cut
+    # out P's lower half; those candidate facets are no polytope of their own
+    lower = restrict_halfspace(P, Fraction(0))
+    agreement = canonical_mismatch(result.facets + (_level_facet(P.dim, 0, CutSide.BELOW),),
+                                   lower) is None
     expected = tuple(sorted([-2] + [1] * (P.dim - 1)))
     new_fixed = []
     weights_ok = True

@@ -25,6 +25,13 @@ redundant facets carries the structure over unchanged.  All paths end in
 the same finishing code, and the derived structure is equal to the one a
 fresh walk would give.
 
+A facet is checked once (`_check_facet`): when a polytope is built from
+input, or when a step adds it.  A derived polytope is built by `_derived`
+from facets already checked and in canonical order: a half-space step
+gates its one new facet and inserts it where `_order_key` puts it,
+dropping facets keeps a subsequence, and a slice or an image sorts the
+facets it computed from checked ones.
+
 Every value of that exact arithmetic is an integer.  Vertices are kept as
 integer rows over one positive denominator, and facet offsets as integer
 pairs (num, den), both in lowest terms, so equal values have equal
@@ -45,6 +52,7 @@ that need them (cutting a half-infinite region down to a compact one);
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import defaultdict, namedtuple
@@ -98,7 +106,7 @@ class Facet(namedtuple("Facet", "normal num den label")):
     terms with den > 0, and label a positive integer.  Facet(normal, offset,
     label=1) takes the offset as an int or a Fraction, and `offset` gives it
     back as a Fraction.  An offset of any other type is kept as num, with
-    den None, for the LabeledPolytope constructor to refuse.  Facets are
+    den None, for the facet gate (`_check_facet`) to refuse.  Facets are
     ordered by the value of their offsets (see `_order_key`), never as
     tuples.
     """
@@ -146,8 +154,34 @@ class Vertex(namedtuple("Vertex", "row active")):
         return _point(self.row)
 
 
+def _check_facet(i: int, f: Facet, dim: int) -> None:
+    """The one gate of a facet's values, run once on every facet a polytope
+    is given; i names the facet in a refusal (its input position)."""
+    # bools are ints to Python, but not to JSON
+    if type(f.normal) is not tuple or not {int}.issuperset(map(type, f.normal)):
+        raise InputError(f"facet {i}: normal must be a tuple of integers, got {f.normal!r}")
+    if f.den is None:
+        raise InputError(f"facet {i}: offset must be an integer or a Fraction, got {f.num!r}")
+    if type(f.label) is not int or f.label < 1:
+        raise InputError(f"facet {i}: label must be a positive integer, got {f.label!r}")
+    g = math.gcd(*f.normal)
+    if g == 0:
+        raise InputError(f"facet {i}: zero normal")
+    if g != 1:
+        raise InputError(
+            f"facet {i}: normal {list(f.normal)} is not primitive; "
+            f"use {[x // g for x in f.normal]} with offset "
+            f"{format_rational(f.offset / g)}")
+    if len(f.normal) != dim:
+        raise InputError(f"facet {i}: normal has length {len(f.normal)}, expected {dim}")
+
+
 class LabeledPolytope:
     """Immutable H-representation; geometric structure is computed lazily."""
+
+    # kept with the polytope when first computed: its Structure, edge graph
+    # (see _edge_graph), vertices and polytope_hash
+    _structure = _graph = _vertices = _hash = None
 
     def __init__(self, dim: int, facets: Iterable[Facet]):
         if not _is_int(dim):
@@ -157,33 +191,11 @@ class LabeledPolytope:
         facets = tuple(facets)
         if not facets:
             raise InputError("a polytope needs at least one facet")
-        # the one check of facet values, in the caller's order: i is the input position
         for i, f in enumerate(facets):
-            # bools are ints to Python, but not to JSON
-            if type(f.normal) is not tuple or not {int}.issuperset(map(type, f.normal)):
-                raise InputError(
-                    f"facet {i}: normal must be a tuple of integers, got {f.normal!r}")
-            if f.den is None:
-                raise InputError(
-                    f"facet {i}: offset must be an integer or a Fraction, got {f.num!r}")
-            if type(f.label) is not int or f.label < 1:
-                raise InputError(f"facet {i}: label must be a positive integer, got {f.label!r}")
-            g = math.gcd(*f.normal)
-            if g == 0:
-                raise InputError(f"facet {i}: zero normal")
-            if g != 1:
-                raise InputError(
-                    f"facet {i}: normal {list(f.normal)} is not primitive; "
-                    f"use {[x // g for x in f.normal]} with offset "
-                    f"{format_rational(f.offset / g)}")
-            if len(f.normal) != dim:
-                raise InputError(f"facet {i}: normal has length {len(f.normal)}, expected {dim}")
+            _check_facet(i, f, dim)
         self.dim = dim
         # canonical facet order keeps indices stable across serialization
         self.facets = tuple(sorted(facets, key=_order_key(facets)))
-        self._structure: Optional[Structure] = None
-        self._graph: Optional[list] = None      # see _edge_graph
-        self._vertices: Optional[list[Vertex]] = None
 
     def __repr__(self) -> str:
         return f"LabeledPolytope(dim={self.dim}, facets={len(self.facets)})"
@@ -192,6 +204,15 @@ class LabeledPolytope:
         if self._structure is None:
             self._structure = _compute_structure(self)
         return self._structure
+
+
+def _derived(dim: int, facets: Sequence[Facet], order: bool = False) -> LabeledPolytope:
+    """The private build path: a polytope on facets that are already checked
+    and in canonical order, or that the engine built from checked ones and
+    puts in that order (`order`); no facet is gated again."""
+    P = object.__new__(LabeledPolytope)
+    P.dim, P.facets = dim, tuple(sorted(facets, key=_order_key(facets)) if order else facets)
+    return P
 
 
 class Structure(namedtuple("Structure", "points simple rays bounded full_dim "
@@ -542,13 +563,15 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
     key is the set of facets holding that edge, and relax maps each facet
     of key, and None for the new one, to the edge at the new vertex that
     relaxes it; relax is None when the edge starts at a non-simple vertex.
+    In a bounded P only a vertex with a neighbour of slack < 0 has such an
+    edge, so a corner chop pairs the edges of its corner only.
     """
     st = P.structure()
     pairs = _edge_graph(P)
     slack = [p * den - q * dot(normal, num) for (num, den), _ in st.points]
     found = []
     for ((num, den), act), es, ends, sl in zip(st.points, st.edges, pairs, slack):
-        if sl == 0 or sl < 0 and st.bounded:
+        if sl == 0 or st.bounded and (sl < 0 or all(slack[w] >= 0 for w, _ in ends)):
             continue
         r = [dot(normal, e) for e in es]
         for k, (e, (w, key), rk) in enumerate(zip(es, ends, r)):
@@ -576,17 +599,18 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
     is P's and P itself is returned.  A parent with no vertex has no edge
     graph to step from, and its child is walked from scratch.
     """
+    # P's facets are checked and in order: gate the new one, and put it where
+    # the canonical order does (past the repeats, no facet of P has its key)
+    _check_facet(len(P.facets), facet, P.dim)
     if any(f.normal == facet.normal and f.num == facet.num and f.den == facet.den
            for f in P.facets):
         return P
-    child = LabeledPolytope(P.dim, P.facets + (facet,))
+    pos = bisect.bisect(P.facets, (key := _order_key(P.facets + (facet,)))(facet), key=key)
+    child = _derived(P.dim, P.facets[:pos] + (facet,) + P.facets[pos:])
     st = P.structure()
     if not st.points:
         return child
     n = P.dim
-    # the constructor's canonical order keeps P's facets in order around
-    # the new one
-    pos = child.facets.index(facet)
     normals = [f.normal for f in child.facets]
     unb = set() if st.bounded else None
 
@@ -623,7 +647,7 @@ def _drop_facets(P: LabeledPolytope, drop: Iterable[int]) -> LabeledPolytope:
     st = P.structure()
     drop = set(drop)
     keep = [i for i in range(len(P.facets)) if i not in drop]
-    Q = LabeledPolytope(P.dim, [P.facets[i] for i in keep])
+    Q = _derived(P.dim, tuple(P.facets[i] for i in keep))
     new = {i: k for k, i in enumerate(keep)}
     normals = [f.normal for f in Q.facets]
     records = []
@@ -831,23 +855,29 @@ def canonical_equal(P: LabeledPolytope, Q: LabeledPolytope) -> bool:
 def canonical_mismatch(candidate: Sequence[Facet], P: LabeledPolytope) -> Optional[str]:
     """None when the candidate facets cut out P with P's labels, that is
     when canonical_equal(LabeledPolytope(P.dim, candidate), P) holds, for P
-    bounded, full-dimensional and without repeated or redundant facets;
+    pointed, full-dimensional and without repeated or redundant facets;
     otherwise the candidate facet or the facet of P that differs.  The
     candidate takes no structure of its own.
 
-    P is the convex hull of its vertices, so the candidate's region holds P
-    exactly when every candidate facet holds at every vertex of P, and lies
-    in P when every facet of P is a candidate facet.  Equal regions have
-    the same irredundant facets, and `irredundant` keeps the first of
-    repeated ones in canonical order, whose label must then be P's.
+    P is the convex hull of its vertices plus the cone of its rays, so the
+    candidate's region holds P exactly when every candidate facet holds at
+    every vertex of P and pairs to <= 0 with every ray, and lies in P when
+    every facet of P is a candidate facet.  Equal regions have the same
+    irredundant facets, and `irredundant` keeps the first of repeated ones
+    in canonical order, whose label must then be P's.
     """
     candidate = sorted(candidate, key=_order_key(candidate))
-    rows = [row for row, _ in P.structure().points]
+    st = P.structure()
+
+    def fails(h: Facet, where: str) -> str:
+        return f"candidate facet {list(h.normal)} <= {_format_ratio(h.num, h.den)} fails {where}"
     for h in candidate:
-        for num, den in rows:
+        for (num, den), _ in st.points:
             if dot(h.normal, num) * h.den > h.num * den:
-                return (f"candidate facet {list(h.normal)} <= {_format_ratio(h.num, h.den)} "
-                        f"fails at the vertex {_format_row((num, den))}")
+                return fails(h, f"at the vertex {_format_row((num, den))}")
+        for r in st.rays:
+            if dot(h.normal, r) > 0:
+                return fails(h, f"along the ray {list(r)}")
     label: dict[tuple, int] = {}
     for h in candidate:
         label.setdefault((h.normal, h.num, h.den), h.label)
@@ -861,9 +891,13 @@ def canonical_mismatch(candidate: Sequence[Facet], P: LabeledPolytope) -> Option
 
 
 def polytope_hash(P: LabeledPolytope) -> str:
-    import hashlib  # only the ledger hashes; loading it costs a process ~4 ms
-    payload = json.dumps(to_json_dict(P), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    """The first 12 hex digits of the SHA-256 of P's sorted JSON; kept with
+    P, so the blow-ups of one P serialize it once."""
+    if P._hash is None:
+        import hashlib  # only the ledger hashes; loading it costs a process ~4 ms
+        payload = json.dumps(to_json_dict(P), sort_keys=True).encode()
+        P._hash = hashlib.sha256(payload).hexdigest()[:12]
+    return P._hash
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +965,7 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
 
     if not facets:
         return Slice(None, False, ())
-    Q = LabeledPolytope(P.dim - 1, facets)
+    Q = _derived(P.dim - 1, facets, order=True)
     keys = [(f.normal, f.num, f.den) for f in Q.facets]
     if st.points:
         # project the points met to (x2 .. xn); a crossing's edges other
@@ -981,7 +1015,7 @@ def transform(P: LabeledPolytope, A: Sequence[Sequence[int]],
         new_facets.append(_facet(tuple(x // g for x in eta),
                                  f.num * b_den + f.den * dot(eta, b_num), f.den * b_den * g,
                                  f.label))
-    return LabeledPolytope(n, new_facets)
+    return _derived(n, new_facets, order=True)
 
 
 def reversed_polytope(P: LabeledPolytope) -> LabeledPolytope:

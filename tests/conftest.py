@@ -39,6 +39,7 @@ from momentcut.localmodel import (
     _ROOT_MAX,
     _smoothed_ln,
 )
+from momentcut.ops import restrict_halfspace
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -716,6 +717,12 @@ def canonical_equal_by_walk(facets, P: LabeledPolytope) -> bool:
     vertex is unequal."""
     C = LabeledPolytope(P.dim, facets)
     return bool(C.structure().points) and canonical_equal(C, P)
+
+
+def agreement_by_restriction(result: LabeledPolytope, P: LabeledPolytope) -> bool:
+    """Oracle for `add_fixed_points`' agreement_on_lower_half: the result
+    cut at x1 = 0, as a polytope of its own, against P cut there."""
+    return canonical_equal(restrict_halfspace(result, F(0)), restrict_halfspace(P, F(0)))
 
 
 def slice_facet_by_fractions(f: Facet, s: Fraction) -> Facet:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from momentcut.cli import _COMMANDS, _LOCAL_OPS, _emit, build_parser, run
 from momentcut.corpus import asymmetric_wedge, box, chopped_cube, delta3
 from momentcut.errors import PreconditionError
-from momentcut.localmodel import LinearAction
+from momentcut.localmodel import LinearAction, NeighborhoodSpec, orbital_convexity_probe
 from momentcut.ops import add_fixed_points
 from momentcut.polytope import MAX_DIM, canonical_equal, dumps, loads
 
@@ -401,6 +401,36 @@ def test_local_model_batteries_cli():
     out = run(["local-model", "convexity", "--weights=-1,1", "--trials", "10",
                "--seed", "5", "--bad-region"])
     assert out.payload["reentries"] > 0
+
+
+def test_convexity_delta_is_checked_against_the_lemma_bound():
+    # the lemma's slack at the default radii: -0.0234375 for (-3, 1, 1),
+    # where default_spec finds no delta, and 0.09375 for (-1, 1)
+    out = run(["local-model", "convexity", "--weights=-3,1,1", "--trials", "4",
+               "--delta", "0.01"])
+    assert out.exit_code == 2 and out.payload["message"] == (
+        "delta 0.01 must stay below the lemma's bound -0.0234375 for these radii; "
+        "decrease eps_prime")
+    out = run(["local-model", "convexity", "--weights=-1,1", "--trials", "4",
+               "--delta", "0.09375"])
+    assert out.exit_code == 2 and out.payload["message"] == (
+        "delta 0.09375 must stay below the lemma's bound 0.09375 for these radii")
+
+
+@pytest.mark.parametrize("weights,delta", [
+    ("-1,1", 1e-9), ("-1,1", 0.05), ("-1,1", 0.0937), ("-1,-1,1", 0.01), ("1,2", 0.015),
+])
+def test_convexity_delta_below_the_bound_is_probed_as_given(weights, delta):
+    # below the bound the probe runs with the given delta, as before the check
+    action = LinearAction(tuple(map(int, weights.split(","))))
+    rep = orbital_convexity_probe(action, NeighborhoodSpec(0.5, 0.25, delta), trials=4, seed=3)
+    out = run(["local-model", "convexity", f"--weights={weights}", "--trials", "4",
+               "--seed", "3", "--delta", repr(delta)])
+    assert out.exit_code == 0 and out.payload == {
+        "eps": 0.5, "eps_prime": 0.25, "delta": delta, "trials": rep.trials,
+        "reentries": rep.reentries, "exit_clause_failures": rep.exit_clause_failures,
+        "half_line_cases": rep.half_line_cases,
+        "grid": {"t_span": rep.t_span, "points": rep.grid_points}, "ok": rep.ok}
 
 
 @pytest.fixture

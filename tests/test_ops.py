@@ -54,7 +54,8 @@ from momentcut.polytope import (
 from momentcut.toric import (VertexKind, circle_stabilizer_order, classify_vertex,
                              edge_generators, weights_at_vertex)
 
-from conftest import chopped_box, keeping_x1, random_unimodular, regular_levels, walked
+from conftest import (agreement_by_restriction, chopped_box, keeping_x1, random_unimodular,
+                      regular_levels, walked)
 
 F = Fraction
 
@@ -296,6 +297,145 @@ def test_restrict_halfspace_at_vertex_level(pex2):
     assert canonical_equal(R, restrict_halfspace(pex2, F(0)))
 
 
+# the wedge {x1 + 2 x2 <= 1, x1 - 2 x2 <= 1}, unbounded towards x1 -> -inf,
+# with its apex at (1, 0): cut below it, it has two Z2 corners
+OPEN_WEDGE = LabeledPolytope(2, [Facet((1, 2), F(1)), Facet((1, -2), F(1))])
+
+
+@st.composite
+def _fixed_point_cases(draw):
+    """(T, eps) for add_fixed_points: a corpus member, a wedge or a chopped
+    box image moved so that a regular level between its two lowest
+    critical values sits at 0, and an eps below the next one."""
+    kind = draw(st.sampled_from(["corpus", "wedge", "box"]))
+    if kind == "corpus":
+        P = draw(st.sampled_from([P for _, P in delzant_corpus()]))
+    elif kind == "wedge":
+        P = draw(st.sampled_from([asymmetric_wedge(), OPEN_WEDGE]))
+    else:
+        n = draw(st.integers(2, 3))
+        corners = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True, max_size=3))
+        P = chopped_box(n, corners, draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3)])))
+        P = transform(P, keeping_x1(random.Random(draw(st.integers(0, 2 ** 16))), n), [0] * n)
+    # the open wedge has one critical value, its apex at 1
+    crit = [F(-1), F(1)] if P is OPEN_WEDGE else critical_values(P)
+    m = crit[0] + (crit[1] - crit[0]) * F(draw(st.integers(1, 15)), 16)
+    eps = (crit[1] - m) * F(draw(st.integers(1, 15)), 16)
+    n = P.dim
+    return transform(P, [[int(i == j) for j in range(n)] for i in range(n)],
+                     [-m] + [0] * (n - 1)), eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fixed_point_cases())
+def test_agreement_matches_the_restriction_oracle(case):
+    # the agreement is decided from candidate facets, with no polytope of
+    # the result's lower half; the oracle cuts the result at 0 as before
+    T, eps = case
+    try:
+        Q, _, report = add_fixed_points(T, eps)
+    except PreconditionError:
+        return      # an orbifold vertex on the cut facet
+    assert report.agreement_below == agreement_by_restriction(Q, T)
+    assert report.agreement_below
+
+
+def _planted_cut(plant: str):
+    """`cut` whose result differs from its input below x1 = 0."""
+    def planted(P, a, side=CutSide.BELOW):
+        C = cut(P, a, side)
+        low = vertices(C)[0]
+        if plant == "relabel":
+            # the facets at the lowest vertex bound the lower half too
+            i = min(low.active)
+            return LabeledPolytope(C.dim, [Facet(f.normal, f.offset, f.label + (k == i))
+                                           for k, f in enumerate(C.facets)])
+        if plant == "chop":
+            return blowup(C, BlowupParams(low.point, F(1, 64)))[0]
+        # "floor" bounds an open lower half: it fails only along a ray
+        return intersect_halfspace(C, Facet((-1,) + (0,) * (C.dim - 1), 5 - low.point[0]))
+    return planted
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_fixed_point_cases(), plant=st.sampled_from(["relabel", "chop", "floor"]))
+def test_planted_lower_half_fails_the_agreement(case, plant):
+    T, eps = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(momentcut.ops, "cut", _planted_cut(plant))
+        try:
+            Q, _, report = add_fixed_points(T, eps)
+        except PreconditionError:
+            return
+    if plant == "floor" and T.structure().bounded or plant == "chop" and min(
+            critical_values(T)) > 0:
+        return      # no vertex below 0 to chop, or no ray to floor
+    assert not agreement_by_restriction(Q, T)
+    assert not report.agreement_below and not report.ok
+
+
+def test_open_wedge_agreement_reads_its_rays():
+    # the lower half of the open wedge is unbounded: a floor at x1 = -5
+    # holds at its vertices, and only its rays tell the regions apart
+    Q, _, report = add_fixed_points(OPEN_WEDGE, F(1, 4))
+    assert report.ok and len(report.new_fixed_vertices) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(momentcut.ops, "cut", _planted_cut("floor"))
+        report = add_fixed_points(OPEN_WEDGE, F(1, 4))[2]
+    assert not report.agreement_below
+
+
+def _counting(monkeypatch, module, name: str, log: list):
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: log.append(args) or fn(*args))
+
+
+def test_derived_steps_gate_only_their_new_facet(monkeypatch):
+    # a parent's facets are gated once, when it is built from input; a step
+    # gates only the facet it adds, and no derived polytope runs __init__
+    P = chopped_hypercube()
+    verts = vertices(P)
+    gated, built = [], []
+    _counting(monkeypatch, momentcut.polytope, "_check_facet", gated)
+    init = LabeledPolytope.__init__
+    monkeypatch.setattr(LabeledPolytope, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    Q, _ = blowup(P, BlowupParams(verts[0].point, F(1, 16)))
+    assert len(gated) == 1 and gated[0][1] in Q.facets and gated[0][1] not in P.facets
+    assert gated[0][0] == len(P.facets)
+    C = cut(P, F(1, 2))
+    K = compactify(P, F(1, 8), F(7, 8))
+    R = reduce_at(P, F(1, 3)).polytope
+    S = slice_at(Q, F(1, 3)).polytope
+    assert [f for _, f, _ in gated[1:]] == [
+        Facet((1, 0, 0, 0), F(1, 2)), Facet((1, 0, 0, 0), F(7, 8)), Facet((-1, 0, 0, 0), F(-1, 8))]
+    assert not built
+    for D in (Q, C, K, R, S):
+        assert D.facets == LabeledPolytope(D.dim, D.facets).facets
+
+
+def test_add_fixed_points_steps_nothing_from_its_result(monkeypatch):
+    # the steps are the cut at eps, one chop per Z2 vertex and P's lower
+    # half; the result is compared by its facets, and never cut at 0
+    P = asymmetric_wedge()
+    steps = []
+    _counting(monkeypatch, momentcut.polytope, "_halfspace_step", steps)
+    Q, _, report = add_fixed_points(P, F(1, 4))
+    assert report.ok and len(report.z2_vertices) == 2
+    assert len(steps) == 1 + 2 + 1
+    assert all(R is not Q for R, _ in steps)
+    assert steps[0] == (P, Facet((1, 0), F(1, 4))) and steps[-1] == (P, Facet((1, 0), F(0)))
+
+
+def test_blowups_of_one_polytope_serialize_it_once(monkeypatch):
+    # polytope_hash is kept with P: the ledgers of all its blow-ups share it
+    P = chopped_cube()
+    dumped = []
+    _counting(monkeypatch, momentcut.polytope, "to_json_dict", dumped)
+    bases = {blowup(P, BlowupParams(v.point, F(1, 32)))[1].base for v in vertices(P)}
+    assert len(bases) == 1 and len(dumped) == 1
+
+
 # -- reversed -------------------------------------------------------------------
 
 def test_reversed_box(square):
@@ -358,7 +498,7 @@ def test_derived_chain_builds_few_fractions():
     assert len(vertices(B)) == len(vertices(C)) + 3 and reduced.polytope is not None
     assert report.ok and checked.ok
     # the entry points take their levels as given, with no Fraction(x) copy
-    assert built["Fraction"] == 128
+    assert built["Fraction"] == 127
 
 
 def _x1_never_decreases(P: LabeledPolytope) -> bool:

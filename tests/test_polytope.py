@@ -31,6 +31,7 @@ from momentcut.polytope import (
     canonical_mismatch,
     dumps,
     from_json_dict,
+    intersect_halfspace,
     irredundant,
     loads,
     require_regular,
@@ -47,6 +48,7 @@ from momentcut.ops import (
     BlowupParams,
     CutSide,
     blowup,
+    compactify,
     cut,
     restrict_halfspace,
 )
@@ -607,6 +609,54 @@ def test_derived_structures_match_fresh_walk(case):
         assert irredundant(D).structure() == irredundant(walked(D)).structure()
         for s in levels:
             _assert_slice_as_walked(D, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_derived_cases())
+def test_derived_facets_are_gated_and_in_canonical_order(case):
+    # a derived polytope takes its facets as checked and ordered, with no
+    # gate and no sort: the constructor, which runs both, gives them back
+    # unchanged, and the structure derived with them is a fresh walk's
+    P, levels, corner, fraction = case
+    derived = [reversed_polytope(P), irredundant(P)]
+    for a in levels:
+        sl = slice_at(P, a).polytope
+        derived += [sl] if sl is not None else []
+        for side in CutSide:
+            try:
+                derived.append(cut(P, a, side))
+            except (PreconditionError, NotSimple):
+                pass
+    try:
+        derived.append(compactify(P, min(levels), max(levels)))
+    except (PreconditionError, NotSimple):
+        pass
+    if P.structure().simple:
+        verts = vertices(P)
+        v = verts[corner % len(verts)]
+        try:
+            derived.append(blowup(P, BlowupParams(v.point, fraction / 8))[0])
+        except PreconditionError:
+            pass
+    for Q in derived:
+        assert Q.facets == LabeledPolytope(Q.dim, Q.facets).facets
+        _assert_as_walked(Q)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (Facet((2, 0), F(1)), "normal [2, 0] is not primitive; use [1, 0] with offset 1/2"),
+    (Facet((1, 0, 0), F(1, 2)), "normal has length 3, expected 2"),
+    (Facet((1, 1), F(1), 0), "label must be a positive integer, got 0"),
+    (Facet((1, 1), 0.5), "offset must be an integer or a Fraction, got 0.5"),
+    (Facet((1, 0), F(1), 0), "label must be a positive integer, got 0"),
+], ids=["not-primitive", "length-3", "label-0", "float-offset", "label-0-repeat"])
+def test_intersect_halfspace_refuses_a_bad_facet_by_name(bad, message):
+    # the step gates its one new facet, named by its position after P's,
+    # also one that repeats a facet of P
+    P = box(F(1), F(1))
+    with pytest.raises(InputError) as err:
+        intersect_halfspace(P, bad)
+    assert str(err.value) == f"facet {len(P.facets)}: {message}"
 
 
 @settings(max_examples=40, deadline=None)
