@@ -19,11 +19,13 @@ double-description step (Motzkin; Fukuda-Prodon 1996): the parent's
 vertices on the kept side stay, and each edge or ray that strictly crosses
 the hyperplane gives one new vertex, whose active set is the facets holding
 that edge plus the new one.  Edges are paired by that set of holding
-facets, so no ratio test is run, and the edges at a crossing of a simple
-vertex's edge come in closed form (see `_crossing_edges`).  Dropping
-redundant facets carries the structure over unchanged.  All paths end in
-the same finishing code, and the derived structure is equal to the one a
-fresh walk would give.
+facets, so no ratio test is run; a crossing edge is met from its cut-off
+end, and the edges at a crossing of a simple vertex's edge come in closed
+form (see `_crossing_edges`).  A step leaves out the facets that no
+vertex of its child holds, and dropping the facets that stay redundant
+carries the structure over unchanged.  Each polytope built ends in one
+call of the same finishing code, and the derived structure is equal to
+the one a fresh walk would give.
 
 A facet is checked once (`_check_facet`): when a polytope is built from
 input, or when a step adds it.  A derived polytope is built by `_derived`
@@ -485,42 +487,36 @@ def _finish(normals, n: int, records) -> Structure:
     Rays, rank and redundancy are read off the edges, as in every pointed
     polyhedron, simple or not: the extreme rays of the recession cone are
     the unbounded edges, the edges at a vertex span the affine hull, and
-    those lying in a facet span that facet's face.
+    those lying in a facet span that facet's face.  A simple vertex gives n
+    and n - 1 by its facet count; only a non-simple one takes a rank.  Each
+    polytope a walk or a step builds is finished once.
     """
     common = math.lcm(*(den for (_, den), *_ in records))
     records = sorted(records, key=lambda r: [x * (common // r[0][1]) for x in r[0][0]])
-    points = tuple((pt, act) for pt, act, _, _ in records)
-    edges = tuple(es for _, _, es, _ in records)
-
-    unbounded = [unb for *_, unb in records]
+    rows, acts, edges, unbounded = list(zip(*records)) or [()] * 4
+    points = tuple(zip(rows, acts))
     if None in unbounded:
         unbounded = [{e for e, (w, _) in zip(es, ends) if w is None}
                      for es, ends in zip(edges, _pair_edges(normals, n, points, edges))]
-    rays: list[IntVector] = []
-    for es, unb in zip(edges, unbounded):
-        rays += [e for e in es if e in unb and e not in rays]
+    rays = tuple(dict.fromkeys(e for es, unb in zip(edges, unbounded) if unb for e in es if e in unb))
 
-    def span(act, es, facet=None) -> int:
-        """The rank of the edges at a vertex, or of those lying in `facet`:
-        a simple vertex has n independent edges, n - 1 in each active facet."""
-        if len(act) == n:
-            return n if facet is None else n - 1
+    def span(es, facet=None) -> int:
+        """The rank of the edges at a non-simple vertex, or of those lying in
+        `facet`; a simple vertex has n independent edges, n - 1 in each facet."""
         return rank_int([e for e in es if facet is None or dot(normals[facet], e) == 0])
 
-    affine_rank = span(points[0][1], edges[0]) if points else -1
+    affine_rank = -1 if not points else n if len(acts[0]) == n else span(edges[0])
     redundant: set[int] = set()
     if affine_rank == n:
-        first: dict[int, tuple] = {}
-        for (_, act), es in zip(points, edges):
-            for i in act:
-                first.setdefault(i, (act, es))
-        redundant = {i for i in range(len(normals))
-                     if i not in first or span(*first[i], i) < n - 1}
+        # the first vertex holding each facet, as the last one written
+        first = {i: k for k in range(len(acts) - 1, -1, -1) for i in acts[k]}
+        redundant = {i for i in range(len(normals)) if i not in first
+                     or len(acts[first[i]]) > n and span(edges[first[i]], i) < n - 1}
 
     return Structure(
         points=points,
-        simple=all(len(act) == n for _, act in points),
-        rays=tuple(rays),
+        simple=max(map(len, acts), default=n) == n,     # a vertex holds n facets or more
+        rays=rays,
         bounded=bool(points) and not rays,
         full_dim=affine_rank == n,
         redundant=frozenset(redundant),
@@ -562,24 +558,24 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
     unbounded ray of P that passes strictly from slack > 0 to slack < 0:
     key is the set of facets holding that edge, and relax maps each facet
     of key, and None for the new one, to the edge at the new vertex that
-    relaxes it; relax is None when the edge starts at a non-simple vertex.
-    In a bounded P only a vertex with a neighbour of slack < 0 has such an
-    edge, so a corner chop pairs the edges of its corner only.
+    relaxes it; relax is None when the edge is met from a non-simple vertex.
+    A bounded edge is met from its end with slack < 0, so a bounded P pairs
+    the edges of its cut-off vertices only: a corner chop, its corner's.
     """
     st = P.structure()
     pairs = _edge_graph(P)
     slack = [p * den - q * dot(normal, num) for (num, den), _ in st.points]
     found = []
     for ((num, den), act), es, ends, sl in zip(st.points, st.edges, pairs, slack):
-        if sl == 0 or st.bounded and (sl < 0 or all(slack[w] >= 0 for w, _ in ends)):
+        if sl == 0 or st.bounded and sl > 0:
             continue
         r = [dot(normal, e) for e in es]
         for k, (e, (w, key), rk) in enumerate(zip(es, ends, r)):
-            # slack falls along e when r > 0; a bounded edge is met from
-            # its kept end, a ray (none in a bounded P) from wherever it
-            # starts.  The point is num/den + sl / (q den r) e.
-            if (rk > 0 and sl > 0 and (w is None or slack[w] < 0)
-                    or rk < 0 and sl < 0 and w is None):
+            # slack rises along e when r < 0: a bounded edge is met from its
+            # end with slack < 0, a ray from its start, which has slack > 0
+            # (only in an unbounded P) when r > 0.  The point is
+            # num/den + sl / (q den r) e.
+            if rk * sl > 0 and (w is None or sl < 0 < slack[w]):
                 row = _row([q * rk * x + sl * c for x, c in zip(num, e)], q * den * rk)
                 relax = None
                 if len(act) == len(num):
@@ -593,11 +589,14 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
 
 def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
     """P intersected with {<facet.normal, x> <= facet.offset}, with its
-    Structure derived from P's (not pruned; see `intersect_halfspace`).
+    Structure derived from P's and finished once.
 
     When the new facet repeats one of P's (normal and offset), the region
     is P's and P itself is returned.  A parent with no vertex has no edge
-    graph to step from, and its child is walked from scratch.
+    graph to step from, and its child is walked from scratch.  A child that
+    keeps a point of P strictly inside is full-dimensional when P is, and
+    leaves out the facets that none of its vertices holds: they are
+    redundant.  `intersect_halfspace` prunes the rest.
     """
     # P's facets are checked and in order: gate the new one, and put it where
     # the canonical order does (past the repeats, no facet of P has its key)
@@ -606,33 +605,33 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
            for f in P.facets):
         return P
     pos = bisect.bisect(P.facets, (key := _order_key(P.facets + (facet,)))(facet), key=key)
-    child = _derived(P.dim, P.facets[:pos] + (facet,) + P.facets[pos:])
     st = P.structure()
     if not st.points:
-        return child
+        return _derived(P.dim, P.facets[:pos] + (facet,) + P.facets[pos:])
     n = P.dim
+    slack, crossings = _crossings(P, facet.normal, facet.num, facet.den)
+    # the facets holding each kept vertex and the child's facets, by their
+    # index in P, None for the new one
+    kept = [(row, act if sl else act | {None}, es)
+            for (row, act), es, sl in zip(st.points, st.edges, slack) if sl >= 0]
+    ids = [*range(pos), None, *range(pos, len(P.facets))]
+    if st.full_dim and (crossings or max(slack) > 0):
+        held = set().union(*(act for _, act, _ in kept), *(key | {None} for _, key, _ in crossings))
+        ids = [j for j in ids if j in held]
+    moved = {j: i for i, j in enumerate(ids)}
+    child = _derived(n, tuple(facet if j is None else P.facets[j] for j in ids))
     normals = [f.normal for f in child.facets]
     unb = set() if st.bounded else None
-
-    def moved(j):
-        return pos if j is None else j + (j >= pos)
-
-    slack, crossings = _crossings(P, facet.normal, facet.num, facet.den)
     records = []
-    for (row, act), es, sl in zip(st.points, st.edges, slack):
-        if sl > 0:
-            records.append((row, frozenset(map(moved, act)), es, unb))
-        elif sl == 0:
-            act = frozenset(map(moved, act)) | {pos}
-            records.append((row, act, _edge_directions(normals, sorted(act), n), unb))
+    for row, act, es in kept:
+        q_act = frozenset(map(moved.__getitem__, act))
+        records.append((row, q_act, _edge_directions(normals, sorted(q_act), n)
+                        if None in act else es, unb))
     for row, key, relax in crossings:
-        act = frozenset(map(moved, key)) | {pos}
-        if relax is None:
-            es = _edge_directions(normals, sorted(act), n)
-        else:
-            by = {moved(j): e for j, e in relax.items()}
-            es = tuple(by[j] for j in sorted(act))
-        records.append((row, act, es, unb))
+        act = sorted(map(moved.__getitem__, key | {None}))
+        es = (tuple(map({moved[j]: e for j, e in relax.items()}.__getitem__, act)) if relax
+              else _edge_directions(normals, act, n))
+        records.append((row, frozenset(act), es, unb))
     child._structure = _finish(normals, n, records)
     return child
 

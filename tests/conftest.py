@@ -305,9 +305,11 @@ def positive_on_open_by_two_isolations(p: Poly, lo: Fraction, hi: Fraction) -> b
     return ok and not isolate_roots(p, lo, hi)
 
 
-def volume_by_triangulation(P: LabeledPolytope) -> Fraction:
+def volume_by_triangulation(P: LabeledPolytope, c=None) -> Fraction:
     """Volume oracle independent of localization: the cones from the least
-    vertex over a fan triangulation of every facet not containing it.
+    vertex over a fan triangulation of every facet not containing it.  With
+    c, the first moment of <c, x> over P instead: each simplex adds its
+    volume times <c, its centroid>.
 
     Faces are sets of vertex indices.  vertices() is sorted by point, so the
     apex (the least vertex) is index 0, the least vertex of a face is its
@@ -319,9 +321,10 @@ def volume_by_triangulation(P: LabeledPolytope) -> Fraction:
     st = P.structure()
     assert st.bounded and st.points, "the oracle needs a bounded polytope"
     n = P.dim
+    at = [sum(ci * x for ci, x in zip(c or (), v.point)) for v in verts]
     if n == 1:
         xs = [v.point[0] for v in verts]
-        return max(xs) - min(xs)
+        return max(xs) - min(xs) if c is None else (max(xs) - min(xs)) * (at[0] + at[-1]) / 2
     inc: list[set[int]] = [set() for _ in P.facets]
     for k, v in enumerate(verts):
         for i in v.active:
@@ -335,8 +338,24 @@ def volume_by_triangulation(P: LabeledPolytope) -> Fraction:
             continue
         for simplex in _triangulate_face(verts, inc, frozenset([i]), face, n - 1):
             det = det_int([rows[k] for k in simplex])
-            total += F(abs(det), math.prod(dens[k] for k in simplex))
+            vol = F(abs(det), math.prod(dens[k] for k in simplex))
+            total += vol if c is None else vol * (at[0] + sum(at[k] for k in simplex)) / (n + 1)
     return total / math.factorial(n)
+
+
+def localization_sums(P: LabeledPolytope, c) -> list[Fraction]:
+    """S_k = sum_v <c, v>^k |det G_v| / prod_j (-<c, g_j(v)>) for
+    k = 0 .. n + 1, over the vertices v of a simple bounded P with edge
+    generators g_j(v), read off `Structure.points`, `edges` and `dets`; c
+    pairs to nonzero with every generator.  By Brion and Lawrence (Brion
+    1988; Lawrence 1991) S_k = 0 for k < n, S_n = n! vol(P) and S_{n+1} is
+    (n + 1)! times the first moment of <c, x> over P."""
+    st = P.structure()
+    sums = [F(0)] * (P.dim + 2)
+    for ((num, den), _), es, det in zip(st.points, st.edges, st.dets):
+        x, w = F(dot(c, num), den), F(det, math.prod(-dot(c, g) for g in es))
+        sums = [s + x ** k * w for k, s in enumerate(sums)]
+    return sums
 
 
 def _triangulate_face(verts, inc: list[set[int]], active: frozenset[int], face: set[int],
@@ -426,6 +445,11 @@ def chamber_affine_check(P: LabeledPolytope, interval: tuple[Fraction, Fraction]
         if (offs[1] - offs[0]) * (s3 - s2) != (offs[2] - offs[1]) * (s2 - s1):
             return False
     return True
+
+
+# the wedge {x1 + 2 x2 <= 1, x1 - 2 x2 <= 1}, unbounded towards x1 -> -inf,
+# with its apex at (1, 0): cut below it, it has two Z2 corners
+OPEN_WEDGE = LabeledPolytope(2, [Facet((1, 2), F(1)), Facet((1, -2), F(1))])
 
 
 def chopped_box(n: int, corners, depth: Fraction) -> LabeledPolytope:

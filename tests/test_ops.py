@@ -54,8 +54,8 @@ from momentcut.polytope import (
 from momentcut.toric import (VertexKind, circle_stabilizer_order, classify_vertex,
                              edge_generators, weights_at_vertex)
 
-from conftest import (agreement_by_restriction, chopped_box, keeping_x1, random_unimodular,
-                      regular_levels, walked)
+from conftest import (OPEN_WEDGE, agreement_by_restriction, chopped_box, keeping_x1,
+                      random_unimodular, regular_levels, walked)
 
 F = Fraction
 
@@ -295,11 +295,6 @@ def test_restrict_halfspace_at_vertex_level(pex2):
     Q, _, _ = add_fixed_points(pex2, F(1, 4))
     R = restrict_halfspace(Q, F(0))
     assert canonical_equal(R, restrict_halfspace(pex2, F(0)))
-
-
-# the wedge {x1 + 2 x2 <= 1, x1 - 2 x2 <= 1}, unbounded towards x1 -> -inf,
-# with its apex at (1, 0): cut below it, it has two Z2 corners
-OPEN_WEDGE = LabeledPolytope(2, [Facet((1, 2), F(1)), Facet((1, -2), F(1))])
 
 
 @st.composite

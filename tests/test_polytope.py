@@ -706,6 +706,48 @@ def test_crossings_take_no_adjugate(monkeypatch):
         _assert_slice_as_walked(D, s)
 
 
+def _count_steps(monkeypatch, names) -> Counter:
+    calls = Counter()
+    for name in names:
+        fn = getattr(momentcut.polytope, name)
+        monkeypatch.setattr(momentcut.polytope, name,
+                            lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("corner", [0, 21, 63])
+def test_corner_chop_pairs_the_edges_of_its_corner_only(monkeypatch, corner):
+    # the chop cuts off one vertex of the 64: its n edges cross the new
+    # facet, and each is met from the corner, not from its kept neighbour
+    P = chopped_hypercube()
+    st = P.structure()
+    met = []
+    fn = momentcut.polytope._crossing_edges
+    monkeypatch.setattr(momentcut.polytope, "_crossing_edges",
+                        lambda es, r, k: met.append(es) or fn(es, r, k))
+    Q = blowup(P, BlowupParams(vertices(P)[corner].point, F(1, 16)))[0]
+    assert met == [st.edges[corner]] * P.dim
+    monkeypatch.undo()
+    assert len(Q.structure().points) == 64 - 1 + P.dim
+    _assert_as_walked(Q)
+
+
+@pytest.mark.parametrize("a,side,kept", [(F(1, 2), CutSide.BELOW, 15), (F(3, 8), CutSide.ABOVE, 15),
+                                         (F(1, 8), CutSide.ABOVE, 23)])
+def test_cut_off_facets_take_no_second_finish(monkeypatch, a, side, kept):
+    # cutting chopped_hypercube at x1 = 1/2 cuts off x1 <= 1 and the 8 chops
+    # at x1 = 1 whole: the step leaves them out, so its child is finished
+    # once and irredundant has nothing to drop
+    P = chopped_hypercube()
+    P.structure()
+    calls = _count_steps(monkeypatch, ["_finish", "_drop_facets", "_compute_structure"])
+    C = cut(P, a, side)
+    assert calls == Counter({"_finish": 1})
+    monkeypatch.undo()
+    assert len(C.facets) == kept + 1
+    _assert_as_walked(C)
+
+
 @settings(max_examples=60, deadline=None)
 @given(P=st.sampled_from([P for _, P in delzant_corpus()]), seed=st.integers(0, 2 ** 32),
        edits=st.lists(st.sampled_from(["shift", "relabel", "drop", "loose copy", "twin"]),
