@@ -22,14 +22,15 @@ Each quantity has one definition, over rows of points of shape (..., n):
 the flow e^{a t} z (`_flow_rows`), the weighted radii N-/N+ (`_n_pm_rows`)
 and psi along the flow (`MomentAlongFlow`); `flow` and `n_pm` are the gated
 one-point case of the first two.  psi and N-/N+ add a row's terms by one
-rule, `_sum_entries`: left to right, so a row padded with exact zeros sums
-as its point alone.  Regions of C^n are row predicates too:
-`membership_v` and `bad_annulus_region` take an array of points and return
-one bool per point, and `orbital_convexity_probe` hands a region a whole
-flow line at once.  The monotone, cut and blow-up checks are row checks
-(`monotone_rows`, `cut_identity_rows`, `blowup_potential_rows`): points of
-one length are judged together, with the arithmetic of one point in every
-row, so one point is a call with one row.
+rule, left to right (`_sum_entries`, and psi term by term over its rows),
+so a row among longer ones sums as its point alone.  Regions of C^n
+are row predicates too: `membership_v` and `bad_annulus_region` take an
+array of points and return one bool per point, and
+`orbital_convexity_probe` hands a region a whole flow line at once.  The
+monotone, cut and blow-up checks are row checks (`monotone_rows`,
+`cut_identity_rows`, `blowup_potential_rows`): points of one length are
+judged together, with the arithmetic of one point in every row, so one
+point is a call with one row.
 
 Every point enters through one gate, `_point`: as many entries as weights,
 each a finite complex number, or an InputError that names the entry.  A
@@ -38,7 +39,7 @@ check whose arithmetic leaves the doubles raises a PreconditionError
 
 Along the real flow, psi(e^t z) is one increasing real function of t,
 `MomentAlongFlow`, and the time to level s is the least double t with
-psi(t) >= s, found for many points at once as rows bisected in lockstep.
+psi(t) >= s, found for many points at once as rows cut 16 ways in lockstep.
 """
 from __future__ import annotations
 
@@ -244,7 +245,7 @@ def _flow_terms(action: LinearAction, z: list[complex]) -> list[tuple[float, flo
 def _key_doubles(k: np.ndarray) -> np.ndarray:
     """The doubles of int64 ranks in the natural order of the doubles: rank
     k >= 0 is the double with bits k, and rank -k its negative."""
-    return np.where(k >= 0, k, -k | np.int64(-1 << 63)).view(np.float64)
+    return (np.abs(k) | (k & np.int64(-1 << 63))).view(np.float64)
 
 
 class MomentAlongFlow:
@@ -256,42 +257,82 @@ class MomentAlongFlow:
     refused too (see `_flow_terms`), so the sum is never nan.
 
     One row per point: t has one entry per row in its last axis, of any
-    length for one row.  Each row is padded after its terms with 2a = -0.0,
-    ln = -inf, terms of exactly -0.0, which leave any sum as it is; the
-    terms are added by `_sum_entries`, so each row's psi is its point's."""
+    length for one row.  Only kept terms are evaluated: the j-th terms of
+    all rows that have one, for j = 0, 1, .., with the rows longest first,
+    so that each j's rows are a prefix of the sums.  psi adds each row's
+    terms left to right, as `_sum_entries` adds the rows of `terms`, padded
+    with terms of exactly -0.0, which leave any sum as it is; so each row's
+    psi is its point's."""
 
     def __init__(self, actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]]):
         rows = [_flow_terms(action, _point(action, z)) for action, z in zip(actions, zs, strict=True)]
-        width = max(map(len, rows))
-        self.two_a, self.log_half_ac = np.array(
-            [row + [(-0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
+        order = sorted(range(len(rows)), key=lambda r: -len(rows[r]))      # longest first
+        self.width = len(rows[order[0]])
+        kept = [(r, j, *rows[r][j]) for j in range(self.width) for r in order if j < len(rows[r])]
+        self.row, self.column, self.two_a, self.log_half_ac = map(np.array, zip(*kept))
+        # where the j-th terms start among the kept ones, and how many, for j >= 1
+        counts = np.bincount(self.column)
+        self.later_terms = list(zip((np.cumsum(counts) - counts)[1:].tolist(), counts[1:].tolist()))
+        self.place = np.argsort(order)          # each row's place among the sums
+
+    def _kept_terms(self, t) -> tuple[tuple, np.ndarray]:
+        """psi's shape at t, and the kept terms at t, in the order of `row`
+        in the first axis and each over t's other axes reversed (as t.T), so
+        that each term is one contiguous block.  One row takes each entry
+        of t as a time."""
+        t = np.asarray(t)
+        shape = np.broadcast(t, self.place).shape
+        if len(self.place) == 1:
+            t = t.reshape(shape + (1,))
+        elif t.shape != shape:
+            t = np.broadcast_to(t, shape)
+        two_a = self.two_a.reshape(self.two_a.shape + (1,) * (t.ndim - 1))
+        with np.errstate(over="ignore"):
+            exp = np.exp(t.T[self.row] * two_a + self.log_half_ac.reshape(two_a.shape))
+        return shape, np.copysign(exp, two_a)
 
     def terms(self, t) -> np.ndarray:
-        """The terms 1/2 a_j c_j e^{2 a_j t}, of shape t.shape + (k,)."""
-        with np.errstate(over="ignore"):
-            exp = np.exp(np.asarray(t)[..., None] * self.two_a + self.log_half_ac)
-        return np.copysign(exp, self.two_a)
+        """The terms 1/2 a_j c_j e^{2 a_j t}, of the shape of psi at t + (k,)."""
+        shape, x = self._kept_terms(t)
+        padded = np.full(shape + (self.width,), -0.0)
+        padded.reshape(x.T.shape[:-1] + (-1, self.width))[..., self.row, self.column] = x.T
+        return padded
 
     def __call__(self, t) -> np.ndarray:
-        return _sum_entries(self.terms(t))
+        shape, x = self._kept_terms(t)
+        total = x[:len(self.place)].copy()     # every row has a first term
+        for start, count in self.later_terms:
+            total[:count] += x[start:start + count]
+        return total[self.place].T.reshape(shape)
 
     def time_to_level(self, s) -> np.ndarray:
         """Per row, the least double t with psi(t) >= s, or nan when s is
-        outside (psi(-max), psi(+max)), the float psi's open range.  All rows
-        are bisected in lockstep over the ranks of the doubles, keeping
-        psi(lo) < s <= psi(hi): one psi call for the ends, one per step.  A
-        sum of terms may overflow to +-inf, a value beyond every level."""
+        outside (psi(-max), psi(+max)), the float psi's open range (a sum may
+        overflow to +-inf, beyond every level).  A lockstep step evaluates psi
+        at the 15 ranks of doubles that cut each bracket in 16 and keeps the
+        part up to the first with psi >= s: psi(lo) < s <= psi(hi) holds
+        whatever psi does, and for a monotone float psi, as "least" assumes,
+        t is what bisection gives."""
         s = np.asarray(s, dtype=float)
-        hi = np.full(s.shape, 0x7FEF_FFFF_FFFF_FFFF, dtype=np.int64)  # the largest double
+        shape = np.broadcast(s, self.place).shape
+        hi = np.full(shape, 0x7FEF_FFFF_FFFF_FFFF, dtype=np.int64)  # the largest double
         lo = -hi
+        i, *index = np.indices((17,) + shape, sparse=True)    # a cut's number, a row's
+        parts = i.astype(np.uint64)
+        below = np.zeros((16,) + shape, dtype=bool)     # the last, hi, is not below
         with np.errstate(over="ignore"):
             at_lo, at_hi = self(_key_doubles(np.stack([lo, hi])))
             attained = (at_lo < s) & (s < at_hi)
-            while np.any(lo + 1 < hi):      # hi - lo overflows at the start
-                # floor((lo + hi) / 2), which keeps a finished row at lo
-                mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-                below = self(_key_doubles(mid)) < s
-                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            # a step leaves at most ceil(w / 16) of a bracket's w ranks, so 16
+            # take the fewer than 2^64 of the start to one
+            for _ in range(16):
+                # cut i is floor(lo + i w / 16) for the w = hi - lo ranks, a
+                # count that, like the sum, fits in 64 bits only unsigned
+                w = (hi - lo).view(np.uint64)
+                cuts = (lo.view(np.uint64) + parts * (w >> 4) + (parts * (w & 15) >> 4)).view(np.int64)
+                below[:15] = self(_key_doubles(cuts[1:16])) < s
+                first = below.argmin(axis=0)
+                lo, hi = cuts[(first + i[:2], *index)]       # cuts first and first + 1
         return np.where(attained, _key_doubles(hi), np.nan)
 
 
@@ -429,37 +470,37 @@ def default_spec(action: LinearAction, eps: float = 0.5, eps_prime: float = 0.25
     return spec or NeighborhoodSpec(eps, eps_prime, 0.9 * slack)
 
 
-def _sample_block(rng: np.random.Generator, powers: np.ndarray,
-                  r2: float) -> tuple[np.ndarray, float]:
-    """Random point of the ball N^2 < r2 in a sign block of exponents |a_j|/2,
-    drawn as u_j = |z_j|^{2/|a_j|}, and its N^2 = sum u_j (none if empty)."""
-    while True:
-        u = rng.uniform(0.0, r2, size=len(powers))
-        if (n2 := u.sum()) < r2:
-            phases = np.exp(2j * np.pi * rng.uniform(size=len(powers)))
-            return u ** powers * phases, n2
-
-
 def sample_neighborhood(action: LinearAction, spec: NeighborhoodSpec,
                         rng: np.random.Generator) -> np.ndarray:
     """Random point of the model neighborhood V.  Each sign block is drawn
     in the coordinates u_j = |z_j|^{2/|a_j|}, so its N^2 is the sum of its
-    u_j, and the point is kept when N_- N_+ < eps eps'."""
-    n = len(action.weights)
+    u_j, and the point is kept when N_- N_+ < eps eps'.  A trial draws, in
+    order: per sign block (negative, positive) u uniform in [0, eps^2)^k
+    until sum u < eps^2, then k uniform phases; for m zero weights, 2m
+    normals and one uniform radius.  Only the kept trial is built."""
+    r2 = spec.eps**2
     blocks = [(list(block), np.abs(action.array()[list(block)]) / 2.0)
               for block in (action.neg, action.pos)]
+    zero = list(action.zero)
     for _ in range(10_000):
-        z = np.zeros(n, dtype=complex)
-        sums = []
-        for entries, powers in blocks:
-            z[entries], n2 = _sample_block(rng, powers, spec.eps**2)
-            sums.append(n2)
-        if action.zero:
-            w = rng.normal(size=len(action.zero)) + 1j * rng.normal(size=len(action.zero))
-            norm = np.linalg.norm(w)
-            scale = rng.uniform() ** (1.0 / (2 * len(action.zero)))
-            z[list(action.zero)] = (w / max(norm, 1e-300)) * spec.compact_bound * scale
-        if math.sqrt(sums[0]) * math.sqrt(sums[1]) < spec.eps * spec.eps_prime:
+        drawn = []
+        for entries, _ in blocks:
+            # rng.random(k) * r2 is rng.uniform(0.0, r2, k) to the bit, and cheaper
+            u = rng.random(len(entries)) * r2
+            while (n2 := u.sum()) >= r2:
+                u = rng.random(len(entries)) * r2
+            drawn.append((u, n2, rng.random(len(entries))))
+        if zero:
+            re, im = rng.normal(size=len(zero)), rng.normal(size=len(zero))
+            radius = rng.random()
+        if math.sqrt(drawn[0][1]) * math.sqrt(drawn[1][1]) < spec.eps * spec.eps_prime:
+            z = np.zeros(len(action.weights), dtype=complex)
+            for (entries, powers), (u, _, phases) in zip(blocks, drawn):
+                z[entries] = u ** powers * np.exp(2j * np.pi * phases)
+            if zero:
+                w = re + 1j * im
+                scale = radius ** (1.0 / (2 * len(zero)))
+                z[zero] = (w / max(np.linalg.norm(w), 1e-300)) * spec.compact_bound * scale
             return z
     raise PreconditionError("rejection sampling failed; radii too tight")
 

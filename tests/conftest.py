@@ -32,6 +32,7 @@ from momentcut.localmodel import (
     MonotoneReport,
     _d_phi,
     _d_psi,
+    _flow_terms,
     _gaps,
     _omega,
     _pairing_directions,
@@ -39,6 +40,7 @@ from momentcut.localmodel import (
     _ROOT_MAX,
     _smoothed_ln,
 )
+from momentcut.localmodel import _point as _model_point
 from momentcut.ops import restrict_halfspace
 from momentcut.polytope import (
     Facet,
@@ -865,6 +867,50 @@ def bad_annulus_point(action, inner: float = 0.125, lo: float = 0.25,
         _, np_ = n_pm_by_point(action, z)
         return np_ < inner or lo < np_ < hi
     return region
+
+
+def psi_terms_by_padding(actions, zs, t) -> np.ndarray:
+    """Oracle for `MomentAlongFlow.terms`: each row padded after its kept
+    terms with 2a = -0.0 and ln = -inf, and every entry evaluated, padding
+    too, as one array of shape t.shape + (k,) by broadcasting."""
+    rows = [_flow_terms(act, _model_point(act, z)) for act, z in zip(actions, zs)]
+    width = max(map(len, rows))
+    two_a, log_half_ac = np.array(
+        [row + [(-0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
+    with np.errstate(over="ignore"):
+        return np.copysign(np.exp(np.asarray(t)[..., None] * two_a + log_half_ac), two_a)
+
+
+def _sample_block(rng, powers, r2: float):
+    """A random point of the ball N^2 < r2 in a sign block of exponents
+    |a_j|/2, drawn as u_j = |z_j|^{2/|a_j|}, and its N^2 = sum u_j."""
+    while True:
+        u = rng.uniform(0.0, r2, size=len(powers))
+        if (n2 := u.sum()) < r2:
+            phases = np.exp(2j * np.pi * rng.uniform(size=len(powers)))
+            return u ** powers * phases, n2
+
+
+def sample_neighborhood_by_block(action, spec, rng) -> np.ndarray:
+    """Oracle for `localmodel.sample_neighborhood`: every trial built into a
+    point, block by block, and kept when N_- N_+ < eps eps'."""
+    n = len(action.weights)
+    blocks = [(list(block), np.abs(action.array()[list(block)]) / 2.0)
+              for block in (action.neg, action.pos)]
+    for _ in range(10_000):
+        z = np.zeros(n, dtype=complex)
+        sums = []
+        for entries, powers in blocks:
+            z[entries], n2 = _sample_block(rng, powers, spec.eps**2)
+            sums.append(n2)
+        if action.zero:
+            w = rng.normal(size=len(action.zero)) + 1j * rng.normal(size=len(action.zero))
+            norm = np.linalg.norm(w)
+            scale = rng.uniform() ** (1.0 / (2 * len(action.zero)))
+            z[list(action.zero)] = (w / max(norm, 1e-300)) * spec.compact_bound * scale
+        if math.sqrt(sums[0]) * math.sqrt(sums[1]) < spec.eps * spec.eps_prime:
+            return z
+    raise PreconditionError("rejection sampling failed; radii too tight")
 
 
 def _double_key(x: float) -> int:

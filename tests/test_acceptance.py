@@ -212,13 +212,17 @@ def test_criterion_9_performance():
     t_slices = time.perf_counter() - t0
     action = LinearAction((-1, 1))
     spec = default_spec(action)
+    # three sets of 200 timed runs of the probe took at most 0.038, 0.038
+    # and 0.051 s (medians 0.022 s) on a 2-vCPU Xeon, so the 0.16 s bound
+    # keeps a 3x margin
     t0 = time.perf_counter()
     probe = orbital_convexity_probe(action, spec, trials=100)
     t_probe = time.perf_counter() - t0
     t0 = time.perf_counter()
     # the four row batteries; three sets of 200 timed runs of this block
-    # took at most 0.072, 0.089 and 0.097 s on a 2-vCPU Xeon, so the 0.3 s
-    # bound keeps a 3x margin and cannot be tightened
+    # took at most 0.072, 0.089 and 0.097 s on a 2-vCPU Xeon, and three
+    # later sets at most 0.065, 0.067 and 0.068 s, so the 0.3 s bound keeps
+    # a 3x margin over the earlier sets and cannot be tightened
     rows = [solve_membership_battery(trials=200, seed=2024),
             cut_identity_battery(trials=200, seed=2024),
             monotone_battery(trials=200, seed=2024),
@@ -243,7 +247,7 @@ def test_criterion_9_performance():
     # margin of 3x or more
     ok = (t_vertices < 0.03 and t_volume < 0.005 and t_ops < 0.02 and t_afp < 0.045
           and afp.ok and t_dh < 0.01
-          and t_signs < 0.005 and t_slices < 0.1 and t_probe < 0.5 and t_batteries < 0.3
+          and t_signs < 0.005 and t_slices < 0.1 and t_probe < 0.16 and t_batteries < 0.3
           and t_wall < 0.04 and wall.ok and t_cli < 0.004
           and all(out.exit_code == 0 for out in cli)
           and all(r.ok for r in rows) and len(vs) == 64

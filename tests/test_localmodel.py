@@ -24,12 +24,14 @@ from momentcut.localmodel import (
     BumpSpec,
     LinearAction,
     MomentAlongFlow,
+    NeighborhoodSpec,
     _d_phi,
     _d_psi,
     _n_pm_rows,
     _pairing_directions,
     _radial_hessian,
     _smoothed_ln,
+    _sum_entries,
     bad_annulus_region,
     blowup_potential_rows,
     cut_identity_rows,
@@ -58,6 +60,8 @@ from conftest import (
     npm_scaling_by_trial,
     point_by_point,
     richardson_derivative,
+    psi_terms_by_padding,
+    sample_neighborhood_by_block,
     solve_time_to_level_by_bisection,
 )
 
@@ -169,14 +173,14 @@ def test_solve_refuses_overflowing_point():
 
 def _count_psi_evaluations(monkeypatch) -> list:
     """Every evaluation of psi, by the solver or a check, goes through
-    `MomentAlongFlow.terms`; the list gets the shape of each t array."""
+    `MomentAlongFlow._kept_terms`; the list gets the shape of each t array."""
     calls = []
-    terms = MomentAlongFlow.terms
+    kept_terms = MomentAlongFlow._kept_terms
 
     def counted(self, t):
         calls.append(np.shape(t))
-        return terms(self, t)
-    monkeypatch.setattr(MomentAlongFlow, "terms", counted)
+        return kept_terms(self, t)
+    monkeypatch.setattr(MomentAlongFlow, "_kept_terms", counted)
     return calls
 
 
@@ -191,12 +195,24 @@ def test_solve_at_most_66_evaluations(monkeypatch):
 
 @pytest.mark.parametrize("trials", [20, 200])
 def test_solve_battery_at_most_66_evaluations(monkeypatch, trials):
-    # the rows are bisected in lockstep: the count does not grow with trials,
+    # the rows are cut in lockstep: the count does not grow with trials,
     # and every evaluation takes all trials at once
     calls = _count_psi_evaluations(monkeypatch)
     assert solve_membership_battery(trials=trials, seed=5).ok
     assert 0 < len(calls) <= 66
     assert all(shape[-1] == trials for shape in calls)
+
+
+def test_time_to_level_takes_at_most_18_evaluations_on_20_rows(monkeypatch):
+    # the ends, then one evaluation per 16-way step, each of 15 cuts per row
+    rng = np.random.default_rng(2)
+    actions = [_random_action(rng) for _ in range(20)]
+    psi = MomentAlongFlow(actions, [_random_point(rng, act) for act in actions])
+    calls = _count_psi_evaluations(monkeypatch)
+    times = psi.time_to_level(rng.normal(size=20) * 2)
+    assert not np.all(np.isnan(times))
+    assert 0 < len(calls) <= 18
+    assert all(shape[-1] == 20 for shape in calls)
 
 
 def _bits(t):
@@ -306,6 +322,56 @@ def test_rows_of_any_length_sum_as_their_own_point(rows):
         assert values[:, k].tobytes() == row(grid[:, None])[:, 0].tobytes()
         assert values[:, k].tobytes() == np.concatenate([row(np.array([t])) for t in grid]).tobytes()
         assert times[k].tobytes() == row.time_to_level(levels[k:k + 1]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_flow_row(), min_size=1, max_size=6),
+       form=st.sampled_from(["rows", "grid", "column", "scalar", "ends"]))
+def test_kept_terms_match_the_padded_terms(rows, form):
+    # only kept terms are evaluated, term by term over rows ordered longest
+    # first; padded back, they are the terms of every row padded with -0.0,
+    # for every shape of t, and psi sums them as `_sum_entries` does
+    actions, zs, t0 = zip(*rows)
+    psi = MomentAlongFlow(actions, zs)
+    column = np.linspace(-3.0, 3.0, 7)[:, None]
+    t = {"rows": np.array(t0), "grid": column + np.array(t0), "column": column,
+         "scalar": np.float64(t0[0]),
+         "ends": np.array([-sys.float_info.max, sys.float_info.max])[:, None]}[form]
+    want = psi_terms_by_padding(actions, zs, t)
+    got = psi.terms(t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert psi(t).tobytes() == _sum_entries(want).tobytes()
+
+
+class _Wobbling(MomentAlongFlow):
+    """psi plus a wobble of amplitude `amp` in t: not monotone in t."""
+
+    def __init__(self, actions, zs, amp: float):
+        super().__init__(actions, zs)
+        self.amp = amp
+
+    def __call__(self, t):
+        return super().__call__(t) + self.amp * np.sin(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_flow_row(), min_size=1, max_size=6), amp=st.floats(0.01, 10.0),
+       levels=st.lists(st.floats(-20, 20), min_size=6, max_size=6))
+def test_time_to_level_keeps_its_bracket_where_psi_is_not_monotone(rows, amp, levels):
+    # whatever psi does, the answer t has psi(t-) < s <= psi(t) for the t- just below
+    actions, zs, _ = zip(*rows)
+    psi = _Wobbling(actions, zs, amp)
+    s = np.array(levels[:len(rows)])
+    times = psi.time_to_level(s)
+    ends = psi(np.array([-sys.float_info.max, sys.float_info.max])[:, None])
+    for k, t in enumerate(times.tolist()):
+        if not ends[0, k] < s[k] < ends[1, k]:
+            assert math.isnan(t)
+            continue
+        around = np.zeros((2, len(rows)))
+        around[:, k] = [np.nextafter(t, -np.inf), t]
+        before, at = psi(around)[:, k]
+        assert before < s[k] <= at
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -454,6 +520,29 @@ def test_npm_battery_matches_trial_by_trial_oracle(seed):
 
 # -- orbital convexity ----------------------------------------------------------------
 
+# the four actions of the benchmark's probes; (-1, -1, 2) and (-2, 1, 1, 0)
+# need a smaller eps_prime than the default for a valid delta
+CONVEXITY_WEIGHTS = ((-1, 1), (-2, 3), (-1, -1, 2), (-2, 1, 1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.one_of(
+           st.sampled_from(CONVEXITY_WEIGHTS + ((0, 2, -1), (0, 0, 3), (1, 2), (-3, -1, -1))),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=4)),
+       seed=st.integers(0, 2**32), eps=st.floats(0.05, 0.95),
+       ratio=st.floats(0.25, 0.99), bound=st.floats(0.1, 4.0))
+def test_sampler_matches_the_block_oracle(weights, seed, eps, ratio, bound):
+    # the same draws in the same order: each point bit for bit, and the
+    # stream left where the oracle, which builds every trial, leaves it
+    act = LinearAction(weights)
+    spec = NeighborhoodSpec(eps, eps * ratio, 1.0, bound)
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = sample_neighborhood(act, spec, rng)
+        assert got.tobytes() == sample_neighborhood_by_block(act, spec, oracle).tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def test_convexity_standard_neighborhood():
     act = LinearAction((-1, 1))
     spec = default_spec(act, 0.5, 0.25)
@@ -481,11 +570,6 @@ def test_convexity_half_line_when_positive_block_vanishes():
     rep = orbital_convexity_probe(act, spec, trials=40, seed=6, sampler=sampler)
     assert rep.reentries == 0
     assert rep.half_line_cases == 40
-
-
-# the four actions of the benchmark's probes; (-1, -1, 2) and (-2, 1, 1, 0)
-# need a smaller eps_prime than the default for a valid delta
-CONVEXITY_WEIGHTS = ((-1, 1), (-2, 3), (-1, -1, 2), (-2, 1, 1, 0))
 
 
 def spec_with_slack(act):
