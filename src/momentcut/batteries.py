@@ -8,8 +8,14 @@ the worst residual seen.  Every battery but `psh` judges a block as rows,
 with the row form of its check or of the quantities it compares (psi,
 the flow and N-/N+); `psh` seeds a generator per trial, so it judges trial
 by trial.  No check draws from the stream, so judging after drawing sees
-the same inputs.  Given the same seed the reports are bit-for-bit
-reproducible.
+the same inputs, and a seed's reports are bit-for-bit reproducible.
+
+A trial draws in this order, one generator call per array or number: its
+action's n, then n weights (again while all are 0, or for `npm` of one
+sign); its point's 2n normals, real parts first, then n uniforms, each
+below 1/4 zeroing its entry (again while the point is fixed); then its
+other numbers, w's two normals in one call.  That is the stream a call per
+number or n-array drew before, so a seed gives the same trials as it did.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from .localmodel import (
     _flow_rows,
     _gaps,
     _n_pm_rows,
+    _normal_point,
     _rows,
     _sum_entries,
     blowup_potential_rows,
@@ -41,22 +48,16 @@ from .localmodel import (
 def _random_action(rng: np.random.Generator, n_max: int = 4,
                    require_mixed: bool = False) -> LinearAction:
     while True:
-        n = int(rng.integers(1, n_max + 1))
-        w = tuple(int(x) for x in rng.integers(-3, 4, size=n))
-        if all(x == 0 for x in w):
-            continue
-        if require_mixed and not (any(x > 0 for x in w) and any(x < 0 for x in w)):
-            continue
-        return LinearAction(w)
+        w = rng.integers(-3, 4, size=rng.integers(1, n_max + 1)).tolist()
+        if any(w) and (not require_mixed or min(w) < 0 < max(w)):
+            return LinearAction(w)
 
 
 def _random_point(rng: np.random.Generator, action: LinearAction) -> np.ndarray:
-    n = len(action.weights)
     while True:
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        mask = rng.uniform(size=n) < 0.25
-        z[mask] = 0.0
-        if not action.is_fixed(z):
+        z = _normal_point(rng, len(action.weights))
+        z[rng.random(len(z)) < 0.25] = 0.0      # rng.uniform(size=n) to the bit
+        if any(a and zj for a, zj in zip(action.weights, z.tolist())):
             return z
 
 
@@ -87,11 +88,8 @@ BLOCK_ROWS = 256
 def _run(name: str, tolerance: float, trials: int, seed: int,
          draw: Callable[[np.random.Generator], tuple],
          judge: Callable[[list[tuple]], Iterable[tuple[float, bool]]]) -> BatteryReport:
-    """The battery loop: `draw` takes one trial's inputs from the seeded
-    stream, for every trial first, and `judge` returns (residual, ok) per
-    trial of a block of at most BLOCK_ROWS trials, as `partial(starmap,
-    check)` does for a check of one trial.  `failures` counts the trials
-    that are not ok."""
+    """The battery loop: `draw` takes one trial's inputs, and `judge` returns
+    (residual, ok) per trial of a block, as `partial(starmap, check)` does."""
     rng = np.random.default_rng(seed)
     drawn = [draw(rng) for _ in range(trials)]
     failures = 0
@@ -123,10 +121,8 @@ def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
     psi(nextafter(t, -inf)) < s <= psi(t).  The residual psi(t) - s is
     judged against 1/2 sum |a_j| |z_j|^2 e^{2 a_j t}.  All trials are solved
     as rows of one `MomentAlongFlow`."""
-    def draw(rng):
-        action, z = _action_and_point(rng)
-        s = float(rng.normal() * 2)
-        return action, z, s if s != 0.0 else 0.5
+    def draw(rng):      # a level drawn as +-0.0 is 0.5
+        return (*_action_and_point(rng), rng.standard_normal() * 2 or 0.5)
 
     def judge(drawn):
         actions, zs, levels = zip(*drawn)
@@ -147,12 +143,12 @@ def solve_membership_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
 def npm_scaling_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     """N_pm(e^t z) = e^{+-t} N_pm(z) and N_- N_+ is flow-invariant."""
     def draw(rng):
-        return (*_action_and_point(rng, require_mixed=True), float(rng.uniform(-2, 2)))
+        return (*_action_and_point(rng, require_mixed=True), -2.0 + 4.0 * rng.random())
 
     def judge(block):
         actions, zs, ts = zip(*block)
         ts, rel = np.array(ts), np.empty(len(block))
-        for index, _, _, a, z in _rows(actions, zs):
+        for index, _, a, z in _rows(actions, zs):
             t = ts[list(index)]
             nm0, np0 = _n_pm_rows(a, z)
             nm1, np1 = _n_pm_rows(a, _flow_rows(a, z, t[:, None]))
@@ -168,8 +164,8 @@ def psh_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     spec_seeds = count(seed * 100003)
 
     def draw(rng):
-        spec = family[int(rng.integers(0, len(family)))]
-        t0 = float(rng.uniform(0.01, 2.0 if spec.name == "smoothed-ln" else 3.0))
+        spec = family[rng.integers(0, len(family))]
+        t0 = 0.01 + ((2.0 if spec.name == "smoothed-ln" else 3.0) - 0.01) * rng.random()
         return spec, t0, int(rng.integers(2, 7)), next(spec_seeds)
 
     def check(spec, t0, n, spec_seed):
@@ -180,7 +176,7 @@ def psh_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
 
 def cut_identity_battery(trials: int = 1000, seed: int = 0) -> BatteryReport:
     def draw(rng):
-        return (*_action_and_point(rng), complex(rng.normal(), rng.normal()))
+        return (*_action_and_point(rng), complex(*rng.normal(size=2).tolist()))
 
     def judge(block):
         return ((max(rep.rel_err, rep.orth_rel_err), rep.ok)
@@ -193,9 +189,8 @@ def blowup_potential_battery(trials: int = 1000, seed: int = 0) -> BatteryReport
 
     def draw(rng):
         action = _random_action(rng, n_max=3)
-        n = len(action.weights)
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        z *= rng.uniform(0.15, 0.4) / np.linalg.norm(z)
+        z = _normal_point(rng, len(action.weights))
+        z *= (0.15 + (0.4 - 0.15) * rng.random()) / np.linalg.norm(z)
         return action, z
 
     def judge(block):

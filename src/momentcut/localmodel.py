@@ -32,7 +32,7 @@ monotone, cut and blow-up checks are row checks (`monotone_rows`,
 judged together, with the arithmetic of one point in every row, so one
 point is a call with one row.
 
-Every point enters through one gate, `_point`: as many entries as weights,
+Every point enters through one gate, `_points`: as many entries as weights,
 each a finite complex number, or an InputError that names the entry.  A
 check whose arithmetic leaves the doubles raises a PreconditionError
 (`_in_doubles`) instead of printing a numpy warning and a nan.
@@ -69,11 +69,14 @@ class LinearAction(namedtuple("LinearAction", "weights")):
             raise InputError(f"weights must be a sequence of integers, got {weights!r}") from None
         if not weights:
             raise PreconditionError("need at least one weight")
-        for j, a in enumerate(weights):
-            if (isinstance(a, bool) or not isinstance(a, (int, np.integer))
-                    or abs(int(a)) > sys.float_info.max):
-                raise InputError(f"weight {j} must be an integer that fits in a double, got {a!r}")
-        return super().__new__(cls, tuple(map(int, weights)))
+        # Python ints within the doubles pass at once, anything else one by one
+        if {*map(type, weights)} != {int} or max(map(abs, weights)) > sys.float_info.max:
+            for j, a in enumerate(weights):
+                if (isinstance(a, bool) or not isinstance(a, (int, np.integer))
+                        or abs(int(a)) > sys.float_info.max):
+                    raise InputError(f"weight {j} must be an integer that fits in a double, got {a!r}")
+            weights = tuple(map(int, weights))
+        return super().__new__(cls, weights)
 
     # the sign blocks, computed once per action
     @cached_property
@@ -91,11 +94,6 @@ class LinearAction(namedtuple("LinearAction", "weights")):
     def array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def is_fixed(self, z: np.ndarray) -> bool:
-        """Whether every entry of z with a nonzero weight is 0."""
-        z = np.asarray(z, dtype=complex).tolist()
-        return not any(z[j] for block in (self.neg, self.pos) for j in block)
-
 
 def _complex(x, what: str) -> complex:
     """x as a finite Python complex number, or an InputError naming `what`."""
@@ -110,19 +108,30 @@ def _complex(x, what: str) -> complex:
     raise InputError(f"{what} must be a finite complex number, got {x!r}")
 
 
-def _point(action: LinearAction, z, what: str = "z") -> list[complex]:
-    """The one gate for a point of the model: z as Python complex numbers,
-    one per weight.  A point of another length, or an entry that is not a
-    finite number (a string, None, a bool, nan), is refused with an
-    InputError that names it."""
-    n = len(action.weights)
-    try:
-        entries = list(z.tolist() if isinstance(z, np.ndarray) else z)
-    except TypeError:
-        raise InputError(f"{what} must be a sequence of {n} complex numbers, got {z!r}") from None
-    if len(entries) != n:
-        raise InputError(f"{what} needs {n} entries, one per weight, got {len(entries)}")
-    return [_complex(x, f"{what}[{j}]") for j, x in enumerate(entries)]
+def _points(actions: Sequence[LinearAction], zs) -> list[list[complex]]:
+    """The one gate for points of the model: each z as Python complex numbers,
+    one per weight.  Complex arrays of the right lengths, as a battery draws,
+    pass at once by one finiteness check of their sum; other points (and a
+    sum beyond the doubles) go entry by entry, and the first of another
+    length, or with an entry that is not a finite number (a string, None, a
+    bool, nan), is refused by an InputError naming it."""
+    pairs = list(zip(actions, zs, strict=True))
+    if all(type(z) is np.ndarray and z.dtype == complex and z.shape == (len(a.weights),)
+           for a, z in pairs):
+        points = [z.tolist() for _, z in pairs]
+        if np.isfinite(sum(map(sum, points))):      # not so where an entry is nan or inf
+            return points
+    points = []
+    for action, z in pairs:
+        n = len(action.weights)
+        try:
+            entries = list(z.tolist() if isinstance(z, np.ndarray) else z)
+        except TypeError:
+            raise InputError(f"z must be a sequence of {n} complex numbers, got {z!r}") from None
+        if len(entries) != n:
+            raise InputError(f"z needs {n} entries, one per weight, got {len(entries)}")
+        points.append([_complex(x, f"z[{j}]") for j, x in enumerate(entries)])
+    return points
 
 
 def _real(x, what: str, finite: bool = False) -> float:
@@ -140,20 +149,29 @@ def _real(x, what: str, finite: bool = False) -> float:
 
 
 def _rows(actions: Sequence[LinearAction], zs) -> list[tuple]:
-    """The row constructor: every point through `_point`, grouped by length,
-    so that a sum over a row's entries is the sum over its point alone.  Per
-    length: the rows' positions in the caller's order, their actions and
-    points, and the weights (as doubles) and points as arrays (rows, n)."""
+    """The row constructor: the points through the gate `_points`, grouped
+    by length, so that a sum over a row's entries is the sum over its point
+    alone.  Per length: the rows' positions in the caller's order, their
+    actions, and the weights (as doubles) and points as arrays (rows, n)."""
     groups: dict[int, list] = {}
-    for k, (action, z) in enumerate(zip(actions, zs, strict=True)):
-        point = _point(action, z)
+    for k, (action, point) in enumerate(zip(actions, _points(actions, zs))):
         groups.setdefault(len(point), []).append((k, action, point))
     out = []
     for group in groups.values():
         index, acts, points = zip(*group)
-        out.append((index, acts, points, np.array([act.weights for act in acts], dtype=float),
+        out.append((index, acts, np.array([act.weights for act in acts], dtype=float),
                     np.array(points, dtype=complex)))
     return out
+
+
+def _normal_point(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The doubles of rng.normal(size=n) + 1j * rng.normal(size=n), from the
+    same stream in one call: normal draws 0.0 + g, never -0.0, so setting the
+    parts gives each entry the bits of the sum."""
+    x = rng.normal(size=2 * n)
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = x[:n], x[n:]
+    return z
 
 
 def _in_doubles(fn):
@@ -180,7 +198,8 @@ def _flow_rows(a: np.ndarray, z: np.ndarray, t) -> np.ndarray:
 def flow(action: LinearAction, z: Sequence[complex], t: float) -> np.ndarray:
     """e^{a t} z for one point z and a finite real t; a factor e^{a_j t}
     beyond the doubles is refused, even where its product with z_j is not."""
-    return _flow_rows(action.array(), np.array(_point(action, z)), _real(t, "t", finite=True))
+    [z] = _points([action], [z])
+    return _flow_rows(action.array(), np.array(z), _real(t, "t", finite=True))
 
 
 def _d_psi(a: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -218,7 +237,7 @@ def _gaps(got, want, scale) -> np.ndarray:
 
 def _flow_terms(action: LinearAction, z: list[complex]) -> list[tuple[float, float]]:
     """(2 a_j, L_j = ln(|a_j| c_j / 2)) for each j with a_j z_j != 0, for a
-    point z that has passed `_point`.
+    point z that has passed `_points`.
 
     A positive term overflows for t > (ln(max double) - L_j) / (2 a_j), a
     negative one for t below it; a point where both kinds overflow at one t
@@ -265,7 +284,7 @@ class MomentAlongFlow:
     psi is its point's."""
 
     def __init__(self, actions: Sequence[LinearAction], zs: Sequence[Sequence[complex]]):
-        rows = [_flow_terms(action, _point(action, z)) for action, z in zip(actions, zs, strict=True)]
+        rows = [_flow_terms(action, z) for action, z in zip(actions, _points(actions, zs))]
         order = sorted(range(len(rows)), key=lambda r: -len(rows[r]))      # longest first
         self.width = len(rows[order[0]])
         kept = [(r, j, *rows[r][j]) for j in range(self.width) for r in order if j < len(rows[r])]
@@ -358,8 +377,8 @@ def monotone_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[complex
     t_grid = np.linspace(-3.0, 3.0, 1001) if t_grid is None else np.asarray(t_grid, dtype=float)
     probes = t_grid[:: max(1, len(t_grid) // 12)]
     reports: list = [None] * len(zs)
-    for index, acts, points, a, z in _rows(actions, zs):
-        psi = MomentAlongFlow(acts, points)
+    for index, acts, a, z in _rows(actions, zs):
+        psi = MomentAlongFlow(acts, z)
         increasing = np.all(np.diff(psi(t_grid[:, None]), axis=0) > 0, axis=0)
         a = a[:, None, :]                       # (rows, probes, n) below
         zt = _flow_rows(a, z[:, None, :], probes[:, None])
@@ -386,10 +405,11 @@ def level_membership(action: LinearAction, z: Sequence[complex], s: float) -> bo
     s > 0 needs the positive-weight block of z to be non-zero, s < 0 the
     negative block, and s = 0 both.
     """
-    z = _point(action, z)
+    [z] = _points([action], [z])
     s = _real(s, "s")
-    has_neg = any(z[j] for j in action.neg)
-    has_pos = any(z[j] for j in action.pos)
+    # from the weights: a battery's trial has a new action, whose sign blocks cost more
+    has_neg = any(zj for a, zj in zip(action.weights, z) if a < 0)
+    has_pos = any(zj for a, zj in zip(action.weights, z) if a > 0)
     if not (has_neg or has_pos):
         raise FixedPointInput("the point is fixed by the action")
     # psi takes finite values only
@@ -412,8 +432,9 @@ def _n_pm_rows(a: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def n_pm(action: LinearAction, z: Sequence[complex]) -> tuple[float, float]:
     """N_-(z) and N_+(z): `_n_pm_rows` of one point.  A sum beyond the
     largest double is refused, where numpy would return inf."""
+    [z] = _points([action], [z])
     with np.errstate(over="ignore"):
-        nm, np_ = np.array(_n_pm_rows(action.array(), np.array(_point(action, z)))).tolist()
+        nm, np_ = np.array(_n_pm_rows(action.array(), np.array(z))).tolist()
     if math.isinf(nm) or math.isinf(np_):
         raise PreconditionError("N_- or N_+ overflows double precision: sum |z_j|^(2/|a_j|) "
                                 "over a sign block exceeds the largest double")
@@ -491,14 +512,12 @@ def sample_neighborhood(action: LinearAction, spec: NeighborhoodSpec,
                 u = rng.random(len(entries)) * r2
             drawn.append((u, n2, rng.random(len(entries))))
         if zero:
-            re, im = rng.normal(size=len(zero)), rng.normal(size=len(zero))
-            radius = rng.random()
+            w, radius = _normal_point(rng, len(zero)), rng.random()
         if math.sqrt(drawn[0][1]) * math.sqrt(drawn[1][1]) < spec.eps * spec.eps_prime:
             z = np.zeros(len(action.weights), dtype=complex)
             for (entries, powers), (u, _, phases) in zip(blocks, drawn):
                 z[entries] = u ** powers * np.exp(2j * np.pi * phases)
             if zero:
-                w = re + 1j * im
                 scale = radius ** (1.0 / (2 * len(zero)))
                 z[zero] = (w / max(np.linalg.norm(w), 1e-300)) * spec.compact_bound * scale
             return z
@@ -683,8 +702,7 @@ def psh_criterion(spec: FunctionSpec, t0: float, n: int,
     """
     if t0 <= max(0.0, spec.domain_min):
         raise PreconditionError("t0 must be inside the profile domain")
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z = _normal_point(np.random.default_rng(seed), n)
     z *= math.sqrt(t0) / np.linalg.norm(z)
     f1, f2 = spec.f1(t0), spec.f2(t0)
     eig = np.sort(np.linalg.eigvalsh(_radial_hessian(f1, f2, z)))
@@ -733,7 +751,7 @@ def cut_identity_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence[com
     """
     ws = [_complex(w, "w") for w in ws]
     reports: list = [None] * len(ws)
-    for index, _, _, a, z in _rows(actions, zs):
+    for index, _, a, z in _rows(actions, zs):
         w = [ws[k] for k in index]
         # |xi'| = sqrt(A + |w|^2) and sqrt(A) |w|, whose squares must be
         # finite, by hypot before any square can overflow
@@ -841,7 +859,7 @@ def blowup_potential_rows(actions: Sequence[LinearAction], zs: Sequence[Sequence
         return s * np.array([profile.f1(tk) for tk in t.tolist()]) / two_pi
 
     reports: list = [None] * len(zs)
-    for index, _, _, a, z in _rows(actions, zs):
+    for index, _, a, z in _rows(actions, zs):
         # a square beyond the doubles is inf, which the r1 gate refuses
         with np.errstate(over="ignore"):
             sq = np.abs(z) ** 2

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
+
+# one BLAS thread, as the benchmark runs numpy, set before numpy is imported:
+# the timed blocks of the suite then count no second thread's time
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from momentcut.localmodel import (
     BlowupPotentialReport,
     BumpSpec,
     CutIdentityReport,
+    LinearAction,
     MomentAlongFlow,
     MonotoneReport,
     _d_phi,
@@ -36,11 +43,12 @@ from momentcut.localmodel import (
     _gaps,
     _omega,
     _pairing_directions,
+    _points,
     _radial_hessian,
     _ROOT_MAX,
     _smoothed_ln,
+    psh_test_family,
 )
-from momentcut.localmodel import _point as _model_point
 from momentcut.ops import restrict_halfspace
 from momentcut.polytope import (
     Facet,
@@ -873,7 +881,7 @@ def psi_terms_by_padding(actions, zs, t) -> np.ndarray:
     """Oracle for `MomentAlongFlow.terms`: each row padded after its kept
     terms with 2a = -0.0 and ln = -inf, and every entry evaluated, padding
     too, as one array of shape t.shape + (k,) by broadcasting."""
-    rows = [_flow_terms(act, _model_point(act, z)) for act, z in zip(actions, zs)]
+    rows = [_flow_terms(act, z) for act, z in zip(actions, _points(actions, zs))]
     width = max(map(len, rows))
     two_a, log_half_ac = np.array(
         [row + [(-0.0, -math.inf)] * (width - len(row)) for row in rows]).transpose(2, 0, 1)
@@ -911,6 +919,106 @@ def sample_neighborhood_by_block(action, spec, rng) -> np.ndarray:
         if math.sqrt(sums[0]) * math.sqrt(sums[1]) < spec.eps * spec.eps_prime:
             return z
     raise PreconditionError("rejection sampling failed; radii too tight")
+
+
+# -- the reference stream of the batteries: their draws as first written, one
+# generator call per number or array, which the draws must match call by call
+
+def random_action_by_reference(rng, n_max: int = 4, require_mixed: bool = False):
+    """Oracle for `batteries._random_action`."""
+    while True:
+        n = int(rng.integers(1, n_max + 1))
+        w = tuple(int(x) for x in rng.integers(-3, 4, size=n))
+        if all(x == 0 for x in w):
+            continue
+        if require_mixed and not (any(x > 0 for x in w) and any(x < 0 for x in w)):
+            continue
+        return LinearAction(w)
+
+
+def random_point_by_reference(rng, action) -> np.ndarray:
+    """Oracle for `batteries._random_point`."""
+    n = len(action.weights)
+    while True:
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        mask = rng.uniform(size=n) < 0.25
+        z[mask] = 0.0
+        if any(z.tolist()[j] for j in action.neg + action.pos):     # not fixed
+            return z
+
+
+def action_and_point_by_reference(rng, **kwargs) -> tuple:
+    """Oracle for `batteries._action_and_point`."""
+    action = random_action_by_reference(rng, **kwargs)
+    return action, random_point_by_reference(rng, action)
+
+
+def battery_draw_by_reference(name: str, seed: int):
+    """Oracle for the `draw` of the battery `name` (a `batteries._run` name),
+    for its call with `seed`."""
+    family = psh_test_family(BumpSpec(0.25, 1.0))
+    spec_seeds = count(seed * 100003)
+
+    def solve(rng):
+        action, z = action_and_point_by_reference(rng)
+        s = float(rng.normal() * 2)
+        return action, z, s if s != 0.0 else 0.5
+
+    def psh(rng):
+        spec = family[int(rng.integers(0, len(family)))]
+        t0 = float(rng.uniform(0.01, 2.0 if spec.name == "smoothed-ln" else 3.0))
+        return spec, t0, int(rng.integers(2, 7)), next(spec_seeds)
+
+    def blowup(rng):
+        action = random_action_by_reference(rng, n_max=3)
+        n = len(action.weights)
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z *= rng.uniform(0.15, 0.4) / np.linalg.norm(z)
+        return action, z
+
+    return {
+        "monotone-flow": action_and_point_by_reference,
+        "solve-membership": solve,
+        "n-pm-scaling": lambda rng: (*action_and_point_by_reference(rng, require_mixed=True),
+                                     float(rng.uniform(-2, 2))),
+        "psh-eigenvalues": psh,
+        "cut-tameness": lambda rng: (*action_and_point_by_reference(rng),
+                                     complex(rng.normal(), rng.normal())),
+        "blowup-potential": blowup,
+    }[name]
+
+
+def bits(x):
+    """x to the bit, for comparing drawn inputs: an array as its dtype, shape
+    and bytes, a trial entry by entry, a profile by its name (each family
+    makes its own functions), anything else, an action or a number, as its
+    type and repr (which tells -0.0 from 0.0, and an int from a numpy int)."""
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    if type(x) is tuple:
+        return tuple(map(bits, x))
+    if hasattr(x, "f1"):
+        return x.name
+    return type(x), repr(x)
+
+
+class CountingGenerator:
+    """A numpy Generator that records each call of its methods, as (method
+    name, result) in `calls`; anything else passes through."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def recorded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.calls.append((name, out))
+            return out
+        return recorded
 
 
 def _double_key(x: float) -> int:

@@ -29,6 +29,7 @@ from momentcut.localmodel import (
     _d_psi,
     _n_pm_rows,
     _pairing_directions,
+    _points,
     _radial_hessian,
     _smoothed_ln,
     _sum_entries,
@@ -49,7 +50,11 @@ from momentcut.localmodel import (
 )
 
 from conftest import (
+    CountingGenerator,
+    action_and_point_by_reference,
     bad_annulus_point,
+    battery_draw_by_reference,
+    bits,
     blowup_potential_check_by_point,
     check_monotone_by_point,
     complex_hessian_by_differences,
@@ -61,6 +66,8 @@ from conftest import (
     point_by_point,
     richardson_derivative,
     psi_terms_by_padding,
+    random_action_by_reference,
+    random_point_by_reference,
     sample_neighborhood_by_block,
     solve_time_to_level_by_bisection,
 )
@@ -412,7 +419,7 @@ def test_psi_limits_at_extreme_doubles():
 def test_psi_nondecreasing_across_adjacent_doubles(weights, mags, s, t):
     act = LinearAction(weights)
     z = [10.0 ** m for m in mags[:len(weights)]]
-    if act.is_fixed(z):
+    if not any(weights):        # no entry is 0: the point is fixed only by weights all 0
         return
     psi = MomentAlongFlow([act], [z])
     root = solve_time_to_level(act, z, s)
@@ -884,6 +891,108 @@ def test_batteries_reproducible():
     assert a == b
 
 
+# -- the draws keep the reference stream ---------------------------------------------
+
+@st.composite
+def _draw_settings(draw):
+    require_mixed = draw(st.booleans())
+    # one weight cannot have mixed signs
+    return draw(st.integers(1 + require_mixed, 6)), require_mixed
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), how=_draw_settings(), calls=st.integers(1, 6))
+def test_action_and_point_draws_keep_the_reference_stream(seed, how, calls):
+    # equal actions, points equal to the bit, and the same state of the
+    # stream after every call
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(calls):
+        action = _random_action(rng, *how)
+        assert bits(action) == bits(random_action_by_reference(ref, *how))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        z = _random_point(rng, action)
+        assert bits(z) == bits(random_point_by_reference(ref, action))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_the_reference_comparison_crosses_every_rejection():
+    # the comparison above at fixed seeds, where the draws reject all-zero
+    # weights, weights of one sign and fixed points, each at least once
+    rejected = {"all zero": 0, "one sign": 0, "fixed": 0}
+    for seed in range(30):
+        rng, ref = CountingGenerator(np.random.default_rng(seed)), np.random.default_rng(seed)
+        for how in ((1, False), (2, True), (4, False)):
+            rng.calls.clear()
+            action = _random_action(rng, *how)
+            assert bits(action) == bits(random_action_by_reference(ref, *how))
+            z = _random_point(rng, action)
+            assert bits(z) == bits(random_point_by_reference(ref, action))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            *tried, _ = [w for name, w in rng.calls if name == "integers" and np.ndim(w)]
+            rejected["all zero"] += sum(not w.any() for w in tried)
+            rejected["one sign"] += sum(bool(w.any()) for w in tried)
+            rejected["fixed"] += [name for name, _ in rng.calls].count("random") - 1
+    assert min(rejected.values()) > 0, rejected
+
+
+@pytest.mark.parametrize("battery", list(batteries.ALL_BATTERIES.values()),
+                         ids=list(batteries.ALL_BATTERIES))
+def test_battery_draws_keep_the_reference_stream(monkeypatch, battery):
+    # 257 trials, more than one block: each trial's draw equal to the bit to
+    # the reference draw, and the state of the stream after each
+    run, drawn = batteries._run, []
+
+    def checked_run(name, tolerance, trials, seed, draw, judge):
+        ref_draw, ref = battery_draw_by_reference(name, seed), np.random.default_rng(seed)
+
+        def checked(rng):
+            trial = draw(rng)
+            assert bits(trial) == bits(ref_draw(ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            drawn.append(trial)
+            return trial
+        return run(name, tolerance, trials, seed, checked, judge)
+    monkeypatch.setattr(batteries, "_run", checked_run)
+    assert battery(trials=257, seed=4).trials == 257
+    assert len(drawn) == 257 > batteries.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("action_and_point,trial", [
+    (batteries._action_and_point, ["integers", "integers", "normal", "random"]),
+    (action_and_point_by_reference, ["integers", "integers", "normal", "normal", "uniform"]),
+], ids=["draws", "reference"])
+def test_an_accepted_trial_makes_four_generator_calls(monkeypatch, action_and_point, trial):
+    # the calls of the Generator that the battery loop builds, split into
+    # trials: weights that are all 0 repeat the first two calls, a fixed
+    # point the others; a trial with neither makes exactly `trial`, 4 calls
+    # where the reference stream makes 5
+    rngs, default_rng = [], np.random.default_rng
+
+    def counted(seed):
+        rngs.append(CountingGenerator(default_rng(seed)))
+        return rngs[-1]
+    monkeypatch.setattr(batteries.np.random, "default_rng", counted)
+    monkeypatch.setattr(batteries, "_action_and_point", action_and_point)
+    monotone_battery(trials=100, seed=5)
+    [rng] = rngs
+    names = [name for name, _ in rng.calls]
+    k = plain = 0
+    for _ in range(100):
+        start = k
+        while True:
+            assert names[k:k + 2] == trial[:2]
+            weights, k = rng.calls[k + 1][1], k + 2
+            if weights.any():
+                break
+        while True:
+            assert names[k:k + len(trial) - 2] == trial[2:]
+            keep, k = rng.calls[k + len(trial) - 3][1] >= 0.25, k + len(trial) - 2
+            if (keep & (weights != 0)).any():
+                break
+        plain += k - start == len(trial)
+    assert k == len(names) and plain > 50
+
+
 # -- the row checks against their per-point oracles -------------------------------------
 
 def _small_point(rng):
@@ -1026,6 +1135,24 @@ def test_every_entry_point_gates_its_point(call):
             call(act, [0.1, entry])
     with pytest.raises(InputError, match="z must be a sequence of 2 complex numbers"):
         call(act, None)
+
+
+def test_complex_arrays_pass_the_gate_as_a_block():
+    # arrays of the right length, as a battery draws, pass by one finiteness
+    # check of their sum: one whose sum overflows is still answered, and a nan
+    # or an array of the wrong length is refused as a list would be
+    act, ok = LinearAction((1, -2)), np.array([0.5, 1j])
+    big = np.array([1e308, 1e308], dtype=complex)
+    assert _points([act] * 3, [ok, big, ok]) == [[0.5, 1j], [1e308, 1e308], [0.5, 1j]]
+    assert level_membership(act, big, -1.0) is True
+    for bad, says in ((np.array([0.5, np.nan], dtype=complex), r"z\[1\] must be a finite complex "
+                       r"number, got \(nan\+0j\)"),
+                      (np.array([0.5, complex(1, np.inf)]), r"z\[1\] must be a finite complex "
+                       r"number, got \(1\+infj\)"),
+                      (np.array([0.5 + 0j]), "z needs 2 entries, one per weight, got 1")):
+        for rows in (monotone_rows, cut_identity_rows):
+            with pytest.raises(InputError, match="^" + says):
+                rows([act] * 3, [ok, bad, ok], *([[1.0] * 3] if rows is cut_identity_rows else []))
 
 
 def test_levels_and_w_are_gated():
