@@ -257,6 +257,8 @@ def _cmd_info(args) -> CommandOutcome:
     if len(xi) != P.dim:
         raise InputError(f"--xi needs {P.dim} entries, one per coordinate, "
                          f"got {len(xi)}")
+    if not any(xi):
+        raise InputError("--xi is the zero vector, which generates no circle")
     verts = vertices(P)
     out_vertices = []
     for v in sorted(verts, key=lambda v: v.point):

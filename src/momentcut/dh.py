@@ -19,8 +19,8 @@ at t = 0, so its exact t^0 coefficient is the density.
 
 The vertices are read off the polytope's Structure, in its order, along
 which x_1 never decreases: the vertices at each wall are one run of it.
-|det G_v| is the Structure's `dets[k]`, computed once per vertex and
-shared with `polytope.volume`.  The vertices at one wall share the level
+|det G_v| is `dets[k]`, made with the vertex's edges (`polytope.Structure`)
+and shared with `polytope.volume`.  The vertices at one wall share the level
 x_1(v) = a, so their terms are summed as polynomials in (s - a) and shifted
 to powers of s once per wall (`_wall_jump`).
 

@@ -240,15 +240,18 @@ def exchange(cols: list[list[int]], det: int, k: int, row: int) -> tuple[list[li
     """Replace basis row k by a row a in a fraction-free tableau: cols[l] is
     adjugate column c_l of the basis (determinant det) followed by products
     <a_j, c_l> with further rows, and cols[l][row] = <a, c_l>.  The new
-    determinant is <a, c_k>; c_k stays, and c_l becomes (det' c_l -
+    determinant is det' = <a, c_k>; c_k stays, and c_l becomes (det' c_l -
     <a, c_l> c_k) / det, as does each product: the Bareiss step of
-    `_eliminate`, exact by Sylvester's identity."""
+    `_eliminate`, exact by Sylvester's identity.  It is oriented, det' < 0
+    (all negated when <a, c_k> > 0): each c_l is then the edge off row l."""
     ck = cols[k]
     new_det = ck[row]
+    if new_det > 0:
+        ck, new_det = [-x for x in ck], -new_det
     out = []
     for l, c in enumerate(cols):
         f = c[row]
-        out.append(c if l == k else [(new_det * x - f * y) // det for x, y in zip(c, ck)])
+        out.append(ck if l == k else [(new_det * x - f * y) // det for x, y in zip(c, ck)])
     return out, new_det
 
 

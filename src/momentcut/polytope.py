@@ -78,7 +78,6 @@ from .lattice import (
     _sequence,
     adjugate_int,
     content,
-    det_int,
     dot,
     exact,
     exchange,
@@ -218,7 +217,7 @@ def _derived(dim: int, facets: Sequence[Facet], order: bool = False) -> LabeledP
 
 
 class Structure(namedtuple("Structure", "points simple rays bounded full_dim "
-                                        "redundant affine_rank edges")):
+                                        "redundant affine_rank edges dets")):
     """Everything the walk over the vertex-edge graph learns about one
     H-representation.
 
@@ -232,20 +231,15 @@ class Structure(namedtuple("Structure", "points simple rays bounded full_dim "
     order of first appearance, affine_rank is the rank of the edges at the
     first vertex, and a facet is redundant when no vertex holds it or the
     edges at its first vertex that lie in it span fewer than n - 1
-    dimensions.  dets[k], computed when first asked, is |det G_v| for the
-    matrix G_v whose rows are edges[k], at a simple vertex; the volume and
-    the profile both read it.  The two cached properties live in the
-    instance dict: no `__slots__`.
+    dimensions.  dets[k] is |det G_v| for the rows edges[k] of G_v at a
+    simple vertex, None at another, read by the volume and the profile; it
+    comes with the edges (`_simple_edges`, `_crossing_edges`, `slice_at`).
+    The cached property lives in the instance dict: no `__slots__`.
     """
 
     @cached_property
     def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
         return {act: es for (_, act), es in zip(self.points, self.edges)}
-
-    @cached_property
-    def dets(self) -> tuple[Optional[int], ...]:
-        return tuple(abs(det_int([list(g) for g in es])) if len(es) == len(es[0]) else None
-                     for es in self.edges)
 
 
 def _row(num: Sequence[int], den: int) -> Row:
@@ -260,16 +254,26 @@ def _scaled_rows(facets: Sequence[Facet]) -> tuple[list[tuple[int, ...]], list[i
     return [f.normal for f in facets], [f.num * (lcm // f.den) for f in facets], lcm
 
 
-def _combine(e: IntVector, re: int, g: IntVector, rg: int) -> IntVector:
-    """primitive(|rg| e - sgn(rg) re g), which pairs to zero with a when
-    re = <a, e> and rg = <a, g> != 0: the new direction of a half-space step."""
-    s = 1 if rg > 0 else -1
-    return _primitive([abs(rg) * x - s * re * y for x, y in zip(e, g)])
+def _combine(e: IntVector, re: int, g: IntVector, rg: int) -> tuple[IntVector, int]:
+    """primitive(v) and its gcd for v = |rg| e - sgn(rg) re g, which pairs to
+    zero with a when re = <a, e> and rg = <a, g> != 0: a half-space step's."""
+    v = [abs(rg) * x - (1 if rg > 0 else -1) * re * y for x, y in zip(e, g)]
+    c = math.gcd(*v)
+    return (tuple(v) if c == 1 else tuple([x // c for x in v])), c
 
 
-def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
-    """Primitive edge directions at a vertex whose active facets are `act`
-    (sorted): the extreme rays of its tangent cone {d : <a_j, d> <= 0}.
+def _simple_edges(cols, det: int, n: int) -> tuple[tuple[IntVector, ...], int]:
+    """A simple vertex's edges, its oriented tableau's columns over their gcds
+    g_l, and |det G_v| = |det adj B| / prod g_l = |det B|^(n-1) / prod g_l."""
+    es = [c[:n] for c in cols]
+    gs = [math.gcd(*e) for e in es]
+    return (tuple([tuple(e) if g == 1 else tuple([x // g for x in e]) for e, g in zip(es, gs)]),
+            (-det) ** (n - 1) // math.prod(gs))
+
+
+def _edge_directions(normals, act: list[int], n: int):
+    """The extreme rays of the tangent cone {d : <a_j, d> <= 0} at a vertex
+    with sorted active facets act, primitive, and |det G_v| or None.
 
     Ray k of the first n independent active facets is column k of their
     basis's adjugate, signed to pair negatively with its own normal; at a
@@ -282,14 +286,16 @@ def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
     elimination stops there.
     """
     rows = [normals[j] for j in act]
-    basis = independent_rows(rows)
+    basis = range(n) if len(act) == n else independent_rows(rows)
     adj, det = adjugate_int([list(rows[i]) for i in basis])
+    cols = [c if det < 0 else [-x for x in c] for c in zip(*adj)]
+    if len(act) == n:
+        return _simple_edges(cols, -abs(det), n)
     # each ray with the bit mask of the rows it pairs to zero with so far
-    rays = [(_primitive(col if det < 0 else [-x for x in col]), sum(1 << j for j in basis if j != i))
-            for i, col in zip(basis, zip(*adj))]
+    rays = [(_primitive(col), sum(1 << j for j in basis if j != i)) for i, col in zip(basis, cols)]
     for i in sorted(set(range(len(act))).difference(basis)):
         r = [dot(rows[i], e) for e, _ in rays]
-        new = [(_combine(e, re, g, rg), ze & zg | 1 << i)
+        new = [(_combine(e, re, g, rg)[0], ze & zg | 1 << i)
                for (e, ze), re in zip(rays, r) if re > 0
                for (g, zg), rg in zip(rays, r) if rg < 0
                if sum(ze & zg & z == ze & zg for _, z in rays) == 2]
@@ -298,7 +304,7 @@ def _edge_directions(normals, act: list[int], n: int) -> tuple[IntVector, ...]:
     def greedy_basis(ray) -> list[int]:
         zero = [i for i in range(len(act)) if ray[1] >> i & 1]
         return [zero[k] for k in independent_rows([rows[i] for i in zero], n - 1)]
-    return tuple(e for e, _ in (sorted(rays, key=greedy_basis) if len(act) > n else rays))
+    return tuple(e for e, _ in sorted(rays, key=greedy_basis)), None
 
 
 def _ratio_test(slack: list[int], r: list[int]) -> Optional[tuple[int, int, list[int]]]:
@@ -325,16 +331,17 @@ def _advance(num: list[int], den: int, slack: list[int], v: list[int], p: int, q
 
 
 def _basis(normals, act: list[int]) -> tuple[list[list[int]], int]:
-    """The tableau of the sorted basis act by one fresh adjugate: per basis
-    row l, adjugate column c_l followed by <a_j, c_l> for every facet j."""
+    """The oriented tableau of the sorted basis act by one fresh adjugate:
+    per basis row l, column c_l followed by <a_j, c_l> for every facet j."""
     adj, det = adjugate_int([list(normals[j]) for j in act])
-    return [list(c) + [dot(a, c) for a in normals] for c in zip(*adj)], det
+    s = -1 if det > 0 else 1
+    return [[s * x for x in c] + [s * dot(a, c) for a in normals] for c in zip(*adj)], s * det
 
 
 def _pivot(basis, act: list[int], k: int, r: int, n: int):
     """act with act[k] replaced by row r, and its tableau by one `exchange`,
     kept in sorted row order.  Reordering rows flips the signs of tableau
-    and det alike, which keeps every edge -sign(det) c_l."""
+    and det alike, so the columns stay the edges, with det < 0."""
     cols, det = exchange(*basis, k, n + r)
     rest = act[:k] + act[k + 1:]
     i = sum(j < r for j in rest)
@@ -352,7 +359,7 @@ def _phase1(normals, offs, n: int):
     basic solution is feasible.  Otherwise phase 1 minimises t >= 0 over
     <a_j, x> - t <= o_j (j not in rows) and <a_i, x> <= o_i (i in rows)
     from rows plus the most violated facet, by Bland's rule with the row
-    t >= 0 first.  Its tableau has one more column, and the row of t last.
+    t >= 0 first.  Its oriented tableau has one more column, the row of t last.
     """
     m = len(normals)
     rows = independent_rows(normals)
@@ -376,14 +383,12 @@ def _phase1(normals, offs, n: int):
     slack = [x + t * s for x, s in zip(slack, shifted)] + [t]
     basis = (cols, det)
     while True:
-        cols, det = basis
-        sign = -1 if det > 0 else 1
-        # edge k changes t by -sign * cols[k][-1]; take the first that lowers it
-        k = next((k for k, c in enumerate(cols) if sign * c[-1] > 0), None)
+        # edge k changes t by minus its last entry; take the first that lowers it
+        k = next((k for k, c in enumerate(basis[0]) if c[-1] > 0), None)
         if k is None:
-            at = dict(zip(act, cols))
-            return None, [-sign * at[j][-1] if j in at else 0 for j in range(m)]
-        v = [sign * x for x in cols[k]]
+            at = dict(zip(act, basis[0]))
+            return None, [-at[j][-1] if j in at else 0 for j in range(m)]
+        v = basis[0][k]
         p, q, ties = _ratio_test(slack, v[n:])
         r = m if ties[-1] == m else ties[0]
         num, den, slack = _advance(num, den, slack, v, p, q)
@@ -421,29 +426,28 @@ def _walk(normals, n, start) -> list[tuple]:
     `start` (see `_phase1`).  The vertices and bounded edges of a pointed
     polyhedron form a connected graph, so the walk reaches all of them.
 
-    Returns (num, den, active, edges, unbounded) per vertex: the point
+    Returns (num, den, active, edges, det, unbounded) per vertex: the point
     num/den of the scaled system, its active facets (sorted), its edge
-    directions and the set of those that no facet blocks.  An edge is walked
-    once; its key is the set of facets that stay tight along it.  A simple
+    directions, |det G_v| and the set of edges that no facet blocks.  An
+    edge is walked once; its key, the facets that stay tight along it, and
+    the facets that block it are the active set at its far end.  A simple
     vertex reached from a simple one through one blocking facet gets its
-    tableau by one exchange, and ratio tests scan the tableau's columns.
+    tableau by one exchange; ratio tests scan its columns.
     """
     found = []
     walked: set[frozenset[int]] = set()
-    seen: set[frozenset[int]] = set()
-    stack = [start]
+    act = [j for j, s in enumerate(start[2]) if s == 0]
+    seen = {frozenset(act)}
+    stack = [(*start, act)]
     while stack:
-        num, den, slack, basis = stack.pop()
-        act = [j for j, s in enumerate(slack) if s == 0]
-        seen.add(frozenset(act))
+        num, den, slack, basis, act = stack.pop()
         simple = len(act) == n
         if simple:
             basis = basis or _basis(normals, act)
-            sign = -1 if basis[1] > 0 else 1
-            moves = [[sign * x for x in c] for c in basis[0]]
-            edges = tuple(_primitive(v[:n]) for v in moves)
+            moves = basis[0]
+            edges, det = _simple_edges(*basis, n)
         else:
-            edges = _edge_directions(normals, act, n)
+            edges, det = _edge_directions(normals, act, n)
             moves = [list(e) + [dot(a, e) for a in normals] for e in edges]
         unbounded = set()
         for k, (e, v, tight) in enumerate(zip(edges, moves, _edge_keys(normals, act, edges, n))):
@@ -460,8 +464,8 @@ def _walk(normals, n, start) -> list[tuple]:
                 continue
             seen.add(nxt_active)
             nxt_basis = _pivot(basis, act, k, ties[0], n)[1] if simple and len(ties) == 1 else None
-            stack.append((*_advance(num, den, slack, v, p, q), nxt_basis))
-        found.append((num, den, act, edges, unbounded))
+            stack.append((*_advance(num, den, slack, v, p, q), nxt_basis, sorted(nxt_active)))
+        found.append((num, den, act, edges, det, unbounded))
     return found
 
 
@@ -472,15 +476,15 @@ def _compute_structure(P: LabeledPolytope) -> Structure:
     start = _phase1(normals, offs, n)[0]
     walk = _walk(normals, n, start) if start else []
     # num/den solves the system scaled by lcm; unscale
-    return _finish(normals, n, [(_row(num, den * lcm), frozenset(act), es, unb)
-                                for num, den, act, es, unb in walk])
+    return _finish(normals, n, [(_row(num, den * lcm), frozenset(act), *rest)
+                                for num, den, act, *rest in walk])
 
 
 def _finish(normals, n: int, records) -> Structure:
     """The Structure of a region from its vertex records, shared by the walk
     and the derived steps.
 
-    A record is (row, active set, edge directions, unbounded edges); the
+    A record is (row, active set, edges, |det G_v|, unbounded edges); the
     last is None when not known, and then edges are paired by their keys.
     Rows are sorted by their numerators over the common denominator, the
     order of their points.
@@ -493,7 +497,7 @@ def _finish(normals, n: int, records) -> Structure:
     """
     common = math.lcm(*(den for (_, den), *_ in records))
     records = sorted(records, key=lambda r: [x * (common // r[0][1]) for x in r[0][0]])
-    rows, acts, edges, unbounded = list(zip(*records)) or [()] * 4
+    rows, acts, edges, dets, unbounded = list(zip(*records)) or [()] * 5
     points = tuple(zip(rows, acts))
     if None in unbounded:
         unbounded = [{e for e, (w, _) in zip(es, ends) if w is None}
@@ -522,6 +526,7 @@ def _finish(normals, n: int, records) -> Structure:
         redundant=frozenset(redundant),
         affine_rank=affine_rank,
         edges=edges,
+        dets=dets,
     )
 
 
@@ -537,28 +542,29 @@ def _edge_graph(P: LabeledPolytope) -> list:
     return P._graph
 
 
-def _crossing_edges(es, r: list[int], k: int) -> list[IntVector]:
-    """The edge directions where edge k of a simple vertex crosses the
-    hyperplane <a, x> = c, for es its edges and r_i = <a, es[i]>.
-
-    Entry k relaxes the new facet: -sgn(r_k) es[k], back across the plane.
-    Entry j relaxes what es[j] relaxes, and stays on the plane and on the
-    other facets: `_combine(es[j], r_j, es[k], r_k)`.
-    """
-    s, g = (1 if r[k] > 0 else -1), es[k]
-    return [tuple(-s * x for x in g) if j == k else e if rj == 0 else _combine(e, rj, g, r[k])
-            for j, (e, rj) in enumerate(zip(es, r))]
+def _crossing_edges(act: list[int], es, r: list[int], k: int, det: int):
+    """Where edge k of a simple vertex with sorted active set act crosses the
+    plane <a, x> = c (es its edges, r_i = <a, es[i]>, det its |det G_v|):
+    the new vertex w's edge relaxing each facet but act[k], es[j] when r_j
+    = 0 and else `_combine(es[j], r_j, es[k], r_k)`, over its gcd c_j; the
+    new facet's (None) -sgn(r_k) es[k]; and |det G_w| = det |r_k|^#{j != k: r_j != 0} / prod c_j."""
+    s, g, rk = (1 if r[k] > 0 else -1), es[k], r[k]
+    relax, c = {None: tuple([-s * x for x in g])}, 1
+    for j, e, rj in zip(act[:k] + act[k + 1:], es[:k] + es[k + 1:], r[:k] + r[k + 1:]):
+        relax[j], cj = _combine(e, rj, g, rk) if rj else (e, 1)
+        c *= cj
+    return relax, det * abs(rk) ** (len(r) - r.count(0) - 1) // c
 
 
 def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
     """Where the hyperplane <normal, x> = p / q (q > 0) meets P's edge graph.
 
     Returns the slack p / q - <normal, v> of every vertex v of P, each
-    scaled by a positive integer, and one (row, key, relax) per edge or
+    scaled by a positive integer, and one (row, key, relax, det) per edge or
     unbounded ray of P that passes strictly from slack > 0 to slack < 0:
-    key is the set of facets holding that edge, and relax maps each facet
-    of key, and None for the new one, to the edge at the new vertex that
-    relaxes it; relax is None when the edge is met from a non-simple vertex.
+    key is the set of facets holding that edge, and (relax, det) are
+    `_crossing_edges` at the new vertex, both None when the edge is met
+    from a non-simple vertex.
     A bounded edge is met from its end with slack < 0, so a bounded P pairs
     the edges of its cut-off vertices only: a corner chop, its corner's.
     """
@@ -566,7 +572,7 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
     pairs = _edge_graph(P)
     slack = [p * den - q * dot(normal, num) for (num, den), _ in st.points]
     found = []
-    for ((num, den), act), es, ends, sl in zip(st.points, st.edges, pairs, slack):
+    for ((num, den), act), es, det, ends, sl in zip(st.points, st.edges, st.dets, pairs, slack):
         if sl == 0 or st.bounded and sl > 0:
             continue
         r = [dot(normal, e) for e in es]
@@ -577,13 +583,8 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
             # num/den + sl / (q den r) e.
             if rk * sl > 0 and (w is None or sl < 0 < slack[w]):
                 row = _row([q * rk * x + sl * c for x, c in zip(num, e)], q * den * rk)
-                relax = None
-                if len(act) == len(num):
-                    # the facet es[k] relaxed holds no more; the new one does
-                    facets = sorted(act)
-                    facets[k] = None
-                    relax = dict(zip(facets, _crossing_edges(es, r, k)))
-                found.append((row, key, relax))
+                found.append((row, key, *(_crossing_edges(sorted(act), es, r, k, det)
+                                          if len(act) == len(num) else (None, None))))
     return slack, found
 
 
@@ -612,26 +613,27 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
     slack, crossings = _crossings(P, facet.normal, facet.num, facet.den)
     # the facets holding each kept vertex and the child's facets, by their
     # index in P, None for the new one
-    kept = [(row, act if sl else act | {None}, es)
-            for (row, act), es, sl in zip(st.points, st.edges, slack) if sl >= 0]
+    kept = [(row, act if sl else act | {None}, es, det)
+            for (row, act), es, det, sl in zip(st.points, st.edges, st.dets, slack) if sl >= 0]
     ids = [*range(pos), None, *range(pos, len(P.facets))]
     if st.full_dim and (crossings or max(slack) > 0):
-        held = set().union(*(act for _, act, _ in kept), *(key | {None} for _, key, _ in crossings))
+        held = set().union(*(act for _, act, *_ in kept), *(key | {None} for _, key, *_ in crossings))
         ids = [j for j in ids if j in held]
     moved = {j: i for i, j in enumerate(ids)}
     child = _derived(n, tuple(facet if j is None else P.facets[j] for j in ids))
     normals = [f.normal for f in child.facets]
     unb = set() if st.bounded else None
     records = []
-    for row, act, es in kept:
+    for row, act, es, det in kept:
         q_act = frozenset(map(moved.__getitem__, act))
-        records.append((row, q_act, _edge_directions(normals, sorted(q_act), n)
-                        if None in act else es, unb))
-    for row, key, relax in crossings:
+        if None in act:
+            es, det = _edge_directions(normals, sorted(q_act), n)
+        records.append((row, q_act, es, det, unb))
+    for row, key, relax, det in crossings:
         act = sorted(map(moved.__getitem__, key | {None}))
-        es = (tuple(map({moved[j]: e for j, e in relax.items()}.__getitem__, act)) if relax
-              else _edge_directions(normals, act, n))
-        records.append((row, frozenset(act), es, unb))
+        es, det = ((tuple(map({moved[j]: e for j, e in relax.items()}.__getitem__, act)), det)
+                   if relax else _edge_directions(normals, act, n))
+        records.append((row, frozenset(act), es, det, unb))
     child._structure = _finish(normals, n, records)
     return child
 
@@ -641,7 +643,7 @@ def _drop_facets(P: LabeledPolytope, drop: Iterable[int]) -> LabeledPolytope:
 
     The vertices and edges stay, so P's structure is carried over: active
     sets are renumbered, and only a vertex that lost a facet gets its edge
-    directions again.
+    directions and determinant again.
     """
     st = P.structure()
     drop = set(drop)
@@ -650,11 +652,11 @@ def _drop_facets(P: LabeledPolytope, drop: Iterable[int]) -> LabeledPolytope:
     new = {i: k for k, i in enumerate(keep)}
     normals = [f.normal for f in Q.facets]
     records = []
-    for (pt, act), es in zip(st.points, st.edges):
+    for (pt, act), es, det in zip(st.points, st.edges, st.dets):
         q_act = frozenset(new[j] for j in act if j in new)
         if len(q_act) < len(act):
-            es = _edge_directions(normals, sorted(q_act), P.dim)
-        records.append((pt, q_act, es, set() if st.bounded else None))
+            es, det = _edge_directions(normals, sorted(q_act), P.dim)
+        records.append((pt, q_act, es, det, set() if st.bounded else None))
     Q._structure = _finish(normals, P.dim, records)
     return Q
 
@@ -942,9 +944,9 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
         # P's edges cross it, with the facets of P holding each; every facet
         # of a nonempty slice holds one of them
         slack, crossings = _crossings(P, (1,) + (0,) * (P.dim - 1), p, q)
-        met = [(row, act, None) for (row, act), sl in zip(st.points, slack) if sl == 0]
+        met = [(row, act, None, None) for (row, act), sl in zip(st.points, slack) if sl == 0]
         met += crossings
-        candidate_idx = sorted(set().union(*(act for _, act, _ in met)))
+        candidate_idx = sorted(set().union(*(act for _, act, *_ in met)))
 
     facets: list[Facet] = []
     source: dict[tuple, int] = {}         # (normal, num, den) of the slice -> first facet of P
@@ -969,17 +971,18 @@ def slice_at(P: LabeledPolytope, s: Fraction) -> Slice:
     if st.points:
         # project the points met to (x2 .. xn); a crossing's edges other
         # than the one off the plane have first coordinate 0, and keep their
-        # facets unless two of those induce one facet of the slice
+        # facets unless two of those induce one facet of the slice; |det G|
+        # loses the off-plane edge's first coordinate, its column's one entry
         at = {key: k for k, key in enumerate(keys)}
         q_index = {i: at[key] for i, key in induced.items()}
         normals = [f.normal for f in Q.facets]
         records = []
-        for (num, den), act, relax in met:
+        for (num, den), act, relax, det in met:
             q_act = frozenset(q_index[j] for j in act if j in q_index)
             by = {q_index[j]: e[1:] for j, e in (relax or {}).items() if j in q_index}
-            es = (tuple(by[j] for j in sorted(q_act)) if len(by) == Q.dim
-                  else _edge_directions(normals, sorted(q_act), Q.dim))
-            records.append((_row(num[1:], den), q_act, es, set() if st.bounded else None))
+            es, det = ((tuple(by[j] for j in sorted(q_act)), det // abs(relax[None][0]))
+                       if len(by) == Q.dim else _edge_directions(normals, sorted(q_act), Q.dim))
+            records.append((_row(num[1:], den), q_act, es, det, set() if st.bounded else None))
         Q._structure = _finish(normals, Q.dim, records)
     qst = Q.structure()
     if not qst.points:

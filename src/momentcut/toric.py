@@ -97,6 +97,8 @@ def weights_at_vertex(P: LabeledPolytope, v: Vertex,
         for k, x in enumerate(xi):
             if not _is_int(x):
                 raise InputError(f"xi entry {k} must be an integer, got {x!r}")
+        if not any(xi):
+            raise InputError("xi is the zero vector, which generates no circle")
     return tuple(sorted(dot(xi, e) for e in edge_generators(P, v)))
 
 

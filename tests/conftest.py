@@ -699,7 +699,7 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
             if (rank_rational(diffs) if diffs else 0) != n - 1:
                 redundant.add(i)
 
-    return Structure(
+    st = Structure(
         points=tuple(zip(rows, (act for _, act in points))),
         simple=simple,
         rays=tuple(rays),
@@ -708,7 +708,17 @@ def structure_by_subsets(P: LabeledPolytope) -> Structure:
         redundant=frozenset(redundant),
         affine_rank=affine_rank,
         edges=tuple(edges),
+        dets=None,
     )
+    return st._replace(dets=dets_by_elimination(st))
+
+
+def dets_by_elimination(st: Structure) -> tuple:
+    """Oracle for `Structure.dets`: |det G_v| of the edge rows at each
+    simple vertex by one Bareiss elimination (`lattice.det_int`), None at a
+    vertex on more than n facets."""
+    return tuple(abs(det_int([list(g) for g in es])) if len(act) == len(num) else None
+                 for ((num, _), act), es in zip(st.points, st.edges))
 
 
 def empty_8d_region(seed: int = 0) -> LabeledPolytope:

@@ -866,6 +866,7 @@ def test_scripts_run(argv):
     (["info", "--xi", "1,a"], "--xi"),
     (["info", "--xi", "1,0"], "--xi"),
     (["info", "--xi", "1,0,0,0"], "--xi"),
+    (["info", "--xi", "0,0,0"], "--xi"),
     (["local-model", "npm", "--weights", "1,a", "--z", "1,2"], "--weights"),
     (["local-model", "npm", "--weights=1,-1", "--z", "1,a"], "--z"),
     (["local-model", "npm", "--weights=1,-1", "--z", "1"], "--z"),
@@ -874,7 +875,7 @@ def test_scripts_run(argv):
     (["local-model", "cut-identity", "--weights=1,-1", "--z", "1"], "--z"),
     (["local-model", "cut-identity", "--weights=1,-1", "--z", "1,2"], "--z"),
     (["local-model", "npm", "--weights", "9" * 400, "--z", "1"], "--weights"),
-], ids=["xi-not-int", "xi-short", "xi-long", "weights-not-int", "z-not-complex",
+], ids=["xi-not-int", "xi-short", "xi-long", "xi-zero", "weights-not-int", "z-not-complex",
         "npm-z-short", "solve-z-long", "membership-z-short", "cut-identity-z-short",
         "cut-identity-z-no-w", "weights-overflow-double"])
 def test_option_refused_by_name(d3_file, argv, option):

@@ -4,7 +4,7 @@ import json
 import random
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -25,10 +25,10 @@ from momentcut.dh import (
     wall_crossing_check,
 )
 from momentcut.errors import PreconditionError, WallNotSimpleCrossing
-from momentcut.ops import add_fixed_points
+from momentcut.ops import BlowupParams, add_fixed_points, blowup
 from momentcut.lattice import format_rational, generic_direction
 from momentcut.polytope import (Facet, LabeledPolytope, dumps, reversed_polytope, transform,
-                                volume)
+                                vertices, volume)
 from momentcut.ratpoly import Poly, isolate_roots
 from momentcut.toric import VertexKind
 
@@ -139,40 +139,56 @@ def test_profile_takes_no_slices(monkeypatch):
     assert dh_profile(P).total_integral() == volume(P)
 
 
-def test_volume_and_profile_share_one_record_per_vertex(monkeypatch):
-    # both sums read |det G_v| off the Structure, computed once per vertex;
-    # the profile shifts each wall's vertex terms to powers of s at once,
-    # and a Fraction is built only for the levels and the values handed back
-    P = chopped_hypercube()
-    calls = Counter()
-
-    def counting(module, name):
-        f = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        monkeypatch.setattr(module, name, wrapper)
-    counting(momentcut.polytope, "det_int")
-    counting(momentcut.dh, "affine_substitute")
-    code = Fraction.__new__.__code__
+def _calls(codes: dict, run):
+    """run() and the first argument of each call of each named code object
+    during it, seen by a profile hook: a call counts under whatever name
+    it was imported."""
+    names = {code: name for name, code in codes.items()}
+    calls = defaultdict(list)
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls["Fraction"] += 1
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]].append(frame.f_locals[frame.f_code.co_varnames[0]])
     before = sys.getprofile()
     sys.setprofile(count)
     try:
-        vol = volume(P)
-        prof = dh_profile(P)
+        return run(), calls
     finally:
         sys.setprofile(before)
+
+
+def test_volume_and_profile_share_one_record_per_vertex(monkeypatch):
+    # both sums read |det G_v| off the vertex records, which the walk fills
+    # from its tableau: no determinant is eliminated (64, one per vertex,
+    # when the structure took them by det_int); the profile shifts each
+    # wall's vertex terms to powers of s at once, and a Fraction is built
+    # only for the levels and the values handed back
+    P = chopped_hypercube()
+    shifts = []
+    substitute = momentcut.dh.affine_substitute
+    monkeypatch.setattr(momentcut.dh, "affine_substitute",
+                        lambda *args: shifts.append(args) or substitute(*args))
+    (vol, prof), calls = _calls({"det_int": momentcut.lattice.det_int.__code__,
+                                 "Fraction": Fraction.__new__.__code__},
+                                lambda: (volume(P), dh_profile(P)))
     assert vol == F(383, 384) and prof.total_integral() == vol
-    assert calls["det_int"] == len(P.structure().points) == 64
-    assert calls["affine_substitute"] == len(prof.walls) - 1 == 3
+    assert calls["det_int"] == [] and len(P.structure().points) == 64
+    assert len(shifts) == len(prof.walls) - 1 == 3
     # 273 when each vertex term took its own determinant and the vertices
     # were sorted by their Fraction points
-    assert calls["Fraction"] == 17
+    assert len(calls["Fraction"]) == 17
+
+
+def test_blowup_volume_takes_no_edge_determinant():
+    # a corner chop's n new vertices take |det G_w| in closed form from the
+    # corner's, and the kept vertices keep theirs: the one det_int is the
+    # corner's classification, the lattice index of its active normals
+    P = chopped_hypercube()
+    corner = vertices(P)[21]
+    vol, calls = _calls({"det_int": momentcut.lattice.det_int.__code__},
+                        lambda: volume(blowup(P, BlowupParams(corner.point, F(1, 16)))[0]))
+    assert calls["det_int"] == [[list(P.facets[i].normal) for i in sorted(corner.active)]]
+    assert vol == F(383, 384) - F(1, 16) ** 4 / 24
 
 
 @pytest.mark.parametrize("facets,message", [

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from momentcut.errors import DimensionMismatch, InputError, NotUnimodular, ZeroVector
 from momentcut.lattice import (
     adjugate_int,
     det_int,
+    exchange,
     format_rational,
     half_sum_integral,
     inverse_unimodular,
@@ -136,6 +137,27 @@ def test_adjugate_times_matrix_is_det(rows):
     assert det == d
     n = len(rows)
     assert mat_mul_int(rows, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n + 1,
+                                 max_size=n + 1), st.integers(0, n - 1))))
+def test_exchange_is_the_oriented_adjugate(case):
+    # replacing row k by row n: the new tableau is the adjugate of the new
+    # basis (its columns followed by their pairings with every row), made
+    # oriented, det < 0, whatever the sign of the old determinant
+    rows, k = case
+    n = len(rows) - 1
+    got = adjugate_int(rows[:n])
+    new_rows = rows[:k] + [rows[n]] + rows[k + 1:n]
+    fresh = adjugate_int(new_rows)
+    assume(got is not None and fresh is not None)
+
+    def tableau(adj, det):
+        return [list(c) + [sum(a * x for a, x in zip(r, c)) for r in rows] for c in zip(*adj)], det
+    cols, det = exchange(*tableau(*got), k, n + n)
+    s = -1 if fresh[1] > 0 else 1
+    assert det < 0 and (cols, det) == tableau([[s * x for x in r] for r in fresh[0]], s * fresh[1])
 
 
 def test_inverse_unimodular():

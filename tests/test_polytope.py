@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import momentcut.polytope
-from momentcut.corpus import box, chopped_hypercube, delzant_corpus, simplex
+from momentcut.corpus import asymmetric_wedge, box, chopped_hypercube, delzant_corpus, simplex
 from momentcut.errors import (
     EmptyResult,
     InputError,
@@ -29,6 +29,7 @@ from momentcut.polytope import (
     _scaled_rows,
     canonical_equal,
     canonical_mismatch,
+    critical_values,
     dumps,
     from_json_dict,
     intersect_halfspace,
@@ -49,6 +50,7 @@ from momentcut.ops import (
     CutSide,
     blowup,
     compactify,
+    add_fixed_points,
     cut,
     restrict_halfspace,
 )
@@ -59,6 +61,7 @@ from conftest import (
     canonical_order_by_fractions,
     chopped_box,
     cut_8_cube,
+    dets_by_elimination,
     edge_hyperplane_points,
     empty_8d_region,
     random_unimodular,
@@ -492,7 +495,7 @@ def _pointed_cones(draw):
 @example(cone=_cross_polytope_vertex(5))
 def test_cone_step_matches_subset_oracle(cone):
     normals, act, n = cone
-    assert momentcut.polytope._edge_directions(normals, act, n) == tangent_rays(normals, act, n)
+    assert momentcut.polytope._edge_directions(normals, act, n)[0] == tangent_rays(normals, act, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -674,12 +677,84 @@ def test_crossing_edges_match_fresh_tangent_cones(case, normal, k):
     c = min(values) + (max(values) - min(values)) * F(k, 16)
     normals = [f.normal for f in P.facets] + [a]
     crossings = momentcut.polytope._crossings(P, a, c.numerator, c.denominator)[1]
-    for row, key, relax in crossings:
+    for row, key, relax, det in crossings:
         if relax is None:
             continue
         act = sorted(key) + [len(P.facets)]
-        assert [relax[j] for j in sorted(key)] + [relax[None]] == list(
-            momentcut.polytope._edge_directions(normals, act, n))
+        es, fresh_det = momentcut.polytope._edge_directions(normals, act, n)
+        assert [relax[j] for j in sorted(key)] + [relax[None]] == list(es)
+        assert det == fresh_det
+
+
+def _dets_as_eliminated(Q: LabeledPolytope) -> None:
+    st = Q.structure()
+    assert st.dets == dets_by_elimination(st)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=st.sampled_from(_structure_cases()), case=_derived_cases(),
+       normal=st.lists(st.integers(-3, 3), min_size=5, max_size=5), k=st.integers(-4, 20))
+def test_vertex_dets_match_elimination(walk, case, normal, k):
+    # every vertex record's |det G_v|, walked or derived by any step, is
+    # one elimination of its edge rows: the corpus, chopped boxes and their
+    # images, the half-strip; cuts on both sides by x1 and by a random
+    # normal, corner chops, add_fixed_points, slices, irredundant, images
+    P, levels, corner, fraction = case
+    n = P.dim
+    derived = [walk[1], P, reversed_polytope(P), irredundant(P),
+               transform(P, random_unimodular(random.Random(k), n), [F(k, 3)] * n),
+               add_fixed_points(asymmetric_wedge(), F(1, 4))[0]]
+    a = primitive(normal[:n]) if any(normal[:n]) else (1,) + (0,) * (n - 1)
+    values = [dot(a, _point(row)) for row, _ in P.structure().points]
+    c = min(values) + (max(values) - min(values)) * F(k, 16)
+    for facet in (Facet(a, c), Facet(tuple(-x for x in a), -c)):
+        try:
+            derived.append(intersect_halfspace(P, facet))
+        except EmptyResult:
+            pass
+    for s in levels:
+        derived += [D for D in (slice_at(P, s).polytope,) if D is not None]
+        for side in CutSide:
+            try:
+                derived.append(restrict_halfspace(P, s, side))
+            except EmptyResult:
+                pass
+    st_P = P.structure()
+    if st_P.simple and st_P.bounded:
+        verts = vertices(P)
+        try:
+            derived.append(blowup(P, BlowupParams(verts[corner % len(verts)].point,
+                                                  fraction / 8))[0])
+        except PreconditionError:
+            pass
+        # x1 = 0 between the two lowest levels, and eps below the next one
+        xs = critical_values(P)
+        if len(xs) > 1:
+            m = (xs[0] + xs[1]) / 2
+            moved = transform(P, [[int(i == j) for j in range(n)] for i in range(n)],
+                              [-m] + [0] * (n - 1))
+            try:
+                derived.append(add_fixed_points(moved, (xs[1] - m) * fraction / 2)[0])
+            except PreconditionError:
+                pass
+    for D in derived:
+        _dets_as_eliminated(D)
+        for s in levels:
+            D_slice = slice_at(D, s).polytope if D.dim > 1 else None
+            if D_slice is not None:
+                _dets_as_eliminated(D_slice)
+
+
+def test_dets_are_none_at_a_non_simple_vertex():
+    # the unit cube and x + y + z <= 3: (1, 1, 1) lies on four facets but
+    # its tangent cone has three rays, and G_v is square; it read 1
+    P = LabeledPolytope(3, list(box(F(1), F(1), F(1)).facets) + [Facet((1, 1, 1), F(3))])
+    st = P.structure()
+    k = next(k for k, (row, _) in enumerate(st.points) if row == ((1, 1, 1), 1))
+    assert len(st.points[k][1]) == 4 and len(st.edges[k]) == 3
+    assert st.dets[k] is None
+    assert st.dets == dets_by_elimination(st)
+    assert [d for d in st.dets if d is not None] == [1] * 7
 
 
 def test_crossings_take_no_adjugate(monkeypatch):
@@ -724,7 +799,7 @@ def test_corner_chop_pairs_the_edges_of_its_corner_only(monkeypatch, corner):
     met = []
     fn = momentcut.polytope._crossing_edges
     monkeypatch.setattr(momentcut.polytope, "_crossing_edges",
-                        lambda es, r, k: met.append(es) or fn(es, r, k))
+                        lambda act, es, r, k, det: met.append(es) or fn(act, es, r, k, det))
     Q = blowup(P, BlowupParams(vertices(P)[corner].point, F(1, 16)))[0]
     assert met == [st.edges[corner]] * P.dim
     monkeypatch.undo()

@@ -105,6 +105,14 @@ def test_weights_refuse_entries_that_are_not_integers(d3, xi, k, got):
     assert str(err.value) == f"xi entry {k} must be an integer, got {got}"
 
 
+@pytest.mark.parametrize("xi", [(0, 0, 0), [0, 0, 0]])
+def test_weights_refuse_the_zero_direction(d3, xi):
+    # every weight read 0: a zero vector generates no circle
+    with pytest.raises(InputError) as err:
+        weights_at_vertex(d3, vertex_at(d3, (0, 0, 0)), xi)
+    assert str(err.value) == "xi is the zero vector, which generates no circle"
+
+
 @pytest.mark.parametrize("xi", [(1,), (1, 0), (1, 0, 0, 0)])
 def test_weights_refuse_a_direction_of_the_wrong_length(d3, xi):
     # pairings must not be truncated to the shorter vector
