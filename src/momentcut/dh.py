@@ -38,6 +38,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     DimensionMismatch,
+    InputError,
     InternalError,
     PreconditionError,
     WallNotSimpleCrossing,
@@ -61,6 +62,7 @@ from .polytope import (
 )
 from .ratpoly import (
     Poly,
+    _variations,
     affine_substitute,
     gap_samples,
     isolate_roots,
@@ -122,7 +124,7 @@ def dh_profile(P: LabeledPolytope) -> DHProfile:
     require_bounded(P, "profiles need a bounded polytope")
     rows = [row for row, _ in _simple_points(P)]
     flat = {g for es in P.structure().edges for g in es if g[0] == 0}
-    eta = (0,) + generic_direction([g[1:] for g in flat], P.dim - 1)
+    eta = (0,) + generic_direction([g[1:] for g in flat], P.dim - 1)[0]
     walls = critical_values(P)
     chambers = []
     density = Poly([])
@@ -200,9 +202,12 @@ def _vertex_term(row: tuple[tuple[int, ...], int], gens: tuple[tuple[int, ...], 
 
 
 def _positive_on_open(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """p > 0 on the open (lo, hi): no root there, and positive at the
-    midpoint.  With no root, p keeps one sign there by continuity."""
-    return not isolate_roots(p, lo, hi) and p.sign_at((lo + hi) / 2) > 0
+    """p > 0 on the open (lo, hi): the sign a Descartes bound of 0 gives, or
+    no root there and positive at the midpoint, as p keeps one sign there."""
+    n, sign = _variations(p, lo, hi)
+    if n:
+        return not isolate_roots(p, lo, hi) and p.sign_at((lo + hi) / 2) > 0
+    return sign > 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +242,30 @@ class LogConcavityReport(namedtuple("LogConcavityReport",
         }
 
 
+def _require_profile(profile: DHProfile) -> None:
+    """The sign checks' one gate: Chambers with exact bounds and a Poly each."""
+    if not isinstance(profile, DHProfile):
+        raise InputError(f"profile must be a DHProfile, got {profile!r}")
+    for i, ch in enumerate(profile.chambers):
+        if not (isinstance(ch, Chamber) and isinstance(ch.poly, Poly)):
+            raise InputError(f"chamber {i} must be a Chamber with a Poly density, got {ch!r}")
+        exact(ch.lo, f"chamber {i}: lower bound")
+        exact(ch.hi, f"chamber {i}: upper bound")
+
+
 def check_log_concavity(profile: DHProfile) -> LogConcavityReport:
     """Exact verdict: mu * mu'' - (mu')^2 <= 0 per chamber, and one-sided
     logarithmic slopes non-increasing across interior walls."""
+    _require_profile(profile)
     chamber_verdicts = []
     first = None
     for ch in profile.chambers:
-        d1 = ch.slope
-        ok, witness = nonpositive_on(ch.poly * d1.derivative() - d1 * d1, ch.lo, ch.hi)
+        # N N'' - N'^2 over den^2 for mu = N / den: c_i c_j j (j - 1 - i) at s^(i + j - 2)
+        N, mixed = ch.poly.num, [0] * (2 * len(ch.poly.num))
+        for i, x in enumerate(N):
+            for j, y in enumerate(N):
+                mixed[i + j] += x * y * j * (j - 1 - i)
+        ok, witness = nonpositive_on(Poly.over(mixed[2:], ch.poly.den ** 2), ch.lo, ch.hi)
         chamber_verdicts.append(ChamberVerdict(ch.lo, ch.hi, ok, witness))
         if not ok and first is None:
             first = (f"chamber ({format_rational(ch.lo)}, {format_rational(ch.hi)}): "
@@ -252,10 +273,11 @@ def check_log_concavity(profile: DHProfile) -> LogConcavityReport:
     wall_verdicts = []
     for left, right in zip(profile.chambers, profile.chambers[1:]):
         a = left.hi
-        vl, vr = left.poly(a), right.poly(a)
-        # (mu'/mu)(a-) >= (mu'/mu)(a+), cross-multiplied
-        ok = vl > 0 and vr > 0 and left.slope(a) * vr >= right.slope(a) * vl
-        wall_verdicts.append(WallVerdict(a, ok, vl == vr))
+        # (mu'/mu)(a-) >= (mu'/mu)(a+), on integers over positive ones
+        (vl, dl), (vr, dr) = left.poly._value(a), right.poly._value(a)
+        (sl, el), (sr, er) = left.slope._value(a), right.slope._value(a)
+        ok = vl > 0 and vr > 0 and sl * vr * er * dl >= sr * vl * el * dr
+        wall_verdicts.append(WallVerdict(a, ok, vl * dr == vr * dl))
         if not ok and first is None:
             first = (f"wall {format_rational(a)}: one-sided log-derivative "
                      "increases across the wall")
@@ -277,6 +299,7 @@ class LocalMinimum(namedtuple("LocalMinimum", "kind location lo hi")):
 
 def find_strict_local_minima(profile: DHProfile) -> list[LocalMinimum]:
     """Interior points where the density has a strict local minimum."""
+    _require_profile(profile)
     minima: list[LocalMinimum] = []
     for ch in profile.chambers:
         d = ch.slope
@@ -289,10 +312,10 @@ def find_strict_local_minima(profile: DHProfile) -> list[LocalMinimum]:
                 minima.append(LocalMinimum("chamber", m.exact, m.lo, m.hi))
     for left, right in zip(profile.chambers, profile.chambers[1:]):
         a = left.hi
-        vl, vr = left.poly(a), right.poly(a)
-        v = min(vl, vr)
-        left_up = (vl > v) or one_sided_sign(left.poly - Poly([v]), a, -1) > 0
-        right_up = (vr > v) or one_sided_sign(right.poly - Poly([v]), a, +1) > 0
+        # a side at the lower value rises away from a: slope < 0 just left, > 0 just right
+        (vl, dl), (vr, dr) = left.poly._value(a), right.poly._value(a)
+        left_up = vl * dr > vr * dl or one_sided_sign(left.slope, a, -1) < 0
+        right_up = vr * dl > vl * dr or one_sided_sign(right.slope, a, +1) > 0
         if left_up and right_up:
             minima.append(LocalMinimum("wall", a, a, a))
     minima.sort(key=lambda m: (m.lo, m.hi))

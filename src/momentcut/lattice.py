@@ -110,15 +110,16 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def generic_direction(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:
+def generic_direction(vectors: Sequence[Sequence[int]], dim: int) -> tuple[IntVector, list]:
     """First c = (1, p, .., p^(dim-1)), p = 2, 3, .., with <c, g> != 0 for
-    every nonzero integer dim-vector g in `vectors`: <c, g> is a nonzero
-    polynomial of degree < dim in p, so each g rules out at most dim-1
-    values of p and the candidates below cannot all fail."""
+    every nonzero integer dim-vector g in `vectors`, and those <c, g>: each
+    is a nonzero polynomial of degree < dim in p, so each g rules out at
+    most dim-1 values of p and the candidates below cannot all fail."""
     for p in range(2, 3 + len(vectors) * (dim - 1)):
         c = tuple(p ** k for k in range(dim))
-        if all(dot(c, g) != 0 for g in vectors):
-            return c
+        pairings = [dot(c, g) for g in vectors]
+        if all(pairings):
+            return c, pairings
     raise InternalError("no generic direction found")
 
 

@@ -238,8 +238,8 @@ class Structure(namedtuple("Structure", "points simple rays bounded full_dim "
     """
 
     @cached_property
-    def edges_by_active(self) -> dict[frozenset[int], tuple[IntVector, ...]]:
-        return {act: es for (_, act), es in zip(self.points, self.edges)}
+    def index_by_active(self) -> dict[frozenset[int], int]:
+        return {act: k for k, (_, act) in enumerate(self.points)}
 
 
 def _row(num: Sequence[int], den: int) -> Row:
@@ -798,19 +798,19 @@ def volume(P: LabeledPolytope) -> Fraction:
 
         vol(P) = (1/n!) sum_v <c, v>^n |det G_v| / prod_k (-<c, g_k>),
 
-    G_v the edge generators g_k at the vertex v and c any vector with
-    <c, g> != 0 for every edge generator.  With v = num / q each term is an
+    G_v the edge generators g_k at v and c any vector with <c, g> != 0 for
+    every edge generator, each paired once.  With v = num / q each term is an
     integer over q^n prod_k (-<c, g_k>), summed over one common denominator.
     """
     points = _simple_points(P)
     require_bounded(P, "volume needs a bounded polytope")
     n = P.dim
     st = P.structure()
-    c = generic_direction([g for es in st.edges for g in es], n)
+    c, pairings = generic_direction([g for es in st.edges for g in es], n)
     total, den = 0, 1
-    for ((num, q), _), es, det in zip(points, st.edges, st.dets):
+    for k, (((num, q), _), det) in enumerate(zip(points, st.dets)):
         term = dot(c, num) ** n * det
-        term_den = q ** n * math.prod(-dot(c, g) for g in es)
+        term_den = q ** n * math.prod(-x for x in pairings[k * n:(k + 1) * n])
         common = math.lcm(den, term_den)
         total = total * (common // den) + term * (common // term_den)
         den = common

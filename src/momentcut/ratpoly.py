@@ -4,10 +4,10 @@ and signs work on the integers; `coeffs` gives `Fraction`s, for output.
 
 Complete sign decisions on closed intervals rest on Descartes' rule of
 signs over the interval (Collins-Akritas 1976): halve until the bound on
-the roots inside is 0 or 1.  Real roots are reported as exact rationals
-when they are rational and as isolating intervals with rational endpoints
-otherwise; either way the sign pattern between consecutive roots is decided
-exactly, never by floating point.
+the roots inside is 0 or 1; at 0 it also gives p's sign there.  Real roots
+are reported as exact rationals when they are rational and as isolating
+intervals with rational endpoints otherwise; either way the sign pattern
+between consecutive roots is decided exactly, never by floating point.
 """
 from __future__ import annotations
 
@@ -62,15 +62,17 @@ class Poly:
             h, w = h * u + c * w, w * v
         return h
 
+    def _value(self, x) -> tuple[int, int]:
+        """p(x) as an integer over a positive one, not in lowest terms."""
+        return self._homogeneous(x), self.den * x.denominator ** max(self.degree, 0)
+
     def sign_at(self, x: Fraction) -> int:
         """The sign of p(x) for a rational x, -1, 0 or 1."""
         h = self._homogeneous(x)
         return (h > 0) - (h < 0)
 
     def __call__(self, s: Fraction) -> Fraction:
-        if not isinstance(s, Fraction):
-            s = Fraction(s)
-        return Fraction(self._homogeneous(s), self.den * s.denominator ** max(self.degree, 0))
+        return Fraction(*self._value(_fraction(s)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and (self.num, self.den) == (other.num, other.den)
@@ -187,16 +189,22 @@ def deflate(p: Poly, r: Fraction) -> Poly:
 # root isolation by Descartes' rule of signs
 # ---------------------------------------------------------------------------
 
-def _variations(q: Poly, lo: Fraction, hi: Fraction) -> int:
+def _variations(q: Poly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
     """Descartes' bound on the roots of q in the open (lo, hi), counted with
     multiplicity: the sign changes of (1 + y)^d q((hi + lo y) / (1 + y)),
     whose positive roots y are those roots.  The bound exceeds their number
-    by an even number, so 0 and 1 are exact."""
+    by an even number, so 0 and 1 are exact.  With it the sign of the first
+    nonzero coefficient (0 for q = 0); at a bound of 0 it is q's on (lo, hi)."""
     (u, v), w = over_common_denominator((lo, hi))
     # w^d q((u + (v - u) t) / w), then (1 + y)^d times that at t = 1 / (1 + y)
     r = affine_substitute(q.num, v - u, u, w)
     signs = [c > 0 for c in affine_substitute(r[::-1], 1, 1, 1) if c]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    sign = (1 if signs[0] else -1) if signs else 0
+    return sum(x != y for x, y in zip(signs, signs[1:])), sign
+
+
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class RootMarker(namedtuple("RootMarker", "lo hi exact", defaults=(None,))):
@@ -220,8 +228,8 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[RootMarker]:
     endpoints: marker i satisfies a < lower_i <= root_i <= upper_i < b and
     upper_i < lower_{i+1} unless both roots are exact.
     """
-    a, b = Fraction(a), Fraction(b)
-    if p.degree < 1 or a >= b or not _variations(p, a, b):
+    a, b = _fraction(a), _fraction(b)
+    if p.degree < 1 or a >= b or not _variations(p, a, b)[0]:
         return []
     q = squarefree(p)
     while q.degree >= 1 and not q.sign_at(a):
@@ -234,32 +242,21 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[RootMarker]:
     return [_exactify(q, m) for m in markers]
 
 
-def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _exactify(q: Poly, m: RootMarker) -> RootMarker:
     """Replace an isolating interval by the exact rational root when the
     defining polynomial has degree <= 2 (always the case for derivative
-    polynomials of chamber volumes up to dimension 4)."""
+    polynomials of chamber volumes up to dimension 4): on q's numerators,
+    a quadratic's roots are rational when its discriminant is a square."""
     if m.exact is not None or q.degree > 2:
         return m
-    roots: list[Fraction] = []
-    if q.degree == 1:
-        roots = [-q.coeffs[0] / q.coeffs[1]]
-    elif q.degree == 2:
-        c, b_, a_ = q.coeffs
-        disc = b_ * b_ - 4 * a_ * c
-        r = _sqrt_fraction(disc)
-        if r is None:
+    roots = [Fraction(-q.num[0], q.num[1])] if q.degree == 1 else []
+    if q.degree == 2:
+        c, b, a = q.num
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        if r * r != disc:
             return m
-        roots = [(-b_ + r) / (2 * a_), (-b_ - r) / (2 * a_)]
+        roots = [Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a)]
     for r in roots:
         if m.lo < r < m.hi:
             return RootMarker(r, r, exact=r)
@@ -269,7 +266,7 @@ def _exactify(q: Poly, m: RootMarker) -> RootMarker:
 def _isolate(q: Poly, lo: Fraction, hi: Fraction) -> list[RootMarker]:
     """Markers for the roots of square-free q in (lo, hi), in order, by
     halving until Descartes' bound is 0 or 1; lo and hi are not roots."""
-    n = _variations(q, lo, hi)
+    n = _variations(q, lo, hi)[0]
     if n < 2:
         return [RootMarker(lo, hi)] if n else []
     mid = (lo + hi) / 2
@@ -331,7 +328,7 @@ def gap_samples(markers: Sequence[RootMarker], a: Fraction, b: Fraction) -> list
 
 def nonpositive_on(p: Poly, a: Fraction, b: Fraction) -> tuple[bool, Optional[Fraction]]:
     """Decide p <= 0 on the closed [a, b]; the witness is a violating rational."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _fraction(a), _fraction(b)
     if p.is_zero():
         return True, None
     if p.sign_at(a) > 0:
@@ -340,8 +337,10 @@ def nonpositive_on(p: Poly, a: Fraction, b: Fraction) -> tuple[bool, Optional[Fr
         return False, b
     if p.degree < 1:
         return True, None
-    markers = isolate_roots(p, a, b)
-    for t in gap_samples(markers, a, b):
+    n, s = _variations(p, a, b)
+    if not n:
+        return (True, None) if s <= 0 else (False, (a + b) / 2)
+    for t in gap_samples(isolate_roots(p, a, b), a, b):
         if p.sign_at(t) > 0:
             return False, t
     return True, None
@@ -353,15 +352,9 @@ def one_sided_sign(p: Poly, x: Fraction, direction: int) -> int:
     Taylor expansion: the first non-vanishing derivative at x decides, with
     a (-1)^k twist on the left side.
     """
-    x = Fraction(x)
-    q = p
-    k = 0
-    while not q.is_zero():
-        s = q.sign_at(x)
+    for k in range(len(p.num)):
+        s = p.sign_at(x)
         if s:
-            if direction < 0 and k % 2 == 1:
-                s = -s
-            return s
-        q = q.derivative()
-        k += 1
+            return -s if direction < 0 and k % 2 == 1 else s
+        p = p.derivative()
     return 0

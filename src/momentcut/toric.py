@@ -7,6 +7,7 @@ facets and the fixed-point inventory are all exact lattice computations.
 from __future__ import annotations
 
 import enum
+import math
 from collections import namedtuple
 from typing import Optional, Sequence
 
@@ -17,10 +18,10 @@ from .lattice import (
     _sequence,
     content,
     dot,
+    format_rational,
     half_sum_integral,
-    lattice_index,
 )
-from .polytope import LabeledPolytope, Vertex, vertices
+from .polytope import LabeledPolytope, Vertex, _format_row, vertices
 
 INFINITE = "infinite"
 
@@ -43,9 +44,19 @@ class VertexClass(namedtuple("VertexClass", "kind index half_sum_integral")):
         }
 
 
-def _require_vertex(v) -> None:
+def _record(P: LabeledPolytope, v: Vertex) -> tuple[tuple[IntVector, ...], int]:
+    """The edge generators and |det G_v| of P's record of the simple vertex v;
+    one of another polytope, whose facets meet in no vertex of P, is refused."""
     if not isinstance(v, Vertex):
         raise InputError(f"vertex must be a Vertex, got {v!r}")
+    act = sorted(v.active)
+    if len(act) != P.dim:
+        raise DegenerateVertex(f"vertex has {len(act)} active facets, expected {P.dim}")
+    st = P.structure()
+    k = st.index_by_active.get(v.active)
+    if k is None or st.points[k][0] != v.row:
+        raise DegenerateVertex(f"facets {act} do not meet in a vertex at {_format_row(v.row)}")
+    return st.edges[k], st.dets[k]
 
 
 def classify_vertex(P: LabeledPolytope, v: Vertex) -> VertexClass:
@@ -53,11 +64,13 @@ def classify_vertex(P: LabeledPolytope, v: Vertex) -> VertexClass:
 
     A vertex incident to a facet with label > 1 is an orbifold point no
     matter what the normals generate, so labels enter the classification.
+    The index is |det A_v| = prod_l |<a_l, g_l>| / |det G_v|, for the active
+    normals A_v and the edge generators G_v of P's record: A_v G_v^T is diagonal.
     """
-    _require_vertex(v)
+    gens, det = _record(P, v)
     normals = [P.facets[i].normal for i in sorted(v.active)]
-    idx = lattice_index(normals)
-    half = half_sum_integral(normals) if idx is not None else False
+    idx = math.prod(abs(dot(a, g)) for a, g in zip(normals, gens)) // det
+    half = half_sum_integral(normals)
     labels_one = all(P.facets[i].label == 1 for i in v.active)
     if idx == 1 and labels_one:
         kind = VertexKind.SMOOTH
@@ -75,15 +88,7 @@ def edge_generators(P: LabeledPolytope, v: Vertex) -> list[IntVector]:
     with every other active normal and strictly negatively with its own.
     They are read off the vertex-edge graph of P.structure().
     """
-    _require_vertex(v)
-    n = P.dim
-    act = sorted(v.active)
-    if len(act) != n:
-        raise DegenerateVertex(f"vertex has {len(act)} active facets, expected {n}")
-    gens = P.structure().edges_by_active.get(v.active)
-    if gens is None:
-        raise DegenerateVertex(f"facets {act} do not meet in a vertex")
-    return list(gens)
+    return list(_record(P, v)[0])
 
 
 def weights_at_vertex(P: LabeledPolytope, v: Vertex,
@@ -127,8 +132,6 @@ class FixedComponent(namedtuple("FixedComponent", "active level vertex_points"))
         return len(self.vertex_points) == 1
 
     def to_json(self) -> dict:
-        from .lattice import format_rational
-
         return {
             "active_facets": sorted(self.active),
             "level": format_rational(self.level),

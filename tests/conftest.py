@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from momentcut.corpus import asymmetric_wedge, box, delta3, simplex
-from momentcut.dh import Chamber, DHProfile, critical_values
+from momentcut.dh import (
+    Chamber,
+    ChamberVerdict,
+    DHProfile,
+    LocalMinimum,
+    LogConcavityReport,
+    WallVerdict,
+    critical_values,
+)
 from momentcut.errors import PreconditionError
 from momentcut.lattice import (
     _back_substitute,
@@ -313,6 +321,94 @@ def positive_on_open_by_two_isolations(p: Poly, lo: Fraction, hi: Fraction) -> b
     It calls the zero polynomial positive."""
     ok, _ = nonpositive_on(-p, lo, hi)
     return ok and not isolate_roots(p, lo, hi)
+
+
+# The sign checks as they were decided on Fraction values: every interval
+# sign is read at a Fraction point of a root-free gap, wall values and
+# slopes are Fractions, and a tied wall looks at the density less its
+# value.  Oracles for `ratpoly.nonpositive_on`, `dh._positive_on_open`,
+# `dh.check_log_concavity` and `dh.find_strict_local_minima`.
+
+def nonpositive_on_by_samples(p: Poly, a: Fraction, b: Fraction):
+    a, b = Fraction(a), Fraction(b)
+    if p.is_zero():
+        return True, None
+    if p.sign_at(a) > 0:
+        return False, a
+    if p.sign_at(b) > 0:
+        return False, b
+    if p.degree < 1:
+        return True, None
+    for t in gap_samples(isolate_roots(p, a, b), a, b):
+        if p.sign_at(t) > 0:
+            return False, t
+    return True, None
+
+
+def positive_on_open_at_midpoint(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    return not isolate_roots(p, lo, hi) and p.sign_at((lo + hi) / 2) > 0
+
+
+def one_sided_sign_by_taylor(p: Poly, x: Fraction, direction: int) -> int:
+    """The sign of p just right (+1) or left (-1) of x: that of the first
+    derivative not vanishing at x, times (-1)^k on the left."""
+    x = Fraction(x)
+    k = 0
+    while not p.is_zero():
+        s = p.sign_at(x)
+        if s:
+            return -s if direction < 0 and k % 2 == 1 else s
+        p = p.derivative()
+        k += 1
+    return 0
+
+
+def log_concavity_by_fractions(profile: DHProfile) -> LogConcavityReport:
+    chamber_verdicts = []
+    first = None
+    for ch in profile.chambers:
+        d1 = ch.poly.derivative()
+        ok, witness = nonpositive_on_by_samples(ch.poly * d1.derivative() - d1 * d1,
+                                                ch.lo, ch.hi)
+        chamber_verdicts.append(ChamberVerdict(ch.lo, ch.hi, ok, witness))
+        if not ok and first is None:
+            first = (f"chamber ({format_rational(ch.lo)}, {format_rational(ch.hi)}): "
+                     f"mu*mu'' - mu'^2 > 0 at s = {format_rational(witness)}")
+    wall_verdicts = []
+    for left, right in zip(profile.chambers, profile.chambers[1:]):
+        a = left.hi
+        vl, vr = left.poly(a), right.poly(a)
+        ok = (vl > 0 and vr > 0
+              and left.poly.derivative()(a) * vr >= right.poly.derivative()(a) * vl)
+        wall_verdicts.append(WallVerdict(a, ok, vl == vr))
+        if not ok and first is None:
+            first = (f"wall {format_rational(a)}: one-sided log-derivative "
+                     "increases across the wall")
+    all_ok = all(c.ok for c in chamber_verdicts) and all(w.ok for w in wall_verdicts)
+    return LogConcavityReport(all_ok, tuple(chamber_verdicts), tuple(wall_verdicts), first)
+
+
+def strict_minima_by_fractions(profile: DHProfile) -> list[LocalMinimum]:
+    minima = []
+    for ch in profile.chambers:
+        d = ch.poly.derivative()
+        markers = isolate_roots(d, ch.lo, ch.hi)
+        if not markers:
+            continue
+        samples = gap_samples(markers, ch.lo, ch.hi)
+        for i, m in enumerate(markers):
+            if d.sign_at(samples[i]) < 0 and d.sign_at(samples[i + 1]) > 0:
+                minima.append(LocalMinimum("chamber", m.exact, m.lo, m.hi))
+    for left, right in zip(profile.chambers, profile.chambers[1:]):
+        a = left.hi
+        vl, vr = left.poly(a), right.poly(a)
+        v = min(vl, vr)
+        left_up = vl > v or one_sided_sign_by_taylor(left.poly - Poly([v]), a, -1) > 0
+        right_up = vr > v or one_sided_sign_by_taylor(right.poly - Poly([v]), a, +1) > 0
+        if left_up and right_up:
+            minima.append(LocalMinimum("wall", a, a, a))
+    minima.sort(key=lambda m: (m.lo, m.hi))
+    return minima
 
 
 def volume_by_triangulation(P: LabeledPolytope, c=None) -> Fraction:

@@ -113,7 +113,7 @@ def _localization_cases(draw):
     gens = [g for es in P.structure().edges for g in es]
     c = draw(st.lists(st.integers(-4, 4), min_size=P.dim, max_size=P.dim))
     if any(dot(c, g) == 0 for g in gens):
-        c = generic_direction(gens, P.dim)
+        c = generic_direction(gens, P.dim)[0]
     return P, tuple(c)
 
 

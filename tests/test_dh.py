@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import momentcut.dh
 from momentcut import cli
@@ -24,24 +24,28 @@ from momentcut.dh import (
     find_strict_local_minima,
     wall_crossing_check,
 )
-from momentcut.errors import PreconditionError, WallNotSimpleCrossing
+from momentcut.errors import InputError, PreconditionError, WallNotSimpleCrossing
 from momentcut.ops import BlowupParams, add_fixed_points, blowup
 from momentcut.lattice import format_rational, generic_direction
 from momentcut.polytope import (Facet, LabeledPolytope, dumps, reversed_polytope, transform,
                                 vertices, volume)
-from momentcut.ratpoly import Poly, isolate_roots
+from momentcut.ratpoly import Poly, isolate_roots, nonpositive_on
 from momentcut.toric import VertexKind
 
 from conftest import (
     chamber_affine_check,
     chopped_box,
     keeping_x1,
+    log_concavity_by_fractions,
     mirror_summary_by_reversal,
     mirrored,
+    nonpositive_on_by_samples,
+    positive_on_open_at_midpoint,
     positive_on_open_by_two_isolations,
     profile_by_slicing,
     random_unimodular,
     slice_volume,
+    strict_minima_by_fractions,
     volume_by_triangulation,
 )
 
@@ -162,7 +166,8 @@ def test_volume_and_profile_share_one_record_per_vertex(monkeypatch):
     # from its tableau: no determinant is eliminated (64, one per vertex,
     # when the structure took them by det_int); the profile shifts each
     # wall's vertex terms to powers of s at once, and a Fraction is built
-    # only for the levels and the values handed back
+    # only for the levels and the values handed back: each chamber's
+    # positivity is the sign Descartes' bound of 0 gives, with no midpoint
     P = chopped_hypercube()
     shifts = []
     substitute = momentcut.dh.affine_substitute
@@ -175,19 +180,21 @@ def test_volume_and_profile_share_one_record_per_vertex(monkeypatch):
     assert calls["det_int"] == [] and len(P.structure().points) == 64
     assert len(shifts) == len(prof.walls) - 1 == 3
     # 273 when each vertex term took its own determinant and the vertices
-    # were sorted by their Fraction points
-    assert len(calls["Fraction"]) == 17
+    # were sorted by their Fraction points, 17 when each chamber's
+    # positivity was read at its midpoint
+    assert len(calls["Fraction"]) == 5
 
 
 def test_blowup_volume_takes_no_edge_determinant():
     # a corner chop's n new vertices take |det G_w| in closed form from the
-    # corner's, and the kept vertices keep theirs: the one det_int is the
-    # corner's classification, the lattice index of its active normals
+    # corner's, and the kept vertices keep theirs; the corner's class reads
+    # the lattice index of its active normals off its record too (one
+    # det_int when it eliminated them)
     P = chopped_hypercube()
     corner = vertices(P)[21]
     vol, calls = _calls({"det_int": momentcut.lattice.det_int.__code__},
                         lambda: volume(blowup(P, BlowupParams(corner.point, F(1, 16)))[0]))
-    assert calls["det_int"] == [[list(P.facets[i].normal) for i in sorted(corner.active)]]
+    assert calls["det_int"] == []
     assert vol == F(383, 384) - F(1, 16) ** 4 / 24
 
 
@@ -311,6 +318,111 @@ def test_minima_corpus_empty():
         if P.dim < 2:
             continue
         assert find_strict_local_minima(dh_profile(P)) == [], name
+
+
+# -- the sign checks against their Fraction oracles ------------------------------------
+
+_RATIONAL = st.fractions(-6, 6, max_denominator=4)
+
+
+@st.composite
+def _hand_profiles(draw):
+    """A hand-built profile on 1-4 chambers with random rational walls.  A
+    density of degree 0-6 is zero, constant, random, or c (s - r)^k q with r
+    at a wall or inside its chamber, k = 1..3 (double and triple roots, a
+    flat side at a wall); it is then glued to its left neighbour's value at
+    the wall (tied) or left as it is (discontinuous, or tied by chance)."""
+    walls = sorted(set(draw(st.lists(_RATIONAL, min_size=2, max_size=5))))
+    if len(walls) < 2:
+        walls.append(walls[0] + 1)
+    chambers = []
+    for lo, hi in zip(walls, walls[1:]):
+        kind = draw(st.sampled_from(["zero", "constant", "random", "root"]))
+        if kind == "zero":
+            p = Poly([])
+        elif kind == "constant":
+            p = Poly([draw(_RATIONAL)])
+        elif kind == "random":
+            p = Poly(draw(st.lists(_RATIONAL, max_size=7)))
+        else:
+            r = draw(st.sampled_from([lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3]))
+            p = Poly(draw(st.lists(_RATIONAL, min_size=1, max_size=4)))
+            for _ in range(draw(st.integers(1, 3))):
+                p = p * Poly([-r, F(1)])
+        if chambers and draw(st.booleans()):
+            p = p + Poly([chambers[-1].poly(lo) - p(lo)])
+        chambers.append(Chamber(lo, hi, p))
+    return DHProfile(tuple(walls), tuple(chambers))
+
+
+def _assert_signs_match_oracles(prof: DHProfile):
+    assert check_log_concavity(prof) == log_concavity_by_fractions(prof)
+    assert find_strict_local_minima(prof) == strict_minima_by_fractions(prof)
+    for ch in prof.chambers:
+        d1 = ch.poly.derivative()
+        for p in (ch.poly, -ch.poly, ch.poly * d1.derivative() - d1 * d1):
+            assert _positive_on_open(p, ch.lo, ch.hi) == positive_on_open_at_midpoint(
+                p, ch.lo, ch.hi)
+            assert nonpositive_on(p, ch.lo, ch.hi) == nonpositive_on_by_samples(
+                p, ch.lo, ch.hi)
+
+
+def _flat_sided(left: list, right: list) -> DHProfile:
+    """Densities on (-1, 0) and (0, 1) from integer coefficients."""
+    return DHProfile((F(-1), F(0), F(1)), (Chamber(F(-1), F(0), Poly(left)),
+                                           Chamber(F(0), F(1), Poly(right))))
+
+
+# tied walls whose left side is flat at the wall, so that its slope's first
+# nonzero derivative there is of odd order and the left twist decides:
+# 1 + s^2 and 1 - s^3 rise to the left of 0 (a wall minimum with 1 + s),
+# 1 - s^2 falls (none)
+@example(prof=_flat_sided([1, 0, 1], [1, 1]))
+@example(prof=_flat_sided([1, 0, 0, -1], [1, 1]))
+@example(prof=_flat_sided([1, 0, -1], [1, 1]))
+@settings(max_examples=400, deadline=None)
+@given(prof=_hand_profiles())
+def test_sign_checks_match_fraction_oracles_on_hand_built_profiles(prof):
+    _assert_signs_match_oracles(prof)
+
+
+def test_sign_checks_match_fraction_oracles_on_corpus_and_images():
+    rng = random.Random(35)
+    for name, P in delzant_corpus():
+        if P.dim < 2:
+            continue
+        _assert_signs_match_oracles(dh_profile(P))
+        A = random_unimodular(rng, P.dim)
+        _assert_signs_match_oracles(dh_profile(transform(P, A, [F(1, 3)] * P.dim)))
+
+
+def test_sign_checks_take_no_fraction_polynomial():
+    # mu mu'' - mu'^2 is built on the integer numerators, wall values and
+    # slopes are compared as integers, and every chamber's sign is the one
+    # Descartes' bound of 0 gives: 40 Fractions and 4 Poly([v]) when these
+    # were decided on Fraction values
+    prof = dh_profile(chopped_hypercube())
+    (report, minima), calls = _calls(
+        {"Poly": Poly.__init__.__code__, "Fraction": Fraction.__new__.__code__},
+        lambda: (check_log_concavity(prof), find_strict_local_minima(prof)))
+    assert report.ok and minima == []
+    assert calls["Poly"] == [] and calls["Fraction"] == []
+
+
+@pytest.mark.parametrize("profile,message", [
+    (DHProfile((0.0, 1.0), (Chamber(0.0, 1.0, Poly([F(1)])),)),
+     "chamber 0: lower bound must be an integer or a Fraction, got 0.0"),
+    (DHProfile((F(0), F(1), F(2)), (Chamber(F(0), F(1), Poly([F(1)])),
+                                    Chamber(F(1), F(2), [1]))),
+     r"chamber 1 must be a Chamber with a Poly density, got Chamber\(lo=Fraction\(1, 1\)"),
+    (DHProfile((F(0), F(1)), ((F(0), F(1), Poly([F(1)])),)),
+     r"chamber 0 must be a Chamber with a Poly density, got \(Fraction"),
+    ({"walls": [0, 1]}, "profile must be a DHProfile"),
+], ids=["float-bounds", "list-density", "bare-tuple", "dict"])
+def test_sign_checks_refuse_a_hand_built_profile_by_chamber(profile, message):
+    for check in (check_log_concavity, find_strict_local_minima):
+        with pytest.raises(InputError, match=message):
+            check(profile)
 
 
 # -- chamber stability ---------------------------------------------------------------
@@ -468,7 +580,7 @@ def _jump_matches_localization(P: LabeledPolytope, a: Fraction) -> bool:
     chambers = profile_by_slicing(P).chambers
     left = next(ch for ch in chambers if ch.hi == a)
     right = next(ch for ch in chambers if ch.lo == a)
-    eta = (0,) + generic_direction([], P.dim - 1)
+    eta = (0,) + generic_direction([], P.dim - 1)[0]
     ks = [k for k, ((num, den), _) in enumerate(P.structure().points) if F(num[0], den) == a]
     return right.poly - left.poly == momentcut.dh._wall_jump(P, ks, a, eta)
 

@@ -246,6 +246,20 @@ def _real_rooted(draw):
     return p
 
 
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(_POINT, min_size=1, max_size=2), quadratic=_QUADRATIC,
+       c=st.sampled_from([F(1), F(-3, 2)]), ab=st.tuples(_POINT, _POINT))
+def test_low_degree_roots_are_exact_when_rational(roots, quadratic, c, ab):
+    # the quadratic formula on the integer numerators against roots known by
+    # construction: a rational root comes back exact, an irrational one not
+    a, b = min(ab), max(ab)
+    p = Poly([c])
+    for r in roots:
+        p = p * Poly([-r, F(1)])
+    assert [m.exact for m in isolate_roots(p, a, b)] == sorted({r for r in roots if a < r < b})
+    assert all(m.exact is None for m in isolate_roots(quadratic, a, b))
+
+
 # dyadic ends a power of 2 apart, so that roots fall on halving points, or
 # ends anywhere
 _INTERVAL = (st.tuples(_DYADIC, st.integers(-1, 4)).map(lambda t: (t[0], t[0] + F(2) ** t[1]))

@@ -7,9 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from momentcut.corpus import delzant_corpus
-from momentcut.errors import DimensionMismatch, InputError
-from momentcut.lattice import det_int, inverse_unimodular, primitive, transpose
+from momentcut.corpus import chopped_cube, delta3, delzant_corpus, trapezoid
+from momentcut.errors import DegenerateVertex, DimensionMismatch, InputError
+from momentcut.lattice import det_int, inverse_unimodular, lattice_index, primitive, transpose
 from momentcut.polytope import Facet, LabeledPolytope, transform, vertices
 from momentcut.toric import (
     INFINITE,
@@ -68,6 +68,31 @@ def test_classify_invariant_under_unimodular(pex2):
         kinds = sorted(classify_vertex(Q, v).kind.value for v in vertices(Q))
         assert kinds == sorted(classify_vertex(pex2, v).kind.value
                                for v in vertices(pex2))
+
+
+def test_classify_index_matches_the_normals_determinant(pex2):
+    # the index read off the vertex record against one Bareiss elimination
+    # of the active normals, on the corpus, pex2 (indices 2 and 4) and
+    # random images of them
+    rng = random.Random(35)
+    for name, P in delzant_corpus() + [("pex2", pex2)]:
+        A = random_unimodular(rng, P.dim)
+        for Q in (P, transform(P, A, [F(1, 2)] * P.dim)):
+            for v in vertices(Q):
+                normals = [Q.facets[i].normal for i in sorted(v.active)]
+                assert classify_vertex(Q, v).index == lattice_index(normals), name
+
+
+@pytest.mark.parametrize("P,v,message", [
+    (trapezoid(), vertices(chopped_cube())[2], "3 active facets, expected 2"),
+    # facets 0, 2 and 4, past delta3's 4
+    (delta3(), vertices(chopped_cube())[2], r"facets \[0, 2, 4\] do not meet in a vertex"),
+    # delta3's facets 0, 1 and 2 meet at (-1, 0, 0), not at the origin
+    (delta3(), vertices(chopped_cube())[0], r"do not meet in a vertex at \(0, 0, 0\)"),
+], ids=["other-dimension", "past-the-facets", "another-point"])
+def test_classify_refuses_a_vertex_of_another_polytope(P, v, message):
+    with pytest.raises(DegenerateVertex, match=message):
+        classify_vertex(P, v)
 
 
 # -- edge generators and weights ----------------------------------------------
