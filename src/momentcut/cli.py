@@ -78,7 +78,7 @@ def _load_polytope(path: str, gate: bool = True) -> LabeledPolytope:
 
     try:
         obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a number of too many digits, or not UTF-8
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     if isinstance(obj, dict) and "polytope" in obj:
         obj = obj["polytope"]

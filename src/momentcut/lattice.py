@@ -32,10 +32,9 @@ def parse_rational(text: str) -> Fraction:
             hint = ""
         raise InputError(f'not a rational string: "{s}"; use "p/q" or an integer{hint}')
     try:
-        q = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f'not a rational string: "{s}": {exc}') from None
-    return q
 
 
 def _is_int(x) -> bool:
@@ -243,8 +242,9 @@ def exchange(cols: list[list[int]], det: int, k: int, row: int) -> tuple[list[li
     <a_j, c_l> with further rows, and cols[l][row] = <a, c_l>.  The new
     determinant is det' = <a, c_k>; c_k stays, and c_l becomes (det' c_l -
     <a, c_l> c_k) / det, as does each product: the Bareiss step of
-    `_eliminate`, exact by Sylvester's identity.  It is oriented, det' < 0
-    (all negated when <a, c_k> > 0): each c_l is then the edge off row l."""
+    `_eliminate`, exact by Sylvester's identity, which keeps c_l itself (no
+    caller mutates a column) when <a, c_l> = 0 and det' = det.  It is
+    oriented, det' < 0 (all negated when <a, c_k> > 0): c_l is the edge off row l."""
     ck = cols[k]
     new_det = ck[row]
     if new_det > 0:
@@ -252,7 +252,8 @@ def exchange(cols: list[list[int]], det: int, k: int, row: int) -> tuple[list[li
     out = []
     for l, c in enumerate(cols):
         f = c[row]
-        out.append(ck if l == k else [(new_det * x - f * y) // det for x, y in zip(c, ck)])
+        out.append(ck if l == k else c if f == 0 and new_det == det else
+                   [(new_det * x - f * y) // det for x, y in zip(c, ck)])
     return out, new_det
 
 

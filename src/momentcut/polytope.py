@@ -37,8 +37,9 @@ facets it computed from checked ones.
 Every value of that exact arithmetic is an integer.  Vertices are kept as
 integer rows over one positive denominator, and facet offsets as integer
 pairs (num, den), both in lowest terms, so equal values have equal
-integers.  A `Fraction` is built only at parse, by the `Facet.offset` and
-`Vertex.point` accessors, and in values handed back to callers.
+integers.  A `Fraction` is built only by the `Facet.offset` and
+`Vertex.point` accessors, in values handed back to callers, and at parse
+for an offset string not in the form that `to_json_dict` writes.
 
 That code reads everything else off the edge records, by facts that hold
 for every pointed polyhedron, simple or not (Schrijver 1986, section 8):
@@ -57,6 +58,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -397,23 +399,25 @@ def _phase1(normals, offs, n: int):
             return (num, den, slack[:-1], ([c[:-1] for c in basis[0][:-1]], basis[1])), None
 
 
-def _edge_keys(normals, act: list[int], edges, n: int) -> list[frozenset[int]]:
-    """The facets holding each edge at a vertex with sorted active set act.
+def _edge_keys(normals, act: list[int], edges, n: int) -> list[int]:
+    """The facets holding each edge at a vertex with sorted active set act,
+    as a bit mask (bit j for facet j).
 
     These are all the facets that contain the edge, so the two ends of a
     bounded edge give it the same key and an unbounded ray has it at one
     vertex only.  At a simple vertex edge k relaxes act[k] alone.
     """
     if len(act) == n:
-        return [frozenset(act[:k] + act[k + 1:]) for k in range(n)]
-    return [frozenset(j for j in act if dot(normals[j], e) == 0) for e in edges]
+        mask = sum(1 << j for j in act)
+        return [mask ^ 1 << j for j in act]
+    return [sum(1 << j for j in act if dot(normals[j], e) == 0) for e in edges]
 
 
-def _pair_edges(normals, n: int, points, edges) -> list[list[tuple[Optional[int], frozenset[int]]]]:
+def _pair_edges(normals, n: int, points, edges) -> list[list[tuple[Optional[int], int]]]:
     """Per vertex and per edge at it: the index of the vertex at the other
-    end (None on an unbounded ray) and the edge's key."""
+    end (None on an unbounded ray) and the edge's key, a bit mask."""
     keys = [_edge_keys(normals, sorted(act), es, n) for (_, act), es in zip(points, edges)]
-    ends: dict[frozenset[int], list[int]] = defaultdict(list)
+    ends: dict[int, list[int]] = defaultdict(list)
     for k, ks in enumerate(keys):
         for key in ks:
             ends[key].append(k)
@@ -430,14 +434,15 @@ def _walk(normals, n, start) -> list[tuple]:
     num/den of the scaled system, its active facets (sorted), its edge
     directions, |det G_v| and the set of edges that no facet blocks.  An
     edge is walked once; its key, the facets that stay tight along it, and
-    the facets that block it are the active set at its far end.  A simple
-    vertex reached from a simple one through one blocking facet gets its
-    tableau by one exchange; ratio tests scan its columns.
+    the facets that block it are the active set at its far end, all bit
+    masks here (see `_edge_keys`).  A simple vertex reached from a simple
+    one through one blocking facet gets its tableau and sorted active set
+    by one exchange (`_pivot`); ratio tests scan its columns.
     """
     found = []
-    walked: set[frozenset[int]] = set()
+    walked: set[int] = set()
     act = [j for j, s in enumerate(start[2]) if s == 0]
-    seen = {frozenset(act)}
+    seen = {sum(1 << j for j in act)}
     stack = [(*start, act)]
     while stack:
         num, den, slack, basis, act = stack.pop()
@@ -459,12 +464,13 @@ def _walk(normals, n, start) -> list[tuple]:
                 unbounded.add(e)
                 continue
             p, q, ties = step
-            nxt_active = tight.union(ties)
-            if nxt_active in seen:
+            nxt = sum((1 << j for j in ties), tight)
+            if nxt in seen:
                 continue
-            seen.add(nxt_active)
-            nxt_basis = _pivot(basis, act, k, ties[0], n)[1] if simple and len(ties) == 1 else None
-            stack.append((*_advance(num, den, slack, v, p, q), nxt_basis, sorted(nxt_active)))
+            seen.add(nxt)
+            nxt_act, nxt_basis = (_pivot(basis, act, k, ties[0], n) if simple and len(ties) == 1
+                                  else ([j for j in range(len(slack)) if nxt >> j & 1], None))
+            stack.append((*_advance(num, den, slack, v, p, q), nxt_basis, nxt_act))
         found.append((num, den, act, edges, det, unbounded))
     return found
 
@@ -482,18 +488,13 @@ def _compute_structure(P: LabeledPolytope) -> Structure:
 
 def _finish(normals, n: int, records) -> Structure:
     """The Structure of a region from its vertex records, shared by the walk
-    and the derived steps.
+    and the derived steps; each polytope they build is finished once.
 
     A record is (row, active set, edges, |det G_v|, unbounded edges); the
     last is None when not known, and then edges are paired by their keys.
     Rows are sorted by their numerators over the common denominator, the
-    order of their points.
-    Rays, rank and redundancy are read off the edges, as in every pointed
-    polyhedron, simple or not: the extreme rays of the recession cone are
-    the unbounded edges, the edges at a vertex span the affine hull, and
-    those lying in a facet span that facet's face.  A simple vertex gives n
-    and n - 1 by its facet count; only a non-simple one takes a rank.  Each
-    polytope a walk or a step builds is finished once.
+    order of their points.  Rays, rank and redundancy are read off the
+    edges, as the module docstring says.
     """
     common = math.lcm(*(den for (_, den), *_ in records))
     records = sorted(records, key=lambda r: [x * (common // r[0][1]) for x in r[0][0]])
@@ -562,7 +563,7 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
     Returns the slack p / q - <normal, v> of every vertex v of P, each
     scaled by a positive integer, and one (row, key, relax, det) per edge or
     unbounded ray of P that passes strictly from slack > 0 to slack < 0:
-    key is the set of facets holding that edge, and (relax, det) are
+    key lists the facets holding that edge, and (relax, det) are
     `_crossing_edges` at the new vertex, both None when the edge is met
     from a non-simple vertex.
     A bounded edge is met from its end with slack < 0, so a bounded P pairs
@@ -583,8 +584,9 @@ def _crossings(P: LabeledPolytope, normal: IntVector, p: int, q: int):
             # num/den + sl / (q den r) e.
             if rk * sl > 0 and (w is None or sl < 0 < slack[w]):
                 row = _row([q * rk * x + sl * c for x, c in zip(num, e)], q * den * rk)
-                found.append((row, key, *(_crossing_edges(sorted(act), es, r, k, det)
-                                          if len(act) == len(num) else (None, None))))
+                found.append((row, [j for j in act if key >> j & 1],
+                              *(_crossing_edges(sorted(act), es, r, k, det)
+                                if len(act) == len(num) else (None, None))))
     return slack, found
 
 
@@ -617,7 +619,7 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
             for (row, act), es, det, sl in zip(st.points, st.edges, st.dets, slack) if sl >= 0]
     ids = [*range(pos), None, *range(pos, len(P.facets))]
     if st.full_dim and (crossings or max(slack) > 0):
-        held = set().union(*(act for _, act, *_ in kept), *(key | {None} for _, key, *_ in crossings))
+        held = set().union(*(act for _, act, *_ in kept), *(key + [None] for _, key, *_ in crossings))
         ids = [j for j in ids if j in held]
     moved = {j: i for i, j in enumerate(ids)}
     child = _derived(n, tuple(facet if j is None else P.facets[j] for j in ids))
@@ -630,7 +632,7 @@ def _halfspace_step(P: LabeledPolytope, facet: Facet) -> LabeledPolytope:
             es, det = _edge_directions(normals, sorted(q_act), n)
         records.append((row, q_act, es, det, unb))
     for row, key, relax, det in crossings:
-        act = sorted(map(moved.__getitem__, key | {None}))
+        act = sorted(map(moved.__getitem__, key + [None]))
         es, det = ((tuple(map({moved[j]: e for j, e in relax.items()}.__getitem__, act)), det)
                    if relax else _edge_directions(normals, act, n))
         records.append((row, frozenset(act), es, det, unb))
@@ -754,32 +756,22 @@ def validate(P: LabeledPolytope) -> ValidationReport:
     failure = dimension_failure(P)
     if failure:
         return ValidationReport(False, (failure,))
-    failures: list[str] = []
-
-    seen: dict[IntVector, int] = {}
-    for i, f in enumerate(P.facets):
-        if f.normal in seen:
-            failures.append(
-                f"facets {seen[f.normal]} and {i} share the normal {list(f.normal)} "
-                "(duplicate or parallel facet; one is redundant)")
-        else:
-            seen[f.normal] = i
+    first: dict[IntVector, int] = {}
+    failures = [f"facets {first[f.normal]} and {i} share the normal {list(f.normal)} "
+                "(duplicate or parallel facet; one is redundant)"
+                for i, f in enumerate(P.facets) if first.setdefault(f.normal, i) != i]
     if failures:
         return ValidationReport(False, tuple(failures))
 
     st = P.structure()
     if not st.points:
         reason = _empty_reason(P)
-        failures.append(f"empty: {reason}" if reason else
-                        "no vertex: the region is empty or unbounded without vertices")
-        return ValidationReport(False, tuple(failures))
+        return ValidationReport(False, (f"empty: {reason}" if reason else "no vertex: the region "
+                                        "is empty or unbounded without vertices",))
     if not st.simple:
-        for row, act in st.points:
-            if len(act) > P.dim:
-                failures.append(
-                    f"not simple: vertex {_format_row(row)} lies on facets {sorted(act)}")
-    if failures:
-        return ValidationReport(False, tuple(failures))
+        return ValidationReport(False, tuple(
+            f"not simple: vertex {_format_row(row)} lies on facets {sorted(act)}"
+            for row, act in st.points if len(act) > P.dim))
     if not st.bounded:
         for r in st.rays:
             failures.append(f"unbounded along direction {list(r)}")
@@ -1047,6 +1039,8 @@ def dumps(P: LabeledPolytope) -> str:
 
 
 def from_json_dict(obj: dict) -> LabeledPolytope:
+    """The polytope of a parsed file: `int` reads an offset string in the form
+    `_format_ratio` writes, and `parse_rational` reads or refuses any other."""
     if not isinstance(obj, dict) or "dim" not in obj or "facets" not in obj:
         raise InputError('polytope file must be {"dim": n, "facets": [...]}')
     dim = obj["dim"]
@@ -1069,19 +1063,24 @@ def from_json_dict(obj: dict) -> LabeledPolytope:
                 f"facet {i}: offset {off!r} is a float; offsets must be exact "
                 f'rational strings such as "{format_rational(Fraction(off).limit_denominator(10**6))}"')
         if isinstance(off, str):
-            off = parse_rational(off)
-        elif not _is_int(off):
+            num, _, den = (off if "/" in off else off + "/1").partition("/")
+            if not (off.isascii() and len(off) <= sys.get_int_max_str_digits()
+                    and num.removeprefix("-").isdigit() and den.isdigit() and int(den)):
+                num, den = parse_rational(off).as_integer_ratio()
+        elif _is_int(off):
+            num, den = off, 1
+        else:
             raise InputError(f"facet {i}: offset must be an integer or a rational string")
         label = fo.get("label", 1)
         if not _is_int(label):
             raise InputError(f"facet {i}: label must be a positive integer, got {label!r}")
-        facets.append(Facet(tuple(normal), off, label))
+        facets.append(_facet(tuple(normal), int(num), int(den), label))
     return LabeledPolytope(dim, facets)
 
 
 def loads(text: str) -> LabeledPolytope:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number of too many digits
         raise InputError(f"invalid JSON: {exc}") from None
     return from_json_dict(obj)

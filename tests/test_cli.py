@@ -73,6 +73,17 @@ def test_missing_file():
     assert out.exit_code == 1
 
 
+@pytest.mark.parametrize("content", [
+    ('{"dim": 2, "facets": [{"normal": [1, 0], "offset": %s}]}' % ("9" * 5000)).encode(),
+    b"\xff\xfe"], ids=["huge-number", "not-utf-8"])
+def test_unreadable_json_is_refused_by_name(tmp_path, content):
+    # a JSON number of more than 4 300 digits, and a file that is not UTF-8
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    out = run(["validate", "--in", str(p)])
+    assert out.exit_code == 1 and out.payload["message"].startswith(f"invalid JSON in {p}: ")
+
+
 def test_reduce_exit_codes(square_file):
     assert run(["reduce", "--level", "1/2", "--in", square_file]).exit_code == 0
     out = run(["reduce", "--level", "0", "--in", square_file])

@@ -4,11 +4,13 @@ import fractions
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+import hypothesis
 from hypothesis import assume, example, given, settings, strategies as st
 
 import momentcut.polytope
@@ -20,7 +22,7 @@ from momentcut.errors import (
     NotSimple,
     PreconditionError,
 )
-from momentcut.lattice import dot, independent_rows, primitive
+from momentcut.lattice import dot, independent_rows, parse_rational, primitive
 from momentcut.polytope import (
     Facet,
     LabeledPolytope,
@@ -1042,6 +1044,80 @@ def test_json_rejects_float_offset():
 def test_json_rejects_bad_json():
     with pytest.raises(InputError, match="JSON"):
         loads("{not json")
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "facets": [{"normal": [1], "offset": %s}]}' % ("9" * 5000),
+    '{"dim": %s, "facets": [{"normal": [1], "offset": 1}]}' % ("9" * 5000)],
+    ids=["offset", "dim"])
+def test_json_refuses_a_number_of_too_many_digits(text):
+    # json.loads raises a ValueError that is no JSONDecodeError here
+    with pytest.raises(InputError, match=r"invalid JSON: .*4300 digits"):
+        loads(text)
+
+
+# a string offset in the form `to_json_dict` writes is read by int; every
+# other string by parse_rational, with its value or its refusal
+@hypothesis.seed(4300)
+@settings(max_examples=300)
+@given(text=st.one_of(st.text(max_size=12),
+                      st.text(alphabet="0123456789-/+_ .e\u0663", max_size=12),
+                      st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)))
+@example("\u0663")
+@example("3_0")
+@example(" 3/4 ")
+@example("+3")
+@example("3/ 4")
+@example("-0/5")
+@example("007")
+@example("1/0")
+@example("1.5")
+@example("1e3")
+@example("")
+@example("-")
+@example("--3")
+@example("1" * 5000)
+def test_offset_strings_read_as_parse_rational_reads_them(text):
+    doc = {"dim": 1, "facets": [{"normal": [1], "offset": text}]}
+    try:
+        want = parse_rational(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            from_json_dict(doc)
+        assert str(got.value) == str(exc)
+    else:
+        f = from_json_dict(doc).facets[0]
+        assert (f.num, f.den) == (want.numerator, want.denominator)
+
+
+def test_offset_strings_follow_a_lowered_int_digit_limit():
+    # a string longer than the limit goes to parse_rational, which refuses
+    # it; `int` would raise a bare ValueError
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(InputError, match="not a rational string"):
+            from_json_dict({"dim": 1, "facets": [{"normal": [1], "offset": "1" * 1000}]})
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_canonical_offsets_parse_without_a_fraction():
+    text = dumps(chopped_hypercube())
+    assert '"-1/4"' in text and '"11/4"' in text
+    code = Fraction.__new__.__code__
+    built = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built["Fraction"] += 1
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        P = loads(text)
+    finally:
+        sys.setprofile(before)
+    assert built["Fraction"] == 0 and dumps(P) == text
 
 
 def test_json_offsets_as_integers_accepted():
